@@ -10,8 +10,10 @@ rewritten to that normal form by moving x's rightward.  Rewriting is
 degree preserving, so homogeneous inputs give homogeneous outputs.  The
 x^b y^a normal forms are memoized per spec, keyed on (b, a).
 
-Elements are immutable by convention; nothing here mutates term dicts
-after construction, so values can be shared freely across threads.
+SparseElement is the one kernel for elements of S, S*G, nabla(S) and
+Lambda: a dict of basis keys to coefficients with a structure-constant
+product.  Elements are immutable by convention; nothing here mutates term
+dicts after construction, so values can be shared freely across threads.
 """
 
 from dataclasses import dataclass, field
@@ -130,41 +132,118 @@ def _xy_normal(spec, b, a):
     return out
 
 
-def _accumulate(terms, mono, coeff):
-    cur = terms.get(mono)
+def _accumulate(terms, key, coeff):
+    cur = terms.get(key)
     nxt = coeff if cur is None else cur + coeff
     if nxt.is_zero():
-        terms.pop(mono, None)
+        terms.pop(key, None)
     else:
-        terms[mono] = nxt
+        terms[key] = nxt
 
 
-class AlgebraElement:
-    """A finite k-linear combination of normal-form monomials y^a x^b."""
+def monomial_product(spec, m1, m2):
+    """Normal form of the product m1 * m2 of two monomials, {Monomial: coeff}."""
+    (a1, b1), (a2, b2) = m1, m2
+    return {Monomial(a1 + am, bm + b2): cm for (am, bm), cm in _xy_normal(spec, b1, a2).items()}
 
-    __slots__ = ("spec", "terms")
 
-    def __init__(self, spec, terms=None):
-        self.spec = spec
+class SparseElement:
+    """A finite k-linear combination of basis keys with exact coefficients.
+
+    ctx is the algebra the element lives in (a spec or a group action).  A
+    subclass fixes the basis with two static methods: _key(ctx, key)
+    normalises a key, and _basis_mul(ctx, k1, k2) returns the product of two
+    basis keys as {key: coeff} with nonzero coefficients ({} for zero).
+    Every subclass shares this one product loop and its linear structure.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms=None):
+        self.ctx = ctx
         clean = {}
         if terms:
-            for m, c in terms.items():
+            for k, c in terms.items():
                 c = cyc(c)
                 if not c.is_zero():
-                    clean[Monomial(*m)] = c
+                    clean[self._key(ctx, k)] = c
         self.terms = clean
 
+    @classmethod
+    def zero(cls, ctx):
+        return cls(ctx)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _wrap(self, terms):
+        e = object.__new__(type(self))
+        e.ctx = self.ctx
+        e.terms = terms
+        return e
+
+    def scale(self, c):
+        c = cyc(c)
+        if c.is_zero():
+            return self._wrap({})
+        return self._wrap({k: c * v for k, v in self.terms.items()})
+
+    def __add__(self, other):
+        assert self.ctx is other.ctx
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _accumulate(out, k, c)
+        return self._wrap(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, SparseElement):
+            return self.scale(other)
+        ctx = self.ctx
+        basis_mul = self._basis_mul
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                prod = basis_mul(ctx, k1, k2)
+                if prod:
+                    c = c1 * c2
+                    for k, cm in prod.items():
+                        _accumulate(out, k, c * cm)
+        return self._wrap(out)
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+
+class AlgebraElement(SparseElement):
+    """A finite k-linear combination of normal-form monomials y^a x^b."""
+
+    __slots__ = ()
+
     @staticmethod
-    def zero(spec):
-        return AlgebraElement(spec)
+    def _key(spec, m):
+        return Monomial(*m)
+
+    _basis_mul = staticmethod(monomial_product)
 
     @staticmethod
     def one(spec):
         return AlgebraElement(spec, {MONO_ONE: ONE})
 
     @staticmethod
-    def monomial(spec, mono, coeff=1):
-        return AlgebraElement(spec, {Monomial(*mono): cyc(coeff)})
+    def monomial(spec, mono, coeff=ONE):
+        return AlgebraElement(spec, {mono: coeff})
 
     @staticmethod
     def gen_x(spec):
@@ -174,75 +253,23 @@ class AlgebraElement:
     def gen_y(spec):
         return AlgebraElement(spec, {Monomial(1, 0): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, mono):
         return self.terms.get(Monomial(*mono), Cyclotomic(0))
 
-    def scale(self, c):
-        c = cyc(c)
-        if c.is_zero():
-            return AlgebraElement(self.spec)
-        return AlgebraElement(self.spec, {m: c * v for m, v in self.terms.items()})
-
-    def __add__(self, other):
-        assert self.spec is other.spec
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return self._wrap(out)
-
-    def __sub__(self, other):
-        assert self.spec is other.spec
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, -c)
-        return self._wrap(out)
-
-    def __neg__(self):
-        return self._wrap({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return reduce_product(self, other, self.spec)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, k):
-        out = AlgebraElement.one(self.spec)
+        out = AlgebraElement.one(self.ctx)
         for _ in range(k):
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[m] == other.terms[m] for m in self.terms)
-
-    __hash__ = None
-
-    def _wrap(self, terms):
-        e = AlgebraElement.__new__(AlgebraElement)
-        e.spec = self.spec
-        e.terms = terms
-        return e
-
     def degree(self):
         """Degree of a homogeneous element (None for 0, error if mixed)."""
-        degs = {self.spec.degree(m) for m in self.terms}
+        degs = {self.ctx.degree(m) for m in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
             raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
-
-    def is_homogeneous(self):
-        return len({self.spec.degree(m) for m in self.terms}) <= 1
 
     def __str__(self):
         if not self.terms:
@@ -280,17 +307,8 @@ def _mono_str(m):
 
 
 def reduce_product(u, v, spec):
-    """Product in S, rewritten to the y^a x^b normal form."""
-    out = {}
-    for (a1, b1), c1 in u.terms.items():
-        for (a2, b2), c2 in v.terms.items():
-            c = c1 * c2
-            for (am, bm), cm in _xy_normal(spec, b1, a2).items():
-                _accumulate(out, Monomial(a1 + am, bm + b2), c * cm)
-    e = AlgebraElement.__new__(AlgebraElement)
-    e.spec = spec
-    e.terms = out
-    return e
+    """Product in S of elements u, v of spec, rewritten to the y^a x^b normal form."""
+    return u * v
 
 
 def graded_basis(spec, d):

@@ -42,13 +42,6 @@ class GradedAutomorphism:
         return self.image_x == other.image_x and self.image_y == other.image_y
 
 
-def make_automorphism(spec, image_x, image_y, check=True):
-    sigma = GradedAutomorphism(image_x, image_y)
-    if check and not is_graded_automorphism(sigma, spec):
-        raise ValueError("images do not define a graded algebra automorphism")
-    return sigma
-
-
 def diagonal_automorphism(spec, a, d):
     return GradedAutomorphism(
         AlgebraElement.gen_x(spec).scale(a), AlgebraElement.gen_y(spec).scale(d)

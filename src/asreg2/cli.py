@@ -37,7 +37,6 @@ from .automorphisms import (
     triangular_automorphism,
 )
 from .skew import (
-    SkewElement,
     ampleness_report,
     corner_dimension_checks,
     fixed_ring_dims,
@@ -46,7 +45,7 @@ from .skew import (
     molien_check,
     molien_dims,
     phi_injectivity_check,
-    rho_idempotents,
+    rho_system,
     skew_mul,
 )
 from .quivers import (
@@ -182,7 +181,15 @@ def build_parser():
     return ap
 
 
-def _apply_config(args):
+def _leaf_actions(parser, args):
+    """dest -> argparse action of the (sub)command parser that produced args."""
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            return _leaf_actions(a.choices[getattr(args, a.dest)], args)
+    return {a.dest: a for a in parser._actions}
+
+
+def _apply_config(args, parser):
     if getattr(args, "config", None) is None:
         return
     assigned = {}
@@ -195,18 +202,23 @@ def _apply_config(args):
                 raise SystemExit("config %s line %d: expected key=value" % (args.config, lineno))
             key, value = line.split("=", 1)
             assigned[key.strip().replace("-", "_")] = value.strip()
+    actions = _leaf_actions(parser, args)
     for key, value in assigned.items():
         if not hasattr(args, key):
             raise SystemExit("config: unknown key %r" % key)
         if getattr(args, key) is None:
-            cur_type = {"wx": int, "wy": int, "r": int, "c": int, "i": int, "j": int,
-                        "max_degree": int, "max_depth": int,
-                        "target_i": int, "target_j": int}.get(key, str)
-            try:
-                setattr(args, key, cur_type(value))
-            except ValueError:
-                raise SystemExit("config %s: key %r needs an integer, got %r"
-                                 % (args.config, key, value))
+            action = actions[key]
+            if action.type is not None:
+                # int is the only type the parser uses
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    raise SystemExit("config %s: key %r needs an integer, got %r"
+                                     % (args.config, key, value))
+            if action.choices is not None and value not in action.choices:
+                raise SystemExit("config %s: key %r must be one of %s, got %r"
+                                 % (args.config, key, ", ".join(action.choices), value))
+            setattr(args, key, value)
 
 
 def _spec_from_args(args):
@@ -236,9 +248,12 @@ def _action_from_args(spec, args, r_default=1):
         raise SystemExit("invalid action: %s" % exc)
 
 
-def _emit(args, text_lines, payload, default_format="text"):
-    fmt = args.format or default_format
-    if fmt == "json":
+def _emit(args, text_lines, payload, dot=None):
+    """Write the report as --format text, json or dot to --out or stdout."""
+    fmt = args.format or "text"
+    if fmt == "dot":
+        body = dot
+    elif fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
@@ -249,23 +264,13 @@ def _emit(args, text_lines, payload, default_format="text"):
         sys.stdout.write(body)
 
 
-def _emit_quiver(args, q, params):
-    fmt = args.format or "text"
-    if fmt == "dot":
-        body = to_dot(q)
-    elif fmt == "json":
-        payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = ["vertices: %s" % " ".join(q.vertices)]
-        for (s, t, tag) in q.arrows:
-            lines.append("%s -> %s%s" % (s, t, " [%s]" % tag if tag else ""))
-        body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+def _quiver_report(q, params):
+    """The _emit arguments after args for a quiver: text lines, JSON payload, DOT."""
+    lines = ["vertices: %s" % " ".join(q.vertices)]
+    for (s, t, tag) in q.arrows:
+        lines.append("%s -> %s%s" % (s, t, " [%s]" % tag if tag else ""))
+    payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
+    return lines, payload, to_dot(q)
 
 
 def cmd_info(args):
@@ -380,43 +385,35 @@ def cmd_ample(args):
     return 0
 
 
-def cmd_quiver(args):
-    spec = None
-    if args.kind in ("qs", "qsg", "covering"):
-        spec = _spec_from_args(args)
-    if args.kind == "qs":
-        q = quiver_qs(spec)
-        params = {"kind": "qs", "wx": spec.w_x, "wy": spec.w_y}
-    elif args.kind == "qsg":
-        r = args.r if args.r is not None else 1
-        q = quiver_qsg(spec, r)
-        params = {"kind": "qsg", "wx": spec.w_x, "wy": spec.w_y, "r": r}
-    elif args.kind == "covering":
-        c = args.c if args.c is not None else 1
-        q = covering_quiver(spec, c)
-        params = {"kind": "covering", "wx": spec.w_x, "wy": spec.w_y, "c": c}
-    else:
+def _quiver_from_args(args):
+    """The quiver named by args.kind, and its JSON params."""
+    if args.kind == "canonical":
         if args.i is None or args.j is None:
             raise SystemExit("canonical quiver needs --i and --j")
-        q = make_canonical_quiver(args.i, args.j)
-        params = {"kind": "canonical", "i": args.i, "j": args.j}
-    _emit_quiver(args, q, params)
+        return make_canonical_quiver(args.i, args.j), {"kind": "canonical", "i": args.i, "j": args.j}
+    spec = _spec_from_args(args)
+    params = {"kind": args.kind, "wx": spec.w_x, "wy": spec.w_y}
+    if args.kind == "qs":
+        return quiver_qs(spec), params
+    if args.kind == "qsg":
+        params["r"] = args.r if args.r is not None else 1
+        return quiver_qsg(spec, params["r"]), params
+    params["c"] = args.c if args.c is not None else 1
+    return covering_quiver(spec, params["c"]), params
+
+
+def cmd_quiver(args):
+    _emit(args, *_quiver_report(*_quiver_from_args(args)))
     return 0
 
 
 def cmd_reflect_at(args):
-    spec = _spec_from_args(args)
-    if args.kind == "qs":
-        q = quiver_qs(spec)
-    elif args.kind == "qsg":
-        q = quiver_qsg(spec, args.r if args.r is not None else 1)
-    else:
-        q = covering_quiver(spec, args.c if args.c is not None else 1)
+    q, _ = _quiver_from_args(args)
     try:
         refl = bgp_reflect(q, args.vertex)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    _emit_quiver(args, refl, {"kind": args.kind, "vertex": args.vertex})
+    _emit(args, *_quiver_report(refl, {"kind": args.kind, "vertex": args.vertex}))
     return 0
 
 
@@ -462,17 +459,7 @@ def cmd_check(args):
 
     e = idempotent_e(action)
     record("idempotent e^2 = e", skew_mul(e, e, action) == e)
-    rhos = rho_idempotents(action)
-    ortho = all(
-        (skew_mul(rhos[i], rhos[j], action) == rhos[i]) == (i == j)
-        and (i == j or skew_mul(rhos[i], rhos[j], action).is_zero())
-        for i in range(r) for j in range(r)
-    )
-    total = SkewElement.zero(action)
-    for rho in rhos:
-        total = total + rho
-    record("rho idempotents orthogonal and complete",
-           ortho and total == SkewElement.one(action))
+    record("rho idempotents orthogonal and complete", rho_system(action)[1])
 
     record("corner dimension identities (d <= %d)" % D,
            corner_dimension_checks(spec, action, D)["ok"])
@@ -525,7 +512,7 @@ def cmd_check(args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    _apply_config(args)
+    _apply_config(args, ap)
     handlers = {
         "info": cmd_info,
         "hdet": cmd_hdet,

@@ -64,16 +64,6 @@ class Echelon:
         self.rows[pivot] = {k: c * inv for k, c in v.items()}
         return True
 
-    def contains(self, vec):
-        return not self.residue(vec)
-
-
-def rank_of(vectors):
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
 
 def linear_solve(columns, target):
     """Coefficients c with sum c_k * columns[k] = target, or None.

@@ -13,96 +13,54 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic, ONE, cyc
 from .rationals import RAT
-from .algebra import AlgebraElement, Monomial, MONO_ONE, graded_basis, reduce_product
+from .algebra import (
+    AlgebraElement,
+    MONO_ONE,
+    Monomial,
+    SparseElement,
+    graded_basis,
+    monomial_product,
+    reduce_product,
+)
 from .linalg import Echelon
 
 
-class SkewElement:
+def skew_mul_basis(action, k1, k2):
+    """(a*g^s)(b*g^t) = a g^s(b) * g^(s+t) with the diagonal action."""
+    (m1, s), (m2, t) = k1, k2
+    # g^s scales the monomial m2 by xi^(s * char(m2))
+    c = action.xi_power(s * action.char(m2))
+    gexp = (s + t) % action.r
+    return {(m, gexp): c * cm for m, cm in monomial_product(action.spec, m1, m2).items()}
+
+
+class SkewElement(SparseElement):
     """Finite combination of (y^a x^b, g^s) with exact coefficients."""
 
-    __slots__ = ("action", "terms")
-
-    def __init__(self, action, terms=None):
-        self.action = action
-        clean = {}
-        if terms:
-            r = action.r
-            for (m, s), c in terms.items():
-                c = cyc(c)
-                if not c.is_zero():
-                    clean[(Monomial(*m), s % r)] = c
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
-    def zero(action):
-        return SkewElement(action)
+    def _key(action, key):
+        m, s = key
+        return (Monomial(*m), s % action.r)
+
+    _basis_mul = staticmethod(skew_mul_basis)
 
     @staticmethod
     def one(action):
         return SkewElement(action, {(MONO_ONE, 0): ONE})
 
     @staticmethod
-    def basis_element(action, mono, s, coeff=1):
-        return SkewElement(action, {(Monomial(*mono), s): cyc(coeff)})
-
-    @staticmethod
-    def from_algebra(action, u, s=0):
-        return SkewElement(action, {(m, s): c for m, c in u.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        c = cyc(c)
-        if c.is_zero():
-            return SkewElement(self.action)
-        return self._wrap({k: c * v for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            nxt = c if cur is None else cur + c
-            if nxt.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nxt
-        return self._wrap(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, SkewElement):
-            return skew_mul(self, other, self.action)
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewElement):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
-
-    def _wrap(self, terms):
-        e = SkewElement.__new__(SkewElement)
-        e.action = self.action
-        e.terms = terms
-        return e
+    def basis_element(action, mono, s, coeff=ONE):
+        return SkewElement(action, {(mono, s): coeff})
 
     def degree(self):
-        spec = self.action.spec
+        spec = self.ctx.spec
         degs = {spec.degree(m) for (m, _) in self.terms}
         if not degs:
             return None
@@ -125,35 +83,8 @@ class SkewElement:
 
 
 def skew_mul(u, v, action):
-    """(a*g^s)(b*g^t) = a g^s(b) * g^(s+t) with the diagonal action."""
-    spec = action.spec
-    r = action.r
-    out = {}
-    for (m1, s), c1 in u.terms.items():
-        for (m2, t), c2 in v.terms.items():
-            # g^s scales the monomial m2 by xi^(s * char(m2))
-            c = c1 * c2 * action.xi_power(s * action.char(m2))
-            prod = _xy_product_terms(spec, m1, m2)
-            gexp = (s + t) % r
-            for m, cm in prod.items():
-                key = (m, gexp)
-                cur = out.get(key)
-                nxt = c * cm if cur is None else cur + c * cm
-                if nxt.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = nxt
-    e = SkewElement.__new__(SkewElement)
-    e.action = action
-    e.terms = out
-    return e
-
-
-def _xy_product_terms(spec, m1, m2):
-    prod = reduce_product(
-        AlgebraElement.monomial(spec, m1), AlgebraElement.monomial(spec, m2), spec
-    )
-    return prod.terms
+    """Product in S*G of elements u, v of the skew group algebra of action."""
+    return u * v
 
 
 def idempotent_e(action):
@@ -166,24 +97,28 @@ def idempotent_e(action):
 
 
 def rho_idempotents(action):
-    """rho_j = (1/r) sum_s xi^(j s) g^s; rho_0 = e, orthogonal, complete.
+    """rho_j = (1/r) sum_s xi^(j s) g^s; rho_0 = e.
 
-    Idempotence and completeness are checked on construction; the full
-    pairwise orthogonality is exercised in the tests.
+    rho_system checks that they are orthogonal idempotents summing to 1.
     """
     r = action.r
     w = cyc(RAT(1, r))
-    out = []
-    for j in range(r):
-        out.append(
-            SkewElement(action, {(MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)})
-        )
-    total = SkewElement.zero(action)
-    for rho in out:
-        assert skew_mul(rho, rho, action) == rho
-        total = total + rho
-    assert total == SkewElement.one(action)
-    return out
+    return [SkewElement(action, {(MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)})
+            for j in range(r)]
+
+
+def rho_system(action):
+    """The rho_j, and whether they are orthogonal idempotents summing to 1.
+
+    Returns (rhos, ok); each product rho_i rho_j is formed once.
+    """
+    rhos = rho_idempotents(action)
+    zero = SkewElement.zero(action)
+    ok = all(
+        skew_mul(ri, rj, action) == (ri if i == j else zero)
+        for i, ri in enumerate(rhos) for j, rj in enumerate(rhos)
+    )
+    return rhos, ok and sum(rhos, zero) == SkewElement.one(action)
 
 
 def skew_dim(action, d):
@@ -278,24 +213,17 @@ def ideal_e_dims(spec, action, D):
     """
     r = action.r
     out = []
+    # (character, monomial element) for each basis monomial, by degree
+    basis = [[(action.char(m), AlgebraElement.monomial(spec, m)) for m in graded_basis(spec, d)]
+             for d in range(D + 1)]
     for d in range(D + 1):
-        basis_d = graded_basis(spec, d)
-        by_char = {}
-        for m in basis_d:
-            by_char.setdefault(action.char(m), []).append(m)
-        capacity = {c: len(ms) for c, ms in by_char.items()}
+        capacity = Counter(c for c, _ in basis[d])
         blocks = {}
         full = set()
         total = 0
         for i in range(d + 1):
-            left = graded_basis(spec, i)
-            right = graded_basis(spec, d - i)
-            if not left or not right:
-                continue
-            for m1 in left:
-                c1 = action.char(m1)
-                for m2 in right:
-                    w = action.char(m2)
+            for c1, u in basis[i]:
+                for w, v in basis[d - i]:
                     c = (c1 + w) % r
                     key = (c, w)
                     if key in full:
@@ -303,10 +231,9 @@ def ideal_e_dims(spec, action, D):
                     ech = blocks.get(key)
                     if ech is None:
                         ech = blocks[key] = Echelon()
-                    prod = _xy_product_terms(spec, m1, m2)
-                    if ech.add(dict(prod)):
+                    if ech.add(reduce_product(u, v, spec).terms):
                         total += 1
-                        if ech.rank == capacity.get(c, 0):
+                        if ech.rank == capacity[c]:
                             full.add(key)
         out.append(total)
     return out
@@ -434,13 +361,11 @@ def phi_injectivity_check(spec, action, D):
     count = 0
     for deg in range(D + 1):
         for (m, s) in _skew_basis(action, deg):
-            a, b = m
             row = {}
             for dt in range(D + 1):
                 for t in graded_basis(spec, dt):
                     scal = action.xi_power(s * action.char(t))
-                    prod = _xy_product_terms(spec, m, t)
-                    for mono, c in prod.items():
+                    for mono, c in monomial_product(spec, m, t).items():
                         row[(dt, t, mono)] = scal * c
             count += 1
             ech.add(row)

@@ -1,14 +1,17 @@
 import random
 
-from asreg2.cyclotomic import cyc, zeta
-from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.cyclotomic import ONE, cyc, zeta
+from asreg2.algebra import MONO_ONE, jordan_spec, quantum_spec
 from asreg2.automorphisms import make_cyclic_group
 from asreg2.beilinson import (
     LambdaElement,
     NablaElement,
+    _tau_j_basis,
     gabriel_quiver_oracle,
     idempotent_system_report,
     lambda_dim,
+    lambda_idempotents,
+    lambda_unit,
     nabla_algebra,
     nabla_basis,
     nabla_dim,
@@ -17,6 +20,7 @@ from asreg2.beilinson import (
     tau_corner_dims_fast,
     tau_corner_dims_generic,
 )
+from asreg2.linalg import Echelon
 from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
 
 S11 = quantum_spec(1, 1, 1)
@@ -69,12 +73,51 @@ def test_lambda_dim_and_structure():
         assert nabla_skew_structure_check(action)
 
 
+def idempotent_system_oracle(action):
+    """idempotent_system_report by brute force in Lambda.
+
+    Forms all (ell*r)^2 products of the e_i^j and, for each e_i^j, the
+    sandwiches e_i^j w e_i^j over the degree-zero basis w.
+    """
+    idem = lambda_idempotents(action)
+    keys = sorted(idem)
+    ok = True
+    total = LambdaElement.zero(action)
+    for a in keys:
+        ea = idem[a]
+        total = total + ea
+        for b in keys:
+            prod = ea * idem[b]
+            if a == b:
+                ok = ok and prod == ea
+            else:
+                ok = ok and prod.is_zero()
+    ok = ok and total == lambda_unit(action)
+    corners_one_dim = True
+    for a in keys:
+        ech = Echelon()
+        for i in range(action.spec.ell):
+            for s in range(action.r):
+                w = LambdaElement(action, {(i, i, MONO_ONE, s): ONE})
+                proj = idem[a] * w * idem[a]
+                if not proj.is_zero():
+                    ech.add(dict(proj.terms))
+        if ech.rank != 1:
+            corners_one_dim = False
+            break
+    no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
+    return {"ok": ok and corners_one_dim and no_loops, "idempotents": len(keys),
+            "orthogonal_complete": ok, "basic": corners_one_dim,
+            "diagonal_corners_trivial": no_loops}
+
+
 def test_lambda_idempotent_system():
     for spec, r in ((S11, 3), (S12, 2), (S13, 2), (J1, 2), (S11, 1)):
         action = make_cyclic_group(spec, r)
         report = idempotent_system_report(action)
         assert report["ok"], report
         assert report["idempotents"] == spec.ell * r
+        assert report == idempotent_system_oracle(action)
 
 
 def test_corner_dims_fast_equals_generic():

@@ -171,6 +171,15 @@ def test_bad_inputs_exit_cleanly(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["info", "--config", str(cfg)])
     assert "key=value" in str(exc.value)
+    # config values meet the same choices as the flags they seed
+    cfg.write_text("family=jordn\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--config", str(cfg)])
+    assert "'jordn'" in str(exc.value)
+    cfg.write_text("format=xml\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--config", str(cfg)])
+    assert "'xml'" in str(exc.value)
     with pytest.raises(SystemExit):
         main(["ample", "--r", "2", "--action-powers", "1;0"])
 
