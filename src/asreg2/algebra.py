@@ -189,7 +189,8 @@ class SparseElement:
         return self._wrap({k: c * v for k, v in self.terms.items()})
 
     def __add__(self, other):
-        assert self.ctx is other.ctx
+        if self.ctx is not other.ctx:
+            raise ValueError("cannot add elements of different algebras")
         out = dict(self.terms)
         for k, c in other.terms.items():
             _accumulate(out, k, c)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import Cyclotomic, ONE, primitive_root
 from .algebra import AlgebraElement, Monomial, graded_basis
-from .linalg import Echelon, linear_solve
+from .linalg import Echelon
 
 
 class NotTabulatedError(ValueError):
@@ -134,16 +134,19 @@ def is_graded_automorphism(sigma, spec):
 
 def _solve_preimage(sigma, spec, target):
     """u in the degree of target with sigma(u) = target, or None."""
-    d = target.degree()
-    basis = graded_basis(spec, d)
-    columns = [
-        dict(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
-        for m in basis
-    ]
-    coeffs = linear_solve(columns, dict(target.terms))
-    if coeffs is None:
+    basis = graded_basis(spec, target.degree())
+    # rows (sigma(m_k), unit k): reducing (target, 0) leaves (0, -u) exactly
+    # when target lies in the span of the sigma(m_k)
+    ech = Echelon()
+    for k, m in enumerate(basis):
+        img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
+        row = {(0,) + key: c for key, c in img.terms.items()}
+        row[(1, k)] = ONE
+        ech.add(row)
+    res = ech.residue({(0,) + key: c for key, c in target.terms.items()})
+    if any(key[0] == 0 for key in res):
         return None
-    return AlgebraElement(spec, {m: c for m, c in zip(basis, coeffs)})
+    return AlgebraElement(spec, {basis[k]: -c for (_, k), c in res.items()})
 
 
 def inverse_automorphism(sigma, spec):
@@ -153,8 +156,8 @@ def inverse_automorphism(sigma, spec):
     if pre_x is None or pre_y is None:
         raise ValueError("map is not invertible on the generator degrees")
     tau = GradedAutomorphism(pre_x, pre_y)
-    check = compose(sigma, tau, spec)
-    assert check == identity_automorphism(spec)
+    if compose(sigma, tau, spec) != identity_automorphism(spec):
+        raise ArithmeticError("generator preimages do not invert the map")
     return tau
 
 
@@ -306,8 +309,8 @@ class CyclicGroupAction:
 def make_cyclic_group(spec, r):
     """The canonical hdet-one action diag(xi, xi^-1) of order r."""
     action = make_diagonal_action(spec, r, 1, -1)
-    g = action.generator()
-    assert hdet(g, spec).is_one()
+    if not hdet(action.generator(), spec).is_one():
+        raise ArithmeticError("diag(xi, xi^-1) has homological determinant != 1")
     return action
 
 

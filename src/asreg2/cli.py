@@ -387,19 +387,22 @@ def cmd_ample(args):
 
 def _quiver_from_args(args):
     """The quiver named by args.kind, and its JSON params."""
-    if args.kind == "canonical":
-        if args.i is None or args.j is None:
-            raise SystemExit("canonical quiver needs --i and --j")
-        return make_canonical_quiver(args.i, args.j), {"kind": "canonical", "i": args.i, "j": args.j}
-    spec = _spec_from_args(args)
-    params = {"kind": args.kind, "wx": spec.w_x, "wy": spec.w_y}
-    if args.kind == "qs":
-        return quiver_qs(spec), params
-    if args.kind == "qsg":
-        params["r"] = args.r if args.r is not None else 1
-        return quiver_qsg(spec, params["r"]), params
-    params["c"] = args.c if args.c is not None else 1
-    return covering_quiver(spec, params["c"]), params
+    try:
+        if args.kind == "canonical":
+            if args.i is None or args.j is None:
+                raise SystemExit("canonical quiver needs --i and --j")
+            return make_canonical_quiver(args.i, args.j), {"kind": "canonical", "i": args.i, "j": args.j}
+        spec = _spec_from_args(args)
+        params = {"kind": args.kind, "wx": spec.w_x, "wy": spec.w_y}
+        if args.kind == "qs":
+            return quiver_qs(spec), params
+        if args.kind == "qsg":
+            params["r"] = args.r if args.r is not None else 1
+            return quiver_qsg(spec, params["r"]), params
+        params["c"] = args.c if args.c is not None else 1
+        return covering_quiver(spec, params["c"]), params
+    except ValueError as exc:
+        raise SystemExit("invalid quiver: %s" % exc)
 
 
 def cmd_quiver(args):
@@ -420,8 +423,11 @@ def cmd_reflect_at(args):
 def cmd_reflect_search(args):
     spec = _spec_from_args(args)
     c = args.c if args.c is not None else 1
-    source = covering_quiver(spec, c)
-    target = make_canonical_quiver(args.target_i, args.target_j)
+    try:
+        source = covering_quiver(spec, c)
+        target = make_canonical_quiver(args.target_i, args.target_j)
+    except ValueError as exc:
+        raise SystemExit("invalid quiver: %s" % exc)
     seq = reflection_search(source, target, args.max_depth)
     if seq is None:
         lines = ["no reflection sequence found"]
@@ -513,6 +519,11 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     _apply_config(args, ap)
+    # one check for flags and config values alike
+    for key in ("max_degree", "max_depth"):
+        value = getattr(args, key, None)
+        if value is not None and value < 0:
+            raise SystemExit("--%s must be >= 0, got %d" % (key.replace("_", "-"), value))
     handlers = {
         "info": cmd_info,
         "hdet": cmd_hdet,

@@ -11,6 +11,7 @@ to Q when all zeta coordinates vanish; general number fields are out of
 scope.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from .rationals import R0, R1, rat, rat_str
@@ -33,123 +34,39 @@ def euler_phi(n):
     return result
 
 
-def _int_poly_divmod(num, den):
-    # exact division of integer polynomials (ascending coefficients)
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quo = [0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        q = c // lead
-        quo[k - dn] = q
-        for i, d in enumerate(den):
-            num[k - dn + i] -= q * d
-    assert all(c == 0 for c in num), "division was not exact"
-    return quo
-
-
-_cyclo_int = {1: (-1, 1)}
-
-
-def _cyclotomic_int(n):
-    """Integer coefficients of Phi_n, ascending."""
-    if n in _cyclo_int:
-        return _cyclo_int[n]
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul_int(den, _cyclotomic_int(d))
-    coeffs = tuple(_int_poly_divmod(num, den))
-    _cyclo_int[n] = coeffs
-    return coeffs
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+_phi_cache = {}
 
 
 def cyclotomic_polynomial(n):
     """Phi_n as a tuple of rationals, ascending, monic of degree phi(n)."""
-    return tuple(rat(c) for c in _cyclotomic_int(n))
-
-
-# per conductor: (phi, tuple of reduction rows for t^phi .. t^(2*phi-2))
-_red_cache = {}
-
-
-def _reduction_rows(n):
-    if n in _red_cache:
-        return _red_cache[n]
-    phi_n = euler_phi(n)
-    mod = _cyclotomic_int(n)
-    rows = []
-    # current = t^k reduced, as a length-phi integer-free RAT list
-    current = [R0] * phi_n
-    if phi_n > 0:
-        # t^(phi-1)
-        current[phi_n - 1] = R1
-    for _ in range(phi_n - 1):
-        # multiply by t, reduce the overflow coefficient using Phi monic
-        top = current[phi_n - 1]
-        nxt = [R0] + current[:-1]
-        if top != 0:
-            for i in range(phi_n):
-                nxt[i] -= top * mod[i]
-        # first shift loses nothing since len stays phi
-        current = nxt
-        rows.append(tuple(current))
-    entry = (phi_n, tuple(rows))
-    _red_cache[n] = entry
-    return entry
+    if n not in _phi_cache:
+        # Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; the divisor is monic
+        num = [-R1] + [R0] * (n - 1) + [R1]
+        den = [R1]
+        for d in range(1, n):
+            if n % d == 0:
+                den = _poly_mul(den, cyclotomic_polynomial(d))
+        quo, rem = _poly_divmod(num, den)
+        if any(rem):
+            raise ArithmeticError("t^%d - 1 is not divisible by its proper cyclotomic factors" % n)
+        _phi_cache[n] = tuple(quo)
+    return _phi_cache[n]
 
 
 def _reduce_coeffs(n, coeffs):
-    """Reduce an arbitrary-length coefficient list mod Phi_n, return tuple of len phi(n)."""
-    phi_n, rows = _reduction_rows(n)
-    out = list(coeffs[:phi_n]) + [R0] * max(0, phi_n - len(coeffs))
-    for k in range(phi_n, len(coeffs)):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k - phi_n < len(rows):
-            row = rows[k - phi_n]
-            for i in range(phi_n):
-                if row[i] != 0:
-                    out[i] += c * row[i]
-        else:
-            # beyond the precomputed window: long-divide step by step
-            tail = [R0] * k + [c]
-            tail = _reduce_long(n, tail)
-            for i in range(phi_n):
-                out[i] += tail[i]
-    return tuple(out)
-
-
-def _reduce_long(n, coeffs):
-    phi_n, _ = _reduction_rows(n)
-    mod = _cyclotomic_int(n)
-    work = list(coeffs)
+    """Reduce a coefficient list of any length mod Phi_n; a tuple of length phi(n)."""
+    mod = cyclotomic_polynomial(n)
+    phi_n = len(mod) - 1
+    work = list(coeffs) + [R0] * (phi_n - len(coeffs))
+    # long division by the monic Phi_n, top coefficient first
     for k in range(len(work) - 1, phi_n - 1, -1):
         c = work[k]
         if c == 0:
             continue
-        work[k] = R0
         for i in range(phi_n):
             if mod[i]:
                 work[k - phi_n + i] -= c * mod[i]
-    return work[:phi_n] + [R0] * max(0, phi_n - len(work))
+    return tuple(work[:phi_n])
 
 
 class Cyclotomic:
@@ -259,8 +176,7 @@ class Cyclotomic:
         if self.n == 1:
             return Cyclotomic._raw(1, (R1 / self.c[0],))
         # extended Euclid in Q[t]: u*self + v*Phi_n = 1
-        phi = [rat(x) for x in _cyclotomic_int(self.n)]
-        r0, r1 = phi, list(self.c)
+        r0, r1 = list(cyclotomic_polynomial(self.n)), list(self.c)
         s0, s1 = [R0], [R1]
         while any(x != 0 for x in r1):
             q, rem = _poly_divmod(r0, r1)
@@ -292,7 +208,7 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(R0))) or other.__class__.__name__ == "Fraction":
+        if isinstance(other, (int, Fraction)):
             other = Cyclotomic(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented

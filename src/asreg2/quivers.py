@@ -247,7 +247,8 @@ def _component_isomorphism(q1, q2, respect_tags):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    assert len(order) == n
+    if len(order) != n:
+        raise ValueError("_component_isomorphism needs a connected quiver")
 
     mapping = {}
     taken = set()

@@ -1,52 +1,32 @@
-"""Exact rational arithmetic backend.
+"""Exact rational numbers.
 
 Everything in this package computes over the rationals (and cyclotomic
-extensions built on top of them); no floating point anywhere.  gmpy2's mpq
-is used when available because its bignum kernels are much faster than
-fractions.Fraction; the stdlib Fraction is the fallback.  Both expose the
-same numerator/denominator interface and normalize to lowest terms with a
-positive denominator, which is all the rest of the code relies on.
-
-Set ASREG2_RATIONALS=fraction or =gmpy2 to force a backend (used by the
-benchmark script and by tests that pin the fallback).
+extensions built on top of them); no floating point anywhere.  The rational
+type is the stdlib ``fractions.Fraction``.  The rest of the code relies only
+on its normal form: lowest terms with a positive denominator.
 """
 
-import os
 from fractions import Fraction
 
-_forced = os.environ.get("ASREG2_RATIONALS", "").strip().lower()
-
-if _forced == "fraction":
-    RAT = Fraction
-    BACKEND = "fraction"
-elif _forced in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as RAT
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _forced == "gmpy2":
-            raise
-        RAT = Fraction
-        BACKEND = "fraction"
-else:
-    raise ValueError("ASREG2_RATIONALS must be 'fraction' or 'gmpy2', got %r" % _forced)
+RAT = Fraction
+BACKEND = "fraction"
 
 R0 = RAT(0)
 R1 = RAT(1)
 
 
 def rat(value, den=None):
-    """Coerce to the active rational type."""
+    """Coerce to the rational type."""
     if den is not None:
         return RAT(value, den)
-    if isinstance(value, (int, Fraction)) or type(value) is type(R0):
+    if isinstance(value, (int, Fraction)):
         return RAT(value)
     raise TypeError("cannot coerce %r to a rational" % (value,))
 
 
 def rat_str(q):
     """Render p/q, or just p for integers."""
-    n, d = int(q.numerator), int(q.denominator)
+    n, d = q.numerator, q.denominator
     if d == 1:
         return str(n)
     return "%d/%d" % (n, d)

@@ -59,15 +59,6 @@ class SkewElement(SparseElement):
     def basis_element(action, mono, s, coeff=ONE):
         return SkewElement(action, {(mono, s): coeff})
 
-    def degree(self):
-        spec = self.ctx.spec
-        degs = {spec.degree(m) for (m, _) in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
-        return degs.pop()
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -92,7 +83,8 @@ def idempotent_e(action):
     r = action.r
     w = cyc(RAT(1, r))
     e = SkewElement(action, {(MONO_ONE, s): w for s in range(r)})
-    assert skew_mul(e, e, action) == e
+    if skew_mul(e, e, action) != e:
+        raise ArithmeticError("the averaging element e is not idempotent")
     return e
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import asreg2
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.rationals import RAT
@@ -182,6 +186,34 @@ def test_bad_inputs_exit_cleanly(tmp_path):
     assert "'xml'" in str(exc.value)
     with pytest.raises(SystemExit):
         main(["ample", "--r", "2", "--action-powers", "1;0"])
+    # quiver constructors reject bad sizes with one line, not a traceback
+    for argv in (["quiver", "qsg", "--r", "0"],
+                 ["quiver", "covering", "--c", "0"],
+                 ["quiver", "canonical", "--i", "0", "--j", "2"],
+                 ["reflect", "at", "--kind", "covering", "--c", "0", "--vertex", "v0"],
+                 ["reflect", "search", "--c", "0", "--target-i", "1", "--target-j", "1"],
+                 ["reflect", "search", "--target-i", "0", "--target-j", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("invalid quiver: ")
+    # negative windows, from flags and from config files alike
+    for argv in (["ample", "--max-degree", "-3"],
+                 ["info", "--max-degree", "-1"],
+                 ["fixed", "--max-degree", "-2"],
+                 ["check", "--max-degree", "-1"],
+                 ["reflect", "search", "--target-i", "1", "--target-j", "1",
+                  "--max-depth", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "must be >= 0" in str(exc.value)
+    cfg.write_text("max-degree=-3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ample", "--config", str(cfg)])
+    assert str(exc.value) == "--max-degree must be >= 0, got -3"
+    cfg.write_text("max-depth=-1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reflect", "search", "--target-i", "1", "--target-j", "1", "--config", str(cfg)])
+    assert str(exc.value) == "--max-depth must be >= 0, got -1"
 
 
 def test_byte_identical_output(capsys):
@@ -191,3 +223,17 @@ def test_byte_identical_output(capsys):
     code2, out2 = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_optimized_run_gives_identical_bytes():
+    # invariants are explicit raises, so python -O checks and prints the same
+    argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5",
+            "--format", "json"]
+    src = str(Path(asreg2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [subprocess.run([sys.executable, *flags, "-m", "asreg2", *argv], env=env,
+                           capture_output=True, check=True).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0] == outs[1]
+    assert b'"ok": true' in outs[0]

@@ -9,10 +9,20 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.automorphisms import (
+    compose,
+    identity_automorphism,
+    inverse_automorphism,
+    is_graded_automorphism,
+    linear_automorphism,
+    triangular_automorphism,
+)
 from asreg2.cyclotomic import cyc, cyclotomic_polynomial, multiplicative_order, zeta
-from asreg2.linalg import Echelon, linear_solve
+from asreg2.linalg import Echelon
 from asreg2.quivers import Quiver, quiver_isomorphic
 from asreg2.rationals import RAT
 
@@ -157,24 +167,37 @@ def test_echelon_rank_against_dense_oracle():
         assert ech.rank == dense_rank_oracle(rows, ncols)
 
 
-def test_linear_solve_round_trip():
+def test_inverse_automorphism_round_trip():
+    comm, anti = quantum_spec(1, 1, 1), quantum_spec(1, 1, -1)
+    q13 = quantum_spec(1, 3, 1)
     rng = random.Random(31415)
-    for _ in range(40):
-        ncols = rng.randrange(1, 5)
-        nrows = rng.randrange(ncols, ncols + 3)
-        columns = [
-            {i: cyc(rng.randrange(-3, 4)) for i in range(nrows)} for _ in range(ncols)
-        ]
-        coeffs = [cyc(rng.randrange(-2, 3)) for _ in range(ncols)]
-        target = {}
-        for c, col in zip(coeffs, columns):
-            for k, v in col.items():
-                target[k] = target.get(k, cyc(0)) + c * v
-        solution = linear_solve(columns, target)
-        assert solution is not None
-        rebuilt = {}
-        for c, col in zip(solution, columns):
-            for k, v in col.items():
-                rebuilt[k] = rebuilt.get(k, cyc(0)) + c * v
-        for k in set(target) | set(rebuilt):
-            assert rebuilt.get(k, cyc(0)) == target.get(k, cyc(0))
+
+    def scalar(nonzero=False):
+        while True:
+            value = cyc(RAT(rng.randrange(-4, 5), rng.randrange(1, 4)))
+            if rng.random() < 0.3:
+                value = value * zeta(rng.choice((3, 4, 5)), rng.randrange(1, 6))
+            if not (nonzero and value.is_zero()):
+                return value
+
+    cases = []
+    for _ in range(25):
+        a, b, c, d = (scalar() for _ in range(4))
+        if not (a * d - b * c).is_zero():
+            cases.append((comm, linear_automorphism(comm, a, b, c, d)))
+        # xy + yx only admits diagonal and antidiagonal maps
+        p, q = scalar(True), scalar(True)
+        cases.append((anti, linear_automorphism(anti, p, 0, 0, q) if rng.random() < 0.5
+                      else linear_automorphism(anti, 0, p, q, 0)))
+        jordan = jordan_spec(rng.randrange(1, 4))
+        a = scalar(True)
+        cases.append((jordan, triangular_automorphism(jordan, a, scalar(), a ** jordan.q)))
+        cases.append((q13, triangular_automorphism(q13, scalar(True), scalar(), scalar(True))))
+    for spec, sigma in cases:
+        assert is_graded_automorphism(sigma, spec)
+        tau = inverse_automorphism(sigma, spec)
+        assert compose(sigma, tau, spec) == identity_automorphism(spec)
+        assert compose(tau, sigma, spec) == identity_automorphism(spec)
+    # a singular map: x lies outside the span of the images
+    with pytest.raises(ValueError):
+        inverse_automorphism(linear_automorphism(comm, 1, 2, 2, 4), comm)
