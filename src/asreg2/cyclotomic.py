@@ -39,6 +39,8 @@ _phi_cache = {}
 
 def cyclotomic_polynomial(n):
     """Phi_n as a tuple of rationals, ascending, monic of degree phi(n)."""
+    if n < 1:
+        raise ValueError("cyclotomic_polynomial needs n >= 1")
     if n not in _phi_cache:
         # Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; the divisor is monic
         num = [-R1] + [R0] * (n - 1) + [R1]
@@ -214,10 +216,6 @@ class Cyclotomic:
             return NotImplemented
         a, b = self._pair(other)
         return a.c == b.c
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # equal values may live at different conductors
 

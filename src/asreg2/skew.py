@@ -195,39 +195,54 @@ def corner_dimension_checks(spec, action, D):
 def ideal_e_dims(spec, action, D):
     """dim (e)_d for d = 0..D, where (e) is the two-sided ideal generated by e.
 
-    (e)_d is spanned by u e v over monomial basis elements u, v of S*G with
-    deg u + deg v = d.  For a diagonal action, u e v with arbitrary group
-    exponents is a nonzero scalar multiple of (m1 m2) * rho_(char m2), so it
-    suffices to span over the exponent-zero pairs; the character grading
-    splits the rank computation into r*r independent blocks.  The literal
-    spanning-set computation lives in ideal_e_dims_naive and the two are
-    cross-checked in the tests.
+    (e)_d is spanned by u e v over basis elements u, v of S*G with deg u +
+    deg v = d.  For a diagonal action u e v is a nonzero multiple of
+    (m1 m2) * rho_(char m2), so (e)_d splits into blocks (c, w): the span of
+    the products u v with char v = w among the degree-d monomials of
+    character c (their number is the block's capacity).
+
+    In both families (y^a1 x^b1)(y^a2 x^b2) has the leading monomial
+    y^(a1+a2) x^(b1+b2) with a nonzero coefficient (alpha^(b1 a2), resp. 1)
+    and its other terms have fewer y's.  So block (c, w) has rank at least
+    the number of monomials m of character c with w in W(m), the characters
+    of the sub-monomials y^i x^j of m (i, j matter mod r only); a zero count
+    means the block has no pair.  A count that reaches the capacity is the
+    rank; only the blocks that fall short are reduced exactly with Echelon.
+    The tests cross-check this against elimination in every block and
+    against the literal spanning set (ideal_e_dims_naive).
     """
+    x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
+    if max(reduce_product(x, y, spec).terms) != Monomial(1, 1):
+        raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
     r = action.r
+    sub_chars = {}
     out = []
-    # (character, monomial element) for each basis monomial, by degree
-    basis = [[(action.char(m), AlgebraElement.monomial(spec, m)) for m in graded_basis(spec, d)]
-             for d in range(D + 1)]
+    short = []  # (d, c, w) of the blocks whose count falls short
     for d in range(D + 1):
-        capacity = Counter(c for c, _ in basis[d])
-        blocks = {}
-        full = set()
-        total = 0
+        capacity = Counter()
+        count = Counter()
+        for m in graded_basis(spec, d):
+            c = action.char(m)
+            capacity[c] += 1
+            key = (min(m.a, r - 1), min(m.b, r - 1))
+            if key not in sub_chars:
+                sub_chars[key] = {action.char((i, j)) for i in range(key[0] + 1) for j in range(key[1] + 1)}
+            for w in sub_chars[key]:
+                count[c, w] += 1
+        out.append(sum(n for (c, w), n in count.items() if n == capacity[c]))
+        short.extend((d, c, w) for (c, w), n in count.items() if n < capacity[c])
+    # monomial elements by degree and character, up to the last short block
+    by_char = [{} for _ in range(short[-1][0] + 1 if short else 0)]
+    for d, chars in enumerate(by_char):
+        for m in graded_basis(spec, d):
+            chars.setdefault(action.char(m), []).append(AlgebraElement.monomial(spec, m))
+    for d, c, w in short:
+        ech = Echelon()
         for i in range(d + 1):
-            for c1, u in basis[i]:
-                for w, v in basis[d - i]:
-                    c = (c1 + w) % r
-                    key = (c, w)
-                    if key in full:
-                        continue
-                    ech = blocks.get(key)
-                    if ech is None:
-                        ech = blocks[key] = Echelon()
-                    if ech.add(reduce_product(u, v, spec).terms):
-                        total += 1
-                        if ech.rank == capacity[c]:
-                            full.add(key)
-        out.append(total)
+            for u in by_char[i].get((c - w) % r, ()):
+                for v in by_char[d - i].get(w, ()):
+                    ech.add(reduce_product(u, v, spec).terms)
+        out[d] += ech.rank
     return out
 
 
@@ -266,6 +281,7 @@ class AmplenessReport:
     first_zero_degree: int | None
     total_dim: int
     nonzero_degrees: list
+    need: int  # the zero tail, ell*r degrees, that a FINITE verdict requires
 
     def lines(self):
         out = [
@@ -277,6 +293,9 @@ class AmplenessReport:
         ]
         if self.first_zero_degree is not None:
             out.append("zero from degree %d on (within the window)" % self.first_zero_degree)
+        if self.hsl and self.D + 1 < self.need:
+            out.append("window too short to certify: FINITE needs %d zero degrees, the window has %d"
+                       % (self.need, self.D + 1))
         out.append("verdict: %s" % self.verdict)
         return out
 
@@ -290,8 +309,8 @@ def ampleness_report(spec, action, D=None):
 
     The verdict FINITE-UP-TO-D requires the dims to vanish on the whole top
     half of the window and on a tail of length at least ell*r.  Nonzero
-    entries near the top yield UNDECIDED; infinite-dimensionality is never
-    claimed.  Non-HSL actions get a data-only report.
+    entries near the top, or a window shorter than ell*r, yield UNDECIDED;
+    infinite-dimensionality is never claimed.  Non-HSL actions get data only.
     """
     if D is None:
         D = default_window(spec, action)
@@ -303,6 +322,8 @@ def ampleness_report(spec, action, D=None):
     need = spec.ell * action.r
     if not action.is_hsl_action():
         verdict = "EXPLORATORY-REPORT-ONLY"
+    elif D + 1 < need:
+        verdict = "UNDECIDED-WINDOW-SHORTER-THAN-%d" % need
     elif first_zero <= D // 2 + 1 and tail >= need:
         verdict = "FINITE-UP-TO-%d" % D
     else:
@@ -317,6 +338,7 @@ def ampleness_report(spec, action, D=None):
         first_zero_degree=first_zero if tail > 0 else None,
         total_dim=sum(dims),
         nonzero_degrees=nonzero,
+        need=need,
     )
 
 

@@ -84,6 +84,22 @@ def test_ample_command(capsys):
     assert "verdict: FINITE-UP-TO-16" in out
 
 
+def test_ample_window_too_short_to_certify(capsys):
+    argv = ["ample", "--wx", "1", "--wy", "2", "--r", "1", "--max-degree", "1"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert "window too short to certify: FINITE needs 3 zero degrees, the window has 2" in out
+    assert "verdict: UNDECIDED-WINDOW-SHORTER-THAN-3" in out
+    code, out = run(capsys, argv + ["--format", "json"])
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "UNDECIDED-WINDOW-SHORTER-THAN-3"
+    assert result["dims"] == [0, 0]
+    # from a window of ell*r degrees on the verdict is the usual one
+    code, out = run(capsys, ["ample", "--wx", "1", "--wy", "2", "--r", "1", "--max-degree", "2"])
+    assert "window too short" not in out
+    assert "verdict: FINITE-UP-TO-2" in out
+
+
 def test_ample_exploratory(capsys):
     code, out = run(capsys, ["ample", "--wx", "1", "--wy", "1", "--r", "2",
                              "--max-degree", "8", "--action-powers", "1,0"])

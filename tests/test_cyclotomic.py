@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from asreg2.rationals import RAT, R0
 from asreg2.cyclotomic import (
     Cyclotomic,
@@ -41,6 +43,12 @@ def test_euler_phi_small():
 def test_cyclotomic_polynomial_trivial_cases():
     assert cyclotomic_polynomial(1) == (RAT(-1), RAT(1))
     assert cyclotomic_polynomial(4) == (RAT(1), RAT(0), RAT(1))
+
+
+def test_cyclotomic_polynomial_rejects_nonpositive_n():
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(n)
 
 
 def test_cyclotomic_polynomial_phi6_against_division_oracle():

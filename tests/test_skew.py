@@ -1,13 +1,20 @@
 import random
+from collections import Counter
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
 
 from asreg2.cyclotomic import cyc, zeta
+from asreg2.rationals import RAT
 from asreg2.algebra import (
     AlgebraElement,
     Monomial,
     graded_basis,
     jordan_spec,
     quantum_spec,
+    reduce_product,
 )
+from asreg2.linalg import Echelon
 from asreg2.automorphisms import make_cyclic_group, make_diagonal_action
 from asreg2.skew import (
     SkewElement,
@@ -31,6 +38,40 @@ COMM = quantum_spec(1, 1, 1)
 QUANT5 = quantum_spec(1, 1, zeta(5))
 W13 = quantum_spec(1, 3, 1)
 J1 = jordan_spec(1)
+
+
+def ideal_e_dims_blocked(spec, action, D):
+    """dim (e)_d by exact elimination in every (c, w) character block.
+
+    Reference for ideal_e_dims: block (c, w) of degree d is the span of the
+    products u v of monomials with deg u + deg v = d, char v = w and
+    char(u v) = c, reduced with one Echelon per block from every pair.
+    """
+    r = action.r
+    out = []
+    basis = [[(action.char(m), AlgebraElement.monomial(spec, m)) for m in graded_basis(spec, d)]
+             for d in range(D + 1)]
+    for d in range(D + 1):
+        capacity = Counter(c for c, _ in basis[d])
+        blocks = {}
+        full = set()
+        total = 0
+        for i in range(d + 1):
+            for c1, u in basis[i]:
+                for w, v in basis[d - i]:
+                    c = (c1 + w) % r
+                    key = (c, w)
+                    if key in full:
+                        continue
+                    ech = blocks.get(key)
+                    if ech is None:
+                        ech = blocks[key] = Echelon()
+                    if ech.add(reduce_product(u, v, spec).terms):
+                        total += 1
+                        if ech.rank == capacity[c]:
+                            full.add(key)
+        out.append(total)
+    return out
 
 
 def test_skew_mul_convention():
@@ -180,6 +221,54 @@ def test_ideal_dims_blocked_equals_naive():
     # non-hdet-one diagonal action goes through the same reduction
     action = make_diagonal_action(COMM, 3, 1, 0)
     assert ideal_e_dims(COMM, action, 6) == ideal_e_dims_naive(COMM, action, 6)
+
+
+QUANTUM_WEIGHTS = [(wx, wy) for wx in range(1, 4) for wy in range(1, 6) if gcd(wx, wy) == 1]
+JORDAN_CASES = [(q, r) for r in range(2, 5) for q in range(1, 8) if (q + 1) % r == 0]
+ALPHA_KINDS = ("1", "-1", "2/3", "zeta3", "zeta5")
+
+
+def _alpha(kind, k):
+    """A quantum parameter: 1, -1, 2/3, zeta(3)^k or zeta(5)^k."""
+    return {"1": cyc(1), "-1": cyc(-1), "2/3": cyc(RAT(2, 3)),
+            "zeta3": zeta(3, k), "zeta5": zeta(5, k)}[kind]
+
+
+def _assert_count_matches_oracle(spec, action):
+    D = 2 * spec.ell * action.r
+    assert ideal_e_dims(spec, action, D) == ideal_e_dims_blocked(spec, action, D), (
+        spec.describe(), action.describe())
+
+
+def test_ideal_dims_count_equals_blocked_sweep():
+    rng = random.Random(20140)
+    for kind in ALPHA_KINDS:
+        for r in range(2, 6):
+            wx, wy = rng.choice(QUANTUM_WEIGHTS)
+            spec = quantum_spec(wx, wy, _alpha(kind, rng.randrange(1, 5)))
+            _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
+    for q, r in JORDAN_CASES:
+        _assert_count_matches_oracle(jordan_spec(q), make_cyclic_group(jordan_spec(q), r))
+    # non-HSL diagonal actions: diag(xi, 1) of order 4 on a quantum plane and
+    # diag(xi, xi) of order 3 on the Jordan plane q = 1
+    spec = quantum_spec(2, 3, zeta(5, 2))
+    _assert_count_matches_oracle(spec, make_diagonal_action(spec, 4, 1, 0))
+    _assert_count_matches_oracle(J1, make_diagonal_action(J1, 3, 1, 1))
+
+
+CONFIGS = st.one_of(
+    st.builds(lambda w, kind, k, r: (quantum_spec(*w, _alpha(kind, k)), r),
+              st.sampled_from(QUANTUM_WEIGHTS), st.sampled_from(ALPHA_KINDS),
+              st.integers(1, 4), st.integers(2, 5)),
+    st.sampled_from(JORDAN_CASES).map(lambda qr: (jordan_spec(qr[0]), qr[1])),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(CONFIGS)
+def test_ideal_dims_count_equals_blocked_property(config):
+    spec, r = config
+    _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
 
 
 def test_quotient_dims_trivial_group():
