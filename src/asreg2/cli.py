@@ -10,6 +10,7 @@ expression parser.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -114,7 +115,9 @@ def _add_out_flags(p, formats=("text", "json")):
     p.add_argument("--out", default=None, help="write output to this file")
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args reads the parser and never changes it
     ap = argparse.ArgumentParser(prog="asreg2", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -192,19 +195,27 @@ def _leaf_actions(parser, args):
 def _apply_config(args, parser):
     if getattr(args, "config", None) is None:
         return
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SystemExit("cannot read config %s: %s" % (args.config, exc.strerror))
+    except UnicodeDecodeError:
+        raise SystemExit("cannot read config %s: not UTF-8 text" % args.config)
     assigned = {}
-    with open(args.config) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SystemExit("config %s line %d: expected key=value" % (args.config, lineno))
-            key, value = line.split("=", 1)
-            assigned[key.strip().replace("-", "_")] = value.strip()
-    actions = _leaf_actions(parser, args)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit("config %s line %d: expected key=value" % (args.config, lineno))
+        key, value = line.split("=", 1)
+        assigned[key.strip().replace("-", "_")] = value.strip()
+    # only the option flags of the chosen subcommand, not --config itself
+    actions = {dest: a for dest, a in _leaf_actions(parser, args).items()
+               if a.option_strings and dest in vars(args) and dest != "config"}
     for key, value in assigned.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise SystemExit("config: unknown key %r" % key)
         if getattr(args, key) is None:
             action = actions[key]
@@ -258,8 +269,11 @@ def _emit(args, text_lines, payload, dot=None):
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise SystemExit("cannot write %s: %s" % (args.out, exc.strerror))
     else:
         sys.stdout.write(body)
 

@@ -73,23 +73,21 @@ class Quiver:
     def sources(self):
         return [v for v in self.vertices if self.is_source(v)]
 
-    def is_acyclic(self):
+    def _topological_order(self):
+        """Kahn's order; it leaves out the vertices on or after an oriented cycle."""
         indeg = {v: 0 for v in self.vertices}
         for (_, t, _) in self.arrows:
             indeg[t] += 1
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        seen = 0
-        adj = {v: [] for v in self.vertices}
-        for (s, t, _) in self.arrows:
-            adj[s].append(t)
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for t in adj[v]:
+        order = [v for v in self.vertices if indeg[v] == 0]
+        for v in order:
+            for (_, t, _) in self.out_arrows(v):
                 indeg[t] -= 1
                 if indeg[t] == 0:
-                    queue.append(t)
-        return seen == len(self.vertices)
+                    order.append(t)
+        return order
+
+    def is_acyclic(self):
+        return len(self._topological_order()) == len(self.vertices)
 
     def degree_signature(self, v, tags=False):
         if tags:
@@ -301,38 +299,50 @@ def bgp_reflect(q, v):
     return Quiver(q.vertices, arrows)
 
 
-def canonical_type(q):
-    """Direction counts (i, j), i <= j, for an acyclic single-cycle quiver."""
+def _cycle_word(q):
+    """For each arrow met walking round from q.vertices[0]: does it point
+    along the walk?  ValueError unless q is one cycle through every vertex."""
     n = len(q.vertices)
-    if len(q.arrows) != n or n < 2:
-        raise ValueError("underlying graph is not a single cycle")
-    if len(components(q)) != 1:
-        raise ValueError("underlying graph is not connected")
     incident = {v: [] for v in q.vertices}
     for idx, (s, t, _) in enumerate(q.arrows):
         incident[s].append(idx)
         incident[t].append(idx)
-    if any(len(e) != 2 for e in incident.values()):
+    if len(q.arrows) != n or n < 2 or any(len(e) != 2 for e in incident.values()):
         raise ValueError("underlying graph is not a single cycle")
-    if not q.is_acyclic():
-        raise ValueError("quiver has an oriented cycle")
-    start = q.vertices[0]
-    edge = incident[start][0]
-    v = start
-    forward = backward = 0
+    v = q.vertices[0]
+    edge = incident[v][0]
+    word, walked = [], set()
     for _ in range(n):
         s, t, _tag = q.arrows[edge]
-        if s == v:
-            forward += 1
-            v = t
-        else:
-            backward += 1
-            v = s
-        nxt = [e for e in incident[v] if e != edge]
-        edge = nxt[0]
-    if v != start:
+        word.append(s == v)
+        walked.add(edge)
+        v = t if s == v else s
+        a, b = incident[v]
+        edge = b if a == edge else a
+    if v != q.vertices[0] or len(walked) != n:
         raise ValueError("underlying graph is not a single cycle")
-    return (min(forward, backward), max(forward, backward))
+    return tuple(word)
+
+
+def _cycle_key(q):
+    """Untagged isomorphism class of a cycle: other starts rotate the word,
+    walking the other way round reverses it and flips every direction."""
+    word = _cycle_word(q)
+    back = tuple(not f for f in reversed(word))
+    return min(w[k:] + w[:k] for w in (word, back) for k in range(len(w)))
+
+
+def _direction_counts(word):
+    forward = sum(word)
+    return tuple(sorted((forward, len(word) - forward)))
+
+
+def canonical_type(q):
+    """Direction counts (i, j), i <= j, for an acyclic single-cycle quiver."""
+    i, j = _direction_counts(_cycle_word(q))
+    if i == 0:
+        raise ValueError("quiver has an oriented cycle")
+    return (i, j)
 
 
 def make_canonical_quiver(i, j):
@@ -355,37 +365,25 @@ def make_canonical_quiver(i, j):
     return Quiver(vertices, arrows)
 
 
-def _untagged(q):
-    return Quiver(q.vertices, [(s, t, "") for (s, t, _) in q.arrows])
-
-
-def _state_invariant(q):
-    return tuple(sorted(q.degree_signature(v) for v in q.vertices))
-
-
 def reflection_search(q1, q2, max_depth=None):
     """Breadth-first search for a reflection sequence turning q1 into q2.
 
-    States are explored modulo untagged isomorphism; the returned witness is
-    a list of vertex labels of q1 (labels are stable under reflection), or
-    None when the depth bound is exhausted.  Cycle-type invariants prune
-    impossible searches immediately.
+    Both must be single cycles (else ValueError), as every quiver from a
+    covering quiver to a canonical Q_(i,j) is.  States are explored modulo
+    untagged isomorphism, i.e. by _cycle_key; reflections keep the direction
+    counts, so quivers whose counts differ are refused at once.  The witness
+    is a list of vertex labels of q1 (labels are stable under reflection),
+    or None when the depth bound is exhausted.
     """
-    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
+    start, goal = _cycle_key(q1), _cycle_key(q2)
+    if _direction_counts(start) != _direction_counts(goal):
         return None
+    if start == goal:
+        return []
     if max_depth is None:
         max_depth = 2 * len(q1.vertices) ** 2
-    try:
-        if canonical_type(q1) != canonical_type(q2):
-            return None
-    except ValueError:
-        pass
-    start = _untagged(q1)
-    goal = _untagged(q2)
-    if quiver_isomorphic(start, goal):
-        return []
-    seen = {_state_invariant(start): [start]}
-    queue = deque([(start, [])])
+    seen = {start}
+    queue = deque([(q1, [])])
     while queue:
         state, path = queue.popleft()
         if len(path) >= max_depth:
@@ -393,13 +391,12 @@ def reflection_search(q1, q2, max_depth=None):
         moves = [v for v in state.vertices if state.is_sink(v) or state.is_source(v)]
         for v in moves:
             nxt = bgp_reflect(state, v)
-            key = _state_invariant(nxt)
-            bucket = seen.setdefault(key, [])
-            if any(quiver_isomorphic(nxt, old) for old in bucket):
+            key = _cycle_key(nxt)
+            if key in seen:
                 continue
-            bucket.append(nxt)
+            seen.add(key)
             witness = path + [v]
-            if quiver_isomorphic(nxt, goal):
+            if key == goal:
                 return witness
             queue.append((nxt, witness))
     return None
@@ -407,25 +404,12 @@ def reflection_search(q1, q2, max_depth=None):
 
 def path_count(q):
     """Number of directed paths, trivial paths included (acyclic quivers)."""
-    if not q.is_acyclic():
+    order = q._topological_order()
+    if len(order) != len(q.vertices):
         raise ValueError("path count needs an acyclic quiver")
-    order = []
-    indeg = {v: 0 for v in q.vertices}
-    adj = {v: [] for v in q.vertices}
-    for (s, t, _) in q.arrows:
-        indeg[t] += 1
-        adj[s].append(t)
-    queue = deque(v for v in q.vertices if indeg[v] == 0)
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for t in adj[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
     paths_from = {}
     for v in reversed(order):
-        paths_from[v] = 1 + sum(paths_from[t] for t in adj[v])
+        paths_from[v] = 1 + sum(paths_from[t] for (_, t, _) in q.out_arrows(v))
     return sum(paths_from.values())
 
 

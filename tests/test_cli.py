@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ from asreg2.cyclotomic import cyc, zeta
 from asreg2.rationals import RAT
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, argv):
@@ -230,6 +234,22 @@ def test_bad_inputs_exit_cleanly(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["reflect", "search", "--target-i", "1", "--target-j", "1", "--config", str(cfg)])
     assert str(exc.value) == "--max-depth must be >= 0, got -1"
+    # a config key must name an option flag of the chosen subcommand
+    for key in ("command=hdet", "mode=at", "kind=qs", "config=other.cfg"):
+        cfg.write_text(key + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--config", str(cfg)])
+        assert str(exc.value) == "config: unknown key %r" % key.split("=")[0]
+    # unreadable config files and unwritable outputs
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00wx=1\n")
+    for argv, start in ((["info", "--config", str(binary)], "cannot read config "),
+                        (["info", "--config", str(tmp_path / "missing" / "x.cfg")], "cannot read config "),
+                        (["info", "--config", str(tmp_path)], "cannot read config "),
+                        (["info", "--out", str(tmp_path / "missing" / "o.txt")], "cannot write ")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith(start) and "\n" not in str(exc.value)
 
 
 def test_byte_identical_output(capsys):
@@ -253,3 +273,18 @@ def test_optimized_run_gives_identical_bytes():
             for flags in ([], ["-O"])]
     assert outs[0] == outs[1]
     assert b'"ok": true' in outs[0]
+
+
+def test_reflect_search_jobs_match_recorded_digests():
+    # every reflect-search job the benchmark can draw, against its recorded output
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digests = json.loads((PERFBENCH / "expected.json").read_text())["digests"]
+    jobs = workloads.WORKLOADS["reflect-search"].space()
+    assert len(jobs) == 232
+    for job in jobs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(job.argv)) == 0
+        assert workloads.digest(buf.getvalue()) == digests[job.key], job.key

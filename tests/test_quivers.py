@@ -1,10 +1,15 @@
+import random
+from collections import deque
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asreg2.algebra import quantum_spec
 from asreg2.quivers import (
     Quiver,
+    _cycle_key,
+    _cycle_word,
     bgp_reflect,
     canonical_type,
     components,
@@ -217,6 +222,128 @@ def test_reflection_search_to_canonical_form():
     for v in seq:
         state = bgp_reflect(state, v)
     assert quiver_isomorphic(state, target) is not None
+
+
+def _untagged(q):
+    return Quiver(q.vertices, [(s, t, "") for (s, t, _) in q.arrows])
+
+
+def _state_invariant(q):
+    return tuple(sorted(q.degree_signature(v) for v in q.vertices))
+
+
+def reflection_search_oracle(q1, q2, max_depth=None):
+    """The search with states told apart by the general isomorphism test.
+
+    Every reached state is compared by quiver_isomorphic with each earlier
+    state of the same degree signature; non-cycles are searched too.
+    """
+    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
+        return None
+    if max_depth is None:
+        max_depth = 2 * len(q1.vertices) ** 2
+    try:
+        if canonical_type(q1) != canonical_type(q2):
+            return None
+    except ValueError:
+        pass
+    start = _untagged(q1)
+    goal = _untagged(q2)
+    if quiver_isomorphic(start, goal):
+        return []
+    seen = {_state_invariant(start): [start]}
+    queue = deque([(start, [])])
+    while queue:
+        state, path = queue.popleft()
+        if len(path) >= max_depth:
+            continue
+        moves = [v for v in state.vertices if state.is_sink(v) or state.is_source(v)]
+        for v in moves:
+            nxt = bgp_reflect(state, v)
+            key = _state_invariant(nxt)
+            bucket = seen.setdefault(key, [])
+            if any(quiver_isomorphic(nxt, old) for old in bucket):
+                continue
+            bucket.append(nxt)
+            witness = path + [v]
+            if quiver_isomorphic(nxt, goal):
+                return witness
+            queue.append((nxt, witness))
+    return None
+
+
+def _cycle(word, labels):
+    """The cycle through labels in order; its k-th arrow points along it iff word[k]."""
+    n = len(word)
+    arrows = []
+    for k, forward in enumerate(word):
+        s, t = "v%d" % labels[k], "v%d" % labels[(k + 1) % n]
+        arrows.append((s, t, "") if forward else (t, s, ""))
+    return Quiver(["v%d" % v for v in labels], arrows)
+
+
+def test_reflection_search_matches_oracle_sweep():
+    rng = random.Random(7)
+    cases = []
+    for ell in range(2, 11):
+        for wx in range(1, ell // 2 + 1):
+            wy = ell - wx
+            if gcd(wx, wy) != 1:
+                continue
+            for c in range(1, 10 // ell + 1):
+                n = ell * c
+                source = covering_quiver(quantum_spec(wx, wy, 1), c)
+                off_type = [(i, n - i) for i in range(1, n) if sorted((i, n - i)) != [c * wx, c * wy]]
+                targets = [(c * wx, c * wy), (c * wy, c * wx)] + rng.sample(off_type, min(2, len(off_type)))
+                cases += [(source, make_canonical_quiver(i, j)) for (i, j) in targets]
+    # acyclic cycles with random orientation words and labels
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        word = [True, False] + [rng.random() < 0.5 for _ in range(n - 2)]
+        source = _cycle(word, rng.sample(range(n), n))
+        i, j = canonical_type(source)
+        cases += [(source, make_canonical_quiver(i, j)), (source, make_canonical_quiver(j, i))]
+    found = 0
+    for source, target in cases:
+        for max_depth in (None, 2):
+            witness = reflection_search(source, target, max_depth)
+            assert witness == reflection_search_oracle(source, target, max_depth)
+            found += witness is not None
+    assert found > len(cases) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cycle_key_decides_untagged_isomorphism(data):
+    n = data.draw(st.integers(2, 7))
+    word = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # the same cycle from another start, maybe walked the other way round
+        k = data.draw(st.integers(0, n - 1))
+        other = word[k:] + word[:k]
+        if data.draw(st.booleans()):
+            other = [not f for f in reversed(other)]
+    else:
+        other = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    q1 = _cycle(word, data.draw(st.permutations(range(n))))
+    q2 = _cycle(other, data.draw(st.permutations(range(n))))
+    assert (_cycle_key(q1) == _cycle_key(q2)) == (quiver_isomorphic(q1, q2) is not None)
+
+
+def test_reflection_search_rejects_non_cycles():
+    path = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")])
+    two_cycles = Quiver(["v0", "v1", "v2", "v3"], [("v0", "v1", ""), ("v0", "v1", ""),
+                                                   ("v2", "v3", ""), ("v2", "v3", "")])
+    loops = Quiver(["v0", "v1"], [("v0", "v0", ""), ("v1", "v1", "")])
+    theta = make_canonical_quiver(2, 2)
+    for q in (path, two_cycles, loops):
+        with pytest.raises(ValueError):
+            _cycle_word(q)
+        with pytest.raises(ValueError):
+            reflection_search(q, theta)
+        with pytest.raises(ValueError):
+            reflection_search(theta, q)
+    assert _cycle_word(theta) == (True, True, False, False)
 
 
 def test_component_count_theorem():
