@@ -5,6 +5,12 @@ cyclotomic polynomial Phi_n, i.e. inside Q[t]/(Phi_n), which is a field.
 Mixed conductors are handled by embedding both operands into the lcm
 conductor (zeta_m -> zeta_n^(n/m) for m | n), so conductors stay small.
 
+A value is stored as integer numerators over one positive integer
+denominator with no common factor, so the arithmetic runs on Python ints;
+``Fraction`` appears only at the boundary (``coeffs``, ``rational_value``,
+construction from a rational).  Phi_n is monic with integer coefficients,
+so reduction mod Phi_n never leaves the integers.
+
 Division by zero raises ZeroDivisionError.  Values are immutable.  No
 attempt is made to find the minimal conductor of a value beyond dropping
 to Q when all zeta coordinates vanish; general number fields are out of
@@ -12,25 +18,28 @@ scope.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import R0, R1, rat, rat_str
+
+
+def _prime_divisors(n):
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 def euler_phi(n):
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -38,71 +47,85 @@ _phi_cache = {}
 
 
 def cyclotomic_polynomial(n):
-    """Phi_n as a tuple of rationals, ascending, monic of degree phi(n)."""
+    """Phi_n as a tuple of ints, ascending, monic of degree phi(n)."""
     if n < 1:
         raise ValueError("cyclotomic_polynomial needs n >= 1")
     if n not in _phi_cache:
-        # Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; the divisor is monic
-        num = [-R1] + [R0] * (n - 1) + [R1]
-        den = [R1]
-        for d in range(1, n):
-            if n % d == 0:
-                den = _poly_mul(den, cyclotomic_polynomial(d))
-        quo, rem = _poly_divmod(num, den)
-        if any(rem):
-            raise ArithmeticError("t^%d - 1 is not divisible by its proper cyclotomic factors" % n)
-        _phi_cache[n] = tuple(quo)
+        # Phi_n = prod_{d | n} (t^d - 1)^mu(n/d); only squarefree n/d = s
+        # count, with mu(s) = (-1)^(number of primes in s)
+        factors = [(n, 1)]
+        for p in _prime_divisors(n):
+            factors += [(d // p, -mu) for d, mu in factors]
+        poly = [1]
+        for d, mu in factors:
+            if mu == 1:  # times (t^d - 1)
+                prod = [0] * (len(poly) + d)
+                for k, c in enumerate(poly):
+                    prod[k] -= c
+                    prod[k + d] += c
+                poly = prod
+        for d, mu in factors:
+            if mu == -1:  # exact division by (t^d - 1): q_k = q_{k-d} - p_k
+                quo = []
+                for k, c in enumerate(poly):
+                    quo.append((quo[k - d] if k >= d else 0) - c)
+                if any(quo[len(poly) - d:]):
+                    raise ArithmeticError("Phi_%d: t^%d - 1 does not divide exactly" % (n, d))
+                poly = quo[:len(poly) - d]
+        _phi_cache[n] = tuple(poly)
     return _phi_cache[n]
 
 
-def _reduce_coeffs(n, coeffs):
-    """Reduce a coefficient list of any length mod Phi_n; a tuple of length phi(n)."""
+def _reduce(n, num):
+    """Reduce an integer coefficient list of any length mod Phi_n; a list of length phi(n)."""
     mod = cyclotomic_polynomial(n)
     phi_n = len(mod) - 1
-    work = list(coeffs) + [R0] * (phi_n - len(coeffs))
+    if len(num) <= phi_n:
+        return num + [0] * (phi_n - len(num))
+    tail = [(i, m) for i, m in enumerate(mod[:phi_n]) if m]
     # long division by the monic Phi_n, top coefficient first
-    for k in range(len(work) - 1, phi_n - 1, -1):
-        c = work[k]
-        if c == 0:
-            continue
-        for i in range(phi_n):
-            if mod[i]:
-                work[k - phi_n + i] -= c * mod[i]
-    return tuple(work[:phi_n])
+    for k in range(len(num) - 1, phi_n - 1, -1):
+        c = num[k]
+        if c:
+            base = k - phi_n
+            for i, m in tail:
+                num[base + i] -= c * m
+    del num[phi_n:]
+    return num
+
+
+def _make(n, num, den):
+    z = object.__new__(Cyclotomic)
+    z.n = n
+    z.num = num
+    z.den = den
+    return z
+
+
+def _normal(n, num, den):
+    """Lowest terms over den > 0, dropping to Q when every zeta coordinate vanishes."""
+    g = gcd(den, *num)
+    if g != 1:
+        den //= g
+        num = [x // g for x in num]
+    if n > 1 and not any(num[1:]):
+        return _make(1, (num[0],), den)
+    return _make(n, tuple(num), den)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n), reduced mod Phi_n.  Immutable."""
+    """An element of Q(zeta_n): integer numerators mod Phi_n over one denominator.  Immutable."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, value=0):
         if isinstance(value, Cyclotomic):
-            self.n = value.n
-            self.c = value.c
+            self.n, self.num, self.den = value.n, value.num, value.den
             return
+        q = rat(value)
         self.n = 1
-        self.c = (rat(value),)
-
-    @staticmethod
-    def _raw(n, coeffs):
-        z = Cyclotomic.__new__(Cyclotomic)
-        if n > 1 and all(coeffs[i] == 0 for i in range(1, len(coeffs))):
-            z.n = 1
-            z.c = (coeffs[0],)
-        else:
-            z.n = n
-            z.c = coeffs
-        return z
-
-    @staticmethod
-    def _full(n, coeffs):
-        # like _raw but keeps the stated conductor; only _pair uses it so
-        # that both operands have coefficient vectors of equal length
-        z = Cyclotomic.__new__(Cyclotomic)
-        z.n = n
-        z.c = coeffs
-        return z
+        self.num = (q.numerator,)
+        self.den = q.denominator
 
     @property
     def conductor(self):
@@ -110,37 +133,38 @@ class Cyclotomic:
 
     @property
     def coeffs(self):
-        return self.c
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _embed(self, m):
-        """Embed into Q(zeta_m), n | m, via zeta_n -> zeta_m^(m/n)."""
+        """Embed into Q(zeta_m), n | m, via zeta_n -> zeta_m^(m/n); not normalised."""
         if m == self.n:
-            phi_m = euler_phi(m)
-            if len(self.c) == phi_m:
-                return self
-            return Cyclotomic._full(m, self.c + (R0,) * (phi_m - len(self.c)))
+            return self
         step = m // self.n
-        raised = [R0] * ((len(self.c) - 1) * step + 1)
-        for k, ck in enumerate(self.c):
-            raised[k * step] = ck
-        return Cyclotomic._full(m, _reduce_coeffs(m, raised))
+        raised = [0] * ((len(self.num) - 1) * step + 1)
+        for k, x in enumerate(self.num):
+            raised[k * step] = x
+        return _make(m, _reduce(m, raised), self.den)
 
     def _pair(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic(other)
         if self.n == other.n:
             return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self._embed(m), other._embed(m)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return Cyclotomic._raw(a.n, tuple(x + y for x, y in zip(a.c, b.c)))
+        if a.den == b.den:
+            return _normal(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _normal(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(self.n, tuple(-x for x in self.c))
+        return _make(self.n, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -155,20 +179,19 @@ class Cyclotomic:
             other = Cyclotomic(other)
         # scalar fast paths keep rational-by-cyclotomic products cheap
         if self.n == 1:
-            s = self.c[0]
-            return Cyclotomic._raw(other.n, tuple(s * x for x in other.c))
+            s = self.num[0]
+            return _normal(other.n, [s * x for x in other.num], self.den * other.den)
         if other.n == 1:
-            s = other.c[0]
-            return Cyclotomic._raw(self.n, tuple(s * x for x in self.c))
+            s = other.num[0]
+            return _normal(self.n, [s * x for x in self.num], self.den * other.den)
         a, b = self._pair(other)
-        la, lb = len(a.c), len(b.c)
-        conv = [R0] * (la + lb - 1)
-        for i, ai in enumerate(a.c):
-            if ai != 0:
-                for j, bj in enumerate(b.c):
-                    if bj != 0:
-                        conv[i + j] += ai * bj
-        return Cyclotomic._raw(a.n, _reduce_coeffs(a.n, conv))
+        bnz = [(j, y) for j, y in enumerate(b.num) if y]
+        conv = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in bnz:
+                    conv[i + j] += x * y
+        return _normal(a.n, _reduce(a.n, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -176,9 +199,10 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.n)
         if self.n == 1:
-            return Cyclotomic._raw(1, (R1 / self.c[0],))
-        # extended Euclid in Q[t]: u*self + v*Phi_n = 1
-        r0, r1 = list(cyclotomic_polynomial(self.n)), list(self.c)
+            x = self.num[0]
+            return _make(1, (self.den if x > 0 else -self.den,), abs(x))
+        # extended Euclid in Q[t]: u*num + v*Phi_n = 1, so 1/self = den*u
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)], [Fraction(c) for c in self.num]
         s0, s1 = [R0], [R1]
         while any(x != 0 for x in r1):
             q, rem = _poly_divmod(r0, r1)
@@ -186,8 +210,9 @@ class Cyclotomic:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 is a nonzero constant gcd (Phi_n is irreducible)
         lead = next(x for x in r0 if x != 0)
-        inv = [x / lead for x in s0]
-        return Cyclotomic._raw(self.n, _reduce_coeffs(self.n, inv))
+        inv = [x * self.den / lead for x in s0]
+        den = lcm(*(x.denominator for x in inv))
+        return _normal(self.n, _reduce(self.n, [x.numerator * (den // x.denominator) for x in inv]), den)
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -214,16 +239,19 @@ class Cyclotomic:
             other = Cyclotomic(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        if self.n == other.n:  # the normal form is unique at one conductor
+            return self.num == other.num and self.den == other.den
+        # cross-multiply, so equality does not rest on embedding keeping lowest terms
         a, b = self._pair(other)
-        return a.c == b.c
+        return all(x * b.den == y * a.den for x, y in zip(a.num, b.num))
 
     __hash__ = None  # equal values may live at different conductors
 
     def is_zero(self):
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
     def is_one(self):
-        return self.c[0] == 1 and all(x == 0 for x in self.c[1:])
+        return self.n == 1 and self.num[0] == 1 and self.den == 1
 
     def is_rational(self):
         return self.n == 1
@@ -231,7 +259,7 @@ class Cyclotomic:
     def rational_value(self):
         if self.n != 1:
             raise ValueError("not a rational value")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
         return not self.is_zero()
@@ -240,7 +268,7 @@ class Cyclotomic:
         if self.is_zero():
             return "0"
         parts = []
-        for k, ck in enumerate(self.c):
+        for k, ck in enumerate(self.coeffs):
             if ck == 0:
                 continue
             if k == 0:
@@ -276,26 +304,12 @@ def zeta(n, k=1):
     if n < 1:
         raise ValueError("conductor must be >= 1")
     k %= n
-    coeffs = [R0] * (k + 1)
-    coeffs[k] = R1
-    return Cyclotomic._raw(n, _reduce_coeffs(n, coeffs))
+    return _normal(n, _reduce(n, [0] * k + [1]), 1)
 
 
 def primitive_root(n):
     """A primitive n-th root of unity (zeta_n itself)."""
     return zeta(n)
-
-
-def multiplicative_order(z, bound=None):
-    """Smallest k >= 1 with z^k = 1, or None if none up to the bound."""
-    if bound is None:
-        bound = 4 * max(z.conductor, 1)
-    power = cyc(1)
-    for k in range(1, bound + 1):
-        power = power * z
-        if power.is_one():
-            return k
-    return None
 
 
 def _poly_divmod(num, den):

@@ -275,14 +275,18 @@ def test_optimized_run_gives_identical_bytes():
     assert b'"ok": true' in outs[0]
 
 
-def test_reflect_search_jobs_match_recorded_digests():
-    # every reflect-search job the benchmark can draw, against its recorded output
+WORKLOAD_JOBS = {"ample-quantum": 75, "ample-jordan": 25, "check-suite": 63, "reflect-search": 232}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_JOBS)
+def test_workload_jobs_match_recorded_digests(name):
+    # every job the benchmark can draw from the workload, against its recorded output
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     digests = json.loads((PERFBENCH / "expected.json").read_text())["digests"]
-    jobs = workloads.WORKLOADS["reflect-search"].space()
-    assert len(jobs) == 232
+    jobs = workloads.WORKLOADS[name].space()
+    assert len(jobs) == WORKLOAD_JOBS[name]
     for job in jobs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

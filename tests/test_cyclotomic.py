@@ -1,14 +1,16 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from asreg2.rationals import RAT, R0
+from asreg2.rationals import RAT, R0, R1, rat, rat_str
 from asreg2.cyclotomic import (
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
     euler_phi,
-    multiplicative_order,
     primitive_root,
     zeta,
 )
@@ -34,6 +36,175 @@ def poly_divide_exact(num, den):
             num[k - dn + i] -= q * d
     assert all(c == 0 for c in num)
     return quo
+
+
+def multiplicative_order(z, bound=None):
+    """Smallest k >= 1 with z^k = 1, or None if none up to the bound."""
+    if bound is None:
+        bound = 4 * max(z.conductor, 1)
+    power = cyc(1)
+    for k in range(1, bound + 1):
+        power = power * z
+        if power.is_one():
+            return k
+    return None
+
+
+# --- oracle: Q(zeta_n) as a tuple of Fractions, the library's former kernel ---
+
+_oracle_phi_cache = {}
+
+
+def oracle_cyclotomic_polynomial(n):
+    """Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d, as Fractions."""
+    if n not in _oracle_phi_cache:
+        num = [-R1] + [R0] * (n - 1) + [R1]
+        den = [R1]
+        for d in range(1, n):
+            if n % d == 0:
+                den = poly_mul(den, oracle_cyclotomic_polynomial(d))
+        quo, rem = _poly_divmod(num, den)
+        assert not any(rem)
+        _oracle_phi_cache[n] = tuple(quo)
+    return _oracle_phi_cache[n]
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    den = list(den)
+    while den and den[-1] == 0:
+        den.pop()
+    dn = len(den) - 1
+    if len(num) - 1 < dn:
+        return [R0], num or [R0]
+    quo = [R0] * (len(num) - dn)
+    for k in range(len(num) - 1, dn - 1, -1):
+        q = num[k] / den[-1]
+        quo[k - dn] = q
+        for i, d in enumerate(den):
+            num[k - dn + i] -= q * d
+    rem = num[:dn]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem or [R0]
+
+
+def _poly_sub(a, b):
+    out = list(a) + [R0] * max(0, len(b) - len(a))
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return out
+
+
+def _reduce_coeffs(n, coeffs):
+    """Reduce a coefficient list of any length mod Phi_n; a tuple of length phi(n)."""
+    mod = oracle_cyclotomic_polynomial(n)
+    phi_n = len(mod) - 1
+    work = list(coeffs) + [R0] * (phi_n - len(coeffs))
+    for k in range(len(work) - 1, phi_n - 1, -1):
+        c = work[k]
+        for i in range(phi_n):
+            work[k - phi_n + i] -= c * mod[i]
+    return tuple(work[:phi_n])
+
+
+class OracleCyclotomic:
+    """An element of Q(zeta_n) as a tuple of Fractions reduced mod Phi_n."""
+
+    def __init__(self, n, coeffs):
+        # drop to Q when every zeta coordinate vanishes, as the library does
+        if n > 1 and not any(coeffs[1:]):
+            n, coeffs = 1, coeffs[:1]
+        self.n, self.c = n, tuple(coeffs)
+
+    @classmethod
+    def of(cls, value):
+        return value if isinstance(value, cls) else cls(1, (rat(value),))
+
+    @classmethod
+    def from_terms(cls, n, terms):
+        """sum of c * zeta_n^k over the (k, c) pairs."""
+        coeffs = [R0] * n
+        for k, c in terms:
+            coeffs[k % n] += rat(c)
+        return cls(n, _reduce_coeffs(n, coeffs))
+
+    def _embed(self, m):
+        step = m // self.n
+        raised = [R0] * ((len(self.c) - 1) * step + 1)
+        for k, ck in enumerate(self.c):
+            raised[k * step] = ck
+        return _reduce_coeffs(m, raised)
+
+    def _pair(self, other):
+        other = OracleCyclotomic.of(other)
+        m = self.n * other.n // gcd(self.n, other.n)
+        return m, self._embed(m), other._embed(m)
+
+    def __add__(self, other):
+        m, a, b = self._pair(other)
+        return OracleCyclotomic(m, tuple(x + y for x, y in zip(a, b)))
+
+    def __neg__(self):
+        return OracleCyclotomic(self.n, tuple(-x for x in self.c))
+
+    def __sub__(self, other):
+        return self + (-OracleCyclotomic.of(other))
+
+    def __mul__(self, other):
+        m, a, b = self._pair(other)
+        return OracleCyclotomic(m, _reduce_coeffs(m, poly_mul(a, b)))
+
+    def inverse(self):
+        assert not self.is_zero()
+        # extended Euclid in Q[t]: u*self + v*Phi_n = 1
+        r0, r1 = list(oracle_cyclotomic_polynomial(self.n)), list(self.c)
+        s0, s1 = [R0], [R1]
+        while any(x != 0 for x in r1):
+            q, rem = _poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
+        lead = next(x for x in r0 if x != 0)
+        return OracleCyclotomic(self.n, _reduce_coeffs(self.n, [x / lead for x in s0]))
+
+    def __eq__(self, other):
+        _, a, b = self._pair(other)
+        return a == b
+
+    def is_zero(self):
+        return all(x == 0 for x in self.c)
+
+    def is_one(self):
+        return self.c[0] == 1 and all(x == 0 for x in self.c[1:])
+
+    def rational_value(self):
+        assert self.n == 1
+        return self.c[0]
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k, ck in enumerate(self.c):
+            if ck == 0:
+                continue
+            if k == 0:
+                parts.append(rat_str(ck))
+                continue
+            zk = "zeta(%d)" % self.n if k == 1 else "zeta(%d)^%d" % (self.n, k)
+            if ck == 1:
+                term = zk
+            elif ck == -1:
+                term = "-" + zk
+            else:
+                term = rat_str(ck) + "*" + zk
+            parts.append(term)
+        out = parts[0]
+        for term in parts[1:]:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+        return out
 
 
 def test_euler_phi_small():
@@ -150,3 +321,109 @@ def test_str_is_deterministic():
     assert str(v) == "2/3 - zeta(5) + 2*zeta(5)^3"
     assert str(cyc(0)) == "0"
     assert str(zeta(2)) == "-1"
+
+
+# --- the integer kernel against the Fraction-tuple oracle ---
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 20)
+
+
+def build(n, terms):
+    """The library value and the oracle value of sum c * zeta_n^k over (k, c)."""
+    value = sum((cyc(c) * zeta(n, k) for k, c in terms), cyc(0))
+    return value, OracleCyclotomic.from_terms(n, terms)
+
+
+def oracle_zeta(n):
+    return OracleCyclotomic.from_terms(n, [(1, 1)])
+
+
+def assert_same(z, o):
+    assert z.conductor == o.n
+    assert z.coeffs == o.c
+    assert all(type(c) is Fraction for c in z.coeffs)
+    # normal form: integer numerators over one positive denominator, lowest terms
+    assert z.den > 0 and gcd(z.den, *z.num) == 1
+    assert len(z.num) == euler_phi(z.conductor)
+
+
+def assert_ops_match_oracle(a, oa, b, ob):
+    assert_same(a, oa)
+    assert_same(b, ob)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b, oa - ob)
+    assert_same(a * b, oa * ob)
+    assert_same(-a, -oa)
+    assert (a == b) == (oa == ob)
+    assert (b == a) == (ob == oa)
+    assert str(a) == str(oa)
+    assert a.is_one() == oa.is_one()
+    assert a.is_zero() == oa.is_zero()
+    if a.is_rational():
+        assert a.rational_value() == oa.rational_value()
+    if not a.is_zero():
+        inv, oinv = a.inverse(), oa.inverse()
+        assert_same(inv, oinv)
+        assert_same(b / a, ob * oinv)
+        assert (a * inv).is_one() and (oa * oinv).is_one()
+
+
+def test_cyclotomic_polynomial_matches_old_construction():
+    for n in range(1, 121):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi)
+        assert phi == oracle_cyclotomic_polynomial(n)
+    assert len(cyclotomic_polynomial(5040)) == euler_phi(5040) + 1
+
+
+def test_kernel_matches_oracle_sweep():
+    rng = random.Random(60606)
+
+    def random_terms(n):
+        return [(rng.randrange(n), RAT(rng.randrange(-12, 13), rng.randrange(1, 7)))
+                for _ in range(rng.randrange(0, 5))]
+
+    for _ in range(300):
+        a, oa = build(rng.choice(CONDUCTORS), random_terms(rng.choice(CONDUCTORS)))
+        if rng.random() < 0.25:
+            # the same value re-embedded at a larger conductor
+            m = rng.choice(CONDUCTORS)
+            b, ob = (a + zeta(m)) - zeta(m), (oa + oracle_zeta(m)) - oracle_zeta(m)
+        else:
+            b, ob = build(rng.choice(CONDUCTORS), random_terms(rng.choice(CONDUCTORS)))
+        assert_ops_match_oracle(a, oa, b, ob)
+
+
+TERMS = st.lists(st.tuples(st.integers(0, 19), st.builds(RAT, st.integers(-12, 12), st.integers(1, 8))), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTORS), TERMS, st.sampled_from(CONDUCTORS), TERMS,
+       st.sampled_from(CONDUCTORS) | st.none())
+def test_kernel_matches_oracle_property(n, terms_a, m, terms_b, embed):
+    a, oa = build(n, terms_a)
+    if embed is None:
+        b, ob = build(m, terms_b)
+    else:
+        b, ob = (a + zeta(embed)) - zeta(embed), (oa + oracle_zeta(embed)) - oracle_zeta(embed)
+    assert_ops_match_oracle(a, oa, b, ob)
+
+
+def test_normal_form():
+    assert zeta(3) == zeta(6) ** 2
+    assert zeta(6) ** 2 == zeta(3)
+    # one value, built at conductor 3 and at conductor 15
+    at3 = cyc(RAT(2, 3)) + cyc(RAT(-5, 2)) * zeta(3) + cyc(4) * zeta(3, 2)
+    at15 = cyc(RAT(2, 3)) + cyc(RAT(-5, 2)) * zeta(15, 5) + cyc(4) * zeta(15, 10)
+    assert (at3.conductor, at15.conductor) == (3, 15)
+    assert at3 == at15 and at15 == at3
+    assert at3 != at15 + zeta(15)
+    i2 = zeta(4) * zeta(4)
+    assert i2.conductor == 1 and i2 == -1
+    assert Cyclotomic(RAT(2, 4)).coeffs == (RAT(1, 2),)
+    for zero in (Cyclotomic(0), zeta(5) - zeta(5), cyc(RAT(3, 7)) * zeta(12) * 0):
+        assert zero.coeffs == (0,) and zero.conductor == 1 and zero.is_zero()
+    for value in (cyc(-2).inverse(), cyc(RAT(-3, 4)) * zeta(5), (zeta(5) - 2).inverse(),
+                  -zeta(12) / 6, cyc(RAT(1, 3)) - cyc(RAT(1, 2))):
+        assert value.den > 0
+        assert gcd(value.den, *value.num) == 1

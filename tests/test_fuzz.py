@@ -21,10 +21,11 @@ from asreg2.automorphisms import (
     linear_automorphism,
     triangular_automorphism,
 )
-from asreg2.cyclotomic import cyc, cyclotomic_polynomial, multiplicative_order, zeta
+from asreg2.cyclotomic import cyc, cyclotomic_polynomial, zeta
 from asreg2.linalg import Echelon
 from asreg2.quivers import Quiver, quiver_isomorphic
 from asreg2.rationals import RAT
+from test_cyclotomic import multiplicative_order
 
 
 def test_cyclotomic_polynomials_against_sympy():
