@@ -337,8 +337,3 @@ def veronese_dim(spec, r, shift, d):
     if idx < 0:
         return 0
     return len(graded_basis(spec, idx))
-
-
-def quasi_veronese_dim(spec, r, d):
-    """dim of the r-th quasi-Veronese in degree d: sum of the r*r entry dims."""
-    return sum(veronese_dim(spec, r, j - i, d) for i in range(r) for j in range(r))

@@ -107,12 +107,9 @@ def relation_image(sigma, spec):
 def _restriction_invertible(sigma, spec, d):
     basis = graded_basis(spec, d)
     ech = Echelon()
-    count = 0
     for m in basis:
-        img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
-        if ech.add(dict(img.terms)):
-            count += 1
-    return count == len(basis)
+        ech.add(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
+    return ech.rank == len(basis)
 
 
 def is_graded_automorphism(sigma, spec):
@@ -130,35 +127,6 @@ def is_graded_automorphism(sigma, spec):
     if not _restriction_invertible(sigma, spec, spec.w_y):
         return False
     return True
-
-
-def _solve_preimage(sigma, spec, target):
-    """u in the degree of target with sigma(u) = target, or None."""
-    basis = graded_basis(spec, target.degree())
-    # rows (sigma(m_k), unit k): reducing (target, 0) leaves (0, -u) exactly
-    # when target lies in the span of the sigma(m_k)
-    ech = Echelon()
-    for k, m in enumerate(basis):
-        img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
-        row = {(0,) + key: c for key, c in img.terms.items()}
-        row[(1, k)] = ONE
-        ech.add(row)
-    res = ech.residue({(0,) + key: c for key, c in target.terms.items()})
-    if any(key[0] == 0 for key in res):
-        return None
-    return AlgebraElement(spec, {basis[k]: -c for (_, k), c in res.items()})
-
-
-def inverse_automorphism(sigma, spec):
-    """The inverse, obtained by solving for generator preimages."""
-    pre_x = _solve_preimage(sigma, spec, AlgebraElement.gen_x(spec))
-    pre_y = _solve_preimage(sigma, spec, AlgebraElement.gen_y(spec))
-    if pre_x is None or pre_y is None:
-        raise ValueError("map is not invertible on the generator degrees")
-    tau = GradedAutomorphism(pre_x, pre_y)
-    if compose(sigma, tau, spec) != identity_automorphism(spec):
-        raise ArithmeticError("generator preimages do not invert the map")
-    return tau
 
 
 def _coefficients(sigma, spec):

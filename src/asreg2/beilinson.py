@@ -16,7 +16,8 @@ Two coordinate systems are used.  The g-basis (i, j, monomial, g^s) feeds
 the generic skew product and is what the idempotent and structure checks
 run on.  The rho-eigenbasis (i, j, monomial, rho_w) makes every corner a
 coordinate subspace, which is how the oracle computes J/J^2 corner
-dimensions; the two are cross-checked in the tests.  Arrows are oriented
+dimensions; the tests recompute the corner dimensions of J as exact ranks
+in the g-basis and compare.  Arrows are oriented
 alpha -> beta when e_beta (J/J^2) e_alpha is nonzero, the choice pinned
 by the worked six-vertex example for weights (1,1), r = 3.
 """
@@ -70,20 +71,6 @@ class NablaElement(SparseElement):
     _basis_mul = staticmethod(nabla_mul_basis)
 
 
-def nabla_unit(spec, i):
-    return NablaElement(spec, {(i, i, MONO_ONE): ONE})
-
-
-def nabla_algebra(spec):
-    """Convenience bundle: basis, dimension, units."""
-    basis = nabla_basis(spec)
-    return {
-        "basis": basis,
-        "dim": len(basis),
-        "units": [nabla_unit(spec, i) for i in range(spec.ell)],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Lambda = nabla(S) * G in the g-basis
 
@@ -118,12 +105,6 @@ class LambdaElement(SparseElement):
 
 def lambda_dim(action):
     return action.r * nabla_dim(action.spec)
-
-
-def lambda_unit(action):
-    return LambdaElement(
-        action, {(i, i, MONO_ONE, 0): ONE for i in range(action.spec.ell)}
-    )
 
 
 def lambda_idempotent(action, i, j):
@@ -250,41 +231,6 @@ def gabriel_quiver_oracle(spec, action):
         for _ in range(count):
             arrows.append(("v%d_%d" % src, "v%d_%d" % dst, ""))
     return Quiver(vertices, arrows)
-
-
-def tau_corner_dims_generic(action):
-    """Corner dimensions of J computed in the g-basis, for cross-checking.
-
-    Projects every positive-degree g-basis element through the idempotent
-    pair and collects exact ranks per corner; slow but free of the
-    rho-eigenbasis bookkeeping.
-    """
-    idem = lambda_idempotents(action)
-    dims = Counter()
-    ech = {}
-    positive = [(i, j, m, s) for (i, j, m) in nabla_basis(action.spec) if i < j
-                for s in range(action.r)]
-    for key in positive:
-        w = LambdaElement(action, {key: ONE})
-        for a in idem:
-            for b in idem:
-                proj = idem[b] * w * idem[a]
-                if proj.is_zero():
-                    continue
-                corner = (a, b)
-                e = ech.get(corner)
-                if e is None:
-                    e = ech[corner] = Echelon()
-                if e.add(dict(proj.terms)):
-                    dims[corner] += 1
-    return dims
-
-
-def tau_corner_dims_fast(action):
-    dims = Counter()
-    for (_, src, dst) in _tau_j_basis(action):
-        dims[(src, dst)] += 1
-    return dims
 
 
 # ---------------------------------------------------------------------------

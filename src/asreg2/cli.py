@@ -131,7 +131,7 @@ def build_parser():
     p.add_argument("--a", default=None, help="x -> a x (+ b y)")
     p.add_argument("--b", default=None, help="y-coefficient of sigma(x), weights (1,1) only")
     p.add_argument("--c", default=None, help="x^q-coefficient of sigma(y)")
-    p.add_argument("--d", default=None, help="y-coefficient of sigma(y); jordan fixes d = a^q")
+    p.add_argument("--d", default=None, help="y-coefficient of sigma(y); default 1 (a^q for jordan)")
     _add_out_flags(p)
 
     p = sub.add_parser("fixed", help="fixed-ring dimensions and trace-average check")
@@ -308,16 +308,20 @@ def cmd_info(args):
 
 
 def _build_sigma(spec, args):
+    """The map the flags give; a flag that its form cannot carry is an error."""
     a = parse_cyclotomic(args.a) if args.a is not None else cyc(1)
     b = parse_cyclotomic(args.b) if args.b is not None else cyc(0)
     c = parse_cyclotomic(args.c) if args.c is not None else cyc(0)
-    d = parse_cyclotomic(args.d) if args.d is not None else cyc(1)
-    if spec.family == "jordan":
-        return triangular_automorphism(spec, a, c, a ** spec.q)
+    d_default = a ** spec.q if spec.family == "jordan" else cyc(1)
+    d = parse_cyclotomic(args.d) if args.d is not None else d_default
     if (spec.w_x, spec.w_y) == (1, 1):
         return linear_automorphism(spec, a, b, c, d)
+    if args.b is not None:
+        raise ValueError("--b, the y-coefficient of sigma(x), needs weights (1, 1)")
     if spec.w_x == 1:
         return triangular_automorphism(spec, a, c, d)
+    if args.c is not None:
+        raise ValueError("--c, the x^q-coefficient of sigma(y), needs w_x = 1")
     return diagonal_automorphism(spec, a, d)
 
 

@@ -15,9 +15,11 @@ Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
 """
 
+import functools
 from collections import Counter, deque
 
 
+@functools.cache
 def _natural_key(label):
     key = []
     num = ""

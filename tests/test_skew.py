@@ -11,6 +11,7 @@ from asreg2.algebra import (
     Monomial,
     graded_basis,
     jordan_spec,
+    monomial_product,
     quantum_spec,
     reduce_product,
 )
@@ -24,7 +25,7 @@ from asreg2.skew import (
     fixed_ring_dims,
     idempotent_e,
     ideal_e_dims,
-    ideal_e_dims_naive,
+    min_phi_degree,
     molien_check,
     molien_dims,
     phi_injectivity_check,
@@ -72,6 +73,50 @@ def ideal_e_dims_blocked(spec, action, D):
                             full.add(key)
         out.append(total)
     return out
+
+
+def _skew_basis(action, d):
+    return [(m, s) for m in graded_basis(action.spec, d) for s in range(action.r)]
+
+
+def ideal_e_dims_naive(spec, action, D):
+    """Literal spanning-set rank of { u e v } over all basis pairs; slow reference."""
+    e = idempotent_e(action)
+    out = []
+    for d in range(D + 1):
+        ech = Echelon()
+        for i in range(d + 1):
+            for (m1, a) in _skew_basis(action, i):
+                u = SkewElement.basis_element(action, m1, a)
+                ue = skew_mul(u, e, action)
+                for (m2, b) in _skew_basis(action, d - i):
+                    v = SkewElement.basis_element(action, m2, b)
+                    uev = skew_mul(ue, v, action)
+                    ech.add(dict(uev.terms))
+        out.append(ech.rank)
+    return out
+
+
+def phi_injectivity_oracle(spec, action, D):
+    """phi_injectivity_check by exact elimination of the operator matrix.
+
+    Maps every basis element of (S*G)_{<=D} to its operator on S_{<=D}
+    (with outputs in S_{<=2D}) and checks the combined matrix has full row
+    rank.
+    """
+    ech = Echelon()
+    count = 0
+    for deg in range(D + 1):
+        for (m, s) in _skew_basis(action, deg):
+            row = {}
+            for dt in range(D + 1):
+                for t in graded_basis(spec, dt):
+                    scal = action.xi_power(s * action.char(t))
+                    for mono, c in monomial_product(spec, m, t).items():
+                        row[(dt, t, mono)] = scal * c
+            count += 1
+            ech.add(row)
+    return ech.rank == count
 
 
 def test_skew_mul_convention():
@@ -344,11 +389,64 @@ def test_phi_injectivity():
 def test_phi_injectivity_threshold():
     # below the character-coverage threshold the truncated representation
     # has a genuine kernel; from the threshold on it is faithful
-    from asreg2.skew import min_phi_degree
-
     spec = quantum_spec(2, 3, 1)
     action = make_cyclic_group(spec, 6)
     d_min = min_phi_degree(spec, action)
     assert d_min == 6
     assert not phi_injectivity_check(spec, action, 3)
     assert phi_injectivity_check(spec, action, d_min)
+
+
+PHI_WEIGHTS = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 5)]
+PHI_JORDAN = [(q, r) for q in range(1, 8) for r in range(1, q + 2) if (q + 1) % r == 0]
+
+
+def _phi_windows(spec, action):
+    """0, 1, 2 and the windows around min_phi_degree (around r if it never comes)."""
+    d_phi = min_phi_degree(spec, action)
+    mid = action.r if d_phi is None else d_phi
+    return sorted({0, 1, 2, mid - 1, mid, mid + 1})
+
+
+def _assert_phi_matches_oracle(spec, action, D):
+    value = phi_injectivity_check(spec, action, D)
+    assert value == phi_injectivity_oracle(spec, action, D), (
+        spec.describe(), action.describe(), D)
+    return value
+
+
+def test_phi_injectivity_count_equals_oracle_sweep():
+    rng = random.Random(4045)
+    actions = []
+    for w in PHI_WEIGHTS:
+        # alpha in {1, 2/3, -1} and one power of zeta(5) per weight pair
+        for kind in ("1", "2/3", "-1", "zeta5"):
+            spec = quantum_spec(*w, _alpha(kind, rng.randrange(1, 5)))
+            actions.extend(make_cyclic_group(spec, r) for r in range(1, 6))
+    actions.extend(make_cyclic_group(jordan_spec(q), r) for q, r in PHI_JORDAN)
+    # non-faithful diagonal actions: some character never occurs
+    non_faithful = [make_diagonal_action(COMM, 4, 2, 0),
+                    make_diagonal_action(quantum_spec(1, 2, RAT(2, 3)), 4, 2, 2),
+                    make_diagonal_action(J1, 4, 2, 2),
+                    make_diagonal_action(quantum_spec(2, 3, zeta(5)), 3, 0, 0)]
+    for action in non_faithful:
+        assert min_phi_degree(action.spec, action) is None
+    outcomes = Counter(
+        _assert_phi_matches_oracle(action.spec, action, D)
+        for action in actions + non_faithful for D in _phi_windows(action.spec, action))
+    assert sum(outcomes.values()) > 600 and outcomes[True] and outcomes[False], outcomes
+
+
+PHI_CONFIGS = st.one_of(
+    st.builds(lambda w, kind, k, r: make_cyclic_group(quantum_spec(*w, _alpha(kind, k)), r),
+              st.sampled_from(PHI_WEIGHTS), st.sampled_from(ALPHA_KINDS),
+              st.integers(1, 4), st.integers(1, 5)),
+    st.sampled_from(PHI_JORDAN).map(lambda qr: make_cyclic_group(jordan_spec(qr[0]), qr[1])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(PHI_CONFIGS, st.integers(-1, 1))
+def test_phi_injectivity_count_equals_oracle_property(action, offset):
+    D = min_phi_degree(action.spec, action) + offset
+    _assert_phi_matches_oracle(action.spec, action, D)
