@@ -48,10 +48,6 @@ def diagonal_automorphism(spec, a, d):
     )
 
 
-def identity_automorphism(spec):
-    return diagonal_automorphism(spec, 1, 1)
-
-
 def linear_automorphism(spec, a, b, c, d):
     """x -> a x + b y, y -> c x + d y; weights (1,1) only."""
     if (spec.w_x, spec.w_y) != (1, 1):
@@ -86,14 +82,6 @@ def apply_automorphism(sigma, u, spec):
         term = power(iy, powers_y, a) * power(ix, powers_x, b)
         out = out + term.scale(coeff)
     return out
-
-
-def compose(sigma, tau, spec):
-    """sigma after tau."""
-    return GradedAutomorphism(
-        apply_automorphism(sigma, tau.image_x, spec),
-        apply_automorphism(sigma, tau.image_y, spec),
-    )
 
 
 def relation_image(sigma, spec):

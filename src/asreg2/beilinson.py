@@ -12,20 +12,17 @@ pieces cut out by the idempotents e_i^j = e_i * rho_j, and the Gabriel
 quiver read off from the corners of J/J^2 (J the positive-degree part)
 recovers the combinatorial skew quiver up to isomorphism.
 
-Two coordinate systems are used.  The g-basis (i, j, monomial, g^s) feeds
-the generic skew product and is what the idempotent and structure checks
-run on.  The rho-eigenbasis (i, j, monomial, rho_w) makes every corner a
-coordinate subspace, which is how the oracle computes J/J^2 corner
-dimensions; the tests recompute the corner dimensions of J as exact ranks
-in the g-basis and compare.  Arrows are oriented
-alpha -> beta when e_beta (J/J^2) e_alpha is nonzero, the choice pinned
-by the worked six-vertex example for weights (1,1), r = 3.
+Lambda has one basis, the rho-eigenbasis (i, j, monomial, w) for
+M(i->j; monomial) * rho_w, in which every e_i^j is a unit vector and every
+corner a coordinate subspace; skew.rho_system certifies it against the
+g-basis.  Arrows are oriented alpha -> beta when e_beta (J/J^2) e_alpha is
+nonzero, the choice pinned by the worked six-vertex example for weights
+(1,1), r = 3.
 """
 
 from collections import Counter
 
-from .cyclotomic import ONE, cyc
-from .rationals import RAT
+from .cyclotomic import ONE
 from .algebra import MONO_ONE, Monomial, SparseElement, graded_basis, monomial_product
 from .linalg import Echelon
 from .quivers import Quiver
@@ -72,29 +69,26 @@ class NablaElement(SparseElement):
 
 
 # ---------------------------------------------------------------------------
-# Lambda = nabla(S) * G in the g-basis
+# Lambda = nabla(S) * G in the rho-eigenbasis
 
 
 def lambda_mul_basis(action, t1, t2):
-    """Product of g-basis elements; {} or {(k, j, monomial, g exponent): coeff}."""
-    (i, j, m, s), (k, l, n, t) = t1, t2
-    if l != i:
+    """(M(i->j; m) rho_w)(M(k->l; n) rho_v) = [l = i][w + char n = v] M(k->j; m n) rho_v."""
+    (i, j, m, w), (k, l, n, v) = t1, t2
+    if l != i or (w + action.char(n)) % action.r != v:
         return {}
-    # the group acts entrywise: g^s scales n by xi^(s char(n))
-    c = action.xi_power(s * action.char(n))
-    gexp = (s + t) % action.r
-    return {(k, j, mono, gexp): c * cm for mono, cm in monomial_product(action.spec, m, n).items()}
+    return {(k, j, mono, v): c for mono, c in monomial_product(action.spec, m, n).items()}
 
 
 class LambdaElement(SparseElement):
-    """Sparse element of (nabla S)*G: {(i, j, monomial, s): coefficient}."""
+    """Sparse element of (nabla S)*G: {(i, j, monomial, w): coefficient}."""
 
     __slots__ = ()
 
     @staticmethod
     def _key(action, key):
-        i, j, m, s = key
-        return (i, j, Monomial(*m), s % action.r)
+        i, j, m, w = key
+        return (i, j, Monomial(*m), w % action.r)
 
     _basis_mul = staticmethod(lambda_mul_basis)
 
@@ -107,47 +101,26 @@ def lambda_dim(action):
     return action.r * nabla_dim(action.spec)
 
 
-def lambda_idempotent(action, i, j):
-    """e_i^j = e_i * rho_j with rho_j = (1/r) sum_s xi^(j s) g^s."""
-    r = action.r
-    w = cyc(RAT(1, r))
-    return LambdaElement(
-        action, {(i, i, MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)}
-    )
-
-
-def lambda_idempotents(action):
-    return {
-        (i, j): lambda_idempotent(action, i, j)
-        for i in range(action.spec.ell)
-        for j in range(action.r)
-    }
-
-
 def idempotent_system_report(action):
     """Idempotence, pairwise orthogonality, completeness, and basic corners.
 
-    Lambda_0 has the basis M(i->i; 1) g^s, whose products are the single
-    terms M(i->i; 1) g^(s+t) when both sit at vertex i and 0 otherwise: so
-    Lambda_0 is ell orthogonal copies of kG, one per vertex.  Each e_i^j is
-    checked to be the copy of rho_j at vertex i, which reduces idempotence,
-    orthogonality, completeness and the corners e_i^j Lambda_0 e_i^j to the
-    rho system and the corners rho_j kG rho_j, checked once in S*G.
+    Lambda_0 has the basis e_i^w = M(i->i; 1) rho_w, whose products are
+    e_i^w e_k^v = [i = k][w = v] e_i^w: so the e_i^j are orthogonal
+    idempotents, one copy of the rho_j of kG per vertex.  They sum to the
+    unit because the rho_j sum to 1, and the corners e_i^j Lambda_0 e_i^j
+    are the corners rho_j kG rho_j: both are checked once in S*G, by
+    rho_system and by the ranks of rho_j g^s rho_j, g^s = sum_w xi^(-w s) rho_w.
     """
     ell, r = action.spec.ell, action.r
-    grid = [(i, s) for i in range(ell) for s in range(r)]
-    blocks = all(
-        lambda_mul_basis(action, (i, i, MONO_ONE, s), (k, k, MONO_ONE, t))
-        == ({(i, i, MONO_ONE, (s + t) % r): ONE} if i == k else {})
-        for (i, s) in grid for (k, t) in grid
+    grid = [(i, w) for i in range(ell) for w in range(r)]
+    structure = all(
+        lambda_mul_basis(action, (i, i, MONO_ONE, w), (k, k, MONO_ONE, v))
+        == ({(i, i, MONO_ONE, w): ONE} if (i, w) == (k, v) else {})
+        for (i, w) in grid for (k, v) in grid
     )
     rhos, rho_ok = rho_system(action)
-    idem = lambda_idempotents(action)
-    structure = blocks and all(
-        idem[(i, j)].terms == {(i, i, m, s): c for (m, s), c in rho.terms.items()}
-        for i in range(ell) for j, rho in enumerate(rhos)
-    )
-    group = [SkewElement.basis_element(action, MONO_ONE, s) for s in range(r)]
+    group = [SkewElement(action, {(MONO_ONE, w): action.xi_power(-w * s) for w in range(r)})
+             for s in range(r)]
     corner_ranks = []
     for rho in rhos:
         ech = Echelon()
@@ -165,13 +138,13 @@ def idempotent_system_report(action):
 
 
 # ---------------------------------------------------------------------------
-# Gabriel quiver from J/J^2 corner dimensions, in the rho-eigenbasis
+# Gabriel quiver from J/J^2 corner dimensions
 
 MAX_VERTICES = 64
 
 
 def _tau_j_basis(action):
-    """Positive-degree basis in the rho-eigenbasis with its corner data.
+    """Positive-degree basis of Lambda with its corner data.
 
     Entries (i, j, mono, w) stand for M(i->j; mono) * rho_w; the source
     vertex is (i, w) and the target is (j, (w - char mono) mod r).
@@ -179,15 +152,6 @@ def _tau_j_basis(action):
     r = action.r
     return [((i, j, m, w), (i, w), (j, (w - action.char(m)) % r))
             for (i, j, m) in nabla_basis(action.spec) if i < j for w in range(r)]
-
-
-def _tau_mul(action, t1, t2):
-    """Product of rho-eigenbasis elements: {} or {(k, j, mono, w2): coeff}."""
-    spec = action.spec
-    (i, j, m, w), (k, l, n, w2) = t1, t2
-    if l != i or (w + action.char(n)) % action.r != w2 % action.r:
-        return {}
-    return {(k, j, mono, w2 % action.r): c for mono, c in monomial_product(spec, m, n).items()}
 
 
 def gabriel_quiver_oracle(spec, action):
@@ -214,7 +178,7 @@ def gabriel_quiver_oracle(spec, action):
     for mid in set(by_src) & set(by_dst):
         for (lk, dst) in by_src[mid]:
             for (rk, src) in by_dst[mid]:
-                prod = _tau_mul(action, lk, rk)
+                prod = lambda_mul_basis(action, lk, rk)
                 if not prod:
                     continue
                 corner = (src, dst)
@@ -246,20 +210,20 @@ def nabla_skew_dim_formula(action):
 
 def nabla_of_skew_mul(action, t1, t2):
     """Product of basis entries of nabla(S*G): entries are skew elements."""
-    (i, j, m, s), (k, l, n, t) = t1, t2
+    (i, j, m, w), (k, l, n, v) = t1, t2
     if l != i:
         return {}
-    prod = skew_mul_basis(action, (m, s), (n, t))
-    return {(k, j, mono, gexp): c for (mono, gexp), c in prod.items()}
+    prod = skew_mul_basis(action, (m, w), (n, v))
+    return {(k, j, mono, u): c for (mono, u), c in prod.items()}
 
 
 def nabla_skew_structure_check(action):
     """(nabla S)*G and nabla(S*G) have the same structure constants.
 
     Compares the product of every pair of basis elements under the map
-    M(i->j; m)*g^s  <->  M(i->j; m*g^s).
+    M(i->j; m)*rho_w  <->  M(i->j; m*rho_w).
     """
-    basis = [(i, j, m, s) for (i, j, m) in nabla_basis(action.spec) for s in range(action.r)]
+    basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(action.r)]
     if lambda_dim(action) != nabla_skew_dim_formula(action):
         return False
     return all(

@@ -240,6 +240,8 @@ def _spec_from_args(args):
         if family == "jordan":
             if wx != 1:
                 raise SpecError("jordan-weight", "jordan family needs w_x = 1")
+            if args.alpha is not None:
+                raise SpecError("alpha", "jordan family takes no alpha")
             return jordan_spec(wy)
         alpha = parse_cyclotomic(args.alpha) if args.alpha is not None else cyc(1)
         return quantum_spec(wx, wy, alpha)

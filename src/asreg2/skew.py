@@ -1,13 +1,16 @@
 """The skew group algebra S*G for a diagonal cyclic action.
 
-Elements are combinations of pairs (monomial, group exponent) with the
-product (a*g^s)(b*g^t) = a g^s(b) * g^(s+t); the group part carries degree
-zero.  On top of the raw arithmetic this module provides the averaging
-idempotent e, the eigen-idempotents rho_j, fixed-ring bases, the trace
-averaging cross-check for fixed dimensions, the corner identifications
-of S with (S*G)e and e(S*G), the graded dimensions of the two-sided ideal
-(e) (the operational ampleness test), and an injectivity check for the
-map sending s*g to the operator t -> s g(t).
+Elements are combinations of pairs (monomial m, character w) standing for
+m * rho_w, where rho_w = (1/r) sum_s xi^(w s) g^s are the eigen-idempotents
+of the group; the group part carries degree zero.  In this basis the product
+is (m rho_w)(n rho_v) = [w + char n = v (mod r)] (m n) rho_v, the averaging
+idempotent e = rho_0 and every rho_j are unit vectors, and the corners they
+cut out are coordinate subspaces.  rho_system certifies the basis against
+the g-basis m * g^s of the definition.  The module also provides fixed-ring
+bases, the trace averaging cross-check for fixed dimensions, the corner
+identifications of S with (S*G)e and e(S*G), the graded dimensions of the
+two-sided ideal (e) (the operational ampleness test), and an injectivity
+check for the map sending s*g to the operator t -> s g(t).
 
 Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
@@ -32,46 +35,32 @@ from .linalg import Echelon
 
 
 def skew_mul_basis(action, k1, k2):
-    """(a*g^s)(b*g^t) = a g^s(b) * g^(s+t) with the diagonal action."""
-    (m1, s), (m2, t) = k1, k2
-    # g^s scales the monomial m2 by xi^(s * char(m2))
-    c = action.xi_power(s * action.char(m2))
-    gexp = (s + t) % action.r
-    return {(m, gexp): c * cm for m, cm in monomial_product(action.spec, m1, m2).items()}
+    """(m rho_w)(n rho_v) = [w + char n = v (mod r)] (m n) rho_v; see rho_system."""
+    (m1, w), (m2, v) = k1, k2
+    if (w + action.char(m2)) % action.r != v:
+        return {}
+    return {(m, v): cm for m, cm in monomial_product(action.spec, m1, m2).items()}
 
 
 class SkewElement(SparseElement):
-    """Finite combination of (y^a x^b, g^s) with exact coefficients."""
+    """Finite combination of (y^a x^b, rho_w) with exact coefficients."""
 
     __slots__ = ()
 
     @staticmethod
     def _key(action, key):
-        m, s = key
-        return (Monomial(*m), s % action.r)
+        m, w = key
+        return (Monomial(*m), w % action.r)
 
     _basis_mul = staticmethod(skew_mul_basis)
 
     @staticmethod
     def one(action):
-        return SkewElement(action, {(MONO_ONE, 0): ONE})
+        return SkewElement(action, {(MONO_ONE, w): ONE for w in range(action.r)})
 
     @staticmethod
-    def basis_element(action, mono, s, coeff=ONE):
-        return SkewElement(action, {(mono, s): coeff})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, s) in sorted(self.terms):
-            c = self.terms[(m, s)]
-            mono = "*".join(p for p in ("y^%d" % m.a if m.a else "", "x^%d" % m.b if m.b else "") if p) or "1"
-            gp = "g^%d" % s if s else "1"
-            bits.append("(%s)*%s#%s" % (c, mono, gp))
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def basis_element(action, mono, w, coeff=ONE):
+        return SkewElement(action, {(mono, w): coeff})
 
 
 def skew_mul(u, v, action):
@@ -80,38 +69,65 @@ def skew_mul(u, v, action):
 
 
 def idempotent_e(action):
-    """e = (1/r) sum_s 1*g^s, with e^2 = e checked on construction."""
-    r = action.r
-    w = cyc(RAT(1, r))
-    e = SkewElement(action, {(MONO_ONE, s): w for s in range(r)})
+    """e = (1/r) sum_s g^s = rho_0, with e^2 = e checked on construction."""
+    e = SkewElement.basis_element(action, MONO_ONE, 0)
     if skew_mul(e, e, action) != e:
         raise ArithmeticError("the averaging element e is not idempotent")
     return e
 
 
 def rho_idempotents(action):
-    """rho_j = (1/r) sum_s xi^(j s) g^s; rho_0 = e.
+    """rho_j = (1/r) sum_s xi^(j s) g^s, the unit vectors of the basis; rho_0 = e."""
+    return [SkewElement.basis_element(action, MONO_ONE, j) for j in range(action.r)]
 
-    rho_system checks that they are orthogonal idempotents summing to 1.
-    """
-    r = action.r
-    w = cyc(RAT(1, r))
-    return [SkewElement(action, {(MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)})
-            for j in range(r)]
+
+def _g_mul_basis(action, k1, k2):
+    """(a g^s)(b g^t) = a g^s(b) g^(s+t): the product on the g-basis of S*G."""
+    (m1, s), (m2, t) = k1, k2
+    # g^s scales the monomial m2 by xi^(s * char(m2))
+    c = action.xi_power(s * action.char(m2))
+    gexp = (s + t) % action.r
+    return {(m, gexp): c * cm for m, cm in monomial_product(action.spec, m1, m2).items()}
+
+
+class _GSkew(SkewElement):
+    """S*G on the g-basis m g^s of its definition, for rho_system alone."""
+
+    __slots__ = ()
+
+    _basis_mul = staticmethod(_g_mul_basis)
 
 
 def rho_system(action):
-    """The rho_j, and whether they are orthogonal idempotents summing to 1.
+    """The rho_j, and a certificate of the basis m rho_w and of skew_mul_basis.
 
-    Returns (rhos, ok); each product rho_i rho_j is formed once.
+    The certificate checks, in the g-basis, with O(r^2) products:
+
+    (1) g rho_w = xi^(-w) rho_w, for rho_w = (1/r) sum_s xi^(w s) g^s;
+    (2) sum_s xi^(k s) = r [k = 0], for k mod r;
+    (3) sum_w rho_w = 1;
+    (4) rho_w n = n rho_(w + char n), for n = x, y.
+
+    By (1), g^s rho_w = xi^(-w s) rho_w, so rho_v rho_w = (1/r) sum_s
+    xi^((v - w) s) rho_w = [v = w] rho_w by (2): the rho_w are orthogonal
+    idempotents.  Multiplying (3) by g^s gives g^s = sum_w xi^(-w s) rho_w,
+    so the m rho_w span S*G; there are r dim S_d of them in degree d, so
+    they are a basis.  As char is additive, (4) extends to every monomial
+    n = y^a x^b, whence (m rho_w)(n rho_v) = m n rho_(w + char n) rho_v =
+    [w + char n = v] (m n) rho_v, which is skew_mul_basis.
     """
-    rhos = rho_idempotents(action)
-    zero = SkewElement.zero(action)
-    ok = all(
-        skew_mul(ri, rj, action) == (ri if i == j else zero)
-        for i, ri in enumerate(rhos) for j, rj in enumerate(rhos)
-    )
-    return rhos, ok and sum(rhos, zero) == SkewElement.one(action)
+    r, xi = action.r, action.xi_power
+    inv_r = cyc(RAT(1, r))
+    rho = [_GSkew(action, {(MONO_ONE, s): inv_r * xi(w * s) for s in range(r)}) for w in range(r)]
+    g = _GSkew(action, {(MONO_ONE, 1): ONE})
+    ok = all(g * rho[w] == rho[w].scale(xi(-w)) for w in range(r))
+    ok = ok and all(sum((xi(k * s) for s in range(r)), Cyclotomic(0)) == cyc(r if k == 0 else 0)
+                    for k in range(r))
+    ok = ok and sum(rho, _GSkew.zero(action)) == _GSkew(action, {(MONO_ONE, 0): ONE})
+    for n in (Monomial(0, 1), Monomial(1, 0)):
+        gn = _GSkew(action, {(n, 0): ONE})
+        ok = ok and all(rho[w] * gn == gn * rho[(w + action.char(n)) % r] for w in range(r))
+    return rho_idempotents(action), ok
 
 
 def skew_dim(action, d):
@@ -165,8 +181,8 @@ def corner_dimension_checks(spec, action, D):
     ok = True
     for d in range(D + 1):
         ece, se, es = Echelon(), Echelon(), Echelon()
-        for m, s in itertools.product(graded_basis(spec, d), range(action.r)):
-            u = SkewElement.basis_element(action, m, s)
+        for m, w in itertools.product(graded_basis(spec, d), range(action.r)):
+            u = SkewElement.basis_element(action, m, w)
             ue = skew_mul(u, e, action)
             eu = skew_mul(e, u, action)
             eue = skew_mul(e, ue, action)

@@ -19,7 +19,6 @@ from asreg2.algebra import (
     quantum_spec,
 )
 from asreg2.automorphisms import (
-    compose,
     diagonal_automorphism,
     hdet,
     hdet_koszul,
@@ -57,6 +56,7 @@ from asreg2.beilinson import (
     nabla_dim,
     nabla_skew_dim_formula,
 )
+from test_automorphisms import compose
 
 
 class Stopwatch:

@@ -17,13 +17,11 @@ from asreg2.automorphisms import (
     NotApplicableError,
     NotTabulatedError,
     apply_automorphism,
-    compose,
     diagonal_automorphism,
     hdet,
     hdet_koszul,
     hdet_normal_recursion,
     hdet_table,
-    identity_automorphism,
     is_graded_automorphism,
     is_hsl,
     linear_automorphism,
@@ -44,6 +42,18 @@ J3 = jordan_spec(3)
 
 UNITS = [cyc(1), cyc(-1), cyc(2), cyc(RAT(1, 2)), cyc(RAT(-3, 2)), zeta(3), zeta(4), zeta(6),
          zeta(3) * 2, zeta(6) ** 5]
+
+
+def identity_automorphism(spec):
+    return diagonal_automorphism(spec, 1, 1)
+
+
+def compose(sigma, tau, spec):
+    """sigma after tau."""
+    return GradedAutomorphism(
+        apply_automorphism(sigma, tau.image_x, spec),
+        apply_automorphism(sigma, tau.image_y, spec),
+    )
 
 
 def _solve_preimage(sigma, spec, target):

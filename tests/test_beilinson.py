@@ -2,7 +2,16 @@ import random
 from collections import Counter
 
 from asreg2.cyclotomic import ONE, cyc, zeta
-from asreg2.algebra import MONO_ONE, jordan_spec, quantum_spec
+from asreg2.rationals import RAT
+from asreg2.algebra import (
+    MONO_ONE,
+    Monomial,
+    SparseElement,
+    graded_basis,
+    jordan_spec,
+    monomial_product,
+    quantum_spec,
+)
 from asreg2.automorphisms import make_cyclic_group
 from asreg2.beilinson import (
     LambdaElement,
@@ -11,7 +20,6 @@ from asreg2.beilinson import (
     gabriel_quiver_oracle,
     idempotent_system_report,
     lambda_dim,
-    lambda_idempotents,
     nabla_basis,
     nabla_dim,
     nabla_skew_dim_formula,
@@ -19,6 +27,7 @@ from asreg2.beilinson import (
 )
 from asreg2.linalg import Echelon
 from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
+from test_skew import LINK_CASES, assert_g_basis_link, to_g_basis
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -41,8 +50,53 @@ def nabla_algebra(spec):
     }
 
 
+# ---------------------------------------------------------------------------
+# Lambda on the g-basis (i, j, monomial, g^s): the oracle for the eigenbasis
+
+
+def g_lambda_mul_basis(action, t1, t2):
+    """Product of g-basis elements; {} or {(k, j, monomial, g exponent): coeff}."""
+    (i, j, m, s), (k, l, n, t) = t1, t2
+    if l != i:
+        return {}
+    # the group acts entrywise: g^s scales n by xi^(s char(n))
+    c = action.xi_power(s * action.char(n))
+    gexp = (s + t) % action.r
+    return {(k, j, mono, gexp): c * cm for mono, cm in monomial_product(action.spec, m, n).items()}
+
+
+class GLambdaElement(SparseElement):
+    """Sparse element of (nabla S)*G: {(i, j, monomial, s): coefficient}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(action, key):
+        i, j, m, s = key
+        return (i, j, Monomial(*m), s % action.r)
+
+    _basis_mul = staticmethod(g_lambda_mul_basis)
+
+
+def lambda_idempotent(action, i, j):
+    """e_i^j = e_i * rho_j with rho_j = (1/r) sum_s xi^(j s) g^s."""
+    r = action.r
+    w = cyc(RAT(1, r))
+    return GLambdaElement(
+        action, {(i, i, MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)}
+    )
+
+
+def lambda_idempotents(action):
+    return {
+        (i, j): lambda_idempotent(action, i, j)
+        for i in range(action.spec.ell)
+        for j in range(action.r)
+    }
+
+
 def lambda_unit(action):
-    return LambdaElement(
+    return GLambdaElement(
         action, {(i, i, MONO_ONE, 0): ONE for i in range(action.spec.ell)}
     )
 
@@ -60,7 +114,7 @@ def tau_corner_dims_generic(action):
     positive = [(i, j, m, s) for (i, j, m) in nabla_basis(action.spec) if i < j
                 for s in range(action.r)]
     for key in positive:
-        w = LambdaElement(action, {key: ONE})
+        w = GLambdaElement(action, {key: ONE})
         for a in idem:
             for b in idem:
                 proj = idem[b] * w * idem[a]
@@ -135,7 +189,7 @@ def idempotent_system_oracle(action):
     idem = lambda_idempotents(action)
     keys = sorted(idem)
     ok = True
-    total = LambdaElement.zero(action)
+    total = GLambdaElement.zero(action)
     for a in keys:
         ea = idem[a]
         total = total + ea
@@ -151,7 +205,7 @@ def idempotent_system_oracle(action):
         ech = Echelon()
         for i in range(action.spec.ell):
             for s in range(action.r):
-                w = LambdaElement(action, {(i, i, MONO_ONE, s): ONE})
+                w = GLambdaElement(action, {(i, i, MONO_ONE, s): ONE})
                 proj = idem[a] * w * idem[a]
                 if not proj.is_zero():
                     ech.add(dict(proj.terms))
@@ -173,6 +227,18 @@ def test_lambda_idempotent_system():
         assert report == idempotent_system_oracle(action)
 
 
+def test_lambda_eigenbasis_linked_to_g_basis():
+    # every basis pair of Lambda
+    for spec, r in LINK_CASES:
+        action = make_cyclic_group(spec, r)
+        keys = [(i, j, m, w) for (i, j, m) in nabla_basis(spec) for w in range(r)]
+        assert_g_basis_link(action, keys, LambdaElement, GLambdaElement)
+    # the e_i^j are the unit vectors M(i->i; 1) rho_j
+    action = make_cyclic_group(S12, 2)
+    for (i, j), e in lambda_idempotents(action).items():
+        assert to_g_basis(LambdaElement(action, {(i, i, MONO_ONE, j): ONE}), GLambdaElement) == e
+
+
 def test_corner_dims_fast_equals_generic():
     action = make_cyclic_group(S11, 3)
     fast = tau_corner_dims_fast(action)
@@ -185,11 +251,6 @@ def test_corner_dims_fast_equals_generic():
 def test_full_corners_are_lines_generically():
     # e_a * Lambda * e_a across every degree is one-dimensional: the unit
     # line plus nothing from J (verified by brute projection, small cases)
-    from asreg2.algebra import MONO_ONE, graded_basis
-    from asreg2.beilinson import lambda_idempotents
-    from asreg2.cyclotomic import ONE
-    from asreg2.linalg import Echelon
-
     for spec, r in ((S11, 3), (S12, 2)):
         action = make_cyclic_group(spec, r)
         idem = lambda_idempotents(action)
@@ -203,7 +264,7 @@ def test_full_corners_are_lines_generically():
         for a, ea in idem.items():
             ech = Echelon()
             for key in basis:
-                w = LambdaElement(action, {key: ONE})
+                w = GLambdaElement(action, {key: ONE})
                 proj = ea * w * ea
                 if not proj.is_zero():
                     ech.add(dict(proj.terms))

@@ -119,13 +119,23 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
-def test_check_matches_golden(tmp_path, capsys):
-    # pins the check bytes at a config that no benchmark job reaches
+@pytest.mark.parametrize("wy, r", [(3, 12), (1, 20)], ids=["1_3_r12", "1_1_r20"])
+def test_check_matches_golden(tmp_path, capsys, wy, r):
+    # pins the check bytes at configs that no benchmark job reaches
     out_file = tmp_path / "check.json"
-    code, _ = run(capsys, ["check", "--wx", "1", "--wy", "3", "--r", "12",
+    code, _ = run(capsys, ["check", "--wx", "1", "--wy", str(wy), "--r", str(r),
                            "--format", "json", "--out", str(out_file)])
     assert code == 0
-    assert out_file.read_bytes() == (DATA / "check_1_3_r12.json").read_bytes()
+    assert out_file.read_bytes() == (DATA / ("check_1_%d_r%d.json" % (wy, r))).read_bytes()
+
+
+def test_check_at_large_order(capsys):
+    # ell*r = 100 and a Jordan plane with q + 1 = 12
+    for argv in (["--wx", "1", "--wy", "1", "--r", "50"],
+                 ["--family", "jordan", "--wy", "11", "--r", "12"]):
+        code, out = run(capsys, ["check", *argv])
+        assert code == 0
+        assert out.endswith("overall: ok\n")
 
 
 def test_quiver_json(capsys):
@@ -213,6 +223,13 @@ def test_bad_inputs_exit_cleanly(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["info", "--config", str(cfg)])
     assert "'xml'" in str(exc.value)
+    # the Jordan plane has no alpha to set, from a flag or a config file
+    cfg.write_text("alpha=2\nfamily=jordan\n")
+    for argv in (["hdet", "--family", "jordan", "--wy", "2", "--alpha", "2"],
+                 ["hdet", "--wy", "2", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("invalid algebra: ") and "\n" not in str(exc.value)
     with pytest.raises(SystemExit):
         main(["ample", "--r", "2", "--action-powers", "1;0"])
     # quiver constructors reject bad sizes with one line, not a traceback

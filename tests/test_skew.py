@@ -4,11 +4,13 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from asreg2.cyclotomic import cyc, zeta
+from asreg2.cyclotomic import ONE, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
+    MONO_ONE,
     AlgebraElement,
     Monomial,
+    SparseElement,
     graded_basis,
     jordan_spec,
     monomial_product,
@@ -31,6 +33,7 @@ from asreg2.skew import (
     phi_injectivity_check,
     quotient_by_ideal_e_dims,
     rho_idempotents,
+    rho_system,
     skew_dim,
     skew_mul,
 )
@@ -39,6 +42,82 @@ COMM = quantum_spec(1, 1, 1)
 QUANT5 = quantum_spec(1, 1, zeta(5))
 W13 = quantum_spec(1, 3, 1)
 J1 = jordan_spec(1)
+
+
+# ---------------------------------------------------------------------------
+# S*G on the g-basis of its definition: the oracle for the rho-eigenbasis
+
+
+def g_skew_mul_basis(action, k1, k2):
+    """(a*g^s)(b*g^t) = a g^s(b) * g^(s+t) with the diagonal action."""
+    (m1, s), (m2, t) = k1, k2
+    # g^s scales the monomial m2 by xi^(s * char(m2))
+    c = action.xi_power(s * action.char(m2))
+    gexp = (s + t) % action.r
+    return {(m, gexp): c * cm for m, cm in monomial_product(action.spec, m1, m2).items()}
+
+
+class GSkewElement(SparseElement):
+    """Finite combination of (y^a x^b, g^s) with exact coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(action, key):
+        m, s = key
+        return (Monomial(*m), s % action.r)
+
+    _basis_mul = staticmethod(g_skew_mul_basis)
+
+    @staticmethod
+    def one(action):
+        return GSkewElement(action, {(MONO_ONE, 0): ONE})
+
+    @staticmethod
+    def basis_element(action, mono, s, coeff=ONE):
+        return GSkewElement(action, {(mono, s): coeff})
+
+
+def g_idempotent_e(action):
+    """e = (1/r) sum_s 1*g^s in the g-basis."""
+    w = cyc(RAT(1, action.r))
+    return GSkewElement(action, {(MONO_ONE, s): w for s in range(action.r)})
+
+
+def to_g_basis(u, g_cls):
+    """T(k rho_w) = (1/r) sum_s xi^(w s) k g^s, for k the rest of a basis key.
+
+    Maps an eigenbasis element u (of S*G or of Lambda, whose keys end in w)
+    to the g-basis class g_cls.
+    """
+    action = u.ctx
+    r = action.r
+    terms = {}
+    for (*rest, w), c in u.terms.items():
+        for s in range(r):
+            key = (*rest, s)
+            terms[key] = terms.get(key, cyc(0)) + c * cyc(RAT(1, r)) * action.xi_power(w * s)
+    return g_cls(action, terms)
+
+
+def assert_g_basis_link(action, keys, cls, g_cls):
+    """T is bijective on the span of keys and T(a)T(b) = T(ab) on all pairs.
+
+    keys holds every w with each rest, so the g-basis keys of the same
+    rests span a space of the same dimension as the keys.
+    """
+    basis = {k: cls(action, {k: ONE}) for k in keys}
+    image = {k: to_g_basis(u, g_cls) for k, u in basis.items()}
+    ech = Echelon()
+    for t in image.values():
+        ech.add(dict(t.terms))
+    assert ech.rank == len(keys)
+    for a in keys:
+        for b in keys:
+            assert image[a] * image[b] == to_g_basis(basis[a] * basis[b], g_cls), (a, b)
+
+
+LINK_CASES = ((COMM, 3), (W13, 4), (J1, 2), (QUANT5, 3))
 
 
 def ideal_e_dims_blocked(spec, action, D):
@@ -80,17 +159,17 @@ def _skew_basis(action, d):
 
 
 def ideal_e_dims_naive(spec, action, D):
-    """Literal spanning-set rank of { u e v } over all basis pairs; slow reference."""
-    e = idempotent_e(action)
+    """Literal spanning-set rank of { u e v } over all g-basis pairs; slow reference."""
+    e = g_idempotent_e(action)
     out = []
     for d in range(D + 1):
         ech = Echelon()
         for i in range(d + 1):
             for (m1, a) in _skew_basis(action, i):
-                u = SkewElement.basis_element(action, m1, a)
+                u = GSkewElement.basis_element(action, m1, a)
                 ue = skew_mul(u, e, action)
                 for (m2, b) in _skew_basis(action, d - i):
-                    v = SkewElement.basis_element(action, m2, b)
+                    v = GSkewElement.basis_element(action, m2, b)
                     uev = skew_mul(ue, v, action)
                     ech.add(dict(uev.terms))
         out.append(ech.rank)
@@ -121,8 +200,8 @@ def phi_injectivity_oracle(spec, action, D):
 
 def test_skew_mul_convention():
     action = make_cyclic_group(COMM, 3)
-    x = SkewElement.basis_element(action, Monomial(0, 1), 1)   # x * g
-    y = SkewElement.basis_element(action, Monomial(1, 0), 0)   # y * 1
+    x = GSkewElement.basis_element(action, Monomial(0, 1), 1)   # x * g
+    y = GSkewElement.basis_element(action, Monomial(1, 0), 0)   # y * 1
     prod = skew_mul(x, y, action)
     # x g(y) * g = xi^-1 * yx * g
     assert prod.terms == {(Monomial(1, 1), 1): action.xi_power(-1)}
@@ -130,14 +209,14 @@ def test_skew_mul_convention():
 
 def test_skew_unit_and_group_law():
     action = make_cyclic_group(W13, 4)
-    one = SkewElement.one(action)
-    v = SkewElement(action, {(Monomial(1, 2), 3): cyc(5), (Monomial(0, 1), 0): zeta(3)})
+    one = GSkewElement.one(action)
+    v = GSkewElement(action, {(Monomial(1, 2), 3): cyc(5), (Monomial(0, 1), 0): zeta(3)})
     assert skew_mul(one, v, action) == v
     assert skew_mul(v, one, action) == v
     for s in range(4):
         for t in range(4):
-            gs = SkewElement.basis_element(action, Monomial(0, 0), s)
-            gt = SkewElement.basis_element(action, Monomial(0, 0), t)
+            gs = GSkewElement.basis_element(action, Monomial(0, 0), s)
+            gt = GSkewElement.basis_element(action, Monomial(0, 0), t)
             assert skew_mul(gs, gt, action).terms == {(Monomial(0, 0), (s + t) % 4): cyc(1)}
 
 
@@ -160,10 +239,13 @@ def test_skew_mul_associative_randomized():
 def test_idempotent_e():
     for spec, r in ((COMM, 1), (COMM, 2), (COMM, 3), (J1, 2)):
         action = make_cyclic_group(spec, r)
-        e = idempotent_e(action)
+        e = g_idempotent_e(action)
         assert skew_mul(e, e, action) == e
+        # the library's e is the unit vector rho_0, whose image is this e
+        assert idempotent_e(action) == SkewElement.basis_element(action, MONO_ONE, 0)
+        assert to_g_basis(idempotent_e(action), GSkewElement) == e
         if r == 1:
-            assert e == SkewElement.one(action)
+            assert e == GSkewElement.one(action)
         if r == 2:
             half = cyc(1) / cyc(2)
             assert e.terms == {(Monomial(0, 0), 0): half, (Monomial(0, 0), 1): half}
@@ -174,6 +256,7 @@ def test_rho_idempotents_orthogonal_complete():
         action = make_cyclic_group(spec, r)
         rhos = rho_idempotents(action)
         assert rhos[0] == idempotent_e(action)
+        assert rho_system(action) == (rhos, True)
         total = SkewElement.zero(action)
         for i, ri in enumerate(rhos):
             total = total + ri
@@ -184,6 +267,15 @@ def test_rho_idempotents_orthogonal_complete():
                 else:
                     assert prod.is_zero()
         assert total == SkewElement.one(action)
+        assert to_g_basis(total, GSkewElement) == GSkewElement.one(action)
+
+
+def test_skew_eigenbasis_linked_to_g_basis():
+    # every basis pair of S*G up to degree 3
+    for spec, r in LINK_CASES:
+        action = make_cyclic_group(spec, r)
+        keys = [k for d in range(4) for k in _skew_basis(action, d)]
+        assert_g_basis_link(action, keys, SkewElement, GSkewElement)
 
 
 def test_skew_dims():
@@ -314,6 +406,23 @@ CONFIGS = st.one_of(
 def test_ideal_dims_count_equals_blocked_property(config):
     spec, r = config
     _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
+
+
+def _random_skew(action, rng, degree, n_terms):
+    monos = [m for d in range(degree + 1) for m in graded_basis(action.spec, d)]
+    return SkewElement(action, {(rng.choice(monos), rng.randrange(action.r)):
+                                rng.choice([cyc(1), cyc(-2), cyc(RAT(1, 3)), zeta(3)])
+                                for _ in range(n_terms)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(CONFIGS, st.randoms(use_true_random=False))
+def test_skew_eigenbasis_link_property(config, rng):
+    spec, r = config
+    action = make_cyclic_group(spec, r)
+    u, v = (_random_skew(action, rng, 4, rng.randrange(1, 4)) for _ in range(2))
+    assert (to_g_basis(u, GSkewElement) * to_g_basis(v, GSkewElement)
+            == to_g_basis(u * v, GSkewElement))
 
 
 def test_quotient_dims_trivial_group():
