@@ -133,8 +133,8 @@ def idempotent_system_report(action):
     # the quiver), so the full corner e Lambda e is exactly the line k*e
     no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
     return {"ok": ok and corners_one_dim and no_loops, "idempotents": ell * r,
-            "orthogonal_complete": ok, "basic": corners_one_dim,
-            "diagonal_corners_trivial": no_loops}
+            "rho_certificate": rho_ok, "orthogonal_complete": ok,
+            "basic": corners_one_dim, "diagonal_corners_trivial": no_loops}
 
 
 # ---------------------------------------------------------------------------

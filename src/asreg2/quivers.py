@@ -221,10 +221,23 @@ def _adjacency(q, tags):
     return out
 
 
+def _degree_signatures(q, tags):
+    """Quiver.degree_signature of every vertex, in one pass over the arrows."""
+    outs = {v: [] for v in q.vertices}
+    ins = {v: [] for v in q.vertices}
+    for (s, t, tag) in q.arrows:
+        outs[s].append(tag)
+        ins[t].append(tag)
+    if tags:
+        return {v: (tuple(sorted(Counter(outs[v]).items())),
+                    tuple(sorted(Counter(ins[v]).items()))) for v in q.vertices}
+    return {v: (len(outs[v]), len(ins[v])) for v in q.vertices}
+
+
 def _component_isomorphism(q1, q2, respect_tags):
     n = len(q1.vertices)
-    sig1 = {v: q1.degree_signature(v, respect_tags) for v in q1.vertices}
-    sig2 = {v: q2.degree_signature(v, respect_tags) for v in q2.vertices}
+    sig1 = _degree_signatures(q1, respect_tags)
+    sig2 = _degree_signatures(q2, respect_tags)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     adj1 = _adjacency(q1, respect_tags)
@@ -301,9 +314,12 @@ def bgp_reflect(q, v):
     return Quiver(q.vertices, arrows)
 
 
-def _cycle_word(q):
-    """For each arrow met walking round from q.vertices[0]: does it point
-    along the walk?  ValueError unless q is one cycle through every vertex."""
+def _cycle_walk(q):
+    """Walk round q from q.vertices[0]: the vertices in the order met, and the
+    orientation word, whose k-th letter is "1" when the arrow between the
+    k-th vertex and the next points along the walk and "0" when it points
+    back.
+    ValueError unless q is one cycle through every vertex."""
     n = len(q.vertices)
     incident = {v: [] for v in q.vertices}
     for idx, (s, t, _) in enumerate(q.arrows):
@@ -313,35 +329,40 @@ def _cycle_word(q):
         raise ValueError("underlying graph is not a single cycle")
     v = q.vertices[0]
     edge = incident[v][0]
-    word, walked = [], set()
+    order, word, walked = [], [], set()
     for _ in range(n):
         s, t, _tag = q.arrows[edge]
-        word.append(s == v)
+        order.append(v)
+        word.append("1" if s == v else "0")
         walked.add(edge)
         v = t if s == v else s
         a, b = incident[v]
         edge = b if a == edge else a
     if v != q.vertices[0] or len(walked) != n:
         raise ValueError("underlying graph is not a single cycle")
-    return tuple(word)
+    return tuple(order), "".join(word)
 
 
-def _cycle_key(q):
-    """Untagged isomorphism class of a cycle: other starts rotate the word,
-    walking the other way round reverses it and flips every direction."""
-    word = _cycle_word(q)
-    back = tuple(not f for f in reversed(word))
-    return min(w[k:] + w[:k] for w in (word, back) for k in range(len(w)))
+_FLIP = str.maketrans("01", "10")
+
+
+def _cycle_key(word):
+    """Untagged isomorphism class of the cycle with this orientation word:
+    other starts rotate the word, walking the other way round reverses it
+    and flips every direction."""
+    n = len(word)
+    back = word[::-1].translate(_FLIP)
+    return min([w[k:k + n] for w in (word + word, back + back) for k in range(n)])
 
 
 def _direction_counts(word):
-    forward = sum(word)
+    forward = word.count("1")
     return tuple(sorted((forward, len(word) - forward)))
 
 
 def canonical_type(q):
     """Direction counts (i, j), i <= j, for an acyclic single-cycle quiver."""
-    i, j = _direction_counts(_cycle_word(q))
+    i, j = _direction_counts(_cycle_walk(q)[1])
     if i == 0:
         raise ValueError("quiver has an oriented cycle")
     return (i, j)
@@ -371,28 +392,39 @@ def reflection_search(q1, q2, max_depth=None):
     """Breadth-first search for a reflection sequence turning q1 into q2.
 
     Both must be single cycles (else ValueError), as every quiver from a
-    covering quiver to a canonical Q_(i,j) is.  States are explored modulo
-    untagged isomorphism, i.e. by _cycle_key; reflections keep the direction
-    counts, so quivers whose counts differ are refused at once.  The witness
+    covering quiver to a canonical Q_(i,j) is.  A state is the orientation
+    word of q1's walk (_cycle_walk).  The vertex at walk position k is a
+    sink or a source exactly when letters k-1 and k differ (k-1 wraps round
+    for k = 0), and reflecting at it flips both, that is, swaps them.
+    States are explored modulo untagged isomorphism, i.e. by _cycle_key;
+    reflections keep the direction counts, so quivers whose counts differ
+    are refused at once.  Moves are tried in q1.vertices order.  The witness
     is a list of vertex labels of q1 (labels are stable under reflection),
-    or None when the depth bound is exhausted.
+    read off the walk, or None when the depth bound is exhausted.
     """
-    start, goal = _cycle_key(q1), _cycle_key(q2)
+    order, word = _cycle_walk(q1)
+    start, goal = _cycle_key(word), _cycle_key(_cycle_walk(q2)[1])
     if _direction_counts(start) != _direction_counts(goal):
         return None
     if start == goal:
         return []
     if max_depth is None:
-        max_depth = 2 * len(q1.vertices) ** 2
+        max_depth = 2 * len(order) ** 2
+    position = {v: k for k, v in enumerate(order)}
+    moves = [(v, position[v]) for v in q1.vertices]
     seen = {start}
-    queue = deque([(q1, [])])
+    queue = deque([(word, [])])
     while queue:
         state, path = queue.popleft()
         if len(path) >= max_depth:
             continue
-        moves = [v for v in state.vertices if state.is_sink(v) or state.is_source(v)]
-        for v in moves:
-            nxt = bgp_reflect(state, v)
+        for v, k in moves:
+            if state[k - 1] == state[k]:
+                continue
+            if k:
+                nxt = state[:k - 1] + state[k] + state[k - 1] + state[k + 1:]
+            else:
+                nxt = state[-1] + state[1:-1] + state[0]
             key = _cycle_key(nxt)
             if key in seen:
                 continue

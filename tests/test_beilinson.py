@@ -213,9 +213,10 @@ def idempotent_system_oracle(action):
             corners_one_dim = False
             break
     no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
+    # the rho_j are the e_i^j of one vertex i, so brute force checks them with the rest
     return {"ok": ok and corners_one_dim and no_loops, "idempotents": len(keys),
-            "orthogonal_complete": ok, "basic": corners_one_dim,
-            "diagonal_corners_trivial": no_loops}
+            "rho_certificate": ok, "orthogonal_complete": ok,
+            "basic": corners_one_dim, "diagonal_corners_trivial": no_loops}
 
 
 def test_lambda_idempotent_system():

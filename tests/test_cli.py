@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import asreg2
+import asreg2.beilinson
+import asreg2.cli
+import asreg2.skew
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.rationals import RAT
@@ -180,6 +183,30 @@ def test_check_command(capsys):
     assert code == 0
     assert "overall: ok" in out
     assert "FAIL" not in out
+
+
+def test_check_runs_rho_certificate_once(monkeypatch, capsys):
+    real = asreg2.beilinson.rho_system
+    calls = []
+    certify = [True]
+
+    def counted(action):
+        calls.append(action)
+        rhos, ok = real(action)
+        return rhos, ok and certify[0]
+
+    for module in (asreg2.cli, asreg2.beilinson, asreg2.skew):
+        monkeypatch.setattr(module, "rho_system", counted, raising=False)
+    argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"]
+    code, _ = run(capsys, argv)
+    assert code == 0 and len(calls) == 1
+    # both lines read that one run's flag
+    certify[0] = False
+    code, out = run(capsys, argv)
+    assert code == 1 and len(calls) == 2
+    failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["rho idempotents orthogonal and complete",
+                      "Lambda idempotent system basic", "overall: FAIL"]
 
 
 def test_check_jordan(capsys):

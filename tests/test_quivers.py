@@ -5,11 +5,13 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asreg2 import quivers
 from asreg2.algebra import quantum_spec
 from asreg2.quivers import (
     Quiver,
     _cycle_key,
-    _cycle_word,
+    _cycle_walk,
+    _degree_signatures,
     bgp_reflect,
     canonical_type,
     components,
@@ -312,6 +314,59 @@ def test_reflection_search_matches_oracle_sweep():
     assert found > len(cases) // 2
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reflection_search_on_words_matches_oracle(data):
+    n = data.draw(st.integers(2, 9))
+    word = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels = data.draw(st.permutations(range(n)))
+    if data.draw(st.booleans()):
+        # make v0, the walk's start where position k - 1 wraps round, a sink or a source
+        k = labels.index(0)
+        word[k] = not word[k - 1]
+    if data.draw(st.booleans()):
+        other = data.draw(st.permutations(word))  # same direction counts
+    else:
+        other = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    source = _cycle(word, labels)
+    target = _cycle(other, data.draw(st.permutations(range(n))))
+    max_depth = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    assert reflection_search(source, target, max_depth) == reflection_search_oracle(
+        source, target, max_depth)
+
+
+def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
+    source = covering_quiver(S13, 3)
+    target = make_canonical_quiver(3, 9)
+    expected = reflection_search(source, target)
+    calls = {"bgp_reflect": 0, "Quiver": 0}
+    real_reflect, real_init = quivers.bgp_reflect, Quiver.__init__
+
+    def counted_reflect(q, v):
+        calls["bgp_reflect"] += 1
+        return real_reflect(q, v)
+
+    def counted_init(self, vertices, arrows):
+        calls["Quiver"] += 1
+        real_init(self, vertices, arrows)
+
+    monkeypatch.setattr(quivers, "bgp_reflect", counted_reflect)
+    monkeypatch.setattr(Quiver, "__init__", counted_init)
+    assert reflection_search(source, target) == expected
+    assert len(expected) >= 2
+    assert calls == {"bgp_reflect": 0, "Quiver": 0}
+
+
+def test_degree_signatures_match_per_vertex_scan():
+    cases = [quiver_qsg(S13, 4), covering_quiver(S35, 2), make_canonical_quiver(2, 5),
+             Quiver(["v0", "v1", "v2"], [("v0", "v1", "x"), ("v0", "v1", "y"),
+                                         ("v1", "v1", "x")])]
+    for q in cases:
+        for tags in (False, True):
+            assert _degree_signatures(q, tags) == {
+                v: q.degree_signature(v, tags) for v in q.vertices}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cycle_key_decides_untagged_isomorphism(data):
@@ -327,7 +382,8 @@ def test_cycle_key_decides_untagged_isomorphism(data):
         other = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     q1 = _cycle(word, data.draw(st.permutations(range(n))))
     q2 = _cycle(other, data.draw(st.permutations(range(n))))
-    assert (_cycle_key(q1) == _cycle_key(q2)) == (quiver_isomorphic(q1, q2) is not None)
+    same = _cycle_key(_cycle_walk(q1)[1]) == _cycle_key(_cycle_walk(q2)[1])
+    assert same == (quiver_isomorphic(q1, q2) is not None)
 
 
 def test_reflection_search_rejects_non_cycles():
@@ -338,12 +394,12 @@ def test_reflection_search_rejects_non_cycles():
     theta = make_canonical_quiver(2, 2)
     for q in (path, two_cycles, loops):
         with pytest.raises(ValueError):
-            _cycle_word(q)
+            _cycle_walk(q)
         with pytest.raises(ValueError):
             reflection_search(q, theta)
         with pytest.raises(ValueError):
             reflection_search(theta, q)
-    assert _cycle_word(theta) == (True, True, False, False)
+    assert _cycle_walk(theta) == (("v0", "v1", "v2", "v3"), "1100")
 
 
 def test_component_count_theorem():
