@@ -253,7 +253,11 @@ def _action_from_args(spec, args, r_default=1):
     powers = getattr(args, "action_powers", None)
     try:
         if powers:
-            px, py = (int(p) for p in powers.split(","))
+            try:
+                px, py = (int(p) for p in powers.split(","))
+            except ValueError:
+                raise SystemExit("invalid action: --action-powers needs two integers px,py,"
+                                 " got %r" % powers)
             return make_diagonal_action(spec, r, px, py)
         return make_cyclic_group(spec, r)
     except ValueError as exc:
@@ -495,7 +499,8 @@ def cmd_check(args):
     record("operator-representation injectivity (d <= %d)" % d_phi,
            phi_injectivity_check(spec, action, d_phi))
 
-    comps = components(quiver_qsg(spec, r))
+    qsg = quiver_qsg(spec, r)
+    comps = components(qsg)
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
     cover = covering_quiver(spec, c_expected)
@@ -516,7 +521,7 @@ def cmd_check(args):
     if spec.ell * r <= 36:
         oracle = gabriel_quiver_oracle(spec, action)
         record("Gabriel oracle matches skew quiver",
-               quiver_isomorphic(oracle, quiver_qsg(spec, r)) is not None)
+               quiver_isomorphic(oracle, qsg) is not None)
     if lambda_dim(action) <= 60:
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 

@@ -11,12 +11,18 @@ picture of c stacked copies with the y-arrows dropping one level (and
 wrapping), and in general it is the connected cyclic cover, which is what
 the skew-quiver components decompose into.
 
+Every one of these quivers, and every BGP reflection of them, is a
+disjoint union of cycles.  So a cycle is handled through its walk
+(_cycle_walk): the vertices in walk order and the orientation word.
+Isomorphism compares the least rotations of the components' words, and the
+reflection search runs on the word alone.
+
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
 """
 
 import functools
-from collections import Counter, deque
+from collections import deque
 
 
 @functools.cache
@@ -90,13 +96,6 @@ class Quiver:
 
     def is_acyclic(self):
         return len(self._topological_order()) == len(self.vertices)
-
-    def degree_signature(self, v, tags=False):
-        if tags:
-            outs = Counter(a[2] for a in self.out_arrows(v))
-            ins = Counter(a[2] for a in self.in_arrows(v))
-            return (tuple(sorted(outs.items())), tuple(sorted(ins.items())))
-        return (len(self.out_arrows(v)), len(self.in_arrows(v)))
 
 
 def quiver_qs(spec):
@@ -181,124 +180,6 @@ def components(q):
     return comps
 
 
-def quiver_isomorphic(q1, q2, respect_tags=False):
-    """A vertex bijection preserving arrows (and tags when asked), or None."""
-    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
-        return None
-    c1, c2 = components(q1), components(q2)
-    if len(c1) != len(c2):
-        return None
-    mapping = {}
-    used = [False] * len(c2)
-
-    def place(idx):
-        if idx == len(c1):
-            return True
-        comp = c1[idx]
-        for k, cand in enumerate(c2):
-            if used[k] or len(cand.vertices) != len(comp.vertices):
-                continue
-            sub = _component_isomorphism(comp, cand, respect_tags)
-            if sub is not None:
-                used[k] = True
-                mapping.update(sub)
-                if place(idx + 1):
-                    return True
-                used[k] = False
-                for v in sub:
-                    mapping.pop(v, None)
-        return False
-
-    if not place(0):
-        return None
-    return mapping
-
-
-def _adjacency(q, tags):
-    out = {v: Counter() for v in q.vertices}
-    for (s, t, tag) in q.arrows:
-        out[s][(t, tag if tags else "")] += 1
-    return out
-
-
-def _degree_signatures(q, tags):
-    """Quiver.degree_signature of every vertex, in one pass over the arrows."""
-    outs = {v: [] for v in q.vertices}
-    ins = {v: [] for v in q.vertices}
-    for (s, t, tag) in q.arrows:
-        outs[s].append(tag)
-        ins[t].append(tag)
-    if tags:
-        return {v: (tuple(sorted(Counter(outs[v]).items())),
-                    tuple(sorted(Counter(ins[v]).items()))) for v in q.vertices}
-    return {v: (len(outs[v]), len(ins[v])) for v in q.vertices}
-
-
-def _component_isomorphism(q1, q2, respect_tags):
-    n = len(q1.vertices)
-    sig1 = _degree_signatures(q1, respect_tags)
-    sig2 = _degree_signatures(q2, respect_tags)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    adj1 = _adjacency(q1, respect_tags)
-    adj2 = _adjacency(q2, respect_tags)
-
-    # explore q1 in a connected order so each new vertex is constrained
-    order = []
-    seen = set()
-    und = {v: set() for v in q1.vertices}
-    for (s, t, _) in q1.arrows:
-        und[s].add(t)
-        und[t].add(s)
-    start = min(q1.vertices, key=lambda v: (sig1[v], _natural_key(v)))
-    queue = deque([start])
-    seen.add(start)
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(und[v], key=_natural_key):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(order) != n:
-        raise ValueError("_component_isomorphism needs a connected quiver")
-
-    mapping = {}
-    taken = set()
-
-    def consistent(v, w):
-        # all arrows between v and already-mapped vertices must match
-        for (other, tag), mult in adj1[v].items():
-            if other in mapping and adj2[w][(mapping[other], tag)] != mult:
-                return False
-        for u in mapping:
-            for (other, tag), mult in adj1[u].items():
-                if other == v and adj2[mapping[u]][(w, tag)] != mult:
-                    return False
-        return True
-
-    def extend(i):
-        if i == n:
-            return True
-        v = order[i]
-        for w in q2.vertices:
-            if w in taken or sig2[w] != sig1[v]:
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            taken.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            taken.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
-
-
 def bgp_reflect(q, v):
     """Reverse every arrow at a sink or source vertex."""
     if v not in q.vertices:
@@ -314,11 +195,12 @@ def bgp_reflect(q, v):
     return Quiver(q.vertices, arrows)
 
 
-def _cycle_walk(q):
+def _cycle_walk(q, tags=False):
     """Walk round q from q.vertices[0]: the vertices in the order met, and the
     orientation word, whose k-th letter is "1" when the arrow between the
     k-th vertex and the next points along the walk and "0" when it points
-    back.
+    back.  With tags the word is a tuple whose letters carry the arrow's tag
+    after the direction ("1x", "0y", "1").
     ValueError unless q is one cycle through every vertex."""
     n = len(q.vertices)
     incident = {v: [] for v in q.vertices}
@@ -331,16 +213,17 @@ def _cycle_walk(q):
     edge = incident[v][0]
     order, word, walked = [], [], set()
     for _ in range(n):
-        s, t, _tag = q.arrows[edge]
+        s, t, tag = q.arrows[edge]
         order.append(v)
-        word.append("1" if s == v else "0")
+        letter = "1" if s == v else "0"
+        word.append(letter + tag if tags else letter)
         walked.add(edge)
         v = t if s == v else s
         a, b = incident[v]
         edge = b if a == edge else a
     if v != q.vertices[0] or len(walked) != n:
         raise ValueError("underlying graph is not a single cycle")
-    return tuple(order), "".join(word)
+    return tuple(order), tuple(word) if tags else "".join(word)
 
 
 _FLIP = str.maketrans("01", "10")
@@ -353,6 +236,48 @@ def _cycle_key(word):
     n = len(word)
     back = word[::-1].translate(_FLIP)
     return min([w[k:k + n] for w in (word + word, back + back) for k in range(n)])
+
+
+def _least_rotation(order, word):
+    """The least rotation of a walk's word over both walk directions, with the
+    vertex order rotated alongside.  Walking the other way round from
+    order[0] meets order[0], order[-1], ..., order[1], reverses the word and
+    flips every direction."""
+    n = len(order)
+    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
+    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
+    return min((w[k:] + w[:k], o[k:] + o[:k]) for w, o in walks for k in range(n))
+
+
+def _component_rotations(q, tags):
+    """Sorted least rotations of q's components, or None unless each is a cycle."""
+    rotations = []
+    for comp in components(q):
+        try:
+            walk = _cycle_walk(comp, tags)
+        except ValueError:
+            return None
+        rotations.append(_least_rotation(*walk))
+    return sorted(rotations)
+
+
+def quiver_isomorphic(q1, q2, respect_tags=False):
+    """A vertex bijection carrying q1's arrows onto q2's (tags onto equal tags
+    when asked), or None.
+
+    Decided for disjoint unions of cycles of length >= 2, as every quiver
+    built here is: two are isomorphic exactly when the sorted least rotations
+    of their components' walks agree, and zipping the vertex orders aligned
+    with them gives the bijection.  A union of cycles is isomorphic to no
+    other quiver, so the answer is None when just one side is not such a
+    union; when neither is, ValueError.
+    """
+    rot1, rot2 = (_component_rotations(q, respect_tags) for q in (q1, q2))
+    if rot1 is None and rot2 is None:
+        raise ValueError("neither quiver is a disjoint union of cycles")
+    if rot1 is None or rot2 is None or [w for w, _ in rot1] != [w for w, _ in rot2]:
+        return None
+    return {v: u for (_, o1), (_, o2) in zip(rot1, rot2) for v, u in zip(o1, o2)}
 
 
 def _direction_counts(word):

@@ -15,6 +15,7 @@ import asreg2.cli
 import asreg2.skew
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
+from asreg2.quivers import Quiver
 from asreg2.rationals import RAT
 
 DATA = Path(__file__).parent / "data"
@@ -209,6 +210,16 @@ def test_check_runs_rho_certificate_once(monkeypatch, capsys):
                       "Lambda idempotent system basic", "overall: FAIL"]
 
 
+def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
+    # a path is no union of cycles: the comparison reads FAIL, not a traceback
+    path = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")])
+    monkeypatch.setattr(asreg2.cli, "gabriel_quiver_oracle", lambda spec, action: path)
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
+    assert code == 1
+    failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["Gabriel oracle matches skew quiver", "overall: FAIL"]
+
+
 def test_check_jordan(capsys):
     code, out = run(capsys, ["check", "--family", "jordan", "--wy", "1", "--r", "2",
                              "--max-degree", "6"])
@@ -257,8 +268,12 @@ def test_bad_inputs_exit_cleanly(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert str(exc.value).startswith("invalid algebra: ") and "\n" not in str(exc.value)
-    with pytest.raises(SystemExit):
-        main(["ample", "--r", "2", "--action-powers", "1;0"])
+    # a malformed --action-powers is named in one line
+    for powers in ("1;0", "1,2,3", "1", "a,b"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ample", "--r", "2", "--action-powers", powers])
+        assert str(exc.value) == ("invalid action: --action-powers needs two integers px,py,"
+                                  " got %r" % powers)
     # quiver constructors reject bad sizes with one line, not a traceback
     for argv in (["quiver", "qsg", "--r", "0"],
                  ["quiver", "covering", "--c", "0"],

@@ -24,6 +24,7 @@ from asreg2.quivers import Quiver, quiver_isomorphic
 from asreg2.rationals import RAT
 from test_automorphisms import compose, identity_automorphism, inverse_automorphism
 from test_cyclotomic import multiplicative_order
+from test_quivers import backtracking_isomorphic
 
 
 def test_cyclotomic_polynomials_against_sympy():
@@ -115,7 +116,7 @@ def test_quiver_isomorphism_against_brute_force():
         else:
             q2 = random_quiver(rng, n, rng.randrange(1, 2 * n))
         for tags in (False, True):
-            got = quiver_isomorphic(q1, q2, respect_tags=tags) is not None
+            got = backtracking_isomorphic(q1, q2, respect_tags=tags) is not None
             assert got == brute_force_isomorphic(q1, q2, tags), (q1.arrows, q2.arrows, tags)
 
 
@@ -127,9 +128,69 @@ def test_found_isomorphisms_are_valid_bijections():
         perm = list(q1.vertices)
         rng.shuffle(perm)
         q2 = relabel(q1, perm)
-        mapping = quiver_isomorphic(q1, q2, respect_tags=True)
+        mapping = backtracking_isomorphic(q1, q2, respect_tags=True)
         assert mapping is not None
         assert sorted(mapping) == list(q1.vertices)
+        assert sorted(mapping.values()) == sorted(q2.vertices)
+        mapped = sorted((mapping[s], mapping[t], tag) for (s, t, tag) in q1.arrows)
+        assert mapped == sorted(q2.arrows)
+
+
+def random_cycle_union(rng, sizes):
+    """Disjoint cycles of these lengths under shuffled labels, each arrow
+    pointing either way round and tagged x, y or "" at random; a 2-cycle
+    has two arrows between one pair of vertices, parallel or opposite."""
+    labels = ["v%d" % i for i in range(sum(sizes))]
+    rng.shuffle(labels)
+    arrows = []
+    start = 0
+    for size in sizes:
+        cycle = labels[start:start + size]
+        start += size
+        for k in range(size):
+            s, t = cycle[k], cycle[(k + 1) % size]
+            if rng.random() < 0.5:
+                s, t = t, s
+            arrows.append((s, t, rng.choice(["x", "y", ""])))
+    return Quiver(labels, arrows)
+
+
+def random_cycle_sizes(rng, n):
+    sizes = []
+    while n - sum(sizes) >= 4 and rng.random() < 0.6:
+        sizes.append(rng.randrange(2, n - sum(sizes) - 1))
+    return sizes + [n - sum(sizes)]
+
+
+def test_cycle_union_isomorphism_against_brute_force():
+    rng = random.Random(2024)
+    for trial in range(90):
+        sizes = random_cycle_sizes(rng, rng.randrange(2, 8))
+        q1 = random_cycle_union(rng, sizes)
+        if trial % 3 == 0:
+            perm = list(q1.vertices)
+            rng.shuffle(perm)
+            q2 = relabel(q1, perm)
+        elif trial % 3 == 1:
+            # the same cycle lengths, fresh orientations and tags
+            q2 = random_cycle_union(rng, rng.sample(sizes, len(sizes)))
+        else:
+            q2 = random_cycle_union(rng, random_cycle_sizes(rng, len(q1.vertices)))
+        for tags in (False, True):
+            got = quiver_isomorphic(q1, q2, respect_tags=tags) is not None
+            assert got == brute_force_isomorphic(q1, q2, tags), (q1.arrows, q2.arrows, tags)
+
+
+def test_cycle_union_isomorphisms_are_valid_bijections():
+    rng = random.Random(321)
+    for _ in range(40):
+        q1 = random_cycle_union(rng, random_cycle_sizes(rng, rng.randrange(2, 10)))
+        perm = list(q1.vertices)
+        rng.shuffle(perm)
+        q2 = relabel(q1, perm)
+        mapping = quiver_isomorphic(q1, q2, respect_tags=True)
+        assert mapping is not None
+        assert sorted(mapping) == sorted(q1.vertices)
         assert sorted(mapping.values()) == sorted(q2.vertices)
         mapped = sorted((mapping[s], mapping[t], tag) for (s, t, tag) in q1.arrows)
         assert mapped == sorted(q2.arrows)

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from math import gcd, lcm
 
 import pytest
@@ -11,7 +11,7 @@ from asreg2.quivers import (
     Quiver,
     _cycle_key,
     _cycle_walk,
-    _degree_signatures,
+    _natural_key,
     bgp_reflect,
     canonical_type,
     components,
@@ -45,6 +45,137 @@ GOLDEN_QSG_11_3 = Quiver(
         ("v0_0", "v1_2", "y"),
     ],
 )
+
+
+# The general backtracking matcher: the oracle for quiver_isomorphic, which
+# decides only disjoint unions of cycles.  It places components one by one
+# and, within a component, maps vertices in a connected order under matching
+# degree signatures and arrow multiplicities.
+
+def degree_signature(q, v, tags=False):
+    if tags:
+        outs = Counter(a[2] for a in q.out_arrows(v))
+        ins = Counter(a[2] for a in q.in_arrows(v))
+        return (tuple(sorted(outs.items())), tuple(sorted(ins.items())))
+    return (len(q.out_arrows(v)), len(q.in_arrows(v)))
+
+
+def backtracking_isomorphic(q1, q2, respect_tags=False):
+    """A vertex bijection preserving arrows (and tags when asked), or None."""
+    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
+        return None
+    c1, c2 = components(q1), components(q2)
+    if len(c1) != len(c2):
+        return None
+    mapping = {}
+    used = [False] * len(c2)
+
+    def place(idx):
+        if idx == len(c1):
+            return True
+        comp = c1[idx]
+        for k, cand in enumerate(c2):
+            if used[k] or len(cand.vertices) != len(comp.vertices):
+                continue
+            sub = _component_isomorphism(comp, cand, respect_tags)
+            if sub is not None:
+                used[k] = True
+                mapping.update(sub)
+                if place(idx + 1):
+                    return True
+                used[k] = False
+                for v in sub:
+                    mapping.pop(v, None)
+        return False
+
+    if not place(0):
+        return None
+    return mapping
+
+
+def _adjacency(q, tags):
+    out = {v: Counter() for v in q.vertices}
+    for (s, t, tag) in q.arrows:
+        out[s][(t, tag if tags else "")] += 1
+    return out
+
+
+def _degree_signatures(q, tags):
+    """degree_signature of every vertex, in one pass over the arrows."""
+    outs = {v: [] for v in q.vertices}
+    ins = {v: [] for v in q.vertices}
+    for (s, t, tag) in q.arrows:
+        outs[s].append(tag)
+        ins[t].append(tag)
+    if tags:
+        return {v: (tuple(sorted(Counter(outs[v]).items())),
+                    tuple(sorted(Counter(ins[v]).items()))) for v in q.vertices}
+    return {v: (len(outs[v]), len(ins[v])) for v in q.vertices}
+
+
+def _component_isomorphism(q1, q2, respect_tags):
+    n = len(q1.vertices)
+    sig1 = _degree_signatures(q1, respect_tags)
+    sig2 = _degree_signatures(q2, respect_tags)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+    adj1 = _adjacency(q1, respect_tags)
+    adj2 = _adjacency(q2, respect_tags)
+
+    # explore q1 in a connected order so each new vertex is constrained
+    order = []
+    seen = set()
+    und = {v: set() for v in q1.vertices}
+    for (s, t, _) in q1.arrows:
+        und[s].add(t)
+        und[t].add(s)
+    start = min(q1.vertices, key=lambda v: (sig1[v], _natural_key(v)))
+    queue = deque([start])
+    seen.add(start)
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(und[v], key=_natural_key):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(order) != n:
+        raise ValueError("_component_isomorphism needs a connected quiver")
+
+    mapping = {}
+    taken = set()
+
+    def consistent(v, w):
+        # all arrows between v and already-mapped vertices must match
+        for (other, tag), mult in adj1[v].items():
+            if other in mapping and adj2[w][(mapping[other], tag)] != mult:
+                return False
+        for u in mapping:
+            for (other, tag), mult in adj1[u].items():
+                if other == v and adj2[mapping[u]][(w, tag)] != mult:
+                    return False
+        return True
+
+    def extend(i):
+        if i == n:
+            return True
+        v = order[i]
+        for w in q2.vertices:
+            if w in taken or sig2[w] != sig1[v]:
+                continue
+            if not consistent(v, w):
+                continue
+            mapping[v] = w
+            taken.add(w)
+            if extend(i + 1):
+                return True
+            del mapping[v]
+            taken.discard(w)
+        return False
+
+    if extend(0):
+        return dict(mapping)
+    return None
 
 
 def test_quiver_qs_shapes():
@@ -155,6 +286,66 @@ def test_isomorphism_negative_and_identity():
     assert quiver_isomorphic(q1, q2, respect_tags=True) is None
 
 
+@st.composite
+def cycle_unions(draw):
+    """Disjoint cycles of lengths 2-5 under shuffled labels, each arrow
+    pointing either way round and tagged x, y or ""."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    labels = ["v%d" % v for v in draw(st.permutations(range(sum(sizes))))]
+    arrows = []
+    start = 0
+    for size in sizes:
+        cycle = labels[start:start + size]
+        start += size
+        for k in range(size):
+            s, t = cycle[k], cycle[(k + 1) % size]
+            if draw(st.booleans()):
+                s, t = t, s
+            arrows.append((s, t, draw(st.sampled_from(["x", "y", ""]))))
+    return Quiver(labels, arrows)
+
+
+def _broken(data, q):
+    """q with an arrow dropped, an arrow added or an isolated vertex added:
+    some vertex no longer meets exactly two arrows, so no union of cycles."""
+    how = data.draw(st.sampled_from(["drop", "add", "vertex"]))
+    if how == "drop":
+        k = data.draw(st.integers(0, len(q.arrows) - 1))
+        return Quiver(q.vertices, q.arrows[:k] + q.arrows[k + 1:])
+    if how == "add":
+        s, t = data.draw(st.sampled_from(q.vertices)), data.draw(st.sampled_from(q.vertices))
+        return Quiver(q.vertices, q.arrows + ((s, t, "x"),))
+    return Quiver(q.vertices + ("w",), q.arrows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cycle_union_isomorphism_matches_backtracking(data):
+    q1 = data.draw(cycle_unions())
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(q1.vertices))
+        image = dict(zip(q1.vertices, perm))
+        q2 = Quiver(perm, [(image[s], image[t], tag) for (s, t, tag) in q1.arrows])
+    else:
+        q2 = data.draw(cycle_unions())
+    b1, b2 = _broken(data, q1), _broken(data, q2)
+    for tags in (False, True):
+        strip = (lambda a: a) if tags else (lambda a: (a[0], a[1], ""))
+        mapping = quiver_isomorphic(q1, q2, tags)
+        assert (mapping is None) == (backtracking_isomorphic(q1, q2, tags) is None)
+        if mapping is not None:
+            assert sorted(mapping) == sorted(q1.vertices)
+            assert sorted(mapping.values()) == sorted(q2.vertices)
+            assert sorted(strip((mapping[s], mapping[t], tag)) for (s, t, tag) in q1.arrows) \
+                == sorted(strip(a) for a in q2.arrows)
+        # a union of cycles is isomorphic to no other quiver
+        for pair in ((q1, b2), (b1, q2)):
+            assert quiver_isomorphic(*pair, tags) is None
+            assert backtracking_isomorphic(*pair, tags) is None
+        with pytest.raises(ValueError):
+            quiver_isomorphic(b1, b2, tags)
+
+
 def test_bgp_reflect_basics():
     q = Quiver(["v1", "v2", "v3"], [("v1", "v2", ""), ("v2", "v3", "")])
     r3 = bgp_reflect(q, "v3")
@@ -231,14 +422,14 @@ def _untagged(q):
 
 
 def _state_invariant(q):
-    return tuple(sorted(q.degree_signature(v) for v in q.vertices))
+    return tuple(sorted(degree_signature(q, v) for v in q.vertices))
 
 
 def reflection_search_oracle(q1, q2, max_depth=None):
     """The search with states told apart by the general isomorphism test.
 
-    Every reached state is compared by quiver_isomorphic with each earlier
-    state of the same degree signature; non-cycles are searched too.
+    Every reached state is compared by backtracking_isomorphic with each
+    earlier state of the same degree signature; non-cycles are searched too.
     """
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return None
@@ -251,7 +442,7 @@ def reflection_search_oracle(q1, q2, max_depth=None):
         pass
     start = _untagged(q1)
     goal = _untagged(q2)
-    if quiver_isomorphic(start, goal):
+    if backtracking_isomorphic(start, goal):
         return []
     seen = {_state_invariant(start): [start]}
     queue = deque([(start, [])])
@@ -264,11 +455,11 @@ def reflection_search_oracle(q1, q2, max_depth=None):
             nxt = bgp_reflect(state, v)
             key = _state_invariant(nxt)
             bucket = seen.setdefault(key, [])
-            if any(quiver_isomorphic(nxt, old) for old in bucket):
+            if any(backtracking_isomorphic(nxt, old) for old in bucket):
                 continue
             bucket.append(nxt)
             witness = path + [v]
-            if quiver_isomorphic(nxt, goal):
+            if backtracking_isomorphic(nxt, goal):
                 return witness
             queue.append((nxt, witness))
     return None
@@ -364,7 +555,7 @@ def test_degree_signatures_match_per_vertex_scan():
     for q in cases:
         for tags in (False, True):
             assert _degree_signatures(q, tags) == {
-                v: q.degree_signature(v, tags) for v in q.vertices}
+                v: degree_signature(q, v, tags) for v in q.vertices}
 
 
 @settings(max_examples=60, deadline=None)
