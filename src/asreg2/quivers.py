@@ -75,12 +75,6 @@ class Quiver:
     def is_source(self, v):
         return not self.in_arrows(v) and bool(self.out_arrows(v))
 
-    def sinks(self):
-        return [v for v in self.vertices if self.is_sink(v)]
-
-    def sources(self):
-        return [v for v in self.vertices if self.is_source(v)]
-
     def _topological_order(self):
         """Kahn's order; it leaves out the vertices on or after an oriented cycle."""
         indeg = {v: 0 for v in self.vertices}
@@ -93,9 +87,6 @@ class Quiver:
                 if indeg[t] == 0:
                     order.append(t)
         return order
-
-    def is_acyclic(self):
-        return len(self._topological_order()) == len(self.vertices)
 
 
 def quiver_qs(spec):

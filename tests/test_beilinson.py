@@ -12,7 +12,7 @@ from asreg2.algebra import (
     monomial_product,
     quantum_spec,
 )
-from asreg2.automorphisms import make_cyclic_group
+from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diagonal_action
 from asreg2.beilinson import (
     LambdaElement,
     NablaElement,
@@ -27,6 +27,7 @@ from asreg2.beilinson import (
 )
 from asreg2.linalg import Echelon
 from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
+from asreg2.skew import SkewElement, _GSkew, rho_system
 from test_skew import LINK_CASES, assert_g_basis_link, to_g_basis
 
 S11 = quantum_spec(1, 1, 1)
@@ -220,12 +221,54 @@ def idempotent_system_oracle(action):
 
 
 def test_lambda_idempotent_system():
-    for spec, r in ((S11, 3), (S12, 2), (S13, 2), (J1, 2), (S11, 1)):
-        action = make_cyclic_group(spec, r)
+    # the hdet-one actions, then every diagonal action these planes admit for
+    # r <= 4, non-HSL ones included
+    actions = [make_cyclic_group(spec, r)
+               for spec, r in ((S11, 3), (S12, 2), (S13, 2), (J1, 2), (S11, 1))]
+    specs = [quantum_spec(w_x, w_y, alpha) for alpha in (1, -1, zeta(3))
+             for (w_x, w_y) in ((1, 1), (1, 2), (2, 3))] + [jordan_spec(1), jordan_spec(2)]
+    for spec in specs:
+        for r in range(1, 5):
+            for px in range(r):
+                for py in range(r):
+                    try:
+                        actions.append(make_diagonal_action(spec, r, px, py))
+                    except ValueError:
+                        pass
+    assert len(actions) == 5 + 290
+    for action in actions:
         report = idempotent_system_report(action)
-        assert report["ok"], report
-        assert report["idempotents"] == spec.ell * r
-        assert report == idempotent_system_oracle(action)
+        assert report["ok"], (action, report)
+        assert report["idempotents"] == action.spec.ell * action.r
+        assert report == idempotent_system_oracle(action), action
+
+
+def test_idempotent_system_rejects_non_primitive_roots():
+    # xi of order 2, 3 and 1 below r, and a root of order 5 that is no r-th root
+    for r, xi in ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5))):
+        action = CyclicGroupAction(S11, r, xi)
+        assert rho_system(action) is False, (r, xi)
+        report = idempotent_system_report(action)
+        assert not report["basic"] and not report["ok"], (r, xi)
+
+
+def test_idempotent_system_work_is_quadratic(monkeypatch):
+    # the report runs the certificate's O(r^2) g-basis products and no
+    # eigenbasis product: the corner lines are read off the certificate
+    counts = Counter()
+
+    def counting(name, basis_mul):
+        def counted(action, k1, k2):
+            counts[name] += 1
+            return basis_mul(action, k1, k2)
+        return staticmethod(counted)
+
+    monkeypatch.setattr(SkewElement, "_basis_mul", counting("eigen", SkewElement._basis_mul))
+    monkeypatch.setattr(_GSkew, "_basis_mul", counting("g", _GSkew._basis_mul))
+    r = 40
+    assert idempotent_system_report(make_cyclic_group(S11, r))["ok"]
+    assert counts["eigen"] == 0
+    assert 0 < counts["g"] <= 6 * r * r
 
 
 def test_lambda_eigenbasis_linked_to_g_basis():

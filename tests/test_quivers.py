@@ -47,6 +47,18 @@ GOLDEN_QSG_11_3 = Quiver(
 )
 
 
+def sinks(q):
+    return [v for v in q.vertices if q.is_sink(v)]
+
+
+def sources(q):
+    return [v for v in q.vertices if q.is_source(v)]
+
+
+def is_acyclic(q):
+    return len(q._topological_order()) == len(q.vertices)
+
+
 # The general backtracking matcher: the oracle for quiver_isomorphic, which
 # decides only disjoint unions of cycles.  It places components one by one
 # and, within a component, maps vertices in a connected order under matching
@@ -205,12 +217,12 @@ def test_arrow_counts_and_acyclicity():
         q = quiver_qs(spec)
         assert len([a for a in q.arrows if a[2] == "x"]) == spec.w_y
         assert len([a for a in q.arrows if a[2] == "y"]) == spec.w_x
-        assert q.is_acyclic()
+        assert is_acyclic(q)
         for r in range(1, 7):
             qg = quiver_qsg(spec, r)
             assert len(qg.vertices) == spec.ell * r
             assert len(qg.arrows) == spec.ell * r
-            assert qg.is_acyclic()
+            assert is_acyclic(qg)
 
 
 def test_qsg_matches_golden_example():
@@ -255,7 +267,7 @@ def test_covering_counts():
             assert len(q.vertices) == c * spec.ell
             assert len([a for a in q.arrows if a[2] == "x"]) == c * spec.w_y
             assert len([a for a in q.arrows if a[2] == "y"]) == c * spec.w_x
-            assert q.is_acyclic()
+            assert is_acyclic(q)
     q = covering_quiver(S11, 2)
     assert len(q.vertices) == 4 and len(q.arrows) == 4
 
@@ -395,7 +407,7 @@ def test_make_canonical_quiver():
     assert len(q.vertices) == 2 and len(q.arrows) == 2
     q = make_canonical_quiver(3, 9)
     assert len(q.vertices) == 12 and len(q.arrows) == 12
-    assert len(q.sources()) == 1 and len(q.sinks()) == 1
+    assert len(sources(q)) == 1 and len(sinks(q)) == 1
     for (i, j) in ((1, 1), (1, 4), (2, 3), (3, 9)):
         assert canonical_type(make_canonical_quiver(i, j)) == (i, j)
 
