@@ -272,68 +272,34 @@ class AlgebraElement(SparseElement):
             raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            name = _mono_str(m)
-            cs = str(c)
-            if name == "1":
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(name)
-            elif cs == "-1":
-                bits.append("-" + name)
-            elif " " in cs:
-                bits.append("(%s)*%s" % (cs, name))
-            else:
-                bits.append("%s*%s" % (cs, name))
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def _mono_str(m):
-    a, b = m
-    if a == 0 and b == 0:
-        return "1"
-    parts = []
-    if a:
-        parts.append("y" if a == 1 else "y^%d" % a)
-    if b:
-        parts.append("x" if b == 1 else "x^%d" % b)
-    return "*".join(parts)
-
 
 def reduce_product(u, v, spec):
     """Product in S of elements u, v of spec, rewritten to the y^a x^b normal form."""
     return u * v
 
 
+def _y_exponents(spec, d):
+    """The a of the degree-d monomials y^a x^b, b = (d - a w_y) / w_x, as a range.
+
+    As the weights are coprime, a w_y = d (mod w_x) fixes a mod w_x.
+    """
+    wx, wy = spec.w_x, spec.w_y
+    return range(d * pow(wy, -1, wx) % wx, d // wy + 1, wx)
+
+
 def graded_basis(spec, d):
     """All monomials of degree d, ordered lexicographically by (a, b)."""
-    if d < 0:
-        return []
-    out = []
-    for a in range(d // spec.w_y + 1):
-        rest = d - a * spec.w_y
-        if rest % spec.w_x == 0:
-            out.append(Monomial(a, rest // spec.w_x))
-    return out
+    wx, wy = spec.w_x, spec.w_y
+    return [Monomial(a, (d - a * wy) // wx) for a in _y_exponents(spec, d)]
 
 
 def hilbert_dims(spec, D):
     """dim S_d for d = 0..D."""
-    return [len(graded_basis(spec, d)) for d in range(D + 1)]
+    return [len(_y_exponents(spec, d)) for d in range(D + 1)]
 
 
 def veronese_dim(spec, r, shift, d):
     """dim of (S(shift)^(r))_d, i.e. dim S_(r*d + shift)."""
     if r < 1:
         raise ValueError("Veronese parameter must be >= 1")
-    idx = r * d + shift
-    if idx < 0:
-        return 0
-    return len(graded_basis(spec, idx))
+    return len(_y_exponents(spec, r * d + shift))

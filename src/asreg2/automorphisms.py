@@ -130,6 +130,11 @@ def hdet_table(sigma, spec):
     """Classified-form homological determinant."""
     if not is_graded_automorphism(sigma, spec):
         raise NotTabulatedError("not a graded automorphism of this algebra")
+    return _hdet_formula(sigma, spec)
+
+
+def _hdet_formula(sigma, spec):
+    """hdet_table's closed formula, for a sigma known to be a graded automorphism."""
     A, B, C, D = _coefficients(sigma, spec)
     wx, wy = spec.w_x, spec.w_y
     if spec.family == "jordan":
@@ -265,7 +270,8 @@ class CyclicGroupAction:
 def make_cyclic_group(spec, r):
     """The canonical hdet-one action diag(xi, xi^-1) of order r."""
     action = make_diagonal_action(spec, r, 1, -1)
-    if not hdet(action.generator(), spec).is_one():
+    # make_diagonal_action has validated the generator; diagonal maps are tabulated
+    if not _hdet_formula(action.generator(), spec).is_one():
         raise ArithmeticError("diag(xi, xi^-1) has homological determinant != 1")
     return action
 

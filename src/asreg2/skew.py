@@ -17,7 +17,6 @@ works on immutable inputs and returns fresh values.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic, ONE, cyc
@@ -27,7 +26,9 @@ from .algebra import (
     MONO_ONE,
     Monomial,
     SparseElement,
+    _y_exponents,
     graded_basis,
+    hilbert_dims,
     monomial_product,
     reduce_product,
 )
@@ -109,6 +110,10 @@ def rho_system(action):
         (xi^k - 1) sum_s xi^(k s) = xi^(k r) - 1 = 0 in a field;
     (3) sum_w rho_w = 1;
     (4) rho_w n = n rho_(w + char n), for n = x, y.
+
+    In the g-basis, (3) compares the coefficient (1/r) sum_w xi^(w s) of
+    each g^s with [s = 0], which is exactly the sum of (2); (2) is kept as
+    the cheap lemma the proof below cites.
 
     By (1), g^s rho_w = xi^(-w s) rho_w, so rho_v rho_w = (1/r) sum_s
     xi^((v - w) s) rho_w = [v = w] rho_w by (2): the rho_w are orthogonal
@@ -218,6 +223,20 @@ def _check_leading_term(spec):
         raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
 
 
+def _sub_char_mask(r, px, py, ka, kb):
+    """The r-bit mask of the characters i py + j px (mod r), i <= ka, j <= kb."""
+    full = (1 << r) - 1
+    row = 0
+    for j in range(kb + 1):
+        row |= 1 << (j * px % r)
+    mask = 0
+    for i in range(ka + 1):
+        # the row {j px : j <= kb} rotated by i py
+        s = i * py % r
+        mask |= (row << s | row >> (r - s)) & full
+    return mask
+
+
 def ideal_e_dims(spec, action, D):
     """dim (e)_d for d = 0..D, where (e) is the two-sided ideal generated by e.
 
@@ -225,36 +244,43 @@ def ideal_e_dims(spec, action, D):
     deg v = d.  For a diagonal action u e v is a nonzero multiple of
     (m1 m2) * rho_(char m2), so (e)_d splits into blocks (c, w): the span of
     the products u v with char v = w among the degree-d monomials of
-    character c (their number is the block's capacity).
+    character c (their number cap[c] is the block's capacity).
 
     In both families (y^a1 x^b1)(y^a2 x^b2) has the leading monomial
     y^(a1+a2) x^(b1+b2) with a nonzero coefficient (alpha^(b1 a2), resp. 1)
     and its other terms have fewer y's.  So block (c, w) has rank at least
     the number of monomials m of character c with w in W(m), the characters
-    of the sub-monomials y^i x^j of m (i, j matter mod r only); a zero count
-    means the block has no pair.  A count that reaches the capacity is the
-    rank; only the blocks that fall short are reduced exactly with Echelon.
-    The tests cross-check this against elimination in every block and
-    against the literal spanning set.
+    of the sub-monomials y^i x^j of m.  That count is cap[c], and the rank,
+    exactly when w lies in W(m) for every such m; it falls short exactly when
+    w lies in the union of these W(m) but not in their intersection.
+
+    W(m) is an r-bit mask that depends on (min(a, r-1), min(b, r-1)) alone.
+    Per degree and character the count keeps cap[c] and the AND and OR of
+    the masks, so dim (e)_d = sum_c cap[c] * #AND[c] plus the exact ranks,
+    by Echelon, of the short blocks: the bits of OR[c] & ~AND[c].  The tests
+    cross-check this against elimination in every block and against the
+    literal spanning set.
     """
     _check_leading_term(spec)
-    r = action.r
-    sub_chars = {}
+    r, px, py, wx, wy = action.r, action.px, action.py, spec.w_x, spec.w_y
+    masks = {}
     out = []
     short = []  # (d, c, w) of the blocks whose count falls short
     for d in range(D + 1):
-        capacity = Counter()
-        count = Counter()
-        for m in graded_basis(spec, d):
-            c = action.char(m)
-            capacity[c] += 1
-            key = (min(m.a, r - 1), min(m.b, r - 1))
-            if key not in sub_chars:
-                sub_chars[key] = {action.char((i, j)) for i in range(key[0] + 1) for j in range(key[1] + 1)}
-            for w in sub_chars[key]:
-                count[c, w] += 1
-        out.append(sum(n for (c, w), n in count.items() if n == capacity[c]))
-        short.extend((d, c, w) for (c, w), n in count.items() if n < capacity[c])
+        cap, inter, union = {}, {}, {}
+        for a in _y_exponents(spec, d):
+            b = (d - a * wy) // wx
+            c = (b * px + a * py) % r
+            key = (a if a < r else r - 1, b if b < r else r - 1)
+            mask = masks.get(key)
+            if mask is None:
+                mask = masks[key] = _sub_char_mask(r, px, py, *key)
+            cap[c] = cap.get(c, 0) + 1
+            inter[c] = inter.get(c, mask) & mask
+            union[c] = union.get(c, 0) | mask
+        out.append(sum(n * inter[c].bit_count() for c, n in cap.items()))
+        short.extend((d, c, w) for c in cap if union[c] != inter[c]
+                     for w in range(r) if (union[c] ^ inter[c]) >> w & 1)
     # monomial elements by degree and character, up to the last short block
     by_char = [{} for _ in range(short[-1][0] + 1 if short else 0)]
     for d, chars in enumerate(by_char):
@@ -273,7 +299,7 @@ def ideal_e_dims(spec, action, D):
 def quotient_by_ideal_e_dims(spec, action, D):
     """dim (S*G/(e))_d for d = 0..D."""
     ideal = ideal_e_dims(spec, action, D)
-    return [skew_dim(action, d) - ideal[d] for d in range(D + 1)]
+    return [action.r * n - ideal[d] for d, n in enumerate(hilbert_dims(spec, D))]
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -181,6 +182,21 @@ def test_hilbert_dims_examples_and_series():
     assert hilbert_dims(W35, 8) == [1, 0, 0, 1, 0, 1, 1, 0, 1]
     for spec in (COMM, W13, W35, J2):
         assert hilbert_dims(spec, 30) == series_dims(spec.w_x, spec.w_y, 30)
+
+
+def test_hilbert_dims_and_graded_basis_by_enumeration():
+    # w_x = 5 is the first weight where w_y^-1 mod w_x differs from w_y
+    for wx in range(1, 6):
+        for wy in range(1, 6):
+            if gcd(wx, wy) != 1:
+                continue
+            spec = quantum_spec(wx, wy, 1)
+            assert graded_basis(spec, -1) == []
+            for d, n in enumerate(hilbert_dims(spec, 60)):
+                basis = graded_basis(spec, d)
+                assert n == len(basis), (wx, wy, d)
+                assert basis == [Monomial(a, b) for a in range(d + 1) for b in range(d + 1)
+                                 if a * wy + b * wx == d], (wx, wy, d)
 
 
 def test_veronese_dims():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import asreg2.automorphisms
+
 from asreg2.cyclotomic import ONE, cyc, zeta
 from asreg2.linalg import Echelon
 from asreg2.rationals import RAT
@@ -250,6 +252,25 @@ def test_make_cyclic_group_validation():
     make_cyclic_group(J3, 4)      # 4 divides q+1 = 4
     with pytest.raises(ValueError):
         make_cyclic_group(COMM, 0)
+
+
+def test_make_cyclic_group_validates_generator_once(monkeypatch):
+    real = asreg2.automorphisms.is_graded_automorphism
+    calls = []
+
+    def counted(sigma, spec):
+        calls.append(sigma)
+        return real(sigma, spec)
+
+    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism", counted)
+    for spec, r in ((COMM, 4), (Q13, 5), (J1, 2), (J3, 4)):
+        calls.clear()
+        make_cyclic_group(spec, r)
+        assert len(calls) == 1
+    # the hdet-one check still stands behind the validated generator
+    monkeypatch.setattr(asreg2.automorphisms, "_hdet_formula", lambda sigma, spec: cyc(2))
+    with pytest.raises(ArithmeticError):
+        make_cyclic_group(COMM, 3)
 
 
 def test_inverse_automorphism():

@@ -4,6 +4,9 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+import asreg2.automorphisms
+import asreg2.skew
+
 from asreg2.cyclotomic import ONE, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
@@ -18,7 +21,7 @@ from asreg2.algebra import (
     reduce_product,
 )
 from asreg2.linalg import Echelon
-from asreg2.automorphisms import make_cyclic_group, make_diagonal_action
+from asreg2.automorphisms import hdet_table, make_cyclic_group, make_diagonal_action
 from asreg2.skew import (
     SkewElement,
     ampleness_report,
@@ -377,20 +380,58 @@ def _assert_count_matches_oracle(spec, action):
         spec.describe(), action.describe())
 
 
-def test_ideal_dims_count_equals_blocked_sweep():
+def _sweep_cases():
+    """(spec, r) of the hdet-one sweep: seeded weights for every alpha kind, and the Jordan cases."""
     rng = random.Random(20140)
+    cases = []
     for kind in ALPHA_KINDS:
         for r in range(2, 6):
             wx, wy = rng.choice(QUANTUM_WEIGHTS)
-            spec = quantum_spec(wx, wy, _alpha(kind, rng.randrange(1, 5)))
-            _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
-    for q, r in JORDAN_CASES:
-        _assert_count_matches_oracle(jordan_spec(q), make_cyclic_group(jordan_spec(q), r))
-    # non-HSL diagonal actions: diag(xi, 1) of order 4 on a quantum plane and
-    # diag(xi, xi) of order 3 on the Jordan plane q = 1
+            cases.append((quantum_spec(wx, wy, _alpha(kind, rng.randrange(1, 5))), r))
+    return cases + [(jordan_spec(q), r) for q, r in JORDAN_CASES]
+
+
+def test_ideal_dims_count_equals_blocked_sweep(monkeypatch):
+    made = []  # the Echelons of ideal_e_dims' exact pass over short blocks
+
+    def counted():
+        made.append(1)
+        return Echelon()
+
+    monkeypatch.setattr(asreg2.skew, "Echelon", counted)
+    for spec, r in _sweep_cases():
+        _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
+    # r = 1: one-bit masks
+    for spec in (W13, J1):
+        _assert_count_matches_oracle(spec, make_cyclic_group(spec, 1))
+    # non-HSL diagonal actions diag(xi^px, xi^py): px = 0 or py = 0; gcd(px, r)
+    # and gcd(py, r) > 1, with every W(m) in the subgroup <2> of Z/6 or not
     spec = quantum_spec(2, 3, zeta(5, 2))
-    _assert_count_matches_oracle(spec, make_diagonal_action(spec, 4, 1, 0))
+    for r, px, py in ((4, 1, 0), (5, 0, 2), (6, 2, 4), (6, 4, 3)):
+        _assert_count_matches_oracle(spec, make_diagonal_action(spec, r, px, py))
+    _assert_count_matches_oracle(COMM, make_diagonal_action(COMM, 6, 2, 3))
+    # non-HSL Jordan actions, one with gcd(px, r) > 1 and py = 0
     _assert_count_matches_oracle(J1, make_diagonal_action(J1, 3, 1, 1))
+    spec = jordan_spec(2)
+    for r, px, py in ((4, 1, 2), (4, 2, 0)):
+        _assert_count_matches_oracle(spec, make_diagonal_action(spec, r, px, py))
+    assert made, "no swept block fell short, so the exact pass never ran"
+
+
+def test_make_cyclic_group_hdet_equals_table_sweep(monkeypatch):
+    seen = []  # the hdet values make_cyclic_group checks
+    real = asreg2.automorphisms._hdet_formula
+
+    def recorded(sigma, spec):
+        seen.append(real(sigma, spec))
+        return seen[-1]
+
+    monkeypatch.setattr(asreg2.automorphisms, "_hdet_formula", recorded)
+    for spec, r in _sweep_cases():
+        seen.clear()
+        action = make_cyclic_group(spec, r)
+        (checked,) = seen
+        assert checked == hdet_table(action.generator(), spec), (spec.describe(), r)
 
 
 CONFIGS = st.one_of(
