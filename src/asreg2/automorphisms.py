@@ -94,6 +94,11 @@ def relation_image(sigma, spec):
 
 def _restriction_invertible(sigma, spec, d):
     basis = graded_basis(spec, d)
+    x, y = Monomial(0, 1), Monomial(1, 0)
+    if sigma.image_x.terms.keys() <= {x} and sigma.image_y.terms.keys() <= {y}:
+        # x -> sx x, y -> sy y scales y^i x^j by sy^i sx^j: a diagonal restriction
+        sx, sy = sigma.image_x.coeff(x), sigma.image_y.coeff(y)
+        return all((sx or not m.b) and (sy or not m.a) for m in basis)
     ech = Echelon()
     for m in basis:
         ech.add(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
@@ -237,17 +242,18 @@ class CyclicGroupAction:
     xi: Cyclotomic
     px: int = 1
     py: int = -1
-    _xi_powers: dict = field(default_factory=dict, repr=False)
+    _xi_powers: list = field(default_factory=lambda: [ONE], repr=False)
 
     def __post_init__(self):
         self.px %= self.r
         self.py %= self.r
 
     def xi_power(self, k):
+        """xi^(k mod r), from a table grown by one product with xi per entry."""
         k %= self.r
         pw = self._xi_powers
-        if k not in pw:
-            pw[k] = self.xi ** k
+        while len(pw) <= k:
+            pw.append(pw[-1] * self.xi)
         return pw[k]
 
     def char(self, mono):

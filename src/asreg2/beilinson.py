@@ -114,11 +114,11 @@ def idempotent_system_report(action):
     is the line k rho_j and Lambda is basic whenever the certificate holds.
     """
     ell, r = action.spec.ell, action.r
-    grid = [(i, w) for i in range(ell) for w in range(r)]
+    # e_i^w e_k^v is {} by the [l = i] guard of lambda_mul_basis unless k = i
     structure = all(
-        lambda_mul_basis(action, (i, i, MONO_ONE, w), (k, k, MONO_ONE, v))
-        == ({(i, i, MONO_ONE, w): ONE} if (i, w) == (k, v) else {})
-        for (i, w) in grid for (k, v) in grid
+        lambda_mul_basis(action, (i, i, MONO_ONE, w), (i, i, MONO_ONE, v))
+        == ({(i, i, MONO_ONE, w): ONE} if w == v else {})
+        for i in range(ell) for w in range(r) for v in range(r)
     )
     rho_ok = rho_system(action)
     ok = structure and rho_ok
@@ -213,13 +213,18 @@ def nabla_of_skew_mul(action, t1, t2):
 def nabla_skew_structure_check(action):
     """(nabla S)*G and nabla(S*G) have the same structure constants.
 
-    Compares the product of every pair of basis elements under the map
-    M(i->j; m)*rho_w  <->  M(i->j; m*rho_w).
+    Compares the product of every composable pair of basis elements, t1 at
+    (i -> j) and t2 at (k -> i), under the map M(i->j; m)*rho_w  <->
+    M(i->j; m*rho_w).  Both products are {} on the other pairs, by the same
+    [l = i] guard.
     """
     basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(action.r)]
     if lambda_dim(action) != nabla_skew_dim_formula(action):
         return False
+    into = {}  # target vertex l -> basis elements at (k -> l)
+    for t in basis:
+        into.setdefault(t[1], []).append(t)
     return all(
         lambda_mul_basis(action, t1, t2) == nabla_of_skew_mul(action, t1, t2)
-        for t1 in basis for t2 in basis
+        for t1 in basis for t2 in into.get(t1[0], ())
     )

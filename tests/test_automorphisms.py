@@ -254,6 +254,40 @@ def test_make_cyclic_group_validation():
         make_cyclic_group(COMM, 0)
 
 
+def restriction_invertible_echelon(sigma, spec, d):
+    """Rank of sigma on S_d by exact elimination of the images of its basis."""
+    basis = graded_basis(spec, d)
+    ech = Echelon()
+    for m in basis:
+        ech.add(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
+    return ech.rank == len(basis)
+
+
+def test_restriction_invertible_diagonal_equals_echelon():
+    specs = [COMM, ANTI, QGEN, Q13, Q13G, Q23, J1, J3, quantum_spec(2, 5, zeta(4))]
+    scalars = [cyc(1), cyc(-1), cyc(RAT(2, 3)), zeta(3), zeta(5, 2), cyc(0)]
+    seen = set()
+    for spec in specs:
+        for a in scalars:
+            for d in scalars:
+                sigma = diagonal_automorphism(spec, a, d)
+                for deg in range(7):
+                    fast = asreg2.automorphisms._restriction_invertible(sigma, spec, deg)
+                    assert fast == restriction_invertible_echelon(sigma, spec, deg), (
+                        spec.describe(), a, d, deg)
+                    seen.add(fast)
+    assert seen == {True, False}
+    # linear and triangular maps keep the elimination route; the first map
+    # is singular (1*4 - 2*2 = 0)
+    singular = linear_automorphism(COMM, 1, 2, 2, 4)
+    for spec, sigma in ((COMM, singular), (ANTI, linear_automorphism(ANTI, 0, 2, 3, 0)),
+                        (J3, triangular_automorphism(J3, 2, 5, 8))):
+        for deg in range(4):
+            assert (asreg2.automorphisms._restriction_invertible(sigma, spec, deg)
+                    == restriction_invertible_echelon(sigma, spec, deg))
+    assert not asreg2.automorphisms._restriction_invertible(singular, COMM, 1)
+
+
 def test_make_cyclic_group_validates_generator_once(monkeypatch):
     real = asreg2.automorphisms.is_graded_automorphism
     calls = []

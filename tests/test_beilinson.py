@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from asreg2.cyclotomic import ONE, cyc, zeta
+from asreg2.cyclotomic import Cyclotomic, ONE, cyc, primitive_root, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
@@ -12,6 +12,7 @@ from asreg2.algebra import (
     monomial_product,
     quantum_spec,
 )
+import asreg2.beilinson
 from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diagonal_action
 from asreg2.beilinson import (
     LambdaElement,
@@ -20,15 +21,17 @@ from asreg2.beilinson import (
     gabriel_quiver_oracle,
     idempotent_system_report,
     lambda_dim,
+    lambda_mul_basis,
     nabla_basis,
     nabla_dim,
+    nabla_of_skew_mul,
     nabla_skew_dim_formula,
     nabla_skew_structure_check,
 )
 from asreg2.linalg import Echelon
 from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
-from asreg2.skew import SkewElement, _GSkew, rho_system
-from test_skew import LINK_CASES, assert_g_basis_link, to_g_basis
+from asreg2.skew import rho_system
+from test_skew import GSkewElement, LINK_CASES, assert_g_basis_link, to_g_basis
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -220,9 +223,9 @@ def idempotent_system_oracle(action):
             "basic": corners_one_dim, "diagonal_corners_trivial": no_loops}
 
 
-def test_lambda_idempotent_system():
-    # the hdet-one actions, then every diagonal action these planes admit for
-    # r <= 4, non-HSL ones included
+def swept_actions():
+    """The hdet-one actions, then every diagonal action these planes admit
+    for r <= 4, non-HSL ones included."""
     actions = [make_cyclic_group(spec, r)
                for spec, r in ((S11, 3), (S12, 2), (S13, 2), (J1, 2), (S11, 1))]
     specs = [quantum_spec(w_x, w_y, alpha) for alpha in (1, -1, zeta(3))
@@ -236,7 +239,15 @@ def test_lambda_idempotent_system():
                     except ValueError:
                         pass
     assert len(actions) == 5 + 290
-    for action in actions:
+    return actions
+
+
+# xi of order 2, 3 and 1 below r, and a root of order 5 that is no r-th root
+NON_PRIMITIVE = ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5)))
+
+
+def test_lambda_idempotent_system():
+    for action in swept_actions():
         report = idempotent_system_report(action)
         assert report["ok"], (action, report)
         assert report["idempotents"] == action.spec.ell * action.r
@@ -244,31 +255,123 @@ def test_lambda_idempotent_system():
 
 
 def test_idempotent_system_rejects_non_primitive_roots():
-    # xi of order 2, 3 and 1 below r, and a root of order 5 that is no r-th root
-    for r, xi in ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5))):
+    for r, xi in NON_PRIMITIVE:
         action = CyclicGroupAction(S11, r, xi)
         assert rho_system(action) is False, (r, xi)
         report = idempotent_system_report(action)
         assert not report["basic"] and not report["ok"], (r, xi)
 
 
-def test_idempotent_system_work_is_quadratic(monkeypatch):
-    # the report runs the certificate's O(r^2) g-basis products and no
-    # eigenbasis product: the corner lines are read off the certificate
+def rho_system_g_basis(action):
+    """rho_system's certificate as O(r^2) products on the g-basis of S*G.
+
+    Checks (1) g rho_w = xi^(-w) rho_w, (2) xi^r = 1 and xi^k != 1 for
+    0 < k < r, (3) sum_w rho_w = 1 and (4) rho_w n = n rho_(w + char n)
+    for n = x, y.
+    """
+    r, xi = action.r, action.xi_power
+    inv_r = cyc(RAT(1, r))
+    rho = [GSkewElement(action, {(MONO_ONE, s): inv_r * xi(w * s) for s in range(r)})
+           for w in range(r)]
+    g = GSkewElement.basis_element(action, MONO_ONE, 1)
+    ok = all(g * rho[w] == rho[w].scale(xi(-w)) for w in range(r))
+    ok = ok and action.xi ** r == 1 and all(xi(k) != 1 for k in range(1, r))
+    ok = ok and sum(rho, GSkewElement.zero(action)) == GSkewElement.one(action)
+    for n in (Monomial(0, 1), Monomial(1, 0)):
+        gn = GSkewElement.basis_element(action, n, 0)
+        ok = ok and all(rho[w] * gn == gn * rho[(w + action.char(n)) % r] for w in range(r))
+    return ok
+
+
+def test_rho_system_equals_g_basis_certificate():
+    for action in swept_actions():
+        assert rho_system(action) is rho_system_g_basis(action) is True, action
+    for r, xi in NON_PRIMITIVE:
+        action = CyclicGroupAction(S11, r, xi)
+        assert rho_system(action) is rho_system_g_basis(action) is False, (r, xi)
+
+
+def idempotent_structure_full(action):
+    """The structure loop of idempotent_system_report over every pair (i, w), (k, v)."""
+    grid = [(i, w) for i in range(action.spec.ell) for w in range(action.r)]
+    return all(
+        lambda_mul_basis(action, (i, i, MONO_ONE, w), (k, k, MONO_ONE, v))
+        == ({(i, i, MONO_ONE, w): ONE} if (i, w) == (k, v) else {})
+        for (i, w) in grid for (k, v) in grid
+    )
+
+
+def nabla_skew_structure_full(action):
+    """nabla_skew_structure_check over every pair of basis elements."""
+    basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(action.r)]
+    return lambda_dim(action) == nabla_skew_dim_formula(action) and all(
+        lambda_mul_basis(action, t1, t2) == nabla_of_skew_mul(action, t1, t2)
+        for t1 in basis for t2 in basis
+    )
+
+
+# (spec, r, px, py) small enough for the full-square loops
+SMALL_ACTIONS = ((S11, 3, 1, -1), (S12, 2, 1, 1), (S13, 2, 1, -1), (J1, 2, 1, -1),
+                 (S23, 3, 1, 2), (quantum_spec(1, 1, zeta(5)), 4, 1, 2))
+
+
+def test_structure_checks_per_corner_equal_full_square(monkeypatch):
+    actions = swept_actions() + [CyclicGroupAction(S11, r, xi) for r, xi in NON_PRIMITIVE]
+    for action in actions:
+        report = idempotent_system_report(action)
+        assert report["orthogonal_complete"] == (idempotent_structure_full(action)
+                                                 and rho_system(action)), action
+    small = [make_diagonal_action(spec, r, px, py) for spec, r, px, py in SMALL_ACTIONS]
+    for action in small:
+        assert nabla_skew_structure_check(action) is nabla_skew_structure_full(action) is True
+    # a wrong coefficient on the composable pairs out of rho_1 fails both loops
+    real = asreg2.beilinson.lambda_mul_basis
+
+    def faulty(action, t1, t2):
+        prod = real(action, t1, t2)
+        return {k: c + ONE for k, c in prod.items()} if t1[3] == 1 else prod
+
+    monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", faulty)
+    monkeypatch.setitem(globals(), "lambda_mul_basis", faulty)
+    for action in small:
+        assert not idempotent_system_report(action)["orthogonal_complete"]
+        assert not idempotent_structure_full(action)
+        assert nabla_skew_structure_check(action) is nabla_skew_structure_full(action) is False
+
+
+def test_products_vanish_off_composable_pairs():
+    # the per-corner loops skip exactly the pairs (i -> j), (k -> l) with l != i
+    for spec, r, px, py in SMALL_ACTIONS:
+        action = make_diagonal_action(spec, r, px, py)
+        basis = [(i, j, m, w) for (i, j, m) in nabla_basis(spec) for w in range(r)]
+        for t1 in basis:
+            for t2 in basis:
+                if t2[1] != t1[0]:
+                    assert lambda_mul_basis(action, t1, t2) == {}
+                    assert nabla_of_skew_mul(action, t1, t2) == {}
+
+
+def test_idempotent_system_work_is_linear(monkeypatch):
+    # the report makes O(r) cyclotomic products, those of the certificate's
+    # xi_power table, and no product of elements: the corner lines are read
+    # off the certificate and the structure loop calls lambda_mul_basis
     counts = Counter()
 
-    def counting(name, basis_mul):
-        def counted(action, k1, k2):
+    def counting(name, method):
+        def counted(*args):
             counts[name] += 1
-            return basis_mul(action, k1, k2)
-        return staticmethod(counted)
+            return method(*args)
+        return counted
 
-    monkeypatch.setattr(SkewElement, "_basis_mul", counting("eigen", SkewElement._basis_mul))
-    monkeypatch.setattr(_GSkew, "_basis_mul", counting("g", _GSkew._basis_mul))
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting("cyc", Cyclotomic.__mul__))
+    monkeypatch.setattr(SparseElement, "__mul__", counting("elem", SparseElement.__mul__))
+    monkeypatch.setattr(LambdaElement, "__mul__", counting("elem", LambdaElement.__mul__))
     r = 40
-    assert idempotent_system_report(make_cyclic_group(S11, r))["ok"]
-    assert counts["eigen"] == 0
-    assert 0 < counts["g"] <= 6 * r * r
+    # a fresh action, so the report also fills the xi_power table
+    action = CyclicGroupAction(S11, r, primitive_root(r))
+    assert idempotent_system_report(action)["ok"]
+    assert counts["elem"] == 0
+    assert 0 < counts["cyc"] <= 2 * r
 
 
 def test_lambda_eigenbasis_linked_to_g_basis():

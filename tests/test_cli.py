@@ -123,7 +123,8 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
-@pytest.mark.parametrize("wy, r", [(3, 12), (1, 20), (1, 50)], ids=["1_3_r12", "1_1_r20", "1_1_r50"])
+@pytest.mark.parametrize("wy, r", [(3, 12), (1, 20), (1, 50), (1, 150)],
+                         ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150"])
 def test_check_matches_golden(tmp_path, capsys, wy, r):
     # pins the check bytes at configs that no benchmark job reaches
     out_file = tmp_path / "check.json"

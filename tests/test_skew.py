@@ -347,11 +347,59 @@ def test_molien_against_local_recomputation():
         assert avg == cyc(molien_dims(spec, action, d)[d])
 
 
+def corner_dimension_checks_echelon(spec, action, D):
+    """corner_dimension_checks by exact Echelon ranks of the element products."""
+    e = idempotent_e(action)
+    rows = []
+    for d in range(D + 1):
+        ece, se, es = Echelon(), Echelon(), Echelon()
+        for m, w in _skew_basis(action, d):
+            u = SkewElement.basis_element(action, m, w)
+            ue = skew_mul(u, e, action)
+            se.add(dict(ue.terms))
+            es.add(dict(skew_mul(e, u, action).terms))
+            ece.add(dict(skew_mul(e, ue, action).terms))
+        dim_s = len(graded_basis(spec, d))
+        dim_fixed = len(fixed_ring_basis(spec, action, d))
+        row = {"d": d, "corner_eSGe": ece.rank, "fixed": dim_fixed,
+               "SGe": se.rank, "eSG": es.rank, "dim_S": dim_s}
+        row["ok"] = ece.rank == dim_fixed and se.rank == dim_s and es.rank == dim_s
+        rows.append(row)
+    return {"ok": all(row["ok"] for row in rows), "rows": rows}
+
+
 def test_corner_dimension_checks():
     for spec, r in ((COMM, 2), (COMM, 1), (W13, 6), (J1, 2)):
         action = make_cyclic_group(spec, r)
         report = corner_dimension_checks(spec, action, 8)
         assert report["ok"], report
+
+
+def test_corner_dimension_checks_equal_echelon_ranks():
+    # whole rows, on the hdet-one sweep and on non-HSL actions
+    actions = [make_cyclic_group(spec, r) for spec, r in _sweep_cases()]
+    actions += [make_diagonal_action(COMM, 6, 2, 3), make_diagonal_action(W13, 4, 1, 0),
+                make_diagonal_action(J1, 3, 1, 1)]
+    for action in actions:
+        spec = action.spec
+        assert corner_dimension_checks(spec, action, 6) == corner_dimension_checks_echelon(
+            spec, action, 6), (spec.describe(), action.describe())
+
+
+def test_corner_dimension_checks_reject_products_of_two_terms(monkeypatch):
+    # a rank read off keys needs single-term products: a second term fails the row
+    real = asreg2.skew.skew_mul_basis
+
+    def two_terms(action, k1, k2):
+        prod = real(action, k1, k2)
+        if k2 == (MONO_ONE, 0) and k1[0] == Monomial(0, 2):
+            prod[(Monomial(1, 1), 0)] = ONE
+        return prod
+
+    monkeypatch.setattr(asreg2.skew, "skew_mul_basis", two_terms)
+    action = make_cyclic_group(COMM, 3)
+    rows = corner_dimension_checks(COMM, action, 3)["rows"]
+    assert [row["ok"] for row in rows] == [True, True, False, True]
 
 
 def test_ideal_dims_blocked_equals_naive():
