@@ -84,9 +84,24 @@ def apply_automorphism(sigma, u, spec):
     return out
 
 
+def _diagonal_scalars(sigma):
+    """(sx, sy) when sigma is x -> sx x, y -> sy y (a scalar may be 0), else None."""
+    x, y = Monomial(0, 1), Monomial(1, 0)
+    if sigma.image_x.terms.keys() <= {x} and sigma.image_y.terms.keys() <= {y}:
+        return sigma.image_x.coeff(x), sigma.image_y.coeff(y)
+    return None
+
+
 def relation_image(sigma, spec):
     """sigma applied to the defining relation, reduced in S (must be 0)."""
     u, v = sigma.image_x, sigma.image_y
+    scalars = _diagonal_scalars(sigma)
+    if scalars is not None:
+        # sx sy (x y - alpha y x) = 0, resp. sx sy (x y - y x) - sx^(q+1) x^(q+1)
+        if spec.family == "quantum":
+            return AlgebraElement.zero(spec)
+        sx, sy = scalars
+        return AlgebraElement.monomial(spec, Monomial(0, spec.q + 1), sx * sy - sx ** (spec.q + 1))
     if spec.family == "quantum":
         return u * v - (v * u).scale(spec.alpha)
     return u * v - v * u - u ** (spec.q + 1)
@@ -94,10 +109,10 @@ def relation_image(sigma, spec):
 
 def _restriction_invertible(sigma, spec, d):
     basis = graded_basis(spec, d)
-    x, y = Monomial(0, 1), Monomial(1, 0)
-    if sigma.image_x.terms.keys() <= {x} and sigma.image_y.terms.keys() <= {y}:
+    scalars = _diagonal_scalars(sigma)
+    if scalars is not None:
         # x -> sx x, y -> sy y scales y^i x^j by sy^i sx^j: a diagonal restriction
-        sx, sy = sigma.image_x.coeff(x), sigma.image_y.coeff(y)
+        sx, sy = scalars
         return all((sx or not m.b) and (sy or not m.a) for m in basis)
     ech = Echelon()
     for m in basis:

@@ -23,7 +23,7 @@ nonzero, the choice pinned by the worked six-vertex example for weights
 from collections import Counter
 
 from .cyclotomic import ONE
-from .algebra import MONO_ONE, Monomial, SparseElement, graded_basis, monomial_product
+from .algebra import MONO_ONE, Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
 from .linalg import Echelon
 from .quivers import Quiver
 from .skew import rho_system, skew_dim, skew_mul_basis
@@ -32,7 +32,7 @@ from .skew import rho_system, skew_dim, skew_mul_basis
 def nabla_dim(spec):
     """dim of the Beilinson algebra: sum over d < ell of (ell - d) dim S_d."""
     return sum(
-        (spec.ell - d) * len(graded_basis(spec, d)) for d in range(spec.ell)
+        (spec.ell - d) * len(_y_exponents(spec, d)) for d in range(spec.ell)
     )
 
 

@@ -121,7 +121,7 @@ def rho_system(action):
 
 
 def skew_dim(action, d):
-    return action.r * len(graded_basis(action.spec, d))
+    return action.r * len(_y_exponents(action.spec, d))
 
 
 def fixed_ring_basis(spec, action, d):
@@ -205,17 +205,31 @@ def _check_leading_term(spec):
         raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
 
 
-def _sub_char_mask(r, px, py, ka, kb):
-    """The r-bit mask of the characters i py + j px (mod r), i <= ka, j <= kb."""
+def _sub_char_masks(r, px, py):
+    """W(a, b), the r-bit mask of the characters i py + j px (mod r) with i <= a
+    and j <= b, as a memoized function of (min(a, r-1), min(b, r-1)).
+
+    Each mask is one step from smaller ones: W(0, j) = W(0, j-1) | bit(j px)
+    and W(i, j) = W(i-1, j) | W(0, j) rotated by i py.  So W(a, b) must be
+    asked for after every W(a', b') with a' <= a, b' <= b, as a walk through
+    the monomials y^a x^b in order of degree does.
+    """
     full = (1 << r) - 1
-    row = 0
-    for j in range(kb + 1):
-        row |= 1 << (j * px % r)
-    mask = 0
-    for i in range(ka + 1):
-        # the row {j px : j <= kb} rotated by i py
-        s = i * py % r
-        mask |= (row << s | row >> (r - s)) & full
+    masks = {(0, 0): 1}
+
+    def mask(a, b):
+        key = (a if a < r else r - 1, b if b < r else r - 1)
+        found = masks.get(key)
+        if found is None:
+            i, j = key
+            if i:
+                row, s = masks[0, j], i * py % r
+                found = masks[i - 1, j] | (row << s | row >> (r - s)) & full
+            else:
+                found = masks[0, j - 1] | 1 << (j * px % r)
+            masks[key] = found
+        return found
+
     return mask
 
 
@@ -232,37 +246,61 @@ def ideal_e_dims(spec, action, D):
     y^(a1+a2) x^(b1+b2) with a nonzero coefficient (alpha^(b1 a2), resp. 1)
     and its other terms have fewer y's.  So block (c, w) has rank at least
     the number of monomials m of character c with w in W(m), the characters
-    of the sub-monomials y^i x^j of m.  That count is cap[c], and the rank,
-    exactly when w lies in W(m) for every such m; it falls short exactly when
-    w lies in the union of these W(m) but not in their intersection.
+    of the sub-monomials y^i x^j of m.  W(m) is an r-bit mask that depends
+    on (min(a, r-1), min(b, r-1)) alone.
 
-    W(m) is an r-bit mask that depends on (min(a, r-1), min(b, r-1)) alone.
-    Per degree and character the count keeps cap[c] and the AND and OR of
-    the masks, so dim (e)_d = sum_c cap[c] * #AND[c] plus the exact ranks,
-    by Echelon, of the short blocks: the bits of OR[c] & ~AND[c].  The tests
-    cross-check this against elimination in every block and against the
-    literal spanning set.
+    Quantum plane: the count is exact.  The product has no other terms, so
+    every pair spans one monomial m, and m lies in block (c, w) exactly when
+    it factors as m1 m2 with char m2 = w, i.e. w in W(m).  Hence dim (e)_d
+    is the sum over the degree-d monomials m of #W(m).
+
+    Jordan plane: the count is a lower bound.  Per degree and character it
+    keeps cap[c] and the AND and OR of the masks, so dim (e)_d = sum_c
+    cap[c] * #AND[c] plus the exact ranks, by Echelon, of the short blocks:
+    the bits of OR[c] & ~AND[c], where the count falls short.
+
+    Tail lemma: let h = max(w_x, w_y).  In both families the count is at
+    most dim (e)_d <= dim (S*G)_d = r dim S_d, so a degree whose count
+    reaches r dim S_d is full: (e)_d = (S*G)_d (so is a degree with S_d =
+    0).  If the degrees N..N+h-1 are full, so is every degree >= N.  Let m
+    = y^a x^b have degree >= N.  Its left factors 1, y, ..., y^a, y^a x,
+    ..., y^a x^b rise in steps of w_y or w_x, at most h, from 0 to deg m,
+    so one of them, m1, has degree in [N, N+h).  With m = m1 m2 the
+    normal-form product m1 m2 is m with coefficient 1 in both families (no
+    x passes a y), so m rho_w = (m1 rho_(w - char m2))(m2 rho_w) lies in
+    (e), as m1 rho_(w - char m2) does.  So after h full degrees in a row
+    the count stops and every later degree gets r dim S_d.
+
+    The tests cross-check this against elimination in every block and
+    against the literal spanning set.
     """
     _check_leading_term(spec)
     r, px, py, wx, wy = action.r, action.px, action.py, spec.w_x, spec.w_y
-    masks = {}
+    mask = _sub_char_masks(r, px, py)
     out = []
-    short = []  # (d, c, w) of the blocks whose count falls short
+    run = 0  # the number of full degrees just below d
+    short = []  # (d, c, w) of the Jordan blocks whose count falls short
     for d in range(D + 1):
-        cap, inter, union = {}, {}, {}
-        for a in _y_exponents(spec, d):
-            b = (d - a * wy) // wx
-            c = (b * px + a * py) % r
-            key = (a if a < r else r - 1, b if b < r else r - 1)
-            mask = masks.get(key)
-            if mask is None:
-                mask = masks[key] = _sub_char_mask(r, px, py, *key)
-            cap[c] = cap.get(c, 0) + 1
-            inter[c] = inter.get(c, mask) & mask
-            union[c] = union.get(c, 0) | mask
-        out.append(sum(n * inter[c].bit_count() for c, n in cap.items()))
-        short.extend((d, c, w) for c in cap if union[c] != inter[c]
-                     for w in range(r) if (union[c] ^ inter[c]) >> w & 1)
+        ys = _y_exponents(spec, d)
+        full = r * len(ys)
+        if run >= max(wx, wy):
+            out.append(full)
+            continue
+        monos = [(a, (d - a * wy) // wx) for a in ys]
+        if spec.family == "quantum":
+            count = sum(mask(a, b).bit_count() for a, b in monos)
+        else:
+            cap, inter, union = {}, {}, {}
+            for a, b in monos:
+                c, m = (b * px + a * py) % r, mask(a, b)
+                cap[c] = cap.get(c, 0) + 1
+                inter[c] = inter.get(c, m) & m
+                union[c] = union.get(c, 0) | m
+            count = sum(n * inter[c].bit_count() for c, n in cap.items())
+            short.extend((d, c, w) for c in cap if union[c] != inter[c]
+                         for w in range(r) if (union[c] ^ inter[c]) >> w & 1)
+        out.append(count)
+        run = run + 1 if count == full else 0
     # monomial elements by degree and character, up to the last short block
     by_char = [{} for _ in range(short[-1][0] + 1 if short else 0)]
     for d, chars in enumerate(by_char):

@@ -288,6 +288,36 @@ def test_restriction_invertible_diagonal_equals_echelon():
     assert not asreg2.automorphisms._restriction_invertible(singular, COMM, 1)
 
 
+def relation_image_products(sigma, spec):
+    """relation_image by products of the generator images, for every map."""
+    u, v = sigma.image_x, sigma.image_y
+    if spec.family == "quantum":
+        return u * v - (v * u).scale(spec.alpha)
+    return u * v - v * u - u ** (spec.q + 1)
+
+
+def test_relation_image_diagonal_equals_products():
+    specs = [COMM, ANTI, QGEN, Q13, Q13G, Q23, J1, J3, jordan_spec(2)]
+    scalars = [cyc(1), cyc(-1), cyc(RAT(2, 3)), zeta(3), zeta(5, 2), zeta(4) * 2, cyc(0)]
+    jordan_zero = set()
+    for spec in specs:
+        for a in scalars:
+            for d in scalars + [a ** spec.w_y]:
+                sigma = diagonal_automorphism(spec, a, d)
+                image = relation_image(sigma, spec)
+                assert image == relation_image_products(sigma, spec), (spec.describe(), a, d)
+                if spec.family == "jordan":
+                    jordan_zero.add(image.is_zero())
+    # the Jordan sweep has automorphisms (sy = sx^q) and non-automorphisms
+    assert jordan_zero == {True, False}
+    assert not relation_image(diagonal_automorphism(J3, 2, 4), J3).is_zero()
+    # non-diagonal maps keep the product route
+    for spec, sigma in ((COMM, linear_automorphism(COMM, 1, 2, 3, 4)),
+                        (J3, triangular_automorphism(J3, 2, 5, 8)),
+                        (J3, triangular_automorphism(J3, 2, 5, 3))):
+        assert relation_image(sigma, spec) == relation_image_products(sigma, spec)
+
+
 def test_make_cyclic_group_validates_generator_once(monkeypatch):
     real = asreg2.automorphisms.is_graded_automorphism
     calls = []

@@ -134,6 +134,19 @@ def test_check_matches_golden(tmp_path, capsys, wy, r):
     assert out_file.read_bytes() == (DATA / ("check_1_%d_r%d.json" % (wy, r))).read_bytes()
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("ample_1_1_r100", ["--wx", "1", "--wy", "1", "--r", "100"]),
+    ("ample_1_1_r12_p2_3", ["--wx", "1", "--wy", "1", "--r", "12", "--action-powers", "2,3"]),
+    ("ample_j11_r12", ["--family", "jordan", "--wy", "11", "--r", "12"]),
+], ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12"])
+def test_ample_matches_golden(tmp_path, capsys, name, flags):
+    # pins the ample bytes at large r, on a non-ample action and on the Jordan plane
+    out_file = tmp_path / "ample.json"
+    code, _ = run(capsys, ["ample", *flags, "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
+
+
 def test_check_at_large_order(capsys):
     # ell*r = 100 and a Jordan plane with q + 1 = 12
     for argv in (["--wx", "1", "--wy", "1", "--r", "50"],

@@ -26,6 +26,7 @@ from asreg2.skew import (
     SkewElement,
     ampleness_report,
     corner_dimension_checks,
+    default_window,
     fixed_ring_basis,
     fixed_ring_dims,
     idempotent_e,
@@ -439,6 +440,39 @@ def _sweep_cases():
     return cases + [(jordan_spec(q), r) for q, r in JORDAN_CASES]
 
 
+def _count_cases():
+    """(spec, action) of the count's oracle sweep, quantum and Jordan."""
+    cases = [(spec, make_cyclic_group(spec, r)) for spec, r in _sweep_cases()]
+    # r = 1: one-bit masks
+    cases += [(spec, make_cyclic_group(spec, 1)) for spec in (W13, J1)]
+    # non-HSL diagonal actions diag(xi^px, xi^py): px = 0 or py = 0; gcd(px, r)
+    # and gcd(py, r) > 1, with every W(m) in the subgroup <2> of Z/6 or not
+    spec = quantum_spec(2, 3, zeta(5, 2))
+    cases += [(spec, make_diagonal_action(spec, r, px, py))
+              for r, px, py in ((4, 1, 0), (5, 0, 2), (6, 2, 4), (6, 4, 3))]
+    cases.append((COMM, make_diagonal_action(COMM, 6, 2, 3)))
+    # non-HSL Jordan actions, one with gcd(px, r) > 1 and py = 0
+    cases.append((J1, make_diagonal_action(J1, 3, 1, 1)))
+    spec = jordan_spec(2)
+    cases += [(spec, make_diagonal_action(spec, r, px, py)) for r, px, py in ((4, 1, 2), (4, 2, 0))]
+    return cases
+
+
+def test_sub_char_masks_in_degree_order():
+    # each mask is one step from smaller ones, asked for in any degree order
+    rng = random.Random(7)
+    for r in range(1, 8):
+        for px in range(r):
+            for py in range(r):
+                mask = asreg2.skew._sub_char_masks(r, px, py)
+                wx, wy = rng.choice(QUANTUM_WEIGHTS)
+                keys = [(a, b) for a in range(r + 2) for b in range(r + 2)]
+                rng.shuffle(keys)
+                for a, b in sorted(keys, key=lambda ab: ab[0] * wy + ab[1] * wx):
+                    chars = {(i * py + j * px) % r for i in range(a + 1) for j in range(b + 1)}
+                    assert mask(a, b) == sum(1 << c for c in chars), (r, px, py, a, b)
+
+
 def test_ideal_dims_count_equals_blocked_sweep(monkeypatch):
     made = []  # the Echelons of ideal_e_dims' exact pass over short blocks
 
@@ -447,23 +481,67 @@ def test_ideal_dims_count_equals_blocked_sweep(monkeypatch):
         return Echelon()
 
     monkeypatch.setattr(asreg2.skew, "Echelon", counted)
-    for spec, r in _sweep_cases():
-        _assert_count_matches_oracle(spec, make_cyclic_group(spec, r))
-    # r = 1: one-bit masks
-    for spec in (W13, J1):
-        _assert_count_matches_oracle(spec, make_cyclic_group(spec, 1))
-    # non-HSL diagonal actions diag(xi^px, xi^py): px = 0 or py = 0; gcd(px, r)
-    # and gcd(py, r) > 1, with every W(m) in the subgroup <2> of Z/6 or not
-    spec = quantum_spec(2, 3, zeta(5, 2))
-    for r, px, py in ((4, 1, 0), (5, 0, 2), (6, 2, 4), (6, 4, 3)):
-        _assert_count_matches_oracle(spec, make_diagonal_action(spec, r, px, py))
-    _assert_count_matches_oracle(COMM, make_diagonal_action(COMM, 6, 2, 3))
-    # non-HSL Jordan actions, one with gcd(px, r) > 1 and py = 0
-    _assert_count_matches_oracle(J1, make_diagonal_action(J1, 3, 1, 1))
-    spec = jordan_spec(2)
-    for r, px, py in ((4, 1, 2), (4, 2, 0)):
-        _assert_count_matches_oracle(spec, make_diagonal_action(spec, r, px, py))
-    assert made, "no swept block fell short, so the exact pass never ran"
+    jordan_made = 0
+    for spec, action in _count_cases():
+        made.clear()
+        _assert_count_matches_oracle(spec, action)
+        if spec.family == "quantum":
+            # the count is exact: no Echelon at all
+            assert not made, (spec.describe(), action.describe())
+        jordan_made += len(made)
+    assert jordan_made, "no swept Jordan block fell short, so the exact pass never ran"
+
+
+# (spec, r, px, py) whose quotient vanishes h = max(w_x, w_y) > 1 degrees
+# running well inside the window 0..2*ell*r: HSL and non-HSL actions, and
+# runs through the empty degrees 1 of weights (2, 3) and 7 of (3, 5)
+STOP_CASES = [
+    (quantum_spec(2, 3, zeta(5, 2)), 2, 1, 1),
+    (quantum_spec(2, 3, zeta(5, 2)), 4, 1, 3),
+    (quantum_spec(2, 3, zeta(5, 2)), 5, 2, 2),
+    (quantum_spec(3, 5, -1), 3, 1, 2),
+    (quantum_spec(3, 5, -1), 3, 1, 1),
+    (quantum_spec(3, 5, 1), 4, 3, 1),
+    (jordan_spec(3), 4, 1, 3),
+    (jordan_spec(2), 5, 1, 2),
+    (jordan_spec(3), 5, 2, 1),
+]
+
+
+def test_ideal_dims_stop_mid_window_equals_blocked(monkeypatch):
+    keys = []  # the (min(a, r-1), min(b, r-1)) whose masks the count asks for
+    real = asreg2.skew._sub_char_masks
+
+    def recorded(r, px, py):
+        mask = real(r, px, py)
+
+        def spied(a, b):
+            keys.append((min(a, r - 1), min(b, r - 1)))
+            return mask(a, b)
+
+        return spied
+
+    monkeypatch.setattr(asreg2.skew, "_sub_char_masks", recorded)
+    empty_in_run = set()
+    for spec, r, px, py in STOP_CASES:
+        action = make_diagonal_action(spec, r, px, py)
+        h, D = max(spec.w_x, spec.w_y), 2 * spec.ell * r
+        keys.clear()
+        dims = ideal_e_dims(spec, action, D)
+        assert dims == ideal_e_dims_blocked(spec, action, D), (spec.describe(), r, px, py)
+        # the first run of h full degrees, read off the oracle's numbers
+        full = [n == r * len(graded_basis(spec, d)) for d, n in enumerate(dims)]
+        N = next(n for n in range(D) if all(full[n:n + h]))
+        assert N + h - 1 < D - h, (spec.describe(), r, px, py)
+        empty_in_run.update(d for d in range(N, N + h) if not graded_basis(spec, d))
+
+        def walked(top):
+            return {(min(m.a, r - 1), min(m.b, r - 1))
+                    for d in range(top + 1) for m in graded_basis(spec, d)}
+
+        # the count walks the monomials up to the end of the run and no further
+        assert set(keys) == walked(N + h - 1) != walked(D), (spec.describe(), r, px, py)
+    assert empty_in_run == {1, 7}
 
 
 def test_make_cyclic_group_hdet_equals_table_sweep(monkeypatch):
@@ -522,10 +600,14 @@ def test_quotient_dims_trivial_group():
 def test_quotient_dims_free_action_closed_form():
     # for the (1,1) quantum families the quotient dims are
     # (d+1) * max(0, r - d - 1); derived by counting reachable characters
-    for spec, r in ((COMM, 2), (COMM, 3), (COMM, 4), (QUANT5, 3)):
+    for spec, r, D in ((COMM, 2, 4), (COMM, 3, 6), (COMM, 4, 8), (QUANT5, 3, 6),
+                       (COMM, 200, None)):
         action = make_cyclic_group(spec, r)
-        dims = quotient_by_ideal_e_dims(spec, action, 2 * r)
-        expected = [(d + 1) * max(0, r - d - 1) for d in range(2 * r + 1)]
+        if D is None:
+            # the default ample window 4*ell*r; the quotient is 0 from degree r - 1 on
+            D = default_window(spec, action)
+        dims = quotient_by_ideal_e_dims(spec, action, D)
+        expected = [(d + 1) * max(0, r - d - 1) for d in range(D + 1)]
         assert dims == expected
 
 
