@@ -24,7 +24,6 @@ from collections import Counter
 
 from .cyclotomic import ONE
 from .algebra import MONO_ONE, Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
-from .linalg import Echelon
 from .quivers import Quiver
 from .skew import rho_system, skew_dim, skew_mul_basis
 
@@ -153,38 +152,41 @@ def gabriel_quiver_oracle(spec, action):
     Returns a quiver on vertices v{i}_{w} (i the grid idempotent, w the
     group character); by construction it must be isomorphic, tags ignored,
     to the combinatorial skew quiver.
+
+    Below degree ell, one key: every product formed here,
+    M(i->j; m) rho_w * M(k->i; n) rho_v, has deg(mn) = j - k < ell.  The
+    normal form of (y^a1 x^b1)(y^a2 x^b2) moves an x past a y only when
+    b1, a2 >= 1, and then its degree is at least w_x + w_y = ell.  So on
+    both planes each product is the single basis key y^(a1+a2) x^(b1+b2)
+    with coefficient 1, and the rank of a J^2 corner is the number of
+    distinct keys in it.  A product of any other shape raises
+    ArithmeticError.
     """
     r = action.r
     if spec.ell * r > MAX_VERTICES:
         raise ValueError("oracle scale exceeded: ell*r = %d > %d" % (spec.ell * r, MAX_VERTICES))
     basis = _tau_j_basis(action)
-    j_corner = {}
+    j_corner = Counter()
     by_src = {}
     by_dst = {}
     for (key, src, dst) in basis:
-        j_corner.setdefault((src, dst), []).append(key)
+        j_corner[(src, dst)] += 1
         by_src.setdefault(src, []).append((key, dst))
         by_dst.setdefault(dst, []).append((key, src))
     # J^2 corner spans: (left: mid -> dst) times (right: src -> mid)
-    jj_rank = Counter()
-    echelons = {}
+    jj_keys = {}
     for mid in set(by_src) & set(by_dst):
         for (lk, dst) in by_src[mid]:
             for (rk, src) in by_dst[mid]:
                 prod = lambda_mul_basis(action, lk, rk)
-                if not prod:
-                    continue
-                corner = (src, dst)
-                ech = echelons.get(corner)
-                if ech is None:
-                    ech = echelons[corner] = Echelon()
-                if ech.add(prod):
-                    jj_rank[corner] += 1
+                if len(prod) != 1:
+                    raise ArithmeticError("J^2 product %r * %r is not one basis key" % (lk, rk))
+                jj_keys.setdefault((src, dst), set()).update(prod)
     vertices = ["v%d_%d" % (i, w) for i in range(spec.ell) for w in range(r)]
     arrows = []
-    for corner, elems in sorted(j_corner.items()):
+    for corner, size in sorted(j_corner.items()):
         (src, dst) = corner
-        count = len(elems) - jj_rank.get(corner, 0)
+        count = size - len(jj_keys.get(corner, ()))
         for _ in range(count):
             arrows.append(("v%d_%d" % src, "v%d_%d" % dst, ""))
     return Quiver(vertices, arrows)
@@ -213,18 +215,21 @@ def nabla_of_skew_mul(action, t1, t2):
 def nabla_skew_structure_check(action):
     """(nabla S)*G and nabla(S*G) have the same structure constants.
 
-    Compares the product of every composable pair of basis elements, t1 at
-    (i -> j) and t2 at (k -> i), under the map M(i->j; m)*rho_w  <->
-    M(i->j; m*rho_w).  Both products are {} on the other pairs, by the same
-    [l = i] guard.
+    Compares the product of every composable pair of basis elements, t1 =
+    M(i->j; m)*rho_w and t2 = M(k->i; n)*rho_v with w + char n = v (mod r),
+    under the map M(i->j; m)*rho_w  <->  M(i->j; m*rho_w).  Both products
+    are {} on the other pairs, by the same [l = i] and [w + char n = v]
+    guards, so t2 is looked up by (i, w) in a table of the basis keyed by
+    (l, (v - char n) mod r).
     """
-    basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(action.r)]
+    r = action.r
+    basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(r)]
     if lambda_dim(action) != nabla_skew_dim_formula(action):
         return False
-    into = {}  # target vertex l -> basis elements at (k -> l)
+    into = {}  # (l, (v - char n) mod r) -> basis elements (k, l, n, v)
     for t in basis:
-        into.setdefault(t[1], []).append(t)
+        into.setdefault((t[1], (t[3] - action.char(t[2])) % r), []).append(t)
     return all(
         lambda_mul_basis(action, t1, t2) == nabla_of_skew_mul(action, t1, t2)
-        for t1 in basis for t2 in into.get(t1[0], ())
+        for t1 in basis for t2 in into.get((t1[0], t1[3]), ())
     )

@@ -146,27 +146,33 @@ def covering_quiver(spec, c):
 
 
 def components(q):
-    """Weakly connected components, ordered by size then vertex labels."""
+    """Weakly connected components, ordered by size then vertex labels.
+
+    Each vertex is mapped to its component, so one pass over the arrows
+    partitions them; a connected quiver is its own component."""
     adj = {v: set() for v in q.vertices}
     for (s, t, _) in q.arrows:
         adj[s].add(t)
         adj[t].add(s)
-    seen = set()
-    comps = []
+    comp_of = {}
+    blocks = []
     for v in q.vertices:
-        if v in seen:
+        if v in comp_of:
             continue
-        block = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
+        comp_of[v] = len(blocks)
+        block = [v]
+        for u in block:
             for w in adj[u]:
-                if w not in block:
-                    block.add(w)
-                    queue.append(w)
-        seen |= block
-        arrows = [a for a in q.arrows if a[0] in block]
-        comps.append(Quiver(sorted(block, key=_natural_key), arrows))
+                if w not in comp_of:
+                    comp_of[w] = len(blocks)
+                    block.append(w)
+        blocks.append(block)
+    if len(blocks) == 1:
+        return [q]
+    arrows = [[] for _ in blocks]
+    for a in q.arrows:
+        arrows[comp_of[a[0]]].append(a)
+    comps = [Quiver(block, arr) for block, arr in zip(blocks, arrows)]
     comps.sort(key=lambda c: (len(c.vertices), [_natural_key(v) for v in c.vertices]))
     return comps
 
@@ -175,14 +181,17 @@ def bgp_reflect(q, v):
     """Reverse every arrow at a sink or source vertex."""
     if v not in q.vertices:
         raise ValueError("unknown vertex %r" % v)
-    if not (q.is_sink(v) or q.is_source(v)):
-        raise ValueError("vertex %r is neither a sink nor a source" % v)
     arrows = []
+    has_in = has_out = False
     for (s, t, tag) in q.arrows:
         if s == v or t == v:
+            has_out |= s == v
+            has_in |= t == v
             arrows.append((t, s, tag))
         else:
             arrows.append((s, t, tag))
+    if has_in == has_out:
+        raise ValueError("vertex %r is neither a sink nor a source" % v)
     return Quiver(q.vertices, arrows)
 
 
@@ -223,21 +232,44 @@ _FLIP = str.maketrans("01", "10")
 def _cycle_key(word):
     """Untagged isomorphism class of the cycle with this orientation word:
     other starts rotate the word, walking the other way round reverses it
-    and flips every direction."""
+    and flips every direction.
+
+    The key is the least of those words.  It starts a run of "0"s: a
+    rotation that starts inside a run loses to the one that starts a letter
+    earlier, and one that starts at a "1" to any that starts at a "0".  So
+    only the run starts of both walks are tried; a word of one letter
+    repeated is "0" * n."""
     n = len(word)
-    back = word[::-1].translate(_FLIP)
-    return min([w[k:k + n] for w in (word + word, back + back) for k in range(n)])
+    starts = []
+    for w in (word, word[::-1].translate(_FLIP)):
+        ww = w + w
+        p = ww.find("10", 0, n + 1)
+        while p >= 0:
+            starts.append(ww[p + 1:p + 1 + n])
+            p = ww.find("10", p + 1, n + 1)
+    return min(starts) if starts else "0" * n
 
 
 def _least_rotation(order, word):
     """The least rotation of a walk's word over both walk directions, with the
     vertex order rotated alongside.  Walking the other way round from
     order[0] meets order[0], order[-1], ..., order[1], reverses the word and
-    flips every direction."""
+    flips every direction.
+
+    As in _cycle_key, every least rotation of a word that is not one letter
+    repeated starts a run of the least letter, so only those rotations are
+    formed; ties among them are broken by the vertex order."""
     n = len(order)
     back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
     walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
-    return min((w[k:] + w[:k], o[k:] + o[:k]) for w, o in walks for k in range(n))
+    least = min(min(word), min(back))
+    rotations = []
+    for w, o in walks:
+        starts = [k for k in range(n) if w[k] == least and w[k - 1] != least]
+        if not starts and w[0] == least:
+            starts = range(n)
+        rotations += [(w[k:] + w[:k], o[k:] + o[:k]) for k in starts]
+    return min(rotations)
 
 
 def _component_rotations(q, tags):
@@ -313,10 +345,13 @@ def reflection_search(q1, q2, max_depth=None):
     sink or a source exactly when letters k-1 and k differ (k-1 wraps round
     for k = 0), and reflecting at it flips both, that is, swaps them.
     States are explored modulo untagged isomorphism, i.e. by _cycle_key;
-    reflections keep the direction counts, so quivers whose counts differ
-    are refused at once.  Moves are tried in q1.vertices order.  The witness
-    is a list of vertex labels of q1 (labels are stable under reflection),
-    read off the walk, or None when the depth bound is exhausted.
+    a word met before is skipped before its key is formed (undoing a move,
+    or two commuting moves in either order, give it again), which leaves
+    the classes and their order as they were.  Reflections keep the
+    direction counts, so quivers whose counts differ are refused at once.
+    Moves are tried in q1.vertices order.  The witness is a list of vertex
+    labels of q1 (labels are stable under reflection), read off the walk,
+    or None when the depth bound is exhausted.
     """
     order, word = _cycle_walk(q1)
     start, goal = _cycle_key(word), _cycle_key(_cycle_walk(q2)[1])
@@ -329,6 +364,7 @@ def reflection_search(q1, q2, max_depth=None):
     position = {v: k for k, v in enumerate(order)}
     moves = [(v, position[v]) for v in q1.vertices]
     seen = {start}
+    words = {word}
     queue = deque([(word, [])])
     while queue:
         state, path = queue.popleft()
@@ -341,6 +377,9 @@ def reflection_search(q1, q2, max_depth=None):
                 nxt = state[:k - 1] + state[k] + state[k - 1] + state[k + 1:]
             else:
                 nxt = state[-1] + state[1:-1] + state[0]
+            if nxt in words:
+                continue
+            words.add(nxt)
             key = _cycle_key(nxt)
             if key in seen:
                 continue

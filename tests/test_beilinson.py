@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from asreg2.cyclotomic import Cyclotomic, ONE, cyc, primitive_root, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
@@ -29,7 +31,7 @@ from asreg2.beilinson import (
     nabla_skew_structure_check,
 )
 from asreg2.linalg import Echelon
-from asreg2.quivers import path_count, quiver_isomorphic, quiver_qs, quiver_qsg
+from asreg2.quivers import Quiver, path_count, quiver_isomorphic, quiver_qs, quiver_qsg
 from asreg2.skew import rho_system
 from test_skew import GSkewElement, LINK_CASES, assert_g_basis_link, to_g_basis
 
@@ -340,13 +342,14 @@ def test_structure_checks_per_corner_equal_full_square(monkeypatch):
 
 
 def test_products_vanish_off_composable_pairs():
-    # the per-corner loops skip exactly the pairs (i -> j), (k -> l) with l != i
+    # the per-corner loops skip exactly the pairs (i -> j; w), (k -> l; n, v)
+    # with l != i or w + char n != v (mod r)
     for spec, r, px, py in SMALL_ACTIONS:
         action = make_diagonal_action(spec, r, px, py)
         basis = [(i, j, m, w) for (i, j, m) in nabla_basis(spec) for w in range(r)]
         for t1 in basis:
             for t2 in basis:
-                if t2[1] != t1[0]:
+                if t2[1] != t1[0] or (t1[3] + action.char(t2[2])) % r != t2[3]:
                     assert lambda_mul_basis(action, t1, t2) == {}
                     assert nabla_of_skew_mul(action, t1, t2) == {}
 
@@ -438,9 +441,53 @@ def test_oracle_small_cases():
         assert quiver_isomorphic(oracle, quiver_qsg(spec, r)) is not None
 
 
-def test_oracle_scale_guard():
-    import pytest
+def gabriel_quiver_elimination(spec, action):
+    """gabriel_quiver_oracle with the rank of every J^2 corner found by exact
+    elimination of its products, not by counting their keys."""
+    basis = _tau_j_basis(action)
+    j_corner, by_src, by_dst = Counter(), {}, {}
+    for (key, src, dst) in basis:
+        j_corner[(src, dst)] += 1
+        by_src.setdefault(src, []).append((key, dst))
+        by_dst.setdefault(dst, []).append((key, src))
+    jj_rank, echelons = Counter(), {}
+    for mid in set(by_src) & set(by_dst):
+        for (lk, dst) in by_src[mid]:
+            for (rk, src) in by_dst[mid]:
+                prod = lambda_mul_basis(action, lk, rk)
+                if prod and echelons.setdefault((src, dst), Echelon()).add(prod):
+                    jj_rank[(src, dst)] += 1
+    arrows = [("v%d_%d" % src, "v%d_%d" % dst, "")
+              for (src, dst), size in sorted(j_corner.items())
+              for _ in range(size - jj_rank[(src, dst)])]
+    return Quiver(["v%d_%d" % (i, w) for i in range(spec.ell) for w in range(action.r)], arrows)
 
+
+def test_oracle_key_count_matches_elimination(monkeypatch):
+    actions = swept_actions() + [make_diagonal_action(spec, r, px, py) for spec, r, px, py in (
+        (S13, 6, 1, 5), (S23, 5, 2, 3), (jordan_spec(3), 4, 1, 3), (S13, 8, 1, 2))]
+    expected = [gabriel_quiver_elimination(action.spec, action) for action in actions]
+
+    def no_echelon(self):
+        raise AssertionError("gabriel_quiver_oracle built an Echelon")
+
+    monkeypatch.setattr(Echelon, "__init__", no_echelon)
+    for action, quiver in zip(actions, expected):
+        assert gabriel_quiver_oracle(action.spec, action) == quiver, action
+    # a J^2 product of two keys breaks the proof, and the oracle says so
+    real = asreg2.beilinson.lambda_mul_basis
+
+    def two_keys(action, t1, t2):
+        prod = real(action, t1, t2)
+        return {**prod, (0, 0, MONO_ONE, 0): ONE} if prod else prod
+
+    monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", two_keys)
+    action = make_cyclic_group(S13, 2)
+    with pytest.raises(ArithmeticError):
+        gabriel_quiver_oracle(S13, action)
+
+
+def test_oracle_scale_guard():
     spec = quantum_spec(3, 5, 1)
     with pytest.raises(ValueError):
         gabriel_quiver_oracle(spec, make_cyclic_group(spec, 9))

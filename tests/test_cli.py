@@ -147,6 +147,18 @@ def test_ample_matches_golden(tmp_path, capsys, name, flags):
     assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
+    ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
+], ids=["2_5_c3", "1_3_c6"])
+def test_reflect_search_matches_golden(tmp_path, capsys, name, flags):
+    # pins the reflection witnesses on covering quivers of 21 and 24 vertices
+    out_file = tmp_path / "reflect.json"
+    code, _ = run(capsys, ["reflect", "search", *flags, "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
+
+
 def test_check_at_large_order(capsys):
     # ell*r = 100 and a Jordan plane with q + 1 = 12
     for argv in (["--wx", "1", "--wy", "1", "--r", "50"],

@@ -9,8 +9,10 @@ from asreg2 import quivers
 from asreg2.algebra import quantum_spec
 from asreg2.quivers import (
     Quiver,
+    _FLIP,
     _cycle_key,
     _cycle_walk,
+    _least_rotation,
     _natural_key,
     bgp_reflect,
     canonical_type,
@@ -356,6 +358,122 @@ def test_cycle_union_isomorphism_matches_backtracking(data):
             assert backtracking_isomorphic(*pair, tags) is None
         with pytest.raises(ValueError):
             quiver_isomorphic(b1, b2, tags)
+
+
+# The cycle-word kernels by brute force: the oracles for _cycle_key and
+# _least_rotation, which form only the rotations that start a run.
+
+def cycle_key_oracle(word):
+    """The least of all 2n rotations of the word and of its flipped reverse."""
+    n = len(word)
+    back = word[::-1].translate(_FLIP)
+    return min([w[k:k + n] for w in (word + word, back + back) for k in range(n)])
+
+
+def least_rotation_oracle(order, word):
+    """The least of all 2n rotations of both walks, vertex orders alongside."""
+    n = len(order)
+    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
+    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
+    return min((w[k:] + w[:k], o[k:] + o[:k]) for w, o in walks for k in range(n))
+
+
+def components_oracle(q):
+    """components with each component's arrows found by a scan of all arrows."""
+    adj = {v: set() for v in q.vertices}
+    for (s, t, _) in q.arrows:
+        adj[s].add(t)
+        adj[t].add(s)
+    seen = set()
+    comps = []
+    for v in q.vertices:
+        if v in seen:
+            continue
+        block = {v}
+        queue = deque([v])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in block:
+                    block.add(w)
+                    queue.append(w)
+        seen |= block
+        comps.append(Quiver(block, [a for a in q.arrows if a[0] in block]))
+    comps.sort(key=lambda c: (len(c.vertices), [_natural_key(v) for v in c.vertices]))
+    return comps
+
+
+def test_cycle_key_matches_oracle_on_every_short_word():
+    for n in range(1, 13):
+        for bits in range(2 ** n):
+            word = format(bits, "0%db" % n)
+            assert _cycle_key(word) == cycle_key_oracle(word), word
+
+
+@st.composite
+def walks(draw):
+    """A walk's vertex order and word: random, periodic or one letter repeated,
+    untagged (a str) or tagged (a tuple)."""
+    tagged = draw(st.booleans())
+    letters = ["0x", "0y", "1x", "1y", "0", "1"] if tagged else ["0", "1"]
+    shape = draw(st.sampled_from(["random", "periodic", "constant"]))
+    if shape == "random":
+        word = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=12))
+    elif shape == "periodic":
+        period = (["1x", "0y"] if tagged else ["1", "0"]) if draw(st.booleans()) else \
+            draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))
+        word = period * draw(st.integers(1, 5))
+    else:
+        word = [draw(st.sampled_from(letters))] * draw(st.integers(1, 8))
+    order = tuple("v%d" % v for v in draw(st.permutations(range(len(word)))))
+    return order, tuple(word) if tagged else "".join(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_least_rotation_matches_oracle(walk):
+    assert _least_rotation(*walk) == least_rotation_oracle(*walk)
+
+
+def test_reflection_search_keys_each_word_once(monkeypatch):
+    real_key = quivers._cycle_key
+    for source, target, max_depth in (
+            (covering_quiver(S13, 3), make_canonical_quiver(3, 9), None),
+            (covering_quiver(S35, 2), make_canonical_quiver(6, 10), None),
+            (covering_quiver(S23, 2), make_canonical_quiver(4, 6), 3)):
+        words = []
+
+        def counted_key(word):
+            words.append(word)
+            return real_key(word)
+
+        monkeypatch.setattr(quivers, "_cycle_key", counted_key)
+        witness = reflection_search(source, target, max_depth)
+        monkeypatch.setattr(quivers, "_cycle_key", cycle_key_oracle)
+        assert witness == reflection_search(source, target, max_depth)
+        # the start word, the goal word, then each generated word once
+        generated = words[2:]
+        assert len(generated) == len(set(generated)) and words[0] not in generated
+        assert len(generated) > 2
+
+
+def test_components_match_per_component_scan():
+    loops = Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v1", "v2", "y"), ("v2", "v1", "")])
+    cases = [quiver_qsg(S35, 8), quiver_qsg(S13, 6), quiver_qsg(S11, 5), covering_quiver(S23, 3),
+             make_canonical_quiver(2, 3), loops, Quiver(["v0", "v1"], [])]
+    for q in cases:
+        assert components(q) == components_oracle(q)
+    assert len(components(quiver_qsg(S35, 8))) == 8
+
+
+def test_bgp_reflect_refuses_exactly_non_sinks_and_non_sources():
+    loops = Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v0", "v1", "y"), ("v2", "v1", "")])
+    for q in (quiver_qsg(S13, 2), covering_quiver(S23, 2), loops, Quiver(["v0"], [])):
+        for v in q.vertices:
+            if q.is_sink(v) or q.is_source(v):
+                assert bgp_reflect(bgp_reflect(q, v), v) == q
+            else:
+                with pytest.raises(ValueError, match="neither a sink nor a source"):
+                    bgp_reflect(q, v)
 
 
 def test_bgp_reflect_basics():
