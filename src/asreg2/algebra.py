@@ -7,8 +7,13 @@ A spec fixes coprime generator weights (w_x, w_y) and the relation family:
 
 The monomial basis is y^a x^b, written as pairs (a, b); every product is
 rewritten to that normal form by moving x's rightward.  Rewriting is
-degree preserving, so homogeneous inputs give homogeneous outputs.  The
-x^b y^a normal forms are memoized per spec, keyed on (b, a).
+degree preserving, so homogeneous inputs give homogeneous outputs.
+
+Memos live on the spec, so each spec object (one per CLI job) computes a
+piece of work once and nothing leaks between specs: the x^b y^a normal
+forms keyed on (b, a), the monomial products keyed on (m1, m2), and the
+graded bases keyed on the degree.  Product dicts are shared from the memo
+and never mutated; graded_basis hands out a fresh list per call.
 
 SparseElement is the one kernel for elements of S, S*G, nabla(S) and
 Lambda: a dict of basis keys to coefficients with a structure-constant
@@ -46,6 +51,8 @@ class AlgebraSpec:
     family: str  # "quantum" | "jordan"
     alpha: Cyclotomic | None = None
     _memo: dict = field(default_factory=dict, repr=False)
+    _products: dict = field(default_factory=dict, repr=False)
+    _bases: dict = field(default_factory=dict, repr=False)
     _alpha_powers: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -142,9 +149,17 @@ def _accumulate(terms, key, coeff):
 
 
 def monomial_product(spec, m1, m2):
-    """Normal form of the product m1 * m2 of two monomials, {Monomial: coeff}."""
-    (a1, b1), (a2, b2) = m1, m2
-    return {Monomial(a1 + am, bm + b2): cm for (am, bm), cm in _xy_normal(spec, b1, a2).items()}
+    """Normal form of the product m1 * m2 of two monomials, {Monomial: coeff}.
+
+    Memoized on the spec; the returned dict is shared and must not be mutated."""
+    key = (m1, m2)
+    memo = spec._products
+    hit = memo.get(key)
+    if hit is None:
+        (a1, b1), (a2, b2) = m1, m2
+        hit = memo[key] = {Monomial(a1 + am, bm + b2): cm
+                           for (am, bm), cm in _xy_normal(spec, b1, a2).items()}
+    return hit
 
 
 class SparseElement:
@@ -288,9 +303,15 @@ def _y_exponents(spec, d):
 
 
 def graded_basis(spec, d):
-    """All monomials of degree d, ordered lexicographically by (a, b)."""
-    wx, wy = spec.w_x, spec.w_y
-    return [Monomial(a, (d - a * wy) // wx) for a in _y_exponents(spec, d)]
+    """All monomials of degree d, ordered lexicographically by (a, b).
+
+    Built once per degree and spec; every call returns a fresh list."""
+    basis = spec._bases.get(d)
+    if basis is None:
+        wx, wy = spec.w_x, spec.w_y
+        basis = spec._bases[d] = tuple(Monomial(a, (d - a * wy) // wx)
+                                       for a in _y_exponents(spec, d))
+    return list(basis)
 
 
 def hilbert_dims(spec, D):

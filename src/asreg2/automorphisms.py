@@ -290,15 +290,20 @@ class CyclicGroupAction:
 
 def make_cyclic_group(spec, r):
     """The canonical hdet-one action diag(xi, xi^-1) of order r."""
-    action = make_diagonal_action(spec, r, 1, -1)
-    # make_diagonal_action has validated the generator; diagonal maps are tabulated
-    if not _hdet_formula(action.generator(), spec).is_one():
+    action, g = _validated_action(spec, r, 1, -1)
+    # g is a validated graded automorphism, and diagonal maps are tabulated
+    if not _hdet_formula(g, spec).is_one():
         raise ArithmeticError("diag(xi, xi^-1) has homological determinant != 1")
     return action
 
 
 def make_diagonal_action(spec, r, px, py):
     """Generic diagonal action; non-HSL choices are for exploratory runs."""
+    return _validated_action(spec, r, px, py)[0]
+
+
+def _validated_action(spec, r, px, py):
+    """The action of diag(xi^px, xi^py) and its generator, checked to be an automorphism."""
     if r < 1:
         raise ValueError("group order must be >= 1")
     if spec.family == "jordan" and (py - spec.q * px) % r != 0:
@@ -310,4 +315,4 @@ def make_diagonal_action(spec, r, px, py):
     g = action.generator()
     if not is_graded_automorphism(g, spec):
         raise ValueError("diagonal images do not define an automorphism")
-    return action
+    return action, g

@@ -49,9 +49,12 @@ from .skew import (
     skew_mul,
 )
 from .quivers import (
+    _component_rotations,
+    _component_walks,
+    _cycle_walk,
+    _direction_counts,
+    _least_rotation,
     bgp_reflect,
-    canonical_type,
-    components,
     covering_quiver,
     make_canonical_quiver,
     path_count,
@@ -499,30 +502,37 @@ def cmd_check(args):
     record("operator-representation injectivity (d <= %d)" % d_phi,
            phi_injectivity_check(spec, action, d_phi))
 
-    qsg = quiver_qsg(spec, r)
-    comps = components(qsg)
+    # each component of Q_{S,G} is walked once, with its tags; the untagged
+    # walk keeps each letter's direction.  None when a component is no cycle.
+    walks = _component_walks(quiver_qsg(spec, r), tags=True)
+    untagged = None if walks is None else [(order, "".join(letter[0] for letter in word))
+                                           for order, word in walks]
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
-    cover = covering_quiver(spec, c_expected)
-    decomposition_ok = len(comps) == n_expected and all(
-        quiver_isomorphic(comp, cover, respect_tags=True) is not None for comp in comps
-    )
+    # the c-fold covering quiver is one cycle by construction
+    cover_word = _least_rotation(*_cycle_walk(covering_quiver(spec, c_expected), True))[0]
     record("skew quiver decomposes into %d copies of the %d-covering"
-           % (n_expected, c_expected), decomposition_ok)
-    record("component canonical type (%d, %d)"
-           % (c_expected * spec.w_x, c_expected * spec.w_y),
-           all(canonical_type(comp) == (c_expected * spec.w_x, c_expected * spec.w_y)
-               for comp in comps))
+           % (n_expected, c_expected),
+           walks is not None and len(walks) == n_expected
+           and all(_least_rotation(*walk)[0] == cover_word for walk in walks))
+    canonical = (c_expected * spec.w_x, c_expected * spec.w_y)
+    record("component canonical type (%d, %d)" % canonical,
+           untagged is not None and all(_direction_counts(word) == canonical
+                                        for _, word in untagged))
 
-    record("dim Lambda = r * dim nabla", lambda_dim(action) == r * nabla_dim(spec)
-           and nabla_skew_dim_formula(action) == lambda_dim(action))
-    record("nabla path count identity", nabla_dim(spec) == path_count(quiver_qs(spec)))
+    dim_lambda, dim_nabla = lambda_dim(action), nabla_dim(spec)
+    record("dim Lambda = r * dim nabla", dim_lambda == r * dim_nabla
+           and nabla_skew_dim_formula(action) == dim_lambda)
+    record("nabla path count identity", dim_nabla == path_count(quiver_qs(spec)))
     record("Lambda idempotent system basic", idempotent_report["ok"])
     if spec.ell * r <= 36:
         oracle = gabriel_quiver_oracle(spec, action)
+        rot_oracle = _component_rotations(_component_walks(oracle, False))
+        rot_qsg = _component_rotations(untagged)
         record("Gabriel oracle matches skew quiver",
-               quiver_isomorphic(oracle, qsg) is not None)
-    if lambda_dim(action) <= 60:
+               None not in (rot_oracle, rot_qsg)
+               and [w for w, _ in rot_oracle] == [w for w, _ in rot_qsg])
+    if dim_lambda <= 60:
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 
     ok_all = all(ok for (_, ok, _) in results)

@@ -272,16 +272,20 @@ def _least_rotation(order, word):
     return min(rotations)
 
 
-def _component_rotations(q, tags):
-    """Sorted least rotations of q's components, or None unless each is a cycle."""
-    rotations = []
+def _component_walks(q, tags):
+    """The walk (_cycle_walk) of each of q's components, or None unless each is a cycle."""
+    walks = []
     for comp in components(q):
         try:
-            walk = _cycle_walk(comp, tags)
+            walks.append(_cycle_walk(comp, tags))
         except ValueError:
             return None
-        rotations.append(_least_rotation(*walk))
-    return sorted(rotations)
+    return walks
+
+
+def _component_rotations(walks):
+    """Sorted least rotations of a quiver's component walks (None stays None)."""
+    return None if walks is None else sorted(_least_rotation(*walk) for walk in walks)
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):
@@ -295,7 +299,7 @@ def quiver_isomorphic(q1, q2, respect_tags=False):
     other quiver, so the answer is None when just one side is not such a
     union; when neither is, ValueError.
     """
-    rot1, rot2 = (_component_rotations(q, respect_tags) for q in (q1, q2))
+    rot1, rot2 = (_component_rotations(_component_walks(q, respect_tags)) for q in (q1, q2))
     if rot1 is None and rot2 is None:
         raise ValueError("neither quiver is a disjoint union of cycles")
     if rot1 is None or rot2 is None or [w for w, _ in rot1] != [w for w, _ in rot2]:

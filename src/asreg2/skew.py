@@ -136,18 +136,26 @@ def fixed_ring_dims(spec, action, D):
 def molien_dims(spec, action, D):
     """Fixed-space dimensions by averaging traces of the group elements.
 
-    The trace of g^s on S_d is sum_c count_c xi^(s c), over the characters c
-    of the degree-d monomials and their numbers count_c.
+    The trace of g^s on S_d is sum_c count_d(c) xi^(s c), over the
+    characters c of the degree-d monomials and their numbers count_d(c).
+    Summed over s first, the average is (1/r) sum_c count_d(c) T(c) with the
+    power sum T(c) = sum_s xi^(s c), formed once per distinct character.
     """
     r = action.r
     inv_r = cyc(RAT(1, r))
+    power_sums = {}
     out = []
     for d in range(D + 1):
         counts = Counter(map(action.char, graded_basis(spec, d)))
         total = Cyclotomic(0)
-        for s in range(r):
-            for c, n in counts.items():
-                total = total + action.xi_power(s * c) * n
+        for c, n in counts.items():
+            t = power_sums.get(c)
+            if t is None:
+                t = Cyclotomic(0)
+                for s in range(r):
+                    t = t + action.xi_power(s * c)
+                power_sums[c] = t
+            total = total + t * n
         avg = total * inv_r
         if not avg.is_rational():
             raise ArithmeticError("trace average must be rational")
@@ -233,8 +241,10 @@ def _sub_char_masks(r, px, py):
     return mask
 
 
-def ideal_e_dims(spec, action, D):
+def ideal_e_dims(spec, action, D, dims=None):
     """dim (e)_d for d = 0..D, where (e) is the two-sided ideal generated by e.
+
+    dims is hilbert_dims(spec, D) when the caller has it at hand.
 
     (e)_d is spanned by u e v over basis elements u, v of S*G with deg u +
     deg v = d.  For a diagonal action u e v is a nonzero multiple of
@@ -275,18 +285,19 @@ def ideal_e_dims(spec, action, D):
     against the literal spanning set.
     """
     _check_leading_term(spec)
+    if dims is None:
+        dims = hilbert_dims(spec, D)
     r, px, py, wx, wy = action.r, action.px, action.py, spec.w_x, spec.w_y
     mask = _sub_char_masks(r, px, py)
     out = []
     run = 0  # the number of full degrees just below d
     short = []  # (d, c, w) of the Jordan blocks whose count falls short
     for d in range(D + 1):
-        ys = _y_exponents(spec, d)
-        full = r * len(ys)
+        full = r * dims[d]
         if run >= max(wx, wy):
             out.append(full)
             continue
-        monos = [(a, (d - a * wy) // wx) for a in ys]
+        monos = [(a, (d - a * wy) // wx) for a in _y_exponents(spec, d)]
         if spec.family == "quantum":
             count = sum(mask(a, b).bit_count() for a, b in monos)
         else:
@@ -318,8 +329,9 @@ def ideal_e_dims(spec, action, D):
 
 def quotient_by_ideal_e_dims(spec, action, D):
     """dim (S*G/(e))_d for d = 0..D."""
-    ideal = ideal_e_dims(spec, action, D)
-    return [action.r * n - ideal[d] for d, n in enumerate(hilbert_dims(spec, D))]
+    dims = hilbert_dims(spec, D)
+    ideal = ideal_e_dims(spec, action, D, dims)
+    return [action.r * n - i for n, i in zip(dims, ideal)]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from asreg2.algebra import (
     graded_basis,
     hilbert_dims,
     jordan_spec,
+    monomial_product,
     quantum_spec,
     reduce_product,
     validate_spec,
@@ -135,6 +136,32 @@ def random_homogeneous(rng, spec, d):
     if not terms and basis:
         terms[basis[0]] = cyc(1)
     return AlgebraElement(spec, terms)
+
+
+def test_memos_are_scoped_to_their_spec():
+    # three specs with the weights (1, 2), products interleaved among them:
+    # each spec's answers are those a fresh spec gives on its first call
+    makers = (lambda: quantum_spec(1, 2, 2), lambda: quantum_spec(1, 2, 3), lambda: jordan_spec(2))
+    shared = [make() for make in makers]
+    monos = [Monomial(a, b) for a in range(4) for b in range(4)]
+    pairs = [(m1, m2) for m1 in monos for m2 in monos]
+    random.Random(11).shuffle(pairs)
+    got = {}
+    for _ in range(2):  # the second pass reads the memos
+        for m1, m2 in pairs:
+            for k, spec in enumerate(shared):
+                got.setdefault((k, m1, m2), []).append(monomial_product(spec, m1, m2))
+    for (k, m1, m2), answers in got.items():
+        first = monomial_product(makers[k](), m1, m2)
+        assert answers == [first, first], (k, m1, m2)
+        assert first == oracle_normal_form(shared[k], mono_word(m1) + mono_word(m2))
+    # a list from graded_basis is the caller's to keep and change
+    for spec in shared:
+        basis = graded_basis(spec, 6)
+        expected = list(basis)
+        basis.append(Monomial(9, 9))
+        basis[0] = Monomial(7, 7)
+        assert graded_basis(spec, 6) == expected == graded_basis(makers[0](), 6)
 
 
 def test_associativity_randomized():

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import asreg2
+import asreg2.algebra
 import asreg2.beilinson
 import asreg2.cli
+import asreg2.quivers
 import asreg2.skew
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
@@ -123,15 +125,21 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
-@pytest.mark.parametrize("wy, r", [(3, 12), (1, 20), (1, 50), (1, 150)],
-                         ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150"])
-def test_check_matches_golden(tmp_path, capsys, wy, r):
-    # pins the check bytes at configs that no benchmark job reaches
+@pytest.mark.parametrize("name, flags", [
+    ("check_1_3_r12", ["--wx", "1", "--wy", "3", "--r", "12"]),
+    ("check_1_1_r20", ["--wx", "1", "--wy", "1", "--r", "20"]),
+    ("check_1_1_r50", ["--wx", "1", "--wy", "1", "--r", "50"]),
+    ("check_1_1_r150", ["--wx", "1", "--wy", "1", "--r", "150"]),
+    ("check_1_1_r300", ["--wx", "1", "--wy", "1", "--r", "300"]),
+    ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
+], ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "j23_r24"])
+def test_check_matches_golden(tmp_path, capsys, name, flags):
+    # pins the check bytes at configs that no benchmark job reaches; the
+    # Jordan plane sends non-monomial products through the product memo
     out_file = tmp_path / "check.json"
-    code, _ = run(capsys, ["check", "--wx", "1", "--wy", str(wy), "--r", str(r),
-                           "--format", "json", "--out", str(out_file)])
+    code, _ = run(capsys, ["check", *flags, "--format", "json", "--out", str(out_file)])
     assert code == 0
-    assert out_file.read_bytes() == (DATA / ("check_1_%d_r%d.json" % (wy, r))).read_bytes()
+    assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
 
 
 @pytest.mark.parametrize("name, flags", [
@@ -243,6 +251,83 @@ def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
     assert code == 1
     failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
     assert failed == ["Gabriel oracle matches skew quiver", "overall: FAIL"]
+
+
+def test_check_non_cycle_component_fails(monkeypatch, capsys):
+    # Q_{S,G} of (1, 2), r = 3 plus a path component: the quiver lines read
+    # FAIL, not a traceback
+    real = asreg2.cli.quiver_qsg
+
+    def with_path(spec, r):
+        q = real(spec, r)
+        return Quiver(q.vertices + ("w0", "w1", "w2"),
+                      q.arrows + (("w0", "w1", "x"), ("w1", "w2", "y")))
+
+    monkeypatch.setattr(asreg2.cli, "quiver_qsg", with_path)
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
+    assert code == 1
+    failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["skew quiver decomposes into 3 copies of the 1-covering",
+                      "component canonical type (1, 2)",
+                      "Gabriel oracle matches skew quiver", "overall: FAIL"]
+
+
+def test_check_walks_each_quiver_once(monkeypatch, capsys):
+    # Q_{S,G} of (1, 2), r = 3 has 3 components: they, the cover and the
+    # 3 components of the Gabriel oracle are walked once each, and only
+    # Q_{S,G} and the oracle are split into components
+    walked, split = [], []
+    walk, components = asreg2.quivers._cycle_walk, asreg2.quivers.components
+
+    def counted_walk(q, tags=False):
+        walked.append(q)
+        return walk(q, tags)
+
+    def counted_components(q):
+        split.append(q)
+        return components(q)
+
+    for module in (asreg2.quivers, asreg2.cli):
+        monkeypatch.setattr(module, "_cycle_walk", counted_walk)
+    monkeypatch.setattr(asreg2.quivers, "components", counted_components)
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
+    assert code == 0 and out.endswith("overall: ok\n")
+    assert len(walked) == 7 and len(split) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--wx", "1", "--wy", "2", "--alpha=2/3", "--r", "3"],
+    ["--wx", "2", "--wy", "3", "--alpha=zeta(5)", "--r", "4"],
+    ["--family", "jordan", "--wy", "5", "--r", "3"],
+], ids=["1_2_r3", "2_3_r4", "j5_r3"])
+def test_check_forms_each_product_once(monkeypatch, capsys, flags):
+    # every (m1, m2) that check asks for is formed by one top-level
+    # _xy_normal call (the Jordan rewriting recurses below it)
+    requested, calls, formed, depth = set(), [0], [0], [0]
+    product, normal = asreg2.algebra.monomial_product, asreg2.algebra._xy_normal
+
+    def counted_product(spec, m1, m2):
+        calls[0] += 1
+        requested.add((m1, m2))
+        return product(spec, m1, m2)
+
+    def counted_normal(spec, b, a):
+        formed[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return normal(spec, b, a)
+        finally:
+            depth[0] -= 1
+
+    for module in (asreg2.algebra, asreg2.skew, asreg2.beilinson):
+        monkeypatch.setattr(module, "monomial_product", counted_product)
+    monkeypatch.setattr(asreg2.algebra.AlgebraElement, "_basis_mul", staticmethod(counted_product))
+    monkeypatch.setattr(asreg2.algebra, "_xy_normal", counted_normal)
+    code, out = run(capsys, ["check", *flags])
+    assert code == 0 and out.endswith("overall: ok\n")
+    # the memo serves the repeats: the Lambda and nabla(S*G) sides of each
+    # structure pair, and the corner and Lambda_0 loops
+    assert 20 < formed[0] == len(requested) < calls[0] // 2
 
 
 def test_check_jordan(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import asreg2.automorphisms
 import asreg2.skew
 
-from asreg2.cyclotomic import ONE, cyc, zeta
+from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
@@ -346,6 +346,77 @@ def test_molien_against_local_recomputation():
                 total = total + zeta(r) ** (s * ((m.b - m.a) % r))
         avg = total * cyc(1) / cyc(r)
         assert avg == cyc(molien_dims(spec, action, d)[d])
+
+
+def molien_dims_per_degree(spec, action, D):
+    """molien_dims by the trace loop of its definition: in every degree, r *
+    #chars roots of unity summed over the group elements s and the
+    characters c.  The oracle of molien_dims."""
+    r = action.r
+    out = []
+    for d in range(D + 1):
+        counts = Counter(map(action.char, graded_basis(spec, d)))
+        total = cyc(0)
+        for s in range(r):
+            for c, n in counts.items():
+                total = total + action.xi_power(s * c) * n
+        avg = total * cyc(RAT(1, r))
+        assert avg.is_rational() and avg.rational_value().denominator == 1
+        out.append(int(avg.rational_value().numerator))
+    return out
+
+
+def _diagonal_actions(spec, r, rng):
+    """Every admissible diagonal action of order r for r <= 6, else six at random."""
+    pairs = [(px, py) for px in range(r) for py in range(r)]
+    if r > 6:
+        pairs = rng.sample(pairs, 6) + [(1, r - 1)]
+    for px, py in pairs:
+        if spec.family == "jordan" and (py - spec.q * px) % r:
+            continue
+        yield make_diagonal_action(spec, r, px, py)
+
+
+def test_molien_dims_against_per_degree_trace_loop():
+    # HSL and non-HSL diagonal actions, r up to 12
+    rng = random.Random(5)
+    checked = hsl = 0
+    for spec in (COMM, QUANT5, W13, quantum_spec(2, 3, 2), J1, jordan_spec(2)):
+        for r in range(1, 13):
+            for action in _diagonal_actions(spec, r, rng):
+                D = 10
+                assert molien_dims(spec, action, D) == molien_dims_per_degree(spec, action, D), \
+                    (spec.describe(), action.describe())
+                checked += 1
+                hsl += action.is_hsl_action()
+    assert checked > 300 and 0 < hsl < checked
+
+
+def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
+    # r additions per distinct character for its power sum, then one per
+    # (degree, character) to combine them, where the per-degree loop made
+    # r per (degree, character)
+    adds, powers = [0], [0]
+    add, xi_power = Cyclotomic.__add__, asreg2.automorphisms.CyclicGroupAction.xi_power
+
+    def counted_add(self, other):
+        adds[0] += 1
+        return add(self, other)
+
+    def counted_power(self, k):
+        powers[0] += 1
+        return xi_power(self, k)
+
+    spec, r, D = QUANT5, 12, 30
+    action = make_diagonal_action(spec, r, 1, 2)
+    per_degree = [{action.char(m) for m in graded_basis(spec, d)} for d in range(D + 1)]
+    chars = set().union(*per_degree)
+    monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
+    monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
+    assert molien_dims(spec, action, D) == fixed_ring_dims(spec, action, D)
+    assert powers[0] <= r * len(chars)
+    assert adds[0] <= r * len(chars) + sum(map(len, per_degree))
+    assert adds[0] < r * sum(map(len, per_degree)) // 4
 
 
 def corner_dimension_checks_echelon(spec, action, D):
