@@ -33,7 +33,6 @@ from .algebra import (
     monomial_product,
     reduce_product,
 )
-from .linalg import Echelon
 
 
 def skew_mul_basis(action, k1, k2):
@@ -248,34 +247,39 @@ def ideal_e_dims(spec, action, D, dims=None):
 
     (e)_d is spanned by u e v over basis elements u, v of S*G with deg u +
     deg v = d.  For a diagonal action u e v is a nonzero multiple of
-    (m1 m2) * rho_(char m2), so (e)_d splits into blocks (c, w): the span of
-    the products u v with char v = w among the degree-d monomials of
-    character c (their number cap[c] is the block's capacity).
+    (m1 m2) * rho_(char m2), so (e)_d splits into blocks w: the span of the
+    products m1 m2 of monomials with char m2 = w, deg m1 + deg m2 = d.
+    Let W(m) be the characters of the sub-monomials y^i x^j (i <= a, j <= b)
+    of m = y^a x^b, an r-bit mask that depends on (min(a, r-1), min(b,
+    r-1)) alone.  In both families dim (e)_d is the sum over the degree-d
+    monomials m of #W(m): block w is spanned by the monomials m with w in
+    W(m).  Two hypotheses carry the proof, and the count raises without
+    them: x*y leads with y*x (_check_leading_term), and every term of x*y
+    has the character of y*x, as an action that respects the relation does.
 
-    In both families (y^a1 x^b1)(y^a2 x^b2) has the leading monomial
-    y^(a1+a2) x^(b1+b2) with a nonzero coefficient (alpha^(b1 a2), resp. 1)
-    and its other terms have fewer y's.  So block (c, w) has rank at least
-    the number of monomials m of character c with w in W(m), the characters
-    of the sub-monomials y^i x^j of m.  W(m) is an r-bit mask that depends
-    on (min(a, r-1), min(b, r-1)) alone.
+    Quantum plane: m1 m2 is a nonzero scalar times the one monomial
+    y^(a1+a2) x^(b1+b2), and m lies in block w exactly when it factors as
+    m1 m2 with char m2 = w, i.e. w in W(m).
 
-    Quantum plane: the count is exact.  The product has no other terms, so
-    every pair spans one monomial m, and m lies in block (c, w) exactly when
-    it factors as m1 m2 with char m2 = w, i.e. w in W(m).  Hence dim (e)_d
-    is the sum over the degree-d monomials m of #W(m).
+    Jordan plane: the second hypothesis is py = q px (mod r), so
+    char(y^a x^b) = px (a q + b) = px deg, and block w is the sum of
+    S_(d-k) S_k over the k with px k = w.  (y^a1 x^b1)(y^a2 x^b2) leads
+    with y^(a1+a2) x^(b1+b2), coefficient 1, and its other terms have fewer
+    y's; in degree d the monomial y^a x^(d-aq) is fixed by a.  So
+    S_(d-k) S_k lies in the span of the monomials with a <= A_k =
+    floor((d-k)/q) + floor(k/q), and each of them leads one of its
+    products, so it is that span.  Now y^a x^b has a sub-monomial y^i x^j
+    of degree k (i <= a, j = k - i q <= b) exactly when some i lies in
+    [a - floor((d-k)/q), floor(k/q)], i.e. when a <= A_k, and that
+    sub-monomial has character px k.  So block w is spanned by the m with
+    w in W(m) here too.
 
-    Jordan plane: the count is a lower bound.  Per degree and character it
-    keeps cap[c] and the AND and OR of the masks, so dim (e)_d = sum_c
-    cap[c] * #AND[c] plus the exact ranks, by Echelon, of the short blocks:
-    the bits of OR[c] & ~AND[c], where the count falls short.
-
-    Tail lemma: let h = max(w_x, w_y).  In both families the count is at
-    most dim (e)_d <= dim (S*G)_d = r dim S_d, so a degree whose count
-    reaches r dim S_d is full: (e)_d = (S*G)_d (so is a degree with S_d =
-    0).  If the degrees N..N+h-1 are full, so is every degree >= N.  Let m
-    = y^a x^b have degree >= N.  Its left factors 1, y, ..., y^a, y^a x,
-    ..., y^a x^b rise in steps of w_y or w_x, at most h, from 0 to deg m,
-    so one of them, m1, has degree in [N, N+h).  With m = m1 m2 the
+    Tail lemma: let h = max(w_x, w_y).  A degree whose count reaches
+    dim (S*G)_d = r dim S_d is full: (e)_d = (S*G)_d (so is a degree with
+    S_d = 0).  If the degrees N..N+h-1 are full, so is every degree >= N.
+    Let m = y^a x^b have degree >= N.  Its left factors 1, y, ..., y^a,
+    y^a x, ..., y^a x^b rise in steps of w_y or w_x, at most h, from 0 to
+    deg m, so one of them, m1, has degree in [N, N+h).  With m = m1 m2 the
     normal-form product m1 m2 is m with coefficient 1 in both families (no
     x passes a y), so m rho_w = (m1 rho_(w - char m2))(m2 rho_w) lies in
     (e), as m1 rho_(w - char m2) does.  So after h full degrees in a row
@@ -285,45 +289,23 @@ def ideal_e_dims(spec, action, D, dims=None):
     against the literal spanning set.
     """
     _check_leading_term(spec)
+    if {action.char(m) for m in monomial_product(spec, (0, 1), (1, 0))} != {action.char((1, 1))}:
+        raise ArithmeticError("every term of x*y must have the character of y*x for the count"
+                              " (on the Jordan plane, py = q*px mod r)")
     if dims is None:
         dims = hilbert_dims(spec, D)
-    r, px, py, wx, wy = action.r, action.px, action.py, spec.w_x, spec.w_y
-    mask = _sub_char_masks(r, px, py)
+    r, wx, wy = action.r, spec.w_x, spec.w_y
+    mask = _sub_char_masks(r, action.px, action.py)
     out = []
     run = 0  # the number of full degrees just below d
-    short = []  # (d, c, w) of the Jordan blocks whose count falls short
     for d in range(D + 1):
         full = r * dims[d]
         if run >= max(wx, wy):
             out.append(full)
             continue
-        monos = [(a, (d - a * wy) // wx) for a in _y_exponents(spec, d)]
-        if spec.family == "quantum":
-            count = sum(mask(a, b).bit_count() for a, b in monos)
-        else:
-            cap, inter, union = {}, {}, {}
-            for a, b in monos:
-                c, m = (b * px + a * py) % r, mask(a, b)
-                cap[c] = cap.get(c, 0) + 1
-                inter[c] = inter.get(c, m) & m
-                union[c] = union.get(c, 0) | m
-            count = sum(n * inter[c].bit_count() for c, n in cap.items())
-            short.extend((d, c, w) for c in cap if union[c] != inter[c]
-                         for w in range(r) if (union[c] ^ inter[c]) >> w & 1)
+        count = sum(mask(a, (d - a * wy) // wx).bit_count() for a in _y_exponents(spec, d))
         out.append(count)
         run = run + 1 if count == full else 0
-    # monomial elements by degree and character, up to the last short block
-    by_char = [{} for _ in range(short[-1][0] + 1 if short else 0)]
-    for d, chars in enumerate(by_char):
-        for m in graded_basis(spec, d):
-            chars.setdefault(action.char(m), []).append(AlgebraElement.monomial(spec, m))
-    for d, c, w in short:
-        ech = Echelon()
-        for i in range(d + 1):
-            for u in by_char[i].get((c - w) % r, ()):
-                for v in by_char[d - i].get(w, ()):
-                    ech.add(reduce_product(u, v, spec).terms)
-        out[d] += ech.rank
     return out
 
 
@@ -344,7 +326,6 @@ class AmplenessReport:
     verdict: str
     first_zero_degree: int | None
     total_dim: int
-    nonzero_degrees: list
     need: int  # the zero tail, ell*r degrees, that a FINITE verdict requires
 
     def lines(self):
@@ -401,7 +382,6 @@ def ampleness_report(spec, action, D=None):
         verdict=verdict,
         first_zero_degree=first_zero if tail > 0 else None,
         total_dim=sum(dims),
-        nonzero_degrees=nonzero,
         need=need,
     )
 
@@ -413,7 +393,9 @@ def min_phi_degree(spec, action, cap=None):
     has a kernel (too few characters to separate the group elements), so
     phi_injectivity_check holds from here on and not before.
     Returns None when the window cap is reached (non-faithful actions).
+    The count behind that threshold needs _check_leading_term, run here.
     """
+    _check_leading_term(spec)
     if cap is None:
         cap = 2 * spec.ell * action.r
     seen = set()
@@ -446,5 +428,4 @@ def phi_injectivity_check(spec, action, D):
     (a window below degree 0 is vacuous).  The tests cross-check this
     against the exact elimination.
     """
-    _check_leading_term(spec)
     return D < 0 or min_phi_degree(spec, action, D) is not None

@@ -146,9 +146,11 @@ def test_check_matches_golden(tmp_path, capsys, name, flags):
     ("ample_1_1_r100", ["--wx", "1", "--wy", "1", "--r", "100"]),
     ("ample_1_1_r12_p2_3", ["--wx", "1", "--wy", "1", "--r", "12", "--action-powers", "2,3"]),
     ("ample_j11_r12", ["--family", "jordan", "--wy", "11", "--r", "12"]),
-], ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12"])
+    ("ample_j3_r6_p2_0", ["--family", "jordan", "--wy", "3", "--r", "6", "--action-powers", "2,0"]),
+], ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12", "j3_r6_p2_0"])
 def test_ample_matches_golden(tmp_path, capsys, name, flags):
-    # pins the ample bytes at large r, on a non-ample action and on the Jordan plane
+    # pins the ample bytes at large r, on non-ample actions of both planes
+    # and on the Jordan plane
     out_file = tmp_path / "ample.json"
     code, _ = run(capsys, ["ample", *flags, "--format", "json", "--out", str(out_file)])
     assert code == 0
@@ -448,17 +450,19 @@ def test_byte_identical_output(capsys):
 
 
 def test_optimized_run_gives_identical_bytes():
-    # invariants are explicit raises, so python -O checks and prints the same
-    argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5",
-            "--format", "json"]
+    # invariants and the hypotheses of the counts are explicit raises, so
+    # python -O checks and prints the same, on check and on a Jordan ample
     src = str(Path(asreg2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    outs = [subprocess.run([sys.executable, *flags, "-m", "asreg2", *argv], env=env,
-                           capture_output=True, check=True).stdout
-            for flags in ([], ["-O"])]
-    assert outs[0] == outs[1]
-    assert b'"ok": true' in outs[0]
+    for argv, expect in (
+            (["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"], b'"ok": true'),
+            (["ample", "--family", "jordan", "--wy", "3", "--r", "4"], b'"FINITE-UP-TO-64"')):
+        outs = [subprocess.run([sys.executable, *flags, "-m", "asreg2", *argv, "--format", "json"],
+                               env=env, capture_output=True, check=True).stdout
+                for flags in ([], ["-O"])]
+        assert outs[0] == outs[1], argv
+        assert expect in outs[0], argv
 
 
 WORKLOAD_JOBS = {"ample-quantum": 75, "ample-jordan": 25, "check-suite": 63, "reflect-search": 232}

@@ -2,12 +2,13 @@ import random
 from collections import Counter
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import asreg2.automorphisms
 import asreg2.skew
 
-from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
+from asreg2.cyclotomic import ONE, Cyclotomic, cyc, primitive_root, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
@@ -21,7 +22,12 @@ from asreg2.algebra import (
     reduce_product,
 )
 from asreg2.linalg import Echelon
-from asreg2.automorphisms import hdet_table, make_cyclic_group, make_diagonal_action
+from asreg2.automorphisms import (
+    CyclicGroupAction,
+    hdet_table,
+    make_cyclic_group,
+    make_diagonal_action,
+)
 from asreg2.skew import (
     SkewElement,
     ampleness_report,
@@ -515,17 +521,17 @@ def _count_cases():
     """(spec, action) of the count's oracle sweep, quantum and Jordan."""
     cases = [(spec, make_cyclic_group(spec, r)) for spec, r in _sweep_cases()]
     # r = 1: one-bit masks
-    cases += [(spec, make_cyclic_group(spec, 1)) for spec in (W13, J1)]
+    cases.append((W13, make_cyclic_group(W13, 1)))
     # non-HSL diagonal actions diag(xi^px, xi^py): px = 0 or py = 0; gcd(px, r)
     # and gcd(py, r) > 1, with every W(m) in the subgroup <2> of Z/6 or not
     spec = quantum_spec(2, 3, zeta(5, 2))
     cases += [(spec, make_diagonal_action(spec, r, px, py))
               for r, px, py in ((4, 1, 0), (5, 0, 2), (6, 2, 4), (6, 4, 3))]
     cases.append((COMM, make_diagonal_action(COMM, 6, 2, 3)))
-    # non-HSL Jordan actions, one with gcd(px, r) > 1 and py = 0
-    cases.append((J1, make_diagonal_action(J1, 3, 1, 1)))
-    spec = jordan_spec(2)
-    cases += [(spec, make_diagonal_action(spec, r, px, py)) for r, px, py in ((4, 1, 2), (4, 2, 0))]
+    # every Jordan action diag(xi^px, xi^(q px)) with q <= 4 and r <= 5, ample or not
+    cases += [(spec, make_diagonal_action(spec, r, px, q * px))
+              for q in range(1, 5) for spec in (jordan_spec(q),)
+              for r in range(1, 6) for px in range(r)]
     return cases
 
 
@@ -545,22 +551,30 @@ def test_sub_char_masks_in_degree_order():
 
 
 def test_ideal_dims_count_equals_blocked_sweep(monkeypatch):
-    made = []  # the Echelons of ideal_e_dims' exact pass over short blocks
+    cases = _count_cases()
+    windows = [2 * spec.ell * action.r for spec, action in cases]
+    expected = [ideal_e_dims_blocked(spec, action, D) for (spec, action), D in zip(cases, windows)]
 
-    def counted():
-        made.append(1)
-        return Echelon()
+    def no_echelon(self):
+        raise AssertionError("ideal_e_dims built an Echelon")
 
-    monkeypatch.setattr(asreg2.skew, "Echelon", counted)
-    jordan_made = 0
-    for spec, action in _count_cases():
-        made.clear()
-        _assert_count_matches_oracle(spec, action)
-        if spec.family == "quantum":
-            # the count is exact: no Echelon at all
-            assert not made, (spec.describe(), action.describe())
-        jordan_made += len(made)
-    assert jordan_made, "no swept Jordan block fell short, so the exact pass never ran"
+    # the count is exact on both planes: no elimination at all
+    monkeypatch.setattr(Echelon, "__init__", no_echelon)
+    for (spec, action), D, dims in zip(cases, windows, expected):
+        assert ideal_e_dims(spec, action, D) == dims, (spec.describe(), action.describe())
+    assert {spec.family for spec, _ in cases} == {"quantum", "jordan"}
+
+
+def test_ideal_dims_refuses_action_off_the_relation():
+    # only py = q px (mod r) respects x*y = y*x + x^(q+1); the validated
+    # constructors refuse the rest, a hand-built action reaches the count
+    spec = jordan_spec(2)
+    for r, px, py in ((3, 1, 1), (4, 1, 0), (5, 2, 1)):
+        action = CyclicGroupAction(spec, r, primitive_root(r), px, py)
+        with pytest.raises(ArithmeticError):
+            ideal_e_dims(spec, action, 4)
+        with pytest.raises(ArithmeticError):
+            ampleness_report(spec, action)
 
 
 # (spec, r, px, py) whose quotient vanishes h = max(w_x, w_y) > 1 degrees
