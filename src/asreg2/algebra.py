@@ -53,7 +53,6 @@ class AlgebraSpec:
     _memo: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)
-    _alpha_powers: dict = field(default_factory=dict, repr=False)
 
     @property
     def ell(self):
@@ -71,12 +70,6 @@ class AlgebraSpec:
 
     def degree(self, mono):
         return mono[0] * self.w_y + mono[1] * self.w_x
-
-    def alpha_power(self, k):
-        pw = self._alpha_powers
-        if k not in pw:
-            pw[k] = self.alpha ** k
-        return pw[k]
 
 
 def quantum_spec(w_x, w_y, alpha):
@@ -113,7 +106,7 @@ def _xy_normal(spec, b, a):
         return {Monomial(a, b): ONE}
     if spec.family == "quantum":
         # moving each x past each y contributes one alpha
-        return {Monomial(a, b): spec.alpha_power(a * b)}
+        return {Monomial(a, b): spec.alpha ** (a * b)}
     key = (b, a)
     memo = spec._memo
     hit = memo.get(key)

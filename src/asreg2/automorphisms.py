@@ -15,7 +15,9 @@ cross-checked in the tests:
 
 Cyclic actions are generated by diag(xi^px, xi^py) with xi a primitive
 r-th root of unity; the canonical hdet-one choice is (px, py) = (1, -1).
-Other diagonal powers are accepted for exploratory runs only.
+make_diagonal_action checks an action by its exponents alone (py = q px
+mod r on the Jordan plane); its docstring proves that this is the
+automorphism test, and that (1, -1) has hdet one wherever it is admitted.
 """
 
 from dataclasses import dataclass, field
@@ -84,24 +86,9 @@ def apply_automorphism(sigma, u, spec):
     return out
 
 
-def _diagonal_scalars(sigma):
-    """(sx, sy) when sigma is x -> sx x, y -> sy y (a scalar may be 0), else None."""
-    x, y = Monomial(0, 1), Monomial(1, 0)
-    if sigma.image_x.terms.keys() <= {x} and sigma.image_y.terms.keys() <= {y}:
-        return sigma.image_x.coeff(x), sigma.image_y.coeff(y)
-    return None
-
-
 def relation_image(sigma, spec):
     """sigma applied to the defining relation, reduced in S (must be 0)."""
     u, v = sigma.image_x, sigma.image_y
-    scalars = _diagonal_scalars(sigma)
-    if scalars is not None:
-        # sx sy (x y - alpha y x) = 0, resp. sx sy (x y - y x) - sx^(q+1) x^(q+1)
-        if spec.family == "quantum":
-            return AlgebraElement.zero(spec)
-        sx, sy = scalars
-        return AlgebraElement.monomial(spec, Monomial(0, spec.q + 1), sx * sy - sx ** (spec.q + 1))
     if spec.family == "quantum":
         return u * v - (v * u).scale(spec.alpha)
     return u * v - v * u - u ** (spec.q + 1)
@@ -109,11 +96,6 @@ def relation_image(sigma, spec):
 
 def _restriction_invertible(sigma, spec, d):
     basis = graded_basis(spec, d)
-    scalars = _diagonal_scalars(sigma)
-    if scalars is not None:
-        # x -> sx x, y -> sy y scales y^i x^j by sy^i sx^j: a diagonal restriction
-        sx, sy = scalars
-        return all((sx or not m.b) and (sy or not m.a) for m in basis)
     ech = Echelon()
     for m in basis:
         ech.add(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
@@ -150,11 +132,6 @@ def hdet_table(sigma, spec):
     """Classified-form homological determinant."""
     if not is_graded_automorphism(sigma, spec):
         raise NotTabulatedError("not a graded automorphism of this algebra")
-    return _hdet_formula(sigma, spec)
-
-
-def _hdet_formula(sigma, spec):
-    """hdet_table's closed formula, for a sigma known to be a graded automorphism."""
     A, B, C, D = _coefficients(sigma, spec)
     wx, wy = spec.w_x, spec.w_y
     if spec.family == "jordan":
@@ -290,20 +267,24 @@ class CyclicGroupAction:
 
 def make_cyclic_group(spec, r):
     """The canonical hdet-one action diag(xi, xi^-1) of order r."""
-    action, g = _validated_action(spec, r, 1, -1)
-    # g is a validated graded automorphism, and diagonal maps are tabulated
-    if not _hdet_formula(g, spec).is_one():
-        raise ArithmeticError("diag(xi, xi^-1) has homological determinant != 1")
-    return action
+    return make_diagonal_action(spec, r, 1, -1)
 
 
 def make_diagonal_action(spec, r, px, py):
-    """Generic diagonal action; non-HSL choices are for exploratory runs."""
-    return _validated_action(spec, r, px, py)[0]
+    """The action of diag(xi^px, xi^py), xi = primitive_root(r), checked by its exponents.
 
-
-def _validated_action(spec, r, px, py):
-    """The action of diag(xi^px, xi^py) and its generator, checked to be an automorphism."""
+    Its generator g: x -> a x, y -> d y, with a = xi^px and d = xi^py, is a
+    graded automorphism exactly when the Jordan test below holds.  As a, d
+    != 0, g keeps degrees and is invertible on every S_d.  On the quantum
+    plane g(x y - alpha y x) = a d (x y - alpha y x).  On the Jordan plane
+    g(x y - y x - x^(q+1)) = a d (x y - y x) - a^(q+1) x^(q+1), which is
+    (a d - a^(q+1)) x^(q+1) in S, so g preserves the relation iff d = a^q,
+    i.e. iff py = q px (mod r), as xi is primitive.  hdet_table gives a
+    diagonal automorphism the hdet a d (a^(q+1) = a d on the Jordan plane).
+    For (px, py) = (1, -1) that is xi^0 = 1 on the quantum plane, and
+    xi^(q+1) = 1 on the Jordan plane, where the test says r | q + 1.  The
+    tests re-run both facts through is_graded_automorphism and hdet_table.
+    """
     if r < 1:
         raise ValueError("group order must be >= 1")
     if spec.family == "jordan" and (py - spec.q * px) % r != 0:
@@ -311,8 +292,4 @@ def _validated_action(spec, r, px, py):
             "jordan relation needs xi^py = xi^(q*px); for the hdet-one action "
             "this means r must divide q+1 (q=%d, r=%d)" % (spec.q, r)
         )
-    action = CyclicGroupAction(spec, r, primitive_root(r), px, py)
-    g = action.generator()
-    if not is_graded_automorphism(g, spec):
-        raise ValueError("diagonal images do not define an automorphism")
-    return action, g
+    return CyclicGroupAction(spec, r, primitive_root(r), px, py)

@@ -15,17 +15,17 @@ recovers the combinatorial skew quiver up to isomorphism.
 Lambda has one basis, the rho-eigenbasis (i, j, monomial, w) for
 M(i->j; monomial) * rho_w, in which every e_i^j is a unit vector and every
 corner a coordinate subspace; skew.rho_system certifies it against the
-g-basis.  Arrows are oriented alpha -> beta when e_beta (J/J^2) e_alpha is
+g-basis, and with it that the e_i^j are orthogonal, complete and basic.
+Arrows are oriented alpha -> beta when e_beta (J/J^2) e_alpha is
 nonzero, the choice pinned by the worked six-vertex example for weights
 (1,1), r = 3.
 """
 
 from collections import Counter
 
-from .cyclotomic import ONE
-from .algebra import MONO_ONE, Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
+from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
 from .quivers import Quiver
-from .skew import rho_system, skew_dim, skew_mul_basis
+from .skew import skew_dim, skew_mul_basis
 
 
 def nabla_dim(spec):
@@ -98,35 +98,6 @@ class LambdaElement(SparseElement):
 
 def lambda_dim(action):
     return action.r * nabla_dim(action.spec)
-
-
-def idempotent_system_report(action):
-    """Idempotence, pairwise orthogonality, completeness, and basic corners.
-
-    Lambda_0 has the basis e_i^w = M(i->i; 1) rho_w, whose products are
-    e_i^w e_k^v = [i = k][w = v] e_i^w: so the e_i^j are orthogonal
-    idempotents, one copy of the rho_j of kG per vertex.  They sum to the
-    unit because the rho_j sum to 1, and the corners e_i^j Lambda_0 e_i^j
-    are the corners rho_j kG rho_j.  Both rest on rho_system: its (1) and
-    (3) give g^s = sum_w xi^(-w s) rho_w, and orthogonality then gives
-    rho_j g^s rho_j = xi^(-j s) rho_j != 0, so every corner rho_j kG rho_j
-    is the line k rho_j and Lambda is basic whenever the certificate holds.
-    """
-    ell, r = action.spec.ell, action.r
-    # e_i^w e_k^v is {} by the [l = i] guard of lambda_mul_basis unless k = i
-    structure = all(
-        lambda_mul_basis(action, (i, i, MONO_ONE, w), (i, i, MONO_ONE, v))
-        == ({(i, i, MONO_ONE, w): ONE} if w == v else {})
-        for i in range(ell) for w in range(r) for v in range(r)
-    )
-    rho_ok = rho_system(action)
-    ok = structure and rho_ok
-    # no positive-degree piece survives in a diagonal corner (acyclicity of
-    # the quiver), so the full corner e Lambda e is exactly the line k*e
-    no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
-    return {"ok": ok and no_loops, "idempotents": ell * r,
-            "rho_certificate": rho_ok, "orthogonal_complete": ok,
-            "basic": ok, "diagonal_corners_trivial": no_loops}
 
 
 # ---------------------------------------------------------------------------

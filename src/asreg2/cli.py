@@ -45,6 +45,7 @@ from .skew import (
     min_phi_degree,
     molien_check,
     molien_dims,
+    rho_system,
     skew_mul,
 )
 from .quivers import (
@@ -66,7 +67,6 @@ from .quivers import (
 )
 from .beilinson import (
     gabriel_quiver_oracle,
-    idempotent_system_report,
     lambda_dim,
     nabla_dim,
     nabla_skew_dim_formula,
@@ -116,10 +116,22 @@ def _add_out_flags(p, formats=("text", "json")):
     p.add_argument("--out", default=None, help="write output to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads "-1" after a flag as the flag's value, but takes
+    "-1/2", "-zeta(3)" or "-1,1" for an unknown option and stops with
+    "expected one argument".  Here a token with one leading '-' that names
+    no option is a value, so "--alpha -1/2" parses as "--alpha=-1/2".
+    Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
+
 @functools.cache
 def build_parser():
     # built once per process: parse_args reads the parser and never changes it
-    ap = argparse.ArgumentParser(prog="asreg2", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="asreg2", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="weights, family, Gorenstein parameter, Hilbert dims")
@@ -490,9 +502,10 @@ def cmd_check(args):
 
     e = idempotent_e(action)
     record("idempotent e^2 = e", skew_mul(e, e, action) == e)
-    # one run of the rho certificate serves its own line and the Lambda line
-    idempotent_report = idempotent_system_report(action)
-    record("rho idempotents orthogonal and complete", idempotent_report["rho_certificate"])
+    # one run of the rho certificate serves its own line and the Lambda
+    # line: its docstring proves the e_i^j orthogonal, complete and basic
+    rho_ok = rho_system(action)
+    record("rho idempotents orthogonal and complete", rho_ok)
 
     record("corner dimension identities (d <= %d)" % D,
            corner_dimension_checks(spec, action, D)["ok"])
@@ -524,7 +537,7 @@ def cmd_check(args):
     record("dim Lambda = r * dim nabla", dim_lambda == r * dim_nabla
            and nabla_skew_dim_formula(action) == dim_lambda)
     record("nabla path count identity", dim_nabla == path_count(quiver_qs(spec)))
-    record("Lambda idempotent system basic", idempotent_report["ok"])
+    record("Lambda idempotent system basic", rho_ok)
     if spec.ell * r <= 36:
         oracle = gabriel_quiver_oracle(spec, action)
         rot_oracle = _component_rotations(_component_walks(oracle, False))

@@ -4,7 +4,7 @@ import pytest
 
 import asreg2.automorphisms
 
-from asreg2.cyclotomic import ONE, cyc, zeta
+from asreg2.cyclotomic import ONE, cyc, primitive_root, zeta
 from asreg2.linalg import Echelon
 from asreg2.rationals import RAT
 from asreg2.algebra import (
@@ -15,6 +15,7 @@ from asreg2.algebra import (
     quantum_spec,
 )
 from asreg2.automorphisms import (
+    CyclicGroupAction,
     GradedAutomorphism,
     NotApplicableError,
     NotTabulatedError,
@@ -263,6 +264,12 @@ def restriction_invertible_echelon(sigma, spec, d):
     return ech.rank == len(basis)
 
 
+def restriction_invertible_diagonal(sigma, spec, d):
+    """The closed form for x -> sx x, y -> sy y, which scales y^i x^j by sy^i sx^j."""
+    sx, sy = sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(1, 0))
+    return all((sx or not m.b) and (sy or not m.a) for m in graded_basis(spec, d))
+
+
 def test_restriction_invertible_diagonal_equals_echelon():
     specs = [COMM, ANTI, QGEN, Q13, Q13G, Q23, J1, J3, quantum_spec(2, 5, zeta(4))]
     scalars = [cyc(1), cyc(-1), cyc(RAT(2, 3)), zeta(3), zeta(5, 2), cyc(0)]
@@ -273,12 +280,12 @@ def test_restriction_invertible_diagonal_equals_echelon():
                 sigma = diagonal_automorphism(spec, a, d)
                 for deg in range(7):
                     fast = asreg2.automorphisms._restriction_invertible(sigma, spec, deg)
-                    assert fast == restriction_invertible_echelon(sigma, spec, deg), (
+                    assert fast == restriction_invertible_echelon(sigma, spec, deg) == (
+                        restriction_invertible_diagonal(sigma, spec, deg)), (
                         spec.describe(), a, d, deg)
                     seen.add(fast)
     assert seen == {True, False}
-    # linear and triangular maps keep the elimination route; the first map
-    # is singular (1*4 - 2*2 = 0)
+    # linear and triangular maps; the first map is singular (1*4 - 2*2 = 0)
     singular = linear_automorphism(COMM, 1, 2, 2, 4)
     for spec, sigma in ((COMM, singular), (ANTI, linear_automorphism(ANTI, 0, 2, 3, 0)),
                         (J3, triangular_automorphism(J3, 2, 5, 8))):
@@ -296,6 +303,15 @@ def relation_image_products(sigma, spec):
     return u * v - v * u - u ** (spec.q + 1)
 
 
+def relation_image_diagonal(sigma, spec):
+    """The closed form for x -> sx x, y -> sy y: sx sy times the relation, which
+    is 0, resp. (sx sy - sx^(q+1)) x^(q+1) on the Jordan plane."""
+    if spec.family == "quantum":
+        return AlgebraElement.zero(spec)
+    sx, sy = sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(1, 0))
+    return AlgebraElement.monomial(spec, Monomial(0, spec.q + 1), sx * sy - sx ** (spec.q + 1))
+
+
 def test_relation_image_diagonal_equals_products():
     specs = [COMM, ANTI, QGEN, Q13, Q13G, Q23, J1, J3, jordan_spec(2)]
     scalars = [cyc(1), cyc(-1), cyc(RAT(2, 3)), zeta(3), zeta(5, 2), zeta(4) * 2, cyc(0)]
@@ -305,36 +321,56 @@ def test_relation_image_diagonal_equals_products():
             for d in scalars + [a ** spec.w_y]:
                 sigma = diagonal_automorphism(spec, a, d)
                 image = relation_image(sigma, spec)
-                assert image == relation_image_products(sigma, spec), (spec.describe(), a, d)
+                assert image == relation_image_products(sigma, spec) == (
+                    relation_image_diagonal(sigma, spec)), (spec.describe(), a, d)
                 if spec.family == "jordan":
                     jordan_zero.add(image.is_zero())
     # the Jordan sweep has automorphisms (sy = sx^q) and non-automorphisms
     assert jordan_zero == {True, False}
     assert not relation_image(diagonal_automorphism(J3, 2, 4), J3).is_zero()
-    # non-diagonal maps keep the product route
+    # non-diagonal maps
     for spec, sigma in ((COMM, linear_automorphism(COMM, 1, 2, 3, 4)),
                         (J3, triangular_automorphism(J3, 2, 5, 8)),
                         (J3, triangular_automorphism(J3, 2, 5, 3))):
         assert relation_image(sigma, spec) == relation_image_products(sigma, spec)
 
 
-def test_make_cyclic_group_validates_generator_once(monkeypatch):
-    real = asreg2.automorphisms.is_graded_automorphism
+def test_make_cyclic_group_checks_exponents_only(monkeypatch):
+    # the exponent test is the whole validation: no automorphism check runs
     calls = []
-
-    def counted(sigma, spec):
-        calls.append(sigma)
-        return real(sigma, spec)
-
-    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism", counted)
+    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism",
+                        lambda sigma, spec: calls.append(sigma))
     for spec, r in ((COMM, 4), (Q13, 5), (J1, 2), (J3, 4)):
-        calls.clear()
         make_cyclic_group(spec, r)
-        assert len(calls) == 1
-    # the hdet-one check still stands behind the validated generator
-    monkeypatch.setattr(asreg2.automorphisms, "_hdet_formula", lambda sigma, spec: cyc(2))
-    with pytest.raises(ArithmeticError):
-        make_cyclic_group(COMM, 3)
+        make_diagonal_action(spec, r, 2, 2 * spec.q)
+    assert calls == []
+
+
+def test_exponent_check_equals_automorphism_test_sweep():
+    # make_diagonal_action accepts exactly the (r, px, py) whose generator is
+    # a graded automorphism, and (1, -1) mod r then has hdet one
+    specs = [COMM, ANTI, QGEN, Q13, Q13G, Q23, quantum_spec(3, 5, zeta(5, 2)),
+             J1, jordan_spec(2), J3, jordan_spec(5)]
+    accepted_seen, hsl_seen = set(), 0
+    for spec in specs:
+        for r in range(1, 7):
+            xi = primitive_root(r)
+            for px in range(-r, 2 * r):
+                for py in range(-r, 2 * r):
+                    g = CyclicGroupAction(spec, r, xi, px, py).generator()
+                    try:
+                        action = make_diagonal_action(spec, r, px, py)
+                    except ValueError:
+                        action = None
+                    accepted = action is not None
+                    assert accepted == is_graded_automorphism(g, spec), (
+                        spec.describe(), r, px, py)
+                    accepted_seen.add(accepted)
+                    if accepted and (px - 1) % r == (py + 1) % r == 0:
+                        assert action.generator() == g
+                        assert hdet_table(g, spec).is_one(), (spec.describe(), r, px, py)
+                        hsl_seen += 1
+    assert accepted_seen == {True, False} and hsl_seen > 100
 
 
 def test_inverse_automorphism():

@@ -21,7 +21,6 @@ from asreg2.beilinson import (
     NablaElement,
     _tau_j_basis,
     gabriel_quiver_oracle,
-    idempotent_system_report,
     lambda_dim,
     lambda_mul_basis,
     nabla_basis,
@@ -187,10 +186,11 @@ def test_lambda_dim_and_structure():
 
 
 def idempotent_system_oracle(action):
-    """idempotent_system_report by brute force in Lambda.
+    """check's "Lambda idempotent system basic" by brute force in Lambda.
 
     Forms all (ell*r)^2 products of the e_i^j and, for each e_i^j, the
-    sandwiches e_i^j w e_i^j over the degree-zero basis w.
+    sandwiches e_i^j w e_i^j over the degree-zero basis w: True when the
+    e_i^j are orthogonal, complete and basic.
     """
     idem = lambda_idempotents(action)
     keys = sorted(idem)
@@ -219,10 +219,7 @@ def idempotent_system_oracle(action):
             corners_one_dim = False
             break
     no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
-    # the rho_j are the e_i^j of one vertex i, so brute force checks them with the rest
-    return {"ok": ok and corners_one_dim and no_loops, "idempotents": len(keys),
-            "rho_certificate": ok, "orthogonal_complete": ok,
-            "basic": corners_one_dim, "diagonal_corners_trivial": no_loops}
+    return ok and corners_one_dim and no_loops
 
 
 def swept_actions():
@@ -249,19 +246,16 @@ NON_PRIMITIVE = ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5)))
 
 
 def test_lambda_idempotent_system():
+    # check's Lambda line is the rho certificate; rho_system's docstring
+    # proves that it implies the brute-force facts
     for action in swept_actions():
-        report = idempotent_system_report(action)
-        assert report["ok"], (action, report)
-        assert report["idempotents"] == action.spec.ell * action.r
-        assert report == idempotent_system_oracle(action), action
+        assert rho_system(action) is idempotent_system_oracle(action) is True, action
 
 
 def test_idempotent_system_rejects_non_primitive_roots():
     for r, xi in NON_PRIMITIVE:
         action = CyclicGroupAction(S11, r, xi)
-        assert rho_system(action) is False, (r, xi)
-        report = idempotent_system_report(action)
-        assert not report["basic"] and not report["ok"], (r, xi)
+        assert rho_system(action) is idempotent_system_oracle(action) is False, (r, xi)
 
 
 def rho_system_g_basis(action):
@@ -294,7 +288,7 @@ def test_rho_system_equals_g_basis_certificate():
 
 
 def idempotent_structure_full(action):
-    """The structure loop of idempotent_system_report over every pair (i, w), (k, v)."""
+    """e_i^w e_k^v = [(i, w) = (k, v)] e_i^w by lambda_mul_basis, over every pair."""
     grid = [(i, w) for i in range(action.spec.ell) for w in range(action.r)]
     return all(
         lambda_mul_basis(action, (i, i, MONO_ONE, w), (k, k, MONO_ONE, v))
@@ -318,11 +312,11 @@ SMALL_ACTIONS = ((S11, 3, 1, -1), (S12, 2, 1, 1), (S13, 2, 1, -1), (J1, 2, 1, -1
 
 
 def test_structure_checks_per_corner_equal_full_square(monkeypatch):
+    # the Lambda_0 products that rho_system's docstring reads off the
+    # guards of lambda_mul_basis, for any xi
     actions = swept_actions() + [CyclicGroupAction(S11, r, xi) for r, xi in NON_PRIMITIVE]
     for action in actions:
-        report = idempotent_system_report(action)
-        assert report["orthogonal_complete"] == (idempotent_structure_full(action)
-                                                 and rho_system(action)), action
+        assert idempotent_structure_full(action), action
     small = [make_diagonal_action(spec, r, px, py) for spec, r, px, py in SMALL_ACTIONS]
     for action in small:
         assert nabla_skew_structure_check(action) is nabla_skew_structure_full(action) is True
@@ -336,7 +330,6 @@ def test_structure_checks_per_corner_equal_full_square(monkeypatch):
     monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", faulty)
     monkeypatch.setitem(globals(), "lambda_mul_basis", faulty)
     for action in small:
-        assert not idempotent_system_report(action)["orthogonal_complete"]
         assert not idempotent_structure_full(action)
         assert nabla_skew_structure_check(action) is nabla_skew_structure_full(action) is False
 
@@ -355,9 +348,9 @@ def test_products_vanish_off_composable_pairs():
 
 
 def test_idempotent_system_work_is_linear(monkeypatch):
-    # the report makes O(r) cyclotomic products, those of the certificate's
-    # xi_power table, and no product of elements: the corner lines are read
-    # off the certificate and the structure loop calls lambda_mul_basis
+    # the certificate behind check's rho and Lambda lines makes O(r)
+    # cyclotomic products, those of its xi_power table, and no product of
+    # elements
     counts = Counter()
 
     def counting(name, method):
@@ -370,9 +363,9 @@ def test_idempotent_system_work_is_linear(monkeypatch):
     monkeypatch.setattr(SparseElement, "__mul__", counting("elem", SparseElement.__mul__))
     monkeypatch.setattr(LambdaElement, "__mul__", counting("elem", LambdaElement.__mul__))
     r = 40
-    # a fresh action, so the report also fills the xi_power table
+    # a fresh action, so the certificate also fills the xi_power table
     action = CyclicGroupAction(S11, r, primitive_root(r))
-    assert idempotent_system_report(action)["ok"]
+    assert rho_system(action) is True
     assert counts["elem"] == 0
     assert 0 < counts["cyc"] <= 2 * r
 

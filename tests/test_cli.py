@@ -223,7 +223,7 @@ def test_check_command(capsys):
 
 
 def test_check_runs_rho_certificate_once(monkeypatch, capsys):
-    real = asreg2.beilinson.rho_system
+    real = asreg2.skew.rho_system
     calls = []
     certify = [True]
 
@@ -231,8 +231,8 @@ def test_check_runs_rho_certificate_once(monkeypatch, capsys):
         calls.append(action)
         return real(action) and certify[0]
 
-    for module in (asreg2.cli, asreg2.beilinson, asreg2.skew):
-        monkeypatch.setattr(module, "rho_system", counted, raising=False)
+    for module in (asreg2.cli, asreg2.skew):
+        monkeypatch.setattr(module, "rho_system", counted)
     argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"]
     code, _ = run(capsys, argv)
     assert code == 0 and len(calls) == 1
@@ -243,6 +243,26 @@ def test_check_runs_rho_certificate_once(monkeypatch, capsys):
     failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
     assert failed == ["rho idempotents orthogonal and complete",
                       "Lambda idempotent system basic", "overall: FAIL"]
+
+
+def test_check_lambda_lines_form_no_lambda_product(monkeypatch, capsys):
+    # the rho and Lambda lines read one O(r) certificate; at ell*r = 80 both
+    # gated checks are off, so check forms no Lambda product at all
+    real = asreg2.beilinson.lambda_mul_basis
+    calls = [0]
+
+    def counted(action, t1, t2):
+        calls[0] += 1
+        return real(action, t1, t2)
+
+    monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", counted)
+    monkeypatch.setattr(asreg2.beilinson.LambdaElement, "_basis_mul", staticmethod(counted))
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "1", "--r", "40"])
+    assert code == 0 and out.endswith("overall: ok\n")
+    assert calls[0] == 0
+    # the counter sees the gated checks when they run
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "1", "--r", "3"])
+    assert code == 0 and calls[0] > 0
 
 
 def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
@@ -438,6 +458,29 @@ def test_bad_inputs_exit_cleanly(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert str(exc.value).startswith(start) and "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["info"], "--alpha", "-1/2"),
+    (["hdet"], "--a", "-zeta(3)"),
+    (["hdet"], "--b", "-1/2"),
+    (["hdet"], "--c", "-2*zeta(3)"),
+    (["hdet"], "--d", "-zeta(5)^2"),
+    (["ample", "--r", "3"], "--action-powers", "-1,1"),
+], ids=["alpha", "a", "b", "c", "d", "action-powers"])
+def test_negative_value_after_a_space(capsys, command, flag, value):
+    # "--flag -v" parses as "--flag=-v"
+    spaced = run(capsys, [*command, flag, value, "--format", "json"])
+    joined = run(capsys, [*command, "%s=%s" % (flag, value), "--format", "json"])
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_flag_without_value_is_refused(capsys):
+    for argv in (["info", "--alpha"], ["info", "--alpha", "--wx", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
 
 
 def test_byte_identical_output(capsys):
