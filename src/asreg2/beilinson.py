@@ -103,9 +103,6 @@ def lambda_dim(action):
 # ---------------------------------------------------------------------------
 # Gabriel quiver from J/J^2 corner dimensions
 
-MAX_VERTICES = 64
-
-
 def _tau_j_basis(action):
     """Positive-degree basis of Lambda with its corner data.
 
@@ -134,8 +131,6 @@ def gabriel_quiver_oracle(spec, action):
     ArithmeticError.
     """
     r = action.r
-    if spec.ell * r > MAX_VERTICES:
-        raise ValueError("oracle scale exceeded: ell*r = %d > %d" % (spec.ell * r, MAX_VERTICES))
     basis = _tau_j_basis(action)
     j_corner = Counter()
     by_src = {}

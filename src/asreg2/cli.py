@@ -178,13 +178,13 @@ def build_parser():
     _add_spec_flags(pa)
     pa.add_argument("--r", type=int, default=None)
     pa.add_argument("--c", type=int, default=None)
-    pa.add_argument("--vertex", required=True)
+    pa.add_argument("--vertex", default=None, help="required (or set in --config)")
     _add_out_flags(pa, formats=("text", "json", "dot"))
     ps = refl.add_parser("search", help="search a reflection path to a canonical quiver")
     _add_spec_flags(ps)
     ps.add_argument("--c", type=int, default=None, help="covering degree of the source")
-    ps.add_argument("--target-i", type=int, required=True)
-    ps.add_argument("--target-j", type=int, required=True)
+    ps.add_argument("--target-i", type=int, default=None, help="required (or set in --config)")
+    ps.add_argument("--target-j", type=int, default=None, help="required (or set in --config)")
     ps.add_argument("--max-depth", type=int, default=None)
     _add_out_flags(ps)
 
@@ -197,12 +197,16 @@ def build_parser():
     return ap
 
 
-def _leaf_actions(parser, args):
-    """dest -> argparse action of the (sub)command parser that produced args."""
+# needed from a flag or --config; argparse's required=True runs before the config
+_REQUIRED = ("vertex", "target_i", "target_j")
+
+
+def _leaf_parser(parser, args):
+    """The (sub)command parser that produced args."""
     for a in parser._actions:
         if isinstance(a, argparse._SubParsersAction):
-            return _leaf_actions(a.choices[getattr(args, a.dest)], args)
-    return {a.dest: a for a in parser._actions}
+            return _leaf_parser(a.choices[getattr(args, a.dest)], args)
+    return parser
 
 
 def _apply_config(args, parser):
@@ -225,8 +229,8 @@ def _apply_config(args, parser):
         key, value = line.split("=", 1)
         assigned[key.strip().replace("-", "_")] = value.strip()
     # only the option flags of the chosen subcommand, not --config itself
-    actions = {dest: a for dest, a in _leaf_actions(parser, args).items()
-               if a.option_strings and dest in vars(args) and dest != "config"}
+    actions = {a.dest: a for a in _leaf_parser(parser, args)._actions
+               if a.option_strings and a.dest in vars(args) and a.dest != "config"}
     for key, value in assigned.items():
         if key not in actions:
             raise SystemExit("config: unknown key %r" % key)
@@ -568,6 +572,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     _apply_config(args, ap)
+    missing = ["--" + key.replace("_", "-") for key in _REQUIRED if getattr(args, key, 0) is None]
+    if missing:
+        _leaf_parser(ap, args).error("the following arguments are required: %s" % ", ".join(missing))
     # one check for flags and config values alike
     for key in ("max_degree", "max_depth"):
         value = getattr(args, key, None)

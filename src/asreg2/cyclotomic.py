@@ -11,6 +11,12 @@ denominator with no common factor, so the arithmetic runs on Python ints;
 construction from a rational).  Phi_n is monic with integer coefficients,
 so reduction mod Phi_n never leaves the integers.
 
+Inverses come from the field norm: the product of x with its other Galois
+conjugates x(zeta^k), gcd(k, n) = 1, is a nonzero rational N(x), so x^-1 is
+the product of the other conjugates over N(x).  Each conjugate is a
+permutation of the numerators followed by one reduction mod Phi_n, so
+inversion is integer products and one rational reciprocal.
+
 Division by zero raises ZeroDivisionError.  Values are immutable.  No
 attempt is made to find the minimal conductor of a value beyond dropping
 to Q when all zeta coordinates vanish; general number fields are out of
@@ -20,7 +26,7 @@ scope.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import R0, R1, rat, rat_str
+from .rationals import rat, rat_str
 
 
 def _prime_divisors(n):
@@ -201,18 +207,19 @@ class Cyclotomic:
         if self.n == 1:
             x = self.num[0]
             return _make(1, (self.den if x > 0 else -self.den,), abs(x))
-        # extended Euclid in Q[t]: u*num + v*Phi_n = 1, so 1/self = den*u
-        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)], [Fraction(c) for c in self.num]
-        s0, s1 = [R0], [R1]
-        while any(x != 0 for x in r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_n is irreducible)
-        lead = next(x for x in r0 if x != 0)
-        inv = [x * self.den / lead for x in s0]
-        den = lcm(*(x.denominator for x in inv))
-        return _normal(self.n, _reduce(self.n, [x.numerator * (den // x.denominator) for x in inv]), den)
+        # the norm route of the module docstring; x(zeta^k) moves numerator i to exponent i*k mod n
+        n = self.n
+        others = ONE
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                raised = [0] * n
+                for i, x in enumerate(self.num):
+                    raised[i * k % n] = x
+                others = others * _normal(n, _reduce(n, raised), self.den)
+        norm = self * others
+        if not norm.is_rational():
+            raise ArithmeticError("norm of %s in Q(zeta_%d) is not rational" % (self, n))
+        return others * norm.inverse()
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -311,47 +318,3 @@ def primitive_root(n):
     """A primitive n-th root of unity (zeta_n itself)."""
     return zeta(n)
 
-
-def _poly_divmod(num, den):
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [R0], num or [R0]
-    quo = [R0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q = c / lead
-        quo[k - dn] = q
-        for i, d in enumerate(den):
-            num[k - dn + i] -= q * d
-    rem = num[:dn]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem or [R0]
-
-
-def _poly_mul(a, b):
-    out = [R0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != 0:
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [R0] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out

@@ -3,9 +3,9 @@
 Q_S has vertices 0..ell-1 with an x-arrow i -> i+w_x and a y-arrow
 i -> i+w_y whenever the target is below ell; with coprime weights its
 underlying graph is a single cycle.  Q_{S,G} lifts each x-arrow to
-(i, j-1) -> (i', j) and each y-arrow to (i, j+1) -> (i', j) over j mod r.
-The c-fold covering quiver lifts x-arrows with a level shift of ax and
-y-arrows with a shift of ay where (ax, ay) is the Bezout pair
+(i, j-1) -> (i', j) and each y-arrow to (i, j+1) -> (i', j) over j mod r,
+level shifts +1 and -1.  The c-fold covering quiver is the same lift
+(_lift) with shifts ax on x-arrows and ay on y-arrows, (ax, ay) the Bezout pair
 w_y*ax - w_x*ay = 1 with 0 <= ax < w_x; for w_x = 1 this is the familiar
 picture of c stacked copies with the y-arrows dropping one level (and
 wrapping), and in general it is the connected cyclic cover, which is what
@@ -101,21 +101,23 @@ def quiver_qs(spec):
     return Quiver(vertices, arrows)
 
 
+def _lift(spec, n, shifts):
+    """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
+    ell = spec.ell
+    vertices = ["v%d_%d" % (i, s) for i in range(ell) for s in range(n)]
+    arrows = []
+    for i in range(ell):
+        for w, tag, shift in zip((spec.w_x, spec.w_y), "xy", shifts):
+            if i + w < ell:
+                for s in range(n):
+                    arrows.append(("v%d_%d" % (i, s), "v%d_%d" % (i + w, (s + shift) % n), tag))
+    return Quiver(vertices, arrows)
+
+
 def quiver_qsg(spec, r):
     if r < 1:
         raise ValueError("group order must be >= 1")
-    if r == 1:
-        return quiver_qs(spec)
-    ell = spec.ell
-    vertices = ["v%d_%d" % (i, j) for i in range(ell) for j in range(r)]
-    arrows = []
-    for i in range(ell):
-        for (w, tag, shift) in ((spec.w_x, "x", -1), (spec.w_y, "y", +1)):
-            if i + w >= ell:
-                continue
-            for j in range(r):
-                arrows.append(("v%d_%d" % (i, (j + shift) % r), "v%d_%d" % (i + w, j), tag))
-    return Quiver(vertices, arrows)
+    return quiver_qs(spec) if r == 1 else _lift(spec, r, (1, -1))
 
 
 def _cover_shifts(spec):
@@ -130,19 +132,7 @@ def _cover_shifts(spec):
 def covering_quiver(spec, c):
     if c < 1:
         raise ValueError("covering degree must be >= 1")
-    if c == 1:
-        return quiver_qs(spec)
-    ell = spec.ell
-    ax, ay = _cover_shifts(spec)
-    vertices = ["v%d_%d" % (i, s) for i in range(ell) for s in range(c)]
-    arrows = []
-    for i in range(ell):
-        for (w, tag, shift) in ((spec.w_x, "x", ax), (spec.w_y, "y", ay)):
-            if i + w >= ell:
-                continue
-            for s in range(c):
-                arrows.append(("v%d_%d" % (i, s), "v%d_%d" % (i + w, (s + shift) % c), tag))
-    return Quiver(vertices, arrows)
+    return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
 
 
 def components(q):

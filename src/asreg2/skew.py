@@ -19,6 +19,7 @@ works on immutable inputs and returns fresh values.
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .cyclotomic import Cyclotomic, ONE, cyc
 from .rationals import RAT
@@ -147,7 +148,12 @@ def molien_dims(spec, action, D):
     The trace of g^s on S_d is sum_c count_d(c) xi^(s c), over the
     characters c of the degree-d monomials and their numbers count_d(c).
     Summed over s first, the average is (1/r) sum_c count_d(c) T(c) with the
-    power sum T(c) = sum_s xi^(s c), formed once per distinct character.
+    power sum T(c) = sum_s xi^(s c), and T(c) = T(gcd(c, r)): with g =
+    gcd(c, r), the map s -> s c on Z/r has image the multiples of g and
+    kernel of size g, as has s -> s g, so s c and s g run over the same
+    multiset mod r.  The xi_power table reads exponents mod r, so this rests
+    on no property of xi (not the primitivity rho_system certifies), and
+    each T(g) is still summed in the field, once per divisor g = gcd(c, r).
     """
     r = action.r
     inv_r = cyc(RAT(1, r))
@@ -157,12 +163,13 @@ def molien_dims(spec, action, D):
         counts = Counter(map(action.char, graded_basis(spec, d)))
         total = Cyclotomic(0)
         for c, n in counts.items():
-            t = power_sums.get(c)
+            g = gcd(c, r)
+            t = power_sums.get(g)
             if t is None:
                 t = Cyclotomic(0)
                 for s in range(r):
-                    t = t + action.xi_power(s * c)
-                power_sums[c] = t
+                    t = t + action.xi_power(s * g)
+                power_sums[g] = t
             total = total + t * n
         avg = total * inv_r
         if not avg.is_rational():

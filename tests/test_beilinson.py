@@ -480,7 +480,9 @@ def test_oracle_key_count_matches_elimination(monkeypatch):
         gabriel_quiver_oracle(S13, action)
 
 
-def test_oracle_scale_guard():
-    spec = quantum_spec(3, 5, 1)
-    with pytest.raises(ValueError):
-        gabriel_quiver_oracle(spec, make_cyclic_group(spec, 9))
+def test_oracle_has_no_vertex_cap():
+    # ell*r = 80, 100 and 72: past the 64 vertices the oracle once refused
+    for spec, r in ((S11, 40), (S23, 20), (quantum_spec(3, 5, 1), 9)):
+        oracle = gabriel_quiver_oracle(spec, make_cyclic_group(spec, r))
+        assert len(oracle.vertices) == spec.ell * r > 64
+        assert quiver_isomorphic(oracle, quiver_qsg(spec, r)) is not None

@@ -371,6 +371,40 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "(d=0..4)" in out
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    # --vertex, --target-i and --target-j may come from a flag or the config;
+    # a flag beats the config, and with neither the job exits 2 as argparse does
+    cfg = tmp_path / "job.cfg"
+    jobs = ((["reflect", "search", "--wx", "1", "--wy", "3", "--c", "6"],
+             {"target-i": "6", "target-j": "18"}, "--target-i, --target-j"),
+            (["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "2"],
+             {"vertex": "v0"}, "--vertex"))
+    for argv, values, names in jobs:
+        flags = [token for key, value in values.items() for token in ("--" + key, value)]
+        expected = run(capsys, argv + flags)
+        assert expected[0] == 0 and expected[1]
+        for key, value in values.items():
+            cfg.write_text("%s=%s\n" % (key, value))
+            rest = [token for k, v in values.items() if k != key for token in ("--" + k, v)]
+            assert run(capsys, argv + rest + ["--config", str(cfg)]) == expected
+        cfg.write_text("".join("%s=%s\n" % item for item in values.items()))
+        assert run(capsys, argv + ["--config", str(cfg)]) == expected
+        cfg.write_text("".join("%s=v9\n" % key if key == "vertex" else "%s=2\n" % key
+                               for key in values))
+        assert run(capsys, argv + flags + ["--config", str(cfg)]) == expected
+        cfg.write_text("wx=1\n")
+        for extra in ([], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: the following arguments are required: %s\n" % names)
+    with pytest.raises(SystemExit) as exc:
+        main(["reflect", "search", "--target-j", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("the following arguments are required: --target-i\n")
+
+
 def test_bad_inputs_exit_cleanly(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["info", "--alpha", "1/0"])

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asreg2.cyclotomic
 from asreg2.rationals import RAT, R0, R1, rat, rat_str
 from asreg2.cyclotomic import (
     Cyclotomic,
@@ -18,9 +19,11 @@ from asreg2.cyclotomic import (
 
 def poly_mul(a, b):
     out = [R0] * (len(a) + len(b) - 1)
+    bnz = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+        if ai:
+            for j, bj in bnz:
+                out[i + j] += ai * bj
     return out
 
 
@@ -103,10 +106,12 @@ def _reduce_coeffs(n, coeffs):
     mod = oracle_cyclotomic_polynomial(n)
     phi_n = len(mod) - 1
     work = list(coeffs) + [R0] * (phi_n - len(coeffs))
+    tail = [(i, m) for i, m in enumerate(mod[:phi_n]) if m]
     for k in range(len(work) - 1, phi_n - 1, -1):
         c = work[k]
-        for i in range(phi_n):
-            work[k - phi_n + i] -= c * mod[i]
+        if c:
+            for i, m in tail:
+                work[k - phi_n + i] -= c * m
     return tuple(work[:phi_n])
 
 
@@ -325,7 +330,7 @@ def test_str_is_deterministic():
 
 # --- the integer kernel against the Fraction-tuple oracle ---
 
-CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 20)
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 20, 21, 35)
 
 
 def build(n, terms):
@@ -427,3 +432,26 @@ def test_normal_form():
                   -zeta(12) / 6, cyc(RAT(1, 3)) - cyc(RAT(1, 2))):
         assert value.den > 0
         assert gcd(value.den, *value.num) == 1
+
+
+def test_inverse_forms_no_fraction(monkeypatch):
+    # the norm route inverts with integer products and one rational
+    # reciprocal, on sparse and dense values alike
+    rng = random.Random(3535)
+    cases = []
+    for n in range(3, 36):
+        dense = [(k, RAT(rng.randrange(-9, 10), rng.randrange(1, 5))) for k in range(euler_phi(n))]
+        for terms in ([(1, 1), (0, -2)], [(rng.randrange(n), rng.randrange(1, 6)) for _ in range(3)], dense):
+            value, oracle = build(n, terms)
+            if not oracle.is_zero():
+                cases.append((value, oracle))
+
+    def no_fraction(*args):
+        raise AssertionError("inverse formed a Fraction")
+
+    monkeypatch.setattr(asreg2.cyclotomic, "Fraction", no_fraction)
+    inverses = [value.inverse() for value, _ in cases]
+    monkeypatch.undo()
+    assert len(cases) > 90
+    for inv, (_, oracle) in zip(inverses, cases):
+        assert_same(inv, oracle.inverse())

@@ -399,9 +399,9 @@ def test_molien_dims_against_per_degree_trace_loop():
 
 
 def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
-    # r additions per distinct character for its power sum, then one per
-    # (degree, character) to combine them, where the per-degree loop made
-    # r per (degree, character)
+    # r additions per distinct gcd(c, r) over the characters c for its
+    # power sum, then one per (degree, character) to combine them, where the
+    # per-degree loop made r per (degree, character)
     adds, powers = [0], [0]
     add, xi_power = Cyclotomic.__add__, asreg2.automorphisms.CyclicGroupAction.xi_power
 
@@ -416,12 +416,12 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
     spec, r, D = QUANT5, 12, 30
     action = make_diagonal_action(spec, r, 1, 2)
     per_degree = [{action.char(m) for m in graded_basis(spec, d)} for d in range(D + 1)]
-    chars = set().union(*per_degree)
+    gcds = {gcd(c, r) for c in set().union(*per_degree)}
     monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
     monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
     assert molien_dims(spec, action, D) == fixed_ring_dims(spec, action, D)
-    assert powers[0] <= r * len(chars)
-    assert adds[0] <= r * len(chars) + sum(map(len, per_degree))
+    assert powers[0] <= r * len(gcds)
+    assert adds[0] <= r * len(gcds) + sum(map(len, per_degree))
     assert adds[0] < r * sum(map(len, per_degree)) // 4
 
 
