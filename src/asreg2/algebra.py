@@ -5,15 +5,15 @@ A spec fixes coprime generator weights (w_x, w_y) and the relation family:
   quantum(alpha):  x*y = alpha * y*x          (alpha nonzero)
   jordan:          x*y = y*x + x^(q+1)        (w_x = 1, q = w_y)
 
-The monomial basis is y^a x^b, written as pairs (a, b); every product is
-rewritten to that normal form by moving x's rightward.  Rewriting is
-degree preserving, so homogeneous inputs give homogeneous outputs.
+The monomial basis is y^a x^b, written as pairs (a, b); monomial_product
+puts every product in that normal form by a closed form.  It is degree
+preserving, so homogeneous inputs give homogeneous outputs.
 
 Memos live on the spec, so each spec object (one per CLI job) computes a
-piece of work once and nothing leaks between specs: the x^b y^a normal
-forms keyed on (b, a), the monomial products keyed on (m1, m2), and the
-graded bases keyed on the degree.  Product dicts are shared from the memo
-and never mutated; graded_basis hands out a fresh list per call.
+piece of work once and nothing leaks between specs: the monomial products
+keyed on (m1, m2) and the graded bases keyed on the degree.  Product dicts
+are shared from the memo and never mutated; graded_basis hands out a fresh
+list per call.
 
 SparseElement is the one kernel for elements of S, S*G, nabla(S) and
 Lambda: a dict of basis keys to coefficients with a structure-constant
@@ -50,7 +50,6 @@ class AlgebraSpec:
     w_y: int
     family: str  # "quantum" | "jordan"
     alpha: Cyclotomic | None = None
-    _memo: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)
 
@@ -100,38 +99,6 @@ def validate_spec(spec):
     return spec
 
 
-def _xy_normal(spec, b, a):
-    """Normal form of x^b * y^a as {Monomial: Cyclotomic}."""
-    if b == 0 or a == 0:
-        return {Monomial(a, b): ONE}
-    if spec.family == "quantum":
-        # moving each x past each y contributes one alpha
-        return {Monomial(a, b): spec.alpha ** (a * b)}
-    key = (b, a)
-    memo = spec._memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    q = spec.q
-    out = {}
-    if a == 1:
-        if b == 1:
-            # the single rewrite step x*y = y*x + x^(q+1)
-            out = {Monomial(1, 1): ONE, Monomial(0, q + 1): ONE}
-        else:
-            # x^b y = x^(b-1) (x y) = (x^(b-1) y) x + x^(b-1) x^(q+1)
-            for (aa, bb), c in _xy_normal(spec, b - 1, 1).items():
-                _accumulate(out, Monomial(aa, bb + 1), c)
-            _accumulate(out, Monomial(0, b + q), ONE)
-    else:
-        # peel one y: x^b y^a = (x^b y) y^(a-1)
-        for (aa, bb), c in _xy_normal(spec, b, 1).items():
-            for (a2, b2), c2 in _xy_normal(spec, bb, a - 1).items():
-                _accumulate(out, Monomial(aa + a2, b2), c * c2)
-    memo[key] = out
-    return out
-
-
 def _accumulate(terms, key, coeff):
     cur = terms.get(key)
     nxt = coeff if cur is None else cur + coeff
@@ -144,14 +111,35 @@ def _accumulate(terms, key, coeff):
 def monomial_product(spec, m1, m2):
     """Normal form of the product m1 * m2 of two monomials, {Monomial: coeff}.
 
+    (y^a1 x^b1)(y^a2 x^b2) = y^a1 (x^b1 y^a2) x^b2 is y^(a1+a2) x^(b1+b2)
+    with coefficient 1 if b1 = 0 or a2 = 0, else alpha^(a2 b1) times it on
+    the quantum plane.  On the Jordan plane
+
+      x^b y^a = sum_{k=0..a} C(a, k) b (b+q) ... (b+(k-1)q) y^(a-k) x^(b+kq):
+
+    x^b y = y x^b + b x^(b+q) by induction on b from xy = yx + x^(q+1), as
+    x^(q+1) commutes with x; then induct on a, multiplying on the right by
+    y and collecting terms by Pascal's rule.  The coefficients are c_0 = 1
+    and c_(k+1) = c_k (a-k)(b+kq) / (k+1), an exact division, positive for
+    b >= 1.  So every product leads with y^(a1+a2) x^(b1+b2), with a
+    nonzero coefficient, and its other terms have fewer y's.
+
     Memoized on the spec; the returned dict is shared and must not be mutated."""
     key = (m1, m2)
     memo = spec._products
     hit = memo.get(key)
     if hit is None:
         (a1, b1), (a2, b2) = m1, m2
-        hit = memo[key] = {Monomial(a1 + am, bm + b2): cm
-                           for (am, bm), cm in _xy_normal(spec, b1, a2).items()}
+        if not b1 or not a2:
+            hit = {Monomial(a1 + a2, b1 + b2): ONE}
+        elif spec.family == "quantum":
+            hit = {Monomial(a1 + a2, b1 + b2): spec.alpha ** (a2 * b1)}
+        else:
+            q, c, hit = spec.q, 1, {}
+            for k in range(a2 + 1):
+                hit[Monomial(a1 + a2 - k, b1 + k * q + b2)] = Cyclotomic(c)
+                c = c * (a2 - k) * (b1 + k * q) // (k + 1)
+        memo[key] = hit
     return hit
 
 

@@ -122,13 +122,11 @@ def gabriel_quiver_oracle(spec, action):
     to the combinatorial skew quiver.
 
     Below degree ell, one key: every product formed here,
-    M(i->j; m) rho_w * M(k->i; n) rho_v, has deg(mn) = j - k < ell.  The
-    normal form of (y^a1 x^b1)(y^a2 x^b2) moves an x past a y only when
-    b1, a2 >= 1, and then its degree is at least w_x + w_y = ell.  So on
-    both planes each product is the single basis key y^(a1+a2) x^(b1+b2)
-    with coefficient 1, and the rank of a J^2 corner is the number of
-    distinct keys in it.  A product of any other shape raises
-    ArithmeticError.
+    M(i->j; m) rho_w * M(k->i; n) rho_v, has deg(mn) = j - k < ell.  By
+    monomial_product, (y^a1 x^b1)(y^a2 x^b2) is the one key y^(a1+a2)
+    x^(b1+b2) with coefficient 1 unless b1, a2 >= 1, of degree >= ell.  So
+    the rank of a J^2 corner is the number of distinct keys in it.  A
+    product of any other shape raises ArithmeticError.
     """
     r = action.r
     basis = _tau_j_basis(action)

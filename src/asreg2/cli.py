@@ -501,8 +501,8 @@ def cmd_check(args):
     D = args.max_degree if args.max_degree is not None else 8
     results = []
 
-    def record(name, ok, detail=""):
-        results.append((name, bool(ok), detail))
+    def record(name, ok):
+        results.append((name, bool(ok)))
 
     e = idempotent_e(action)
     record("idempotent e^2 = e", skew_mul(e, e, action) == e)
@@ -552,16 +552,15 @@ def cmd_check(args):
     if dim_lambda <= 60:
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 
-    ok_all = all(ok for (_, ok, _) in results)
+    ok_all = all(ok for (_, ok) in results)
     lines = ["algebra: %s" % spec.describe(), "action: %s" % action.describe()]
-    for (name, ok, detail) in results:
-        lines.append("%-55s %s%s" % (name, "ok" if ok else "FAIL",
-                                     (" " + detail) if detail else ""))
+    for (name, ok) in results:
+        lines.append("%-55s %s" % (name, "ok" if ok else "FAIL"))
     lines.append("overall: %s" % ("ok" if ok_all else "FAIL"))
     payload = {
         "command": "check",
         "params": {"r": r, "max_degree": D},
-        "result": {"checks": [{"name": n, "ok": o} for (n, o, _) in results],
+        "result": {"checks": [{"name": n, "ok": o} for (n, o) in results],
                    "ok": ok_all},
     }
     _emit(args, lines, payload)

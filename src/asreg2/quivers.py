@@ -345,7 +345,10 @@ def reflection_search(q1, q2, max_depth=None):
     direction counts, so quivers whose counts differ are refused at once.
     Moves are tried in q1.vertices order.  The witness is a list of vertex
     labels of q1 (labels are stable under reflection), read off the walk,
-    or None when the depth bound is exhausted.
+    or None when the depth bound max_depth is exhausted.  None sets no
+    bound: the classes are finitely many, and as a move swaps two differing
+    adjacent letters, each word with the goal's direction counts (i, j) is
+    reached in its inversion count of moves, at most i*j.
     """
     order, word = _cycle_walk(q1)
     start, goal = _cycle_key(word), _cycle_key(_cycle_walk(q2)[1])
@@ -353,8 +356,6 @@ def reflection_search(q1, q2, max_depth=None):
         return None
     if start == goal:
         return []
-    if max_depth is None:
-        max_depth = 2 * len(order) ** 2
     position = {v: k for k, v in enumerate(order)}
     moves = [(v, position[v]) for v in q1.vertices]
     seen = {start}
@@ -362,7 +363,7 @@ def reflection_search(q1, q2, max_depth=None):
     queue = deque([(word, [])])
     while queue:
         state, path = queue.popleft()
-        if len(path) >= max_depth:
+        if max_depth is not None and len(path) >= max_depth:
             continue
         for v, k in moves:
             if state[k - 1] == state[k]:

@@ -218,11 +218,8 @@ def corner_dimension_checks(spec, action, D):
 
 
 def _check_leading_term(spec):
-    """The leading-term hypothesis of the counts below: x*y leads with y*x.
-
-    Then (y^a1 x^b1)(y^a2 x^b2) leads with y^(a1+a2) x^(b1+b2), with a
-    nonzero coefficient, and its other terms have fewer y's.
-    """
+    """The leading-term hypothesis of the counts below: x*y leads with y*x,
+    the case a = b = 1 of the formula for x^b y^a in monomial_product."""
     x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
     if max(reduce_product(x, y, spec).terms) != Monomial(1, 1):
         raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
@@ -279,27 +276,27 @@ def ideal_e_dims(spec, action, D, dims=None):
 
     Jordan plane: the second hypothesis is py = q px (mod r), so
     char(y^a x^b) = px (a q + b) = px deg, and block w is the sum of
-    S_(d-k) S_k over the k with px k = w.  (y^a1 x^b1)(y^a2 x^b2) leads
-    with y^(a1+a2) x^(b1+b2), coefficient 1, and its other terms have fewer
-    y's; in degree d the monomial y^a x^(d-aq) is fixed by a.  So
-    S_(d-k) S_k lies in the span of the monomials with a <= A_k =
-    floor((d-k)/q) + floor(k/q), and each of them leads one of its
-    products, so it is that span.  Now y^a x^b has a sub-monomial y^i x^j
-    of degree k (i <= a, j = k - i q <= b) exactly when some i lies in
-    [a - floor((d-k)/q), floor(k/q)], i.e. when a <= A_k, and that
-    sub-monomial has character px k.  So block w is spanned by the m with
-    w in W(m) here too.
+    S_(d-k) S_k over the k with px k = w.  By monomial_product,
+    (y^a1 x^b1)(y^a2 x^b2) leads with y^(a1+a2) x^(b1+b2), coefficient 1,
+    and its other terms have fewer y's; in degree d the monomial
+    y^a x^(d-aq) is fixed by a.  So S_(d-k) S_k lies in the span of the
+    monomials with a <= A_k = floor((d-k)/q) + floor(k/q), and each of them
+    leads one of its products, so it is that span.  Now y^a x^b has a
+    sub-monomial y^i x^j of degree k (i <= a, j = k - i q <= b) exactly
+    when some i lies in [a - floor((d-k)/q), floor(k/q)], i.e. when
+    a <= A_k, and that sub-monomial has character px k.  So block w is
+    spanned by the m with w in W(m) here too.
 
     Tail lemma: let h = max(w_x, w_y).  A degree whose count reaches
     dim (S*G)_d = r dim S_d is full: (e)_d = (S*G)_d (so is a degree with
     S_d = 0).  If the degrees N..N+h-1 are full, so is every degree >= N.
     Let m = y^a x^b have degree >= N.  Its left factors 1, y, ..., y^a,
     y^a x, ..., y^a x^b rise in steps of w_y or w_x, at most h, from 0 to
-    deg m, so one of them, m1, has degree in [N, N+h).  With m = m1 m2 the
-    normal-form product m1 m2 is m with coefficient 1 in both families (no
-    x passes a y), so m rho_w = (m1 rho_(w - char m2))(m2 rho_w) lies in
-    (e), as m1 rho_(w - char m2) does.  So after h full degrees in a row
-    the count stops and every later degree gets r dim S_d.
+    deg m, so one of them, m1, has degree in [N, N+h).  With m = m1 m2 no
+    x passes a y, so monomial_product gives m1 m2 = m with coefficient 1,
+    and m rho_w = (m1 rho_(w - char m2))(m2 rho_w) lies in (e), as
+    m1 rho_(w - char m2) does.  So after h full degrees in a row the count
+    stops and every later degree gets r dim S_d.
 
     The tests cross-check this against elimination in every block and
     against the literal spanning set.
@@ -429,11 +426,10 @@ def phi_injectivity_check(spec, action, D):
     (S*G)_{<=D} are linearly independent.  Their rank is a count:
 
     * The row of m*g^s holds xi^(s char t) (m t) at t, for the monomials t
-      of S_{<=D}.  The product m t leads with y^(a+a') x^(b+b'), with a
-      nonzero coefficient, and its other terms have fewer y's
-      (_check_leading_term).  So the leading entries (t, lead(m t)) of m
-      vanish in the rows of every other m' with no more y's than m: the
-      matrix is block-triangular by m.
+      of S_{<=D}.  By monomial_product, m t leads with y^(a+a') x^(b+b')
+      and its other terms have fewer y's.  So the leading entries
+      (t, lead(m t)) of m vanish in the rows of every other m' with no
+      more y's than m: the matrix is block-triangular by m.
     * The block of m is the character matrix [xi^(s char t)] times nonzero
       column scalars, of rank #chars (distinct characters among the t, at
       most r) by Vandermonde; the rows of m lie in the span of the #chars

@@ -127,6 +127,22 @@ def test_random_products_against_oracle():
             assert got.terms == expected
 
 
+def test_monomial_product_closed_form_against_oracle():
+    # the x^b y^a junction of (y^a1 x^b)(y^a x^b2), on both planes: the
+    # closed form against word rewriting, and the leading term of the
+    # leading-term counts
+    specs = [jordan_spec(q) for q in range(1, 5)] + [QUANT5, W35]
+    for spec in specs:
+        for a in range(5):
+            for b in range(5):
+                for a1, b2 in ((0, 0), (1, 2)):
+                    m1, m2 = Monomial(a1, b), Monomial(a, b2)
+                    got = monomial_product(spec, m1, m2)
+                    expected = oracle_normal_form(spec, mono_word(m1) + mono_word(m2))
+                    assert got == expected, (spec.describe(), m1, m2)
+                    assert max(got) == Monomial(a1 + a, b + b2)
+
+
 def random_homogeneous(rng, spec, d):
     basis = graded_basis(spec, d)
     terms = {}

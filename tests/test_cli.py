@@ -323,33 +323,31 @@ def test_check_walks_each_quiver_once(monkeypatch, capsys):
     ["--family", "jordan", "--wy", "5", "--r", "3"],
 ], ids=["1_2_r3", "2_3_r4", "j5_r3"])
 def test_check_forms_each_product_once(monkeypatch, capsys, flags):
-    # every (m1, m2) that check asks for is formed by one top-level
-    # _xy_normal call (the Jordan rewriting recurses below it)
-    requested, calls, formed, depth = set(), [0], [0], [0]
-    product, normal = asreg2.algebra.monomial_product, asreg2.algebra._xy_normal
+    # every (m1, m2) that check asks for is formed once, into the product
+    # memo of the one spec that check builds
+    requested, calls, specs = set(), [0], []
+    product, spec_from_args = asreg2.algebra.monomial_product, asreg2.cli._spec_from_args
 
     def counted_product(spec, m1, m2):
         calls[0] += 1
         requested.add((m1, m2))
         return product(spec, m1, m2)
 
-    def counted_normal(spec, b, a):
-        formed[0] += not depth[0]
-        depth[0] += 1
-        try:
-            return normal(spec, b, a)
-        finally:
-            depth[0] -= 1
+    def recorded_spec(args):
+        specs.append(spec_from_args(args))
+        return specs[-1]
 
     for module in (asreg2.algebra, asreg2.skew, asreg2.beilinson):
         monkeypatch.setattr(module, "monomial_product", counted_product)
     monkeypatch.setattr(asreg2.algebra.AlgebraElement, "_basis_mul", staticmethod(counted_product))
-    monkeypatch.setattr(asreg2.algebra, "_xy_normal", counted_normal)
+    monkeypatch.setattr(asreg2.cli, "_spec_from_args", recorded_spec)
     code, out = run(capsys, ["check", *flags])
     assert code == 0 and out.endswith("overall: ok\n")
+    assert len(specs) == 1
+    formed = len(specs[0]._products)
     # the memo serves the repeats: the Lambda and nabla(S*G) sides of each
     # structure pair, and the corner and Lambda_0 loops
-    assert 20 < formed[0] == len(requested) < calls[0] // 2
+    assert 20 < formed == len(requested) < calls[0] // 2
 
 
 def test_check_jordan(capsys):

@@ -635,6 +635,28 @@ def test_reflection_search_matches_oracle_sweep():
     assert found > len(cases) // 2
 
 
+def test_reflection_search_needs_no_depth_bound():
+    # a covering quiver of type (i, j) reaches Q_(i,j) in at most i*j moves
+    # (the inversion count of the goal word), so the unbounded search finds
+    # the witness that a bound of 2 n^2 > i*j finds
+    deepest = 0
+    for wx in range(1, 5):
+        for wy in range(wx, 8):
+            for c in range(1, 4):
+                n = c * (wx + wy)
+                if gcd(wx, wy) != 1 or n > 20:
+                    continue
+                source = covering_quiver(quantum_spec(wx, wy, 1), c)
+                i, j = c * wx, c * wy
+                for target in (make_canonical_quiver(i, j), make_canonical_quiver(j, i)):
+                    witness = reflection_search(source, target)
+                    assert witness is not None and len(witness) <= i * j
+                    assert witness == reflection_search(source, target, 2 * n * n)
+                    deepest = max(deepest, len(witness))
+    # some witnesses are longer than their quivers have vertices
+    assert deepest > 20
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_reflection_search_on_words_matches_oracle(data):
