@@ -42,8 +42,8 @@ from .quivers import (
     Quiver,
     bgp_reflect,
     canonical_type,
-    components,
     covering_quiver,
+    cycle_classes,
     make_canonical_quiver,
     quiver_isomorphic,
     quiver_qs,

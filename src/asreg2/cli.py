@@ -49,13 +49,10 @@ from .skew import (
     skew_mul,
 )
 from .quivers import (
-    _component_rotations,
-    _component_walks,
-    _cycle_walk,
-    _direction_counts,
-    _least_rotation,
     bgp_reflect,
     covering_quiver,
+    cycle_classes,
+    direction_counts,
     make_canonical_quiver,
     path_count,
     quiver_isomorphic,
@@ -519,23 +516,18 @@ def cmd_check(args):
     d_phi = min_phi_degree(spec, action)
     record("operator-representation injectivity (d <= %d)" % d_phi, d_phi is not None)
 
-    # each component of Q_{S,G} is walked once, with its tags; the untagged
-    # walk keeps each letter's direction.  None when a component is no cycle.
-    walks = _component_walks(quiver_qsg(spec, r), tags=True)
-    untagged = None if walks is None else [(order, "".join(letter[0] for letter in word))
-                                           for order, word in walks]
+    # Q_{S,G} is gcd(ell, r) copies of the c-fold covering quiver (one cycle)
+    qsg = quiver_qsg(spec, r)
+    classes = cycle_classes(qsg)
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
-    # the c-fold covering quiver is one cycle by construction
-    cover_word = _least_rotation(*_cycle_walk(covering_quiver(spec, c_expected), True))[0]
     record("skew quiver decomposes into %d copies of the %d-covering"
            % (n_expected, c_expected),
-           walks is not None and len(walks) == n_expected
-           and all(_least_rotation(*walk)[0] == cover_word for walk in walks))
-    canonical = (c_expected * spec.w_x, c_expected * spec.w_y)
+           cycle_classes(qsg, True)
+           == cycle_classes(covering_quiver(spec, c_expected), True) * n_expected)
+    canonical = tuple(sorted((c_expected * spec.w_x, c_expected * spec.w_y)))
     record("component canonical type (%d, %d)" % canonical,
-           untagged is not None and all(_direction_counts(word) == canonical
-                                        for _, word in untagged))
+           classes is not None and all(direction_counts(word) == canonical for word in classes))
 
     dim_lambda, dim_nabla = lambda_dim(action), nabla_dim(spec)
     record("dim Lambda = r * dim nabla", dim_lambda == r * dim_nabla
@@ -543,12 +535,9 @@ def cmd_check(args):
     record("nabla path count identity", dim_nabla == path_count(quiver_qs(spec)))
     record("Lambda idempotent system basic", rho_ok)
     if spec.ell * r <= 36:
-        oracle = gabriel_quiver_oracle(spec, action)
-        rot_oracle = _component_rotations(_component_walks(oracle, False))
-        rot_qsg = _component_rotations(untagged)
         record("Gabriel oracle matches skew quiver",
-               None not in (rot_oracle, rot_qsg)
-               and [w for w, _ in rot_oracle] == [w for w, _ in rot_qsg])
+               classes is not None
+               and cycle_classes(gabriel_quiver_oracle(spec, action)) == classes)
     if dim_lambda <= 60:
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 

@@ -12,10 +12,11 @@ wrapping), and in general it is the connected cyclic cover, which is what
 the skew-quiver components decompose into.
 
 Every one of these quivers, and every BGP reflection of them, is a
-disjoint union of cycles.  So a cycle is handled through its walk
-(_cycle_walk): the vertices in walk order and the orientation word.
-Isomorphism compares the least rotations of the components' words, and the
-reflection search runs on the word alone.
+disjoint union of cycles.  So a quiver is handled through its walks
+(_cycle_walks), one pass round every component: the vertices in walk order
+and the orientation word.  The sorted least rotations of the words are its
+isomorphism class (cycle_classes), which isomorphism and check compare, and
+the reflection search runs on one cycle's word alone.
 
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
@@ -135,38 +136,6 @@ def covering_quiver(spec, c):
     return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
 
 
-def components(q):
-    """Weakly connected components, ordered by size then vertex labels.
-
-    Each vertex is mapped to its component, so one pass over the arrows
-    partitions them; a connected quiver is its own component."""
-    adj = {v: set() for v in q.vertices}
-    for (s, t, _) in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    comp_of = {}
-    blocks = []
-    for v in q.vertices:
-        if v in comp_of:
-            continue
-        comp_of[v] = len(blocks)
-        block = [v]
-        for u in block:
-            for w in adj[u]:
-                if w not in comp_of:
-                    comp_of[w] = len(blocks)
-                    block.append(w)
-        blocks.append(block)
-    if len(blocks) == 1:
-        return [q]
-    arrows = [[] for _ in blocks]
-    for a in q.arrows:
-        arrows[comp_of[a[0]]].append(a)
-    comps = [Quiver(block, arr) for block, arr in zip(blocks, arrows)]
-    comps.sort(key=lambda c: (len(c.vertices), [_natural_key(v) for v in c.vertices]))
-    return comps
-
-
 def bgp_reflect(q, v):
     """Reverse every arrow at a sink or source vertex."""
     if v not in q.vertices:
@@ -185,35 +154,48 @@ def bgp_reflect(q, v):
     return Quiver(q.vertices, arrows)
 
 
-def _cycle_walk(q, tags=False):
-    """Walk round q from q.vertices[0]: the vertices in the order met, and the
-    orientation word, whose k-th letter is "1" when the arrow between the
-    k-th vertex and the next points along the walk and "0" when it points
-    back.  With tags the word is a tuple whose letters carry the arrow's tag
-    after the direction ("1x", "0y", "1").
-    ValueError unless q is one cycle through every vertex."""
-    n = len(q.vertices)
+def _cycle_walks(q, tags=False):
+    """Walk round each component of q, from its first vertex in q.vertices, in
+    that order: the vertices in the order met, and the orientation word, whose
+    k-th letter is "1" when the arrow between the k-th vertex and the next
+    points along the walk and "0" when it points back.  With tags the word is
+    a tuple whose letters carry the arrow's tag after the direction ("1x").
+    None unless every vertex meets exactly two arrow ends of two different
+    arrows, that is, unless q is a disjoint union of cycles of length >= 2;
+    then each walk is back at its start before it meets a vertex twice."""
     incident = {v: [] for v in q.vertices}
     for idx, (s, t, _) in enumerate(q.arrows):
         incident[s].append(idx)
         incident[t].append(idx)
-    if len(q.arrows) != n or n < 2 or any(len(e) != 2 for e in incident.values()):
+    if any(len(e) != 2 or e[0] == e[1] for e in incident.values()):
+        return None
+    walks, walked = [], set()
+    for start in q.vertices:
+        if start in walked:
+            continue
+        v, edge = start, incident[start][0]
+        order, word = [], []
+        while True:
+            s, t, tag = q.arrows[edge]
+            order.append(v)
+            letter = "1" if s == v else "0"
+            word.append(letter + tag if tags else letter)
+            v = t if s == v else s
+            if v == start:
+                break
+            a, b = incident[v]
+            edge = b if a == edge else a
+        walked.update(order)
+        walks.append((tuple(order), tuple(word) if tags else "".join(word)))
+    return walks
+
+
+def _cycle_walk(q, tags=False):
+    """The walk (_cycle_walks) of q; ValueError unless q is one cycle through every vertex."""
+    walks = _cycle_walks(q, tags)
+    if walks is None or len(walks) != 1:
         raise ValueError("underlying graph is not a single cycle")
-    v = q.vertices[0]
-    edge = incident[v][0]
-    order, word, walked = [], [], set()
-    for _ in range(n):
-        s, t, tag = q.arrows[edge]
-        order.append(v)
-        letter = "1" if s == v else "0"
-        word.append(letter + tag if tags else letter)
-        walked.add(edge)
-        v = t if s == v else s
-        a, b = incident[v]
-        edge = b if a == edge else a
-    if v != q.vertices[0] or len(walked) != n:
-        raise ValueError("underlying graph is not a single cycle")
-    return tuple(order), tuple(word) if tags else "".join(word)
+    return walks[0]
 
 
 _FLIP = str.maketrans("01", "10")
@@ -262,20 +244,12 @@ def _least_rotation(order, word):
     return min(rotations)
 
 
-def _component_walks(q, tags):
-    """The walk (_cycle_walk) of each of q's components, or None unless each is a cycle."""
-    walks = []
-    for comp in components(q):
-        try:
-            walks.append(_cycle_walk(comp, tags))
-        except ValueError:
-            return None
-    return walks
-
-
-def _component_rotations(walks):
-    """Sorted least rotations of a quiver's component walks (None stays None)."""
-    return None if walks is None else sorted(_least_rotation(*walk) for walk in walks)
+def cycle_classes(q, respect_tags=False):
+    """The isomorphism class of a disjoint union of cycles (tags kept when
+    asked): the sorted least rotations (_least_rotation) of its components'
+    words, or None when q is no such union."""
+    walks = _cycle_walks(q, respect_tags)
+    return None if walks is None else sorted(_least_rotation(*walk)[0] for walk in walks)
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):
@@ -283,13 +257,14 @@ def quiver_isomorphic(q1, q2, respect_tags=False):
     when asked), or None.
 
     Decided for disjoint unions of cycles of length >= 2, as every quiver
-    built here is: two are isomorphic exactly when the sorted least rotations
-    of their components' walks agree, and zipping the vertex orders aligned
-    with them gives the bijection.  A union of cycles is isomorphic to no
-    other quiver, so the answer is None when just one side is not such a
-    union; when neither is, ValueError.
+    built here is: two are isomorphic exactly when their cycle_classes
+    agree, and zipping the vertex orders aligned with the least rotations
+    gives the bijection.  A union of cycles is isomorphic to no other
+    quiver, so the answer is None when just one side is not such a union;
+    when neither is, ValueError.
     """
-    rot1, rot2 = (_component_rotations(_component_walks(q, respect_tags)) for q in (q1, q2))
+    rot1, rot2 = (None if walks is None else sorted(_least_rotation(*walk) for walk in walks)
+                  for walks in (_cycle_walks(q, respect_tags) for q in (q1, q2)))
     if rot1 is None and rot2 is None:
         raise ValueError("neither quiver is a disjoint union of cycles")
     if rot1 is None or rot2 is None or [w for w, _ in rot1] != [w for w, _ in rot2]:
@@ -297,14 +272,15 @@ def quiver_isomorphic(q1, q2, respect_tags=False):
     return {v: u for (_, o1), (_, o2) in zip(rot1, rot2) for v, u in zip(o1, o2)}
 
 
-def _direction_counts(word):
+def direction_counts(word):
+    """(i, j), i <= j: how many letters of an untagged orientation word point each way."""
     forward = word.count("1")
     return tuple(sorted((forward, len(word) - forward)))
 
 
 def canonical_type(q):
     """Direction counts (i, j), i <= j, for an acyclic single-cycle quiver."""
-    i, j = _direction_counts(_cycle_walk(q)[1])
+    i, j = direction_counts(_cycle_walk(q)[1])
     if i == 0:
         raise ValueError("quiver has an oriented cycle")
     return (i, j)
@@ -352,7 +328,7 @@ def reflection_search(q1, q2, max_depth=None):
     """
     order, word = _cycle_walk(q1)
     start, goal = _cycle_key(word), _cycle_key(_cycle_walk(q2)[1])
-    if _direction_counts(start) != _direction_counts(goal):
+    if direction_counts(start) != direction_counts(goal):
         return None
     if start == goal:
         return []

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -295,26 +296,43 @@ def test_check_non_cycle_component_fails(monkeypatch, capsys):
 
 
 def test_check_walks_each_quiver_once(monkeypatch, capsys):
-    # Q_{S,G} of (1, 2), r = 3 has 3 components: they, the cover and the
-    # 3 components of the Gabriel oracle are walked once each, and only
-    # Q_{S,G} and the oracle are split into components
-    walked, split = [], []
-    walk, components = asreg2.quivers._cycle_walk, asreg2.quivers.components
+    # (1, 2), r = 3: Q_{S,G} (9 vertices) is walked with and without tags,
+    # the 1-covering (3 vertices) with tags and the Gabriel oracle (9
+    # vertices) without, each in one pass over all of its components
+    walked = []
+    walks = asreg2.quivers._cycle_walks
 
-    def counted_walk(q, tags=False):
-        walked.append(q)
-        return walk(q, tags)
+    def counted_walks(q, tags=False):
+        walked.append((len(q.vertices), tags))
+        return walks(q, tags)
 
-    def counted_components(q):
-        split.append(q)
-        return components(q)
-
-    for module in (asreg2.quivers, asreg2.cli):
-        monkeypatch.setattr(module, "_cycle_walk", counted_walk)
-    monkeypatch.setattr(asreg2.quivers, "components", counted_components)
+    monkeypatch.setattr(asreg2.quivers, "_cycle_walks", counted_walks)
     code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
     assert code == 0 and out.endswith("overall: ok\n")
-    assert len(walked) == 7 and len(split) == 2
+    assert sorted(walked) == [(3, True), (9, False), (9, False), (9, True)]
+
+
+def test_check_canonical_type_is_the_sorted_pair(capsys):
+    # canonical types are (i, j) with i <= j, so w_x > w_y gives (c w_y, c w_x)
+    code, out = run(capsys, ["check", "--wx", "3", "--wy", "2", "--r", "2"])
+    assert code == 0 and out.endswith("overall: ok\n")
+    assert "%-55s ok\n" % "component canonical type (4, 6)" in out
+
+
+def test_check_sweep_reports_ok_on_every_line(capsys):
+    # every coprime weight pair up to 5 on the quantum plane (w_x > w_y too)
+    # and every admissible Jordan plane with q <= 5, at r = 1..6
+    configs = [["--wx", str(wx), "--wy", str(wy), "--r", str(r)]
+               for wx in range(1, 6) for wy in range(1, 6) if gcd(wx, wy) == 1
+               for r in range(1, 7)]
+    configs += [["--family", "jordan", "--wy", str(q), "--r", str(r)]
+                for q in range(1, 6) for r in range(1, 7) if (q + 1) % r == 0]
+    assert len(configs) == 127
+    for flags in configs:
+        code, out = run(capsys, ["check", *flags, "--format", "json"])
+        result = json.loads(out)["result"]
+        assert code == 0 and result["ok"], (flags, result)
+        assert all(check["ok"] for check in result["checks"]), flags
 
 
 @pytest.mark.parametrize("flags", [
@@ -545,15 +563,17 @@ WORKLOAD_JOBS = {"ample-quantum": 75, "ample-jordan": 25, "check-suite": 63, "re
 
 @pytest.mark.parametrize("name", WORKLOAD_JOBS)
 def test_workload_jobs_match_recorded_digests(name):
-    # every job the benchmark can draw from the workload, against its recorded output
+    # every job the benchmark can draw from the workload, through the
+    # benchmark's own output checks: its recorded digest, and the verdict,
+    # the check names or the replayed reflection witness
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    digests = json.loads((PERFBENCH / "expected.json").read_text())["digests"]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
     jobs = workloads.WORKLOADS[name].space()
     assert len(jobs) == WORKLOAD_JOBS[name]
     for job in jobs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(list(job.argv)) == 0
-        assert workloads.digest(buf.getvalue()) == digests[job.key], job.key
+            code = main(list(job.argv))
+        assert workloads.check_output(name, job, code, buf.getvalue(), expected) == [], job.key

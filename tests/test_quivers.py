@@ -12,12 +12,13 @@ from asreg2.quivers import (
     _FLIP,
     _cycle_key,
     _cycle_walk,
+    _cycle_walks,
     _least_rotation,
     _natural_key,
     bgp_reflect,
     canonical_type,
-    components,
     covering_quiver,
+    cycle_classes,
     make_canonical_quiver,
     path_count,
     quiver_isomorphic,
@@ -78,7 +79,7 @@ def backtracking_isomorphic(q1, q2, respect_tags=False):
     """A vertex bijection preserving arrows (and tags when asked), or None."""
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return None
-    c1, c2 = components(q1), components(q2)
+    c1, c2 = components_oracle(q1), components_oracle(q2)
     if len(c1) != len(c2):
         return None
     mapping = {}
@@ -240,12 +241,12 @@ def test_qsg_r1_is_qs():
 
 
 def test_decomposition_examples():
-    comps = components(quiver_qsg(S13, 2))
+    comps = components_oracle(quiver_qsg(S13, 2))
     assert len(comps) == 2
     for comp in comps:
         assert quiver_isomorphic(comp, quiver_qs(S13), respect_tags=True)
 
-    comps = components(quiver_qsg(S35, 4))
+    comps = components_oracle(quiver_qsg(S35, 4))
     assert len(comps) == 4
     for comp in comps:
         assert quiver_isomorphic(comp, quiver_qs(S35), respect_tags=True)
@@ -254,7 +255,7 @@ def test_decomposition_examples():
 def test_example_covering_decomposition():
     # weights (1,3), r=6: lcm = 12, two components, each the 3-fold cover
     q = quiver_qsg(S13, 6)
-    comps = components(q)
+    comps = components_oracle(q)
     assert len(comps) == 2
     cover = covering_quiver(S13, 3)
     assert len(cover.vertices) == 12 and len(cover.arrows) == 12
@@ -379,7 +380,8 @@ def least_rotation_oracle(order, word):
 
 
 def components_oracle(q):
-    """components with each component's arrows found by a scan of all arrows."""
+    """Weakly connected components as quivers, ordered by size then vertex
+    labels; each component's arrows are found by a scan of all arrows."""
     adj = {v: set() for v in q.vertices}
     for (s, t, _) in q.arrows:
         adj[s].add(t)
@@ -456,13 +458,41 @@ def test_reflection_search_keys_each_word_once(monkeypatch):
         assert len(generated) > 2
 
 
-def test_components_match_per_component_scan():
-    loops = Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v1", "v2", "y"), ("v2", "v1", "")])
-    cases = [quiver_qsg(S35, 8), quiver_qsg(S13, 6), quiver_qsg(S11, 5), covering_quiver(S23, 3),
-             make_canonical_quiver(2, 3), loops, Quiver(["v0", "v1"], [])]
-    for q in cases:
-        assert components(q) == components_oracle(q)
-    assert len(components(quiver_qsg(S35, 8))) == 8
+def walks_oracle(q, tags):
+    """_cycle_walk of each of components_oracle(q), ordered by first vertex,
+    or None unless each is a cycle."""
+    walks = []
+    for comp in sorted(components_oracle(q), key=lambda c: _natural_key(c.vertices[0])):
+        try:
+            walks.append(_cycle_walk(comp, tags))
+        except ValueError:
+            return None
+    return walks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cycle_walks_match_per_component_walks(data):
+    q = data.draw(cycle_unions())
+    for case in (q, _broken(data, q)):
+        for tags in (False, True):
+            assert _cycle_walks(case, tags) == walks_oracle(case, tags)
+    assert _cycle_walks(q) is not None
+
+
+def test_cycle_walks_refuse_what_is_no_union_of_cycles():
+    path = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")])
+    loop = Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v1", "v2", "y"), ("v2", "v1", "")])
+    isolated = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v0", "")])
+    degree_3 = Quiver(["v0", "v1", "v2", "v3"], [("v0", "v1", ""), ("v1", "v2", ""),
+                                                 ("v2", "v0", ""), ("v0", "v3", ""),
+                                                 ("v3", "v1", "")])
+    for q in (path, loop, isolated, degree_3):
+        for tags in (False, True):
+            assert _cycle_walks(q, tags) is None
+            assert cycle_classes(q, tags) is None
+    q = quiver_qsg(S35, 8)
+    assert len(_cycle_walks(q)) == 8 and _cycle_walks(q) == walks_oracle(q, False)
 
 
 def test_bgp_reflect_refuses_exactly_non_sinks_and_non_sources():
@@ -746,16 +776,18 @@ def test_reflection_search_rejects_non_cycles():
 
 
 def test_component_count_theorem():
-    for spec in (S11, S12, S13, S23, S35):
+    # canonical types are (i, j) with i <= j, so (c w_x, c w_y) sorted
+    for spec in (S11, S12, S13, S23, S35, quantum_spec(2, 1, 1), quantum_spec(3, 2, 1),
+                 quantum_spec(5, 3, 1)):
         ell = spec.ell
         for r in range(1, 7):
-            comps = components(quiver_qsg(spec, r))
+            comps = components_oracle(quiver_qsg(spec, r))
             assert len(comps) == gcd(ell, r)
             c = lcm(ell, r) // ell
             cover = covering_quiver(spec, c)
             for comp in comps:
                 assert quiver_isomorphic(comp, cover, respect_tags=True) is not None
-                assert canonical_type(comp) == (c * spec.w_x, c * spec.w_y)
+                assert canonical_type(comp) == tuple(sorted((c * spec.w_x, c * spec.w_y)))
 
 
 def test_constructor_error_paths():
