@@ -267,7 +267,7 @@ def _action_from_args(spec, args, r_default=1):
     r = args.r if getattr(args, "r", None) is not None else r_default
     powers = getattr(args, "action_powers", None)
     try:
-        if powers:
+        if powers is not None:
             try:
                 px, py = (int(p) for p in powers.split(","))
             except ValueError:
@@ -436,6 +436,7 @@ def _quiver_from_args(args):
             return quiver_qs(spec), params
         if args.kind == "qsg":
             params["r"] = args.r if args.r is not None else 1
+            make_cyclic_group(spec, params["r"])  # refuses an action the plane does not admit
             return quiver_qsg(spec, params["r"]), params
         params["c"] = args.c if args.c is not None else 1
         return covering_quiver(spec, params["c"]), params

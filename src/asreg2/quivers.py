@@ -16,14 +16,14 @@ disjoint union of cycles.  So a quiver is handled through its walks
 (_cycle_walks), one pass round every component: the vertices in walk order
 and the orientation word.  The sorted least rotations of the words are its
 isomorphism class (cycle_classes), which isomorphism and check compare, and
-the reflection search runs on one cycle's word alone.
+the reflection search walks one cycle's word down its distance to the goal.
 
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
 """
 
 import functools
-from collections import deque
+import operator
 
 
 @functools.cache
@@ -201,35 +201,15 @@ def _cycle_walk(q, tags=False):
 _FLIP = str.maketrans("01", "10")
 
 
-def _cycle_key(word):
-    """Untagged isomorphism class of the cycle with this orientation word:
-    other starts rotate the word, walking the other way round reverses it
-    and flips every direction.
-
-    The key is the least of those words.  It starts a run of "0"s: a
-    rotation that starts inside a run loses to the one that starts a letter
-    earlier, and one that starts at a "1" to any that starts at a "0".  So
-    only the run starts of both walks are tried; a word of one letter
-    repeated is "0" * n."""
-    n = len(word)
-    starts = []
-    for w in (word, word[::-1].translate(_FLIP)):
-        ww = w + w
-        p = ww.find("10", 0, n + 1)
-        while p >= 0:
-            starts.append(ww[p + 1:p + 1 + n])
-            p = ww.find("10", p + 1, n + 1)
-    return min(starts) if starts else "0" * n
-
-
 def _least_rotation(order, word):
     """The least rotation of a walk's word over both walk directions, with the
     vertex order rotated alongside.  Walking the other way round from
     order[0] meets order[0], order[-1], ..., order[1], reverses the word and
     flips every direction.
 
-    As in _cycle_key, every least rotation of a word that is not one letter
-    repeated starts a run of the least letter, so only those rotations are
+    A least rotation of a word not one letter repeated starts a run of the
+    least letter (a start inside a run loses to the start a letter earlier,
+    one at a greater letter to any at the least), so only run starts are
     formed; ties among them are broken by the vertex order."""
     n = len(order)
     back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
@@ -306,60 +286,77 @@ def make_canonical_quiver(i, j):
     return Quiver(vertices, arrows)
 
 
+def _distance(word, goals):
+    """The least number of moves from an orientation word to a rotation of a
+    goal word, a move sliding a "1" into a neighbouring "0" of the cycle.
+
+    Complementing maps moves to moves and rotations to rotations, so both
+    sides are complemented when "1"s are the majority, which keeps t, the
+    number of "1"s, at most n/2.  Let word's "1"s sit at P_0 < ... and a
+    goal's at U_0 < ..., repeated with period n (U_(k+t) = U_k + n).  The
+    distance is the least over the goals with t "1"s, s in [0, t) and
+    integers rho of sum_k |U_(k+s) + rho - P_k|; a median of the
+    differences is a best rho, so the sum is the upper half of the sorted
+    differences less the lower half.  Lower bound: "1"s never pass one
+    another, so the final unrolled positions are U_(k+s) + rho for some s
+    and rho, and a move changes one position by one.  Upper bound: if a "1"
+    must move forward but the next "1" blocks it, that one must move
+    forward at least as far; as t < n the chain ends before a free cell,
+    and moving its last "1" there lowers the sum by one."""
+    n = len(word)
+    if 2 * word.count("1") > n:
+        word, goals = word.translate(_FLIP), [g.translate(_FLIP) for g in goals]
+    P = [k for k in range(n) if word[k] == "1"]
+    t, h = len(P), len(P) // 2
+    costs = []
+    for goal in goals:
+        U = [k for k in range(n) if goal[k] == "1"]
+        if len(U) == t:
+            U += [u + n for u in U]
+            for s in range(t):
+                d = sorted(map(operator.sub, P, U[s:]))
+                costs.append(sum(d[t - h:]) - sum(d[:h]))
+    return min(costs, default=0)
+
+
 def reflection_search(q1, q2, max_depth=None):
-    """Breadth-first search for a reflection sequence turning q1 into q2.
+    """A shortest reflection sequence turning q1 into q2 (untagged), or None.
 
     Both must be single cycles (else ValueError), as every quiver from a
     covering quiver to a canonical Q_(i,j) is.  A state is the orientation
-    word of q1's walk (_cycle_walk).  The vertex at walk position k is a
-    sink or a source exactly when letters k-1 and k differ (k-1 wraps round
-    for k = 0), and reflecting at it flips both, that is, swaps them.
-    States are explored modulo untagged isomorphism, i.e. by _cycle_key;
-    a word met before is skipped before its key is formed (undoing a move,
-    or two commuting moves in either order, give it again), which leaves
-    the classes and their order as they were.  Reflections keep the
-    direction counts, so quivers whose counts differ are refused at once.
-    Moves are tried in q1.vertices order.  The witness is a list of vertex
-    labels of q1 (labels are stable under reflection), read off the walk,
-    or None when the depth bound max_depth is exhausted.  None sets no
-    bound: the classes are finitely many, and as a move swaps two differing
-    adjacent letters, each word with the goal's direction counts (i, j) is
-    reached in its inversion count of moves, at most i*j.
+    word of q1's walk (_cycle_walk): the vertex at walk position k is a sink
+    or a source exactly when letters k-1 and k differ (k-1 wraps round for
+    k = 0), and reflecting at it swaps them.  Reflections keep the direction
+    counts, so quivers whose counts differ are refused at once; otherwise
+    the goal is every rotation of q2's word and of its reversed flip, and
+    None is returned only when _distance exceeds max_depth.  The witness,
+    vertex labels of q1 (stable under reflection), is built greedily: the
+    first move in q1.vertices order one move nearer, repeated, so it is the
+    least shortest sequence in this order.  A breadth-first search over classes
+    that tries moves in this order and keeps the first word of each new
+    class finds the same, as words of one class reach the same classes.
     """
     order, word = _cycle_walk(q1)
-    start, goal = _cycle_key(word), _cycle_key(_cycle_walk(q2)[1])
-    if direction_counts(start) != direction_counts(goal):
+    goal = _cycle_walk(q2)[1]
+    if direction_counts(word) != direction_counts(goal):
         return None
-    if start == goal:
-        return []
+    goals = (goal, goal[::-1].translate(_FLIP))
+    dist = _distance(word, goals)
+    if max_depth is not None and dist > max_depth:
+        return None
     position = {v: k for k, v in enumerate(order)}
-    moves = [(v, position[v]) for v in q1.vertices]
-    seen = {start}
-    words = {word}
-    queue = deque([(word, [])])
-    while queue:
-        state, path = queue.popleft()
-        if max_depth is not None and len(path) >= max_depth:
-            continue
-        for v, k in moves:
-            if state[k - 1] == state[k]:
-                continue
-            if k:
-                nxt = state[:k - 1] + state[k] + state[k - 1] + state[k + 1:]
-            else:
-                nxt = state[-1] + state[1:-1] + state[0]
-            if nxt in words:
-                continue
-            words.add(nxt)
-            key = _cycle_key(nxt)
-            if key in seen:
-                continue
-            seen.add(key)
-            witness = path + [v]
-            if key == goal:
-                return witness
-            queue.append((nxt, witness))
-    return None
+    witness = []
+    for left in reversed(range(dist)):
+        for v in q1.vertices:
+            k = position[v]
+            if word[k - 1] != word[k]:
+                nxt = (word[:k - 1] + word[k] + word[k - 1] + word[k + 1:] if k
+                       else word[-1] + word[1:-1] + word[0])
+                if _distance(nxt, goals) == left:
+                    break
+        word = nxt
+        witness.append(v)
+    return witness
 
 
 def path_count(q):

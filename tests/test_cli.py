@@ -194,6 +194,13 @@ def test_quiver_canonical(capsys):
     assert len([l for l in out.splitlines() if "->" in l]) == 12
 
 
+def test_quiver_qsg_on_an_admitted_jordan_action(capsys):
+    # diag(xi, xi^-1) acts on the Jordan plane exactly when r divides q+1
+    code, out = run(capsys, ["quiver", "qsg", "--family", "jordan", "--wy", "2", "--r", "3"])
+    assert code == 0
+    assert len([l for l in out.splitlines() if "->" in l]) == 9
+
+
 def test_reflect_at(capsys):
     code, out = run(capsys, ["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "3",
                              "--vertex", "v3"])
@@ -450,12 +457,25 @@ def test_bad_inputs_exit_cleanly(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert str(exc.value).startswith("invalid algebra: ") and "\n" not in str(exc.value)
-    # a malformed --action-powers is named in one line
-    for powers in ("1;0", "1,2,3", "1", "a,b"):
+    # a malformed --action-powers is named in one line; an empty one too,
+    # from a flag or a config file, rather than running the default action
+    for powers in ("1;0", "1,2,3", "1", "a,b", ""):
         with pytest.raises(SystemExit) as exc:
             main(["ample", "--r", "2", "--action-powers", powers])
         assert str(exc.value) == ("invalid action: --action-powers needs two integers px,py,"
                                   " got %r" % powers)
+    cfg.write_text("action_powers=\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ample", "--r", "2", "--config", str(cfg)])
+    assert str(exc.value) == "invalid action: --action-powers needs two integers px,py, got ''"
+    # the skew quiver of an action the Jordan plane does not admit (r must divide q+1)
+    for argv in (["quiver", "qsg", "--family", "jordan", "--wy", "2", "--r", "2"],
+                 ["reflect", "at", "--kind", "qsg", "--family", "jordan", "--wy", "2", "--r", "2",
+                  "--vertex", "v0_0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("invalid quiver: jordan relation needs ")
+        assert "\n" not in str(exc.value)
     # quiver constructors reject bad sizes with one line, not a traceback
     for argv in (["quiver", "qsg", "--r", "0"],
                  ["quiver", "covering", "--c", "0"],

@@ -10,15 +10,16 @@ from asreg2.algebra import quantum_spec
 from asreg2.quivers import (
     Quiver,
     _FLIP,
-    _cycle_key,
     _cycle_walk,
     _cycle_walks,
+    _distance,
     _least_rotation,
     _natural_key,
     bgp_reflect,
     canonical_type,
     covering_quiver,
     cycle_classes,
+    direction_counts,
     make_canonical_quiver,
     path_count,
     quiver_isomorphic,
@@ -361,8 +362,9 @@ def test_cycle_union_isomorphism_matches_backtracking(data):
             quiver_isomorphic(b1, b2, tags)
 
 
-# The cycle-word kernels by brute force: the oracles for _cycle_key and
-# _least_rotation, which form only the rotations that start a run.
+# The cycle-word kernels by brute force: the oracle for _least_rotation,
+# which forms only the rotations that start a run, and the class key of the
+# breadth-first oracle for reflection_search.
 
 def cycle_key_oracle(word):
     """The least of all 2n rotations of the word and of its flipped reverse."""
@@ -404,13 +406,6 @@ def components_oracle(q):
     return comps
 
 
-def test_cycle_key_matches_oracle_on_every_short_word():
-    for n in range(1, 13):
-        for bits in range(2 ** n):
-            word = format(bits, "0%db" % n)
-            assert _cycle_key(word) == cycle_key_oracle(word), word
-
-
 @st.composite
 def walks(draw):
     """A walk's vertex order and word: random, periodic or one letter repeated,
@@ -434,28 +429,6 @@ def walks(draw):
 @given(walks())
 def test_least_rotation_matches_oracle(walk):
     assert _least_rotation(*walk) == least_rotation_oracle(*walk)
-
-
-def test_reflection_search_keys_each_word_once(monkeypatch):
-    real_key = quivers._cycle_key
-    for source, target, max_depth in (
-            (covering_quiver(S13, 3), make_canonical_quiver(3, 9), None),
-            (covering_quiver(S35, 2), make_canonical_quiver(6, 10), None),
-            (covering_quiver(S23, 2), make_canonical_quiver(4, 6), 3)):
-        words = []
-
-        def counted_key(word):
-            words.append(word)
-            return real_key(word)
-
-        monkeypatch.setattr(quivers, "_cycle_key", counted_key)
-        witness = reflection_search(source, target, max_depth)
-        monkeypatch.setattr(quivers, "_cycle_key", cycle_key_oracle)
-        assert witness == reflection_search(source, target, max_depth)
-        # the start word, the goal word, then each generated word once
-        generated = words[2:]
-        assert len(generated) == len(set(generated)) and words[0] not in generated
-        assert len(generated) > 2
 
 
 def walks_oracle(q, tags):
@@ -730,6 +703,111 @@ def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
     assert calls == {"bgp_reflect": 0, "Quiver": 0}
 
 
+def _moved(word, k):
+    """The word after the move at walk position k: letters k-1 and k swapped."""
+    if k:
+        return word[:k - 1] + word[k] + word[k - 1] + word[k + 1:]
+    return word[-1] + word[1:-1] + word[0]
+
+
+def test_distance_is_exact_on_every_short_word():
+    # the true distance to each class: a breadth-first search over all 2^n
+    # words from every word of the class; words whose "1"s are the majority
+    # are measured through their complements
+    for n in range(2, 10):
+        classes = {}
+        for bits in range(2 ** n):
+            word = format(bits, "0%db" % n)
+            classes.setdefault(cycle_key_oracle(word), []).append(word)
+        for members in classes.values():
+            dist = dict.fromkeys(members, 0)
+            queue = deque(members)
+            while queue:
+                word = queue.popleft()
+                for k in range(n):
+                    nxt = _moved(word, k)
+                    if word[k - 1] != word[k] and nxt not in dist:
+                        dist[nxt] = dist[word] + 1
+                        queue.append(nxt)
+            for goal in members:
+                goals = (goal, goal[::-1].translate(_FLIP))
+                for word, d in dist.items():
+                    assert _distance(word, goals) == d, (word, goal)
+
+
+def reflection_search_word_oracle(q1, q2, max_depth=None):
+    """The breadth-first search over orientation-word classes (cycle_key_oracle)
+    that reflection_search replaced: levels in queue order, moves in
+    q1.vertices order, the first word of each new class kept."""
+    order, word = _cycle_walk(q1)
+    start, goal = cycle_key_oracle(word), cycle_key_oracle(_cycle_walk(q2)[1])
+    if direction_counts(start) != direction_counts(goal):
+        return None
+    if start == goal:
+        return []
+    position = {v: k for k, v in enumerate(order)}
+    moves = [(v, position[v]) for v in q1.vertices]
+    seen, words = {start}, {word}
+    queue = deque([(word, [])])
+    while queue:
+        state, path = queue.popleft()
+        if max_depth is not None and len(path) >= max_depth:
+            continue
+        for v, k in moves:
+            nxt = _moved(state, k)
+            if state[k - 1] == state[k] or nxt in words:
+                continue
+            words.add(nxt)
+            key = cycle_key_oracle(nxt)
+            if key in seen:
+                continue
+            seen.add(key)
+            witness = path + [v]
+            if key == goal:
+                return witness
+            queue.append((nxt, witness))
+    return None
+
+
+def test_reflection_search_matches_word_bfs():
+    # every covering quiver with at most 16 vertices, every target (i, n - i)
+    cases = []
+    for ell in range(2, 17):
+        for wx in range(1, ell):
+            if gcd(wx, ell - wx) != 1:
+                continue
+            for c in range(1, 16 // ell + 1):
+                n = ell * c
+                source = covering_quiver(quantum_spec(wx, ell - wx, 1), c)
+                cases += [(source, make_canonical_quiver(i, n - i)) for i in range(1, n)]
+    found = 0
+    for source, target in cases:
+        for max_depth in (None, 0, 1, 2, 5):
+            witness = reflection_search(source, target, max_depth)
+            assert witness == reflection_search_word_oracle(source, target, max_depth)
+            found += witness is not None
+    assert found > 300
+    source = covering_quiver(quantum_spec(4, 7, 1), 2)
+    target = make_canonical_quiver(8, 14)
+    assert reflection_search(source, target) == reflection_search_word_oracle(source, target)
+
+
+def test_reflection_search_on_large_coverings():
+    # past the oracle's reach: the witness replays onto the target in as
+    # many moves as the distance says
+    for wx, wy, c in ((5, 8, 2), (7, 11, 2)):
+        source = covering_quiver(quantum_spec(wx, wy, 1), c)
+        target = make_canonical_quiver(c * wx, c * wy)
+        seq = reflection_search(source, target)
+        state = source
+        for v in seq:
+            state = bgp_reflect(state, v)
+        assert quiver_isomorphic(state, target) is not None
+        goal = _cycle_walk(target)[1]
+        assert len(seq) == _distance(_cycle_walk(source)[1], (goal, goal[::-1].translate(_FLIP)))
+        assert len(seq) > len(source.vertices)
+
+
 def test_degree_signatures_match_per_vertex_scan():
     cases = [quiver_qsg(S13, 4), covering_quiver(S35, 2), make_canonical_quiver(2, 5),
              Quiver(["v0", "v1", "v2"], [("v0", "v1", "x"), ("v0", "v1", "y"),
@@ -738,25 +816,6 @@ def test_degree_signatures_match_per_vertex_scan():
         for tags in (False, True):
             assert _degree_signatures(q, tags) == {
                 v: degree_signature(q, v, tags) for v in q.vertices}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_cycle_key_decides_untagged_isomorphism(data):
-    n = data.draw(st.integers(2, 7))
-    word = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        # the same cycle from another start, maybe walked the other way round
-        k = data.draw(st.integers(0, n - 1))
-        other = word[k:] + word[:k]
-        if data.draw(st.booleans()):
-            other = [not f for f in reversed(other)]
-    else:
-        other = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    q1 = _cycle(word, data.draw(st.permutations(range(n))))
-    q2 = _cycle(other, data.draw(st.permutations(range(n))))
-    same = _cycle_key(_cycle_walk(q1)[1]) == _cycle_key(_cycle_walk(q2)[1])
-    assert same == (quiver_isomorphic(q1, q2) is not None)
 
 
 def test_reflection_search_rejects_non_cycles():
