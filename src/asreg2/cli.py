@@ -198,15 +198,7 @@ def build_parser():
 _REQUIRED = ("vertex", "target_i", "target_j")
 
 
-def _leaf_parser(parser, args):
-    """The (sub)command parser that produced args."""
-    for a in parser._actions:
-        if isinstance(a, argparse._SubParsersAction):
-            return _leaf_parser(a.choices[getattr(args, a.dest)], args)
-    return parser
-
-
-def _apply_config(args, parser):
+def _apply_config(args, leaf):
     if getattr(args, "config", None) is None:
         return
     try:
@@ -226,7 +218,7 @@ def _apply_config(args, parser):
         key, value = line.split("=", 1)
         assigned[key.strip().replace("-", "_")] = value.strip()
     # only the option flags of the chosen subcommand, not --config itself
-    actions = {a.dest: a for a in _leaf_parser(parser, args)._actions
+    actions = {a.dest: a for a in leaf._actions
                if a.option_strings and a.dest in vars(args) and a.dest != "config"}
     for key, value in assigned.items():
         if key not in actions:
@@ -468,26 +460,22 @@ def cmd_reflect_search(args):
     except ValueError as exc:
         raise SystemExit("invalid quiver: %s" % exc)
     seq = reflection_search(source, target, args.max_depth)
+    lines = ["source: covering c=%d of weights (%d, %d)" % (c, spec.w_x, spec.w_y),
+             "target: canonical (%d, %d)" % (args.target_i, args.target_j)]
+    payload = {"command": "reflect-search",
+               "params": {"c": c, "target": [args.target_i, args.target_j]}}
     if seq is None:
-        lines = ["no reflection sequence found"]
-        payload = {"command": "reflect-search", "result": {"found": False}}
+        lines.append("no reflection sequence found")
+        payload["result"] = {"found": False}
         _emit(args, lines, payload)
         return 1
     state = source
     for v in seq:
         state = bgp_reflect(state, v)
     verified = quiver_isomorphic(state, target) is not None
-    lines = [
-        "source: covering c=%d of weights (%d, %d)" % (c, spec.w_x, spec.w_y),
-        "target: canonical (%d, %d)" % (args.target_i, args.target_j),
-        "reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
-        "replay verified: %s" % ("yes" if verified else "NO"),
-    ]
-    payload = {
-        "command": "reflect-search",
-        "params": {"c": c, "target": [args.target_i, args.target_j]},
-        "result": {"found": True, "sequence": seq, "verified": verified},
-    }
+    lines += ["reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
+              "replay verified: %s" % ("yes" if verified else "NO")]
+    payload["result"] = {"found": True, "sequence": seq, "verified": verified}
     _emit(args, lines, payload)
     return 0 if verified else 1
 
@@ -557,13 +545,32 @@ def cmd_check(args):
     return 0 if ok_all else 1
 
 
-def main(argv=None):
+def _parse(argv):
+    """build_parser().parse_args(argv) and the parser of its (sub)command,
+    by one parse: argparse hands all after a subcommand name to its parser
+    untouched, so the leading names are followed down, each kept in its
+    dest, and the deepest parser they name (the top one if none) parses."""
     ap = build_parser()
-    args = ap.parse_args(argv)
-    _apply_config(args, ap)
+    args, leaf = argparse.Namespace(), ap
+    rest = sys.argv[1:] if argv is None else list(argv)
+    while rest:
+        sub = next((a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None or rest[0] not in sub.choices:
+            break
+        setattr(args, sub.dest, rest[0])
+        leaf, rest = sub.choices[rest[0]], rest[1:]
+    args, extras = leaf.parse_known_args(rest, args)
+    if extras:
+        ap.error("unrecognized arguments: %s" % " ".join(extras))
+    return args, leaf
+
+
+def main(argv=None):
+    args, leaf = _parse(argv)
+    _apply_config(args, leaf)
     missing = ["--" + key.replace("_", "-") for key in _REQUIRED if getattr(args, key, 0) is None]
     if missing:
-        _leaf_parser(ap, args).error("the following arguments are required: %s" % ", ".join(missing))
+        leaf.error("the following arguments are required: %s" % ", ".join(missing))
     # one check for flags and config values alike
     for key in ("max_degree", "max_depth"):
         value = getattr(args, key, None)

@@ -288,35 +288,55 @@ def make_canonical_quiver(i, j):
 
 def _distance(word, goals):
     """The least number of moves from an orientation word to a rotation of a
-    goal word, a move sliding a "1" into a neighbouring "0" of the cycle.
+    goal word, a move sliding a "1" into a neighbouring "0" of the cycle, and
+    for each walk position k whether the move at k (swapping letters k-1 and
+    k) is one move nearer.
 
     Complementing maps moves to moves and rotations to rotations, so both
     sides are complemented when "1"s are the majority, which keeps t, the
     number of "1"s, at most n/2.  Let word's "1"s sit at P_0 < ... and a
-    goal's at U_0 < ..., repeated with period n (U_(k+t) = U_k + n).  The
-    distance is the least over the goals with t "1"s, s in [0, t) and
-    integers rho of sum_k |U_(k+s) + rho - P_k|; a median of the
-    differences is a best rho, so the sum is the upper half of the sorted
-    differences less the lower half.  Lower bound: "1"s never pass one
-    another, so the final unrolled positions are U_(k+s) + rho for some s
-    and rho, and a move changes one position by one.  Upper bound: if a "1"
-    must move forward but the next "1" blocks it, that one must move
-    forward at least as far; as t < n the chain ends before a free cell,
-    and moving its last "1" there lowers the sum by one."""
+    goal's at U_0 < ..., repeated with period n (U_(k+t) = U_k + n).  An
+    alignment is a goal with t "1"s, a shift s in [0, t) and an integer
+    rho; it costs sum_k |U_(k+s) + rho - P_k|, and the distance is the least
+    cost.  For fixed goal and s the best rho are the medians [lo, hi] of
+    the differences d_k = P_k - U_(k+s), and the cost there is the upper
+    half of the sorted differences less the lower half.  Lower bound: "1"s
+    never pass one another, so the final unrolled positions are
+    U_(k+s) + rho for some alignment, and a move changes one position by
+    one.  Upper bound: if a "1" must move forward but the next "1" blocks
+    it, that one must move forward at least as far; as t < n the chain
+    ends before a free cell, and moving its last "1" there lowers the sum
+    by one.
+
+    Nearer moves: a move shifts one P_k by one and so every alignment's cost
+    by exactly one (a "1" wrapping round renumbers the alignments, s turning
+    one step).  One not optimal costs dist + 1 or more before the move, so
+    dist or more after: a move is nearer exactly when it moves a "1" P_k toward
+    U_(k+s) + rho for an optimal goal and s and a rho in [lo, hi], that is,
+    forward when d_k < hi and backward when d_k > lo."""
     n = len(word)
     if 2 * word.count("1") > n:
         word, goals = word.translate(_FLIP), [g.translate(_FLIP) for g in goals]
     P = [k for k in range(n) if word[k] == "1"]
     t, h = len(P), len(P) // 2
-    costs = []
+    aligned = []
     for goal in goals:
         U = [k for k in range(n) if goal[k] == "1"]
         if len(U) == t:
             U += [u + n for u in U]
             for s in range(t):
-                d = sorted(map(operator.sub, P, U[s:]))
-                costs.append(sum(d[t - h:]) - sum(d[:h]))
-    return min(costs, default=0)
+                d = list(map(operator.sub, P, U[s:]))
+                e = sorted(d)
+                aligned.append((sum(e[t - h:]) - sum(e[:h]), d, e[(t - 1) // 2], e[h]))
+    dist = min((a[0] for a in aligned), default=0)
+    nearer = [False] * n
+    for d, lo, hi in [a[1:] for a in aligned if a[0] == dist]:
+        for p, dk in zip(P, d):
+            if dk < hi and word[(p + 1) % n] == "0":
+                nearer[(p + 1) % n] = True
+            if dk > lo and word[p - 1] == "0":
+                nearer[p] = True
+    return dist, nearer
 
 
 def reflection_search(q1, q2, max_depth=None):
@@ -331,31 +351,30 @@ def reflection_search(q1, q2, max_depth=None):
     the goal is every rotation of q2's word and of its reversed flip, and
     None is returned only when _distance exceeds max_depth.  The witness,
     vertex labels of q1 (stable under reflection), is built greedily: the
-    first move in q1.vertices order one move nearer, repeated, so it is the
-    least shortest sequence in this order.  A breadth-first search over classes
-    that tries moves in this order and keeps the first word of each new
-    class finds the same, as words of one class reach the same classes.
+    first vertex in q1.vertices order whose move _distance marks nearer,
+    repeated, so it is the least shortest sequence in this order.  A
+    breadth-first search over classes that tries moves in this order and
+    keeps the first word of each new class finds the same, as words of one
+    class reach the same classes.
     """
     order, word = _cycle_walk(q1)
     goal = _cycle_walk(q2)[1]
     if direction_counts(word) != direction_counts(goal):
         return None
     goals = (goal, goal[::-1].translate(_FLIP))
-    dist = _distance(word, goals)
+    dist, nearer = _distance(word, goals)
     if max_depth is not None and dist > max_depth:
         return None
     position = {v: k for k, v in enumerate(order)}
     witness = []
     for left in reversed(range(dist)):
-        for v in q1.vertices:
-            k = position[v]
-            if word[k - 1] != word[k]:
-                nxt = (word[:k - 1] + word[k] + word[k - 1] + word[k + 1:] if k
-                       else word[-1] + word[1:-1] + word[0])
-                if _distance(nxt, goals) == left:
-                    break
-        word = nxt
+        v = next(v for v in q1.vertices if nearer[position[v]])
+        k = position[v]
+        word = (word[:k - 1] + word[k] + word[k - 1] + word[k + 1:] if k
+                else word[-1] + word[1:-1] + word[0])
         witness.append(v)
+        if left:
+            nearer = _distance(word, goals)[1]
     return witness
 
 

@@ -126,14 +126,34 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
-@pytest.mark.parametrize("name, flags", [
+CHECK_GOLDENS = [
     ("check_1_3_r12", ["--wx", "1", "--wy", "3", "--r", "12"]),
     ("check_1_1_r20", ["--wx", "1", "--wy", "1", "--r", "20"]),
     ("check_1_1_r50", ["--wx", "1", "--wy", "1", "--r", "50"]),
     ("check_1_1_r150", ["--wx", "1", "--wy", "1", "--r", "150"]),
     ("check_1_1_r300", ["--wx", "1", "--wy", "1", "--r", "300"]),
     ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
-], ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "j23_r24"])
+]
+AMPLE_GOLDENS = [
+    ("ample_1_1_r100", ["--wx", "1", "--wy", "1", "--r", "100"]),
+    ("ample_1_1_r12_p2_3", ["--wx", "1", "--wy", "1", "--r", "12", "--action-powers", "2,3"]),
+    ("ample_j11_r12", ["--family", "jordan", "--wy", "11", "--r", "12"]),
+    ("ample_j3_r6_p2_0", ["--family", "jordan", "--wy", "3", "--r", "6", "--action-powers", "2,0"]),
+]
+REFLECT_GOLDENS = [
+    ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
+    ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
+]
+# the argv of every golden file, the DOT one first
+GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
+    [["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3", "--format", "dot"]]
+    + [["check", *flags, "--format", "json"] for _, flags in CHECK_GOLDENS]
+    + [["ample", *flags, "--format", "json"] for _, flags in AMPLE_GOLDENS]
+    + [["reflect", "search", *flags, "--format", "json"] for _, flags in REFLECT_GOLDENS])]
+
+
+@pytest.mark.parametrize("name, flags", CHECK_GOLDENS,
+                         ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "j23_r24"])
 def test_check_matches_golden(tmp_path, capsys, name, flags):
     # pins the check bytes at configs that no benchmark job reaches; the
     # Jordan plane sends non-monomial products through the product memo
@@ -143,12 +163,8 @@ def test_check_matches_golden(tmp_path, capsys, name, flags):
     assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
 
 
-@pytest.mark.parametrize("name, flags", [
-    ("ample_1_1_r100", ["--wx", "1", "--wy", "1", "--r", "100"]),
-    ("ample_1_1_r12_p2_3", ["--wx", "1", "--wy", "1", "--r", "12", "--action-powers", "2,3"]),
-    ("ample_j11_r12", ["--family", "jordan", "--wy", "11", "--r", "12"]),
-    ("ample_j3_r6_p2_0", ["--family", "jordan", "--wy", "3", "--r", "6", "--action-powers", "2,0"]),
-], ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12", "j3_r6_p2_0"])
+@pytest.mark.parametrize("name, flags", AMPLE_GOLDENS,
+                         ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12", "j3_r6_p2_0"])
 def test_ample_matches_golden(tmp_path, capsys, name, flags):
     # pins the ample bytes at large r, on non-ample actions of both planes
     # and on the Jordan plane
@@ -158,10 +174,7 @@ def test_ample_matches_golden(tmp_path, capsys, name, flags):
     assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
 
 
-@pytest.mark.parametrize("name, flags", [
-    ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
-    ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
-], ids=["2_5_c3", "1_3_c6"])
+@pytest.mark.parametrize("name, flags", REFLECT_GOLDENS, ids=["2_5_c3", "1_3_c6"])
 def test_reflect_search_matches_golden(tmp_path, capsys, name, flags):
     # pins the reflection witnesses on covering quivers of 21 and 24 vertices
     out_file = tmp_path / "reflect.json"
@@ -220,6 +233,33 @@ def test_reflect_search(capsys):
                              "--c", "3", "--target-i", "3", "--target-j", "9"])
     assert code == 0
     assert "replay verified: yes" in out
+
+
+def test_reflect_search_not_found_names_source_and_target(capsys):
+    # past max_depth, or to a target of other direction counts, the reply
+    # still carries the source, the target and the params
+    source = ["reflect", "search", "--wx", "1", "--wy", "3", "--c", "3"]
+    for target, depth in (("3", "0"), ("2", None)):
+        argv = source + ["--target-i", target, "--target-j", "9"]
+        argv += ["--max-depth", depth] if depth else []
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert out == ("source: covering c=3 of weights (1, 3)\n"
+                       "target: canonical (%s, 9)\n"
+                       "no reflection sequence found\n" % target)
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 1
+        assert json.loads(out) == {"command": "reflect-search",
+                                   "params": {"c": 3, "target": [int(target), 9]},
+                                   "result": {"found": False}}
+    # one move fewer than the distance is refused, the distance itself is not
+    code, out = run(capsys, source + ["--target-i", "3", "--target-j", "9", "--format", "json"])
+    steps = len(json.loads(out)["result"]["sequence"])
+    assert steps > 0
+    for depth, found in ((steps - 1, False), (steps, True)):
+        code, out = run(capsys, source + ["--target-i", "3", "--target-j", "9",
+                                          "--max-depth", str(depth), "--format", "json"])
+        assert json.loads(out)["result"]["found"] is found and code == (0 if found else 1)
 
 
 def test_check_command(capsys):
@@ -553,6 +593,56 @@ def test_flag_without_value_is_refused(capsys):
         assert "argument --alpha: expected one argument" in capsys.readouterr().err
 
 
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _parse_outcome(parse, argv, capsys):
+    """vars of the namespace parse(argv) gives, or (exit code, stdout, stderr)."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return vars(args)
+
+
+def test_parse_matches_argparse(tmp_path, monkeypatch, capsys):
+    # main parses once, by the parser the leading subcommand names pick;
+    # argparse's parse through every nested parser is the oracle
+    def one_parse(argv):
+        return asreg2.cli._parse(argv)[0]
+
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("command=hdet\n")
+    bad = [[], ["-h"], ["bogus"], ["reflect"], ["reflect", "bogus"], ["reflect", "search", "-h"],
+           ["ample", "extra"], ["ample", "--he"], ["--wx", "1", "ample"], ["ample", "--", "x"],
+           ["info", "--alpha"]]
+    with_config = [["info", "--config", str(cfg)],
+                   ["reflect", "search", "--target-i", "1", "--target-j", "1", "--config", str(cfg)]]
+    jobs = [list(job.argv) for workload in _load_workloads().WORKLOADS.values()
+            for job in workload.space()]
+    for argv in jobs + GOLDEN_ARGVS + bad + with_config:
+        expected = _parse_outcome(asreg2.cli.build_parser().parse_args, argv, capsys)
+        assert _parse_outcome(one_parse, argv, capsys) == expected, argv
+        assert isinstance(expected, dict) == (argv not in bad), argv
+    # help exits 0, the rest exit 2
+    codes = [_parse_outcome(one_parse, argv, capsys)[0] for argv in bad]
+    assert codes == [2, 0, 2, 2, 2, 0, 2, 0, 2, 2, 2]
+    # the config is read after the parse, through the chosen subcommand's flags
+    for argv in with_config:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == "config: unknown key 'command'"
+    # main() with no argv reads sys.argv, as argparse does
+    argv = GOLDEN_ARGVS[-1]
+    monkeypatch.setattr(sys, "argv", ["asreg2", *argv])
+    assert _parse_outcome(one_parse, None, capsys) == _parse_outcome(one_parse, argv, capsys)
+
+
 def test_byte_identical_output(capsys):
     argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5",
             "--format", "json"]
@@ -586,9 +676,7 @@ def test_workload_jobs_match_recorded_digests(name):
     # every job the benchmark can draw from the workload, through the
     # benchmark's own output checks: its recorded digest, and the verdict,
     # the check names or the replayed reflection witness
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load_workloads()
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     jobs = workloads.WORKLOADS[name].space()
     assert len(jobs) == WORKLOAD_JOBS[name]

@@ -711,9 +711,9 @@ def _moved(word, k):
 
 
 def test_distance_is_exact_on_every_short_word():
-    # the true distance to each class: a breadth-first search over all 2^n
-    # words from every word of the class; words whose "1"s are the majority
-    # are measured through their complements
+    # the true distance to each class, and which moves are nearer: a
+    # breadth-first search over all 2^n words from every word of the class;
+    # words whose "1"s are the majority are measured through their complements
     for n in range(2, 10):
         classes = {}
         for bits in range(2 ** n):
@@ -732,7 +732,10 @@ def test_distance_is_exact_on_every_short_word():
             for goal in members:
                 goals = (goal, goal[::-1].translate(_FLIP))
                 for word, d in dist.items():
-                    assert _distance(word, goals) == d, (word, goal)
+                    # the move at k is nearer exactly when it reaches distance
+                    # d - 1; a move between equal letters leaves the word alone
+                    nearer = [dist[_moved(word, k)] == d - 1 for k in range(n)]
+                    assert _distance(word, goals) == (d, nearer), (word, goal)
 
 
 def reflection_search_word_oracle(q1, q2, max_depth=None):
@@ -795,7 +798,7 @@ def test_reflection_search_matches_word_bfs():
 def test_reflection_search_on_large_coverings():
     # past the oracle's reach: the witness replays onto the target in as
     # many moves as the distance says
-    for wx, wy, c in ((5, 8, 2), (7, 11, 2)):
+    for wx, wy, c in ((5, 8, 2), (7, 11, 2), (9, 13, 3)):
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
         target = make_canonical_quiver(c * wx, c * wy)
         seq = reflection_search(source, target)
@@ -804,7 +807,7 @@ def test_reflection_search_on_large_coverings():
             state = bgp_reflect(state, v)
         assert quiver_isomorphic(state, target) is not None
         goal = _cycle_walk(target)[1]
-        assert len(seq) == _distance(_cycle_walk(source)[1], (goal, goal[::-1].translate(_FLIP)))
+        assert len(seq) == _distance(_cycle_walk(source)[1], (goal, goal[::-1].translate(_FLIP)))[0]
         assert len(seq) > len(source.vertices)
 
 
