@@ -296,8 +296,9 @@ def graded_basis(spec, d):
 
 
 def hilbert_dims(spec, D):
-    """dim S_d for d = 0..D."""
-    return [len(_y_exponents(spec, d)) for d in range(D + 1)]
+    """dim S_d for d = 0..D, the lengths of the _y_exponents ranges."""
+    wx, wy, inv = spec.w_x, spec.w_y, pow(spec.w_y, -1, spec.w_x)
+    return [len(range(d * inv % wx, d // wy + 1, wx)) for d in range(D + 1)]
 
 
 def veronese_dim(spec, r, shift, d):

@@ -11,9 +11,9 @@ expression parser.
 
 import argparse
 import functools
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 from .rationals import RAT
@@ -271,13 +271,37 @@ def _action_from_args(spec, args, r_default=1):
         raise SystemExit("invalid action: %s" % exc)
 
 
+def _json(o, pad="\n"):
+    """json.dumps(o, sort_keys=True, indent=2), pad the line break and indent
+    before o's closing bracket; the stdlib indents only in pure Python.  A
+    report holds dicts with str keys, lists, tuples, str, int, bool and None:
+    any other type, a float too, raises TypeError."""
+    inner = pad + "  "
+    if o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        # the dims lists, most of an ample report; True is no int here
+        items = map(str, o) if all(type(v) is int for v in o) else [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
+    if isinstance(o, dict):
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
+    raise TypeError("a report holds no %s" % type(o).__name__)
+
+
 def _emit(args, text_lines, payload, dot=None):
-    """Write the report as --format text, json or dot to --out or stdout."""
+    """Write the report as --format text, json or dot to --out or stdout;
+    JSON as _json's bytes and a newline."""
     fmt = args.format or "text"
     if fmt == "dot":
         body = dot
     elif fmt == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        body = _json(payload) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:

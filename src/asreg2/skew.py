@@ -312,13 +312,11 @@ def ideal_e_dims(spec, action, D, dims=None):
     out = []
     run = 0  # the number of full degrees just below d
     for d in range(D + 1):
-        full = r * dims[d]
         if run >= max(wx, wy):
-            out.append(full)
-            continue
+            return out + [r * n for n in dims[d:D + 1]]
         count = sum(mask(a, (d - a * wy) // wx).bit_count() for a in _y_exponents(spec, d))
         out.append(count)
-        run = run + 1 if count == full else 0
+        run = run + 1 if count == r * dims[d] else 0
     return out
 
 

@@ -9,6 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import asreg2
 import asreg2.algebra
@@ -652,12 +653,17 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
 
 
+def _subprocess_env(**extra):
+    """The environment with this checkout's asreg2 first on PYTHONPATH."""
+    src = str(Path(asreg2.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def test_optimized_run_gives_identical_bytes():
     # invariants and the hypotheses of the counts are explicit raises, so
     # python -O checks and prints the same, on check and on a Jordan ample
-    src = str(Path(asreg2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     for argv, expect in (
             (["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"], b'"ok": true'),
             (["ample", "--family", "jordan", "--wy", "3", "--r", "4"], b'"FINITE-UP-TO-64"')):
@@ -666,6 +672,43 @@ def test_optimized_run_gives_identical_bytes():
                 for flags in ([], ["-O"])]
         assert outs[0] == outs[1], argv
         assert expect in outs[0], argv
+
+
+def test_json_goldens_identical_across_hash_seeds():
+    # the golden JSON bytes from fresh processes whose str hashes, and so
+    # set and dict-building orders, differ
+    argvs = ([["check", *flags] for _, flags in CHECK_GOLDENS]
+             + [["ample", *flags] for _, flags in AMPLE_GOLDENS]
+             + [["reflect", "search", *flags] for _, flags in REFLECT_GOLDENS])
+    names = [name for name, _ in CHECK_GOLDENS + AMPLE_GOLDENS + REFLECT_GOLDENS]
+    script = ("import json, sys\nfrom asreg2.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    assert main(argv + ['--format', 'json']) == 0\n")
+    outs = [subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                           env=_subprocess_env(PYTHONHASHSEED=seed),
+                           capture_output=True, check=True).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0] == b"".join((DATA / (name + ".json")).read_bytes() for name in names)
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | JSON_TEXT
+    | st.lists(st.integers() | st.booleans()),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(JSON_TEXT, kids),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_TREES)
+def test_json_writer_equals_json_dumps(tree):
+    assert asreg2.cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_other_types():
+    for value in (1.5, {1, 2}, {1: 2}, {"a": [0, 1.0]}, [{"b": None, 2: 0}]):
+        with pytest.raises(TypeError):
+            asreg2.cli._json(value)
 
 
 WORKLOAD_JOBS = {"ample-quantum": 75, "ample-jordan": 25, "check-suite": 63, "reflect-search": 232}

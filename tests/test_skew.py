@@ -629,6 +629,22 @@ def test_ideal_dims_stop_mid_window_equals_blocked(monkeypatch):
     assert empty_in_run == {1, 7}
 
 
+def test_ideal_dims_every_window_is_a_prefix():
+    # the tail fill at each window top: before, at and after the degree
+    # where the count stops, on HSL quantum actions and Jordan ones (py = q
+    # px, non-HSL where r does not divide q + 1)
+    cases = [(spec, make_cyclic_group(spec, r))
+             for spec in (COMM, quantum_spec(2, 3, 1), W13) for r in range(2, 5)]
+    cases += [(spec, make_diagonal_action(spec, r, 1, spec.q))
+              for spec in (jordan_spec(3), jordan_spec(5)) for r in range(2, 5)]
+    for spec, action in cases:
+        top = default_window(spec, action)
+        long = ideal_e_dims(spec, action, top)
+        assert long == ideal_e_dims_blocked(spec, action, top), (spec.describe(), action.describe())
+        for D in range(top + 1):
+            assert ideal_e_dims(spec, action, D) == long[:D + 1], (spec.describe(), action.describe(), D)
+
+
 def test_make_cyclic_group_hdet_equals_table_sweep():
     # make_cyclic_group checks exponents only: the hdet-one fact that its
     # docstring proves, re-run through the table on every swept action
