@@ -32,11 +32,10 @@ from .skew import (
     corner_dimension_checks,
     fixed_ring_basis,
     idempotent_e,
+    min_phi_degree,
     molien_check,
-    phi_injectivity_check,
     quotient_by_ideal_e_dims,
     rho_idempotents,
-    skew_mul,
 )
 from .quivers import (
     Quiver,

@@ -3,9 +3,9 @@
 Three independent routes to the homological determinant are provided and
 cross-checked in the tests:
 
-  * hdet_table        - the closed formula attached to each family of
-                        automorphisms (general linear, diagonal,
-                        antidiagonal, triangular);
+  * hdet_table        - after the automorphism test, one closed formula
+                        for every classified form (general linear,
+                        diagonal, antidiagonal, triangular); hdet is it;
   * hdet_normal_rec   - peel off the normal element x: when sigma(x) = a*x,
                         hdet_S(sigma) = a * hdet_(S/(x))(sigma), and on the
                         one-variable quotient k[y] the hdet of y -> d*y is d;
@@ -28,20 +28,17 @@ from .linalg import Echelon
 
 
 class NotTabulatedError(ValueError):
-    """Automorphism does not match any classified parametric form."""
+    """The map is not a graded automorphism of the algebra."""
 
 
 class NotApplicableError(ValueError):
     """Method preconditions (normal element form / Koszul weights) not met."""
 
 
-@dataclass(eq=False)
+@dataclass
 class GradedAutomorphism:
     image_x: AlgebraElement
     image_y: AlgebraElement
-
-    def __eq__(self, other):
-        return self.image_x == other.image_x and self.image_y == other.image_y
 
 
 def diagonal_automorphism(spec, a, d):
@@ -129,37 +126,22 @@ def _coefficients(sigma, spec):
 
 
 def hdet_table(sigma, spec):
-    """Classified-form homological determinant."""
+    """hdet of a graded automorphism (else NotTabulatedError), by its closed form.
+
+    The test admits the classified forms: x -> a x, y -> c x^q + a^q y on the
+    Jordan plane, hdet a^(q+1); on xy + yx the diagonal maps and x -> b y,
+    y -> c x, hdet b c (not the determinant); elsewhere A D - B C, which is a d
+    off weights (1, 1), where _coefficients reads B = 0 (so x -> a x + e y^q
+    at weights (q, 1) has hdet a d too).
+    """
     if not is_graded_automorphism(sigma, spec):
         raise NotTabulatedError("not a graded automorphism of this algebra")
     A, B, C, D = _coefficients(sigma, spec)
-    wx, wy = spec.w_x, spec.w_y
     if spec.family == "jordan":
-        # x -> a x, y -> c x^q + a^q y
-        if B:
-            raise NotTabulatedError("jordan automorphisms fix the line through x")
         return A ** (spec.q + 1)
-    alpha = spec.alpha
-    if (wx, wy) == (1, 1):
-        if alpha.is_one():
-            # commutative plane: all of GL_2 acts
-            return A * D - B * C
-        if alpha == -1:
-            if B.is_zero() and C.is_zero():
-                return A * D
-            if A.is_zero() and D.is_zero():
-                return B * C
-            raise NotTabulatedError("xy+yx only admits diagonal or antidiagonal maps")
-        if B.is_zero() and C.is_zero():
-            return A * D
-        raise NotTabulatedError("generic quantum plane only admits diagonal maps")
-    if wx == 1:
-        # weights (1, q), q >= 2: triangular for alpha = 1, diagonal otherwise
-        if alpha.is_one() or C.is_zero():
-            return A * D
-        raise NotTabulatedError("x^q term in sigma(y) needs the commutative relation")
-    # weights (p, q) with p, q >= 2: homogeneity already forces diagonal maps
-    return A * D
+    if spec.alpha == -1 and A.is_zero():
+        return B * C
+    return A * D - B * C
 
 
 def hdet_normal_recursion(sigma, spec):
@@ -213,12 +195,7 @@ def hdet_koszul(sigma, spec):
     return lam
 
 
-def hdet(sigma, spec):
-    """Table value when the form is classified, else the normal-element route."""
-    try:
-        return hdet_table(sigma, spec)
-    except NotTabulatedError:
-        return hdet_normal_recursion(sigma, spec)
+hdet = hdet_table
 
 
 def is_hsl(sigma, spec):

@@ -9,8 +9,8 @@ cut out are coordinate subspaces.  rho_system certifies the basis against
 the g-basis m * g^s of the definition.  The module also provides fixed-ring
 bases, the trace averaging cross-check for fixed dimensions, the corner
 identifications of S with (S*G)e and e(S*G), the graded dimensions of the
-two-sided ideal (e) (the operational ampleness test), and an injectivity
-check for the map sending s*g to the operator t -> s g(t).
+two-sided ideal (e) (the operational ampleness test), and the degree from
+which the map sending s*g to the operator t -> s g(t) is injective.
 
 Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
@@ -63,11 +63,6 @@ class SkewElement(SparseElement):
     @staticmethod
     def basis_element(action, mono, w, coeff=ONE):
         return SkewElement(action, {(mono, w): coeff})
-
-
-def skew_mul(u, v, action):
-    """Product in S*G of elements u, v of the skew group algebra of action."""
-    return u * v
 
 
 def idempotent_e(action):
@@ -397,31 +392,12 @@ def ampleness_report(spec, action, D=None):
     )
 
 
-def min_phi_degree(spec, action, cap=None):
-    """Smallest D whose monomials of degree <= D realize every character.
+def min_phi_degree(spec, action):
+    """Least D from which s*g -> [t -> s g(t)] is injective on truncations.
 
-    Below this threshold the truncated operator representation genuinely
-    has a kernel (too few characters to separate the group elements), so
-    phi_injectivity_check holds from here on and not before.
-    Returns None when the window cap is reached (non-faithful actions).
-    The count behind that threshold needs _check_leading_term, run here.
-    """
-    _check_leading_term(spec)
-    if cap is None:
-        cap = 2 * spec.ell * action.r
-    seen = set()
-    for d in range(cap + 1):
-        seen.update(map(action.char, graded_basis(spec, d)))
-        if len(seen) == action.r:
-            return d
-    return None
-
-
-def phi_injectivity_check(spec, action, D):
-    """Trivial kernel test for s*g -> [t -> s g(t)] on truncations.
-
-    Asks whether the operators on S_{<=D} of the basis elements m*g^s of
-    (S*G)_{<=D} are linearly independent.  Their rank is a count:
+    The map is injective on (S*G)_{<=D} exactly when the operators on
+    S_{<=D} of the basis elements m*g^s are linearly independent.  Their
+    rank is a count:
 
     * The row of m*g^s holds xi^(s char t) (m t) at t, for the monomials t
       of S_{<=D}.  By monomial_product, m t leads with y^(a+a') x^(b+b')
@@ -434,8 +410,16 @@ def phi_injectivity_check(spec, action, D):
       sums over t of one character, so they add no more than that.
 
     Hence rank = #m * min(r, #chars), full exactly when every character
-    occurs in S_{<=D}, i.e. from min_phi_degree on, found by the same scan
-    (a window below degree 0 is vacuous).  The tests cross-check this
-    against the exact elimination.
+    occurs in S_{<=D}: from the degree returned here on (a window below 0 is
+    vacuous).  A faithful action realises every character among the y^a x^b
+    with a, b < r, of degree at most (r-1)*ell, where the scan stops; None
+    means a non-faithful action.  The tests cross-check this against the
+    exact elimination.  The count needs _check_leading_term, run here.
     """
-    return D < 0 or min_phi_degree(spec, action, D) is not None
+    _check_leading_term(spec)
+    seen = set()
+    for d in range((action.r - 1) * spec.ell + 1):
+        seen.update(map(action.char, graded_basis(spec, d)))
+        if len(seen) == action.r:
+            return d
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from asreg2.algebra import (
     quantum_spec,
 )
 from asreg2.automorphisms import (
+    _coefficients,
     CyclicGroupAction,
     GradedAutomorphism,
     NotApplicableError,
@@ -94,6 +96,98 @@ def test_identity_hdet_everywhere():
         assert hdet_table(sigma, spec).is_one()
         assert hdet_normal_recursion(sigma, spec).is_one()
         assert is_hsl(sigma, spec)
+
+
+def test_hdet_refuses_a_non_automorphism():
+    # x -> 2x, y -> y/2 on the q = 3 Jordan plane breaks the relation (it
+    # needs d = a^3), though the normal-element route would give 2 * 1/2 = 1
+    sigma = diagonal_automorphism(J3, 2, RAT(1, 2))
+    assert not is_graded_automorphism(sigma, J3)
+    assert hdet_normal_recursion(sigma, J3).is_one()
+    for route in (hdet_table, hdet, is_hsl):
+        with pytest.raises(NotTabulatedError):
+            route(sigma, J3)
+
+
+def hdet_classified(sigma, spec):
+    """The homological determinant by family and weight branches, each form
+    of the classification on its own; the oracle of hdet_table's one formula."""
+    if not is_graded_automorphism(sigma, spec):
+        raise NotTabulatedError("not a graded automorphism of this algebra")
+    A, B, C, D = _coefficients(sigma, spec)
+    wx, wy = spec.w_x, spec.w_y
+    if spec.family == "jordan":
+        # x -> a x, y -> c x^q + a^q y
+        if B:
+            raise NotTabulatedError("jordan automorphisms fix the line through x")
+        return A ** (spec.q + 1)
+    alpha = spec.alpha
+    if (wx, wy) == (1, 1):
+        if alpha.is_one():
+            # commutative plane: all of GL_2 acts
+            return A * D - B * C
+        if alpha == -1:
+            if B.is_zero() and C.is_zero():
+                return A * D
+            if A.is_zero() and D.is_zero():
+                return B * C
+            raise NotTabulatedError("xy+yx only admits diagonal or antidiagonal maps")
+        if B.is_zero() and C.is_zero():
+            return A * D
+        raise NotTabulatedError("generic quantum plane only admits diagonal maps")
+    if wx == 1:
+        # weights (1, q), q >= 2: triangular for alpha = 1, diagonal otherwise
+        if alpha.is_one() or C.is_zero():
+            return A * D
+        raise NotTabulatedError("x^q term in sigma(y) needs the commutative relation")
+    # the other weights: diagonal, or x -> a x + e y^p at weights (p, 1), alpha = 1
+    return A * D
+
+
+def _sweep_maps():
+    """(spec, sigma) for every map of a few forms over a small value set."""
+    values = [cyc(0), cyc(1), cyc(-1), cyc(2), zeta(3)]
+    for alpha in (cyc(1), cyc(-1), cyc(2), zeta(3)):
+        spec = quantum_spec(1, 1, alpha)
+        for a, b, c, d in itertools.product(values, repeat=4):
+            yield spec, linear_automorphism(spec, a, b, c, d)
+    for a, b, c, d in itertools.product(values, repeat=4):
+        yield J1, linear_automorphism(J1, a, b, c, d)
+    for spec in (quantum_spec(1, 2, 1), quantum_spec(1, 2, -1), quantum_spec(1, 3, 1),
+                 quantum_spec(1, 3, zeta(3)), jordan_spec(2), J3):
+        for a, c, d in itertools.product(values, repeat=3):
+            yield spec, triangular_automorphism(spec, a, c, d)
+    q31 = quantum_spec(3, 1, 1)
+    for spec in (Q23, q31):
+        for a, d in itertools.product(values, repeat=2):
+            yield spec, diagonal_automorphism(spec, a, d)
+    # x -> a x + e y^3 at weights (3, 1)
+    x, y = AlgebraElement.gen_x(q31), AlgebraElement.gen_y(q31)
+    for a, e, d in itertools.product(values, repeat=3):
+        yield q31, GradedAutomorphism(x.scale(a) + (y ** 3).scale(e), y.scale(d))
+
+
+def test_table_equals_classified_oracle_sweep():
+    seen = {True: 0, False: 0}
+    antidiagonal = 0
+    for spec, sigma in _sweep_maps():
+        if not is_graded_automorphism(sigma, spec):
+            for route in (hdet, is_hsl):
+                with pytest.raises(NotTabulatedError):
+                    route(sigma, spec)
+            seen[False] += 1
+            continue
+        seen[True] += 1
+        value = hdet(sigma, spec)
+        assert value == hdet_classified(sigma, spec), (spec.describe(), sigma)
+        assert is_hsl(sigma, spec) == value.is_one()
+        if (spec.w_x, spec.w_y) == (1, 1):
+            assert value == hdet_koszul(sigma, spec), (spec.describe(), sigma)
+        try:
+            assert value == hdet_normal_recursion(sigma, spec), (spec.describe(), sigma)
+        except NotApplicableError:
+            antidiagonal += spec.family == "quantum" and spec.alpha == -1
+    assert seen[True] > 500 and seen[False] > 1000 and antidiagonal, (seen, antidiagonal)
 
 
 def test_table_general_linear_on_commutative_plane():

@@ -81,6 +81,20 @@ def test_hdet_jordan_power(capsys):
     assert "hdet (table) = 8" in out  # a^(q+1) with q = 2
 
 
+def test_hdet_antidiagonal_and_refusal(capsys):
+    # x -> 2y, y -> 3x on xy + yx: hdet b c, and no normal-element route
+    code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1", "--alpha", "-1",
+                             "--a", "0", "--b", "2", "--c", "3", "--d", "0"])
+    assert code == 0
+    assert "hdet (table) = 6" in out and "normal-recursion" not in out
+    assert "methods agree: yes" in out
+    # x -> 2x, y -> y/2 on the q = 3 Jordan plane needs d = a^3
+    with pytest.raises(SystemExit) as exc:
+        main(["hdet", "--family", "jordan", "--wy", "3", "--a", "2", "--d", "1/2"])
+    assert str(exc.value) == ("the given images do not define a graded automorphism "
+                              "(relation not preserved or map not invertible)")
+
+
 def test_fixed_command(capsys):
     code, out = run(capsys, ["fixed", "--wx", "1", "--wy", "1", "--r", "3",
                              "--max-degree", "6"])

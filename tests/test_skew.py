@@ -40,12 +40,10 @@ from asreg2.skew import (
     min_phi_degree,
     molien_check,
     molien_dims,
-    phi_injectivity_check,
     quotient_by_ideal_e_dims,
     rho_idempotents,
     rho_system,
     skew_dim,
-    skew_mul,
 )
 
 COMM = quantum_spec(1, 1, 1)
@@ -177,17 +175,17 @@ def ideal_e_dims_naive(spec, action, D):
         for i in range(d + 1):
             for (m1, a) in _skew_basis(action, i):
                 u = GSkewElement.basis_element(action, m1, a)
-                ue = skew_mul(u, e, action)
+                ue = u * e
                 for (m2, b) in _skew_basis(action, d - i):
                     v = GSkewElement.basis_element(action, m2, b)
-                    uev = skew_mul(ue, v, action)
+                    uev = ue * v
                     ech.add(dict(uev.terms))
         out.append(ech.rank)
     return out
 
 
 def phi_injectivity_oracle(spec, action, D):
-    """phi_injectivity_check by exact elimination of the operator matrix.
+    """Injectivity of s*g -> [t -> s g(t)] on (S*G)_{<=D} by exact elimination.
 
     Maps every basis element of (S*G)_{<=D} to its operator on S_{<=D}
     (with outputs in S_{<=2D}) and checks the combined matrix has full row
@@ -212,7 +210,7 @@ def test_skew_mul_convention():
     action = make_cyclic_group(COMM, 3)
     x = GSkewElement.basis_element(action, Monomial(0, 1), 1)   # x * g
     y = GSkewElement.basis_element(action, Monomial(1, 0), 0)   # y * 1
-    prod = skew_mul(x, y, action)
+    prod = x * y
     # x g(y) * g = xi^-1 * yx * g
     assert prod.terms == {(Monomial(1, 1), 1): action.xi_power(-1)}
 
@@ -221,13 +219,13 @@ def test_skew_unit_and_group_law():
     action = make_cyclic_group(W13, 4)
     one = GSkewElement.one(action)
     v = GSkewElement(action, {(Monomial(1, 2), 3): cyc(5), (Monomial(0, 1), 0): zeta(3)})
-    assert skew_mul(one, v, action) == v
-    assert skew_mul(v, one, action) == v
+    assert one * v == v
+    assert v * one == v
     for s in range(4):
         for t in range(4):
             gs = GSkewElement.basis_element(action, Monomial(0, 0), s)
             gt = GSkewElement.basis_element(action, Monomial(0, 0), t)
-            assert skew_mul(gs, gt, action).terms == {(Monomial(0, 0), (s + t) % 4): cyc(1)}
+            assert (gs * gt).terms == {(Monomial(0, 0), (s + t) % 4): cyc(1)}
 
 
 def test_skew_mul_associative_randomized():
@@ -241,16 +239,14 @@ def test_skew_mul_associative_randomized():
                     pool.append(SkewElement.basis_element(action, m, s, rng.choice([1, 2, -1])))
         for _ in range(20):
             u, v, w = (rng.choice(pool) for _ in range(3))
-            assert skew_mul(skew_mul(u, v, action), w, action) == skew_mul(
-                u, skew_mul(v, w, action), action
-            )
+            assert (u * v) * w == u * (v * w)
 
 
 def test_idempotent_e():
     for spec, r in ((COMM, 1), (COMM, 2), (COMM, 3), (J1, 2)):
         action = make_cyclic_group(spec, r)
         e = g_idempotent_e(action)
-        assert skew_mul(e, e, action) == e
+        assert e * e == e
         # the library's e is the unit vector rho_0, whose image is this e
         assert idempotent_e(action) == SkewElement.basis_element(action, MONO_ONE, 0)
         assert to_g_basis(idempotent_e(action), GSkewElement) == e
@@ -271,7 +267,7 @@ def test_rho_idempotents_orthogonal_complete():
         for i, ri in enumerate(rhos):
             total = total + ri
             for j, rj in enumerate(rhos):
-                prod = skew_mul(ri, rj, action)
+                prod = ri * rj
                 if i == j:
                     assert prod == ri
                 else:
@@ -433,10 +429,10 @@ def corner_dimension_checks_echelon(spec, action, D):
         ece, se, es = Echelon(), Echelon(), Echelon()
         for m, w in _skew_basis(action, d):
             u = SkewElement.basis_element(action, m, w)
-            ue = skew_mul(u, e, action)
+            ue = u * e
             se.add(dict(ue.terms))
-            es.add(dict(skew_mul(e, u, action).terms))
-            ece.add(dict(skew_mul(e, ue, action).terms))
+            es.add(dict((e * u).terms))
+            ece.add(dict((e * ue).terms))
         dim_s = len(graded_basis(spec, d))
         dim_fixed = len(fixed_ring_basis(spec, action, d))
         row = {"d": d, "corner_eSGe": ece.rank, "fixed": dim_fixed,
@@ -753,10 +749,17 @@ def test_ampleness_exploratory_non_hsl():
     assert all(v > 0 for v in rep.dims)
 
 
+def phi_injective(spec, action, D):
+    """Injective on (S*G)_{<=D} from min_phi_degree on (never if it is None);
+    a window below degree 0 is vacuous."""
+    d_phi = min_phi_degree(spec, action)
+    return D < 0 or (d_phi is not None and d_phi <= D)
+
+
 def test_phi_injectivity():
     for spec, r, D in ((COMM, 2, 4), (COMM, 1, 4), (W13, 2, 4), (J1, 2, 4)):
         action = make_cyclic_group(spec, r)
-        assert phi_injectivity_check(spec, action, D)
+        assert phi_injective(spec, action, D)
 
 
 def test_phi_injectivity_threshold():
@@ -766,8 +769,8 @@ def test_phi_injectivity_threshold():
     action = make_cyclic_group(spec, 6)
     d_min = min_phi_degree(spec, action)
     assert d_min == 6
-    assert not phi_injectivity_check(spec, action, 3)
-    assert phi_injectivity_check(spec, action, d_min)
+    assert not phi_injective(spec, action, 3)
+    assert phi_injective(spec, action, d_min)
 
 
 PHI_WEIGHTS = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 5)]
@@ -782,7 +785,7 @@ def _phi_windows(spec, action):
 
 
 def _assert_phi_matches_oracle(spec, action, D):
-    value = phi_injectivity_check(spec, action, D)
+    value = phi_injective(spec, action, D)
     assert value == phi_injectivity_oracle(spec, action, D), (
         spec.describe(), action.describe(), D)
     return value
@@ -797,6 +800,9 @@ def test_phi_injectivity_count_equals_oracle_sweep():
             spec = quantum_spec(*w, _alpha(kind, rng.randrange(1, 5)))
             actions.extend(make_cyclic_group(spec, r) for r in range(1, 6))
     actions.extend(make_cyclic_group(jordan_spec(q), r) for q, r in PHI_JORDAN)
+    # faithful: every character occurs by degree (r-1)*ell, inside min_phi_degree's scan
+    for action in actions:
+        assert min_phi_degree(action.spec, action) <= (action.r - 1) * action.spec.ell
     # non-faithful diagonal actions: some character never occurs
     non_faithful = [make_diagonal_action(COMM, 4, 2, 0),
                     make_diagonal_action(quantum_spec(1, 2, RAT(2, 3)), 4, 2, 2),
