@@ -294,14 +294,15 @@ def _json(o, pad="\n"):
 
 def _emit(args, text_lines, payload, dot=None):
     """Write the report as --format text, json or dot to --out or stdout;
-    JSON as _json's bytes and a newline."""
+    JSON as _json's bytes and a newline.  text_lines is called for the
+    lines only when the format is text."""
     fmt = args.format or "text"
     if fmt == "dot":
         body = dot
     elif fmt == "json":
         body = _json(payload) + "\n"
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(text_lines()) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -313,12 +314,12 @@ def _emit(args, text_lines, payload, dot=None):
 
 
 def _quiver_report(q, params):
-    """The _emit arguments after args for a quiver: text lines, JSON payload, DOT."""
+    """The _emit arguments after args for a quiver: text lines (a callable), JSON payload, DOT."""
     lines = ["vertices: %s" % " ".join(q.vertices)]
     for (s, t, tag) in q.arrows:
         lines.append("%s -> %s%s" % (s, t, " [%s]" % tag if tag else ""))
     payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
-    return lines, payload, to_dot(q)
+    return lambda: lines, payload, to_dot(q)
 
 
 def cmd_info(args):
@@ -337,7 +338,7 @@ def cmd_info(args):
                    "max_degree": D},
         "result": {"ell": spec.ell, "hilbert_dims": dims},
     }
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, payload)
     return 0
 
 
@@ -390,7 +391,7 @@ def cmd_hdet(args):
         "result": {"hdet": {k: str(v) for k, v in methods.items()},
                    "agree": agree, "hsl": in_hsl},
     }
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, payload)
     return 0 if agree else 1
 
 
@@ -413,7 +414,7 @@ def cmd_fixed(args):
         "params": {"r": action.r, "max_degree": D},
         "result": {"fixed_dims": dims, "molien_dims": mdims, "agree": ok},
     }
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, payload)
     return 0 if ok else 1
 
 
@@ -430,7 +431,7 @@ def cmd_ample(args):
             "first_zero_degree": rep.first_zero_degree, "total_dim": rep.total_dim,
         },
     }
-    _emit(args, rep.lines(), payload)
+    _emit(args, rep.lines, payload)
     return 0
 
 
@@ -486,7 +487,7 @@ def cmd_reflect_search(args):
     if seq is None:
         lines.append("no reflection sequence found")
         payload["result"] = {"found": False}
-        _emit(args, lines, payload)
+        _emit(args, lambda: lines, payload)
         return 1
     state = source
     for v in seq:
@@ -495,7 +496,7 @@ def cmd_reflect_search(args):
     lines += ["reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
               "replay verified: %s" % ("yes" if verified else "NO")]
     payload["result"] = {"found": True, "sequence": seq, "verified": verified}
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, payload)
     return 0 if verified else 1
 
 
@@ -560,7 +561,7 @@ def cmd_check(args):
         "result": {"checks": [{"name": n, "ok": o} for (n, o) in results],
                    "ok": ok_all},
     }
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, payload)
     return 0 if ok_all else 1
 
 
@@ -574,7 +575,14 @@ def _parse(argv):
     rest = sys.argv[1:] if argv is None else list(argv)
     while rest:
         sub = next((a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)), None)
-        if sub is None or rest[0] not in sub.choices:
+        if sub is None:
+            break
+        if rest[0] not in sub.choices:
+            # argparse would name the option's value as the unknown subcommand;
+            # "-", "--" and -h, --help or an abbreviation of it keep argparse's reply
+            if rest[0].startswith("-") and rest[0] != "-h" and not "--help".startswith(rest[0]):
+                leaf.error("option %s comes before the subcommand; options go after it"
+                           % rest[0].split("=", 1)[0])
             break
         setattr(args, sub.dest, rest[0])
         leaf, rest = sub.choices[rest[0]], rest[1:]

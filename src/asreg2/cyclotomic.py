@@ -232,14 +232,19 @@ class Cyclotomic:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyclotomic(1)
+        if not k:
+            return Cyclotomic(1)
+        # square only while bits remain, and take the lowest set bit's power
+        # as the first factor: at most 2*bit_length(k) - 2 products
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -248,10 +248,13 @@ def _sub_char_masks(r, px, py):
     return mask
 
 
-def ideal_e_dims(spec, action, D, dims=None):
-    """dim (e)_d for d = 0..D, where (e) is the two-sided ideal generated by e.
+def ideal_e_dims(spec, action, D):
+    """dim (e)_d for the degrees d = 0, 1, ... that the count walks, where (e)
+    is the two-sided ideal generated by e.
 
-    dims is hilbert_dims(spec, D) when the caller has it at hand.
+    The walk ends at the tail-lemma stop below, after h = max(w_x, w_y)
+    full degrees in a row, or at D.  Every later degree up to D is full,
+    (e)_d = (S*G)_d of dimension r dim S_d, and is not listed.
 
     (e)_d is spanned by u e v over basis elements u, v of S*G with deg u +
     deg v = d.  For a diagonal action u e v is a nonzero multiple of
@@ -291,7 +294,7 @@ def ideal_e_dims(spec, action, D, dims=None):
     x passes a y, so monomial_product gives m1 m2 = m with coefficient 1,
     and m rho_w = (m1 rho_(w - char m2))(m2 rho_w) lies in (e), as
     m1 rho_(w - char m2) does.  So after h full degrees in a row the count
-    stops and every later degree gets r dim S_d.
+    stops.
 
     The tests cross-check this against elimination in every block and
     against the literal spanning set.
@@ -300,26 +303,35 @@ def ideal_e_dims(spec, action, D, dims=None):
     if {action.char(m) for m in monomial_product(spec, (0, 1), (1, 0))} != {action.char((1, 1))}:
         raise ArithmeticError("every term of x*y must have the character of y*x for the count"
                               " (on the Jordan plane, py = q*px mod r)")
-    if dims is None:
-        dims = hilbert_dims(spec, D)
     r, wx, wy = action.r, spec.w_x, spec.w_y
+    h = max(wx, wy)
     mask = _sub_char_masks(r, action.px, action.py)
     out = []
     run = 0  # the number of full degrees just below d
     for d in range(D + 1):
-        if run >= max(wx, wy):
-            return out + [r * n for n in dims[d:D + 1]]
-        count = sum(mask(a, (d - a * wy) // wx).bit_count() for a in _y_exponents(spec, d))
+        if run >= h:
+            break
+        ys = _y_exponents(spec, d)
+        count = sum(mask(a, (d - a * wy) // wx).bit_count() for a in ys)
         out.append(count)
-        run = run + 1 if count == r * dims[d] else 0
+        run = run + 1 if count == r * len(ys) else 0
     return out
 
 
+def _walked_quotient_dims(spec, action, D):
+    """dim (S*G/(e))_d over the degrees ideal_e_dims walks; 0 up to D after."""
+    ideal = ideal_e_dims(spec, action, D)
+    return [action.r * n - i for n, i in zip(hilbert_dims(spec, len(ideal) - 1), ideal)]
+
+
 def quotient_by_ideal_e_dims(spec, action, D):
-    """dim (S*G/(e))_d for d = 0..D."""
-    dims = hilbert_dims(spec, D)
-    ideal = ideal_e_dims(spec, action, D, dims)
-    return [action.r * n - i for n, i in zip(dims, ideal)]
+    """dim (S*G/(e))_d for d = 0..D.
+
+    Past the degrees ideal_e_dims walks, (e)_d = (S*G)_d by the tail lemma,
+    so those degrees are 0 without any per-degree work.
+    """
+    walked = _walked_quotient_dims(spec, action, D)
+    return walked + [0] * (D + 1 - len(walked))
 
 
 @dataclass
@@ -365,8 +377,9 @@ def ampleness_report(spec, action, D=None):
     """
     if D is None:
         D = default_window(spec, action)
-    dims = quotient_by_ideal_e_dims(spec, action, D)
-    nonzero = [d for d, v in enumerate(dims) if v]
+    # the unwalked degrees are 0, so they add no nonzero degree and no dimension
+    walked = _walked_quotient_dims(spec, action, D)
+    nonzero = [d for d, v in enumerate(walked) if v]
     last_nonzero = nonzero[-1] if nonzero else -1
     first_zero = last_nonzero + 1
     tail = D - last_nonzero
@@ -384,10 +397,10 @@ def ampleness_report(spec, action, D=None):
         action_text=action.describe(),
         hsl=action.is_hsl_action(),
         D=D,
-        dims=dims,
+        dims=walked + [0] * (D + 1 - len(walked)),
         verdict=verdict,
         first_zero_degree=first_zero if tail > 0 else None,
-        total_dim=sum(dims),
+        total_dim=sum(walked),
         need=need,
     )
 

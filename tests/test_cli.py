@@ -155,6 +155,12 @@ AMPLE_GOLDENS = [
     ("ample_j11_r12", ["--family", "jordan", "--wy", "11", "--r", "12"]),
     ("ample_j3_r6_p2_0", ["--family", "jordan", "--wy", "3", "--r", "6", "--action-powers", "2,0"]),
 ]
+# the text report, which is built only for --format text
+AMPLE_TEXT_GOLDENS = [
+    ("ample_2_3_z5_r4", ["--wx", "2", "--wy", "3", "--alpha", "zeta(5)", "--r", "4"]),
+    ("ample_j3_r4", ["--family", "jordan", "--wy", "3", "--r", "4"]),
+    ("ample_1_2_r6_p2_3", ["--wx", "1", "--wy", "2", "--r", "6", "--action-powers", "2,3"]),
+]
 REFLECT_GOLDENS = [
     ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
     ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
@@ -178,15 +184,29 @@ def test_check_matches_golden(tmp_path, capsys, name, flags):
     assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
 
 
-@pytest.mark.parametrize("name, flags", AMPLE_GOLDENS,
-                         ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12", "j3_r6_p2_0"])
+@pytest.mark.parametrize(
+    "name, flags",
+    [(name + ".json", flags + ["--format", "json"]) for name, flags in AMPLE_GOLDENS]
+    + [(name + ".txt", flags + ["--format", "text"]) for name, flags in AMPLE_TEXT_GOLDENS],
+    ids=["1_1_r100", "1_1_r12_p2_3", "j11_r12", "j3_r6_p2_0",
+         "text_2_3_z5_r4", "text_j3_r4", "text_1_2_r6_p2_3"])
 def test_ample_matches_golden(tmp_path, capsys, name, flags):
     # pins the ample bytes at large r, on non-ample actions of both planes
-    # and on the Jordan plane
-    out_file = tmp_path / "ample.json"
-    code, _ = run(capsys, ["ample", *flags, "--format", "json", "--out", str(out_file)])
+    # and on the Jordan plane, in JSON and as text
+    out_file = tmp_path / name
+    code, _ = run(capsys, ["ample", *flags, "--out", str(out_file)])
     assert code == 0
-    assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
+    assert out_file.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_ample_json_builds_no_text_lines(monkeypatch, capsys):
+    def no_lines(self):
+        raise AssertionError("the JSON report built the text lines")
+
+    monkeypatch.setattr(asreg2.skew.AmplenessReport, "lines", no_lines)
+    code, out = run(capsys, ["ample", "--wx", "1", "--wy", "2", "--r", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"] == "FINITE-UP-TO-36"
 
 
 @pytest.mark.parametrize("name, flags", REFLECT_GOLDENS, ids=["2_5_c3", "1_3_c6"])
@@ -625,6 +645,26 @@ def _parse_outcome(parse, argv, capsys):
     return vars(args)
 
 
+MISPLACED_WX = "option --wx comes before the subcommand; options go after it"
+
+
+def test_option_before_the_subcommand_is_named(capsys):
+    for argv, line in ((["--wx", "1", "ample"], "asreg2: error: " + MISPLACED_WX),
+                       (["--wx=1", "ample"], "asreg2: error: " + MISPLACED_WX),
+                       (["reflect", "--wx", "1", "search"], "asreg2 reflect: error: " + MISPLACED_WX),
+                       (["--r", "2", "check"], "asreg2: error: " + MISPLACED_WX.replace("wx", "r"))):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1] == line, argv
+    # help and its abbreviations still print help; "-" and "--" name no option
+    for argv, code in ((["--he"], 0), (["-h"], 0), (["-", "ample"], 2), (["--", "ample"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+        assert "comes before the subcommand" not in capsys.readouterr().err, argv
+
+
 def test_parse_matches_argparse(tmp_path, monkeypatch, capsys):
     # main parses once, by the parser the leading subcommand names pick;
     # argparse's parse through every nested parser is the oracle
@@ -642,8 +682,12 @@ def test_parse_matches_argparse(tmp_path, monkeypatch, capsys):
             for job in workload.space()]
     for argv in jobs + GOLDEN_ARGVS + bad + with_config:
         expected = _parse_outcome(asreg2.cli.build_parser().parse_args, argv, capsys)
-        assert _parse_outcome(one_parse, argv, capsys) == expected, argv
         assert isinstance(expected, dict) == (argv not in bad), argv
+        if argv == ["--wx", "1", "ample"]:
+            # the one departure from argparse, which names "1" as the subcommand
+            usage = expected[2].split("asreg2: error:")[0]
+            expected = expected[:2] + (usage + "asreg2: error: " + MISPLACED_WX + "\n",)
+        assert _parse_outcome(one_parse, argv, capsys) == expected, argv
     # help exits 0, the rest exit 2
     codes = [_parse_outcome(one_parse, argv, capsys)[0] for argv in bad]
     assert codes == [2, 0, 2, 2, 2, 0, 2, 0, 2, 2, 2]

@@ -278,6 +278,32 @@ def test_root_of_unity_divisibility():
             assert (z ** k).is_one() == (k % n == 0)
 
 
+def test_pow_equals_repeated_products_with_few_squarings(monkeypatch):
+    # square-and-multiply squares only while bits of k remain and starts
+    # from the lowest set bit's power: bit_length(k) - 1 squarings and
+    # bit_count(k) - 1 products, so at most 2*bit_length(k) - 1, none for k = 0
+    real_mul = Cyclotomic.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return real_mul(self, other)
+
+    for n in (1, 3, 5, 12):
+        base = zeta(n) * 2 - cyc(RAT(1, 3))
+        expected = cyc(1)
+        for k in range(21):
+            calls.clear()
+            monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+            power = base ** k
+            monkeypatch.undo()
+            assert len(calls) <= max(0, 2 * k.bit_length() - 1), (n, k, len(calls))
+            assert len(calls) == (k.bit_length() + k.bit_count() - 2 if k else 0), (n, k, len(calls))
+            assert (power.conductor, power.num, power.den) == (
+                expected.conductor, expected.num, expected.den), (n, k)
+            expected = expected * base
+
+
 def test_division_by_zero_raises():
     try:
         cyc(1) / Cyclotomic(0)

@@ -16,6 +16,7 @@ from asreg2.algebra import (
     Monomial,
     SparseElement,
     graded_basis,
+    hilbert_dims,
     jordan_spec,
     monomial_product,
     quantum_spec,
@@ -476,13 +477,28 @@ def test_corner_dimension_checks_reject_products_of_two_terms(monkeypatch):
     assert [row["ok"] for row in rows] == [True, True, False, True]
 
 
+def ideal_e_dims_window(spec, action, D):
+    """ideal_e_dims extended by r dim S_d past its stop to the window 0..D.
+
+    Asserts the prefix contract: the walk ends exactly h = max(w_x, w_y)
+    full degrees after the last degree that is not full, or at D + 1.
+    """
+    prefix = ideal_e_dims(spec, action, D)
+    dims = hilbert_dims(spec, D)
+    r, h = action.r, max(spec.w_x, spec.w_y)
+    last_not_full = max((d for d, n in enumerate(prefix) if n != r * dims[d]), default=-1)
+    assert len(prefix) == min(last_not_full + 1 + h, D + 1), (
+        spec.describe(), action.describe(), D, len(prefix))
+    return prefix + [r * n for n in dims[len(prefix):]]
+
+
 def test_ideal_dims_blocked_equals_naive():
     for spec, r in ((COMM, 3), (W13, 2), (J1, 2), (QUANT5, 2)):
         action = make_cyclic_group(spec, r)
-        assert ideal_e_dims(spec, action, 6) == ideal_e_dims_naive(spec, action, 6)
+        assert ideal_e_dims_window(spec, action, 6) == ideal_e_dims_naive(spec, action, 6)
     # non-hdet-one diagonal action goes through the same reduction
     action = make_diagonal_action(COMM, 3, 1, 0)
-    assert ideal_e_dims(COMM, action, 6) == ideal_e_dims_naive(COMM, action, 6)
+    assert ideal_e_dims_window(COMM, action, 6) == ideal_e_dims_naive(COMM, action, 6)
 
 
 QUANTUM_WEIGHTS = [(wx, wy) for wx in range(1, 4) for wy in range(1, 6) if gcd(wx, wy) == 1]
@@ -498,7 +514,7 @@ def _alpha(kind, k):
 
 def _assert_count_matches_oracle(spec, action):
     D = 2 * spec.ell * action.r
-    assert ideal_e_dims(spec, action, D) == ideal_e_dims_blocked(spec, action, D), (
+    assert ideal_e_dims_window(spec, action, D) == ideal_e_dims_blocked(spec, action, D), (
         spec.describe(), action.describe())
 
 
@@ -557,7 +573,7 @@ def test_ideal_dims_count_equals_blocked_sweep(monkeypatch):
     # the count is exact on both planes: no elimination at all
     monkeypatch.setattr(Echelon, "__init__", no_echelon)
     for (spec, action), D, dims in zip(cases, windows, expected):
-        assert ideal_e_dims(spec, action, D) == dims, (spec.describe(), action.describe())
+        assert ideal_e_dims_window(spec, action, D) == dims, (spec.describe(), action.describe())
     assert {spec.family for spec, _ in cases} == {"quantum", "jordan"}
 
 
@@ -608,7 +624,7 @@ def test_ideal_dims_stop_mid_window_equals_blocked(monkeypatch):
         action = make_diagonal_action(spec, r, px, py)
         h, D = max(spec.w_x, spec.w_y), 2 * spec.ell * r
         keys.clear()
-        dims = ideal_e_dims(spec, action, D)
+        dims = ideal_e_dims_window(spec, action, D)
         assert dims == ideal_e_dims_blocked(spec, action, D), (spec.describe(), r, px, py)
         # the first run of h full degrees, read off the oracle's numbers
         full = [n == r * len(graded_basis(spec, d)) for d, n in enumerate(dims)]
@@ -635,10 +651,11 @@ def test_ideal_dims_every_window_is_a_prefix():
               for spec in (jordan_spec(3), jordan_spec(5)) for r in range(2, 5)]
     for spec, action in cases:
         top = default_window(spec, action)
-        long = ideal_e_dims(spec, action, top)
+        long = ideal_e_dims_window(spec, action, top)
         assert long == ideal_e_dims_blocked(spec, action, top), (spec.describe(), action.describe())
         for D in range(top + 1):
-            assert ideal_e_dims(spec, action, D) == long[:D + 1], (spec.describe(), action.describe(), D)
+            assert ideal_e_dims_window(spec, action, D) == long[:D + 1], (
+                spec.describe(), action.describe(), D)
 
 
 def test_make_cyclic_group_hdet_equals_table_sweep():
@@ -723,6 +740,44 @@ def test_quotient_dims_monotone_under_window():
     short = quotient_by_ideal_e_dims(COMM, action, 5)
     longer = quotient_by_ideal_e_dims(COMM, action, 9)
     assert longer[:6] == short
+
+
+def test_quotient_dims_equal_full_window_route_sweep():
+    # r dim S_d - dim (e)_d over the whole window, with the ideal by
+    # elimination, is the oracle of the prefix and its zero padding: on
+    # non-ample actions (gcd(px, r) or gcd(py, r) > 1, never a stop), on
+    # windows that end before the stop and at D = 0
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(40):
+        r = rng.randrange(1, 6)
+        px = rng.randrange(r)
+        if rng.random() < 0.3:
+            spec = jordan_spec(rng.randrange(1, 5))
+            py = spec.q * px
+        else:
+            wx, wy = rng.choice(QUANTUM_WEIGHTS[:6])
+            spec = quantum_spec(wx, wy, _alpha(rng.choice(ALPHA_KINDS), rng.randrange(1, 5)))
+            py = rng.randrange(r)
+        top = 2 * spec.ell * r
+        for D in (0, rng.randrange(top + 1), top):
+            cases.append((spec, make_diagonal_action(spec, r, px, py), D))
+    seen = set()
+    for spec, action, D in cases:
+        ideal = ideal_e_dims_blocked(spec, action, D)
+        expected = [action.r * n - i for n, i in zip(hilbert_dims(spec, D), ideal)]
+        assert quotient_by_ideal_e_dims(spec, action, D) == expected, (
+            spec.describe(), action.describe(), D)
+        r, px, py = action.r, action.px, action.py
+        ample = gcd(px, r) == gcd(py, r) == 1
+        walked_all = len(ideal_e_dims(spec, action, D)) == D + 1
+        seen.add((ample, walked_all, D == 0))
+        if not ample:
+            assert walked_all, (spec.describe(), action.describe(), D)
+    # non-ample actions (which walk the whole window), ample windows shorter
+    # than the stop and past it, and D = 0 on both kinds of action
+    assert {(False, True, False), (True, True, False), (True, False, False),
+            (False, True, True), (True, True, True)} <= seen, seen
 
 
 def test_ampleness_report_finite():
