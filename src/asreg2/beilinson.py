@@ -103,17 +103,6 @@ def lambda_dim(action):
 # ---------------------------------------------------------------------------
 # Gabriel quiver from J/J^2 corner dimensions
 
-def _tau_j_basis(action):
-    """Positive-degree basis of Lambda with its corner data.
-
-    Entries (i, j, mono, w) stand for M(i->j; mono) * rho_w; the source
-    vertex is (i, w) and the target is (j, (w - char mono) mod r).
-    """
-    r = action.r
-    return [((i, j, m, w), (i, w), (j, (w - action.char(m)) % r))
-            for (i, j, m) in nabla_basis(action.spec) if i < j for w in range(r)]
-
-
 def gabriel_quiver_oracle(spec, action):
     """Quiver of Lambda read off from corner dimensions of J/J^2.
 
@@ -121,38 +110,57 @@ def gabriel_quiver_oracle(spec, action):
     group character); by construction it must be isomorphic, tags ignored,
     to the combinatorial skew quiver.
 
-    Below degree ell, one key: every product formed here,
-    M(i->j; m) rho_w * M(k->i; n) rho_v, has deg(mn) = j - k < ell.  By
-    monomial_product, (y^a1 x^b1)(y^a2 x^b2) is the one key y^(a1+a2)
-    x^(b1+b2) with coefficient 1 unless b1, a2 >= 1, of degree >= ell.  So
-    the rank of a J^2 corner is the number of distinct keys in it.  A
-    product of any other shape raises ArithmeticError.
+    J has the basis M(i->j; m) rho_w, i < j, in the corner from the source
+    (i, w) to the target (j, w - char m).  J^2 is spanned by the products
+    M(i->j; m) rho_w * M(k->i; n) rho_v with k < i < j that the guard of
+    lambda_mul_basis leaves nonzero, v = w + char n, in the corner from
+    (k, w + char n) to (j, w - char m).
+
+    Below degree ell, one key: every such product has deg(mn) = j - k <
+    ell.  By monomial_product, (y^a1 x^b1)(y^a2 x^b2) is the one key
+    y^(a1+a2) x^(b1+b2) with coefficient 1 unless b1, a2 >= 1, of degree
+    >= ell.  So the rank of a J^2 corner is the number of distinct keys in
+    it.  A product of any other shape raises ArithmeticError.
+
+    One product per (k < i < j, m, n), not one per character w:
+    lambda_mul_basis reads w only in its guard and in v = w + char n, so
+    the product at w is the one at w = 0, v = char n, with its character
+    moved by w: the key M(k->j; mn) rho_(w + char n), for one S-product mn.
+    Both corners, of J and of J^2, have source character minus target
+    character fixed (char m, resp. char m + char n mod r) as w runs, and
+    a corner's keys at one source character differ only in mn.  So the
+    J corner from (i, s) to (j, s - c) has the size #{m in S_(j-i) : char
+    m = c} at every s, the J^2 corner from (k, s) to (j, s - c) has
+    #{mn : char m + char n = c} keys at every s, and the arrows of one
+    (source grid vertex, target grid vertex, character difference) are
+    expanded over the r source characters only when they are emitted.
+    The tests keep the loop over every w as the oracle.
     """
-    r = action.r
-    basis = _tau_j_basis(action)
-    j_corner = Counter()
-    by_src = {}
-    by_dst = {}
-    for (key, src, dst) in basis:
-        j_corner[(src, dst)] += 1
-        by_src.setdefault(src, []).append((key, dst))
-        by_dst.setdefault(dst, []).append((key, src))
-    # J^2 corner spans: (left: mid -> dst) times (right: src -> mid)
-    jj_keys = {}
-    for mid in set(by_src) & set(by_dst):
-        for (lk, dst) in by_src[mid]:
-            for (rk, src) in by_dst[mid]:
-                prod = lambda_mul_basis(action, lk, rk)
-                if len(prod) != 1:
-                    raise ArithmeticError("J^2 product %r * %r is not one basis key" % (lk, rk))
-                jj_keys.setdefault((src, dst), set()).update(prod)
-    vertices = ["v%d_%d" % (i, w) for i in range(spec.ell) for w in range(r)]
+    r, ell = action.r, spec.ell
+    graded = [[(m, action.char(m)) for m in graded_basis(spec, d)] for d in range(ell)]
+    # (i, j, c) -> the size of the J corner from (i, s) to (j, s - c)
+    j_corner = Counter((i, j, c) for i in range(ell) for j in range(i + 1, ell)
+                       for _, c in graded[j - i])
+    jj_keys = {}  # (k, j, c) -> the S-parts of the J^2 keys from (k, s) to (j, s - c)
+    for k in range(ell):
+        for i in range(k + 1, ell):
+            for n, cn in graded[i - k]:
+                right = (k, i, n, cn)
+                for j in range(i + 1, ell):
+                    for m, cm in graded[j - i]:
+                        left = (i, j, m, 0)
+                        prod = lambda_mul_basis(action, left, right)
+                        if len(prod) != 1:
+                            raise ArithmeticError("J^2 product %r * %r is not one basis key"
+                                                  % (left, right))
+                        (_, _, mono, _), = prod
+                        jj_keys.setdefault((k, j, (cm + cn) % r), set()).add(mono)
+    vertices = ["v%d_%d" % (i, w) for i in range(ell) for w in range(r)]
     arrows = []
-    for corner, size in sorted(j_corner.items()):
-        (src, dst) = corner
-        count = size - len(jj_keys.get(corner, ()))
-        for _ in range(count):
-            arrows.append(("v%d_%d" % src, "v%d_%d" % dst, ""))
+    for (i, j, c), size in j_corner.items():
+        count = size - len(jj_keys.get((i, j, c), ()))
+        for s in range(r):
+            arrows += [("v%d_%d" % (i, s), "v%d_%d" % (j, (s - c) % r), "")] * count
     return Quiver(vertices, arrows)
 
 

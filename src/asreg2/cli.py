@@ -57,6 +57,7 @@ from .quivers import (
     quiver_qs,
     quiver_qsg,
     reflection_search,
+    tagged_and_untagged_classes,
     to_dot,
     to_json_dict,
 )
@@ -295,10 +296,11 @@ def _json(o, pad="\n"):
 def _emit(args, text_lines, payload, dot=None):
     """Write the report as --format text, json or dot to --out or stdout;
     JSON as _json's bytes and a newline.  text_lines is called for the
-    lines only when the format is text."""
+    lines only when the format is text, and dot for the DOT text only when
+    it is dot."""
     fmt = args.format or "text"
     if fmt == "dot":
-        body = dot
+        body = dot()
     elif fmt == "json":
         body = _json(payload) + "\n"
     else:
@@ -314,12 +316,13 @@ def _emit(args, text_lines, payload, dot=None):
 
 
 def _quiver_report(q, params):
-    """The _emit arguments after args for a quiver: text lines (a callable), JSON payload, DOT."""
+    """The _emit arguments after args for a quiver: text lines (a callable), JSON payload,
+    DOT (a callable)."""
     lines = ["vertices: %s" % " ".join(q.vertices)]
     for (s, t, tag) in q.arrows:
         lines.append("%s -> %s%s" % (s, t, " [%s]" % tag if tag else ""))
     payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
-    return lambda: lines, payload, to_dot(q)
+    return lambda: lines, payload, lambda: to_dot(q)
 
 
 def cmd_info(args):
@@ -526,14 +529,13 @@ def cmd_check(args):
     record("operator-representation injectivity (d <= %d)" % d_phi, d_phi is not None)
 
     # Q_{S,G} is gcd(ell, r) copies of the c-fold covering quiver (one cycle)
-    qsg = quiver_qsg(spec, r)
-    classes = cycle_classes(qsg)
+    # one walk of it serves the tagged and the untagged comparisons
+    tagged, classes = tagged_and_untagged_classes(quiver_qsg(spec, r))
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
     record("skew quiver decomposes into %d copies of the %d-covering"
            % (n_expected, c_expected),
-           cycle_classes(qsg, True)
-           == cycle_classes(covering_quiver(spec, c_expected), True) * n_expected)
+           tagged == cycle_classes(covering_quiver(spec, c_expected), True) * n_expected)
     canonical = tuple(sorted((c_expected * spec.w_x, c_expected * spec.w_y)))
     record("component canonical type (%d, %d)" % canonical,
            classes is not None and all(direction_counts(word) == canonical for word in classes))

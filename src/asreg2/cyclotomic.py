@@ -181,6 +181,10 @@ class Cyclotomic:
         return Cyclotomic(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            # an integer scales the numerators over the same denominator: the
+            # normal form of the path through Cyclotomic(other) below
+            return _normal(self.n, [other * x for x in self.num], self.den)
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic(other)
         # scalar fast paths keep rational-by-cyclotomic products cheap

@@ -76,14 +76,23 @@ class Quiver:
     def is_source(self, v):
         return not self.in_arrows(v) and bool(self.out_arrows(v))
 
+    def _targets(self):
+        """Each vertex's out-arrow targets in arrow order, from one pass over the
+        arrows (out_arrows scans them all for one vertex)."""
+        targets = {v: [] for v in self.vertices}
+        for (s, t, _) in self.arrows:
+            targets[s].append(t)
+        return targets
+
     def _topological_order(self):
         """Kahn's order; it leaves out the vertices on or after an oriented cycle."""
         indeg = {v: 0 for v in self.vertices}
         for (_, t, _) in self.arrows:
             indeg[t] += 1
         order = [v for v in self.vertices if indeg[v] == 0]
+        targets = self._targets()
         for v in order:
-            for (_, t, _) in self.out_arrows(v):
+            for t in targets[v]:
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     order.append(t)
@@ -224,12 +233,25 @@ def _least_rotation(order, word):
     return min(rotations)
 
 
+def _classes(walks):
+    return None if walks is None else sorted(_least_rotation(*walk)[0] for walk in walks)
+
+
 def cycle_classes(q, respect_tags=False):
     """The isomorphism class of a disjoint union of cycles (tags kept when
     asked): the sorted least rotations (_least_rotation) of its components'
     words, or None when q is no such union."""
-    walks = _cycle_walks(q, respect_tags)
-    return None if walks is None else sorted(_least_rotation(*walk)[0] for walk in walks)
+    return _classes(_cycle_walks(q, respect_tags))
+
+
+def tagged_and_untagged_classes(q):
+    """cycle_classes(q, True) and cycle_classes(q) from one walk: the walk does
+    not depend on the tags, and a tagged letter stripped to its direction is
+    the untagged letter."""
+    walks = _cycle_walks(q, True)
+    if walks is None:
+        return None, None
+    return _classes(walks), _classes([(o, tuple(a[0] for a in w)) for o, w in walks])
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):
@@ -383,9 +405,9 @@ def path_count(q):
     order = q._topological_order()
     if len(order) != len(q.vertices):
         raise ValueError("path count needs an acyclic quiver")
-    paths_from = {}
+    paths_from, targets = {}, q._targets()
     for v in reversed(order):
-        paths_from[v] = 1 + sum(paths_from[t] for (_, t, _) in q.out_arrows(v))
+        paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
     return sum(paths_from.values())
 
 

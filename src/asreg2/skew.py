@@ -16,12 +16,11 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ONE, cyc
+from .cyclotomic import ONE, ZERO, cyc
 from .rationals import RAT
 from .algebra import (
     AlgebraElement,
@@ -146,25 +145,25 @@ def molien_dims(spec, action, D):
     power sum T(c) = sum_s xi^(s c), and T(c) = T(gcd(c, r)): with g =
     gcd(c, r), the map s -> s c on Z/r has image the multiples of g and
     kernel of size g, as has s -> s g, so s c and s g run over the same
-    multiset mod r.  The xi_power table reads exponents mod r, so this rests
-    on no property of xi (not the primitivity rho_system certifies), and
-    each T(g) is still summed in the field, once per divisor g = gcd(c, r).
+    multiset mod r.  So the average is (1/r) sum_g n_d(g) T(g), where
+    n_d(g) counts the degree-d monomials whose character c has gcd(c, r) =
+    g: the monomials are counted per class in integers, and the field sees
+    one integer multiple of T(g) per class.  The xi_power table reads
+    exponents mod r, so this rests on no property of xi (not the
+    primitivity rho_system certifies), and each T(g) is still summed in
+    the field, once per divisor g = gcd(c, r).
     """
     r = action.r
     inv_r = cyc(RAT(1, r))
     power_sums = {}
     out = []
     for d in range(D + 1):
-        counts = Counter(map(action.char, graded_basis(spec, d)))
-        total = Cyclotomic(0)
-        for c, n in counts.items():
-            g = gcd(c, r)
+        counts = Counter(gcd(action.char(m), r) for m in graded_basis(spec, d))
+        total = ZERO
+        for g, n in counts.items():
             t = power_sums.get(g)
             if t is None:
-                t = Cyclotomic(0)
-                for s in range(r):
-                    t = t + action.xi_power(s * g)
-                power_sums[g] = t
+                t = power_sums[g] = sum((action.xi_power(s * g) for s in range(r)), ZERO)
             total = total + t * n
         avg = total * inv_r
         if not avg.is_rational():
@@ -190,16 +189,24 @@ def corner_dimension_checks(spec, action, D):
     products u e, e u and e u e are zero or one nonzero term (skew_mul_basis
     multiplies by the unit monomial), so each rank is the number of distinct
     keys; a product with more than one term makes its row not ok.
+
+    Each product is formed once per monomial m, not once per character w:
+    the guard [w + char n = v] of skew_mul_basis makes u e = (m rho_w)
+    (1 rho_0) zero unless w = 0, and e u = (1 rho_0)(m rho_w) zero unless
+    w = char m.  A zero product adds no key and is no product of two
+    terms, so the ranks and the rows are those of the products u e at
+    w = 0, e u at w = char m and e (u e), over the monomials m of S_d.
+    The tests run the loop over every (m, w) as the oracle.
     """
     e = (MONO_ONE, 0)
     rows = []
     for d in range(D + 1):
         basis = graded_basis(spec, d)
         ece, se, es = [], [], []
-        for u in itertools.product(basis, range(action.r)):
-            ue = skew_mul_basis(action, u, e)
+        for m in basis:
+            ue = skew_mul_basis(action, (m, 0), e)
             se.append(ue)
-            es.append(skew_mul_basis(action, e, u))
+            es.append(skew_mul_basis(action, e, (m, action.char(m))))
             # e (c k) = c (e k) with c != 0
             ece += [skew_mul_basis(action, e, k) for k in ue]
         single = all(len(p) <= 1 and all(p.values()) for p in ece + se + es)

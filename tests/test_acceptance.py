@@ -49,14 +49,13 @@ from asreg2.quivers import (
     reflection_search,
 )
 from asreg2.beilinson import (
-    _tau_j_basis,
     gabriel_quiver_oracle,
     lambda_dim,
     nabla_dim,
     nabla_skew_dim_formula,
 )
 from test_automorphisms import compose
-from test_beilinson import idempotent_structure_full
+from test_beilinson import idempotent_structure_full, tau_j_basis
 from test_quivers import components_oracle
 
 
@@ -246,7 +245,7 @@ def test_criterion_07_idempotent_system():
                     # docstring proves the other two facts
                     assert rho_system(action), (spec.describe(), r)
                     assert idempotent_structure_full(action), (spec.describe(), r)
-                    assert all(src != dst for (_, src, dst) in _tau_j_basis(action))
+                    assert all(src != dst for (_, src, dst) in tau_j_basis(action))
 
 
 # --- criterion 8: operational ampleness test --------------------------------

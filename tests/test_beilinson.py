@@ -19,7 +19,6 @@ from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diag
 from asreg2.beilinson import (
     LambdaElement,
     NablaElement,
-    _tau_j_basis,
     gabriel_quiver_oracle,
     lambda_dim,
     lambda_mul_basis,
@@ -134,10 +133,22 @@ def tau_corner_dims_generic(action):
     return dims
 
 
+def tau_j_basis(action):
+    """Positive-degree basis of Lambda with its corner data, one entry per
+    character: gabriel_quiver_oracle's loop over every w, kept as its oracle.
+
+    Entries (i, j, mono, w) stand for M(i->j; mono) * rho_w; the source
+    vertex is (i, w) and the target is (j, (w - char mono) mod r).
+    """
+    r = action.r
+    return [((i, j, m, w), (i, w), (j, (w - action.char(m)) % r))
+            for (i, j, m) in nabla_basis(action.spec) if i < j for w in range(r)]
+
+
 def tau_corner_dims_fast(action):
     """Corner dimensions of J read off the rho-eigenbasis: one per basis element."""
     dims = Counter()
-    for (_, src, dst) in _tau_j_basis(action):
+    for (_, src, dst) in tau_j_basis(action):
         dims[(src, dst)] += 1
     return dims
 
@@ -218,7 +229,7 @@ def idempotent_system_oracle(action):
         if ech.rank != 1:
             corners_one_dim = False
             break
-    no_loops = all(src != dst for (_, src, dst) in _tau_j_basis(action))
+    no_loops = all(src != dst for (_, src, dst) in tau_j_basis(action))
     return ok and corners_one_dim and no_loops
 
 
@@ -437,7 +448,7 @@ def test_oracle_small_cases():
 def gabriel_quiver_elimination(spec, action):
     """gabriel_quiver_oracle with the rank of every J^2 corner found by exact
     elimination of its products, not by counting their keys."""
-    basis = _tau_j_basis(action)
+    basis = tau_j_basis(action)
     j_corner, by_src, by_dst = Counter(), {}, {}
     for (key, src, dst) in basis:
         j_corner[(src, dst)] += 1
@@ -458,7 +469,9 @@ def gabriel_quiver_elimination(spec, action):
 
 def test_oracle_key_count_matches_elimination(monkeypatch):
     actions = swept_actions() + [make_diagonal_action(spec, r, px, py) for spec, r, px, py in (
-        (S13, 6, 1, 5), (S23, 5, 2, 3), (jordan_spec(3), 4, 1, 3), (S13, 8, 1, 2))]
+        (S13, 6, 1, 5), (S23, 5, 2, 3), (jordan_spec(3), 4, 1, 3), (S13, 8, 1, 2),
+        # not faithful: characters in a proper subgroup of Z/r
+        (S11, 6, 2, 4), (S13, 6, 3, 0), (S23, 4, 2, 2), (jordan_spec(3), 6, 2, 0))]
     expected = [gabriel_quiver_elimination(action.spec, action) for action in actions]
 
     def no_echelon(self):
@@ -478,6 +491,34 @@ def test_oracle_key_count_matches_elimination(monkeypatch):
     action = make_cyclic_group(S13, 2)
     with pytest.raises(ArithmeticError):
         gabriel_quiver_oracle(S13, action)
+
+
+def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
+    # one lambda_mul_basis call per (k < i < j, m in S_(j-i), n in S_(i-k)),
+    # at w = 0 and v = char n, whatever r is
+    calls = []
+    real = asreg2.beilinson.lambda_mul_basis
+
+    def recorded(action, t1, t2):
+        calls.append((t1, t2))
+        return real(action, t1, t2)
+
+    monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", recorded)
+    for spec in (S11, S12, S13, S23, quantum_spec(3, 5, 1), J1, jordan_spec(4)):
+        ell = spec.ell
+        for r in range(1, 8):
+            for px, py in ((1, -1), (1, spec.q), (2, 2 * spec.q), (0, 0)):
+                try:
+                    action = make_diagonal_action(spec, r, px, py)
+                except ValueError:
+                    continue
+                calls.clear()
+                gabriel_quiver_oracle(spec, action)
+                expected = [((i, j, m, 0), (k, i, n, action.char(n)))
+                            for k in range(ell) for i in range(k + 1, ell)
+                            for j in range(i + 1, ell) for m in graded_basis(spec, j - i)
+                            for n in graded_basis(spec, i - k)]
+                assert sorted(calls) == sorted(expected), (spec.describe(), action.describe())
 
 
 def test_oracle_has_no_vertex_cap():

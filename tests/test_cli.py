@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import asreg2.beilinson
 import asreg2.cli
 import asreg2.quivers
 import asreg2.skew
+from asreg2.algebra import graded_basis
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.quivers import Quiver
@@ -139,6 +141,25 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
                            "--format", "dot", "--out", str(out_file)])
     assert code == 0
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
+
+
+def test_quiver_renders_dot_only_for_the_dot_format(monkeypatch, capsys):
+    rendered = []
+    to_dot = asreg2.cli.to_dot
+
+    def recorded(q):
+        rendered.append(q)
+        return to_dot(q)
+
+    monkeypatch.setattr(asreg2.cli, "to_dot", recorded)
+    for argv in (["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3"],
+                 ["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "3", "--vertex", "v3"]):
+        for fmt in ("json", "text"):
+            code, out = run(capsys, argv + ["--format", fmt])
+            assert code == 0 and out and rendered == [], (argv, fmt)
+        code, out = run(capsys, argv + ["--format", "dot"])
+        assert code == 0 and len(rendered) == 1 and out.startswith("digraph Q {")
+        rendered.clear()
 
 
 CHECK_GOLDENS = [
@@ -378,9 +399,10 @@ def test_check_non_cycle_component_fails(monkeypatch, capsys):
 
 
 def test_check_walks_each_quiver_once(monkeypatch, capsys):
-    # (1, 2), r = 3: Q_{S,G} (9 vertices) is walked with and without tags,
-    # the 1-covering (3 vertices) with tags and the Gabriel oracle (9
-    # vertices) without, each in one pass over all of its components
+    # (1, 2), r = 3: Q_{S,G} (9 vertices) is walked once, with tags (its
+    # untagged words are that walk's words stripped), the 1-covering (3
+    # vertices) with tags and the Gabriel oracle (9 vertices) without, each
+    # in one pass over all of its components
     walked = []
     walks = asreg2.quivers._cycle_walks
 
@@ -391,7 +413,7 @@ def test_check_walks_each_quiver_once(monkeypatch, capsys):
     monkeypatch.setattr(asreg2.quivers, "_cycle_walks", counted_walks)
     code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
     assert code == 0 and out.endswith("overall: ok\n")
-    assert sorted(walked) == [(3, True), (9, False), (9, False), (9, True)]
+    assert sorted(walked) == [(3, True), (9, False), (9, True)]
 
 
 def test_check_canonical_type_is_the_sorted_pair(capsys):
@@ -424,12 +446,34 @@ def test_check_sweep_reports_ok_on_every_line(capsys):
 ], ids=["1_2_r3", "2_3_r4", "j5_r3"])
 def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     # every (m1, m2) that check asks for is formed once, into the product
-    # memo of the one spec that check builds
-    requested, calls, specs = set(), [0], []
+    # memo of the one spec that check builds; the corner line forms three
+    # S*G products per monomial of S_(<= 8) and the Gabriel oracle one Lambda
+    # product per (k < i < j, m in S_(j-i), n in S_(i-k)), not one per character
+    requested, specs = set(), []
     product, spec_from_args = asreg2.algebra.monomial_product, asreg2.cli._spec_from_args
+    made, per_stage = Counter(), {}
+
+    def per_stage_count(stage, module, name):
+        # the calls of module.name made inside cli's stage function
+        real, stage_fn = getattr(module, name), getattr(asreg2.cli, stage)
+
+        def counted(*args):
+            made[name] += 1
+            return real(*args)
+
+        def run_stage(*args):
+            before = made[name]
+            result = stage_fn(*args)
+            per_stage[stage] = made[name] - before
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(asreg2.cli, stage, run_stage)
+
+    per_stage_count("corner_dimension_checks", asreg2.skew, "skew_mul_basis")
+    per_stage_count("gabriel_quiver_oracle", asreg2.beilinson, "lambda_mul_basis")
 
     def counted_product(spec, m1, m2):
-        calls[0] += 1
         requested.add((m1, m2))
         return product(spec, m1, m2)
 
@@ -444,10 +488,14 @@ def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     code, out = run(capsys, ["check", *flags])
     assert code == 0 and out.endswith("overall: ok\n")
     assert len(specs) == 1
-    formed = len(specs[0]._products)
-    # the memo serves the repeats: the Lambda and nabla(S*G) sides of each
-    # structure pair, and the corner and Lambda_0 loops
-    assert 20 < formed == len(requested) < calls[0] // 2
+    spec = specs[0]
+    formed = len(spec._products)
+    assert 20 < formed == len(requested)
+    ell, dims = spec.ell, [len(graded_basis(spec, d)) for d in range(9)]
+    assert per_stage["corner_dimension_checks"] == 3 * sum(dims)
+    assert per_stage["gabriel_quiver_oracle"] == sum(
+        dims[j - i] * dims[i - k] for k in range(ell) for i in range(k + 1, ell)
+        for j in range(i + 1, ell))
 
 
 def test_check_jordan(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import asreg2.cyclotomic
+import asreg2.rationals
 from asreg2.rationals import RAT, R0, R1, rat, rat_str
 from asreg2.cyclotomic import (
     Cyclotomic,
@@ -481,3 +482,24 @@ def test_inverse_forms_no_fraction(monkeypatch):
     assert len(cases) > 90
     for inv, (_, oracle) in zip(inverses, cases):
         assert_same(inv, oracle.inverse())
+
+
+def test_int_scaling_keeps_the_normal_form_and_forms_no_fraction(monkeypatch):
+    # value * k for an int k scales the numerators directly: the same n, num
+    # and den as the product through Cyclotomic(k), and no Fraction on the way
+    rng = random.Random(2727)
+    values = [Cyclotomic(0), cyc(RAT(-3, 4)), zeta(5) - 2, cyc(RAT(1, 6)) * zeta(12)]
+    for n in range(1, 25):
+        terms = [(k, RAT(rng.randrange(-9, 10), rng.randrange(1, 7))) for k in range(euler_phi(n))]
+        values.append(build(n, terms)[0])
+    ints = (0, 1, -1, 2, -6, 12, 35, 10 ** 20)
+    expected = [(z.n, z.num, z.den) for v in values for k in ints for z in [v * Cyclotomic(k)]]
+
+    def no_fraction(*args):
+        raise AssertionError("an int product formed a Fraction")
+
+    monkeypatch.setattr(asreg2.rationals, "RAT", no_fraction)
+    left = [(z.n, z.num, z.den) for v in values for k in ints for z in [v * k]]
+    right = [(z.n, z.num, z.den) for v in values for k in ints for z in [k * v]]
+    monkeypatch.undo()
+    assert left == right == expected

@@ -443,6 +443,48 @@ def corner_dimension_checks_echelon(spec, action, D):
     return {"ok": all(row["ok"] for row in rows), "rows": rows}
 
 
+def corner_dimension_checks_per_character(spec, action, D):
+    """corner_dimension_checks with every product formed at every (m, w),
+    w in Z/r, zero ones included: its oracle for the products it skips."""
+    e = (MONO_ONE, 0)
+    rows = []
+    for d in range(D + 1):
+        basis = graded_basis(spec, d)
+        ece, se, es = [], [], []
+        for u in [(m, w) for m in basis for w in range(action.r)]:
+            ue = asreg2.skew.skew_mul_basis(action, u, e)
+            se.append(ue)
+            es.append(asreg2.skew.skew_mul_basis(action, e, u))
+            ece += [asreg2.skew.skew_mul_basis(action, e, k) for k in ue]
+        single = all(len(p) <= 1 and all(p.values()) for p in ece + se + es)
+        n_ece, n_se, n_es = (len(set().union(*prods)) for prods in (ece, se, es))
+        dim_s, dim_fixed = len(basis), len(fixed_ring_basis(spec, action, d))
+        row = {"d": d, "corner_eSGe": n_ece, "fixed": dim_fixed,
+               "SGe": n_se, "eSG": n_es, "dim_S": dim_s}
+        row["ok"] = single and (n_ece, n_se, n_es) == (dim_fixed, dim_s, dim_s)
+        rows.append(row)
+    return {"ok": all(row["ok"] for row in rows), "rows": rows}
+
+
+def test_corner_dimension_checks_equal_per_character_loop():
+    # every diagonal action of order r <= 6, non-faithful ones included, on
+    # the quantum planes of five weight pairs and the Jordan planes q <= 5
+    rng = random.Random(7)
+    specs = [quantum_spec(wx, wy, alpha) for (wx, wy), alpha in (
+        ((1, 1), zeta(5)), ((1, 2), 1), ((2, 3), RAT(2, 3)), ((3, 5), -1), ((2, 1), 1))]
+    specs += [jordan_spec(q) for q in range(1, 6)]
+    checked = faithful = 0
+    for spec in specs:
+        for r in range(1, 7):
+            for action in _diagonal_actions(spec, r, rng):
+                report = corner_dimension_checks(spec, action, 6)
+                assert report == corner_dimension_checks_per_character(spec, action, 6), \
+                    (spec.describe(), action.describe())
+                checked += 1
+                faithful += gcd(action.px, action.py, r) == 1
+    assert checked == 5 * 91 + 5 * 21 and 0 < faithful < checked
+
+
 def test_corner_dimension_checks():
     for spec, r in ((COMM, 2), (COMM, 1), (W13, 6), (J1, 2)):
         action = make_cyclic_group(spec, r)
