@@ -12,35 +12,26 @@ from .algebra import (
     quantum_spec,
     reduce_product,
     validate_spec,
-    veronese_dim,
 )
 from .automorphisms import (
     CyclicGroupAction,
     GradedAutomorphism,
     apply_automorphism,
     hdet,
-    hdet_koszul,
-    hdet_normal_recursion,
     hdet_table,
-    is_hsl,
     make_cyclic_group,
     make_diagonal_action,
 )
 from .skew import (
-    SkewElement,
     ampleness_report,
     corner_dimension_checks,
     fixed_ring_basis,
-    idempotent_e,
     min_phi_degree,
     molien_check,
-    quotient_by_ideal_e_dims,
-    rho_idempotents,
 )
 from .quivers import (
     Quiver,
     bgp_reflect,
-    canonical_type,
     covering_quiver,
     cycle_classes,
     make_canonical_quiver,

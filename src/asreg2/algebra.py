@@ -15,10 +15,12 @@ keyed on (m1, m2) and the graded bases keyed on the degree.  Product dicts
 are shared from the memo and never mutated; graded_basis hands out a fresh
 list per call.
 
-SparseElement is the one kernel for elements of S, S*G, nabla(S) and
-Lambda: a dict of basis keys to coefficients with a structure-constant
-product.  Elements are immutable by convention; nothing here mutates term
-dicts after construction, so values can be shared freely across threads.
+SparseElement is the one kernel for elements of S (AlgebraElement) and of
+Lambda (beilinson.LambdaElement), and for the tests' element classes of
+S*G and nabla(S): a dict of basis keys to coefficients with a
+structure-constant product.  Elements are immutable by convention; nothing
+here mutates term dicts after construction, so values can be shared freely
+across threads.
 """
 
 from dataclasses import dataclass, field
@@ -299,10 +301,3 @@ def hilbert_dims(spec, D):
     """dim S_d for d = 0..D, the lengths of the _y_exponents ranges."""
     wx, wy, inv = spec.w_x, spec.w_y, pow(spec.w_y, -1, spec.w_x)
     return [len(range(d * inv % wx, d // wy + 1, wx)) for d in range(D + 1)]
-
-
-def veronese_dim(spec, r, shift, d):
-    """dim of (S(shift)^(r))_d, i.e. dim S_(r*d + shift)."""
-    if r < 1:
-        raise ValueError("Veronese parameter must be >= 1")
-    return len(_y_exponents(spec, r * d + shift))

@@ -1,17 +1,11 @@
 """Graded automorphisms of S, homological determinants, cyclic group actions.
 
-Three independent routes to the homological determinant are provided and
-cross-checked in the tests:
-
-  * hdet_table        - after the automorphism test, one closed formula
-                        for every classified form (general linear,
-                        diagonal, antidiagonal, triangular); hdet is it;
-  * hdet_normal_rec   - peel off the normal element x: when sigma(x) = a*x,
-                        hdet_S(sigma) = a * hdet_(S/(x))(sigma), and on the
-                        one-variable quotient k[y] the hdet of y -> d*y is d;
-  * hdet_koszul       - for weights (1,1) the algebra is Koszul quadratic;
-                        the transposed map acts on the one-dimensional
-                        quadratic part of the dual algebra by the hdet.
+hdet_table decides a map by the automorphism test and then gives its
+homological determinant by one closed formula for every classified form
+(general linear, diagonal, antidiagonal, triangular); hdet is it.  The
+tests keep two independent routes as its oracle: the recursion through the
+normal element x and, for weights (1,1), the transposed action on the
+quadratic dual.
 
 Cyclic actions are generated by diag(xi^px, xi^py) with xi a primitive
 r-th root of unity; the canonical hdet-one choice is (px, py) = (1, -1).
@@ -29,10 +23,6 @@ from .linalg import Echelon
 
 class NotTabulatedError(ValueError):
     """The map is not a graded automorphism of the algebra."""
-
-
-class NotApplicableError(ValueError):
-    """Method preconditions (normal element form / Koszul weights) not met."""
 
 
 @dataclass
@@ -144,62 +134,7 @@ def hdet_table(sigma, spec):
     return A * D - B * C
 
 
-def hdet_normal_recursion(sigma, spec):
-    """hdet via the regular normal element x; needs sigma(x) = a*x."""
-    terms = sigma.image_x.terms
-    if list(terms.keys()) != [Monomial(0, 1)]:
-        raise NotApplicableError("sigma(x) is not a scalar multiple of x")
-    a = terms[Monomial(0, 1)]
-    # on S/(x) = k[y], sigma sends y to d*y with d the y-coefficient mod x
-    d = sigma.image_y.coeff(Monomial(1, 0))
-    return a * d
-
-
-def hdet_koszul(sigma, spec):
-    """hdet via the transposed action on the quadratic dual; weights (1,1) only."""
-    if (spec.w_x, spec.w_y) != (1, 1):
-        raise NotApplicableError("Koszul route needs weights (1, 1)")
-    if not is_graded_automorphism(sigma, spec):
-        raise ValueError("not a graded automorphism")
-    # M[i][j]: coefficient of basis_i in sigma(basis_j), basis = (x, y)
-    M = [
-        [sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(0, 1))],
-        [sigma.image_x.coeff(Monomial(1, 0)), sigma.image_y.coeff(Monomial(1, 0))],
-    ]
-    # relation tensor f in V (x) V, coordinates f[k][l] on basis k (x) basis l
-    zero = Cyclotomic(0)
-    if spec.family == "quantum":
-        f = [[zero, ONE], [-spec.alpha, zero]]
-    else:
-        f = [[-ONE, ONE], [-ONE, zero]]
-    # value of (sigma^t (x) sigma^t)(e_i* (x) e_j*) at f
-    lam = None
-    pending = []
-    for i in range(2):
-        for j in range(2):
-            v = sum(
-                (M[i][k] * M[j][l] * f[k][l] for k in range(2) for l in range(2)),
-                Cyclotomic(0),
-            )
-            c = f[i][j]
-            if c.is_zero():
-                pending.append(v)
-            else:
-                cand = v / c
-                if lam is not None and cand != lam:
-                    raise ValueError("transpose does not preserve the dual relation space")
-                lam = cand
-    for v in pending:
-        if not v.is_zero():
-            raise ValueError("transpose does not preserve the dual relation space")
-    return lam
-
-
 hdet = hdet_table
-
-
-def is_hsl(sigma, spec):
-    return hdet(sigma, spec).is_one()
 
 
 @dataclass(eq=False)
@@ -229,11 +164,6 @@ class CyclicGroupAction:
         """Exponent c with g(y^a x^b) = xi^c y^a x^b."""
         a, b = mono
         return (b * self.px + a * self.py) % self.r
-
-    def generator(self):
-        return diagonal_automorphism(
-            self.spec, self.xi_power(self.px), self.xi_power(self.py)
-        )
 
     def is_hsl_action(self):
         return (self.px + self.py) % self.r == 0

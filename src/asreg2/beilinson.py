@@ -46,27 +46,6 @@ def nabla_basis(spec):
     return out
 
 
-def nabla_mul_basis(spec, t1, t2):
-    """Product of basis triples; {} or {(k, j, monomial): coeff}."""
-    (i, j, m), (k, l, n) = t1, t2
-    if l != i:
-        return {}
-    return {(k, j, mono): c for mono, c in monomial_product(spec, m, n).items()}
-
-
-class NablaElement(SparseElement):
-    """Sparse element of nabla(S): {(i, j, monomial): coefficient}."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(spec, key):
-        i, j, m = key
-        return (i, j, Monomial(*m))
-
-    _basis_mul = staticmethod(nabla_mul_basis)
-
-
 # ---------------------------------------------------------------------------
 # Lambda = nabla(S) * G in the rho-eigenbasis
 

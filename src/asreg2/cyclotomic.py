@@ -40,15 +40,6 @@ def _prime_divisors(n):
     return primes + [n] if n > 1 else primes
 
 
-def euler_phi(n):
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
-
-
 _phi_cache = {}
 
 

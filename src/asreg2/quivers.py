@@ -64,21 +64,9 @@ class Quiver:
     def __repr__(self):
         return "Quiver(%d vertices, %d arrows)" % (len(self.vertices), len(self.arrows))
 
-    def out_arrows(self, v):
-        return [a for a in self.arrows if a[0] == v]
-
-    def in_arrows(self, v):
-        return [a for a in self.arrows if a[1] == v]
-
-    def is_sink(self, v):
-        return not self.out_arrows(v) and bool(self.in_arrows(v))
-
-    def is_source(self, v):
-        return not self.in_arrows(v) and bool(self.out_arrows(v))
-
     def _targets(self):
         """Each vertex's out-arrow targets in arrow order, from one pass over the
-        arrows (out_arrows scans them all for one vertex)."""
+        arrows."""
         targets = {v: [] for v in self.vertices}
         for (s, t, _) in self.arrows:
             targets[s].append(t)
@@ -278,14 +266,6 @@ def direction_counts(word):
     """(i, j), i <= j: how many letters of an untagged orientation word point each way."""
     forward = word.count("1")
     return tuple(sorted((forward, len(word) - forward)))
-
-
-def canonical_type(q):
-    """Direction counts (i, j), i <= j, for an acyclic single-cycle quiver."""
-    i, j = direction_counts(_cycle_walk(q)[1])
-    if i == 0:
-        raise ValueError("quiver has an oriented cycle")
-    return (i, j)
 
 
 def make_canonical_quiver(i, j):

@@ -20,13 +20,12 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import ONE, ZERO, cyc
+from .cyclotomic import ZERO, cyc
 from .rationals import RAT
 from .algebra import (
     AlgebraElement,
     MONO_ONE,
     Monomial,
-    SparseElement,
     _y_exponents,
     graded_basis,
     hilbert_dims,
@@ -41,37 +40,6 @@ def skew_mul_basis(action, k1, k2):
     if (w + action.char(m2)) % action.r != v:
         return {}
     return {(m, v): cm for m, cm in monomial_product(action.spec, m1, m2).items()}
-
-
-class SkewElement(SparseElement):
-    """Finite combination of (y^a x^b, rho_w) with exact coefficients."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(action, key):
-        m, w = key
-        return (Monomial(*m), w % action.r)
-
-    _basis_mul = staticmethod(skew_mul_basis)
-
-    @staticmethod
-    def one(action):
-        return SkewElement(action, {(MONO_ONE, w): ONE for w in range(action.r)})
-
-    @staticmethod
-    def basis_element(action, mono, w, coeff=ONE):
-        return SkewElement(action, {(mono, w): coeff})
-
-
-def idempotent_e(action):
-    """e = (1/r) sum_s g^s = rho_0, a unit vector of the basis."""
-    return SkewElement.basis_element(action, MONO_ONE, 0)
-
-
-def rho_idempotents(action):
-    """rho_j = (1/r) sum_s xi^(j s) g^s, the unit vectors of the basis; rho_0 = e."""
-    return [SkewElement.basis_element(action, MONO_ONE, j) for j in range(action.r)]
 
 
 def rho_system(action):
@@ -329,16 +297,6 @@ def _walked_quotient_dims(spec, action, D):
     """dim (S*G/(e))_d over the degrees ideal_e_dims walks; 0 up to D after."""
     ideal = ideal_e_dims(spec, action, D)
     return [action.r * n - i for n, i in zip(hilbert_dims(spec, len(ideal) - 1), ideal)]
-
-
-def quotient_by_ideal_e_dims(spec, action, D):
-    """dim (S*G/(e))_d for d = 0..D.
-
-    Past the degrees ideal_e_dims walks, (e)_d = (S*G)_d by the tail lemma,
-    so those degrees are 0 without any per-degree work.
-    """
-    walked = _walked_quotient_dims(spec, action, D)
-    return walked + [0] * (D + 1 - len(walked))
 
 
 @dataclass

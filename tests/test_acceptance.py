@@ -21,25 +21,20 @@ from asreg2.algebra import (
 from asreg2.automorphisms import (
     diagonal_automorphism,
     hdet,
-    hdet_koszul,
-    hdet_normal_recursion,
     hdet_table,
     linear_automorphism,
     make_cyclic_group,
     triangular_automorphism,
 )
 from asreg2.skew import (
-    SkewElement,
     corner_dimension_checks,
     fixed_ring_dims,
     molien_check,
-    quotient_by_ideal_e_dims,
     rho_system,
 )
 from asreg2.quivers import (
     Quiver,
     bgp_reflect,
-    canonical_type,
     covering_quiver,
     make_canonical_quiver,
     path_count,
@@ -54,9 +49,10 @@ from asreg2.beilinson import (
     nabla_dim,
     nabla_skew_dim_formula,
 )
-from test_automorphisms import compose
+from test_automorphisms import compose, hdet_koszul, hdet_normal_recursion
 from test_beilinson import idempotent_structure_full, tau_j_basis
-from test_quivers import components_oracle
+from test_quivers import canonical_type, components_oracle, is_sink, is_source
+from test_skew import SkewElement, quotient_by_ideal_e_dims
 
 
 class Stopwatch:
@@ -374,7 +370,7 @@ def test_criterion_11_property_suites():
         for q in small:
             base = canonical_type(q)
             for v in q.vertices:
-                if q.is_sink(v) or q.is_source(v):
+                if is_sink(q, v) or is_source(q, v):
                     refl = bgp_reflect(q, v)
                     assert bgp_reflect(refl, v) == q
                     assert canonical_type(refl) == base

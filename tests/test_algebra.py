@@ -6,6 +6,7 @@ import pytest
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
+    _y_exponents,
     AlgebraElement,
     Monomial,
     SpecError,
@@ -16,7 +17,6 @@ from asreg2.algebra import (
     quantum_spec,
     reduce_product,
     validate_spec,
-    veronese_dim,
 )
 
 
@@ -240,6 +240,13 @@ def test_hilbert_dims_and_graded_basis_by_enumeration():
                 assert n == len(basis), (wx, wy, d)
                 assert basis == [Monomial(a, b) for a in range(d + 1) for b in range(d + 1)
                                  if a * wy + b * wx == d], (wx, wy, d)
+
+
+def veronese_dim(spec, r, shift, d):
+    """dim of (S(shift)^(r))_d, i.e. dim S_(r*d + shift)."""
+    if r < 1:
+        raise ValueError("Veronese parameter must be >= 1")
+    return len(_y_exponents(spec, r * d + shift))
 
 
 def test_veronese_dims():

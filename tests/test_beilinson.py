@@ -18,7 +18,6 @@ import asreg2.beilinson
 from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diagonal_action
 from asreg2.beilinson import (
     LambdaElement,
-    NablaElement,
     gabriel_quiver_oracle,
     lambda_dim,
     lambda_mul_basis,
@@ -38,6 +37,27 @@ S12 = quantum_spec(1, 2, 1)
 S13 = quantum_spec(1, 3, 1)
 S23 = quantum_spec(2, 3, 1)
 J1 = jordan_spec(1)
+
+
+def nabla_mul_basis(spec, t1, t2):
+    """Product of basis triples; {} or {(k, j, monomial): coeff}."""
+    (i, j, m), (k, l, n) = t1, t2
+    if l != i:
+        return {}
+    return {(k, j, mono): c for mono, c in monomial_product(spec, m, n).items()}
+
+
+class NablaElement(SparseElement):
+    """Sparse element of nabla(S): {(i, j, monomial): coefficient}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(spec, key):
+        i, j, m = key
+        return (i, j, Monomial(*m))
+
+    _basis_mul = staticmethod(nabla_mul_basis)
 
 
 def nabla_unit(spec, i):

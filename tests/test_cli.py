@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import asreg2
 import asreg2.algebra
+import asreg2.automorphisms
 import asreg2.beilinson
 import asreg2.cli
 import asreg2.quivers
@@ -60,15 +61,29 @@ def test_info_invalid_weights(capsys):
     assert "coprime" in str(exc.value)
 
 
-def test_hdet_command(capsys):
+def test_hdet_command(capsys, monkeypatch):
+    # on weights (1,1) the map is tested once, by hdet_table, and by nothing else
+    real = asreg2.automorphisms.is_graded_automorphism
+    calls = []
+
+    def counted(sigma, spec):
+        calls.append(sigma)
+        return real(sigma, spec)
+
+    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism", counted)
     code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1",
                              "--a", "2", "--d", "3"])
     assert code == 0
-    assert "hdet (koszul-dual) = 6" in out
-    assert "hdet (normal-recursion) = 6" in out
-    assert "hdet (table) = 6" in out
-    assert "methods agree: yes" in out
-    assert "in HSL: no" in out
+    assert len(calls) == 1
+    assert out.splitlines() == ["algebra: quantum(alpha=1), weights (1, 1)",
+                                "hdet = 6", "in HSL: no"]
+    code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1", "--a", "2", "--d", "3",
+                             "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{\n  "command": "hdet",\n  "params": {\n    "a": "2",\n    "b": null,\n'
+        '    "c": null,\n    "d": "3"\n  },\n  "result": {\n    "hdet": "6",\n'
+        '    "hsl": false\n  }\n}\n')
 
 
 def test_hdet_identity_in_hsl(capsys):
@@ -80,16 +95,15 @@ def test_hdet_identity_in_hsl(capsys):
 def test_hdet_jordan_power(capsys):
     code, out = run(capsys, ["hdet", "--family", "jordan", "--wy", "2", "--a", "2"])
     assert code == 0
-    assert "hdet (table) = 8" in out  # a^(q+1) with q = 2
+    assert "hdet = 8" in out.splitlines()  # a^(q+1) with q = 2
 
 
 def test_hdet_antidiagonal_and_refusal(capsys):
-    # x -> 2y, y -> 3x on xy + yx: hdet b c, and no normal-element route
+    # x -> 2y, y -> 3x on xy + yx: hdet b c, not the determinant -6
     code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1", "--alpha", "-1",
                              "--a", "0", "--b", "2", "--c", "3", "--d", "0"])
     assert code == 0
-    assert "hdet (table) = 6" in out and "normal-recursion" not in out
-    assert "methods agree: yes" in out
+    assert out.splitlines()[1:] == ["hdet = 6", "in HSL: no"]
     # x -> 2x, y -> y/2 on the q = 3 Jordan plane needs d = a^3
     with pytest.raises(SystemExit) as exc:
         main(["hdet", "--family", "jordan", "--wy", "3", "--a", "2", "--d", "1/2"])

@@ -9,13 +9,22 @@ import asreg2.cyclotomic
 import asreg2.rationals
 from asreg2.rationals import RAT, R0, R1, rat, rat_str
 from asreg2.cyclotomic import (
+    _prime_divisors,
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
-    euler_phi,
     primitive_root,
     zeta,
 )
+
+
+def euler_phi(n):
+    if n < 1:
+        raise ValueError("euler_phi needs n >= 1")
+    result = n
+    for p in _prime_divisors(n):
+        result -= result // p
+    return result
 
 
 def poly_mul(a, b):
