@@ -134,13 +134,14 @@ def gabriel_quiver_oracle(spec, action):
                                                   % (left, right))
                         (_, _, mono, _), = prod
                         jj_keys.setdefault((k, j, (cm + cn) % r), set()).add(mono)
-    vertices = ["v%d_%d" % (i, w) for i in range(ell) for w in range(r)]
+    label = [["v%d_%d" % (i, w) for w in range(r)] for i in range(ell)]
     arrows = []
     for (i, j, c), size in j_corner.items():
         count = size - len(jj_keys.get((i, j, c), ()))
+        src, dst = label[i], label[j]
         for s in range(r):
-            arrows += [("v%d_%d" % (i, s), "v%d_%d" % (j, (s - c) % r), "")] * count
-    return Quiver(vertices, arrows)
+            arrows += [(src[s], dst[(s - c) % r], "")] * count
+    return Quiver([v for row in label for v in row], arrows)
 
 
 # ---------------------------------------------------------------------------

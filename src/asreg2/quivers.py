@@ -44,17 +44,21 @@ def _natural_key(label):
 
 
 class Quiver:
+    """Vertices in natural order (digit runs compared as numbers, "v2" before
+    "v10"), and the given arrow tuples sorted by (position of src, position of
+    dst, tag) in that order, so _natural_key runs once per vertex.  Where two
+    labels have equal natural keys ("v1" and "v01") they keep their given
+    order, and their arrows sort by that position."""
+
     __slots__ = ("vertices", "arrows")
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(sorted(vertices, key=_natural_key))
-        vs = set(self.vertices)
+        position = {v: k for k, v in enumerate(self.vertices)}
         for (s, t, _) in arrows:
-            if s not in vs or t not in vs:
+            if s not in position or t not in position:
                 raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))
-        self.arrows = tuple(
-            sorted(arrows, key=lambda a: (_natural_key(a[0]), _natural_key(a[1]), a[2]))
-        )
+        self.arrows = tuple(sorted(arrows, key=lambda a: (position[a[0]], position[a[1]], a[2])))
 
     def __eq__(self, other):
         return self.vertices == other.vertices and self.arrows == other.arrows
@@ -102,14 +106,14 @@ def quiver_qs(spec):
 def _lift(spec, n, shifts):
     """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
     ell = spec.ell
-    vertices = ["v%d_%d" % (i, s) for i in range(ell) for s in range(n)]
+    label = [["v%d_%d" % (i, s) for s in range(n)] for i in range(ell)]
     arrows = []
     for i in range(ell):
         for w, tag, shift in zip((spec.w_x, spec.w_y), "xy", shifts):
             if i + w < ell:
-                for s in range(n):
-                    arrows.append(("v%d_%d" % (i, s), "v%d_%d" % (i + w, (s + shift) % n), tag))
-    return Quiver(vertices, arrows)
+                src, dst = label[i], label[i + w]
+                arrows += [(src[s], dst[(s + shift) % n], tag) for s in range(n)]
+    return Quiver([v for row in label for v in row], arrows)
 
 
 def quiver_qsg(spec, r):

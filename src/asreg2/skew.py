@@ -20,8 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import ZERO, cyc
-from .rationals import RAT
+from .cyclotomic import ZERO
 from .algebra import (
     AlgebraElement,
     MONO_ONE,
@@ -113,33 +112,36 @@ def molien_dims(spec, action, D):
     power sum T(c) = sum_s xi^(s c), and T(c) = T(gcd(c, r)): with g =
     gcd(c, r), the map s -> s c on Z/r has image the multiples of g and
     kernel of size g, as has s -> s g, so s c and s g run over the same
-    multiset mod r.  So the average is (1/r) sum_g n_d(g) T(g), where
-    n_d(g) counts the degree-d monomials whose character c has gcd(c, r) =
-    g: the monomials are counted per class in integers, and the field sees
-    one integer multiple of T(g) per class.  The xi_power table reads
-    exponents mod r, so this rests on no property of xi (not the
-    primitivity rho_system certifies), and each T(g) is still summed in
-    the field, once per divisor g = gcd(c, r).
+    multiset mod r.  So the average is (1/r) N_d with N_d = sum_c count_d(c)
+    T(gcd(c, r)).  The xi_power table reads exponents mod r, so this rests
+    on no property of xi (not the primitivity rho_system certifies).
+
+    Each T(g) is summed in the field once, r additions per divisor g of r,
+    and certified an integer through rational_value(): a sum of roots of
+    unity is an algebraic integer, and a rational algebraic integer is an
+    integer, so for a root of unity xi a rational T(g) is one.  An xi that
+    is no root of unity may give an irrational T(g) or a fraction, and both
+    raise ArithmeticError.  With every T(g) an integer, N_d is formed in
+    Python ints, exactly, and the average N_d / r is an integer exactly when
+    r divides N_d; when it does not, ArithmeticError.  So the field does no
+    work per degree.
     """
     r = action.r
-    inv_r = cyc(RAT(1, r))
     power_sums = {}
     out = []
     for d in range(D + 1):
-        counts = Counter(gcd(action.char(m), r) for m in graded_basis(spec, d))
-        total = ZERO
-        for g, n in counts.items():
-            t = power_sums.get(g)
-            if t is None:
-                t = power_sums[g] = sum((action.xi_power(s * g) for s in range(r)), ZERO)
-            total = total + t * n
-        avg = total * inv_r
-        if not avg.is_rational():
-            raise ArithmeticError("trace average must be rational")
-        value = avg.rational_value()
-        if value.denominator != 1:
+        total = 0
+        for c, n in Counter(map(action.char, graded_basis(spec, d))).items():
+            g = gcd(c, r)
+            if g not in power_sums:
+                t = sum((action.xi_power(s * g) for s in range(r)), ZERO)
+                if not t.is_rational() or t.rational_value().denominator != 1:
+                    raise ArithmeticError("power sum of xi^%d must be an integer" % g)
+                power_sums[g] = t.rational_value().numerator
+            total += n * power_sums[g]
+        if total % r:
             raise ArithmeticError("trace average must be an integer")
-        out.append(int(value.numerator))
+        out.append(total // r)
     return out
 
 

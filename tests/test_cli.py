@@ -157,6 +157,18 @@ def test_quiver_dot_matches_golden(tmp_path, capsys):
     assert out_file.read_bytes() == (DATA / "qsg_1_1_r3.dot").read_bytes()
 
 
+def test_quiver_json_matches_golden(tmp_path, capsys):
+    # two-digit levels, where the natural order of the labels ("v0_2" before
+    # "v0_10") is not their lexicographic order
+    out_file = tmp_path / "q.json"
+    code, _ = run(capsys, ["quiver", "qsg", "--wx", "1", "--wy", "2", "--r", "12",
+                           "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / "qsg_1_2_r12.json").read_bytes()
+    vertices = json.loads(out_file.read_text())["result"]["vertices"]
+    assert vertices != sorted(vertices)
+
+
 def test_quiver_renders_dot_only_for_the_dot_format(monkeypatch, capsys):
     rendered = []
     to_dot = asreg2.cli.to_dot
@@ -200,9 +212,10 @@ REFLECT_GOLDENS = [
     ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
     ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
 ]
-# the argv of every golden file, the DOT one first
+# the argv of every golden file, the quiver ones first
 GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
-    [["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3", "--format", "dot"]]
+    [["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3", "--format", "dot"],
+     ["quiver", "qsg", "--wx", "1", "--wy", "2", "--r", "12", "--format", "json"]]
     + [["check", *flags, "--format", "json"] for _, flags in CHECK_GOLDENS]
     + [["ample", *flags, "--format", "json"] for _, flags in AMPLE_GOLDENS]
     + [["reflect", "search", *flags, "--format", "json"] for _, flags in REFLECT_GOLDENS])]

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asreg2 import quivers
-from asreg2.algebra import quantum_spec
+from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.automorphisms import make_cyclic_group
+from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.quivers import (
     Quiver,
     _FLIP,
@@ -28,6 +30,7 @@ from asreg2.quivers import (
     to_dot,
     to_json_dict,
 )
+from test_cli import _load_workloads
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -884,6 +887,84 @@ def test_constructor_error_paths():
         make_canonical_quiver(0, 3)
     with pytest.raises(ValueError):
         Quiver(["v0"], [("v0", "v1", "")])
+
+
+def natural_key_arrows(arrows):
+    """The arrows sorted by the natural keys of src and dst, then the tag: the
+    oracle of Quiver's sort by vertex position, which agrees with it wherever
+    no two labels share a natural key."""
+    return tuple(sorted(arrows, key=lambda a: (_natural_key(a[0]), _natural_key(a[1]), a[2])))
+
+
+def _reflect_search_states():
+    """Every quiver along the witnesses of the reflect-search benchmark jobs,
+    from the covering quiver on."""
+    params = {(job.param("wx"), job.param("wy"), job.param("c"), job.param("i"), job.param("j"))
+              for job in _load_workloads().WORKLOADS["reflect-search"].space()}
+    states = []
+    for wx, wy, c, i, j in sorted(params):
+        state = covering_quiver(quantum_spec(wx, wy, 1), c)
+        states.append(state)
+        for v in reflection_search(state, make_canonical_quiver(i, j)):
+            state = bgp_reflect(state, v)
+            states.append(state)
+    return states
+
+
+def test_arrow_order_equals_natural_key_sort():
+    # levels up to 12 give two-digit labels, where "v0_2" comes before "v0_10"
+    weights = [(wx, wy) for wx in range(1, 6) for wy in range(1, 8) if gcd(wx, wy) == 1]
+    qs = [quiver_qs(quantum_spec(wx, wy, 1)) for wx, wy in weights]
+    qs += [make(quantum_spec(wx, wy, 1), n) for make in (quiver_qsg, covering_quiver)
+           for wx, wy in weights for n in range(1, 13)]
+    qs += [make_canonical_quiver(i, j) for i in range(1, 13) for j in range(1, 13)]
+    actions = [make_cyclic_group(quantum_spec(wx, wy, 1), r) for wx, wy in weights
+               for r in range(1, 13) if (wx + wy) * r <= 36]
+    actions += [make_cyclic_group(jordan_spec(q), r) for q in range(1, 12)
+                for r in range(1, 13) if (q + 1) % r == 0 and (q + 1) * r <= 36]
+    qs += [gabriel_quiver_oracle(action.spec, action) for action in actions]
+    states = _reflect_search_states()
+    assert len(states) > 200
+    rng = random.Random(7)
+    for q in qs + states:
+        assert len({_natural_key(v) for v in q.vertices}) == len(q.vertices)
+        arrows = list(q.arrows)
+        rng.shuffle(arrows)
+        assert natural_key_arrows(arrows) == q.arrows
+        assert Quiver(q.vertices, arrows).arrows == q.arrows
+
+
+def test_equal_natural_keys_sort_by_vertex_position():
+    # "v1" and "v01" have one natural key: they keep their given order among
+    # the vertices, and their arrows sort by it, where the natural-key sort
+    # kept the arrows' given order
+    arrows = [("v1", "v0", ""), ("v01", "v0", "")]
+    q = Quiver(["v0", "v01", "v1"], arrows)
+    assert q.vertices == ("v0", "v01", "v1")
+    assert q.arrows == (("v01", "v0", ""), ("v1", "v0", ""))
+    assert natural_key_arrows(arrows) == tuple(arrows) != q.arrows
+    q = Quiver(["v1", "v01", "v0"], arrows[::-1])
+    assert q.vertices == ("v0", "v1", "v01")
+    assert q.arrows == tuple(arrows) != natural_key_arrows(arrows[::-1])
+
+
+def test_natural_key_runs_once_per_vertex(monkeypatch):
+    calls = [0]
+    key = quivers._natural_key
+
+    def counted(label):
+        calls[0] += 1
+        return key(label)
+
+    monkeypatch.setattr(quivers, "_natural_key", counted)
+    action = make_cyclic_group(S11, 12)
+    qs13 = quiver_qs(S13)
+    for build in (lambda: quiver_qs(S35), lambda: quiver_qsg(S35, 12),
+                  lambda: covering_quiver(S23, 12), lambda: make_canonical_quiver(7, 12),
+                  lambda: gabriel_quiver_oracle(S11, action), lambda: bgp_reflect(qs13, "v0")):
+        calls[0] = 0
+        q = build()
+        assert 0 < calls[0] <= len(q.vertices)
 
 
 def test_dot_and_json_output():

@@ -427,15 +427,21 @@ def test_molien_dims_against_per_degree_trace_loop():
 
 
 def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
-    # r additions per distinct gcd(c, r) over the characters c for its
-    # power sum, then one per (degree, character) to combine them, where the
-    # per-degree loop made r per (degree, character)
-    adds, powers = [0], [0]
-    add, xi_power = Cyclotomic.__add__, asreg2.automorphisms.CyclicGroupAction.xi_power
+    # r field additions per distinct gcd(c, r) over the characters c for its
+    # power sum, and no field product after the power sums: the per-degree
+    # combination is in integers, where the per-degree loop made r additions
+    # per (degree, character)
+    events, powers = [], [0]
+    add, mul = Cyclotomic.__add__, Cyclotomic.__mul__
+    xi_power = asreg2.automorphisms.CyclicGroupAction.xi_power
 
     def counted_add(self, other):
-        adds[0] += 1
+        events.append("add")
         return add(self, other)
+
+    def counted_mul(self, other):
+        events.append("mul")
+        return mul(self, other)
 
     def counted_power(self, k):
         powers[0] += 1
@@ -445,12 +451,26 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
     action = make_diagonal_action(spec, r, 1, 2)
     per_degree = [{action.char(m) for m in graded_basis(spec, d)} for d in range(D + 1)]
     gcds = {gcd(c, r) for c in set().union(*per_degree)}
+    assert len(gcds) > 1
     monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
-    assert molien_dims(spec, action, D) == fixed_ring_dims(spec, action, D)
-    assert powers[0] <= r * len(gcds)
-    assert adds[0] <= r * len(gcds) + sum(map(len, per_degree))
-    assert adds[0] < r * sum(map(len, per_degree)) // 4
+    dims = molien_dims(spec, action, D)
+    adds = events.count("add")
+    last_add = len(events) - events[::-1].index("add")
+    monkeypatch.undo()
+    assert dims == fixed_ring_dims(spec, action, D)
+    assert powers[0] == adds == r * len(gcds)
+    assert "mul" not in events[last_add:]
+
+
+@pytest.mark.parametrize("xi", [ONE + zeta(5), cyc(2)], ids=["1+zeta(5)", "2"])
+def test_molien_dims_refuses_a_non_root_of_unity(xi):
+    # 1 + zeta(5) has irrational power sums; 2 has integer power sums
+    # (T(1) = 1 + 2 + 4 + 8) but the degree-1 average 2 T(1) / 4 is no integer
+    action = CyclicGroupAction(COMM, 4, xi)
+    with pytest.raises(ArithmeticError):
+        molien_dims(COMM, action, 3)
 
 
 def corner_dimension_checks_echelon(spec, action, D):
