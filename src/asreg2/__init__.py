@@ -1,6 +1,6 @@
 """Exact invariants of dimension-2 regular graded algebras under cyclic actions."""
 
-from .cyclotomic import Cyclotomic, cyc, cyclotomic_polynomial, primitive_root, zeta
+from .cyclotomic import Cyclotomic, cyc, cyclotomic_polynomial, zeta
 from .algebra import (
     AlgebraElement,
     AlgebraSpec,
@@ -17,7 +17,6 @@ from .automorphisms import (
     CyclicGroupAction,
     GradedAutomorphism,
     apply_automorphism,
-    hdet,
     hdet_table,
     make_cyclic_group,
     make_diagonal_action,
@@ -25,9 +24,9 @@ from .automorphisms import (
 from .skew import (
     ampleness_report,
     corner_dimension_checks,
-    fixed_ring_basis,
+    fixed_ring_dims,
     min_phi_degree,
-    molien_check,
+    molien_dims,
 )
 from .quivers import (
     Quiver,

@@ -2,21 +2,21 @@
 
 hdet_table decides a map by the automorphism test and then gives its
 homological determinant by one closed formula for every classified form
-(general linear, diagonal, antidiagonal, triangular); hdet is it.  The
-tests keep two independent routes as its oracle: the recursion through the
-normal element x and, for weights (1,1), the transposed action on the
-quadratic dual.
+(general linear, diagonal, antidiagonal, triangular).  The tests keep two
+independent routes as its oracle: the recursion through the normal element
+x and, for weights (1,1), the transposed action on the quadratic dual.
 
 Cyclic actions are generated by diag(xi^px, xi^py) with xi a primitive
-r-th root of unity; the canonical hdet-one choice is (px, py) = (1, -1).
-make_diagonal_action checks an action by its exponents alone (py = q px
-mod r on the Jordan plane); its docstring proves that this is the
-automorphism test, and that (1, -1) has hdet one wherever it is admitted.
+r-th root of unity; make_cyclic_group holds the canonical hdet-one choice
+of the exponents.  make_diagonal_action checks an action by its exponents
+alone (py = q px mod r on the Jordan plane); its docstring proves that
+this is the automorphism test, and make_cyclic_group's that its choice has
+hdet one wherever it is admitted.
 """
 
 from dataclasses import dataclass, field
 
-from .cyclotomic import Cyclotomic, ONE, primitive_root
+from .cyclotomic import Cyclotomic, ONE, zeta
 from .algebra import AlgebraElement, Monomial, graded_basis
 from .linalg import Echelon
 
@@ -134,9 +134,6 @@ def hdet_table(sigma, spec):
     return A * D - B * C
 
 
-hdet = hdet_table
-
-
 @dataclass(eq=False)
 class CyclicGroupAction:
     """G = <diag(xi^px, xi^py)> acting on S, xi a primitive r-th root of unity."""
@@ -144,8 +141,8 @@ class CyclicGroupAction:
     spec: object
     r: int
     xi: Cyclotomic
-    px: int = 1
-    py: int = -1
+    px: int
+    py: int
     _xi_powers: list = field(default_factory=lambda: [ONE], repr=False)
 
     def __post_init__(self):
@@ -173,12 +170,19 @@ class CyclicGroupAction:
 
 
 def make_cyclic_group(spec, r):
-    """The canonical hdet-one action diag(xi, xi^-1) of order r."""
+    """The canonical hdet-one action diag(xi, xi^-1) of order r.
+
+    By make_diagonal_action, the hdet of diag(xi^px, xi^py) is xi^(px + py),
+    and xi^(px (q+1)) on the Jordan plane.  For (px, py) = (1, -1) that is
+    xi^0 = 1 on the quantum plane, and xi^(q+1) = 1 on the Jordan plane,
+    where the test says r | q + 1.  The tests re-run this through
+    is_graded_automorphism and hdet_table.
+    """
     return make_diagonal_action(spec, r, 1, -1)
 
 
 def make_diagonal_action(spec, r, px, py):
-    """The action of diag(xi^px, xi^py), xi = primitive_root(r), checked by its exponents.
+    """The action of diag(xi^px, xi^py), xi = zeta(r), checked by its exponents.
 
     Its generator g: x -> a x, y -> d y, with a = xi^px and d = xi^py, is a
     graded automorphism exactly when the Jordan test below holds.  As a, d
@@ -188,9 +192,8 @@ def make_diagonal_action(spec, r, px, py):
     (a d - a^(q+1)) x^(q+1) in S, so g preserves the relation iff d = a^q,
     i.e. iff py = q px (mod r), as xi is primitive.  hdet_table gives a
     diagonal automorphism the hdet a d (a^(q+1) = a d on the Jordan plane).
-    For (px, py) = (1, -1) that is xi^0 = 1 on the quantum plane, and
-    xi^(q+1) = 1 on the Jordan plane, where the test says r | q + 1.  The
-    tests re-run both facts through is_graded_automorphism and hdet_table.
+    The tests re-run both facts through is_graded_automorphism and
+    hdet_table.
     """
     if r < 1:
         raise ValueError("group order must be >= 1")
@@ -199,4 +202,4 @@ def make_diagonal_action(spec, r, px, py):
             "jordan relation needs xi^py = xi^(q*px); for the hdet-one action "
             "this means r must divide q+1 (q=%d, r=%d)" % (spec.q, r)
         )
-    return CyclicGroupAction(spec, r, primitive_root(r), px, py)
+    return CyclicGroupAction(spec, r, zeta(r), px, py)

@@ -75,14 +75,10 @@ class LambdaElement(SparseElement):
     __mul__ = SparseElement.__mul__
 
 
-def lambda_dim(action):
-    return action.r * nabla_dim(action.spec)
-
-
 # ---------------------------------------------------------------------------
 # Gabriel quiver from J/J^2 corner dimensions
 
-def gabriel_quiver_oracle(spec, action):
+def gabriel_quiver_oracle(action):
     """Quiver of Lambda read off from corner dimensions of J/J^2.
 
     Returns a quiver on vertices v{i}_{w} (i the grid idempotent, w the
@@ -115,8 +111,8 @@ def gabriel_quiver_oracle(spec, action):
     expanded over the r source characters only when they are emitted.
     The tests keep the loop over every w as the oracle.
     """
-    r, ell = action.r, spec.ell
-    graded = [[(m, action.char(m)) for m in graded_basis(spec, d)] for d in range(ell)]
+    r, ell = action.r, action.spec.ell
+    graded = [[(m, action.char(m)) for m in graded_basis(action.spec, d)] for d in range(ell)]
     # (i, j, c) -> the size of the J corner from (i, s) to (j, s - c)
     j_corner = Counter((i, j, c) for i in range(ell) for j in range(i + 1, ell)
                        for _, c in graded[j - i])
@@ -176,7 +172,7 @@ def nabla_skew_structure_check(action):
     """
     r = action.r
     basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(r)]
-    if lambda_dim(action) != nabla_skew_dim_formula(action):
+    if r * nabla_dim(action.spec) != nabla_skew_dim_formula(action):
         return False
     into = {}  # (l, (v - char n) mod r) -> basis elements (k, l, n, v)
     for t in basis:

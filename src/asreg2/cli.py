@@ -39,7 +39,6 @@ from .skew import (
     corner_dimension_checks,
     fixed_ring_dims,
     min_phi_degree,
-    molien_check,
     molien_dims,
     rho_system,
     skew_mul_basis,
@@ -61,7 +60,6 @@ from .quivers import (
 )
 from .beilinson import (
     gabriel_quiver_oracle,
-    lambda_dim,
     nabla_dim,
     nabla_skew_dim_formula,
     nabla_skew_structure_check,
@@ -389,8 +387,8 @@ def cmd_fixed(args):
     spec = _spec_from_args(args)
     action = _action_from_args(spec, args)
     D = args.max_degree if args.max_degree is not None else 12
-    dims = fixed_ring_dims(spec, action, D)
-    mdims = molien_dims(spec, action, D)
+    dims = fixed_ring_dims(action, D)
+    mdims = molien_dims(action, D)
     ok = dims == mdims
     lines = [
         "algebra: %s" % spec.describe(),
@@ -411,7 +409,7 @@ def cmd_fixed(args):
 def cmd_ample(args):
     spec = _spec_from_args(args)
     action = _action_from_args(spec, args)
-    rep = ampleness_report(spec, action, args.max_degree)
+    rep = ampleness_report(action, args.max_degree)
     payload = {
         "command": "ample",
         "params": {"r": action.r, "max_degree": rep.D,
@@ -438,8 +436,7 @@ def _quiver_from_args(args):
             return quiver_qs(spec), params
         if args.kind == "qsg":
             params["r"] = args.r if args.r is not None else 1
-            make_cyclic_group(spec, params["r"])  # refuses an action the plane does not admit
-            return quiver_qsg(spec, params["r"]), params
+            return quiver_qsg(make_cyclic_group(spec, params["r"])), params
         params["c"] = args.c if args.c is not None else 1
         return covering_quiver(spec, params["c"]), params
     except ValueError as exc:
@@ -507,17 +504,19 @@ def cmd_check(args):
     rho_ok = rho_system(action)
     record("rho idempotents orthogonal and complete", rho_ok)
 
-    record("corner dimension identities (d <= %d)" % D,
-           corner_dimension_checks(spec, action, D)["ok"])
-    record("trace-average fixed dims (d <= %d)" % D, molien_check(spec, action, D))
+    corners = corner_dimension_checks(action, D)
+    record("corner dimension identities (d <= %d)" % D, corners["ok"])
+    # the corner rows count dim (S^G)_d, one count per degree for both lines
+    record("trace-average fixed dims (d <= %d)" % D,
+           molien_dims(action, D) == [row["fixed"] for row in corners["rows"]])
     # s*g -> [t -> s g(t)] is injective on S_{<=D} from min_phi_degree on
     # (its docstring proves it), and the scan runs the leading-term guard
-    d_phi = min_phi_degree(spec, action)
+    d_phi = min_phi_degree(action)
     record("operator-representation injectivity (d <= %d)" % d_phi, d_phi is not None)
 
     # Q_{S,G} is gcd(ell, r) copies of the c-fold covering quiver (one cycle)
     # one walk of it serves the tagged and the untagged comparisons
-    tagged, classes = tagged_and_untagged_classes(quiver_qsg(spec, r))
+    tagged, classes = tagged_and_untagged_classes(quiver_qsg(action))
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
     record("skew quiver decomposes into %d copies of the %d-covering"
@@ -527,15 +526,15 @@ def cmd_check(args):
     record("component canonical type (%d, %d)" % canonical,
            classes is not None and all(direction_counts(word) == canonical for word in classes))
 
-    dim_lambda, dim_nabla = lambda_dim(action), nabla_dim(spec)
-    record("dim Lambda = r * dim nabla", dim_lambda == r * dim_nabla
-           and nabla_skew_dim_formula(action) == dim_lambda)
+    dim_nabla = nabla_dim(spec)
+    dim_lambda = r * dim_nabla
+    record("dim Lambda = r * dim nabla", nabla_skew_dim_formula(action) == dim_lambda)
     record("nabla path count identity", dim_nabla == path_count(quiver_qs(spec)))
     record("Lambda idempotent system basic", rho_ok)
     if spec.ell * r <= 36:
         record("Gabriel oracle matches skew quiver",
                classes is not None
-               and cycle_classes(gabriel_quiver_oracle(spec, action)) == classes)
+               and cycle_classes(gabriel_quiver_oracle(action)) == classes)
     if dim_lambda <= 60:
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 

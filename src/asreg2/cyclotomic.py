@@ -313,8 +313,3 @@ def zeta(n, k=1):
     k %= n
     return _normal(n, _reduce(n, [0] * k + [1]), 1)
 
-
-def primitive_root(n):
-    """A primitive n-th root of unity (zeta_n itself)."""
-    return zeta(n)
-

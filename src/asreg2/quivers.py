@@ -2,9 +2,10 @@
 
 Q_S has vertices 0..ell-1 with an x-arrow i -> i+w_x and a y-arrow
 i -> i+w_y whenever the target is below ell; with coprime weights its
-underlying graph is a single cycle.  Q_{S,G} lifts each x-arrow to
-(i, j-1) -> (i', j) and each y-arrow to (i, j+1) -> (i', j) over j mod r,
-level shifts +1 and -1.  The c-fold covering quiver is the same lift
+underlying graph is a single cycle.  Q_{S,G}, for G generated by
+diag(xi^px, xi^py) of order r, lifts each x-arrow to (i, j) -> (i', j+px)
+and each y-arrow to (i, j) -> (i', j+py) over j mod r, level shifts px and
+py: the exponents of the action.  The c-fold covering quiver is the same lift
 (_lift) with shifts ax on x-arrows and ay on y-arrows, (ax, ay) the Bezout pair
 w_y*ax - w_x*ay = 1 with 0 <= ax < w_x; for w_x = 1 this is the familiar
 picture of c stacked copies with the y-arrows dropping one level (and
@@ -116,16 +117,15 @@ def _lift(spec, n, shifts):
     return Quiver([v for row in label for v in row], arrows)
 
 
-def quiver_qsg(spec, r):
-    if r < 1:
-        raise ValueError("group order must be >= 1")
-    return quiver_qs(spec) if r == 1 else _lift(spec, r, (1, -1))
+def quiver_qsg(action):
+    """Q_{S,G}: Q_S lifted to r levels by the exponents (px, py) of the action."""
+    spec, r = action.spec, action.r
+    return quiver_qs(spec) if r == 1 else _lift(spec, r, (action.px, action.py))
 
 
 def _cover_shifts(spec):
-    """Bezout pair (ax, ay) with w_y*ax - w_x*ay = 1 and 0 <= ax < w_x."""
-    if spec.w_x == 1:
-        return 0, -1
+    """Bezout pair (ax, ay) with w_y*ax - w_x*ay = 1 and 0 <= ax < w_x (ax = 0
+    when w_x = 1, as pow(w_y, -1, 1) is 0)."""
     ax = pow(spec.w_y, -1, spec.w_x)
     ay = (spec.w_y * ax - 1) // spec.w_x
     return ax, ay

@@ -11,9 +11,6 @@ from fractions import Fraction
 RAT = Fraction
 BACKEND = "fraction"
 
-R0 = RAT(0)
-R1 = RAT(1)
-
 
 def rat(value, den=None):
     """Coerce to the rational type."""

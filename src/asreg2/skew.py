@@ -7,7 +7,7 @@ is (m rho_w)(n rho_v) = [w + char n = v (mod r)] (m n) rho_v, the averaging
 idempotent e = rho_0 and every rho_j are unit vectors, and the corners they
 cut out are coordinate subspaces.  rho_system certifies the basis against
 the g-basis m * g^s of the definition.  The module also provides fixed-ring
-bases, the trace averaging cross-check for fixed dimensions, the corner
+dimensions, the trace averaging cross-check for them, the corner
 identifications of S with (S*G)e and e(S*G), the graded dimensions of the
 two-sided ideal (e) (the operational ampleness test), and the degree from
 which the map sending s*g to the operator t -> s g(t) is injective.
@@ -94,16 +94,13 @@ def skew_dim(action, d):
     return action.r * len(_y_exponents(action.spec, d))
 
 
-def fixed_ring_basis(spec, action, d):
-    """Monomials of degree d fixed by the action (character zero)."""
-    return [m for m in graded_basis(spec, d) if action.char(m) == 0]
+def fixed_ring_dims(action, D):
+    """dim (S^G)_d for d = 0..D: the monomials of degree d of character zero."""
+    return [sum(action.char(m) == 0 for m in graded_basis(action.spec, d))
+            for d in range(D + 1)]
 
 
-def fixed_ring_dims(spec, action, D):
-    return [len(fixed_ring_basis(spec, action, d)) for d in range(D + 1)]
-
-
-def molien_dims(spec, action, D):
+def molien_dims(action, D):
     """Fixed-space dimensions by averaging traces of the group elements.
 
     The trace of g^s on S_d is sum_c count_d(c) xi^(s c), over the
@@ -131,7 +128,7 @@ def molien_dims(spec, action, D):
     out = []
     for d in range(D + 1):
         total = 0
-        for c, n in Counter(map(action.char, graded_basis(spec, d))).items():
+        for c, n in Counter(map(action.char, graded_basis(action.spec, d))).items():
             g = gcd(c, r)
             if g not in power_sums:
                 t = sum((action.xi_power(s * g) for s in range(r)), ZERO)
@@ -145,12 +142,7 @@ def molien_dims(spec, action, D):
     return out
 
 
-def molien_check(spec, action, D):
-    """Trace averaging against direct enumeration, degree by degree."""
-    return molien_dims(spec, action, D) == fixed_ring_dims(spec, action, D)
-
-
-def corner_dimension_checks(spec, action, D):
+def corner_dimension_checks(action, D):
     """Graded dimension identities for the corners cut out by e.
 
     Per degree d <= D, computes the ranks of the images of e*(S*G)_d*e,
@@ -166,22 +158,27 @@ def corner_dimension_checks(spec, action, D):
     w = char m.  A zero product adds no key and is no product of two
     terms, so the ranks and the rows are those of the products u e at
     w = 0, e u at w = char m and e (u e), over the monomials m of S_d.
-    The tests run the loop over every (m, w) as the oracle.
+    The tests run the loop over every (m, w) as the oracle.  The same walk
+    counts dim (S^G)_d, the monomials m of character zero, so check reads
+    the fixed dimensions for its trace-average line off the rows.
     """
     e = (MONO_ONE, 0)
     rows = []
     for d in range(D + 1):
-        basis = graded_basis(spec, d)
+        basis = graded_basis(action.spec, d)
         ece, se, es = [], [], []
+        dim_fixed = 0
         for m in basis:
+            w = action.char(m)
+            dim_fixed += w == 0
             ue = skew_mul_basis(action, (m, 0), e)
             se.append(ue)
-            es.append(skew_mul_basis(action, e, (m, action.char(m))))
+            es.append(skew_mul_basis(action, e, (m, w)))
             # e (c k) = c (e k) with c != 0
             ece += [skew_mul_basis(action, e, k) for k in ue]
         single = all(len(p) <= 1 and all(p.values()) for p in ece + se + es)
         n_ece, n_se, n_es = (len(set().union(*prods)) for prods in (ece, se, es))
-        dim_s, dim_fixed = len(basis), len(fixed_ring_basis(spec, action, d))
+        dim_s = len(basis)
         row = {"d": d, "corner_eSGe": n_ece, "fixed": dim_fixed,
                "SGe": n_se, "eSG": n_es, "dim_S": dim_s}
         row["ok"] = single and (n_ece, n_se, n_es) == (dim_fixed, dim_s, dim_s)
@@ -225,7 +222,7 @@ def _sub_char_masks(r, px, py):
     return mask
 
 
-def ideal_e_dims(spec, action, D):
+def ideal_e_dims(action, D):
     """dim (e)_d for the degrees d = 0, 1, ... that the count walks, where (e)
     is the two-sided ideal generated by e.
 
@@ -276,6 +273,7 @@ def ideal_e_dims(spec, action, D):
     The tests cross-check this against elimination in every block and
     against the literal spanning set.
     """
+    spec = action.spec
     _check_leading_term(spec)
     if {action.char(m) for m in monomial_product(spec, (0, 1), (1, 0))} != {action.char((1, 1))}:
         raise ArithmeticError("every term of x*y must have the character of y*x for the count"
@@ -295,10 +293,10 @@ def ideal_e_dims(spec, action, D):
     return out
 
 
-def _walked_quotient_dims(spec, action, D):
+def _walked_quotient_dims(action, D):
     """dim (S*G/(e))_d over the degrees ideal_e_dims walks; 0 up to D after."""
-    ideal = ideal_e_dims(spec, action, D)
-    return [action.r * n - i for n, i in zip(hilbert_dims(spec, len(ideal) - 1), ideal)]
+    ideal = ideal_e_dims(action, D)
+    return [action.r * n - i for n, i in zip(hilbert_dims(action.spec, len(ideal) - 1), ideal)]
 
 
 @dataclass
@@ -330,11 +328,11 @@ class AmplenessReport:
         return out
 
 
-def default_window(spec, action):
-    return 4 * spec.ell * action.r
+def default_window(action):
+    return 4 * action.spec.ell * action.r
 
 
-def ampleness_report(spec, action, D=None):
+def ampleness_report(action, D=None):
     """Semi-decision for dim_k S*G/(e) < infinity, certified up to degree D.
 
     The verdict FINITE-UP-TO-D requires the dims to vanish on the whole top
@@ -343,14 +341,14 @@ def ampleness_report(spec, action, D=None):
     infinite-dimensionality is never claimed.  Non-HSL actions get data only.
     """
     if D is None:
-        D = default_window(spec, action)
+        D = default_window(action)
     # the unwalked degrees are 0, so they add no nonzero degree and no dimension
-    walked = _walked_quotient_dims(spec, action, D)
+    walked = _walked_quotient_dims(action, D)
     nonzero = [d for d, v in enumerate(walked) if v]
     last_nonzero = nonzero[-1] if nonzero else -1
     first_zero = last_nonzero + 1
     tail = D - last_nonzero
-    need = spec.ell * action.r
+    need = action.spec.ell * action.r
     if not action.is_hsl_action():
         verdict = "EXPLORATORY-REPORT-ONLY"
     elif D + 1 < need:
@@ -360,7 +358,7 @@ def ampleness_report(spec, action, D=None):
     else:
         verdict = "UNDECIDED-NONZERO-AT-%s" % (nonzero[-5:],)
     return AmplenessReport(
-        spec_text=spec.describe(),
+        spec_text=action.spec.describe(),
         action_text=action.describe(),
         hsl=action.is_hsl_action(),
         D=D,
@@ -372,7 +370,7 @@ def ampleness_report(spec, action, D=None):
     )
 
 
-def min_phi_degree(spec, action):
+def min_phi_degree(action):
     """Least D from which s*g -> [t -> s g(t)] is injective on truncations.
 
     The map is injective on (S*G)_{<=D} exactly when the operators on
@@ -396,6 +394,7 @@ def min_phi_degree(spec, action):
     means a non-faithful action.  The tests cross-check this against the
     exact elimination.  The count needs _check_leading_term, run here.
     """
+    spec = action.spec
     _check_leading_term(spec)
     seen = set()
     for d in range((action.r - 1) * spec.ell + 1):

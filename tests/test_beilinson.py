@@ -1,9 +1,10 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
-from asreg2.cyclotomic import Cyclotomic, ONE, cyc, primitive_root, zeta
+from asreg2.cyclotomic import Cyclotomic, ONE, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
@@ -19,7 +20,6 @@ from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diag
 from asreg2.beilinson import (
     LambdaElement,
     gabriel_quiver_oracle,
-    lambda_dim,
     lambda_mul_basis,
     nabla_basis,
     nabla_dim,
@@ -208,6 +208,11 @@ def test_nabla_associativity_sampled():
             assert (u * v) * w == u * (v * w)
 
 
+def lambda_dim(action):
+    """dim Lambda = dim (nabla S)*G, by counting its basis M(i->j; m) rho_w."""
+    return len(nabla_basis(action.spec)) * action.r
+
+
 def test_lambda_dim_and_structure():
     for spec, r in ((S11, 3), (S13, 2), (J1, 2)):
         action = make_cyclic_group(spec, r)
@@ -285,7 +290,7 @@ def test_lambda_idempotent_system():
 
 def test_idempotent_system_rejects_non_primitive_roots():
     for r, xi in NON_PRIMITIVE:
-        action = CyclicGroupAction(S11, r, xi)
+        action = CyclicGroupAction(S11, r, xi, 1, -1)
         assert rho_system(action) is idempotent_system_oracle(action) is False, (r, xi)
 
 
@@ -314,7 +319,7 @@ def test_rho_system_equals_g_basis_certificate():
     for action in swept_actions():
         assert rho_system(action) is rho_system_g_basis(action) is True, action
     for r, xi in NON_PRIMITIVE:
-        action = CyclicGroupAction(S11, r, xi)
+        action = CyclicGroupAction(S11, r, xi, 1, -1)
         assert rho_system(action) is rho_system_g_basis(action) is False, (r, xi)
 
 
@@ -345,7 +350,7 @@ SMALL_ACTIONS = ((S11, 3, 1, -1), (S12, 2, 1, 1), (S13, 2, 1, -1), (J1, 2, 1, -1
 def test_structure_checks_per_corner_equal_full_square(monkeypatch):
     # the Lambda_0 products that rho_system's docstring reads off the
     # guards of lambda_mul_basis, for any xi
-    actions = swept_actions() + [CyclicGroupAction(S11, r, xi) for r, xi in NON_PRIMITIVE]
+    actions = swept_actions() + [CyclicGroupAction(S11, r, xi, 1, -1) for r, xi in NON_PRIMITIVE]
     for action in actions:
         assert idempotent_structure_full(action), action
     small = [make_diagonal_action(spec, r, px, py) for spec, r, px, py in SMALL_ACTIONS]
@@ -395,7 +400,7 @@ def test_idempotent_system_work_is_linear(monkeypatch):
     monkeypatch.setattr(LambdaElement, "__mul__", counting("elem", LambdaElement.__mul__))
     r = 40
     # a fresh action, so the certificate also fills the xi_power table
-    action = CyclicGroupAction(S11, r, primitive_root(r))
+    action = CyclicGroupAction(S11, r, zeta(r), 1, -1)
     assert rho_system(action) is True
     assert counts["elem"] == 0
     assert 0 < counts["cyc"] <= 2 * r
@@ -447,25 +452,48 @@ def test_full_corners_are_lines_generically():
 
 def test_oracle_matches_worked_example():
     action = make_cyclic_group(S11, 3)
-    oracle = gabriel_quiver_oracle(S11, action)
-    assert quiver_isomorphic(oracle, quiver_qsg(S11, 3)) is not None
+    oracle = gabriel_quiver_oracle(action)
+    assert quiver_isomorphic(oracle, quiver_qsg(action)) is not None
 
 
 def test_oracle_trivial_group_gives_qs():
     for spec in (S11, S13, S23):
         action = make_cyclic_group(spec, 1)
-        oracle = gabriel_quiver_oracle(spec, action)
+        oracle = gabriel_quiver_oracle(action)
         assert quiver_isomorphic(oracle, quiver_qs(spec)) is not None
 
 
 def test_oracle_small_cases():
     for spec, r in ((S13, 2), (S12, 3), (J1, 2), (quantum_spec(1, 1, zeta(5)), 2)):
         action = make_cyclic_group(spec, r)
-        oracle = gabriel_quiver_oracle(spec, action)
-        assert quiver_isomorphic(oracle, quiver_qsg(spec, r)) is not None
+        oracle = gabriel_quiver_oracle(action)
+        assert quiver_isomorphic(oracle, quiver_qsg(action)) is not None
 
 
-def gabriel_quiver_elimination(spec, action):
+def test_qsg_lift_is_the_oracle_on_every_diagonal_action():
+    # Q_{S,G} lifted by the action's exponents (px, py) against the quiver of
+    # Lambda, on every diagonal action of order r <= 7 that the planes admit,
+    # non-faithful ones included
+    specs = [quantum_spec(wx, wy, 1)
+             for wx, wy in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 5), (3, 4))]
+    specs += [quantum_spec(1, 1, -1), quantum_spec(1, 1, zeta(5))]
+    specs += [jordan_spec(q) for q in range(1, 6)]
+    checked = faithful = 0
+    for spec in specs:
+        for r in range(1, 8):
+            for px in range(r):
+                for py in range(r):
+                    if spec.family == "jordan" and (py - spec.q * px) % r:
+                        continue
+                    action = make_diagonal_action(spec, r, px, py)
+                    assert quiver_isomorphic(quiver_qsg(action), gabriel_quiver_oracle(action)) \
+                        is not None, (spec.describe(), action.describe())
+                    checked += 1
+                    faithful += gcd(px, py, r) == 1
+    assert checked == 9 * 140 + 5 * 28 and 0 < faithful < checked
+
+
+def gabriel_quiver_elimination(action):
     """gabriel_quiver_oracle with the rank of every J^2 corner found by exact
     elimination of its products, not by counting their keys."""
     basis = tau_j_basis(action)
@@ -484,7 +512,8 @@ def gabriel_quiver_elimination(spec, action):
     arrows = [("v%d_%d" % src, "v%d_%d" % dst, "")
               for (src, dst), size in sorted(j_corner.items())
               for _ in range(size - jj_rank[(src, dst)])]
-    return Quiver(["v%d_%d" % (i, w) for i in range(spec.ell) for w in range(action.r)], arrows)
+    return Quiver(["v%d_%d" % (i, w) for i in range(action.spec.ell) for w in range(action.r)],
+                  arrows)
 
 
 def test_oracle_key_count_matches_elimination(monkeypatch):
@@ -492,14 +521,14 @@ def test_oracle_key_count_matches_elimination(monkeypatch):
         (S13, 6, 1, 5), (S23, 5, 2, 3), (jordan_spec(3), 4, 1, 3), (S13, 8, 1, 2),
         # not faithful: characters in a proper subgroup of Z/r
         (S11, 6, 2, 4), (S13, 6, 3, 0), (S23, 4, 2, 2), (jordan_spec(3), 6, 2, 0))]
-    expected = [gabriel_quiver_elimination(action.spec, action) for action in actions]
+    expected = [gabriel_quiver_elimination(action) for action in actions]
 
     def no_echelon(self):
         raise AssertionError("gabriel_quiver_oracle built an Echelon")
 
     monkeypatch.setattr(Echelon, "__init__", no_echelon)
     for action, quiver in zip(actions, expected):
-        assert gabriel_quiver_oracle(action.spec, action) == quiver, action
+        assert gabriel_quiver_oracle(action) == quiver, action
     # a J^2 product of two keys breaks the proof, and the oracle says so
     real = asreg2.beilinson.lambda_mul_basis
 
@@ -510,7 +539,7 @@ def test_oracle_key_count_matches_elimination(monkeypatch):
     monkeypatch.setattr(asreg2.beilinson, "lambda_mul_basis", two_keys)
     action = make_cyclic_group(S13, 2)
     with pytest.raises(ArithmeticError):
-        gabriel_quiver_oracle(S13, action)
+        gabriel_quiver_oracle(action)
 
 
 def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
@@ -533,7 +562,7 @@ def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
                 except ValueError:
                     continue
                 calls.clear()
-                gabriel_quiver_oracle(spec, action)
+                gabriel_quiver_oracle(action)
                 expected = [((i, j, m, 0), (k, i, n, action.char(n)))
                             for k in range(ell) for i in range(k + 1, ell)
                             for j in range(i + 1, ell) for m in graded_basis(spec, j - i)
@@ -544,6 +573,7 @@ def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
 def test_oracle_has_no_vertex_cap():
     # ell*r = 80, 100 and 72: past the 64 vertices the oracle once refused
     for spec, r in ((S11, 40), (S23, 20), (quantum_spec(3, 5, 1), 9)):
-        oracle = gabriel_quiver_oracle(spec, make_cyclic_group(spec, r))
+        action = make_cyclic_group(spec, r)
+        oracle = gabriel_quiver_oracle(action)
         assert len(oracle.vertices) == spec.ell * r > 64
-        assert quiver_isomorphic(oracle, quiver_qsg(spec, r)) is not None
+        assert quiver_isomorphic(oracle, quiver_qsg(action)) is not None

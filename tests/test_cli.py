@@ -399,7 +399,7 @@ def test_check_lambda_lines_form_no_lambda_product(monkeypatch, capsys):
 def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
     # a path is no union of cycles: the comparison reads FAIL, not a traceback
     path = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")])
-    monkeypatch.setattr(asreg2.cli, "gabriel_quiver_oracle", lambda spec, action: path)
+    monkeypatch.setattr(asreg2.cli, "gabriel_quiver_oracle", lambda action: path)
     code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5"])
     assert code == 1
     failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
@@ -411,8 +411,8 @@ def test_check_non_cycle_component_fails(monkeypatch, capsys):
     # FAIL, not a traceback
     real = asreg2.cli.quiver_qsg
 
-    def with_path(spec, r):
-        q = real(spec, r)
+    def with_path(action):
+        q = real(action)
         return Quiver(q.vertices + ("w0", "w1", "w2"),
                       q.arrows + (("w0", "w1", "x"), ("w1", "w2", "y")))
 
@@ -523,6 +523,40 @@ def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     assert per_stage["gabriel_quiver_oracle"] == sum(
         dims[j - i] * dims[i - k] for k in range(ell) for i in range(k + 1, ell)
         for j in range(i + 1, ell))
+
+
+def test_check_counts_fixed_dims_once_per_degree(monkeypatch, capsys):
+    # the trace-average line reads dim (S^G)_d off the corner rows, so a
+    # check-suite round counts the fixed monomials of each (job, degree)
+    # once, in the corner line
+    counted, job = Counter(), [None]
+    for name in ("corner_dimension_checks", "fixed_ring_dims"):
+        real = getattr(asreg2.skew, name)
+
+        def counting(action, D, real=real):
+            counted.update((job[0], d) for d in range(D + 1))
+            return real(action, D)
+
+        monkeypatch.setattr(asreg2.skew, name, counting)
+        monkeypatch.setattr(asreg2.cli, name, counting)
+    jobs = _load_workloads().WORKLOADS["check-suite"].round(0)
+    for k, argv in enumerate(j.argv for j in jobs):
+        job[0] = k
+        code, out = run(capsys, list(argv))
+        assert code == 0 and json.loads(out)["result"]["ok"], argv
+    # no --max-degree: every job checks the degrees 0..8
+    assert counted == Counter((k, d) for k in range(len(jobs)) for d in range(9))
+    assert len(counted) == 225
+
+
+def test_check_trace_average_compares_with_the_corner_rows(monkeypatch, capsys):
+    real = asreg2.cli.molien_dims
+    monkeypatch.setattr(asreg2.cli, "molien_dims",
+                        lambda action, D: [n + (d == 2) for d, n in enumerate(real(action, D))])
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
+    assert code == 1
+    failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["trace-average fixed dims (d <= 8)", "overall: FAIL"]
 
 
 def test_check_jordan(capsys):

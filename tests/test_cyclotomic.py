@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import asreg2.cyclotomic
 import asreg2.rationals
-from asreg2.rationals import RAT, R0, R1, rat, rat_str
+from asreg2.rationals import RAT, rat, rat_str
 from asreg2.cyclotomic import (
     _prime_divisors,
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
-    primitive_root,
     zeta,
 )
+
+R0 = RAT(0)
+R1 = RAT(1)
 
 
 def euler_phi(n):
@@ -265,12 +267,12 @@ def test_inverse_of_zeta5():
 
 
 def test_primitive_root_edge_cases():
-    assert primitive_root(1).is_one()
-    assert primitive_root(2) == -1
+    assert zeta(1).is_one()
+    assert zeta(2) == -1
 
 
 def test_primitive_root_order_by_repeated_multiplication():
-    z = primitive_root(6)
+    z = zeta(6)
     power = cyc(1)
     orders = []
     for k in range(1, 25):
@@ -283,7 +285,7 @@ def test_primitive_root_order_by_repeated_multiplication():
 
 def test_root_of_unity_divisibility():
     for n in (1, 2, 3, 4, 5, 6, 8, 12):
-        z = primitive_root(n)
+        z = zeta(n)
         for k in range(1, 4 * n + 1):
             assert (z ** k).is_one() == (k % n == 0)
 

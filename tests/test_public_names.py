@@ -1,7 +1,8 @@
 """The package keeps only what a command runs: every public name of src/asreg2
 has a caller in src/asreg2 itself.  A name that only a test calls lives in
 that test module (as an oracle or a helper), and other tests import it from
-there."""
+there.  Every invariant of the pair (S, G) reads S off its CyclicGroupAction,
+so no function takes both."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,8 @@ ALLOWED = {
     # perfbench/tracer.py:37 reads the conductor of a product's operands
     "Cyclotomic.conductor",
 }
+# perfbench/worker.py:258 reports rationals.BACKEND with every run
+ALLOWED_ASSIGNMENTS = {"BACKEND"}
 
 
 def _is_public(name):
@@ -35,6 +38,22 @@ def _definitions(tree):
     return out
 
 
+def _assignments(tree):
+    """(name, name, node) of each public module-level assignment: aliases
+    and constants."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [(t.id, t.id, node) for t in targets
+                if isinstance(t, ast.Name) and _is_public(t.id)]
+    return out
+
+
 def _references(tree):
     """(bare name, node) of each Name, Attribute and import alias in tree."""
     refs = []
@@ -48,9 +67,10 @@ def _references(tree):
     return refs
 
 
-def unreferenced_public_names(src=SRC):
-    """The public names of src (its __init__.py left out) that no code of src
-    outside their own body and outside __init__.py refers to."""
+def unreferenced_public_names(src=SRC, definitions=_definitions):
+    """The public names of src (its __init__.py left out), as listed by
+    definitions, that no code of src outside their own body and outside
+    __init__.py refers to."""
     modules = {}
     for path in sorted(src.glob("*.py")):
         if path.name != "__init__.py":
@@ -59,7 +79,7 @@ def unreferenced_public_names(src=SRC):
             for name, node in _references(tree)]
     missing = []
     for path, tree in modules.items():
-        for qualified, name, node in _definitions(tree):
+        for qualified, name, node in definitions(tree):
             lo, hi = node.lineno, node.end_lineno
             if not any(ref == name and not (where == path and lo <= n.lineno <= hi)
                        for ref, where, n in refs):
@@ -73,3 +93,22 @@ def test_every_public_src_name_has_a_production_caller():
     assert missing == [], "public names with no caller in src/asreg2: %s" % ", ".join(missing)
     # an allowed name that gained a caller in src/asreg2 needs no allowance
     assert ALLOWED <= set(unreferenced)
+
+
+def test_every_public_assignment_has_a_reader():
+    unreferenced = unreferenced_public_names(definitions=_assignments)
+    missing = [name for name in unreferenced if name not in ALLOWED_ASSIGNMENTS]
+    assert missing == [], "public assignments with no reader in src/asreg2: %s" % ", ".join(missing)
+    assert ALLOWED_ASSIGNMENTS <= set(unreferenced)
+
+
+def test_no_function_takes_both_spec_and_action():
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"spec", "action"} <= params:
+                    both.append("%s:%s" % (path.name, node.name))
+    assert both == [], "functions taking spec beside the action: %s" % ", ".join(both)

@@ -249,31 +249,31 @@ def test_arrow_counts_and_acyclicity():
         assert len([a for a in q.arrows if a[2] == "y"]) == spec.w_x
         assert is_acyclic(q)
         for r in range(1, 7):
-            qg = quiver_qsg(spec, r)
+            qg = quiver_qsg(make_cyclic_group(spec, r))
             assert len(qg.vertices) == spec.ell * r
             assert len(qg.arrows) == spec.ell * r
             assert is_acyclic(qg)
 
 
 def test_qsg_matches_golden_example():
-    q = quiver_qsg(S11, 3)
+    q = quiver_qsg(make_cyclic_group(S11, 3))
     assert quiver_isomorphic(q, GOLDEN_QSG_11_3, respect_tags=True) is not None
     # in fact the construction reproduces the golden arrows on the nose
     assert q == GOLDEN_QSG_11_3
 
 
 def test_qsg_r1_is_qs():
-    assert quiver_qsg(S13, 1) == quiver_qs(S13)
+    assert quiver_qsg(make_cyclic_group(S13, 1)) == quiver_qs(S13)
     assert covering_quiver(S13, 1) == quiver_qs(S13)
 
 
 def test_decomposition_examples():
-    comps = components_oracle(quiver_qsg(S13, 2))
+    comps = components_oracle(quiver_qsg(make_cyclic_group(S13, 2)))
     assert len(comps) == 2
     for comp in comps:
         assert quiver_isomorphic(comp, quiver_qs(S13), respect_tags=True)
 
-    comps = components_oracle(quiver_qsg(S35, 4))
+    comps = components_oracle(quiver_qsg(make_cyclic_group(S35, 4)))
     assert len(comps) == 4
     for comp in comps:
         assert quiver_isomorphic(comp, quiver_qs(S35), respect_tags=True)
@@ -281,7 +281,7 @@ def test_decomposition_examples():
 
 def test_example_covering_decomposition():
     # weights (1,3), r=6: lcm = 12, two components, each the 3-fold cover
-    q = quiver_qsg(S13, 6)
+    q = quiver_qsg(make_cyclic_group(S13, 6))
     comps = components_oracle(q)
     assert len(comps) == 2
     cover = covering_quiver(S13, 3)
@@ -490,13 +490,13 @@ def test_cycle_walks_refuse_what_is_no_union_of_cycles():
         for tags in (False, True):
             assert _cycle_walks(q, tags) is None
             assert cycle_classes(q, tags) is None
-    q = quiver_qsg(S35, 8)
+    q = quiver_qsg(make_cyclic_group(S35, 8))
     assert len(_cycle_walks(q)) == 8 and _cycle_walks(q) == walks_oracle(q, False)
 
 
 def test_bgp_reflect_refuses_exactly_non_sinks_and_non_sources():
     loops = Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v0", "v1", "y"), ("v2", "v1", "")])
-    for q in (quiver_qsg(S13, 2), covering_quiver(S23, 2), loops, Quiver(["v0"], [])):
+    for q in (quiver_qsg(make_cyclic_group(S13, 2)), covering_quiver(S23, 2), loops, Quiver(["v0"], [])):
         for v in q.vertices:
             if is_sink(q, v) or is_source(q, v):
                 assert bgp_reflect(bgp_reflect(q, v), v) == q
@@ -838,7 +838,7 @@ def test_reflection_search_on_large_coverings():
 
 
 def test_degree_signatures_match_per_vertex_scan():
-    cases = [quiver_qsg(S13, 4), covering_quiver(S35, 2), make_canonical_quiver(2, 5),
+    cases = [quiver_qsg(make_cyclic_group(S13, 4)), covering_quiver(S35, 2), make_canonical_quiver(2, 5),
              Quiver(["v0", "v1", "v2"], [("v0", "v1", "x"), ("v0", "v1", "y"),
                                          ("v1", "v1", "x")])]
     for q in cases:
@@ -869,7 +869,7 @@ def test_component_count_theorem():
                  quantum_spec(5, 3, 1)):
         ell = spec.ell
         for r in range(1, 7):
-            comps = components_oracle(quiver_qsg(spec, r))
+            comps = components_oracle(quiver_qsg(make_cyclic_group(spec, r)))
             assert len(comps) == gcd(ell, r)
             c = lcm(ell, r) // ell
             cover = covering_quiver(spec, c)
@@ -880,7 +880,7 @@ def test_component_count_theorem():
 
 def test_constructor_error_paths():
     with pytest.raises(ValueError):
-        quiver_qsg(S13, 0)
+        quiver_qsg(make_cyclic_group(S13, 0))
     with pytest.raises(ValueError):
         covering_quiver(S13, 0)
     with pytest.raises(ValueError):
@@ -915,14 +915,15 @@ def test_arrow_order_equals_natural_key_sort():
     # levels up to 12 give two-digit labels, where "v0_2" comes before "v0_10"
     weights = [(wx, wy) for wx in range(1, 6) for wy in range(1, 8) if gcd(wx, wy) == 1]
     qs = [quiver_qs(quantum_spec(wx, wy, 1)) for wx, wy in weights]
-    qs += [make(quantum_spec(wx, wy, 1), n) for make in (quiver_qsg, covering_quiver)
+    qs += [make(quantum_spec(wx, wy, 1), n)
+           for make in (lambda spec, r: quiver_qsg(make_cyclic_group(spec, r)), covering_quiver)
            for wx, wy in weights for n in range(1, 13)]
     qs += [make_canonical_quiver(i, j) for i in range(1, 13) for j in range(1, 13)]
     actions = [make_cyclic_group(quantum_spec(wx, wy, 1), r) for wx, wy in weights
                for r in range(1, 13) if (wx + wy) * r <= 36]
     actions += [make_cyclic_group(jordan_spec(q), r) for q in range(1, 12)
                 for r in range(1, 13) if (q + 1) % r == 0 and (q + 1) * r <= 36]
-    qs += [gabriel_quiver_oracle(action.spec, action) for action in actions]
+    qs += [gabriel_quiver_oracle(action) for action in actions]
     states = _reflect_search_states()
     assert len(states) > 200
     rng = random.Random(7)
@@ -959,9 +960,9 @@ def test_natural_key_runs_once_per_vertex(monkeypatch):
     monkeypatch.setattr(quivers, "_natural_key", counted)
     action = make_cyclic_group(S11, 12)
     qs13 = quiver_qs(S13)
-    for build in (lambda: quiver_qs(S35), lambda: quiver_qsg(S35, 12),
+    for build in (lambda: quiver_qs(S35), lambda: quiver_qsg(make_cyclic_group(S35, 12)),
                   lambda: covering_quiver(S23, 12), lambda: make_canonical_quiver(7, 12),
-                  lambda: gabriel_quiver_oracle(S11, action), lambda: bgp_reflect(qs13, "v0")):
+                  lambda: gabriel_quiver_oracle(action), lambda: bgp_reflect(qs13, "v0")):
         calls[0] = 0
         q = build()
         assert 0 < calls[0] <= len(q.vertices)

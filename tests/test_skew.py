@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import asreg2.automorphisms
 import asreg2.skew
 
-from asreg2.cyclotomic import ONE, Cyclotomic, cyc, primitive_root, zeta
+from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
@@ -34,11 +34,9 @@ from asreg2.skew import (
     ampleness_report,
     corner_dimension_checks,
     default_window,
-    fixed_ring_basis,
     fixed_ring_dims,
     ideal_e_dims,
     min_phi_degree,
-    molien_check,
     molien_dims,
     rho_system,
     skew_dim,
@@ -322,22 +320,27 @@ def test_skew_dims():
         assert skew_dim(action, d) == 5 * len(graded_basis(W13, d))
 
 
+def fixed_ring_basis(action, d):
+    """Monomials of degree d fixed by the action (character zero)."""
+    return [m for m in graded_basis(action.spec, d) if action.char(m) == 0]
+
+
 def test_fixed_ring_basis_example():
     action = make_cyclic_group(COMM, 3)
-    assert fixed_ring_basis(COMM, action, 3) == [Monomial(0, 3), Monomial(3, 0)]
-    assert fixed_ring_dims(COMM, action, 6) == [1, 0, 1, 2, 1, 2, 3]
+    assert fixed_ring_basis(action, 3) == [Monomial(0, 3), Monomial(3, 0)]
+    assert fixed_ring_dims(action, 6) == [1, 0, 1, 2, 1, 2, 3]
     # trivial group keeps everything
     triv = make_cyclic_group(COMM, 1)
     for d in range(5):
-        assert fixed_ring_basis(COMM, triv, d) == graded_basis(COMM, d)
+        assert fixed_ring_basis(triv, d) == graded_basis(COMM, d)
 
 
 def test_fixed_ring_multiplicatively_closed():
     action = make_cyclic_group(W13, 3)
     for d1 in range(5):
-        for m1 in fixed_ring_basis(W13, action, d1):
+        for m1 in fixed_ring_basis(action, d1):
             for d2 in range(5):
-                for m2 in fixed_ring_basis(W13, action, d2):
+                for m2 in fixed_ring_basis(action, d2):
                     prod = AlgebraElement.monomial(W13, m1) * AlgebraElement.monomial(W13, m2)
                     for m in prod.terms:
                         assert action.char(m) == 0
@@ -360,13 +363,13 @@ def test_fixed_ring_matches_classical_hypersurface_series():
                     if d <= D:
                         series[d] += 1
         action = make_cyclic_group(COMM, r)
-        assert fixed_ring_dims(COMM, action, D) == series, r
+        assert fixed_ring_dims(action, D) == series, r
 
 
 def test_molien_check():
     for spec, r in ((COMM, 3), (COMM, 1), (W13, 2), (W13, 6), (J1, 2), (QUANT5, 3)):
         action = make_cyclic_group(spec, r)
-        assert molien_check(spec, action, 12)
+        assert molien_dims(action, 12) == fixed_ring_dims(action, 12)
 
 
 def test_molien_against_local_recomputation():
@@ -379,7 +382,7 @@ def test_molien_against_local_recomputation():
             for m in graded_basis(spec, d):
                 total = total + zeta(r) ** (s * ((m.b - m.a) % r))
         avg = total * cyc(1) / cyc(r)
-        assert avg == cyc(molien_dims(spec, action, d)[d])
+        assert avg == cyc(molien_dims(action, d)[d])
 
 
 def molien_dims_per_degree(spec, action, D):
@@ -419,7 +422,7 @@ def test_molien_dims_against_per_degree_trace_loop():
         for r in range(1, 13):
             for action in _diagonal_actions(spec, r, rng):
                 D = 10
-                assert molien_dims(spec, action, D) == molien_dims_per_degree(spec, action, D), \
+                assert molien_dims(action, D) == molien_dims_per_degree(spec, action, D), \
                     (spec.describe(), action.describe())
                 checked += 1
                 hsl += action.is_hsl_action()
@@ -455,11 +458,11 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
-    dims = molien_dims(spec, action, D)
+    dims = molien_dims(action, D)
     adds = events.count("add")
     last_add = len(events) - events[::-1].index("add")
     monkeypatch.undo()
-    assert dims == fixed_ring_dims(spec, action, D)
+    assert dims == fixed_ring_dims(action, D)
     assert powers[0] == adds == r * len(gcds)
     assert "mul" not in events[last_add:]
 
@@ -468,9 +471,9 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
 def test_molien_dims_refuses_a_non_root_of_unity(xi):
     # 1 + zeta(5) has irrational power sums; 2 has integer power sums
     # (T(1) = 1 + 2 + 4 + 8) but the degree-1 average 2 T(1) / 4 is no integer
-    action = CyclicGroupAction(COMM, 4, xi)
+    action = CyclicGroupAction(COMM, 4, xi, 1, -1)
     with pytest.raises(ArithmeticError):
-        molien_dims(COMM, action, 3)
+        molien_dims(action, 3)
 
 
 def corner_dimension_checks_echelon(spec, action, D):
@@ -486,7 +489,7 @@ def corner_dimension_checks_echelon(spec, action, D):
             es.add(dict((e * u).terms))
             ece.add(dict((e * ue).terms))
         dim_s = len(graded_basis(spec, d))
-        dim_fixed = len(fixed_ring_basis(spec, action, d))
+        dim_fixed = len(fixed_ring_basis(action, d))
         row = {"d": d, "corner_eSGe": ece.rank, "fixed": dim_fixed,
                "SGe": se.rank, "eSG": es.rank, "dim_S": dim_s}
         row["ok"] = ece.rank == dim_fixed and se.rank == dim_s and es.rank == dim_s
@@ -509,7 +512,7 @@ def corner_dimension_checks_per_character(spec, action, D):
             ece += [asreg2.skew.skew_mul_basis(action, e, k) for k in ue]
         single = all(len(p) <= 1 and all(p.values()) for p in ece + se + es)
         n_ece, n_se, n_es = (len(set().union(*prods)) for prods in (ece, se, es))
-        dim_s, dim_fixed = len(basis), len(fixed_ring_basis(spec, action, d))
+        dim_s, dim_fixed = len(basis), len(fixed_ring_basis(action, d))
         row = {"d": d, "corner_eSGe": n_ece, "fixed": dim_fixed,
                "SGe": n_se, "eSG": n_es, "dim_S": dim_s}
         row["ok"] = single and (n_ece, n_se, n_es) == (dim_fixed, dim_s, dim_s)
@@ -528,7 +531,7 @@ def test_corner_dimension_checks_equal_per_character_loop():
     for spec in specs:
         for r in range(1, 7):
             for action in _diagonal_actions(spec, r, rng):
-                report = corner_dimension_checks(spec, action, 6)
+                report = corner_dimension_checks(action, 6)
                 assert report == corner_dimension_checks_per_character(spec, action, 6), \
                     (spec.describe(), action.describe())
                 checked += 1
@@ -539,7 +542,7 @@ def test_corner_dimension_checks_equal_per_character_loop():
 def test_corner_dimension_checks():
     for spec, r in ((COMM, 2), (COMM, 1), (W13, 6), (J1, 2)):
         action = make_cyclic_group(spec, r)
-        report = corner_dimension_checks(spec, action, 8)
+        report = corner_dimension_checks(action, 8)
         assert report["ok"], report
 
 
@@ -550,7 +553,7 @@ def test_corner_dimension_checks_equal_echelon_ranks():
                 make_diagonal_action(J1, 3, 1, 1)]
     for action in actions:
         spec = action.spec
-        assert corner_dimension_checks(spec, action, 6) == corner_dimension_checks_echelon(
+        assert corner_dimension_checks(action, 6) == corner_dimension_checks_echelon(
             spec, action, 6), (spec.describe(), action.describe())
 
 
@@ -566,7 +569,7 @@ def test_corner_dimension_checks_reject_products_of_two_terms(monkeypatch):
 
     monkeypatch.setattr(asreg2.skew, "skew_mul_basis", two_terms)
     action = make_cyclic_group(COMM, 3)
-    rows = corner_dimension_checks(COMM, action, 3)["rows"]
+    rows = corner_dimension_checks(action, 3)["rows"]
     assert [row["ok"] for row in rows] == [True, True, False, True]
 
 
@@ -576,7 +579,7 @@ def ideal_e_dims_window(spec, action, D):
     Asserts the prefix contract: the walk ends exactly h = max(w_x, w_y)
     full degrees after the last degree that is not full, or at D + 1.
     """
-    prefix = ideal_e_dims(spec, action, D)
+    prefix = ideal_e_dims(action, D)
     dims = hilbert_dims(spec, D)
     r, h = action.r, max(spec.w_x, spec.w_y)
     last_not_full = max((d for d, n in enumerate(prefix) if n != r * dims[d]), default=-1)
@@ -675,11 +678,11 @@ def test_ideal_dims_refuses_action_off_the_relation():
     # constructors refuse the rest, a hand-built action reaches the count
     spec = jordan_spec(2)
     for r, px, py in ((3, 1, 1), (4, 1, 0), (5, 2, 1)):
-        action = CyclicGroupAction(spec, r, primitive_root(r), px, py)
+        action = CyclicGroupAction(spec, r, zeta(r), px, py)
         with pytest.raises(ArithmeticError):
-            ideal_e_dims(spec, action, 4)
+            ideal_e_dims(action, 4)
         with pytest.raises(ArithmeticError):
-            ampleness_report(spec, action)
+            ampleness_report(action)
 
 
 # (spec, r, px, py) whose quotient vanishes h = max(w_x, w_y) > 1 degrees
@@ -743,7 +746,7 @@ def test_ideal_dims_every_window_is_a_prefix():
     cases += [(spec, make_diagonal_action(spec, r, 1, spec.q))
               for spec in (jordan_spec(3), jordan_spec(5)) for r in range(2, 5)]
     for spec, action in cases:
-        top = default_window(spec, action)
+        top = default_window(action)
         long = ideal_e_dims_window(spec, action, top)
         assert long == ideal_e_dims_blocked(spec, action, top), (spec.describe(), action.describe())
         for D in range(top + 1):
@@ -797,7 +800,7 @@ def quotient_by_ideal_e_dims(spec, action, D):
     Past the degrees ideal_e_dims walks, (e)_d = (S*G)_d by the tail lemma,
     so those degrees are 0 without any per-degree work.
     """
-    walked = _walked_quotient_dims(spec, action, D)
+    walked = _walked_quotient_dims(action, D)
     return walked + [0] * (D + 1 - len(walked))
 
 
@@ -814,7 +817,7 @@ def test_quotient_dims_free_action_closed_form():
         action = make_cyclic_group(spec, r)
         if D is None:
             # the default ample window 4*ell*r; the quotient is 0 from degree r - 1 on
-            D = default_window(spec, action)
+            D = default_window(action)
         dims = quotient_by_ideal_e_dims(spec, action, D)
         expected = [(d + 1) * max(0, r - d - 1) for d in range(D + 1)]
         assert dims == expected
@@ -873,7 +876,7 @@ def test_quotient_dims_equal_full_window_route_sweep():
             spec.describe(), action.describe(), D)
         r, px, py = action.r, action.px, action.py
         ample = gcd(px, r) == gcd(py, r) == 1
-        walked_all = len(ideal_e_dims(spec, action, D)) == D + 1
+        walked_all = len(ideal_e_dims(action, D)) == D + 1
         seen.add((ample, walked_all, D == 0))
         if not ample:
             assert walked_all, (spec.describe(), action.describe(), D)
@@ -885,7 +888,7 @@ def test_quotient_dims_equal_full_window_route_sweep():
 
 def test_ampleness_report_finite():
     action = make_cyclic_group(COMM, 2)
-    rep = ampleness_report(COMM, action, 16)
+    rep = ampleness_report(action, 16)
     assert rep.verdict == "FINITE-UP-TO-16"
     assert rep.first_zero_degree == 1
     assert rep.total_dim == 1
@@ -893,14 +896,14 @@ def test_ampleness_report_finite():
 
 def test_ampleness_report_trivial_group():
     action = make_cyclic_group(COMM, 1)
-    rep = ampleness_report(COMM, action)
+    rep = ampleness_report(action)
     assert rep.verdict.startswith("FINITE")
     assert rep.total_dim == 0
 
 
 def test_ampleness_exploratory_non_hsl():
     action = make_diagonal_action(COMM, 2, 1, 0)
-    rep = ampleness_report(COMM, action, 8)
+    rep = ampleness_report(action, 8)
     assert rep.verdict == "EXPLORATORY-REPORT-ONLY"
     assert not rep.hsl
     # the quotient stays visibly nonzero for this pinned action
@@ -910,7 +913,7 @@ def test_ampleness_exploratory_non_hsl():
 def phi_injective(spec, action, D):
     """Injective on (S*G)_{<=D} from min_phi_degree on (never if it is None);
     a window below degree 0 is vacuous."""
-    d_phi = min_phi_degree(spec, action)
+    d_phi = min_phi_degree(action)
     return D < 0 or (d_phi is not None and d_phi <= D)
 
 
@@ -925,7 +928,7 @@ def test_phi_injectivity_threshold():
     # has a genuine kernel; from the threshold on it is faithful
     spec = quantum_spec(2, 3, 1)
     action = make_cyclic_group(spec, 6)
-    d_min = min_phi_degree(spec, action)
+    d_min = min_phi_degree(action)
     assert d_min == 6
     assert not phi_injective(spec, action, 3)
     assert phi_injective(spec, action, d_min)
@@ -937,7 +940,7 @@ PHI_JORDAN = [(q, r) for q in range(1, 8) for r in range(1, q + 2) if (q + 1) % 
 
 def _phi_windows(spec, action):
     """0, 1, 2 and the windows around min_phi_degree (around r if it never comes)."""
-    d_phi = min_phi_degree(spec, action)
+    d_phi = min_phi_degree(action)
     mid = action.r if d_phi is None else d_phi
     return sorted({0, 1, 2, mid - 1, mid, mid + 1})
 
@@ -960,14 +963,14 @@ def test_phi_injectivity_count_equals_oracle_sweep():
     actions.extend(make_cyclic_group(jordan_spec(q), r) for q, r in PHI_JORDAN)
     # faithful: every character occurs by degree (r-1)*ell, inside min_phi_degree's scan
     for action in actions:
-        assert min_phi_degree(action.spec, action) <= (action.r - 1) * action.spec.ell
+        assert min_phi_degree(action) <= (action.r - 1) * action.spec.ell
     # non-faithful diagonal actions: some character never occurs
     non_faithful = [make_diagonal_action(COMM, 4, 2, 0),
                     make_diagonal_action(quantum_spec(1, 2, RAT(2, 3)), 4, 2, 2),
                     make_diagonal_action(J1, 4, 2, 2),
                     make_diagonal_action(quantum_spec(2, 3, zeta(5)), 3, 0, 0)]
     for action in non_faithful:
-        assert min_phi_degree(action.spec, action) is None
+        assert min_phi_degree(action) is None
     outcomes = Counter(
         _assert_phi_matches_oracle(action.spec, action, D)
         for action in actions + non_faithful for D in _phi_windows(action.spec, action))
@@ -985,5 +988,5 @@ PHI_CONFIGS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(PHI_CONFIGS, st.integers(-1, 1))
 def test_phi_injectivity_count_equals_oracle_property(action, offset):
-    D = min_phi_degree(action.spec, action) + offset
+    D = min_phi_degree(action) + offset
     _assert_phi_matches_oracle(action.spec, action, D)
