@@ -150,7 +150,10 @@ class CyclicGroupAction:
         self.py %= self.r
 
     def xi_power(self, k):
-        """xi^(k mod r), from a table grown by one product with xi per entry."""
+        """xi^(k mod r), from a table grown by one product with xi per entry:
+        entry 0 is 1 and entry k + 1 is entry k times xi, so entry k is xi^k
+        for 0 <= k < r by construction.  That xi^(k mod r) is xi^k needs xi^r
+        = 1, which skew.rho_system certifies."""
         k %= self.r
         pw = self._xi_powers
         while len(pw) <= k:
@@ -169,6 +172,11 @@ class CyclicGroupAction:
         return "r=%d, generator diag(xi^%d, xi^%d)" % (self.r, self.px, self.py)
 
 
+# the exponents (px, py) of the canonical action, read by make_cyclic_group
+# and by the ample help text
+DEFAULT_POWERS = (1, -1)
+
+
 def make_cyclic_group(spec, r):
     """The canonical hdet-one action diag(xi, xi^-1) of order r.
 
@@ -178,7 +186,7 @@ def make_cyclic_group(spec, r):
     where the test says r | q + 1.  The tests re-run this through
     is_graded_automorphism and hdet_table.
     """
-    return make_diagonal_action(spec, r, 1, -1)
+    return make_diagonal_action(spec, r, *DEFAULT_POWERS)
 
 
 def make_diagonal_action(spec, r, px, py):

@@ -97,46 +97,50 @@ def gabriel_quiver_oracle(action):
     >= ell.  So the rank of a J^2 corner is the number of distinct keys in
     it.  A product of any other shape raises ArithmeticError.
 
-    One product per (k < i < j, m, n), not one per character w:
-    lambda_mul_basis reads w only in its guard and in v = w + char n, so
-    the product at w is the one at w = 0, v = char n, with its character
-    moved by w: the key M(k->j; mn) rho_(w + char n), for one S-product mn.
-    Both corners, of J and of J^2, have source character minus target
-    character fixed (char m, resp. char m + char n mod r) as w runs, and
-    a corner's keys at one source character differ only in mn.  So the
-    J corner from (i, s) to (j, s - c) has the size #{m in S_(j-i) : char
-    m = c} at every s, the J^2 corner from (k, s) to (j, s - c) has
-    #{mn : char m + char n = c} keys at every s, and the arrows of one
-    (source grid vertex, target grid vertex, character difference) are
-    expanded over the r source characters only when they are emitted.
-    The tests keep the loop over every w as the oracle.
+    One product per (0 < d2 < d < ell, m in S_(d-d2), n in S_(d2)), not
+    one per grid triple (k < i < j) and character w: lambda_mul_basis reads
+    k, i, j only in its guard [l = i] and in the grid part (k, j) of its key,
+    and w only in its guard and in v = w + char n.  So the product at (k, i,
+    j, w) is the one at (0, d2, d, 0), d2 = i - k and d = j - k, with the
+    grid part moved to (k, j) and the character moved by w: the key M(k->j;
+    mn) rho_(w + char n), for one S-product mn.  Both corners, of J and of
+    J^2, have source character minus target character fixed (char m, resp.
+    char m + char n mod r) as w runs, and a corner's keys at one source
+    character differ only in mn.  So the J corner from (i, s) to (j, s - c)
+    has the size #{m in S_(j-i) : char m = c} at every s, and the J^2
+    corner from (k, s) to (j, s - c) has #{mn : char m + char n = c} keys
+    at every s, over the d2 in (0, j - k); both depend on (j - i, c), resp.
+    (j - k, c), alone.  The arrows of one (source grid vertex, target grid
+    vertex, character difference) are expanded over the r source
+    characters only where their count is nonzero.  The tests keep the loop
+    over every (k, i, j, w) as the oracle.
     """
     r, ell = action.r, action.spec.ell
     graded = [[(m, action.char(m)) for m in graded_basis(action.spec, d)] for d in range(ell)]
-    # (i, j, c) -> the size of the J corner from (i, s) to (j, s - c)
-    j_corner = Counter((i, j, c) for i in range(ell) for j in range(i + 1, ell)
-                       for _, c in graded[j - i])
-    jj_keys = {}  # (k, j, c) -> the S-parts of the J^2 keys from (k, s) to (j, s - c)
-    for k in range(ell):
-        for i in range(k + 1, ell):
-            for n, cn in graded[i - k]:
-                right = (k, i, n, cn)
-                for j in range(i + 1, ell):
-                    for m, cm in graded[j - i]:
-                        left = (i, j, m, 0)
-                        prod = lambda_mul_basis(action, left, right)
-                        if len(prod) != 1:
-                            raise ArithmeticError("J^2 product %r * %r is not one basis key"
-                                                  % (left, right))
-                        (_, _, mono, _), = prod
-                        jj_keys.setdefault((k, j, (cm + cn) % r), set()).add(mono)
+    # (d, c) -> the size of a J corner from (i, s) to (i + d, s - c)
+    j_corner = Counter((d, c) for d in range(1, ell) for _, c in graded[d])
+    jj_keys = {}  # (d, c) -> the S-parts of the J^2 keys from (k, s) to (k + d, s - c)
+    for d in range(2, ell):
+        for d2 in range(1, d):
+            for n, cn in graded[d2]:
+                right = (0, d2, n, cn)
+                for m, cm in graded[d - d2]:
+                    left = (d2, d, m, 0)
+                    prod = lambda_mul_basis(action, left, right)
+                    if len(prod) != 1:
+                        raise ArithmeticError("J^2 product %r * %r is not one basis key"
+                                              % (left, right))
+                    (_, _, mono, _), = prod
+                    jj_keys.setdefault((d, (cm + cn) % r), set()).add(mono)
     label = [["v%d_%d" % (i, w) for w in range(r)] for i in range(ell)]
     arrows = []
-    for (i, j, c), size in j_corner.items():
-        count = size - len(jj_keys.get((i, j, c), ()))
-        src, dst = label[i], label[j]
-        for s in range(r):
-            arrows += [(src[s], dst[(s - c) % r], "")] * count
+    for (d, c), size in j_corner.items():
+        count = size - len(jj_keys.get((d, c), ()))
+        if count:
+            for i in range(ell - d):
+                src, dst = label[i], label[i + d]
+                for s in range(r):
+                    arrows += [(src[s], dst[(s - c) % r], "")] * count
     return Quiver([v for row in label for v in row], arrows)
 
 
@@ -168,12 +172,12 @@ def nabla_skew_structure_check(action):
     under the map M(i->j; m)*rho_w  <->  M(i->j; m*rho_w).  Both products
     are {} on the other pairs, by the same [l = i] and [w + char n = v]
     guards, so t2 is looked up by (i, w) in a table of the basis keyed by
-    (l, (v - char n) mod r).
+    (l, (v - char n) mod r).  The dimensions of the two sides are check's
+    "dim Lambda" line, which compares nabla_skew_dim_formula with r * dim
+    nabla, so they are not compared here again.
     """
     r = action.r
     basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(r)]
-    if r * nabla_dim(action.spec) != nabla_skew_dim_formula(action):
-        return False
     into = {}  # (l, (v - char n) mod r) -> basis elements (k, l, n, v)
     for t in basis:
         into.setdefault((t[1], (t[3] - action.char(t[2])) % r), []).append(t)

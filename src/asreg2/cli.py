@@ -26,6 +26,7 @@ from .algebra import (
     quantum_spec,
 )
 from .automorphisms import (
+    DEFAULT_POWERS,
     NotTabulatedError,
     diagonal_automorphism,
     hdet_table,
@@ -151,7 +152,8 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=None,
                    help="window top; default 4*ell*r")
     p.add_argument("--action-powers", default=None,
-                   help="px,py for exploratory diagonal actions (default 1,-1)")
+                   help="px,py for exploratory diagonal actions (default %d,%d)"
+                   % DEFAULT_POWERS)
     _add_out_flags(p)
 
     p = sub.add_parser("quiver", help="emit a quiver as text, JSON or DOT")
@@ -269,24 +271,38 @@ def _action_from_args(spec, args, r_default=1):
 def _json(o, pad="\n"):
     """json.dumps(o, sort_keys=True, indent=2), pad the line break and indent
     before o's closing bracket; the stdlib indents only in pure Python.  A
-    report holds dicts with str keys, lists, tuples, str, int, bool and None:
-    any other type, a float too, raises TypeError."""
+    report holds dicts with str keys, lists, tuples, str, int, bool and None,
+    and the writer is looked up by the value's type: any other type, a float
+    or a subclass too, raises TypeError."""
+    writer = _JSON_WRITERS.get(type(o))
+    if writer is None:
+        raise TypeError("a report holds no %s" % type(o).__name__)
+    return writer(o, pad)
+
+
+def _json_array(o, pad):
     inner = pad + "  "
-    if o is None or isinstance(o, bool):
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        # the dims lists, most of an ample report; True is no int here
-        items = map(str, o) if all(type(v) is int for v in o) else [_json(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
-    if isinstance(o, dict):
-        # encode_basestring_ascii raises TypeError on a key that is no str
-        items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
-    raise TypeError("a report holds no %s" % type(o).__name__)
+    # the dims lists, most of an ample report; True is no int here
+    items = map(str, o) if all(type(v) is int for v in o) else [_json(v, inner) for v in o]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
+
+
+def _json_object(o, pad):
+    inner = pad + "  "
+    # encode_basestring_ascii raises TypeError on a key that is no str
+    items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+    return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
+
+
+_JSON_WRITERS = {
+    type(None): lambda o, pad: "null",
+    bool: lambda o, pad: "true" if o else "false",
+    str: lambda o, pad: encode_basestring_ascii(o),
+    int: lambda o, pad: int.__repr__(o),
+    list: _json_array,
+    tuple: _json_array,
+    dict: _json_object,
+}
 
 
 def _emit(args, text_lines, payload, dot=None):
@@ -539,17 +555,19 @@ def cmd_check(args):
         record("skew-of-nabla structure constants", nabla_skew_structure_check(action))
 
     ok_all = all(ok for (_, ok) in results)
-    lines = ["algebra: %s" % spec.describe(), "action: %s" % action.describe()]
-    for (name, ok) in results:
-        lines.append("%-55s %s" % (name, "ok" if ok else "FAIL"))
-    lines.append("overall: %s" % ("ok" if ok_all else "FAIL"))
+
+    def lines():
+        return (["algebra: %s" % spec.describe(), "action: %s" % action.describe()]
+                + ["%-55s %s" % (name, "ok" if ok else "FAIL") for (name, ok) in results]
+                + ["overall: %s" % ("ok" if ok_all else "FAIL")])
+
     payload = {
         "command": "check",
         "params": {"r": r, "max_degree": D},
         "result": {"checks": [{"name": n, "ok": o} for (n, o) in results],
                    "ok": ok_all},
     }
-    _emit(args, lambda: lines, payload)
+    _emit(args, lines, payload)
     return 0 if ok_all else 1
 
 

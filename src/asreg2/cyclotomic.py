@@ -25,6 +25,7 @@ scope.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .rationals import rat, rat_str
 
@@ -302,8 +303,24 @@ def cyc(value):
     return value if isinstance(value, Cyclotomic) else Cyclotomic(value)
 
 
-ZERO = Cyclotomic(0)
 ONE = Cyclotomic(1)
+
+
+def cyclotomic_sum(values):
+    """The sum of Cyclotomic values, brought to its normal form once.
+
+    The numerators are embedded in the lcm conductor over the lcm
+    denominator and added there as integers, which is what a chain of
+    + does term by term.  The sum is the same field element; its conductor
+    is that lcm unless the sum is rational."""
+    values = list(values)
+    n = lcm(*(v.n for v in values))
+    den = lcm(*(v.den for v in values))
+    total = [0] * (len(cyclotomic_polynomial(n)) - 1)
+    for v in values:
+        num, scale = v._embed(n).num, den // v.den
+        total = list(map(add, total, num if scale == 1 else [x * scale for x in num]))
+    return _normal(n, total, den)
 
 
 def zeta(n, k=1):

@@ -202,27 +202,59 @@ def _cycle_walk(q, tags=False):
 _FLIP = str.maketrans("01", "10")
 
 
+def _least_start(word):
+    """(k, p): the first start k of the least rotation of a word (a str or a
+    tuple) and its period p, the least shift that maps the word to itself,
+    which divides n; the rotations equal to the least one start at k mod p,
+    p apart.  By Duval's Lyndon factorization of word + word (Duval, J.
+    Algorithms 4, 1983), in O(n) comparisons of letters: the least rotation
+    is u^(n/p) for a Lyndon word u of length p, and from its start the
+    inner loop reads u repeated to the end of word + word, so it ends at j
+    = 2n with j - k = p."""
+    n, w = len(word), word + word
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n:
+            a, b = w[k], w[j]
+            if a < b:
+                k = i
+            elif a != b:
+                break
+            else:
+                k += 1
+            j += 1
+        # the factors of length j - k from i on, the last one ending past k
+        i += (k - i) // (j - k) * (j - k) + j - k
+    return start, j - k
+
+
 def _least_rotation(order, word):
     """The least rotation of a walk's word over both walk directions, with the
-    vertex order rotated alongside.  Walking the other way round from
-    order[0] meets order[0], order[-1], ..., order[1], reverses the word and
-    flips every direction.
+    vertex order rotated alongside, as a (word tuple, order tuple) pair.
+    Walking the other way round from order[0] meets order[0], order[-1],
+    ..., order[1], reverses the word and flips every direction.
 
-    A least rotation of a word not one letter repeated starts a run of the
-    least letter (a start inside a run loses to the start a letter earlier,
-    one at a greater letter to any at the least), so only run starts are
-    formed; ties among them are broken by the vertex order."""
+    _least_start gives each direction's least rotation and its tied starts.
+    The vertices of a walk are distinct, so the tied rotations of one
+    direction differ in their first vertex, which picks one of them.  The
+    two directions' picks compare by their words, then by their first two
+    vertices: two rotations of different directions from one vertex differ
+    in the second unless n <= 2, where the two vertex orders are equal.  So
+    only the winning rotation is formed."""
     n = len(order)
-    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
-    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
-    least = min(min(word), min(back))
-    rotations = []
-    for w, o in walks:
-        starts = [k for k in range(n) if w[k] == least and w[k - 1] != least]
-        if not starts and w[0] == least:
-            starts = range(n)
-        rotations += [(w[k:] + w[:k], o[k:] + o[:k]) for k in starts]
-    return min(rotations)
+    if isinstance(word, str):
+        back = word[::-1].translate(_FLIP)
+    else:
+        word = tuple(word)
+        back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
+    picks = []
+    for w, o in ((word, order), (back, order[:1] + order[:0:-1])):
+        k, p = _least_start(w)
+        s = min(range(k % p, n, p), key=o.__getitem__)
+        picks.append((w[k:] + w[:k], o[s], o[(s + 1) % n], s, o))
+    least, _, _, s, o = min(picks)
+    return tuple(least), o[s:] + o[:s]
 
 
 def _classes(walks):
@@ -239,11 +271,11 @@ def cycle_classes(q, respect_tags=False):
 def tagged_and_untagged_classes(q):
     """cycle_classes(q, True) and cycle_classes(q) from one walk: the walk does
     not depend on the tags, and a tagged letter stripped to its direction is
-    the untagged letter."""
+    the untagged letter, so the untagged word is the str of those letters."""
     walks = _cycle_walks(q, True)
     if walks is None:
         return None, None
-    return _classes(walks), _classes([(o, tuple(a[0] for a in w)) for o, w in walks])
+    return _classes(walks), _classes([(o, "".join(a[0] for a in w)) for o, w in walks])
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):

@@ -16,11 +16,10 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import ZERO
+from .cyclotomic import ONE, cyclotomic_sum
 from .algebra import (
     AlgebraElement,
     MONO_ONE,
@@ -45,11 +44,12 @@ def rho_system(action):
     """Certificate of the basis m rho_w and of skew_mul_basis, in O(r) steps.
 
     rho_w = (1/r) sum_s xi^(w s) g^s is read off the xi_power table, whose
-    exponents are taken mod r.  The certificate checks two facts:
+    exponents are taken mod r.  By its construction the table holds xi(k)
+    = xi^k for 0 <= k < r (one product with xi per entry, from xi(0) = 1).
+    The certificate checks two facts, with one product more:
 
-    (0) the table is the power sequence of xi: xi(0) = 1 and xi(k) xi =
-        xi(k + 1) for k = 0..r-1, so xi(k) = xi^k for 0 <= k < r and the
-        step at k = r-1 gives xi^r = 1, whence xi(k) = xi^k for every k;
+    (0) xi^r = 1: xi(r-1) xi = 1, whence xi(k) = xi^k for every k, as the
+        table reads k mod r;
     (2) xi is primitive: xi(k) != 1 for 0 < k < r, whence sum_s xi^(k s) =
         r [k = 0] for k mod r, since (xi^k - 1) sum_s xi^(k s) = xi^(k r)
         - 1 = 0 in a field.
@@ -86,8 +86,7 @@ def rho_system(action):
     brute force in Lambda.
     """
     r, xi = action.r, action.xi_power
-    return (xi(0) == 1 and all(xi(k) * action.xi == xi(k + 1) for k in range(r))
-            and all(xi(k) != 1 for k in range(1, r)))
+    return xi(r - 1) * action.xi == ONE and all(xi(k) != ONE for k in range(1, r))
 
 
 def skew_dim(action, d):
@@ -100,42 +99,55 @@ def fixed_ring_dims(action, D):
             for d in range(D + 1)]
 
 
+def _characters(action, d):
+    """The characters of the degree-d monomials y^a x^b in the order of
+    graded_basis: b px + a py mod r over a in _y_exponents, b = (d - a w_y)
+    / w_x, a progression in a, with no monomial built."""
+    spec, r, px, py = action.spec, action.r, action.px, action.py
+    wx, wy = spec.w_x, spec.w_y
+    return [((d - a * wy) // wx * px + a * py) % r for a in _y_exponents(spec, d)]
+
+
 def molien_dims(action, D):
     """Fixed-space dimensions by averaging traces of the group elements.
 
-    The trace of g^s on S_d is sum_c count_d(c) xi^(s c), over the
-    characters c of the degree-d monomials and their numbers count_d(c).
-    Summed over s first, the average is (1/r) sum_c count_d(c) T(c) with the
-    power sum T(c) = sum_s xi^(s c), and T(c) = T(gcd(c, r)): with g =
-    gcd(c, r), the map s -> s c on Z/r has image the multiples of g and
-    kernel of size g, as has s -> s g, so s c and s g run over the same
-    multiset mod r.  So the average is (1/r) N_d with N_d = sum_c count_d(c)
-    T(gcd(c, r)).  The xi_power table reads exponents mod r, so this rests
-    on no property of xi (not the primitivity rho_system certifies).
+    The trace of g^s on S_d is sum_m xi^(s char m), over the degree-d
+    monomials m.  Summed over s first, the average is (1/r) sum_m T(char
+    m) with the power sum T(c) = sum_s xi^(s c), and T(c) = T(gcd(c, r)):
+    with g = gcd(c, r), the map s -> s c on Z/r has image the multiples of
+    g and kernel of size g, as has s -> s g, so s c and s g run over the
+    same multiset mod r.  That multiset meets each multiple k g (k < r/g)
+    g times, so T(g) = g S(g) with S(g) = sum_(k < r/g) xi^(k g), a sum of
+    r/g table entries.  So the average is (1/r) N_d with N_d = sum_m
+    T(gcd(char m, r)).  The xi_power table reads exponents mod r, so this
+    rests on no property of xi (not the primitivity rho_system certifies).
 
-    Each T(g) is summed in the field once, r additions per divisor g of r,
-    and certified an integer through rational_value(): a sum of roots of
-    unity is an algebraic integer, and a rational algebraic integer is an
-    integer, so for a root of unity xi a rational T(g) is one.  An xi that
-    is no root of unity may give an irrational T(g) or a fraction, and both
-    raise ArithmeticError.  With every T(g) an integer, N_d is formed in
+    The characters come from _characters, so no monomial is built.  Each
+    S(g) is summed in the field once per divisor g of r met, by one
+    cyclotomic_sum of its r/g entries, and certified an integer through
+    rational_value(): a sum of roots of unity is an algebraic integer, and
+    a rational algebraic integer is an integer, so for a root of unity xi a
+    rational S(g) is one.  An xi that
+    is no root of unity may give an irrational S(g) or a fraction, and both
+    raise ArithmeticError.  With every S(g) an integer, N_d is formed in
     Python ints, exactly, and the average N_d / r is an integer exactly when
     r divides N_d; when it does not, ArithmeticError.  So the field does no
     work per degree.
     """
     r = action.r
-    power_sums = {}
+    power_sums = {}  # g -> T(g)
     out = []
     for d in range(D + 1):
         total = 0
-        for c, n in Counter(map(action.char, graded_basis(action.spec, d))).items():
+        for c in _characters(action, d):
             g = gcd(c, r)
-            if g not in power_sums:
-                t = sum((action.xi_power(s * g) for s in range(r)), ZERO)
-                if not t.is_rational() or t.rational_value().denominator != 1:
+            t = power_sums.get(g)
+            if t is None:
+                s = cyclotomic_sum(action.xi_power(k * g) for k in range(r // g))
+                if not s.is_rational() or s.rational_value().denominator != 1:
                     raise ArithmeticError("power sum of xi^%d must be an integer" % g)
-                power_sums[g] = t.rational_value().numerator
-            total += n * power_sums[g]
+                t = power_sums[g] = g * s.rational_value().numerator
+            total += t
         if total % r:
             raise ArithmeticError("trace average must be an integer")
         out.append(total // r)
@@ -301,8 +313,7 @@ def _walked_quotient_dims(action, D):
 
 @dataclass
 class AmplenessReport:
-    spec_text: str
-    action_text: str
+    action: object  # the CyclicGroupAction, described only by lines()
     hsl: bool
     D: int
     dims: list
@@ -313,8 +324,8 @@ class AmplenessReport:
 
     def lines(self):
         out = [
-            "algebra: %s" % self.spec_text,
-            "action: %s" % self.action_text,
+            "algebra: %s" % self.action.spec.describe(),
+            "action: %s" % self.action.describe(),
             "window: degrees 0..%d" % self.D,
             "quotient dims: %s" % self.dims,
             "total dimension up to window: %d" % self.total_dim,
@@ -358,8 +369,7 @@ def ampleness_report(action, D=None):
     else:
         verdict = "UNDECIDED-NONZERO-AT-%s" % (nonzero[-5:],)
     return AmplenessReport(
-        spec_text=action.spec.describe(),
-        action_text=action.describe(),
+        action=action,
         hsl=action.is_hsl_action(),
         D=D,
         dims=walked + [0] * (D + 1 - len(walked)),
@@ -388,17 +398,44 @@ def min_phi_degree(action):
       sums over t of one character, so they add no more than that.
 
     Hence rank = #m * min(r, #chars), full exactly when every character
-    occurs in S_{<=D}: from the degree returned here on (a window below 0 is
-    vacuous).  A faithful action realises every character among the y^a x^b
-    with a, b < r, of degree at most (r-1)*ell, where the scan stops; None
-    means a non-faithful action.  The tests cross-check this against the
-    exact elimination.  The count needs _check_leading_term, run here.
+    occurs in S_{<=D}: from D = max_w delta(w) on, delta(w) the least degree
+    of a monomial of character w (a window below 0 is vacuous), and never
+    when some character occurs in no degree (a non-faithful action), which
+    returns None.  The count needs _check_leading_term, run here.
+
+    delta(w) is the distance from 0 to w in the Cayley graph of Z/r whose
+    steps are +px at cost w_x and +py at cost w_y.  A path from 0 with a
+    py-steps and b px-steps, in any order, ends at a py + b px = char(y^a
+    x^b) and costs a w_y + b w_x = deg(y^a x^b); every monomial y^a x^b is
+    the multiset of steps of such a path.  So the costs of the paths to w
+    are the degrees of the monomials of character w, and their least is
+    delta(w).  Dial's bucket queue (Dial, CACM 12, 1969) settles the
+    vertices in order of distance, with max(w_x, w_y) + 1 buckets read
+    round, in O(r max(w_x, w_y)) steps.  The tests cross-check this
+    against the scan of S_d by degree and against the exact elimination.
     """
     spec = action.spec
     _check_leading_term(spec)
-    seen = set()
-    for d in range((action.r - 1) * spec.ell + 1):
-        seen.update(map(action.char, graded_basis(spec, d)))
-        if len(seen) == action.r:
-            return d
-    return None
+    r = action.r
+    steps = ((action.px, spec.w_x), (action.py, spec.w_y))
+    width = max(spec.w_x, spec.w_y) + 1
+    dist = [None] * r
+    dist[0] = 0
+    buckets = [[] for _ in range(width)]
+    buckets[0].append(0)
+    queued, d = 1, 0
+    while queued:
+        bucket = buckets[d % width]
+        while bucket:
+            v = bucket.pop()
+            queued -= 1
+            if dist[v] != d:
+                continue  # a later, shorter path settled v already
+            for step, cost in steps:
+                u = (v + step) % r
+                if dist[u] is None or d + cost < dist[u]:
+                    dist[u] = d + cost
+                    buckets[(d + cost) % width].append(u)
+                    queued += 1
+        d += 1
+    return None if None in dist else max(dist)

@@ -323,6 +323,35 @@ def test_rho_system_equals_g_basis_certificate():
         assert rho_system(action) is rho_system_g_basis(action) is False, (r, xi)
 
 
+def rho_system_products(action):
+    """rho_system as it certified fact (0) before: xi(0) = 1 and xi(k) xi =
+    xi(k + 1) for k < r, repeating the xi_power table's own products, and
+    xi(k) != 1 for 0 < k < r.  The oracle of the r + 1 product certificate."""
+    r, xi = action.r, action.xi_power
+    return (xi(0) == 1 and all(xi(k) * action.xi == xi(k + 1) for k in range(r))
+            and all(xi(k) != 1 for k in range(1, r)))
+
+
+def test_rho_system_equals_product_chain_and_g_basis_sweep():
+    # primitive and non-primitive roots of unity of every order up to 12,
+    # values that are no root of unity, and rationals, at r <= 8
+    values = [zeta(m, k) for m in range(1, 13) for k in range(m)]
+    values += [-zeta(7), ONE + zeta(5), cyc(2), cyc(RAT(1, 2)), cyc(-1)]
+    outcomes = Counter()
+    for r in range(1, 9):
+        for xi in values:
+            action = CyclicGroupAction(S11, r, xi, 1, -1)
+            ok = rho_system(action)
+            assert ok is rho_system_products(action) is rho_system_g_basis(action), (r, xi)
+            outcomes[ok] += 1
+    # the certificate holds exactly when xi has order r: zeta(m, k) has
+    # order m / gcd(k, m), -1 order 2, and the other values no finite order
+    # up to 8 (-zeta(7) has order 14)
+    assert outcomes[True] == 1 + sum(1 for r in range(1, 9) for m in range(1, 13)
+                                     for k in range(m) if m // gcd(k, m) == r)
+    assert outcomes[False] > 500
+
+
 def idempotent_structure_full(action):
     """e_i^w e_k^v = [(i, w) = (k, v)] e_i^w by lambda_mul_basis, over every pair."""
     grid = [(i, w) for i in range(action.spec.ell) for w in range(action.r)]
@@ -543,8 +572,9 @@ def test_oracle_key_count_matches_elimination(monkeypatch):
 
 
 def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
-    # one lambda_mul_basis call per (k < i < j, m in S_(j-i), n in S_(i-k)),
-    # at w = 0 and v = char n, whatever r is
+    # one lambda_mul_basis call per (0 < d2 < d < ell, m in S_(d-d2), n in
+    # S_(d2)), at the grid position (0, d2, d), w = 0 and v = char n,
+    # whatever r is
     calls = []
     real = asreg2.beilinson.lambda_mul_basis
 
@@ -563,11 +593,55 @@ def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
                     continue
                 calls.clear()
                 gabriel_quiver_oracle(action)
-                expected = [((i, j, m, 0), (k, i, n, action.char(n)))
-                            for k in range(ell) for i in range(k + 1, ell)
-                            for j in range(i + 1, ell) for m in graded_basis(spec, j - i)
-                            for n in graded_basis(spec, i - k)]
+                expected = [((d2, d, m, 0), (0, d2, n, action.char(n)))
+                            for d in range(ell) for d2 in range(1, d)
+                            for m in graded_basis(spec, d - d2) for n in graded_basis(spec, d2)]
                 assert sorted(calls) == sorted(expected), (spec.describe(), action.describe())
+    # the heaviest check-suite job: 55 products, where one per grid triple
+    # k < i < j of the 12 grid vertices made C(12, 3) = 220
+    calls.clear()
+    gabriel_quiver_oracle(make_cyclic_group(jordan_spec(11), 3))
+    assert len(calls) == 55
+
+
+def gabriel_quiver_per_grid_triple(action):
+    """gabriel_quiver_oracle as it formed its J^2 products before: one per
+    (k < i < j, m, n) at w = 0, with the J and J^2 corners keyed by their
+    grid vertices (i, j), resp. (k, j).  The oracle of the one product per
+    degree pair."""
+    r, ell = action.r, action.spec.ell
+    graded = [[(m, action.char(m)) for m in graded_basis(action.spec, d)] for d in range(ell)]
+    j_corner = Counter((i, j, c) for i in range(ell) for j in range(i + 1, ell)
+                       for _, c in graded[j - i])
+    jj_keys = {}
+    for k in range(ell):
+        for i in range(k + 1, ell):
+            for n, cn in graded[i - k]:
+                for j in range(i + 1, ell):
+                    for m, cm in graded[j - i]:
+                        prod = lambda_mul_basis(action, (i, j, m, 0), (k, i, n, cn))
+                        assert len(prod) == 1
+                        (_, _, mono, _), = prod
+                        jj_keys.setdefault((k, j, (cm + cn) % r), set()).add(mono)
+    label = [["v%d_%d" % (i, w) for w in range(r)] for i in range(ell)]
+    arrows = []
+    for (i, j, c), size in j_corner.items():
+        count = size - len(jj_keys.get((i, j, c), ()))
+        for s in range(r):
+            arrows += [(label[i][s], label[j][(s - c) % r], "")] * count
+    return Quiver([v for row in label for v in row], arrows)
+
+
+def test_oracle_equals_per_grid_triple_route_sweep():
+    # the swept actions, the heaviest check-suite job (Jordan q = 11, r = 3)
+    # and larger weights, where one product per degree pair stands for
+    # ell - d of them
+    actions = swept_actions() + [make_cyclic_group(jordan_spec(11), 3),
+                                 make_cyclic_group(quantum_spec(3, 5, -1), 4),
+                                 make_diagonal_action(quantum_spec(4, 7, zeta(3)), 5, 2, 1),
+                                 make_diagonal_action(jordan_spec(6), 7, 3, 4)]
+    for action in actions:
+        assert gabriel_quiver_oracle(action) == gabriel_quiver_per_grid_triple(action), action
 
 
 def test_oracle_has_no_vertex_cap():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from enum import IntEnum
 from math import gcd
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import asreg2.beilinson
 import asreg2.cli
 import asreg2.quivers
 import asreg2.skew
-from asreg2.algebra import graded_basis
+from asreg2.algebra import Monomial, graded_basis, quantum_spec
+from asreg2.automorphisms import DEFAULT_POWERS, make_cyclic_group
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.quivers import Quiver
@@ -194,6 +196,9 @@ CHECK_GOLDENS = [
     ("check_1_1_r50", ["--wx", "1", "--wy", "1", "--r", "50"]),
     ("check_1_1_r150", ["--wx", "1", "--wy", "1", "--r", "150"]),
     ("check_1_1_r300", ["--wx", "1", "--wy", "1", "--r", "300"]),
+    # ell*r = 2 400: the shortest path, the least rotations and the power
+    # sums at a size where a quadratic stage shows
+    ("check_1_1_r1200", ["--wx", "1", "--wy", "1", "--r", "1200"]),
     ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
 ]
 AMPLE_GOLDENS = [
@@ -222,7 +227,8 @@ GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
 
 
 @pytest.mark.parametrize("name, flags", CHECK_GOLDENS,
-                         ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "j23_r24"])
+                         ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "1_1_r1200",
+                              "j23_r24"])
 def test_check_matches_golden(tmp_path, capsys, name, flags):
     # pins the check bytes at configs that no benchmark job reaches; the
     # Jordan plane sends non-monomial products through the product memo
@@ -396,6 +402,28 @@ def test_check_lambda_lines_form_no_lambda_product(monkeypatch, capsys):
     assert code == 0 and calls[0] > 0
 
 
+def test_check_forms_the_nabla_skew_dimension_once(monkeypatch, capsys):
+    # the "dim Lambda" line compares nabla_skew_dim_formula with r * dim
+    # nabla; the structure-constant check reads that line, not a second count
+    real = asreg2.beilinson.nabla_skew_dim_formula
+    calls = []
+
+    def counted(action):
+        calls.append(action)
+        return real(action)
+
+    for module in (asreg2.beilinson, asreg2.cli):
+        monkeypatch.setattr(module, "nabla_skew_dim_formula", counted)
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
+    assert code == 0 and "skew-of-nabla structure constants" in out
+    assert len(calls) == 1
+    # a wrong dimension fails that line alone
+    monkeypatch.setattr(asreg2.cli, "nabla_skew_dim_formula", lambda action: real(action) + 1)
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
+    failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
+    assert code == 1 and failed == ["dim Lambda = r * dim nabla", "overall: FAIL"]
+
+
 def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
     # a path is no union of cycles: the comparison reads FAIL, not a traceback
     path = Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")])
@@ -475,7 +503,8 @@ def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     # every (m1, m2) that check asks for is formed once, into the product
     # memo of the one spec that check builds; the corner line forms three
     # S*G products per monomial of S_(<= 8) and the Gabriel oracle one Lambda
-    # product per (k < i < j, m in S_(j-i), n in S_(i-k)), not one per character
+    # product per (0 < d2 < d < ell, m in S_(d-d2), n in S_(d2)), not one per
+    # grid triple or character
     requested, specs = set(), []
     product, spec_from_args = asreg2.algebra.monomial_product, asreg2.cli._spec_from_args
     made, per_stage = Counter(), {}
@@ -521,8 +550,7 @@ def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     ell, dims = spec.ell, [len(graded_basis(spec, d)) for d in range(9)]
     assert per_stage["corner_dimension_checks"] == 3 * sum(dims)
     assert per_stage["gabriel_quiver_oracle"] == sum(
-        dims[j - i] * dims[i - k] for k in range(ell) for i in range(k + 1, ell)
-        for j in range(i + 1, ell))
+        dims[d - d2] * dims[d2] for d in range(ell) for d2 in range(1, d))
 
 
 def test_check_counts_fixed_dims_once_per_degree(monkeypatch, capsys):
@@ -870,6 +898,46 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 def test_json_writer_equals_json_dumps(tree):
     assert asreg2.cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_writer_dispatches_on_the_exact_type():
+    # a subclass of a report type is no report type: a NamedTuple, an int
+    # subclass and a str subclass raise as a float does
+    class Label(str):
+        pass
+
+    for value in (Monomial(1, 2), [Monomial(0, 0)], {"a": Label("x")}, IntEnum("E", "A").A):
+        with pytest.raises(TypeError):
+            asreg2.cli._json(value)
+
+
+def test_reports_describe_only_for_text(monkeypatch, capsys):
+    # the algebra and action lines are formatted only when the text is
+    # built: no describe() on a JSON ample or check job
+    def no_describe(self):
+        raise AssertionError("a JSON report described its algebra or action")
+
+    monkeypatch.setattr(asreg2.algebra.AlgebraSpec, "describe", no_describe)
+    monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "describe", no_describe)
+    for argv in (["ample", "--wx", "1", "--wy", "2", "--r", "3"],
+                 ["check", "--wx", "1", "--wy", "2", "--r", "3"],
+                 ["check", "--family", "jordan", "--wy", "5", "--r", "3"]):
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+    monkeypatch.undo()
+    code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
+    assert out.startswith("algebra: quantum(alpha=1), weights (1, 2)\n"
+                          "action: r=3, generator diag(xi^1, xi^2)\n")
+
+
+def test_ample_help_spells_the_default_powers_from_the_action(capsys):
+    with pytest.raises(SystemExit):
+        main(["ample", "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default %d,%d)" % DEFAULT_POWERS in help_text
+    assert DEFAULT_POWERS == (1, -1)
+    action = make_cyclic_group(quantum_spec(1, 1, 1), 5)
+    assert (action.px, action.py) == (1, 4)
 
 
 def test_json_writer_refuses_other_types():

@@ -13,6 +13,7 @@ from asreg2.cyclotomic import (
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
+    cyclotomic_sum,
     zeta,
 )
 
@@ -435,6 +436,27 @@ def test_kernel_matches_oracle_sweep():
         else:
             b, ob = build(rng.choice(CONDUCTORS), random_terms(rng.choice(CONDUCTORS)))
         assert_ops_match_oracle(a, oa, b, ob)
+
+
+def test_cyclotomic_sum_equals_chained_additions():
+    # mixed conductors and denominators, sums that drop to Q, and the empty sum
+    rng = random.Random(2031)
+    for _ in range(300):
+        values = [build(rng.choice(CONDUCTORS),
+                        [(rng.randrange(21), RAT(rng.randrange(-9, 10), rng.randrange(1, 6)))
+                         for _ in range(rng.randrange(0, 4))])[0]
+                  for _ in range(rng.randrange(0, 7))]
+        if values and rng.random() < 0.3:
+            values.append(-sum(values[1:], cyc(0)))
+        chained = sum(values, cyc(0))
+        total = cyclotomic_sum(iter(values))
+        assert total == chained, values
+        assert total.is_rational() == chained.is_rational(), values
+        if total.is_rational():
+            assert (total.num, total.den) == (chained.num, chained.den)
+    assert cyclotomic_sum([]).is_zero()
+    assert cyclotomic_sum(zeta(12, k) for k in range(12)).is_zero()
+    assert cyclotomic_sum([zeta(12, 3 * k) for k in range(4)] + [cyc(RAT(1, 3))]).rational_value() == RAT(1, 3)
 
 
 TERMS = st.lists(st.tuples(st.integers(0, 19), st.builds(RAT, st.integers(-12, 12), st.integers(1, 8))), max_size=4)

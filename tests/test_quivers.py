@@ -389,8 +389,9 @@ def test_cycle_union_isomorphism_matches_backtracking(data):
 
 
 # The cycle-word kernels by brute force: the oracle for _least_rotation,
-# which forms only the rotations that start a run, and the class key of the
-# breadth-first oracle for reflection_search.
+# which finds the least rotation by Duval's factorization and forms only the
+# winning one, and the class key of the breadth-first oracle for
+# reflection_search.
 
 def cycle_key_oracle(word):
     """The least of all 2n rotations of the word and of its flipped reverse."""
@@ -455,6 +456,50 @@ def walks(draw):
 @given(walks())
 def test_least_rotation_matches_oracle(walk):
     assert _least_rotation(*walk) == least_rotation_oracle(*walk)
+
+
+def least_rotation_run_starts(order, word):
+    """_least_rotation as it was before Duval's factorization: every rotation
+    that starts a run of the least letter, formed and compared, quadratic on
+    periodic words."""
+    n = len(order)
+    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
+    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
+    least = min(min(word), min(back))
+    rotations = []
+    for w, o in walks:
+        starts = [k for k in range(n) if w[k] == least and w[k - 1] != least]
+        if not starts and w[0] == least:
+            starts = range(n)
+        rotations += [(w[k:] + w[:k], o[k:] + o[:k]) for k in starts]
+    return min(rotations)
+
+
+def test_least_rotation_on_long_periodic_words():
+    # the words of Q_{S,G} are periodic ("10" repeated at weights (1, 1)):
+    # every tied rotation starts a period apart, up to n = 4 000, untagged
+    # (a str) and tagged (a tuple), with shuffled vertex orders
+    rng = random.Random(31)
+    cases = 0
+    for n in (2, 3, 4, 6, 12, 60, 210, 1000, 4000):
+        periods = sorted({p for p in (1, 2, 3, 5, 7, n // 2, n) if p and n % p == 0})
+        for p in periods[-3:] if n > 60 else periods:
+            for tagged in (False, True):
+                letters = ["0x", "0y", "1x", "1y", "1"] if tagged else ["0", "1"]
+                block = [rng.choice(letters) for _ in range(p)]
+                if not tagged and p == 2:
+                    block = ["1", "0"]
+                word = block * (n // p)
+                order = tuple("v%d" % v for v in rng.sample(range(n), n))
+                walk = (order, tuple(word) if tagged else "".join(word))
+                got = _least_rotation(*walk)
+                assert got == least_rotation_run_starts(*walk), (n, p, tagged)
+                # the brute force is quadratic: every case up to n = 1 000,
+                # and Q_{S,G}'s "10" repeated at n = 4 000
+                if n <= 1000 or (p == 2 and not tagged):
+                    assert got == least_rotation_oracle(*walk), (n, p, tagged)
+                cases += 1
+    assert cases > 40
 
 
 def walks_oracle(q, tags):

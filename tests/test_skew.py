@@ -430,13 +430,19 @@ def test_molien_dims_against_per_degree_trace_loop():
 
 
 def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
-    # r field additions per distinct gcd(c, r) over the characters c for its
-    # power sum, and no field product after the power sums: the per-degree
-    # combination is in integers, where the per-degree loop made r additions
-    # per (degree, character)
+    # one cyclotomic_sum of r/g table entries per distinct g = gcd(c, r) over
+    # the characters c, no field addition, and no field product after the
+    # power sums: the per-degree combination is in integers, where the
+    # per-degree loop made r additions per (degree, character)
     events, powers = [], [0]
     add, mul = Cyclotomic.__add__, Cyclotomic.__mul__
     xi_power = asreg2.automorphisms.CyclicGroupAction.xi_power
+    cyclotomic_sum = asreg2.skew.cyclotomic_sum
+
+    def counted_sum(values):
+        total = cyclotomic_sum(values)
+        events.append("sum")
+        return total
 
     def counted_add(self, other):
         events.append("add")
@@ -458,13 +464,62 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
+    monkeypatch.setattr(asreg2.skew, "cyclotomic_sum", counted_sum)
     dims = molien_dims(action, D)
-    adds = events.count("add")
-    last_add = len(events) - events[::-1].index("add")
+    last_sum = len(events) - events[::-1].index("sum")
     monkeypatch.undo()
     assert dims == fixed_ring_dims(action, D)
-    assert powers[0] == adds == r * len(gcds)
-    assert "mul" not in events[last_add:]
+    assert events.count("sum") == len(gcds) and "add" not in events
+    assert powers[0] == sum(r // g for g in gcds) < r * len(gcds)
+    assert "mul" not in events[last_sum:]
+
+
+def molien_dims_counter(action, D):
+    """molien_dims as it counted before the progression: the characters by a
+    Counter over graded_basis, and each power sum T(g) as r field additions.
+    The oracle of the progression count and of the r/g-entry power sums."""
+    r = action.r
+    power_sums = {}
+    out = []
+    for d in range(D + 1):
+        total = 0
+        for c, n in Counter(map(action.char, graded_basis(action.spec, d))).items():
+            g = gcd(c, r)
+            if g not in power_sums:
+                t = sum((action.xi_power(s * g) for s in range(r)), cyc(0))
+                if not t.is_rational() or t.rational_value().denominator != 1:
+                    raise ArithmeticError("power sum of xi^%d must be an integer" % g)
+                power_sums[g] = t.rational_value().numerator
+            total += n * power_sums[g]
+        if total % r:
+            raise ArithmeticError("trace average must be an integer")
+        out.append(total // r)
+    return out
+
+
+def test_progression_count_equals_counter_sweep():
+    # the characters of S_d as a progression, in graded_basis order, and the
+    # trace average on them, against the Counter over the monomials; every
+    # diagonal action of order <= 12 on four quantum planes and two Jordan
+    # planes, non-faithful ones included
+    checked = 0
+    for spec in (COMM, quantum_spec(1, 2, 1), quantum_spec(2, 3, zeta(5)), quantum_spec(3, 2, -1),
+                 J1, jordan_spec(3)):
+        for r in range(1, 13):
+            for px in range(r):
+                for py in range(r):
+                    if spec.family == "jordan" and (py - spec.q * px) % r:
+                        continue
+                    action = make_diagonal_action(spec, r, px, py)
+                    for d in range(13):
+                        assert asreg2.skew._characters(action, d) == [
+                            action.char(m) for m in graded_basis(spec, d)], (action, d)
+                    assert molien_dims(action, 12) == molien_dims_counter(action, 12), action
+                    checked += 1
+    assert checked == 4 * 650 + 2 * 78
+    for xi in (ONE + zeta(5), cyc(2)):
+        with pytest.raises(ArithmeticError):
+            molien_dims_counter(CyclicGroupAction(COMM, 4, xi, 1, -1), 3)
 
 
 @pytest.mark.parametrize("xi", [ONE + zeta(5), cyc(2)], ids=["1+zeta(5)", "2"])
@@ -908,6 +963,39 @@ def test_ampleness_exploratory_non_hsl():
     assert not rep.hsl
     # the quotient stays visibly nonzero for this pinned action
     assert all(v > 0 for v in rep.dims)
+
+
+def min_phi_degree_scan(action):
+    """min_phi_degree as it scanned before the shortest path: the characters
+    of S_d in order of degree until all r are met, up to degree (r-1)*ell,
+    by which a faithful action meets all of them in the y^a x^b with a, b <
+    r; None past it.  The oracle of Dial's bucket queue."""
+    spec = action.spec
+    asreg2.skew._check_leading_term(spec)
+    seen = set()
+    for d in range((action.r - 1) * spec.ell + 1):
+        seen.update(map(action.char, graded_basis(spec, d)))
+        if len(seen) == action.r:
+            return d
+    return None
+
+
+def test_min_phi_degree_shortest_path_equals_scan_sweep():
+    # 4 290 actions: quantum weights (1,1), (1,2), (2,3), (1,3), (3,5) and
+    # (2,1) at r <= 12 with every (px, py), and the Jordan planes q <= 5 at
+    # r <= 12 with every admissible (px, q px); non-faithful ones return None
+    actions = [make_diagonal_action(quantum_spec(*w, 1), r, px, py)
+               for w in ((1, 1), (1, 2), (2, 3), (1, 3), (3, 5), (2, 1))
+               for r in range(1, 13) for px in range(r) for py in range(r)]
+    actions += [make_diagonal_action(jordan_spec(q), r, px, q * px)
+                for q in range(1, 6) for r in range(1, 13) for px in range(r)]
+    assert len(actions) == 4290
+    outcomes = Counter()
+    for action in actions:
+        d_phi = min_phi_degree(action)
+        assert d_phi == min_phi_degree_scan(action), action
+        outcomes[d_phi is None] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 def phi_injective(spec, action, D):
