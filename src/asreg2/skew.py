@@ -430,7 +430,7 @@ def min_phi_degree(action):
             v = bucket.pop()
             queued -= 1
             if dist[v] != d:
-                continue  # a later, shorter path settled v already
+                continue  # v was settled from a shorter path found later
             for step, cost in steps:
                 u = (v + step) % r
                 if dist[u] is None or d + cost < dist[u]:
