@@ -69,9 +69,6 @@ class AlgebraSpec:
             return "quantum(alpha=%s), weights (%d, %d)" % (self.alpha, self.w_x, self.w_y)
         return "jordan(q=%d), weights (%d, %d)" % (self.q, self.w_x, self.w_y)
 
-    def degree(self, mono):
-        return mono[0] * self.w_y + mono[1] * self.w_x
-
 
 def quantum_spec(w_x, w_y, alpha):
     spec = AlgebraSpec(w_x, w_y, "quantum", cyc(alpha))
@@ -167,10 +164,6 @@ class SparseElement:
                     clean[self._key(ctx, k)] = c
         self.terms = clean
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx)
-
     def is_zero(self):
         return not self.terms
 
@@ -237,38 +230,12 @@ class AlgebraElement(SparseElement):
     _basis_mul = staticmethod(monomial_product)
 
     @staticmethod
-    def one(spec):
-        return AlgebraElement(spec, {MONO_ONE: ONE})
-
-    @staticmethod
-    def monomial(spec, mono, coeff=ONE):
-        return AlgebraElement(spec, {mono: coeff})
-
-    @staticmethod
     def gen_x(spec):
         return AlgebraElement(spec, {Monomial(0, 1): ONE})
 
     @staticmethod
     def gen_y(spec):
         return AlgebraElement(spec, {Monomial(1, 0): ONE})
-
-    def coeff(self, mono):
-        return self.terms.get(Monomial(*mono), Cyclotomic(0))
-
-    def __pow__(self, k):
-        out = AlgebraElement.one(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def degree(self):
-        """Degree of a homogeneous element (None for 0, error if mixed)."""
-        degs = {self.ctx.degree(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
-        return degs.pop()
 
 
 def reduce_product(u, v, spec):

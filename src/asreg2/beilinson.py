@@ -24,7 +24,7 @@ nonzero, the choice pinned by the worked six-vertex example for weights
 from collections import Counter
 
 from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
-from .quivers import Quiver
+from .quivers import Quiver, grid_labels
 from .skew import skew_dim, skew_mul_basis
 
 
@@ -132,7 +132,7 @@ def gabriel_quiver_oracle(action):
                                               % (left, right))
                     (_, _, mono, _), = prod
                     jj_keys.setdefault((d, (cm + cn) % r), set()).add(mono)
-    label = [["v%d_%d" % (i, w) for w in range(r)] for i in range(ell)]
+    label = grid_labels(ell, r)
     arrows = []
     for (d, c), size in j_corner.items():
         count = size - len(jj_keys.get((d, c), ()))

@@ -28,12 +28,9 @@ from .algebra import (
 from .automorphisms import (
     DEFAULT_POWERS,
     NotTabulatedError,
-    diagonal_automorphism,
-    hdet_table,
-    linear_automorphism,
+    hdet,
     make_cyclic_group,
     make_diagonal_action,
-    triangular_automorphism,
 )
 from .skew import (
     ampleness_report,
@@ -252,8 +249,8 @@ def _spec_from_args(args):
         raise SystemExit("invalid algebra: %s" % exc)
 
 
-def _action_from_args(spec, args, r_default=1):
-    r = args.r if getattr(args, "r", None) is not None else r_default
+def _action_from_args(spec, args):
+    r = args.r if args.r is not None else 1
     powers = getattr(args, "action_powers", None)
     try:
         if powers is not None:
@@ -357,32 +354,29 @@ def cmd_info(args):
     return 0
 
 
-def _build_sigma(spec, args):
-    """The map the flags give; a flag that its form cannot carry is an error."""
+def _map_coefficients(spec, args):
+    """(a, b, c, d) of the map the flags give; a flag that its form cannot
+    carry is an error."""
     a = parse_cyclotomic(args.a) if args.a is not None else cyc(1)
     b = parse_cyclotomic(args.b) if args.b is not None else cyc(0)
     c = parse_cyclotomic(args.c) if args.c is not None else cyc(0)
     d_default = a ** spec.q if spec.family == "jordan" else cyc(1)
     d = parse_cyclotomic(args.d) if args.d is not None else d_default
-    if (spec.w_x, spec.w_y) == (1, 1):
-        return linear_automorphism(spec, a, b, c, d)
-    if args.b is not None:
+    if args.b is not None and (spec.w_x, spec.w_y) != (1, 1):
         raise ValueError("--b, the y-coefficient of sigma(x), needs weights (1, 1)")
-    if spec.w_x == 1:
-        return triangular_automorphism(spec, a, c, d)
-    if args.c is not None:
+    if args.c is not None and spec.w_x != 1:
         raise ValueError("--c, the x^q-coefficient of sigma(y), needs w_x = 1")
-    return diagonal_automorphism(spec, a, d)
+    return a, b, c, d
 
 
 def cmd_hdet(args):
     spec = _spec_from_args(args)
     try:
-        sigma = _build_sigma(spec, args)
+        coefficients = _map_coefficients(spec, args)
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit("invalid automorphism parameters: %s" % exc)
     try:
-        value = hdet_table(sigma, spec)
+        value = hdet(spec, *coefficients)
     except NotTabulatedError:
         raise SystemExit("the given images do not define a graded automorphism "
                          "(relation not preserved or map not invertible)")

@@ -104,10 +104,15 @@ def quiver_qs(spec):
     return Quiver(vertices, arrows)
 
 
+def grid_labels(ell, n):
+    """The vertex labels of an ell x n grid: row i holds v<i>_<s> for s < n."""
+    return [["v%d_%d" % (i, s) for s in range(n)] for i in range(ell)]
+
+
 def _lift(spec, n, shifts):
     """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
     ell = spec.ell
-    label = [["v%d_%d" % (i, s) for s in range(n)] for i in range(ell)]
+    label = grid_labels(ell, n)
     arrows = []
     for i in range(ell):
         for w, tag, shift in zip((spec.w_x, spec.w_y), "xy", shifts):

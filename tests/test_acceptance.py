@@ -13,18 +13,11 @@ from math import gcd, lcm
 from asreg2.rationals import RAT
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.algebra import (
-    AlgebraElement,
     graded_basis,
     jordan_spec,
     quantum_spec,
 )
-from asreg2.automorphisms import (
-    diagonal_automorphism,
-    hdet_table,
-    linear_automorphism,
-    make_cyclic_group,
-    triangular_automorphism,
-)
+from asreg2.automorphisms import hdet, make_cyclic_group
 from asreg2.skew import (
     corner_dimension_checks,
     fixed_ring_dims,
@@ -47,7 +40,17 @@ from asreg2.beilinson import (
     nabla_dim,
     nabla_skew_dim_formula,
 )
-from test_automorphisms import compose, hdet_koszul, hdet_normal_recursion
+from test_automorphisms import (
+    compose,
+    degree,
+    diagonal_automorphism,
+    hdet_koszul,
+    hdet_normal_recursion,
+    hdet_table,
+    linear_automorphism,
+    monomial,
+    triangular_automorphism,
+)
 from test_beilinson import idempotent_structure_full, lambda_dim, tau_j_basis
 from test_quivers import canonical_type, components_oracle, is_sink, is_source
 from test_skew import SkewElement, quotient_by_ideal_e_dims
@@ -99,6 +102,12 @@ def test_criterion_01_hdet_table_rows():
     def pick():
         return rng.choice(RANK1_UNITS)
 
+    def table(sigma, spec, a, b, c, d):
+        # the shipped closed forms give the table's value
+        value = hdet_table(sigma, spec)
+        assert hdet(spec, a, b, c, d) == value
+        return value
+
     with Stopwatch("01 hdet table vs independent methods", 1):
         s11 = quantum_spec(1, 1, 1)
         s11m = quantum_spec(1, 1, -1)
@@ -112,32 +121,32 @@ def test_criterion_01_hdet_table_rows():
             # row 1: xy - yx, sigma in GL_2
             if not (a * d - b * c).is_zero():
                 sigma = linear_automorphism(s11, a, b, c, d)
-                assert hdet_table(sigma, s11) == hdet_koszul(sigma, s11) == a * d - b * c
+                assert table(sigma, s11, a, b, c, d) == hdet_koszul(sigma, s11) == a * d - b * c
             # row 2: xy + yx, diagonal
             sigma = diagonal_automorphism(s11m, a, d)
-            assert hdet_table(sigma, s11m) == hdet_koszul(sigma, s11m) == a * d
+            assert table(sigma, s11m, a, 0, 0, d) == hdet_koszul(sigma, s11m) == a * d
             assert hdet_normal_recursion(sigma, s11m) == a * d
             # row 3: xy + yx, antidiagonal
             sigma = linear_automorphism(s11m, 0, b, c, 0)
-            assert hdet_table(sigma, s11m) == hdet_koszul(sigma, s11m) == b * c
+            assert table(sigma, s11m, 0, b, c, 0) == hdet_koszul(sigma, s11m) == b * c
             # row 4: xy - alpha yx (alpha not 0, +-1), diagonal
             sigma = diagonal_automorphism(s11g, a, d)
-            assert hdet_table(sigma, s11g) == hdet_koszul(sigma, s11g) == a * d
+            assert table(sigma, s11g, a, 0, 0, d) == hdet_koszul(sigma, s11g) == a * d
             assert hdet_normal_recursion(sigma, s11g) == a * d
             # row 5: (1, q) commutative, triangular
             sigma = triangular_automorphism(s1q_comm, a, c, d)
-            assert hdet_table(sigma, s1q_comm) == hdet_normal_recursion(sigma, s1q_comm) == a * d
+            assert table(sigma, s1q_comm, a, 0, c, d) == hdet_normal_recursion(sigma, s1q_comm) == a * d
             # row 6: (1, q) quantum, diagonal
             sigma = diagonal_automorphism(s1q_gen, a, d)
-            assert hdet_table(sigma, s1q_gen) == hdet_normal_recursion(sigma, s1q_gen) == a * d
+            assert table(sigma, s1q_gen, a, 0, 0, d) == hdet_normal_recursion(sigma, s1q_gen) == a * d
             # row 7: (p, q) quantum, diagonal
             sigma = diagonal_automorphism(spq, a, d)
-            assert hdet_table(sigma, spq) == hdet_normal_recursion(sigma, spq) == a * d
+            assert table(sigma, spq, a, 0, 0, d) == hdet_normal_recursion(sigma, spq) == a * d
             # row 8: jordan, x -> a x, y -> c x^q + a^q y
             for spec in (j1, j3):
                 sigma = triangular_automorphism(spec, a, c, a ** spec.q)
                 expected = a ** (spec.q + 1)
-                assert hdet_table(sigma, spec) == expected
+                assert table(sigma, spec, a, 0, c, a ** spec.q) == expected
                 assert hdet_normal_recursion(sigma, spec) == expected
                 if spec.q == 1:
                     assert hdet_koszul(sigma, spec) == expected
@@ -340,8 +349,8 @@ def test_criterion_11_property_suites():
             d1, d2 = rng.randrange(1, 6), rng.randrange(1, 6)
             m1 = rng.choice(graded_basis(spec, d1))
             m2 = rng.choice(graded_basis(spec, d2))
-            prod = AlgebraElement.monomial(spec, m1) * AlgebraElement.monomial(spec, m2)
-            assert prod.degree() == d1 + d2
+            prod = monomial(spec, m1) * monomial(spec, m2)
+            assert degree(prod) == d1 + d2
 
         # hdet is a homomorphism on composable classified forms
         s11 = quantum_spec(1, 1, 1)

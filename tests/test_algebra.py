@@ -18,6 +18,7 @@ from asreg2.algebra import (
     reduce_product,
     validate_spec,
 )
+from test_automorphisms import degree, monomial, one as element_one, power
 
 
 # --- independent single-step rewriting oracle ---------------------------
@@ -85,7 +86,7 @@ def test_quantum_single_rewrite():
 
 
 def test_identity_element():
-    one = AlgebraElement.one(W13)
+    one = element_one(W13)
     v = AlgebraElement(W13, {Monomial(2, 1): cyc(3), Monomial(0, 4): cyc(-1)})
     assert one * v == v
     assert v * one == v
@@ -103,7 +104,7 @@ def test_jordan_x2_y_against_oracle():
 def test_jordan_relation_holds():
     for spec in (J1, J2):
         x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
-        lhs = x * y - y * x - x ** (spec.q + 1)
+        lhs = x * y - y * x - power(x, spec.q + 1)
         assert lhs.is_zero()
 
 
@@ -121,7 +122,7 @@ def test_random_products_against_oracle():
             m1 = Monomial(rng.randrange(3), rng.randrange(3))
             m2 = Monomial(rng.randrange(3), rng.randrange(3))
             got = reduce_product(
-                AlgebraElement.monomial(spec, m1), AlgebraElement.monomial(spec, m2), spec
+                monomial(spec, m1), monomial(spec, m2), spec
             )
             expected = oracle_normal_form(spec, mono_word(m1) + mono_word(m2))
             assert got.terms == expected
@@ -202,7 +203,7 @@ def test_degree_additivity():
             p = u * v
             if u.is_zero() or v.is_zero():
                 continue
-            assert p.degree() == (u.degree() or 0) + (v.degree() or 0)
+            assert degree(p) == (degree(u) or 0) + (degree(v) or 0)
 
 
 def test_graded_basis_examples():

@@ -1,14 +1,27 @@
+"""Graded automorphisms and their hdet, with the element-level oracle.
+
+automorphisms.hdet decides a map by closed forms on its coefficients.  Its
+oracle lives here: the maps as pairs of generator images, substituted into
+elements of S by products; the automorphism test (degrees, the relation's
+image, invertibility on the generator degrees by exact elimination); and
+the hdet table that reads the value off the images after that test.  The
+normal-element recursion and the Koszul-dual transpose are two independent
+routes to the value.
+"""
+
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
-import asreg2.automorphisms
+import asreg2.algebra
 
 from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
 from asreg2.linalg import Echelon
 from asreg2.rationals import RAT
 from asreg2.algebra import (
+    MONO_ONE,
     AlgebraElement,
     Monomial,
     graded_basis,
@@ -16,20 +29,161 @@ from asreg2.algebra import (
     quantum_spec,
 )
 from asreg2.automorphisms import (
-    _coefficients,
     CyclicGroupAction,
-    GradedAutomorphism,
     NotTabulatedError,
-    apply_automorphism,
-    diagonal_automorphism,
-    hdet_table,
-    is_graded_automorphism,
-    linear_automorphism,
+    hdet,
     make_cyclic_group,
     make_diagonal_action,
-    relation_image,
-    triangular_automorphism,
 )
+
+
+# ---------------------------------------------------------------------------
+# elements of S: the constructors and readers that only the oracle uses
+
+
+def monomial(spec, mono, coeff=ONE):
+    return AlgebraElement(spec, {mono: coeff})
+
+
+def one(spec):
+    return monomial(spec, MONO_ONE)
+
+
+def coeff(u, mono):
+    return u.terms.get(Monomial(*mono), Cyclotomic(0))
+
+
+def power(u, k):
+    out = one(u.ctx)
+    for _ in range(k):
+        out = out * u
+    return out
+
+
+def degree(u):
+    """Degree of a homogeneous element (None for 0, error if mixed)."""
+    spec = u.ctx
+    degs = {a * spec.w_y + b * spec.w_x for a, b in u.terms}
+    if not degs:
+        return None
+    if len(degs) > 1:
+        raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
+    return degs.pop()
+
+
+# ---------------------------------------------------------------------------
+# the element-level automorphism test and hdet table: the oracle of hdet
+
+
+@dataclass
+class GradedAutomorphism:
+    image_x: AlgebraElement
+    image_y: AlgebraElement
+
+
+def diagonal_automorphism(spec, a, d):
+    return GradedAutomorphism(
+        AlgebraElement.gen_x(spec).scale(a), AlgebraElement.gen_y(spec).scale(d)
+    )
+
+
+def linear_automorphism(spec, a, b, c, d):
+    """x -> a x + b y, y -> c x + d y; weights (1,1) only."""
+    if (spec.w_x, spec.w_y) != (1, 1):
+        raise ValueError("linear form needs weights (1, 1)")
+    x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
+    return GradedAutomorphism(x.scale(a) + y.scale(b), x.scale(c) + y.scale(d))
+
+
+def triangular_automorphism(spec, a, c, d):
+    """x -> a x, y -> c x^q + d y, for weights (1, q)."""
+    if spec.w_x != 1:
+        raise ValueError("triangular form needs w_x = 1")
+    img_y = AlgebraElement.gen_y(spec).scale(d) + monomial(spec, Monomial(0, spec.w_y), c)
+    return GradedAutomorphism(AlgebraElement.gen_x(spec).scale(a), img_y)
+
+
+def apply_automorphism(sigma, u, spec):
+    """Substitute generator images and reduce to normal form."""
+    ix, iy = sigma.image_x, sigma.image_y
+    powers_x = {0: one(spec)}
+    powers_y = {0: one(spec)}
+
+    def power_of(target, cache, k):
+        while k not in cache:
+            top = max(cache)
+            cache[top + 1] = cache[top] * target
+        return cache[k]
+
+    out = AlgebraElement(spec)
+    for (a, b), c in u.terms.items():
+        term = power_of(iy, powers_y, a) * power_of(ix, powers_x, b)
+        out = out + term.scale(c)
+    return out
+
+
+def relation_image(sigma, spec):
+    """sigma applied to the defining relation, by products of the generator
+    images, reduced in S (must be 0)."""
+    u, v = sigma.image_x, sigma.image_y
+    if spec.family == "quantum":
+        return u * v - (v * u).scale(spec.alpha)
+    return u * v - v * u - power(u, spec.q + 1)
+
+
+def _restriction_invertible(sigma, spec, d):
+    """Rank of sigma on S_d by exact elimination of the images of its basis."""
+    basis = graded_basis(spec, d)
+    ech = Echelon()
+    for m in basis:
+        ech.add(apply_automorphism(sigma, monomial(spec, m), spec).terms)
+    return ech.rank == len(basis)
+
+
+def is_graded_automorphism(sigma, spec):
+    """Degree check, relation preservation, and invertibility on generators."""
+    try:
+        dx, dy = degree(sigma.image_x), degree(sigma.image_y)
+    except ValueError:
+        return False
+    if dx != spec.w_x or dy != spec.w_y:
+        return False
+    if not relation_image(sigma, spec).is_zero():
+        return False
+    if not _restriction_invertible(sigma, spec, spec.w_x):
+        return False
+    if not _restriction_invertible(sigma, spec, spec.w_y):
+        return False
+    return True
+
+
+def _coefficients(sigma, spec):
+    """(A, B, C, D): x-image coeffs on (x, y), y-image coeffs on (x^w_y, y)."""
+    A = coeff(sigma.image_x, Monomial(0, 1))
+    B = coeff(sigma.image_x, Monomial(1, 0)) if spec.w_y == spec.w_x else Cyclotomic(0)
+    C = coeff(sigma.image_y, Monomial(0, spec.w_y)) if spec.w_x == 1 else Cyclotomic(0)
+    D = coeff(sigma.image_y, Monomial(1, 0))
+    return A, B, C, D
+
+
+def hdet_table(sigma, spec):
+    """hdet of a graded automorphism (else NotTabulatedError), by its closed form.
+
+    The test admits the classified forms: x -> a x, y -> c x^q + a^q y on the
+    Jordan plane, hdet a^(q+1); on xy + yx the diagonal maps and x -> b y,
+    y -> c x, hdet b c (not the determinant); elsewhere A D - B C, which is a d
+    off weights (1, 1), where _coefficients reads B = 0 (so x -> a x + e y^q
+    at weights (q, 1) has hdet a d too).
+    """
+    if not is_graded_automorphism(sigma, spec):
+        raise NotTabulatedError("not a graded automorphism of this algebra")
+    A, B, C, D = _coefficients(sigma, spec)
+    if spec.family == "jordan":
+        return A ** (spec.q + 1)
+    if spec.alpha == -1 and A.is_zero():
+        return B * C
+    return A * D - B * C
+
 
 COMM = quantum_spec(1, 1, 1)
 ANTI = quantum_spec(1, 1, -1)          # xy + yx as quantum(-1)
@@ -55,7 +209,7 @@ def hdet_normal_recursion(sigma, spec):
         raise NotApplicableError("sigma(x) is not a scalar multiple of x")
     a = terms[Monomial(0, 1)]
     # on S/(x) = k[y], sigma sends y to d*y with d the y-coefficient mod x
-    d = sigma.image_y.coeff(Monomial(1, 0))
+    d = coeff(sigma.image_y, Monomial(1, 0))
     return a * d
 
 
@@ -67,8 +221,8 @@ def hdet_koszul(sigma, spec):
         raise ValueError("not a graded automorphism")
     # M[i][j]: coefficient of basis_i in sigma(basis_j), basis = (x, y)
     M = [
-        [sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(0, 1))],
-        [sigma.image_x.coeff(Monomial(1, 0)), sigma.image_y.coeff(Monomial(1, 0))],
+        [coeff(sigma.image_x, Monomial(0, 1)), coeff(sigma.image_y, Monomial(0, 1))],
+        [coeff(sigma.image_x, Monomial(1, 0)), coeff(sigma.image_y, Monomial(1, 0))],
     ]
     # relation tensor f in V (x) V, coordinates f[k][l] on basis k (x) basis l
     zero = Cyclotomic(0)
@@ -124,12 +278,12 @@ def compose(sigma, tau, spec):
 
 def _solve_preimage(sigma, spec, target):
     """u in the degree of target with sigma(u) = target, or None."""
-    basis = graded_basis(spec, target.degree())
+    basis = graded_basis(spec, degree(target))
     # rows (sigma(m_k), unit k): reducing (target, 0) leaves (0, -u) exactly
     # when target lies in the span of the sigma(m_k)
     ech = Echelon()
     for k, m in enumerate(basis):
-        img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
+        img = apply_automorphism(sigma, monomial(spec, m), spec)
         row = {(0,) + key: c for key, c in img.terms.items()}
         row[(1, k)] = ONE
         ech.add(row)
@@ -225,7 +379,7 @@ def _sweep_maps():
     # x -> a x + e y^3 at weights (3, 1)
     x, y = AlgebraElement.gen_x(q31), AlgebraElement.gen_y(q31)
     for a, e, d in itertools.product(values, repeat=3):
-        yield q31, GradedAutomorphism(x.scale(a) + (y ** 3).scale(e), y.scale(d))
+        yield q31, GradedAutomorphism(x.scale(a) + power(y, 3).scale(e), y.scale(d))
 
 
 def test_table_equals_classified_oracle_sweep():
@@ -249,6 +403,74 @@ def test_table_equals_classified_oracle_sweep():
         except NotApplicableError:
             antidiagonal += spec.family == "quantum" and spec.alpha == -1
     assert seen[True] > 500 and seen[False] > 1000 and antidiagonal, (seen, antidiagonal)
+
+
+def general_map(spec, a, b, c, d):
+    """x -> a x + b y, y -> c x^(w_y) + d y, the map hdet reads, at any weights."""
+    x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
+    return GradedAutomorphism(x.scale(a) + y.scale(b),
+                              monomial(spec, Monomial(0, spec.w_y), c) + y.scale(d))
+
+
+def test_hdet_closed_form_equals_element_oracle_sweep():
+    # the verdict and the value (its printed bytes too) of the closed forms
+    # against the element-level test and table, on the three forms of both
+    # planes: every map over a small value set with zeros, then seeded draws,
+    # and maps off the form (b y or c x^q of another degree than the image's)
+    small = [cyc(0), cyc(1), cyc(-1), cyc(2), zeta(3)]
+    units = [cyc(1), cyc(-1), cyc(2), cyc(RAT(1, 2)), cyc(RAT(-3, 2)), zeta(3), zeta(4),
+             zeta(6) ** 5, zeta(5, 2) * 2, zeta(8)]
+    pool = units + [cyc(0)] * 3
+    zero = [cyc(0)]
+    rng = random.Random(3232)
+    forms = {  # form: (specs, map builder, b free, c free)
+        "linear": ([quantum_spec(1, 1, alpha) for alpha in (1, -1, 2, zeta(3), zeta(4), -zeta(6))]
+                   + [J1], linear_automorphism, True, True),
+        "triangular": ([quantum_spec(1, 2, 1), quantum_spec(1, 2, -1), quantum_spec(1, 3, zeta(3)),
+                        quantum_spec(1, 4, zeta(4)), jordan_spec(2), J3],
+                       lambda spec, a, b, c, d: triangular_automorphism(spec, a, c, d), False, True),
+        "diagonal": ([Q23, quantum_spec(3, 1, 1), quantum_spec(2, 1, -1),
+                      quantum_spec(3, 5, zeta(5)), quantum_spec(4, 3, zeta(6))],
+                     lambda spec, a, b, c, d: diagonal_automorphism(spec, a, d), False, False),
+    }
+    seen, antidiagonal = set(), 0
+    for form, (specs, build, b_free, c_free) in forms.items():
+        for spec in specs:
+            maps = [(m, True) for m in itertools.product(
+                small, small if b_free else zero, small if c_free else zero, small)]
+            for _ in range(120):
+                a, b, c, d = (rng.choice(pool) for _ in range(4))
+                maps.append(((a, b if b_free else 0, c if c_free else 0, d), True))
+                # the Jordan condition d = a^q, hit on purpose
+                if spec.family == "jordan":
+                    maps.append(((a, 0, c, a ** spec.q), True))
+                a, b, c, d = (rng.choice(units) for _ in range(4))
+                if not b_free:
+                    maps.append(((a, b, c if c_free else 0, d), False))
+                if not c_free:
+                    maps.append(((a, 0, c, d), False))
+            for coefficients, in_form in maps:
+                a, b, c, d = map(cyc, coefficients)
+                sigma = build(spec, a, b, c, d) if in_form else general_map(spec, a, b, c, d)
+                try:
+                    expected = hdet_table(sigma, spec)
+                except NotTabulatedError:
+                    with pytest.raises(NotTabulatedError):
+                        hdet(spec, a, b, c, d)
+                    seen.add((form, spec.family, in_form, False))
+                    continue
+                value = hdet(spec, a, b, c, d)
+                assert value == expected and str(value) == str(expected), (
+                    spec.describe(), a, b, c, d)
+                seen.add((form, spec.family, in_form, True))
+                antidiagonal += spec.family == "quantum" and spec.alpha == -1 and a.is_zero()
+    planes = {"linear": ("quantum", "jordan"), "triangular": ("quantum", "jordan"),
+              "diagonal": ("quantum",)}
+    assert seen == ({(form, family, True, ok) for form, families in planes.items()
+                     for family in families for ok in (True, False)}
+                    | {("triangular", family, False, False) for family in ("quantum", "jordan")}
+                    | {("diagonal", "quantum", False, False)}), seen
+    assert antidiagonal
 
 
 def test_table_general_linear_on_commutative_plane():
@@ -355,8 +577,8 @@ def test_apply_preserves_relation_and_degree():
         assert relation_image(sigma, spec).is_zero()
         for d in range(5):
             for m in graded_basis(spec, d):
-                img = apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec)
-                assert img.is_zero() or img.degree() == d
+                img = apply_automorphism(sigma, monomial(spec, m), spec)
+                assert img.is_zero() or degree(img) == d
 
 
 def test_apply_is_multiplicative_and_functorial():
@@ -368,8 +590,8 @@ def test_apply_is_multiplicative_and_functorial():
     for _ in range(10):
         m1 = Monomial(rng.randrange(3), rng.randrange(3))
         m2 = Monomial(rng.randrange(3), rng.randrange(3))
-        u = AlgebraElement.monomial(spec, m1)
-        v = AlgebraElement.monomial(spec, m2)
+        u = monomial(spec, m1)
+        v = monomial(spec, m2)
         assert apply_automorphism(s, u * v, spec) == (
             apply_automorphism(s, u, spec) * apply_automorphism(s, v, spec)
         )
@@ -383,7 +605,7 @@ def test_diagonal_action_on_monomials():
     g = generator(action)
     for a in range(4):
         for b in range(4):
-            m = AlgebraElement.monomial(COMM, Monomial(a, b))
+            m = monomial(COMM, Monomial(a, b))
             img = apply_automorphism(g, m, COMM)
             expected = m.scale(action.xi_power(b - a))
             assert img == expected
@@ -410,18 +632,9 @@ def test_make_cyclic_group_validation():
         make_cyclic_group(COMM, 0)
 
 
-def restriction_invertible_echelon(sigma, spec, d):
-    """Rank of sigma on S_d by exact elimination of the images of its basis."""
-    basis = graded_basis(spec, d)
-    ech = Echelon()
-    for m in basis:
-        ech.add(apply_automorphism(sigma, AlgebraElement.monomial(spec, m), spec).terms)
-    return ech.rank == len(basis)
-
-
 def restriction_invertible_diagonal(sigma, spec, d):
     """The closed form for x -> sx x, y -> sy y, which scales y^i x^j by sy^i sx^j."""
-    sx, sy = sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(1, 0))
+    sx, sy = coeff(sigma.image_x, Monomial(0, 1)), coeff(sigma.image_y, Monomial(1, 0))
     return all((sx or not m.b) and (sy or not m.a) for m in graded_basis(spec, d))
 
 
@@ -434,37 +647,34 @@ def test_restriction_invertible_diagonal_equals_echelon():
             for d in scalars:
                 sigma = diagonal_automorphism(spec, a, d)
                 for deg in range(7):
-                    fast = asreg2.automorphisms._restriction_invertible(sigma, spec, deg)
-                    assert fast == restriction_invertible_echelon(sigma, spec, deg) == (
-                        restriction_invertible_diagonal(sigma, spec, deg)), (
+                    echelon = _restriction_invertible(sigma, spec, deg)
+                    assert echelon == restriction_invertible_diagonal(sigma, spec, deg), (
                         spec.describe(), a, d, deg)
-                    seen.add(fast)
+                    seen.add(echelon)
     assert seen == {True, False}
-    # linear and triangular maps; the first map is singular (1*4 - 2*2 = 0)
+    # the first map is singular (1*4 - 2*2 = 0), the other two invertible
     singular = linear_automorphism(COMM, 1, 2, 2, 4)
-    for spec, sigma in ((COMM, singular), (ANTI, linear_automorphism(ANTI, 0, 2, 3, 0)),
-                        (J3, triangular_automorphism(J3, 2, 5, 8))):
-        for deg in range(4):
-            assert (asreg2.automorphisms._restriction_invertible(sigma, spec, deg)
-                    == restriction_invertible_echelon(sigma, spec, deg))
-    assert not asreg2.automorphisms._restriction_invertible(singular, COMM, 1)
+    assert not _restriction_invertible(singular, COMM, 1)
+    assert _restriction_invertible(linear_automorphism(ANTI, 0, 2, 3, 0), ANTI, 1)
+    assert all(_restriction_invertible(triangular_automorphism(J3, 2, 5, 8), J3, deg)
+               for deg in range(4))
 
 
-def relation_image_products(sigma, spec):
-    """relation_image by products of the generator images, for every map."""
-    u, v = sigma.image_x, sigma.image_y
+def relation_image_closed(spec, a, b, c, d):
+    """The image of the relation under x -> a x + b y, y -> c x^q + d y, with
+    b = 0 unless q = 1, by the closed forms of automorphisms.hdet's docstring:
+    (1-alpha) a c x^(q+1) + (1-alpha^2) b c yx + (1-alpha) b d y^2 on the
+    quantum plane and (a d - b c - a^(q+1) - a b) x^(q+1) - 2 a b yx - b^2 y^2
+    on the Jordan plane."""
+    q = spec.w_y
     if spec.family == "quantum":
-        return u * v - (v * u).scale(spec.alpha)
-    return u * v - v * u - u ** (spec.q + 1)
-
-
-def relation_image_diagonal(sigma, spec):
-    """The closed form for x -> sx x, y -> sy y: sx sy times the relation, which
-    is 0, resp. (sx sy - sx^(q+1)) x^(q+1) on the Jordan plane."""
-    if spec.family == "quantum":
-        return AlgebraElement.zero(spec)
-    sx, sy = sigma.image_x.coeff(Monomial(0, 1)), sigma.image_y.coeff(Monomial(1, 0))
-    return AlgebraElement.monomial(spec, Monomial(0, spec.q + 1), sx * sy - sx ** (spec.q + 1))
+        alpha = spec.alpha
+        terms = {Monomial(0, q + 1): (1 - alpha) * a * c,
+                 Monomial(1, 1): (1 - alpha * alpha) * b * c, Monomial(2, 0): (1 - alpha) * b * d}
+    else:
+        terms = {Monomial(0, q + 1): a * d - b * c - a ** (q + 1) - a * b,
+                 Monomial(1, 1): -2 * a * b, Monomial(2, 0): -b * b}
+    return AlgebraElement(spec, terms)
 
 
 def test_relation_image_diagonal_equals_products():
@@ -476,25 +686,33 @@ def test_relation_image_diagonal_equals_products():
             for d in scalars + [a ** spec.w_y]:
                 sigma = diagonal_automorphism(spec, a, d)
                 image = relation_image(sigma, spec)
-                assert image == relation_image_products(sigma, spec) == (
-                    relation_image_diagonal(sigma, spec)), (spec.describe(), a, d)
+                assert image == relation_image_closed(spec, a, 0, 0, d), (spec.describe(), a, d)
                 if spec.family == "jordan":
                     jordan_zero.add(image.is_zero())
     # the Jordan sweep has automorphisms (sy = sx^q) and non-automorphisms
     assert jordan_zero == {True, False}
     assert not relation_image(diagonal_automorphism(J3, 2, 4), J3).is_zero()
-    # non-diagonal maps
-    for spec, sigma in ((COMM, linear_automorphism(COMM, 1, 2, 3, 4)),
-                        (J3, triangular_automorphism(J3, 2, 5, 8)),
-                        (J3, triangular_automorphism(J3, 2, 5, 3))):
-        assert relation_image(sigma, spec) == relation_image_products(sigma, spec)
+    # the linear and triangular forms, zero coefficients included
+    values = [cyc(0), cyc(1), cyc(-1), cyc(2), zeta(3)]
+    for spec in (COMM, ANTI, QGEN, J1):
+        for a, b, c, d in itertools.product(values, repeat=4):
+            sigma = linear_automorphism(spec, a, b, c, d)
+            assert relation_image(sigma, spec) == relation_image_closed(spec, a, b, c, d), (
+                spec.describe(), a, b, c, d)
+    for spec in (Q13, Q13G, jordan_spec(2), J3):
+        for a, c, d in itertools.product(values, repeat=3):
+            sigma = triangular_automorphism(spec, a, c, d)
+            assert relation_image(sigma, spec) == relation_image_closed(spec, a, 0, c, d), (
+                spec.describe(), a, c, d)
 
 
 def test_make_cyclic_group_checks_exponents_only(monkeypatch):
-    # the exponent test is the whole validation: no automorphism check runs
+    # the exponent test is the whole validation: no element product and no
+    # elimination runs
     calls = []
-    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism",
-                        lambda sigma, spec: calls.append(sigma))
+    monkeypatch.setattr(asreg2.algebra.SparseElement, "__mul__",
+                        lambda u, v: calls.append("mul"))
+    monkeypatch.setattr(Echelon, "add", lambda ech, vec: calls.append("add"))
     for spec, r in ((COMM, 4), (Q13, 5), (J1, 2), (J3, 4)):
         make_cyclic_group(spec, r)
         make_diagonal_action(spec, r, 2, 2 * spec.q)

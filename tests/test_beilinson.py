@@ -231,7 +231,7 @@ def idempotent_system_oracle(action):
     idem = lambda_idempotents(action)
     keys = sorted(idem)
     ok = True
-    total = GLambdaElement.zero(action)
+    total = GLambdaElement(action)
     for a in keys:
         ea = idem[a]
         total = total + ea
@@ -308,7 +308,7 @@ def rho_system_g_basis(action):
     g = GSkewElement.basis_element(action, MONO_ONE, 1)
     ok = all(g * rho[w] == rho[w].scale(xi(-w)) for w in range(r))
     ok = ok and action.xi ** r == 1 and all(xi(k) != 1 for k in range(1, r))
-    ok = ok and sum(rho, GSkewElement.zero(action)) == GSkewElement.one(action)
+    ok = ok and sum(rho, GSkewElement(action)) == GSkewElement.one(action)
     for n in (Monomial(0, 1), Monomial(1, 0)):
         gn = GSkewElement.basis_element(action, n, 0)
         ok = ok and all(rho[w] * gn == gn * rho[(w + action.char(n)) % r] for w in range(r))

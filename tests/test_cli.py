@@ -18,6 +18,7 @@ import asreg2.algebra
 import asreg2.automorphisms
 import asreg2.beilinson
 import asreg2.cli
+import asreg2.linalg
 import asreg2.quivers
 import asreg2.skew
 from asreg2.algebra import Monomial, graded_basis, quantum_spec
@@ -64,19 +65,26 @@ def test_info_invalid_weights(capsys):
 
 
 def test_hdet_command(capsys, monkeypatch):
-    # on weights (1,1) the map is tested once, by hdet_table, and by nothing else
-    real = asreg2.automorphisms.is_graded_automorphism
-    calls = []
-
-    def counted(sigma, spec):
-        calls.append(sigma)
-        return real(sigma, spec)
-
-    monkeypatch.setattr(asreg2.automorphisms, "is_graded_automorphism", counted)
+    # hdet decides the map by closed forms on its coefficients: no element
+    # product and no elimination, on any form, refusals included
+    calls = Counter()
+    for owner, attr in ((asreg2.algebra.SparseElement, "__mul__"), (asreg2.linalg.Echelon, "add")):
+        def counted(*args, _real=getattr(owner, attr), _name=attr):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    for argv in (["--wx", "1", "--wy", "1", "--alpha", "-1", "--a", "0", "--b", "2", "--c", "3",
+                  "--d", "0"],
+                 ["--wx", "1", "--wy", "3", "--a", "2", "--c", "5", "--d", "3"],
+                 ["--wx", "2", "--wy", "3", "--alpha", "zeta(5)", "--a", "2"],
+                 ["--family", "jordan", "--wy", "2", "--a", "2", "--c", "1"]):
+        assert run(capsys, ["hdet"] + argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["hdet", "--family", "jordan", "--wy", "1", "--a", "2", "--b", "1"])
+    assert calls == {}
     code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1",
                              "--a", "2", "--d", "3"])
     assert code == 0
-    assert len(calls) == 1
     assert out.splitlines() == ["algebra: quantum(alpha=1), weights (1, 1)",
                                 "hdet = 6", "in HSL: no"]
     code, out = run(capsys, ["hdet", "--wx", "1", "--wy", "1", "--a", "2", "--d", "3",

@@ -13,16 +13,18 @@ import pytest
 import sympy
 
 from asreg2.algebra import jordan_spec, quantum_spec
-from asreg2.automorphisms import (
-    is_graded_automorphism,
-    linear_automorphism,
-    triangular_automorphism,
-)
 from asreg2.cyclotomic import cyc, cyclotomic_polynomial, zeta
 from asreg2.linalg import Echelon
 from asreg2.quivers import Quiver, quiver_isomorphic
 from asreg2.rationals import RAT
-from test_automorphisms import compose, identity_automorphism, inverse_automorphism
+from test_automorphisms import (
+    compose,
+    identity_automorphism,
+    inverse_automorphism,
+    is_graded_automorphism,
+    linear_automorphism,
+    triangular_automorphism,
+)
 from test_cyclotomic import multiplicative_order
 from test_quivers import backtracking_isomorphic
 

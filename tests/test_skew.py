@@ -12,7 +12,6 @@ from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
 from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
-    AlgebraElement,
     Monomial,
     SparseElement,
     graded_basis,
@@ -25,7 +24,6 @@ from asreg2.algebra import (
 from asreg2.linalg import Echelon
 from asreg2.automorphisms import (
     CyclicGroupAction,
-    hdet_table,
     make_cyclic_group,
     make_diagonal_action,
 )
@@ -42,7 +40,7 @@ from asreg2.skew import (
     skew_dim,
     skew_mul_basis,
 )
-from test_automorphisms import generator
+from test_automorphisms import generator, hdet_table, monomial
 
 COMM = quantum_spec(1, 1, 1)
 QUANT5 = quantum_spec(1, 1, zeta(5))
@@ -167,7 +165,7 @@ def ideal_e_dims_blocked(spec, action, D):
     """
     r = action.r
     out = []
-    basis = [[(action.char(m), AlgebraElement.monomial(spec, m)) for m in graded_basis(spec, d)]
+    basis = [[(action.char(m), monomial(spec, m)) for m in graded_basis(spec, d)]
              for d in range(D + 1)]
     for d in range(D + 1):
         capacity = Counter(c for c, _ in basis[d])
@@ -293,7 +291,7 @@ def test_rho_idempotents_orthogonal_complete():
         rhos = rho_idempotents(action)
         assert rhos[0] == idempotent_e(action)
         assert rho_system(action) is True
-        total = SkewElement.zero(action)
+        total = SkewElement(action)
         for i, ri in enumerate(rhos):
             total = total + ri
             for j, rj in enumerate(rhos):
@@ -341,7 +339,7 @@ def test_fixed_ring_multiplicatively_closed():
         for m1 in fixed_ring_basis(action, d1):
             for d2 in range(5):
                 for m2 in fixed_ring_basis(action, d2):
-                    prod = AlgebraElement.monomial(W13, m1) * AlgebraElement.monomial(W13, m2)
+                    prod = monomial(W13, m1) * monomial(W13, m2)
                     for m in prod.terms:
                         assert action.char(m) == 0
 
