@@ -486,10 +486,11 @@ def cmd_reflect_search(args):
         payload["result"] = {"found": False}
         _emit(args, lambda: lines, payload)
         return 1
-    state = source
-    for v in seq:
-        state = bgp_reflect(state, v)
-    verified = quiver_isomorphic(state, target) is not None
+    try:
+        state = bgp_reflect(source, *seq)
+    except ValueError:
+        state = None  # a witness that does not replay is reported, not raised
+    verified = state is not None and quiver_isomorphic(state, target) is not None
     lines += ["reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
               "replay verified: %s" % ("yes" if verified else "NO")]
     payload["result"] = {"found": True, "sequence": seq, "verified": verified}

@@ -24,6 +24,7 @@ tag "x", "y" or "" for untagged.  Quiver values are immutable.
 """
 
 import functools
+import heapq
 import operator
 
 
@@ -142,21 +143,31 @@ def covering_quiver(spec, c):
     return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
 
 
-def bgp_reflect(q, v):
-    """Reverse every arrow at a sink or source vertex."""
-    if v not in q.vertices:
-        raise ValueError("unknown vertex %r" % v)
-    arrows = []
-    has_in = has_out = False
-    for (s, t, tag) in q.arrows:
-        if s == v or t == v:
+def bgp_reflect(q, *vertices):
+    """Reverse every arrow at a sink or source vertex, at each given vertex in
+    turn: the chain of one-vertex reflections, with its ValueError at the
+    first vertex that is unknown or neither a sink nor a source at its turn.
+    The arrows are indexed by their ends once, so a reflection costs the
+    arrows at its vertex, and one Quiver is built at the end."""
+    arrows = list(q.arrows)
+    incident = {v: [] for v in q.vertices}
+    for idx, (s, t, _) in enumerate(arrows):
+        incident[s].append(idx)
+        if t != s:
+            incident[t].append(idx)
+    for v in vertices:
+        if v not in incident:
+            raise ValueError("unknown vertex %r" % v)
+        has_in = has_out = False
+        for idx in incident[v]:
+            s, t, _ = arrows[idx]
             has_out |= s == v
             has_in |= t == v
-            arrows.append((t, s, tag))
-        else:
-            arrows.append((s, t, tag))
-    if has_in == has_out:
-        raise ValueError("vertex %r is neither a sink nor a source" % v)
+        if has_in == has_out:
+            raise ValueError("vertex %r is neither a sink nor a source" % v)
+        for idx in incident[v]:
+            s, t, tag = arrows[idx]
+            arrows[idx] = (t, s, tag)
     return Quiver(q.vertices, arrows)
 
 
@@ -329,34 +340,28 @@ def make_canonical_quiver(i, j):
     return Quiver(vertices, arrows)
 
 
-def _distance(word, goals):
-    """The least number of moves from an orientation word to a rotation of a
-    goal word, a move sliding a "1" into a neighbouring "0" of the cycle, and
-    for each walk position k whether the move at k (swapping letters k-1 and
-    k) is one move nearer.
+def _alignments(word, goals):
+    """The alignment pass: (word, P, dist, least), where dist is the least
+    number of moves from an orientation word to a rotation of a goal word, a
+    move sliding a "1" into a neighbouring "0" of the cycle, P lists the
+    word's "1"s and least its least-cost alignments, each as its difference
+    list d and median range [lo, hi].
 
     Complementing maps moves to moves and rotations to rotations, so both
     sides are complemented when "1"s are the majority, which keeps t, the
-    number of "1"s, at most n/2.  Let word's "1"s sit at P_0 < ... and a
-    goal's at U_0 < ..., repeated with period n (U_(k+t) = U_k + n).  An
-    alignment is a goal with t "1"s, a shift s in [0, t) and an integer
-    rho; it costs sum_k |U_(k+s) + rho - P_k|, and the distance is the least
-    cost.  For fixed goal and s the best rho are the medians [lo, hi] of
-    the differences d_k = P_k - U_(k+s), and the cost there is the upper
-    half of the sorted differences less the lower half.  Lower bound: "1"s
-    never pass one another, so the final unrolled positions are
-    U_(k+s) + rho for some alignment, and a move changes one position by
-    one.  Upper bound: if a "1" must move forward but the next "1" blocks
-    it, that one must move forward at least as far; as t < n the chain
-    ends before a free cell, and moving its last "1" there lowers the sum
-    by one.
-
-    Nearer moves: a move shifts one P_k by one and so every alignment's cost
-    by exactly one (a "1" wrapping round renumbers the alignments, s turning
-    one step).  One not optimal costs dist + 1 or more before the move, so
-    dist or more after: a move is nearer exactly when it moves a "1" P_k toward
-    U_(k+s) + rho for an optimal goal and s and a rho in [lo, hi], that is,
-    forward when d_k < hi and backward when d_k > lo."""
+    number of "1"s, at most n/2; the word returned is the one measured.  Let
+    word's "1"s sit at P_0 < ... and a goal's at U_0 < ..., repeated with
+    period n (U_(k+t) = U_k + n).  An alignment is a goal with t "1"s, a
+    shift s in [0, t) and an integer rho; it costs sum_k |U_(k+s) + rho -
+    P_k|, and the distance is the least cost.  For fixed goal and s the best
+    rho are the medians [lo, hi] of the differences d_k = P_k - U_(k+s),
+    and the cost there is the upper half of the sorted differences less the
+    lower half.  Lower bound: "1"s never pass one another, so the final
+    unrolled positions are U_(k+s) + rho for some alignment, and a move
+    changes one position by one.  Upper bound: if a "1" must move forward
+    but the next "1" blocks it, that one must move forward at least as far;
+    as t < n the chain ends before a free cell, and moving its last "1"
+    there lowers the sum by one."""
     n = len(word)
     if 2 * word.count("1") > n:
         word, goals = word.translate(_FLIP), [g.translate(_FLIP) for g in goals]
@@ -372,13 +377,34 @@ def _distance(word, goals):
                 e = sorted(d)
                 aligned.append((sum(e[t - h:]) - sum(e[:h]), d, e[(t - 1) // 2], e[h]))
     dist = min((a[0] for a in aligned), default=0)
+    return word, P, dist, [a[1:] for a in aligned if a[0] == dist]
+
+
+def _nearer(least, j, delta):
+    """Whether sliding the "1" P_j by delta into a free cell is one move nearer.
+
+    A move shifts one P_j by one and so every alignment's cost by exactly
+    one.  One not least costs dist + 1 or more before the move, so dist or
+    more after: a move is nearer exactly when it moves a "1" P_j toward
+    U_(j+s) + rho for a least goal and s and a rho in [lo, hi], that is,
+    forward when d_j < hi and backward when d_j > lo."""
+    for d, lo, hi in least:
+        if d[j] < hi if delta > 0 else d[j] > lo:
+            return True
+    return False
+
+
+def _distance(word, goals):
+    """The distance (_alignments) from an orientation word to the goals, and
+    for each walk position k whether the move at k is one nearer (_nearer)."""
+    word, P, dist, least = _alignments(word, goals)
+    n = len(word)
     nearer = [False] * n
-    for d, lo, hi in [a[1:] for a in aligned if a[0] == dist]:
-        for p, dk in zip(P, d):
-            if dk < hi and word[(p + 1) % n] == "0":
-                nearer[(p + 1) % n] = True
-            if dk > lo and word[p - 1] == "0":
-                nearer[p] = True
+    for j, p in enumerate(P):
+        if word[(p + 1) % n] == "0":
+            nearer[(p + 1) % n] = _nearer(least, j, 1)
+        if word[p - 1] == "0":
+            nearer[p] = _nearer(least, j, -1)
     return dist, nearer
 
 
@@ -392,32 +418,85 @@ def reflection_search(q1, q2, max_depth=None):
     k = 0), and reflecting at it swaps them.  Reflections keep the direction
     counts, so quivers whose counts differ are refused at once; otherwise
     the goal is every rotation of q2's word and of its reversed flip, and
-    None is returned only when _distance exceeds max_depth.  The witness,
-    vertex labels of q1 (stable under reflection), is built greedily: the
-    first vertex in q1.vertices order whose move _distance marks nearer,
-    repeated, so it is the least shortest sequence in this order.  A
-    breadth-first search over classes that tries moves in this order and
-    keeps the first word of each new class finds the same, as words of one
-    class reach the same classes.
+    None is returned only when the distance (_alignments) exceeds
+    max_depth.  The witness, vertex labels of q1 (stable under reflection),
+    is built greedily: the first vertex in q1.vertices order whose move is
+    nearer (_nearer), repeated, so it is the least shortest sequence in this
+    order.  A breadth-first search over classes that tries moves in this
+    order and keeps the first word of each new class finds the same, as
+    words of one class reach the same classes.
+
+    One alignment pass serves the whole walk, as the least alignments only
+    shrink.  The complement is taken once (moves keep the counts), and the
+    positions P_k stay unrolled in Z: a move adds delta = +-1 to one P_j,
+    and a "1" sliding from n - 1 to n, or from 0 to -1, keeps its index j,
+    so each alignment (goal, s, rho) keeps its U_(j+s) and its cost sum_k
+    |U_(k+s) + rho - P_k| over the new positions (renumbering them into
+    [0, n) would only turn s and rho).  That cost changes by exactly one:
+    it falls when P_j moves toward U_(j+s) + rho, that is, when rho > d_j
+    for delta = +1 and rho < d_j for delta = -1, with d_j taken before the
+    move.  The move is nearer, so the distance falls from dist to dist - 1.
+    An alignment that was not least cost dist + 1 or more, so it costs at
+    least dist after and is not least.  A least one, with (goal, s) and rho
+    in [lo, hi], stays least exactly when its cost fell.  So (goal, s) keeps
+    a least rho exactly when d_j < hi (delta = +1) or d_j > lo (delta =
+    -1), the test that marked the move, and its least rho are then [max(lo,
+    d_j + 1), hi] or [lo, min(hi, d_j - 1)], the new medians.  Each move
+    therefore keeps the (goal, s) that pass its test, adds delta to their
+    d_j and cuts their range.
+
+    The next move is the first in vertex order that is nearer, read off a
+    heap of walk positions by vertex order that drops an entry whose move
+    is not nearer when it is popped: the move at k slides the "1" P_j on
+    cell k-1 forward or the one on cell k back, when the other cell is
+    free.  No nearer move is lost so: a move that is not nearer becomes
+    nearer only through the move just made, at position m.  Whether k has a
+    move reads cells k-1 and k, of which m changed m-1 and m, so only for k
+    in m-1, m, m+1; and its test reads the d_j of the "1" it slides, which
+    changed only for the "1" that m moved, whose moves sit at such a k,
+    while every other test only lost alignments and narrowed ranges.  So those three positions are
+    pushed again after each move, and a move costs O(least alignments *
+    log n) amortised, not a pass.
     """
     order, word = _cycle_walk(q1)
     goal = _cycle_walk(q2)[1]
     if direction_counts(word) != direction_counts(goal):
         return None
-    goals = (goal, goal[::-1].translate(_FLIP))
-    dist, nearer = _distance(word, goals)
+    word, P, dist, least = _alignments(word, (goal, goal[::-1].translate(_FLIP)))
     if max_depth is not None and dist > max_depth:
         return None
-    position = {v: k for k, v in enumerate(order)}
-    witness = []
-    for left in reversed(range(dist)):
-        v = next(v for v in q1.vertices if nearer[position[v]])
-        k = position[v]
-        word = (word[:k - 1] + word[k] + word[k - 1] + word[k + 1:] if k
-                else word[-1] + word[1:-1] + word[0])
-        witness.append(v)
-        if left:
-            nearer = _distance(word, goals)[1]
+    n, witness = len(word), []
+    owner = [None] * n  # the index j of the "1" on each cell, None on a "0"
+    for j, p in enumerate(P):
+        owner[p] = j
+    index = {v: i for i, v in enumerate(q1.vertices)}
+    heap = sorted((index[v], k) for k, v in enumerate(order))
+    for _ in range(dist):
+        while True:
+            k = heapq.heappop(heap)[1]
+            a, b = owner[k - 1], owner[k]
+            if (a is None) != (b is None):
+                j, delta = (a, 1) if b is None else (b, -1)
+                if _nearer(least, j, delta):
+                    break
+        witness.append(order[k])
+        for m in ((k - 1) % n, k, (k + 1) % n):
+            heapq.heappush(heap, (index[order[m]], m))
+        p = P[j]
+        owner[p % n], owner[(p + delta) % n] = None, j
+        P[j] = p + delta
+        kept = []
+        for d, lo, hi in least:
+            dj = d[j]
+            if delta > 0 and dj < hi:
+                lo = max(lo, dj + 1)
+            elif delta < 0 and dj > lo:
+                hi = min(hi, dj - 1)
+            else:
+                continue
+            d[j] = dj + delta
+            kept.append((d, lo, hi))
+        least = kept
     return witness
 
 

@@ -224,6 +224,8 @@ AMPLE_TEXT_GOLDENS = [
 REFLECT_GOLDENS = [
     ("reflect_2_5_c3_t6_15", ["--wx", "2", "--wy", "5", "--c", "3", "--target-i", "6", "--target-j", "15"]),
     ("reflect_1_3_c6_t6_18", ["--wx", "1", "--wy", "3", "--c", "6", "--target-i", "6", "--target-j", "18"]),
+    ("reflect_9_13_c3_t27_39",
+     ["--wx", "9", "--wy", "13", "--c", "3", "--target-i", "27", "--target-j", "39"]),
 ]
 # the argv of every golden file, the quiver ones first
 GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
@@ -271,9 +273,10 @@ def test_ample_json_builds_no_text_lines(monkeypatch, capsys):
     assert json.loads(out)["result"]["verdict"] == "FINITE-UP-TO-36"
 
 
-@pytest.mark.parametrize("name, flags", REFLECT_GOLDENS, ids=["2_5_c3", "1_3_c6"])
+@pytest.mark.parametrize("name, flags", REFLECT_GOLDENS, ids=["2_5_c3", "1_3_c6", "9_13_c3"])
 def test_reflect_search_matches_golden(tmp_path, capsys, name, flags):
-    # pins the reflection witnesses on covering quivers of 21 and 24 vertices
+    # pins the reflection witnesses on covering quivers of 21, 24 and 66
+    # vertices, the last 262 moves long
     out_file = tmp_path / "reflect.json"
     code, _ = run(capsys, ["reflect", "search", *flags, "--format", "json", "--out", str(out_file)])
     assert code == 0
@@ -357,6 +360,26 @@ def test_reflect_search_not_found_names_source_and_target(capsys):
         code, out = run(capsys, source + ["--target-i", "3", "--target-j", "9",
                                           "--max-depth", str(depth), "--format", "json"])
         assert json.loads(out)["result"]["found"] is found and code == (0 if found else 1)
+
+
+def test_reflect_search_reports_a_witness_that_does_not_replay(monkeypatch, capsys):
+    # a witness that starts at an interior vertex, or names no vertex of the
+    # source, fails its replay: reported with exit 1, not raised
+    source = asreg2.quivers.covering_quiver(quantum_spec(1, 3, 1), 3)
+    order, word = asreg2.quivers._cycle_walk(source)
+    interior = next(v for k, v in enumerate(order) if word[k - 1] == word[k])
+    argv = ["reflect", "search", "--wx", "1", "--wy", "3", "--c", "3", "--target-i", "3", "--target-j", "9"]
+    for witness in ([interior, "v0_0"], ["v9_9"]):
+        with pytest.raises(ValueError):
+            asreg2.quivers.bgp_reflect(source, *witness)
+        monkeypatch.setattr(asreg2.cli, "reflection_search", lambda q1, q2, max_depth: witness)
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert out.endswith("reflection sequence (%d steps): %s\nreplay verified: NO\n"
+                            % (len(witness), " ".join(witness)))
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 1
+        assert json.loads(out)["result"] == {"found": True, "sequence": witness, "verified": False}
 
 
 def test_check_command(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter, deque
 from math import gcd, lcm
@@ -30,7 +31,7 @@ from asreg2.quivers import (
     to_dot,
     to_json_dict,
 )
-from test_cli import _load_workloads
+from test_cli import DATA, REFLECT_GOLDENS, _load_workloads
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -567,6 +568,60 @@ def test_bgp_reflect_on_qs():
     }
 
 
+def _chain(q, vertices):
+    """bgp_reflect one vertex at a time."""
+    for v in vertices:
+        q = bgp_reflect(q, v)
+    return q
+
+
+def _golden_witnesses():
+    """(source, witness) of every reflect-search golden file."""
+    cases = []
+    for name, flags in REFLECT_GOLDENS:
+        flag = dict(zip(flags[::2], map(int, flags[1::2])))
+        source = covering_quiver(quantum_spec(flag["--wx"], flag["--wy"], 1), flag["--c"])
+        result = json.loads((DATA / (name + ".json")).read_text())["result"]
+        cases.append((source, result["sequence"]))
+    return cases
+
+
+def test_bgp_reflect_at_many_vertices_is_the_chain():
+    cases = _golden_witnesses()
+    for wx, wy, c in LARGE_COVERINGS:
+        source = covering_quiver(quantum_spec(wx, wy, 1), c)
+        cases.append((source, reflection_search(source, make_canonical_quiver(c * wx, c * wy))))
+    assert max(len(witness) for _, witness in cases) > 2000
+    for source, witness in cases:
+        assert bgp_reflect(source, *witness) == _chain(source, witness)
+    # a repeated vertex reflects twice; no vertex gives the quiver back
+    q = covering_quiver(S23, 2)
+    v = next(v for v in q.vertices if is_sink(q, v) or is_source(q, v))
+    assert bgp_reflect(q, v, v) == q == _chain(q, [v, v])
+    assert bgp_reflect(q) == q
+    w = next(w for w in bgp_reflect(q, v).vertices if w != v and is_sink(bgp_reflect(q, v), w))
+    assert bgp_reflect(q, v, w, w, v) == q
+
+
+def test_bgp_reflect_at_many_vertices_raises_as_the_chain():
+    # the first vertex that is unknown, or neither a sink nor a source at
+    # its turn, raises the chain's ValueError
+    def interior(q):
+        order, word = _cycle_walk(q)
+        return next(v for k, v in enumerate(order) if word[k - 1] == word[k])
+
+    source, witness = _golden_witnesses()[0]
+    late = interior(_chain(source, witness[:5]))
+    for vertices in ([interior(source)], witness[:5] + [late] + witness[5:], witness[:3] + ["v9_9"],
+                     witness[:1] * 2 + [interior(source)], ["v9_9", interior(source)]):
+        with pytest.raises(ValueError) as chained:
+            _chain(source, vertices)
+        with pytest.raises(ValueError) as at_once:
+            bgp_reflect(source, *vertices)
+        assert str(at_once.value) == str(chained.value)
+    assert str(at_once.value) == "unknown vertex 'v9_9'"
+
+
 def test_bgp_involution_and_invariants():
     for spec, c in ((S11, 2), (S13, 3), (S23, 2)):
         q = covering_quiver(spec, c)
@@ -748,8 +803,9 @@ def test_reflection_search_on_words_matches_oracle(data):
     source = _cycle(word, labels)
     target = _cycle(other, data.draw(st.permutations(range(n))))
     max_depth = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
-    assert reflection_search(source, target, max_depth) == reflection_search_oracle(
-        source, target, max_depth)
+    witness = reflection_search(source, target, max_depth)
+    assert witness == reflection_search_oracle(source, target, max_depth)
+    assert witness == reflection_search_distance_oracle(source, target, max_depth)
 
 
 def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
@@ -774,11 +830,79 @@ def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
     assert calls == {"bgp_reflect": 0, "Quiver": 0}
 
 
+def test_reflection_search_makes_one_alignment_pass(monkeypatch):
+    calls = [0]
+    real = quivers._alignments
+
+    def counted(word, goals):
+        calls[0] += 1
+        return real(word, goals)
+
+    monkeypatch.setattr(quivers, "_alignments", counted)
+    for wx, wy, c in ((1, 3, 3), (9, 13, 3)):
+        source = covering_quiver(quantum_spec(wx, wy, 1), c)
+        calls[0] = 0
+        assert len(reflection_search(source, make_canonical_quiver(c * wx, c * wy))) > 2
+        assert calls == [1]
+
+
 def _moved(word, k):
     """The word after the move at walk position k: letters k-1 and k swapped."""
     if k:
         return word[:k - 1] + word[k] + word[k - 1] + word[k + 1:]
     return word[-1] + word[1:-1] + word[0]
+
+
+def reflection_search_distance_oracle(q1, q2, max_depth=None):
+    """The greedy walk that reflection_search replaced: a fresh _distance
+    pass after every move, and the first vertex in q1.vertices order whose
+    move it marks nearer."""
+    order, word = _cycle_walk(q1)
+    goal = _cycle_walk(q2)[1]
+    if direction_counts(word) != direction_counts(goal):
+        return None
+    goals = (goal, goal[::-1].translate(_FLIP))
+    dist, nearer = _distance(word, goals)
+    if max_depth is not None and dist > max_depth:
+        return None
+    position = {v: k for k, v in enumerate(order)}
+    witness = []
+    for left in reversed(range(dist)):
+        v = next(v for v in q1.vertices if nearer[position[v]])
+        word = _moved(word, position[v])
+        witness.append(v)
+        if left:
+            nearer = _distance(word, goals)[1]
+    return witness
+
+
+def test_reflection_search_matches_distance_oracle_on_coverings():
+    # the least alignments carried across the moves walk as a fresh pass
+    # per move does, on every covering quiver with at most 24 vertices and
+    # on the large ones up to 66 vertices
+    cases = [(wx, ell - wx, c) for ell in range(2, 25) for wx in range(1, ell)
+             if gcd(wx, ell - wx) == 1 for c in range(1, 24 // ell + 1)]
+    cases += [case for case in LARGE_COVERINGS if sum(case[:2]) * case[2] <= 66]
+    assert len(cases) > 270
+    for wx, wy, c in cases:
+        source = covering_quiver(quantum_spec(wx, wy, 1), c)
+        for target in (make_canonical_quiver(c * wx, c * wy), make_canonical_quiver(c * wy, c * wx)):
+            for max_depth in (None, 3):
+                assert reflection_search(source, target, max_depth) == \
+                    reflection_search_distance_oracle(source, target, max_depth)
+
+
+def test_reflection_search_matches_distance_oracle_on_longer_words():
+    # past the breadth-first oracles' word lengths: random cycles of 10 to
+    # 16 arrows and targets of the same direction counts
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(10, 16)
+        word = [rng.random() < 0.5 for _ in range(n)]
+        other = rng.sample(word, n)
+        source = _cycle(word, rng.sample(range(n), n))
+        target = _cycle(other, rng.sample(range(n), n))
+        assert reflection_search(source, target) == reflection_search_distance_oracle(source, target)
 
 
 def test_distance_is_exact_on_every_short_word():
@@ -866,17 +990,18 @@ def test_reflection_search_matches_word_bfs():
     assert reflection_search(source, target) == reflection_search_word_oracle(source, target)
 
 
+LARGE_COVERINGS = ((5, 8, 2), (7, 11, 2), (9, 13, 3), (19, 23, 5))
+
+
 def test_reflection_search_on_large_coverings():
-    # past the oracle's reach: the witness replays onto the target in as
-    # many moves as the distance says
-    for wx, wy, c in ((5, 8, 2), (7, 11, 2), (9, 13, 3)):
+    # past the breadth-first oracles' reach, up to 210 vertices and 2 730
+    # moves: the witness replays onto the target in as many moves as the
+    # distance says
+    for wx, wy, c in LARGE_COVERINGS:
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
         target = make_canonical_quiver(c * wx, c * wy)
         seq = reflection_search(source, target)
-        state = source
-        for v in seq:
-            state = bgp_reflect(state, v)
-        assert quiver_isomorphic(state, target) is not None
+        assert quiver_isomorphic(bgp_reflect(source, *seq), target) is not None
         goal = _cycle_walk(target)[1]
         assert len(seq) == _distance(_cycle_walk(source)[1], (goal, goal[::-1].translate(_FLIP)))[0]
         assert len(seq) > len(source.vertices)
