@@ -24,7 +24,7 @@ nonzero, the choice pinned by the worked six-vertex example for weights
 from collections import Counter
 
 from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
-from .quivers import Quiver, grid_labels
+from .quivers import grid_labels, grid_quiver
 from .skew import skew_dim, skew_mul_basis
 
 
@@ -110,10 +110,9 @@ def gabriel_quiver_oracle(action):
     has the size #{m in S_(j-i) : char m = c} at every s, and the J^2
     corner from (k, s) to (j, s - c) has #{mn : char m + char n = c} keys
     at every s, over the d2 in (0, j - k); both depend on (j - i, c), resp.
-    (j - k, c), alone.  The arrows of one (source grid vertex, target grid
-    vertex, character difference) are expanded over the r source
-    characters only where their count is nonzero.  The tests keep the loop
-    over every (k, i, j, w) as the oracle.
+    (j - k, c), alone.  So each (d, c) gives the grid step (d, -c) of
+    grid_quiver, repeated by its count of arrows: J's corner size less the
+    J^2 keys.  The tests keep the loop over every (k, i, j, w) as the oracle.
     """
     r, ell = action.r, action.spec.ell
     graded = [[(m, action.char(m)) for m in graded_basis(action.spec, d)] for d in range(ell)]
@@ -132,16 +131,9 @@ def gabriel_quiver_oracle(action):
                                               % (left, right))
                     (_, _, mono, _), = prod
                     jj_keys.setdefault((d, (cm + cn) % r), set()).add(mono)
-    label = grid_labels(ell, r)
-    arrows = []
-    for (d, c), size in j_corner.items():
-        count = size - len(jj_keys.get((d, c), ()))
-        if count:
-            for i in range(ell - d):
-                src, dst = label[i], label[i + d]
-                for s in range(r):
-                    arrows += [(src[s], dst[(s - c) % r], "")] * count
-    return Quiver([v for row in label for v in row], arrows)
+    return grid_quiver(grid_labels(ell, r), [
+        (d, -c, "") for (d, c), size in j_corner.items()
+        for _ in range(size - len(jj_keys.get((d, c), ())))])
 
 
 # ---------------------------------------------------------------------------

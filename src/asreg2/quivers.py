@@ -1,16 +1,18 @@
 """Quivers attached to the graded algebra and its skew group algebra.
 
-Q_S has vertices 0..ell-1 with an x-arrow i -> i+w_x and a y-arrow
-i -> i+w_y whenever the target is below ell; with coprime weights its
-underlying graph is a single cycle.  Q_{S,G}, for G generated by
-diag(xi^px, xi^py) of order r, lifts each x-arrow to (i, j) -> (i', j+px)
-and each y-arrow to (i, j) -> (i', j+py) over j mod r, level shifts px and
-py: the exponents of the action.  The c-fold covering quiver is the same lift
-(_lift) with shifts ax on x-arrows and ay on y-arrows, (ax, ay) the Bezout pair
-w_y*ax - w_x*ay = 1 with 0 <= ax < w_x; for w_x = 1 this is the familiar
-picture of c stacked copies with the y-arrows dropping one level (and
-wrapping), and in general it is the connected cyclic cover, which is what
-the skew-quiver components decompose into.
+Every quiver built here is a grid quiver (grid_quiver): rows of vertex
+labels label[i][s], s < n, and steps (w, shift, tag), each of which runs
+(i, s) -> (i + w, s + shift mod n) wherever row i + w exists.  Q_S is the
+grid of one column, rows v0..v(ell-1), with an x-step w_x and a y-step w_y.
+Q_{S,G}, for G generated by diag(xi^px, xi^py) of order r, is Q_S lifted to
+r levels (_lift): the x-step shifts the level by px and the y-step by py,
+the exponents of the action.  The c-fold covering quiver is the same lift
+with shifts ax and ay, (ax, ay) the Bezout pair w_y*ax - w_x*ay = 1 with 0
+<= ax < w_x; for w_x = 1 this is the familiar picture of c stacked copies
+with the y-arrows dropping one level (and wrapping), and in general it is
+the connected cyclic cover, which is what the skew-quiver components
+decompose into.  The Gabriel quiver of Lambda (beilinson) is a grid on the
+same labels with a step per arrow of J/J^2.
 
 Every one of these quivers, and every BGP reflection of them, is a
 disjoint union of cycles.  So a quiver is handled through its walks
@@ -18,6 +20,8 @@ disjoint union of cycles.  So a quiver is handled through its walks
 and the orientation word.  The sorted least rotations of the words are its
 isomorphism class (cycle_classes), which isomorphism and check compare, and
 the reflection search walks one cycle's word down its distance to the goal.
+Reflections and walks read the arrows at each vertex off one index
+(_incidence).
 
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
@@ -93,16 +97,19 @@ class Quiver:
         return order
 
 
+def grid_quiver(label, steps):
+    """The quiver on the rows of labels label[i][s], s < n, with, for each step
+    (w, shift, tag) and each row i with i + w < len(label), the arrows (i, s)
+    -> (i + w, s + shift mod n); a step listed k times gives k parallel arrows."""
+    n = len(label[0])
+    arrows = [(src[s], dst[(s + shift) % n], tag)
+              for w, shift, tag in steps for src, dst in zip(label, label[w:]) for s in range(n)]
+    return Quiver([v for row in label for v in row], arrows)
+
+
 def quiver_qs(spec):
-    ell = spec.ell
-    vertices = ["v%d" % i for i in range(ell)]
-    arrows = []
-    for i in range(ell):
-        if i + spec.w_x < ell:
-            arrows.append(("v%d" % i, "v%d" % (i + spec.w_x), "x"))
-        if i + spec.w_y < ell:
-            arrows.append(("v%d" % i, "v%d" % (i + spec.w_y), "y"))
-    return Quiver(vertices, arrows)
+    return grid_quiver([["v%d" % i] for i in range(spec.ell)],
+                       ((spec.w_x, 0, "x"), (spec.w_y, 0, "y")))
 
 
 def grid_labels(ell, n):
@@ -112,15 +119,7 @@ def grid_labels(ell, n):
 
 def _lift(spec, n, shifts):
     """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
-    ell = spec.ell
-    label = grid_labels(ell, n)
-    arrows = []
-    for i in range(ell):
-        for w, tag, shift in zip((spec.w_x, spec.w_y), "xy", shifts):
-            if i + w < ell:
-                src, dst = label[i], label[i + w]
-                arrows += [(src[s], dst[(s + shift) % n], tag) for s in range(n)]
-    return Quiver([v for row in label for v in row], arrows)
+    return grid_quiver(grid_labels(spec.ell, n), zip((spec.w_x, spec.w_y), shifts, "xy"))
 
 
 def quiver_qsg(action):
@@ -143,18 +142,23 @@ def covering_quiver(spec, c):
     return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
 
 
+def _incidence(q):
+    """Each vertex's arrows, as indices into q.arrows, an arrow listed at both
+    its ends: a loop twice at its vertex."""
+    incident = {v: [] for v in q.vertices}
+    for idx, (s, t, _) in enumerate(q.arrows):
+        incident[s].append(idx)
+        incident[t].append(idx)
+    return incident
+
+
 def bgp_reflect(q, *vertices):
     """Reverse every arrow at a sink or source vertex, at each given vertex in
     turn: the chain of one-vertex reflections, with its ValueError at the
     first vertex that is unknown or neither a sink nor a source at its turn.
     The arrows are indexed by their ends once, so a reflection costs the
     arrows at its vertex, and one Quiver is built at the end."""
-    arrows = list(q.arrows)
-    incident = {v: [] for v in q.vertices}
-    for idx, (s, t, _) in enumerate(arrows):
-        incident[s].append(idx)
-        if t != s:
-            incident[t].append(idx)
+    arrows, incident = list(q.arrows), _incidence(q)
     for v in vertices:
         if v not in incident:
             raise ValueError("unknown vertex %r" % v)
@@ -180,10 +184,7 @@ def _cycle_walks(q, tags=False):
     None unless every vertex meets exactly two arrow ends of two different
     arrows, that is, unless q is a disjoint union of cycles of length >= 2;
     then each walk is back at its start before it meets a vertex twice."""
-    incident = {v: [] for v in q.vertices}
-    for idx, (s, t, _) in enumerate(q.arrows):
-        incident[s].append(idx)
-        incident[t].append(idx)
+    incident = _incidence(q)
     if any(len(e) != 2 or e[0] == e[1] for e in incident.values()):
         return None
     walks, walked = [], set()
@@ -324,19 +325,10 @@ def make_canonical_quiver(i, j):
     """Two directed paths of lengths i and j from a common source to a common sink."""
     if i < 1 or j < 1:
         raise ValueError("path lengths must be >= 1")
-    source, sink = "v0", "v%d" % i
     vertices = ["v%d" % k for k in range(i + j)]
     arrows = []
-    prev = source
-    for k in range(1, i):
-        arrows.append((prev, "v%d" % k, ""))
-        prev = "v%d" % k
-    arrows.append((prev, sink, ""))
-    prev = source
-    for k in range(i + 1, i + j):
-        arrows.append((prev, "v%d" % k, ""))
-        prev = "v%d" % k
-    arrows.append((prev, sink, ""))
+    for path in (vertices[:i + 1], vertices[:1] + vertices[i + 1:] + vertices[i:i + 1]):
+        arrows += [(a, b, "") for a, b in zip(path, path[1:])]
     return Quiver(vertices, arrows)
 
 
@@ -392,20 +384,6 @@ def _nearer(least, j, delta):
         if d[j] < hi if delta > 0 else d[j] > lo:
             return True
     return False
-
-
-def _distance(word, goals):
-    """The distance (_alignments) from an orientation word to the goals, and
-    for each walk position k whether the move at k is one nearer (_nearer)."""
-    word, P, dist, least = _alignments(word, goals)
-    n = len(word)
-    nearer = [False] * n
-    for j, p in enumerate(P):
-        if word[(p + 1) % n] == "0":
-            nearer[(p + 1) % n] = _nearer(least, j, 1)
-        if word[p - 1] == "0":
-            nearer[p] = _nearer(least, j, -1)
-    return dist, nearer
 
 
 def reflection_search(q1, q2, max_depth=None):

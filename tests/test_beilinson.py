@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import gcd
@@ -16,6 +17,7 @@ from asreg2.algebra import (
     quantum_spec,
 )
 import asreg2.beilinson
+from asreg2 import quivers
 from asreg2.automorphisms import CyclicGroupAction, make_cyclic_group, make_diagonal_action
 from asreg2.beilinson import (
     LambdaElement,
@@ -28,7 +30,14 @@ from asreg2.beilinson import (
     nabla_skew_structure_check,
 )
 from asreg2.linalg import Echelon
-from asreg2.quivers import Quiver, path_count, quiver_isomorphic, quiver_qs, quiver_qsg
+from asreg2.quivers import (
+    Quiver,
+    covering_quiver,
+    path_count,
+    quiver_isomorphic,
+    quiver_qs,
+    quiver_qsg,
+)
 from asreg2.skew import rho_system
 from test_skew import GSkewElement, LINK_CASES, assert_g_basis_link, to_g_basis
 
@@ -499,15 +508,42 @@ def test_oracle_small_cases():
         assert quiver_isomorphic(oracle, quiver_qsg(action)) is not None
 
 
+def quiver_qs_loop(spec):
+    """quiver_qs as its own loop built it before grid_quiver."""
+    ell = spec.ell
+    arrows = []
+    for i in range(ell):
+        if i + spec.w_x < ell:
+            arrows.append(("v%d" % i, "v%d" % (i + spec.w_x), "x"))
+        if i + spec.w_y < ell:
+            arrows.append(("v%d" % i, "v%d" % (i + spec.w_y), "y"))
+    return Quiver(["v%d" % i for i in range(ell)], arrows)
+
+
+def lift_loop(spec, n, shifts):
+    """quivers._lift as its own loop built it before grid_quiver."""
+    ell = spec.ell
+    label = [["v%d_%d" % (i, s) for s in range(n)] for i in range(ell)]
+    arrows = []
+    for i in range(ell):
+        for w, tag, shift in zip((spec.w_x, spec.w_y), "xy", shifts):
+            if i + w < ell:
+                src, dst = label[i], label[i + w]
+                arrows += [(src[s], dst[(s + shift) % n], tag) for s in range(n)]
+    return Quiver([v for row in label for v in row], arrows)
+
+
 def test_qsg_lift_is_the_oracle_on_every_diagonal_action():
     # Q_{S,G} lifted by the action's exponents (px, py) against the quiver of
     # Lambda, on every diagonal action of order r <= 7 that the planes admit,
-    # non-faithful ones included
+    # non-faithful ones included; each is also equal, vertex for vertex and
+    # parallel arrow for parallel arrow, to the loop that built it before
+    # grid_quiver
     specs = [quantum_spec(wx, wy, 1)
              for wx, wy in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 5), (3, 4))]
     specs += [quantum_spec(1, 1, -1), quantum_spec(1, 1, zeta(5))]
     specs += [jordan_spec(q) for q in range(1, 6)]
-    checked = faithful = 0
+    checked = faithful = parallel = 0
     for spec in specs:
         for r in range(1, 8):
             for px in range(r):
@@ -515,11 +551,30 @@ def test_qsg_lift_is_the_oracle_on_every_diagonal_action():
                     if spec.family == "jordan" and (py - spec.q * px) % r:
                         continue
                     action = make_diagonal_action(spec, r, px, py)
-                    assert quiver_isomorphic(quiver_qsg(action), gabriel_quiver_oracle(action)) \
-                        is not None, (spec.describe(), action.describe())
+                    qsg, oracle = quiver_qsg(action), gabriel_quiver_oracle(action)
+                    assert qsg == (quiver_qs_loop(spec) if r == 1 else lift_loop(spec, r, (px, py)))
+                    assert oracle == gabriel_quiver_per_corner_expansion(action)
+                    assert quiver_isomorphic(qsg, oracle) is not None, \
+                        (spec.describe(), action.describe())
                     checked += 1
                     faithful += gcd(px, py, r) == 1
-    assert checked == 9 * 140 + 5 * 28 and 0 < faithful < checked
+                    parallel += len(set(oracle.arrows)) < len(oracle.arrows)
+    assert checked == 9 * 140 + 5 * 28 and 0 < faithful < checked and parallel > 0
+    # Q_S, its lift at every pair of level shifts and the covering quiver, on
+    # every pair of coprime weights up to 7 and up to 6 levels
+    lifts = 0
+    for wx in range(1, 8):
+        for wy in range(1, 8):
+            if gcd(wx, wy) > 1:
+                continue
+            spec = quantum_spec(wx, wy, 1)
+            assert quiver_qs(spec) == covering_quiver(spec, 1) == quiver_qs_loop(spec)
+            for n in range(2, 7):
+                assert covering_quiver(spec, n) == lift_loop(spec, n, quivers._cover_shifts(spec))
+                for shifts in itertools.product(range(n), repeat=2):
+                    assert quivers._lift(spec, n, shifts) == lift_loop(spec, n, shifts)
+                    lifts += 1
+    assert lifts == 35 * 90
 
 
 def gabriel_quiver_elimination(action):
@@ -604,11 +659,11 @@ def test_oracle_forms_one_product_per_monomial_pair(monkeypatch):
     assert len(calls) == 55
 
 
-def gabriel_quiver_per_grid_triple(action):
-    """gabriel_quiver_oracle as it formed its J^2 products before: one per
-    (k < i < j, m, n) at w = 0, with the J and J^2 corners keyed by their
-    grid vertices (i, j), resp. (k, j).  The oracle of the one product per
-    degree pair."""
+def per_grid_triple_counts(action):
+    """The arrow count of every (i, j, c), i < j, from (i, s) to (j, s - c):
+    the J corner's size less its J^2 keys, with the J^2 products formed one
+    per (k < i < j, m, n) at w = 0 and the corners keyed by their grid
+    vertices, as gabriel_quiver_oracle formed them before."""
     r, ell = action.r, action.spec.ell
     graded = [[(m, action.char(m)) for m in graded_basis(action.spec, d)] for d in range(ell)]
     j_corner = Counter((i, j, c) for i in range(ell) for j in range(i + 1, ell)
@@ -623,12 +678,37 @@ def gabriel_quiver_per_grid_triple(action):
                         assert len(prod) == 1
                         (_, _, mono, _), = prod
                         jj_keys.setdefault((k, j, (cm + cn) % r), set()).add(mono)
-    label = [["v%d_%d" % (i, w) for w in range(r)] for i in range(ell)]
+    return {key: size - len(jj_keys.get(key, ())) for key, size in j_corner.items()}
+
+
+def _grid_labels(action):
+    return [["v%d_%d" % (i, w) for w in range(action.r)] for i in range(action.spec.ell)]
+
+
+def gabriel_quiver_per_grid_triple(action):
+    """gabriel_quiver_oracle from the per_grid_triple_counts, each expanded
+    over the source characters: the oracle of the one product per degree
+    pair."""
+    r, label = action.r, _grid_labels(action)
     arrows = []
-    for (i, j, c), size in j_corner.items():
-        count = size - len(jj_keys.get((i, j, c), ()))
+    for (i, j, c), count in per_grid_triple_counts(action).items():
         for s in range(r):
             arrows += [(label[i][s], label[j][(s - c) % r], "")] * count
+    return Quiver([v for row in label for v in row], arrows)
+
+
+def gabriel_quiver_per_corner_expansion(action):
+    """gabriel_quiver_oracle as its own loop expanded its arrows before
+    grid_quiver: the count of each (d, c), read here at grid source 0, over
+    every grid row i < ell - d and source character s."""
+    r, label = action.r, _grid_labels(action)
+    arrows = []
+    for (i0, d, c), count in per_grid_triple_counts(action).items():
+        if i0 == 0 and count:
+            for i in range(len(label) - d):
+                src, dst = label[i], label[i + d]
+                for s in range(r):
+                    arrows += [(src[s], dst[(s - c) % r], "")] * count
     return Quiver([v for row in label for v in row], arrows)
 
 

@@ -227,13 +227,28 @@ REFLECT_GOLDENS = [
     ("reflect_9_13_c3_t27_39",
      ["--wx", "9", "--wy", "13", "--c", "3", "--target-i", "27", "--target-j", "39"]),
 ]
+# the covering quiver and Q_S, each grid_quiver's arrows in bytes
+QUIVER_GOLDENS = [
+    ("covering_2_3_c4.json", ["quiver", "covering", "--wx", "2", "--wy", "3", "--c", "4",
+                              "--format", "json"]),
+    ("qs_3_5.dot", ["quiver", "qs", "--wx", "3", "--wy", "5", "--format", "dot"]),
+]
 # the argv of every golden file, the quiver ones first
 GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
     [["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3", "--format", "dot"],
      ["quiver", "qsg", "--wx", "1", "--wy", "2", "--r", "12", "--format", "json"]]
+    + [argv for _, argv in QUIVER_GOLDENS]
     + [["check", *flags, "--format", "json"] for _, flags in CHECK_GOLDENS]
     + [["ample", *flags, "--format", "json"] for _, flags in AMPLE_GOLDENS]
     + [["reflect", "search", *flags, "--format", "json"] for _, flags in REFLECT_GOLDENS])]
+
+
+@pytest.mark.parametrize("name, argv", QUIVER_GOLDENS, ids=["covering_2_3_c4", "qs_3_5"])
+def test_quiver_matches_golden(tmp_path, capsys, name, argv):
+    out_file = tmp_path / name
+    code, _ = run(capsys, [*argv, "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("name, flags", CHECK_GOLDENS,

@@ -107,6 +107,22 @@ def test_every_public_assignment_has_a_reader():
     assert ALLOWED_ASSIGNMENTS <= set(unreferenced)
 
 
+def test_package_root_binds_only_linalg_and_the_version():
+    # nothing imports a name from the package root; linalg stays loaded for
+    # perfbench/tracer.py, which reads sys.modules["asreg2.linalg"]
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                      and isinstance(t.ctx, ast.Store)}
+    public = {name for name in bound if _is_public(name)}
+    assert public == {"linalg"} and "__version__" in bound, sorted(bound)
+
+
 def test_no_function_takes_both_spec_and_action():
     both = []
     for path in sorted(SRC.glob("*.py")):

@@ -13,11 +13,12 @@ from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.quivers import (
     Quiver,
     _FLIP,
+    _alignments,
     _cycle_walk,
     _cycle_walks,
-    _distance,
     _least_rotation,
     _natural_key,
+    _nearer,
     bgp_reflect,
     covering_quiver,
     cycle_classes,
@@ -532,7 +533,11 @@ def test_cycle_walks_refuse_what_is_no_union_of_cycles():
     degree_3 = Quiver(["v0", "v1", "v2", "v3"], [("v0", "v1", ""), ("v1", "v2", ""),
                                                  ("v2", "v0", ""), ("v0", "v3", ""),
                                                  ("v3", "v1", "")])
-    for q in (path, loop, isolated, degree_3):
+    # a lone loop and a loop on a cycle: _incidence lists a loop twice at its
+    # vertex, so neither meets two different arrows there
+    lone_loop = Quiver(["v0"], [("v0", "v0", "")])
+    cycle_loop = Quiver(["v0", "v1"], [("v0", "v1", ""), ("v1", "v0", ""), ("v1", "v1", "")])
+    for q in (path, loop, isolated, degree_3, lone_loop, cycle_loop):
         for tags in (False, True):
             assert _cycle_walks(q, tags) is None
             assert cycle_classes(q, tags) is None
@@ -547,8 +552,19 @@ def test_bgp_reflect_refuses_exactly_non_sinks_and_non_sources():
             if is_sink(q, v) or is_source(q, v):
                 assert bgp_reflect(bgp_reflect(q, v), v) == q
             else:
-                with pytest.raises(ValueError, match="neither a sink nor a source"):
+                with pytest.raises(ValueError) as exc:
                     bgp_reflect(q, v)
+                assert str(exc.value) == "vertex %r is neither a sink nor a source" % v
+    # a loop, listed at both its ends, makes its vertex neither, alone or
+    # beside arrows of one direction; an unknown vertex keeps its own text
+    for q, v in ((Quiver(["v0"], [("v0", "v0", "")]), "v0"),
+                 (Quiver(["v0", "v1"], [("v0", "v1", ""), ("v1", "v1", "")]), "v1")):
+        with pytest.raises(ValueError) as exc:
+            bgp_reflect(q, v)
+        assert str(exc.value) == "vertex %r is neither a sink nor a source" % v
+        with pytest.raises(ValueError) as exc:
+            bgp_reflect(q, "v9")
+        assert str(exc.value) == "unknown vertex 'v9'"
 
 
 def test_bgp_reflect_basics():
@@ -851,6 +867,21 @@ def _moved(word, k):
     if k:
         return word[:k - 1] + word[k] + word[k - 1] + word[k + 1:]
     return word[-1] + word[1:-1] + word[0]
+
+
+def _distance(word, goals):
+    """The distance (_alignments) from an orientation word to the goals, and
+    for each walk position k whether the move at k is one nearer (_nearer):
+    the pass that reflection_search once ran after every move."""
+    word, P, dist, least = _alignments(word, goals)
+    n = len(word)
+    nearer = [False] * n
+    for j, p in enumerate(P):
+        if word[(p + 1) % n] == "0":
+            nearer[(p + 1) % n] = _nearer(least, j, 1)
+        if word[p - 1] == "0":
+            nearer[p] = _nearer(least, j, -1)
+    return dist, nearer
 
 
 def reflection_search_distance_oracle(q1, q2, max_depth=None):
