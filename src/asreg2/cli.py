@@ -13,10 +13,10 @@ import argparse
 import functools
 import re
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
-from .rationals import RAT
 from .cyclotomic import ONE, cyc, zeta
 from .algebra import (
     MONO_ONE,
@@ -83,7 +83,7 @@ def parse_cyclotomic(text):
         den = int(m.group("den")) if m.group("den") else 1
         if den == 0:
             raise ValueError("zero denominator in %r" % text)
-        value = cyc(RAT(int(m.group("num")), den))
+        value = cyc(Fraction(int(m.group("num")), den))
     if m.group("n") is not None:
         k = int(m.group("k")) if m.group("k") else 1
         value = value * zeta(int(m.group("n")), k)

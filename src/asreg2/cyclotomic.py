@@ -7,9 +7,12 @@ conductor (zeta_m -> zeta_n^(n/m) for m | n), so conductors stay small.
 
 A value is stored as integer numerators over one positive integer
 denominator with no common factor, so the arithmetic runs on Python ints;
-``Fraction`` appears only at the boundary (``coeffs``, ``rational_value``,
-construction from a rational).  Phi_n is monic with integer coefficients,
-so reduction mod Phi_n never leaves the integers.
+``Fraction`` appears only at the boundary: ``coeffs`` and
+``rational_value`` return Fractions, and ``Cyclotomic(value)`` reads the
+numerator and denominator of an int or a Fraction.  Phi_n is monic with
+integer coefficients, so reduction mod Phi_n never leaves the integers.
+There is one coercion (``cyc``), one addition (``cyclotomic_sum``) and one
+scalar path in products, for a rational operand on either side.
 
 Inverses come from the field norm: the product of x with its other Galois
 conjugates x(zeta^k), gcd(k, n) = 1, is a nonzero rational N(x), so x^-1 is
@@ -24,10 +27,9 @@ scope.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add
-
-from .rationals import rat, rat_str
 
 
 def _prime_divisors(n):
@@ -41,37 +43,33 @@ def _prime_divisors(n):
     return primes + [n] if n > 1 else primes
 
 
-_phi_cache = {}
-
-
+@cache
 def cyclotomic_polynomial(n):
     """Phi_n as a tuple of ints, ascending, monic of degree phi(n)."""
     if n < 1:
         raise ValueError("cyclotomic_polynomial needs n >= 1")
-    if n not in _phi_cache:
-        # Phi_n = prod_{d | n} (t^d - 1)^mu(n/d); only squarefree n/d = s
-        # count, with mu(s) = (-1)^(number of primes in s)
-        factors = [(n, 1)]
-        for p in _prime_divisors(n):
-            factors += [(d // p, -mu) for d, mu in factors]
-        poly = [1]
-        for d, mu in factors:
-            if mu == 1:  # times (t^d - 1)
-                prod = [0] * (len(poly) + d)
-                for k, c in enumerate(poly):
-                    prod[k] -= c
-                    prod[k + d] += c
-                poly = prod
-        for d, mu in factors:
-            if mu == -1:  # exact division by (t^d - 1): q_k = q_{k-d} - p_k
-                quo = []
-                for k, c in enumerate(poly):
-                    quo.append((quo[k - d] if k >= d else 0) - c)
-                if any(quo[len(poly) - d:]):
-                    raise ArithmeticError("Phi_%d: t^%d - 1 does not divide exactly" % (n, d))
-                poly = quo[:len(poly) - d]
-        _phi_cache[n] = tuple(poly)
-    return _phi_cache[n]
+    # Phi_n = prod_{d | n} (t^d - 1)^mu(n/d); only squarefree n/d = s
+    # count, with mu(s) = (-1)^(number of primes in s)
+    factors = [(n, 1)]
+    for p in _prime_divisors(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    poly = [1]
+    for d, mu in factors:
+        if mu == 1:  # times (t^d - 1)
+            prod = [0] * (len(poly) + d)
+            for k, c in enumerate(poly):
+                prod[k] -= c
+                prod[k + d] += c
+            poly = prod
+    for d, mu in factors:
+        if mu == -1:  # exact division by (t^d - 1): q_k = q_{k-d} - p_k
+            quo = []
+            for k, c in enumerate(poly):
+                quo.append((quo[k - d] if k >= d else 0) - c)
+            if any(quo[len(poly) - d:]):
+                raise ArithmeticError("Phi_%d: t^%d - 1 does not divide exactly" % (n, d))
+            poly = quo[:len(poly) - d]
+    return tuple(poly)
 
 
 def _reduce(n, num):
@@ -90,6 +88,11 @@ def _reduce(n, num):
                 num[base + i] -= c * m
     del num[phi_n:]
     return num
+
+
+def _rat_str(q):
+    """p/q, or p for an integer."""
+    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def _make(n, num, den):
@@ -117,13 +120,11 @@ class Cyclotomic:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, value=0):
-        if isinstance(value, Cyclotomic):
-            self.n, self.num, self.den = value.n, value.num, value.den
-            return
-        q = rat(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("cannot coerce %r to a rational" % (value,))
         self.n = 1
-        self.num = (q.numerator,)
-        self.den = q.denominator
+        self.num = (value.numerator,)
+        self.den = value.denominator
 
     @property
     def conductor(self):
@@ -144,20 +145,13 @@ class Cyclotomic:
         return _make(m, _reduce(m, raised), self.den)
 
     def _pair(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic(other)
         if self.n == other.n:
             return self, other
         m = lcm(self.n, other.n)
         return self._embed(m), other._embed(m)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a.den == b.den:
-            return _normal(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        return _normal(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
+        return cyclotomic_sum((self, cyc(other)))
 
     __radd__ = __add__
 
@@ -165,27 +159,17 @@ class Cyclotomic:
         return _make(self.n, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic(other)
-        return self + (-other)
+        return self + (-cyc(other))
 
     def __rsub__(self, other):
-        return Cyclotomic(other) - self
+        return cyc(other) - self
 
     def __mul__(self, other):
-        if type(other) is int:
-            # an integer scales the numerators over the same denominator: the
-            # normal form of the path through Cyclotomic(other) below
-            return _normal(self.n, [other * x for x in self.num], self.den)
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic(other)
-        # scalar fast paths keep rational-by-cyclotomic products cheap
-        if self.n == 1:
-            s = self.num[0]
-            return _normal(other.n, [s * x for x in other.num], self.den * other.den)
-        if other.n == 1:
-            s = other.num[0]
-            return _normal(self.n, [s * x for x in self.num], self.den * other.den)
+        other = cyc(other)
+        # a rational operand, on either side, scales the other's numerators
+        if self.n == 1 or other.n == 1:
+            s, v = (self, other) if self.n == 1 else (other, self)
+            return _normal(v.n, [s.num[0] * x for x in v.num], s.den * v.den)
         a, b = self._pair(other)
         bnz = [(j, y) for j, y in enumerate(b.num) if y]
         conv = [0] * (len(a.num) + len(b.num) - 1)
@@ -218,12 +202,10 @@ class Cyclotomic:
         return others * norm.inverse()
 
     def __truediv__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic(other)
-        return self * other.inverse()
+        return self * cyc(other).inverse()
 
     def __rtruediv__(self, other):
-        return Cyclotomic(other) * self.inverse()
+        return cyc(other) * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
@@ -280,7 +262,7 @@ class Cyclotomic:
             if ck == 0:
                 continue
             if k == 0:
-                parts.append(rat_str(ck))
+                parts.append(_rat_str(ck))
                 continue
             zk = "zeta(%d)" % self.n if k == 1 else "zeta(%d)^%d" % (self.n, k)
             if ck == 1:
@@ -288,7 +270,7 @@ class Cyclotomic:
             elif ck == -1:
                 term = "-" + zk
             else:
-                term = rat_str(ck) + "*" + zk
+                term = _rat_str(ck) + "*" + zk
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:

@@ -20,8 +20,8 @@ disjoint union of cycles.  So a quiver is handled through its walks
 and the orientation word.  The sorted least rotations of the words are its
 isomorphism class (cycle_classes), which isomorphism and check compare, and
 the reflection search walks one cycle's word down its distance to the goal.
-Reflections and walks read the arrows at each vertex off one index
-(_incidence).
+Reflections, walks and path_count read the arrows at each vertex off one
+index (_incidence).
 
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
@@ -73,28 +73,6 @@ class Quiver:
 
     def __repr__(self):
         return "Quiver(%d vertices, %d arrows)" % (len(self.vertices), len(self.arrows))
-
-    def _targets(self):
-        """Each vertex's out-arrow targets in arrow order, from one pass over the
-        arrows."""
-        targets = {v: [] for v in self.vertices}
-        for (s, t, _) in self.arrows:
-            targets[s].append(t)
-        return targets
-
-    def _topological_order(self):
-        """Kahn's order; it leaves out the vertices on or after an oriented cycle."""
-        indeg = {v: 0 for v in self.vertices}
-        for (_, t, _) in self.arrows:
-            indeg[t] += 1
-        order = [v for v in self.vertices if indeg[v] == 0]
-        targets = self._targets()
-        for v in order:
-            for t in targets[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    order.append(t)
-        return order
 
 
 def grid_quiver(label, steps):
@@ -479,11 +457,25 @@ def reflection_search(q1, q2, max_depth=None):
 
 
 def path_count(q):
-    """Number of directed paths, trivial paths included (acyclic quivers)."""
-    order = q._topological_order()
+    """Number of directed paths, trivial paths included (acyclic quivers).
+
+    Kahn's order off _incidence leaves out the vertices on or after an
+    oriented cycle.  An arrow's entry at its target is an in-arrow, so a
+    loop, listed twice at its vertex, keeps that vertex out as well."""
+    targets, indeg = {}, {}
+    for v, idx in _incidence(q).items():
+        ends = [q.arrows[i][:2] for i in idx]
+        targets[v] = [t for s, t in ends if s == v]
+        indeg[v] = sum(t == v for _, t in ends)
+    order = [v for v in q.vertices if not indeg[v]]
+    for v in order:
+        for t in targets[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
     if len(order) != len(q.vertices):
         raise ValueError("path count needs an acyclic quiver")
-    paths_from, targets = {}, q._targets()
+    paths_from = {}
     for v in reversed(order):
         paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
     return sum(paths_from.values())

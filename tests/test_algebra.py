@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from asreg2.cyclotomic import cyc, zeta
-from asreg2.rationals import RAT
 from asreg2.algebra import (
     _y_exponents,
     AlgebraElement,
@@ -63,7 +63,7 @@ QUANT5 = quantum_spec(1, 1, zeta(5))
 J1 = jordan_spec(1)
 J2 = jordan_spec(2)
 W13 = quantum_spec(1, 3, 1)
-W35 = quantum_spec(3, 5, cyc(RAT(2, 1)))
+W35 = quantum_spec(3, 5, cyc(Fraction(2, 1)))
 
 
 def test_validate_spec():
@@ -149,7 +149,7 @@ def random_homogeneous(rng, spec, d):
     terms = {}
     for m in basis:
         if rng.random() < 0.7:
-            terms[m] = cyc(rng.choice([1, -1, 2, RAT(1, 2), 3]))
+            terms[m] = cyc(rng.choice([1, -1, 2, Fraction(1, 2), 3]))
     if not terms and basis:
         terms[basis[0]] = cyc(1)
     return AlgebraElement(spec, terms)

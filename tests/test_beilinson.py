@@ -1,12 +1,12 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from asreg2.cyclotomic import Cyclotomic, ONE, cyc, zeta
-from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
     Monomial,
@@ -114,7 +114,7 @@ class GLambdaElement(SparseElement):
 def lambda_idempotent(action, i, j):
     """e_i^j = e_i * rho_j with rho_j = (1/r) sum_s xi^(j s) g^s."""
     r = action.r
-    w = cyc(RAT(1, r))
+    w = cyc(Fraction(1, r))
     return GLambdaElement(
         action, {(i, i, MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)}
     )
@@ -311,7 +311,7 @@ def rho_system_g_basis(action):
     for n = x, y.
     """
     r, xi = action.r, action.xi_power
-    inv_r = cyc(RAT(1, r))
+    inv_r = cyc(Fraction(1, r))
     rho = [GSkewElement(action, {(MONO_ONE, s): inv_r * xi(w * s) for s in range(r)})
            for w in range(r)]
     g = GSkewElement.basis_element(action, MONO_ONE, 1)
@@ -345,7 +345,7 @@ def test_rho_system_equals_product_chain_and_g_basis_sweep():
     # primitive and non-primitive roots of unity of every order up to 12,
     # values that are no root of unity, and rationals, at r <= 8
     values = [zeta(m, k) for m in range(1, 13) for k in range(m)]
-    values += [-zeta(7), ONE + zeta(5), cyc(2), cyc(RAT(1, 2)), cyc(-1)]
+    values += [-zeta(7), ONE + zeta(5), cyc(2), cyc(Fraction(1, 2)), cyc(-1)]
     outcomes = Counter()
     for r in range(1, 9):
         for xi in values:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from enum import IntEnum
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from asreg2.automorphisms import DEFAULT_POWERS, make_cyclic_group
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
 from asreg2.quivers import Quiver
-from asreg2.rationals import RAT
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,12 +39,12 @@ def run(capsys, argv):
 
 
 def test_parse_cyclotomic():
-    assert parse_cyclotomic("2/3") == cyc(RAT(2, 3))
+    assert parse_cyclotomic("2/3") == cyc(Fraction(2, 3))
     assert parse_cyclotomic("-1") == cyc(-1)
     assert parse_cyclotomic("zeta(5)") == zeta(5)
     assert parse_cyclotomic("zeta(6)^5") == zeta(6) ** 5
     assert parse_cyclotomic("2*zeta(3)^2") == zeta(3) ** 2 * 2
-    assert parse_cyclotomic("-3/2*zeta(4)") == -zeta(4) * cyc(RAT(3, 2))
+    assert parse_cyclotomic("-3/2*zeta(4)") == -zeta(4) * cyc(Fraction(3, 2))
     with pytest.raises(ValueError):
         parse_cyclotomic("zeta(5) + 1")
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from asreg2.algebra import jordan_spec, quantum_spec
 from asreg2.cyclotomic import cyc, cyclotomic_polynomial, zeta
 from asreg2.linalg import Echelon
 from asreg2.quivers import Quiver, quiver_isomorphic
-from asreg2.rationals import RAT
 from test_automorphisms import (
     compose,
     identity_automorphism,
@@ -47,7 +46,7 @@ def random_element(rng, conductors=(1, 3, 4, 5, 6, 8, 9, 12)):
     n = rng.choice(conductors)
     z = cyc(0)
     for _ in range(rng.randrange(1, 4)):
-        coeff = cyc(RAT(rng.randrange(-4, 5), rng.randrange(1, 4)))
+        coeff = cyc(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
         z = z + coeff * zeta(n, rng.randrange(n))
     return z
 
@@ -236,7 +235,7 @@ def test_inverse_automorphism_round_trip():
 
     def scalar(nonzero=False):
         while True:
-            value = cyc(RAT(rng.randrange(-4, 5), rng.randrange(1, 4)))
+            value = cyc(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
             if rng.random() < 0.3:
                 value = value * zeta(rng.choice((3, 4, 5)), rng.randrange(1, 6))
             if not (nonzero and value.is_zero()):

@@ -88,7 +88,12 @@ def sources(q):
 
 
 def is_acyclic(q):
-    return len(q._topological_order()) == len(q.vertices)
+    try:
+        path_count(q)
+    except ValueError as exc:
+        assert str(exc) == "path count needs an acyclic quiver"
+        return False
+    return True
 
 
 # The general backtracking matcher: the oracle for quiver_isomorphic, which
@@ -1189,3 +1194,9 @@ def test_path_count_matches_dimension_bookkeeping():
             (spec.ell - d) * len(graded_basis(spec, d)) for d in range(spec.ell)
         )
         assert path_count(quiver_qs(spec)) == expected
+    # the refusal: an oriented cycle, and a loop, which _incidence lists twice
+    # at its vertex, alone or beside a path into it
+    for arrows in ([("v0", "v1", ""), ("v1", "v0", "")], [("v0", "v0", "")],
+                   [("v1", "v0", ""), ("v0", "v0", "")]):
+        vertices = sorted({v for s, t, _ in arrows for v in (s, t)})
+        assert not is_acyclic(Quiver(vertices, arrows)), arrows

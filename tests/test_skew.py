@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,7 +10,6 @@ import asreg2.automorphisms
 import asreg2.skew
 
 from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
-from asreg2.rationals import RAT
 from asreg2.algebra import (
     MONO_ONE,
     Monomial,
@@ -84,7 +84,7 @@ class GSkewElement(SparseElement):
 
 def g_idempotent_e(action):
     """e = (1/r) sum_s 1*g^s in the g-basis."""
-    w = cyc(RAT(1, action.r))
+    w = cyc(Fraction(1, action.r))
     return GSkewElement(action, {(MONO_ONE, s): w for s in range(action.r)})
 
 
@@ -132,7 +132,7 @@ def to_g_basis(u, g_cls):
     for (*rest, w), c in u.terms.items():
         for s in range(r):
             key = (*rest, s)
-            terms[key] = terms.get(key, cyc(0)) + c * cyc(RAT(1, r)) * action.xi_power(w * s)
+            terms[key] = terms.get(key, cyc(0)) + c * cyc(Fraction(1, r)) * action.xi_power(w * s)
     return g_cls(action, terms)
 
 
@@ -395,7 +395,7 @@ def molien_dims_per_degree(spec, action, D):
         for s in range(r):
             for c, n in counts.items():
                 total = total + action.xi_power(s * c) * n
-        avg = total * cyc(RAT(1, r))
+        avg = total * cyc(Fraction(1, r))
         assert avg.is_rational() and avg.rational_value().denominator == 1
         out.append(int(avg.rational_value().numerator))
     return out
@@ -578,7 +578,7 @@ def test_corner_dimension_checks_equal_per_character_loop():
     # the quantum planes of five weight pairs and the Jordan planes q <= 5
     rng = random.Random(7)
     specs = [quantum_spec(wx, wy, alpha) for (wx, wy), alpha in (
-        ((1, 1), zeta(5)), ((1, 2), 1), ((2, 3), RAT(2, 3)), ((3, 5), -1), ((2, 1), 1))]
+        ((1, 1), zeta(5)), ((1, 2), 1), ((2, 3), Fraction(2, 3)), ((3, 5), -1), ((2, 1), 1))]
     specs += [jordan_spec(q) for q in range(1, 6)]
     checked = faithful = 0
     for spec in specs:
@@ -657,7 +657,7 @@ ALPHA_KINDS = ("1", "-1", "2/3", "zeta3", "zeta5")
 
 def _alpha(kind, k):
     """A quantum parameter: 1, -1, 2/3, zeta(3)^k or zeta(5)^k."""
-    return {"1": cyc(1), "-1": cyc(-1), "2/3": cyc(RAT(2, 3)),
+    return {"1": cyc(1), "-1": cyc(-1), "2/3": cyc(Fraction(2, 3)),
             "zeta3": zeta(3, k), "zeta5": zeta(5, k)}[kind]
 
 
@@ -833,7 +833,7 @@ def test_ideal_dims_count_equals_blocked_property(config):
 def _random_skew(action, rng, degree, n_terms):
     monos = [m for d in range(degree + 1) for m in graded_basis(action.spec, d)]
     return SkewElement(action, {(rng.choice(monos), rng.randrange(action.r)):
-                                rng.choice([cyc(1), cyc(-2), cyc(RAT(1, 3)), zeta(3)])
+                                rng.choice([cyc(1), cyc(-2), cyc(Fraction(1, 3)), zeta(3)])
                                 for _ in range(n_terms)})
 
 
@@ -1052,7 +1052,7 @@ def test_phi_injectivity_count_equals_oracle_sweep():
         assert min_phi_degree(action) <= (action.r - 1) * action.spec.ell
     # non-faithful diagonal actions: some character never occurs
     non_faithful = [make_diagonal_action(COMM, 4, 2, 0),
-                    make_diagonal_action(quantum_spec(1, 2, RAT(2, 3)), 4, 2, 2),
+                    make_diagonal_action(quantum_spec(1, 2, Fraction(2, 3)), 4, 2, 2),
                     make_diagonal_action(J1, 4, 2, 2),
                     make_diagonal_action(quantum_spec(2, 3, zeta(5)), 3, 0, 0)]
     for action in non_faithful:
