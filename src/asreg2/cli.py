@@ -48,13 +48,10 @@ from .quivers import (
     direction_counts,
     make_canonical_quiver,
     path_count,
-    quiver_isomorphic,
     quiver_qs,
     quiver_qsg,
     reflection_search,
     tagged_and_untagged_classes,
-    to_dot,
-    to_json_dict,
 )
 from .beilinson import (
     gabriel_quiver_oracle,
@@ -324,14 +321,29 @@ def _emit(args, text_lines, payload, dot=None):
         sys.stdout.write(body)
 
 
+def to_lines(q):
+    return ["vertices: %s" % " ".join(q.vertices)] + [
+        "%s -> %s%s" % (s, t, " [%s]" % tag if tag else "") for (s, t, tag) in q.arrows]
+
+
+def to_dot(q):
+    lines = ["digraph Q {"]
+    lines += ['  "%s";' % v for v in q.vertices]
+    for (s, t, tag) in q.arrows:
+        lines.append('  "%s" -> "%s"%s;' % (s, t, " [label=%s]" % tag if tag else ""))
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def to_json_dict(q):
+    return {"vertices": list(q.vertices),
+            "arrows": [{"src": s, "dst": t, "tag": tag or None} for (s, t, tag) in q.arrows]}
+
+
 def _quiver_report(q, params):
     """The _emit arguments after args for a quiver: text lines (a callable), JSON payload,
     DOT (a callable)."""
-    lines = ["vertices: %s" % " ".join(q.vertices)]
-    for (s, t, tag) in q.arrows:
-        lines.append("%s -> %s%s" % (s, t, " [%s]" % tag if tag else ""))
     payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
-    return lambda: lines, payload, lambda: to_dot(q)
+    return lambda: to_lines(q), payload, lambda: to_dot(q)
 
 
 def cmd_info(args):
@@ -419,17 +431,28 @@ def cmd_fixed(args):
 def cmd_ample(args):
     spec = _spec_from_args(args)
     action = _action_from_args(spec, args)
-    rep = ampleness_report(action, args.max_degree)
+    D, dims, verdict, first_zero = ampleness_report(action, args.max_degree)
+    hsl, total = action.is_hsl_action(), sum(dims)
+
+    def lines():
+        out = ["algebra: %s" % spec.describe(), "action: %s" % action.describe(),
+               "window: degrees 0..%d" % D, "quotient dims: %s" % dims,
+               "total dimension up to window: %d" % total]
+        if first_zero is not None:
+            out.append("zero from degree %d on (within the window)" % first_zero)
+        need = spec.ell * action.r  # the zero tail that a FINITE verdict needs
+        if hsl and D + 1 < need:
+            out.append("window too short to certify: FINITE needs %d zero degrees, the window has %d"
+                       % (need, D + 1))
+        return out + ["verdict: %s" % verdict]
+
     payload = {
         "command": "ample",
-        "params": {"r": action.r, "max_degree": rep.D,
-                   "action_powers": [action.px, action.py]},
-        "result": {
-            "dims": rep.dims, "verdict": rep.verdict, "hsl": rep.hsl,
-            "first_zero_degree": rep.first_zero_degree, "total_dim": rep.total_dim,
-        },
+        "params": {"r": action.r, "max_degree": D, "action_powers": [action.px, action.py]},
+        "result": {"dims": dims, "verdict": verdict, "hsl": hsl,
+                   "first_zero_degree": first_zero, "total_dim": total},
     }
-    _emit(args, rep.lines, payload)
+    _emit(args, lines, payload)
     return 0
 
 
@@ -476,7 +499,9 @@ def cmd_reflect_search(args):
         target = make_canonical_quiver(args.target_i, args.target_j)
     except ValueError as exc:
         raise SystemExit("invalid quiver: %s" % exc)
-    seq = reflection_search(source, target, args.max_depth)
+    # the canonical quiver is one cycle, so its class is one word
+    goal_class = cycle_classes(target)
+    seq = reflection_search(source, goal_class[0], args.max_depth)
     lines = ["source: covering c=%d of weights (%d, %d)" % (c, spec.w_x, spec.w_y),
              "target: canonical (%d, %d)" % (args.target_i, args.target_j)]
     payload = {"command": "reflect-search",
@@ -490,7 +515,7 @@ def cmd_reflect_search(args):
         state = bgp_reflect(source, *seq)
     except ValueError:
         state = None  # a witness that does not replay is reported, not raised
-    verified = state is not None and quiver_isomorphic(state, target) is not None
+    verified = state is not None and cycle_classes(state) == goal_class
     lines += ["reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
               "replay verified: %s" % ("yes" if verified else "NO")]
     payload["result"] = {"found": True, "sequence": seq, "verified": verified}

@@ -20,10 +20,10 @@ the product of the other conjugates over N(x).  Each conjugate is a
 permutation of the numerators followed by one reduction mod Phi_n, so
 inversion is integer products and one rational reciprocal.
 
-Division by zero raises ZeroDivisionError.  Values are immutable.  No
-attempt is made to find the minimal conductor of a value beyond dropping
-to Q when all zeta coordinates vanish; general number fields are out of
-scope.
+There is no division: the inverse of zero raises ZeroDivisionError, and
+powers are non-negative.  Values are immutable.  No attempt is made to
+find the minimal conductor of a value beyond dropping to Q when all zeta
+coordinates vanish; general number fields are out of scope.
 """
 
 from fractions import Fraction
@@ -201,15 +201,10 @@ class Cyclotomic:
             raise ArithmeticError("norm of %s in Q(zeta_%d) is not rational" % (self, n))
         return others * norm.inverse()
 
-    def __truediv__(self, other):
-        return self * cyc(other).inverse()
-
-    def __rtruediv__(self, other):
-        return cyc(other) * self.inverse()
-
     def __pow__(self, k):
+        """self^k for k >= 0; a negative k is refused (inverse() inverts)."""
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("negative power %d; use inverse()" % k)
         if not k:
             return Cyclotomic(1)
         # square only while bits remain, and take the lowest set bit's power

@@ -18,8 +18,9 @@ Every one of these quivers, and every BGP reflection of them, is a
 disjoint union of cycles.  So a quiver is handled through its walks
 (_cycle_walks), one pass round every component: the vertices in walk order
 and the orientation word.  The sorted least rotations of the words are its
-isomorphism class (cycle_classes), which isomorphism and check compare, and
-the reflection search walks one cycle's word down its distance to the goal.
+isomorphism class (cycle_classes), which isomorphism, check and the replay of
+a reflection witness compare, and the reflection search walks one cycle's
+word down its distance to a goal class.
 Reflections, walks and path_count read the arrows at each vertex off one
 index (_incidence).
 
@@ -364,18 +365,22 @@ def _nearer(least, j, delta):
     return False
 
 
-def reflection_search(q1, q2, max_depth=None):
-    """A shortest reflection sequence turning q1 into q2 (untagged), or None.
+def reflection_search(q1, goal, max_depth=None):
+    """A shortest reflection sequence turning q1 into a quiver of the class
+    goal (untagged), or None.
 
-    Both must be single cycles (else ValueError), as every quiver from a
-    covering quiver to a canonical Q_(i,j) is.  A state is the orientation
-    word of q1's walk (_cycle_walk): the vertex at walk position k is a sink
-    or a source exactly when letters k-1 and k differ (k-1 wraps round for
-    k = 0), and reflecting at it swaps them.  Reflections keep the direction
-    counts, so quivers whose counts differ are refused at once; otherwise
-    the goal is every rotation of q2's word and of its reversed flip, and
-    None is returned only when the distance (_alignments) exceeds
-    max_depth.  The witness, vertex labels of q1 (stable under reflection),
+    goal is the one word of a single cycle's class: cycle_classes(q2) ==
+    [goal] for a target q2.  q1 must be a single cycle (else ValueError), as
+    every quiver from a covering quiver to a canonical Q_(i,j) is.  A state
+    is the orientation word of q1's walk (_cycle_walk): the vertex at walk
+    position k is a sink or a source exactly when letters k-1 and k differ
+    (k-1 wraps round for k = 0), and reflecting at it swaps them.
+    Reflections keep the direction counts, so words whose counts differ are
+    refused at once; otherwise the goal is every rotation of goal and of its
+    reversed flip, and None is returned only when the distance (_alignments)
+    exceeds max_depth.  A rotation of goal shifts every alignment's
+    differences by one constant, so any word of the class gives the same
+    moves.  The witness, vertex labels of q1 (stable under reflection),
     is built greedily: the first vertex in q1.vertices order whose move is
     nearer (_nearer), repeated, so it is the least shortest sequence in this
     order.  A breadth-first search over classes that tries moves in this
@@ -415,7 +420,7 @@ def reflection_search(q1, q2, max_depth=None):
     log n) amortised, not a pass.
     """
     order, word = _cycle_walk(q1)
-    goal = _cycle_walk(q2)[1]
+    goal = "".join(goal)  # a class word is a tuple of letters
     if direction_counts(word) != direction_counts(goal):
         return None
     word, P, dist, least = _alignments(word, (goal, goal[::-1].translate(_FLIP)))
@@ -479,23 +484,3 @@ def path_count(q):
     for v in reversed(order):
         paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
     return sum(paths_from.values())
-
-
-def to_dot(q):
-    lines = ["digraph Q {"]
-    for v in q.vertices:
-        lines.append('  "%s";' % v)
-    for (s, t, tag) in q.arrows:
-        if tag:
-            lines.append('  "%s" -> "%s" [label=%s];' % (s, t, tag))
-        else:
-            lines.append('  "%s" -> "%s";' % (s, t))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(q):
-    return {
-        "vertices": list(q.vertices),
-        "arrows": [{"src": s, "dst": t, "tag": tag or None} for (s, t, tag) in q.arrows],
-    }

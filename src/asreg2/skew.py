@@ -16,7 +16,6 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import ONE, cyclotomic_sum
@@ -311,34 +310,6 @@ def _walked_quotient_dims(action, D):
     return [action.r * n - i for n, i in zip(hilbert_dims(action.spec, len(ideal) - 1), ideal)]
 
 
-@dataclass
-class AmplenessReport:
-    action: object  # the CyclicGroupAction, described only by lines()
-    hsl: bool
-    D: int
-    dims: list
-    verdict: str
-    first_zero_degree: int | None
-    total_dim: int
-    need: int  # the zero tail, ell*r degrees, that a FINITE verdict requires
-
-    def lines(self):
-        out = [
-            "algebra: %s" % self.action.spec.describe(),
-            "action: %s" % self.action.describe(),
-            "window: degrees 0..%d" % self.D,
-            "quotient dims: %s" % self.dims,
-            "total dimension up to window: %d" % self.total_dim,
-        ]
-        if self.first_zero_degree is not None:
-            out.append("zero from degree %d on (within the window)" % self.first_zero_degree)
-        if self.hsl and self.D + 1 < self.need:
-            out.append("window too short to certify: FINITE needs %d zero degrees, the window has %d"
-                       % (self.need, self.D + 1))
-        out.append("verdict: %s" % self.verdict)
-        return out
-
-
 def default_window(action):
     return 4 * action.spec.ell * action.r
 
@@ -350,6 +321,9 @@ def ampleness_report(action, D=None):
     half of the window and on a tail of length at least ell*r.  Nonzero
     entries near the top, or a window shorter than ell*r, yield UNDECIDED;
     infinite-dimensionality is never claimed.  Non-HSL actions get data only.
+    Returns (D, dims, verdict, first zero degree): dims are dim (S*G/(e))_d
+    for d = 0..D, and the first zero degree, from which they vanish up to
+    D, is None when dims[D] != 0.
     """
     if D is None:
         D = default_window(action)
@@ -368,16 +342,7 @@ def ampleness_report(action, D=None):
         verdict = "FINITE-UP-TO-%d" % D
     else:
         verdict = "UNDECIDED-NONZERO-AT-%s" % (nonzero[-5:],)
-    return AmplenessReport(
-        action=action,
-        hsl=action.is_hsl_action(),
-        D=D,
-        dims=walked + [0] * (D + 1 - len(walked)),
-        verdict=verdict,
-        first_zero_degree=first_zero if tail > 0 else None,
-        total_dim=sum(walked),
-        need=need,
-    )
+    return D, walked + [0] * (D + 1 - len(walked)), verdict, first_zero if tail > 0 else None
 
 
 def min_phi_degree(action):

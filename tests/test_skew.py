@@ -281,7 +281,7 @@ def test_idempotent_e():
         if r == 1:
             assert e == GSkewElement.one(action)
         if r == 2:
-            half = cyc(1) / cyc(2)
+            half = cyc(Fraction(1, 2))
             assert e.terms == {(Monomial(0, 0), 0): half, (Monomial(0, 0), 1): half}
 
 
@@ -379,7 +379,7 @@ def test_molien_against_local_recomputation():
         for s in range(r):
             for m in graded_basis(spec, d):
                 total = total + zeta(r) ** (s * ((m.b - m.a) % r))
-        avg = total * cyc(1) / cyc(r)
+        avg = total * cyc(Fraction(1, r))
         assert avg == cyc(molien_dims(action, d)[d])
 
 
@@ -941,26 +941,26 @@ def test_quotient_dims_equal_full_window_route_sweep():
 
 def test_ampleness_report_finite():
     action = make_cyclic_group(COMM, 2)
-    rep = ampleness_report(action, 16)
-    assert rep.verdict == "FINITE-UP-TO-16"
-    assert rep.first_zero_degree == 1
-    assert rep.total_dim == 1
+    D, dims, verdict, first_zero = ampleness_report(action, 16)
+    assert (D, verdict, first_zero) == (16, "FINITE-UP-TO-16", 1)
+    assert len(dims) == 17 and sum(dims) == 1
 
 
 def test_ampleness_report_trivial_group():
     action = make_cyclic_group(COMM, 1)
-    rep = ampleness_report(action)
-    assert rep.verdict.startswith("FINITE")
-    assert rep.total_dim == 0
+    D, dims, verdict, _ = ampleness_report(action)
+    assert D == default_window(action) and len(dims) == D + 1
+    assert verdict.startswith("FINITE")
+    assert sum(dims) == 0
 
 
 def test_ampleness_exploratory_non_hsl():
     action = make_diagonal_action(COMM, 2, 1, 0)
-    rep = ampleness_report(action, 8)
-    assert rep.verdict == "EXPLORATORY-REPORT-ONLY"
-    assert not rep.hsl
+    _, dims, verdict, first_zero = ampleness_report(action, 8)
+    assert verdict == "EXPLORATORY-REPORT-ONLY"
+    assert not action.is_hsl_action()
     # the quotient stays visibly nonzero for this pinned action
-    assert all(v > 0 for v in rep.dims)
+    assert all(v > 0 for v in dims) and first_zero is None
 
 
 def min_phi_degree_scan(action):
