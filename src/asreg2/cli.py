@@ -189,6 +189,16 @@ def build_parser():
 _REQUIRED = ("vertex", "target_i", "target_j")
 
 
+def _convert(action, text):
+    """A flag's value from its text as argparse converts it: the action's
+    type, then its choices.  The type raises ValueError (or TypeError); a
+    value outside the choices raises LookupError."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise LookupError(value)
+    return value
+
+
 def _apply_config(args, leaf):
     if getattr(args, "config", None) is None:
         return
@@ -216,16 +226,15 @@ def _apply_config(args, leaf):
             raise SystemExit("config: unknown key %r" % key)
         if getattr(args, key) is None:
             action = actions[key]
-            if action.type is not None:
-                # int is the only type the parser uses
-                try:
-                    value = action.type(value)
-                except ValueError:
-                    raise SystemExit("config %s: key %r needs an integer, got %r"
-                                     % (args.config, key, value))
-            if action.choices is not None and value not in action.choices:
+            try:
+                value = _convert(action, value)
+            except LookupError:
                 raise SystemExit("config %s: key %r must be one of %s, got %r"
                                  % (args.config, key, ", ".join(action.choices), value))
+            except ValueError:
+                # int is the only type the parser uses
+                raise SystemExit("config %s: key %r needs an integer, got %r"
+                                 % (args.config, key, value))
             setattr(args, key, value)
 
 
@@ -301,14 +310,14 @@ _JSON_WRITERS = {
 
 def _emit(args, text_lines, payload, dot=None):
     """Write the report as --format text, json or dot to --out or stdout;
-    JSON as _json's bytes and a newline.  text_lines is called for the
-    lines only when the format is text, and dot for the DOT text only when
-    it is dot."""
+    JSON as _json's bytes and a newline.  Each writer is a callable, called
+    only for its own format: text_lines for the lines, payload for the JSON
+    tree and dot for the DOT text."""
     fmt = args.format or "text"
     if fmt == "dot":
         body = dot()
     elif fmt == "json":
-        body = _json(payload) + "\n"
+        body = _json(payload()) + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
     if args.out:
@@ -340,29 +349,25 @@ def to_json_dict(q):
 
 
 def _quiver_report(q, params):
-    """The _emit arguments after args for a quiver: text lines (a callable), JSON payload,
-    DOT (a callable)."""
-    payload = {"command": "quiver", "params": params, "result": to_json_dict(q)}
-    return lambda: to_lines(q), payload, lambda: to_dot(q)
+    """The _emit writers after args for a quiver: text lines, JSON payload, DOT."""
+    return (lambda: to_lines(q),
+            lambda: {"command": "quiver", "params": params, "result": to_json_dict(q)},
+            lambda: to_dot(q))
 
 
 def cmd_info(args):
     spec = _spec_from_args(args)
     D = args.max_degree if args.max_degree is not None else 2 * spec.ell
     dims = hilbert_dims(spec, D)
-    lines = [
-        "algebra: %s" % spec.describe(),
-        "ell=%d" % spec.ell,
-        "hilbert dims (d=0..%d): %s" % (D, dims),
-    ]
-    payload = {
-        "command": "info",
-        "params": {"wx": spec.w_x, "wy": spec.w_y, "family": spec.family,
-                   "alpha": str(spec.alpha) if spec.alpha is not None else None,
-                   "max_degree": D},
-        "result": {"ell": spec.ell, "hilbert_dims": dims},
-    }
-    _emit(args, lambda: lines, payload)
+    _emit(args,
+          lambda: ["algebra: %s" % spec.describe(),
+                   "ell=%d" % spec.ell,
+                   "hilbert dims (d=0..%d): %s" % (D, dims)],
+          lambda: {"command": "info",
+                   "params": {"wx": spec.w_x, "wy": spec.w_y, "family": spec.family,
+                              "alpha": str(spec.alpha) if spec.alpha is not None else None,
+                              "max_degree": D},
+                   "result": {"ell": spec.ell, "hilbert_dims": dims}})
     return 0
 
 
@@ -393,15 +398,13 @@ def cmd_hdet(args):
         raise SystemExit("the given images do not define a graded automorphism "
                          "(relation not preserved or map not invertible)")
     in_hsl = value.is_one()
-    lines = ["algebra: %s" % spec.describe(),
-             "hdet = %s" % value,
-             "in HSL: %s" % ("yes" if in_hsl else "no")]
-    payload = {
-        "command": "hdet",
-        "params": {k: getattr(args, k) for k in ("a", "b", "c", "d")},
-        "result": {"hdet": str(value), "hsl": in_hsl},
-    }
-    _emit(args, lambda: lines, payload)
+    _emit(args,
+          lambda: ["algebra: %s" % spec.describe(),
+                   "hdet = %s" % value,
+                   "in HSL: %s" % ("yes" if in_hsl else "no")],
+          lambda: {"command": "hdet",
+                   "params": {k: getattr(args, k) for k in ("a", "b", "c", "d")},
+                   "result": {"hdet": str(value), "hsl": in_hsl}})
     return 0
 
 
@@ -412,19 +415,15 @@ def cmd_fixed(args):
     dims = fixed_ring_dims(action, D)
     mdims = molien_dims(action, D)
     ok = dims == mdims
-    lines = [
-        "algebra: %s" % spec.describe(),
-        "action: %s" % action.describe(),
-        "fixed dims (d=0..%d): %s" % (D, dims),
-        "trace-average dims:    %s" % mdims,
-        "agreement: %s" % ("yes" if ok else "NO"),
-    ]
-    payload = {
-        "command": "fixed",
-        "params": {"r": action.r, "max_degree": D},
-        "result": {"fixed_dims": dims, "molien_dims": mdims, "agree": ok},
-    }
-    _emit(args, lambda: lines, payload)
+    _emit(args,
+          lambda: ["algebra: %s" % spec.describe(),
+                   "action: %s" % action.describe(),
+                   "fixed dims (d=0..%d): %s" % (D, dims),
+                   "trace-average dims:    %s" % mdims,
+                   "agreement: %s" % ("yes" if ok else "NO")],
+          lambda: {"command": "fixed",
+                   "params": {"r": action.r, "max_degree": D},
+                   "result": {"fixed_dims": dims, "molien_dims": mdims, "agree": ok}})
     return 0 if ok else 1
 
 
@@ -446,13 +445,12 @@ def cmd_ample(args):
                        % (need, D + 1))
         return out + ["verdict: %s" % verdict]
 
-    payload = {
-        "command": "ample",
-        "params": {"r": action.r, "max_degree": D, "action_powers": [action.px, action.py]},
-        "result": {"dims": dims, "verdict": verdict, "hsl": hsl,
-                   "first_zero_degree": first_zero, "total_dim": total},
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines,
+          lambda: {"command": "ample",
+                   "params": {"r": action.r, "max_degree": D,
+                              "action_powers": [action.px, action.py]},
+                   "result": {"dims": dims, "verdict": verdict, "hsl": hsl,
+                              "first_zero_degree": first_zero, "total_dim": total}})
     return 0
 
 
@@ -509,7 +507,7 @@ def cmd_reflect_search(args):
     if seq is None:
         lines.append("no reflection sequence found")
         payload["result"] = {"found": False}
-        _emit(args, lambda: lines, payload)
+        _emit(args, lambda: lines, lambda: payload)
         return 1
     try:
         state = bgp_reflect(source, *seq)
@@ -519,7 +517,7 @@ def cmd_reflect_search(args):
     lines += ["reflection sequence (%d steps): %s" % (len(seq), " ".join(seq) if seq else "(empty)"),
               "replay verified: %s" % ("yes" if verified else "NO")]
     payload["result"] = {"found": True, "sequence": seq, "verified": verified}
-    _emit(args, lambda: lines, payload)
+    _emit(args, lambda: lines, lambda: payload)
     return 0 if verified else 1
 
 
@@ -581,21 +579,73 @@ def cmd_check(args):
                 + ["%-55s %s" % (name, "ok" if ok else "FAIL") for (name, ok) in results]
                 + ["overall: %s" % ("ok" if ok_all else "FAIL")])
 
-    payload = {
-        "command": "check",
-        "params": {"r": r, "max_degree": D},
-        "result": {"checks": [{"name": n, "ok": o} for (n, o) in results],
-                   "ok": ok_all},
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines,
+          lambda: {"command": "check",
+                   "params": {"r": r, "max_degree": D},
+                   "result": {"checks": [{"name": n, "ok": o} for (n, o) in results],
+                              "ok": ok_all}})
     return 0 if ok_all else 1
+
+
+def _read_flags(leaf, rest, args):
+    """Set the flags of rest and the leaf's defaults on args and return
+    True; or return False, args untouched, on a token _parse leaves to
+    argparse."""
+    values = {}
+    for action in leaf._actions:
+        # argparse would demand a positional or a required flag, and would
+        # run an unseen flag's str default through its type
+        if (not action.option_strings or action.required
+                or (action.type is not None and isinstance(action.default, str))):
+            return False
+        if action.default is not argparse.SUPPRESS:  # -h has no default
+            values[action.dest] = action.default
+    i = 0
+    while i < len(rest):
+        option, eq, value = rest[i].partition("=")
+        action = leaf._option_string_actions.get(option)
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or not option.startswith("--")):
+            return False
+        if not eq:
+            i += 1
+            if i == len(rest) or rest[i].startswith("-"):
+                return False
+            value = rest[i]
+        elif value == "--":
+            return False  # argparse before 3.12 drops a "--" value and stores []
+        i += 1
+        try:
+            values[action.dest] = _convert(action, value)
+        except (TypeError, ValueError, LookupError):
+            return False
+    for dest, value in values.items():
+        setattr(args, dest, value)
+    return True
 
 
 def _parse(argv):
     """build_parser().parse_args(argv) and the parser of its (sub)command,
     by one parse: argparse hands all after a subcommand name to its parser
     untouched, so the leading names are followed down, each kept in its
-    dest, and the deepest parser they name (the top one if none) parses."""
+    dest, and the deepest parser they name (the top one if none) parses.
+
+    That parser's flags are first read by one lookup per token in its own
+    option table (_read_flags).  It takes a token only as an exact long
+    option of a plain store action with one value, written "--opt value"
+    with a value that does not start with "-", or "--opt=value" with a
+    value other than "--"; and only when the parser has no positional and
+    no required flag.  On such
+    tokens argparse does the same: it looks a token up whole, then its
+    part before "=", before it tries any abbreviation; it takes the text
+    after "=" as the one value; and a token that does not start with "-"
+    is an argument, which the flag before it consumes.  The value goes
+    through the type, then the choices (_convert); each flag's last value
+    stands and every flag not given keeps its default, so the namespace is
+    argparse's.  Every other argv, -h, an abbreviation, a positional, a
+    value after a space starting with "-", a missing or bad value, "--" or
+    an unknown token, goes whole to argparse, so its messages, exit codes and help
+    are argparse's own."""
     ap = build_parser()
     args, leaf = argparse.Namespace(), ap
     rest = sys.argv[1:] if argv is None else list(argv)
@@ -612,6 +662,8 @@ def _parse(argv):
             break
         setattr(args, sub.dest, rest[0])
         leaf, rest = sub.choices[rest[0]], rest[1:]
+    if _read_flags(leaf, rest, args):
+        return args, leaf
     args, extras = leaf.parse_known_args(rest, args)
     if extras:
         ap.error("unrecognized arguments: %s" % " ".join(extras))

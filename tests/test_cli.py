@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -12,7 +13,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import asreg2
 import asreg2.algebra
@@ -180,7 +181,7 @@ def test_quiver_json_matches_golden(tmp_path, capsys):
 
 
 def test_quiver_renders_dot_only_for_the_dot_format(monkeypatch, capsys):
-    # and the text lines only for the text format
+    # and the text lines only for the text format, the JSON tree only for JSON
     rendered = []
 
     def recorded(writer):
@@ -191,12 +192,12 @@ def test_quiver_renders_dot_only_for_the_dot_format(monkeypatch, capsys):
             return real(q)
         return write
 
-    for writer in ("to_dot", "to_lines"):
+    for writer in ("to_dot", "to_lines", "to_json_dict"):
         monkeypatch.setattr(asreg2.cli, writer, recorded(writer))
     starts = {"json": "{", "text": "vertices: ", "dot": "digraph Q {"}
     for argv in (["quiver", "qsg", "--wx", "1", "--wy", "1", "--r", "3"],
                  ["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "3", "--vertex", "v3"]):
-        for fmt, writers in (("json", []), ("text", ["to_lines"]), ("dot", ["to_dot"])):
+        for fmt, writers in (("json", ["to_json_dict"]), ("text", ["to_lines"]), ("dot", ["to_dot"])):
             code, out = run(capsys, argv + ["--format", fmt])
             assert code == 0 and out.startswith(starts[fmt]) and rendered == writers, (argv, fmt)
             rendered.clear()
@@ -922,6 +923,87 @@ def test_parse_matches_argparse(tmp_path, monkeypatch, capsys):
     assert _parse_outcome(one_parse, None, capsys) == _parse_outcome(one_parse, argv, capsys)
 
 
+def _leaves(parser, names=()):
+    """(subcommand names, parser) of every parser no subcommand follows."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is None:
+        return [(list(names), parser)]
+    return [leaf for name, p in sub.choices.items() for leaf in _leaves(p, names + (name,))]
+
+
+LEAVES = _leaves(asreg2.cli.build_parser())
+# values that pass no check or that argparse reads otherwise: a bad int, a
+# bad choice, an empty value, a leading "-", "--"
+ODD_VALUES = st.sampled_from(["1.5", "x", "", "jsn", "-1", "-1/2", "-", "--"])
+# help, "--", abbreviations and stray words
+ODD_TOKENS = st.sampled_from(["-h", "--help", "--", "--form", "--he", "--max", "--w", "--target",
+                              "ample", "qs", "-x", "-"])
+
+
+@st.composite
+def leaf_argvs(draw):
+    names, leaf = draw(st.sampled_from(LEAVES))
+    table = leaf._option_string_actions
+    argv = list(names)
+    # most runs are a flag and a value it takes, after a space or an "=";
+    # the rest carry an odd value, lack their value or are an odd token
+    for _ in range(draw(st.integers(0, 6))):
+        option = draw(st.sampled_from(sorted(table.keys() - {"-h", "--help"})))
+        action = table[option]
+        value = draw(st.sampled_from(list(action.choices)) if action.choices
+                     else st.integers(0, 20).map(str) if action.type is int
+                     else st.sampled_from(["1", "2/3", "zeta(5)", "v3"]))
+        form = draw(st.sampled_from(["space", "equals"] * 7 + ["odd value", "no value", "odd token"]))
+        if form == "odd value":
+            value = draw(ODD_VALUES)
+            form = draw(st.sampled_from(["space", "equals"]))
+        argv += {"space": [option, value], "equals": [option + "=" + value], "no value": [option],
+                 "odd token": [draw(ODD_TOKENS)]}[form]
+    # repeats come from drawing the same option twice
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(leaf_argvs())
+# argparse before 3.12 reads "--alpha=--" as alpha = []
+@example(argv=["info", "--alpha=--"])
+# a repeated flag: its last value stands
+@example(argv=["reflect", "at", "--kind=covering", "--vertex", "v0", "--kind", "qsg"])
+def test_table_parse_matches_argparse(capsys, argv):
+    # the table pass or argparse behind it: the namespace, or the exit code,
+    # stdout and stderr, of the nested parse_args on every drawn argv
+    expected = _parse_outcome(asreg2.cli.build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(lambda a: asreg2.cli._parse(a)[0], argv, capsys) == expected
+
+
+def test_table_parse_leaves_argparse_unused_on_plain_flags(monkeypatch):
+    # every benchmark job and every golden argv outside quiver, whose kind is
+    # a positional, is read from the option table; an abbreviation is not
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    jobs = [list(job.argv) for workload in _load_workloads().WORKLOADS.values()
+            for job in workload.space()]
+    for argv in jobs + GOLDEN_ARGVS:
+        asreg2.cli._parse(argv)
+        assert len(calls) == (argv[0] == "quiver"), argv
+        calls.clear()
+    for argv in (["ample", "--wx", "1", "--wy", "2", "--r", "3", "--form", "json"],
+                 ["ample", "--alpha", "-1/2"], ["reflect", "search", "--target-i", "1", "-h"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            asreg2.cli._parse(argv)
+        assert len(calls) == 1, argv
+        calls.clear()
+    args, _ = asreg2.cli._parse(["ample", "--wx=1", "--wy", "2", "--r=3", "--format=json"])
+    assert vars(args) == vars(asreg2.cli._parse(
+        ["ample", "--wx", "1", "--wy", "2", "--r", "3", "--form", "json"])[0])
+
+
 def test_byte_identical_output(capsys):
     argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5",
             "--format", "json"]
@@ -996,13 +1078,16 @@ def test_json_writer_dispatches_on_the_exact_type():
 
 def test_reports_describe_only_for_text(monkeypatch, capsys):
     # the algebra and action lines are formatted only when the text is
-    # built: no describe() on a JSON ample or check job
+    # built: no describe() on a JSON job of any command that describes them
     def no_describe(self):
         raise AssertionError("a JSON report described its algebra or action")
 
     monkeypatch.setattr(asreg2.algebra.AlgebraSpec, "describe", no_describe)
     monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "describe", no_describe)
-    for argv in (["ample", "--wx", "1", "--wy", "2", "--r", "3"],
+    for argv in (["info", "--wx", "1", "--wy", "3", "--max-degree", "6"],
+                 ["hdet", "--wx", "1", "--wy", "1", "--a", "2", "--d", "3"],
+                 ["fixed", "--wx", "1", "--wy", "2", "--r", "3"],
+                 ["ample", "--wx", "1", "--wy", "2", "--r", "3"],
                  ["check", "--wx", "1", "--wy", "2", "--r", "3"],
                  ["check", "--family", "jordan", "--wy", "5", "--r", "3"]):
         code, out = run(capsys, argv + ["--format", "json"])
