@@ -2,7 +2,8 @@
 
 Subcommands: info, hdet, fixed, ample, quiver {qs,qsg,covering,canonical},
 reflect {at,search}, check.  A config file of key=value lines can seed any
-flag; explicit flags win.  Identical configs produce byte-identical output.
+flag: a flag beats a config value, which beats the flag's declared default.
+Identical configs produce byte-identical output.
 
 Cyclotomic scalars are accepted as "p", "p/q", "zeta(n)", "zeta(n)^k" or
 "p/q*zeta(n)^k" with an optional leading minus; exactness without a general
@@ -90,16 +91,16 @@ def parse_cyclotomic(text):
 
 
 def _add_spec_flags(p):
-    p.add_argument("--wx", type=int, default=None, help="weight of x")
-    p.add_argument("--wy", type=int, default=None, help="weight of y")
-    p.add_argument("--family", choices=["quantum", "jordan"], default=None)
+    p.add_argument("--wx", type=int, default=1, help="weight of x")
+    p.add_argument("--wy", type=int, default=1, help="weight of y")
+    p.add_argument("--family", choices=["quantum", "jordan"], default="quantum")
     p.add_argument("--alpha", default=None,
                    help="quantum parameter, e.g. 1, -1, 2/3, zeta(5)^2")
     p.add_argument("--config", default=None, help="key=value file seeding any flag")
 
 
 def _add_out_flags(p, formats=("text", "json")):
-    p.add_argument("--format", choices=list(formats), default=None)
+    p.add_argument("--format", choices=list(formats), default="text")
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -125,6 +126,7 @@ def build_parser():
     _add_spec_flags(p)
     p.add_argument("--max-degree", type=int, default=None)
     _add_out_flags(p)
+    p.set_defaults(handler=cmd_info)
 
     p = sub.add_parser("hdet", help="homological determinant of an automorphism")
     _add_spec_flags(p)
@@ -133,59 +135,66 @@ def build_parser():
     p.add_argument("--c", default=None, help="x^q-coefficient of sigma(y)")
     p.add_argument("--d", default=None, help="y-coefficient of sigma(y); default 1 (a^q for jordan)")
     _add_out_flags(p)
+    p.set_defaults(handler=cmd_hdet)
 
     p = sub.add_parser("fixed", help="fixed-ring dimensions and trace-average check")
     _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=None, help="group order")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--r", type=int, default=1, help="group order")
+    p.add_argument("--max-degree", type=int, default=12)
     _add_out_flags(p)
+    p.set_defaults(handler=cmd_fixed)
 
     p = sub.add_parser("ample", help="graded dimensions of S*G/(e) and the verdict")
     _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--r", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=None,
                    help="window top; default 4*ell*r")
     p.add_argument("--action-powers", default=None,
                    help="px,py for exploratory diagonal actions (default %d,%d)"
                    % DEFAULT_POWERS)
     _add_out_flags(p)
+    p.set_defaults(handler=cmd_ample)
 
     p = sub.add_parser("quiver", help="emit a quiver as text, JSON or DOT")
     p.add_argument("kind", choices=["qs", "qsg", "covering", "canonical"])
     _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=None, help="group order (qsg)")
-    p.add_argument("--c", type=int, default=None, help="covering degree")
+    p.add_argument("--r", type=int, default=1, help="group order (qsg)")
+    p.add_argument("--c", type=int, default=1, help="covering degree")
     p.add_argument("--i", type=int, default=None, help="canonical path length i")
     p.add_argument("--j", type=int, default=None, help="canonical path length j")
     _add_out_flags(p, formats=("text", "json", "dot"))
+    p.set_defaults(handler=cmd_quiver)
 
     p = sub.add_parser("reflect", help="BGP reflections")
     refl = p.add_subparsers(dest="mode", required=True)
     pa = refl.add_parser("at", help="reflect a constructed quiver at one vertex")
     pa.add_argument("--kind", choices=["qs", "qsg", "covering"], default="qs")
     _add_spec_flags(pa)
-    pa.add_argument("--r", type=int, default=None)
-    pa.add_argument("--c", type=int, default=None)
+    pa.add_argument("--r", type=int, default=1)
+    pa.add_argument("--c", type=int, default=1)
     pa.add_argument("--vertex", default=None, help="required (or set in --config)")
     _add_out_flags(pa, formats=("text", "json", "dot"))
+    pa.set_defaults(handler=cmd_reflect_at)
     ps = refl.add_parser("search", help="search a reflection path to a canonical quiver")
     _add_spec_flags(ps)
-    ps.add_argument("--c", type=int, default=None, help="covering degree of the source")
+    ps.add_argument("--c", type=int, default=1, help="covering degree of the source")
     ps.add_argument("--target-i", type=int, default=None, help="required (or set in --config)")
     ps.add_argument("--target-j", type=int, default=None, help="required (or set in --config)")
     ps.add_argument("--max-depth", type=int, default=None)
     _add_out_flags(ps)
+    ps.set_defaults(handler=cmd_reflect_search)
 
     p = sub.add_parser("check", help="run the full invariant suite for one spec/action")
     _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--max-degree", type=int, default=8)
     _add_out_flags(p)
+    p.set_defaults(handler=cmd_check)
 
     return ap
 
 
-# needed from a flag or --config; argparse's required=True runs before the config
+# needed from a flag or --config; argparse's required=True would not count a config value
 _REQUIRED = ("vertex", "target_i", "target_j")
 
 
@@ -199,64 +208,59 @@ def _convert(action, text):
     return value
 
 
-def _apply_config(args, leaf):
-    if getattr(args, "config", None) is None:
-        return
+def _read_config(path, leaf):
+    """The values of the key=value file at path, each converted as its flag
+    of the parser leaf converts it, by dest."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise SystemExit("cannot read config %s: %s" % (args.config, exc.strerror))
+        raise SystemExit("cannot read config %s: %s" % (path, exc.strerror))
     except UnicodeDecodeError:
-        raise SystemExit("cannot read config %s: not UTF-8 text" % args.config)
+        raise SystemExit("cannot read config %s: not UTF-8 text" % path)
     assigned = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit("config %s line %d: expected key=value" % (args.config, lineno))
+            raise SystemExit("config %s line %d: expected key=value" % (path, lineno))
         key, value = line.split("=", 1)
         assigned[key.strip().replace("-", "_")] = value.strip()
-    # only the option flags of the chosen subcommand, not --config itself
+    # only the option flags of the chosen subcommand, not -h or --config itself
     actions = {a.dest: a for a in leaf._actions
-               if a.option_strings and a.dest in vars(args) and a.dest != "config"}
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, value in assigned.items():
         if key not in actions:
             raise SystemExit("config: unknown key %r" % key)
-        if getattr(args, key) is None:
-            action = actions[key]
-            try:
-                value = _convert(action, value)
-            except LookupError:
-                raise SystemExit("config %s: key %r must be one of %s, got %r"
-                                 % (args.config, key, ", ".join(action.choices), value))
-            except ValueError:
-                # int is the only type the parser uses
-                raise SystemExit("config %s: key %r needs an integer, got %r"
-                                 % (args.config, key, value))
-            setattr(args, key, value)
+        action = actions[key]
+        try:
+            assigned[key] = _convert(action, value)
+        except LookupError:
+            raise SystemExit("config %s: key %r must be one of %s, got %r"
+                             % (path, key, ", ".join(action.choices), value))
+        except ValueError:
+            # int is the only type the parser uses
+            raise SystemExit("config %s: key %r needs an integer, got %r"
+                             % (path, key, value))
+    return assigned
 
 
 def _spec_from_args(args):
-    wx = args.wx if args.wx is not None else 1
-    wy = args.wy if args.wy is not None else 1
-    family = args.family or "quantum"
     try:
-        if family == "jordan":
-            if wx != 1:
+        if args.family == "jordan":
+            if args.wx != 1:
                 raise SpecError("jordan-weight", "jordan family needs w_x = 1")
             if args.alpha is not None:
                 raise SpecError("alpha", "jordan family takes no alpha")
-            return jordan_spec(wy)
+            return jordan_spec(args.wy)
         alpha = parse_cyclotomic(args.alpha) if args.alpha is not None else cyc(1)
-        return quantum_spec(wx, wy, alpha)
+        return quantum_spec(args.wx, args.wy, alpha)
     except (SpecError, ValueError) as exc:
         raise SystemExit("invalid algebra: %s" % exc)
 
 
 def _action_from_args(spec, args):
-    r = args.r if args.r is not None else 1
     powers = getattr(args, "action_powers", None)
     try:
         if powers is not None:
@@ -265,8 +269,8 @@ def _action_from_args(spec, args):
             except ValueError:
                 raise SystemExit("invalid action: --action-powers needs two integers px,py,"
                                  " got %r" % powers)
-            return make_diagonal_action(spec, r, px, py)
-        return make_cyclic_group(spec, r)
+            return make_diagonal_action(spec, args.r, px, py)
+        return make_cyclic_group(spec, args.r)
     except ValueError as exc:
         raise SystemExit("invalid action: %s" % exc)
 
@@ -313,10 +317,9 @@ def _emit(args, text_lines, payload, dot=None):
     JSON as _json's bytes and a newline.  Each writer is a callable, called
     only for its own format: text_lines for the lines, payload for the JSON
     tree and dot for the DOT text."""
-    fmt = args.format or "text"
-    if fmt == "dot":
+    if args.format == "dot":
         body = dot()
-    elif fmt == "json":
+    elif args.format == "json":
         body = _json(payload()) + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
@@ -411,7 +414,7 @@ def cmd_hdet(args):
 def cmd_fixed(args):
     spec = _spec_from_args(args)
     action = _action_from_args(spec, args)
-    D = args.max_degree if args.max_degree is not None else 12
+    D = args.max_degree
     dims = fixed_ring_dims(action, D)
     mdims = molien_dims(action, D)
     ok = dims == mdims
@@ -466,10 +469,10 @@ def _quiver_from_args(args):
         if args.kind == "qs":
             return quiver_qs(spec), params
         if args.kind == "qsg":
-            params["r"] = args.r if args.r is not None else 1
-            return quiver_qsg(make_cyclic_group(spec, params["r"])), params
-        params["c"] = args.c if args.c is not None else 1
-        return covering_quiver(spec, params["c"]), params
+            params["r"] = args.r
+            return quiver_qsg(make_cyclic_group(spec, args.r)), params
+        params["c"] = args.c
+        return covering_quiver(spec, args.c), params
     except ValueError as exc:
         raise SystemExit("invalid quiver: %s" % exc)
 
@@ -491,19 +494,18 @@ def cmd_reflect_at(args):
 
 def cmd_reflect_search(args):
     spec = _spec_from_args(args)
-    c = args.c if args.c is not None else 1
     try:
-        source = covering_quiver(spec, c)
+        source = covering_quiver(spec, args.c)
         target = make_canonical_quiver(args.target_i, args.target_j)
     except ValueError as exc:
         raise SystemExit("invalid quiver: %s" % exc)
     # the canonical quiver is one cycle, so its class is one word
     goal_class = cycle_classes(target)
     seq = reflection_search(source, goal_class[0], args.max_depth)
-    lines = ["source: covering c=%d of weights (%d, %d)" % (c, spec.w_x, spec.w_y),
+    lines = ["source: covering c=%d of weights (%d, %d)" % (args.c, spec.w_x, spec.w_y),
              "target: canonical (%d, %d)" % (args.target_i, args.target_j)]
     payload = {"command": "reflect-search",
-               "params": {"c": c, "target": [args.target_i, args.target_j]}}
+               "params": {"c": args.c, "target": [args.target_i, args.target_j]}}
     if seq is None:
         lines.append("no reflection sequence found")
         payload["result"] = {"found": False}
@@ -525,7 +527,7 @@ def cmd_check(args):
     spec = _spec_from_args(args)
     action = _action_from_args(spec, args)
     r = action.r
-    D = args.max_degree if args.max_degree is not None else 8
+    D = args.max_degree
     results = []
 
     def record(name, ok):
@@ -588,10 +590,10 @@ def cmd_check(args):
 
 
 def _read_flags(leaf, rest, args):
-    """Set the flags of rest and the leaf's defaults on args and return
-    True; or return False, args untouched, on a token _parse leaves to
-    argparse."""
-    values = {}
+    """Set the flags of rest on args, and the leaf's defaults where args has
+    no value, and return True; or return False, args untouched, on a token
+    _parse leaves to argparse."""
+    values = dict(leaf._defaults)
     for action in leaf._actions:
         # argparse would demand a positional or a required flag, and would
         # run an unseen flag's str default through its type
@@ -600,6 +602,7 @@ def _read_flags(leaf, rest, args):
             return False
         if action.default is not argparse.SUPPRESS:  # -h has no default
             values[action.dest] = action.default
+    values.update(vars(args))  # as argparse does, a value on args stands unless its flag is given
     i = 0
     while i < len(rest):
         option, eq, value = rest[i].partition("=")
@@ -619,35 +622,37 @@ def _read_flags(leaf, rest, args):
             values[action.dest] = _convert(action, value)
         except (TypeError, ValueError, LookupError):
             return False
-    for dest, value in values.items():
-        setattr(args, dest, value)
+    vars(args).update(values)
     return True
 
 
-def _parse(argv):
+def _parse(argv, seed=None):
     """build_parser().parse_args(argv) and the parser of its (sub)command,
     by one parse: argparse hands all after a subcommand name to its parser
     untouched, so the leading names are followed down, each kept in its
     dest, and the deepest parser they name (the top one if none) parses.
+    That parser starts from a namespace holding seed, a dict of values by
+    dest: as argparse does with a namespace it is handed, a seeded value
+    stands unless its flag is given.
 
     That parser's flags are first read by one lookup per token in its own
     option table (_read_flags).  It takes a token only as an exact long
     option of a plain store action with one value, written "--opt value"
     with a value that does not start with "-", or "--opt=value" with a
     value other than "--"; and only when the parser has no positional and
-    no required flag.  On such
-    tokens argparse does the same: it looks a token up whole, then its
-    part before "=", before it tries any abbreviation; it takes the text
-    after "=" as the one value; and a token that does not start with "-"
-    is an argument, which the flag before it consumes.  The value goes
-    through the type, then the choices (_convert); each flag's last value
-    stands and every flag not given keeps its default, so the namespace is
-    argparse's.  Every other argv, -h, an abbreviation, a positional, a
-    value after a space starting with "-", a missing or bad value, "--" or
-    an unknown token, goes whole to argparse, so its messages, exit codes and help
-    are argparse's own."""
+    no required flag.  On such tokens argparse does the same: it looks a
+    token up whole, then its part before "=", before it tries any
+    abbreviation; it takes the text after "=" as the one value; and a
+    token that does not start with "-" is an argument, which the flag
+    before it consumes.  The value goes through the type, then the choices
+    (_convert); each flag's last value stands and every flag neither given
+    nor seeded takes its default, so the namespace is argparse's.  Every
+    other argv, -h, an abbreviation, a positional, a value after a space
+    starting with "-", a missing or bad value, "--" or an unknown token,
+    goes whole to argparse, so its messages, exit codes and help are
+    argparse's own."""
     ap = build_parser()
-    args, leaf = argparse.Namespace(), ap
+    args, leaf = argparse.Namespace(**(seed or {})), ap
     rest = sys.argv[1:] if argv is None else list(argv)
     while rest:
         sub = next((a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)), None)
@@ -672,7 +677,12 @@ def _parse(argv):
 
 def main(argv=None):
     args, leaf = _parse(argv)
-    _apply_config(args, leaf)
+    for action in leaf._actions:
+        # argparse before 3.12 drops a "--opt=--" value and stores []
+        if type(getattr(args, action.dest, None)) is list:
+            leaf.error("argument %s: expected one argument" % "/".join(action.option_strings))
+    if args.config is not None:
+        args, leaf = _parse(argv, _read_config(args.config, leaf))
     missing = ["--" + key.replace("_", "-") for key in _REQUIRED if getattr(args, key, 0) is None]
     if missing:
         leaf.error("the following arguments are required: %s" % ", ".join(missing))
@@ -681,19 +691,7 @@ def main(argv=None):
         value = getattr(args, key, None)
         if value is not None and value < 0:
             raise SystemExit("--%s must be >= 0, got %d" % (key.replace("_", "-"), value))
-    handlers = {
-        "info": cmd_info,
-        "hdet": cmd_hdet,
-        "fixed": cmd_fixed,
-        "ample": cmd_ample,
-        "quiver": cmd_quiver,
-        "check": cmd_check,
-    }
-    if args.command == "reflect":
-        handler = cmd_reflect_at if args.mode == "at" else cmd_reflect_search
-    else:
-        handler = handlers[args.command]
-    return handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

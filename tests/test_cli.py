@@ -680,24 +680,29 @@ def test_check_jordan(capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("wx=1\nwy=3\nr=2\nmax-degree=6\n")
-    code, out = run(capsys, ["fixed", "--config", str(cfg)])
-    assert code == 0
-    assert "(d=0..6)" in out
+    cfg.write_text("wx=1\nwy=3\nr=2\nmax-degree=5\nformat=json\n")
+    # a config value beats the flag's declared default (fixed's --max-degree 12)
+    expected = run(capsys, ["fixed", "--wx", "1", "--wy", "3", "--r", "2", "--max-degree", "5",
+                            "--format", "json"])
+    assert expected[0] == 0 and json.loads(expected[1])["params"]["max_degree"] == 5
+    assert run(capsys, ["fixed", "--config", str(cfg)]) == expected
     # flags win over the config file
-    code, out = run(capsys, ["fixed", "--config", str(cfg), "--max-degree", "4"])
+    code, out = run(capsys, ["fixed", "--config", str(cfg), "--max-degree", "4", "--format", "text"])
     assert code == 0
     assert "(d=0..4)" in out
 
 
 def test_config_supplies_required_flags(tmp_path, capsys):
     # --vertex, --target-i and --target-j may come from a flag or the config;
-    # a flag beats the config, and with neither the job exits 2 as argparse does
+    # a flag beats the config, and with neither the job exits 2 as argparse does;
+    # a config's kind beats reflect at's declared --kind qs
     cfg = tmp_path / "job.cfg"
     jobs = ((["reflect", "search", "--wx", "1", "--wy", "3", "--c", "6"],
              {"target-i": "6", "target-j": "18"}, "--target-i, --target-j"),
             (["reflect", "at", "--kind", "qs", "--wx", "1", "--wy", "2"],
-             {"vertex": "v0"}, "--vertex"))
+             {"vertex": "v0"}, "--vertex"),
+            (["reflect", "at", "--wx", "1", "--wy", "2"],
+             {"kind": "covering", "c": "2", "vertex": "v0_0"}, "--vertex"))
     for argv, values, names in jobs:
         flags = [token for key, value in values.items() for token in ("--" + key, value)]
         expected = run(capsys, argv + flags)
@@ -708,7 +713,7 @@ def test_config_supplies_required_flags(tmp_path, capsys):
             assert run(capsys, argv + rest + ["--config", str(cfg)]) == expected
         cfg.write_text("".join("%s=%s\n" % item for item in values.items()))
         assert run(capsys, argv + ["--config", str(cfg)]) == expected
-        cfg.write_text("".join("%s=v9\n" % key if key == "vertex" else "%s=2\n" % key
+        cfg.write_text("".join("%s=%s\n" % (key, {"vertex": "v9", "kind": "qsg"}.get(key, "3"))
                                for key in values))
         assert run(capsys, argv + flags + ["--config", str(cfg)]) == expected
         cfg.write_text("wx=1\n")
@@ -730,9 +735,11 @@ def test_bad_inputs_exit_cleanly(tmp_path):
     assert "denominator" in str(exc.value)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wx=abc\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["info", "--config", str(cfg)])
-    assert "integer" in str(exc.value)
+    # a config value is checked even where a flag overrides it
+    for argv in (["info", "--config", str(cfg)], ["info", "--wx", "1", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "integer" in str(exc.value)
     cfg.write_text("nonsense\n")
     with pytest.raises(SystemExit) as exc:
         main(["info", "--config", str(cfg)])
@@ -841,12 +848,32 @@ def test_negative_value_after_a_space(capsys, command, flag, value):
     assert spaced == joined and spaced[0] == 0
 
 
-def test_flag_without_value_is_refused(capsys):
+def test_flag_without_value_is_refused(tmp_path, monkeypatch, capsys):
     for argv in (["info", "--alpha"], ["info", "--alpha", "--wx", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "argument --alpha: expected one argument" in capsys.readouterr().err
+    # argparse before 3.12 drops the value of "--opt=--" and stores [], which
+    # is refused as a missing value; an argparse that stores "--" sends it
+    # down that value's own path.  Either way no traceback and no stdout
+    monkeypatch.chdir(tmp_path)
+    for argv in (["info", "--alpha=--"], ["info", "--out=--"], ["quiver", "qs", "--format=--"]):
+        flag = argv[-1][:-3]
+        stored = getattr(asreg2.cli._parse(argv)[0], flag[2:])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        if stored == []:
+            assert code == 2, argv
+            assert captured.err.splitlines()[-1] == (
+                "asreg2 %s: error: argument %s: expected one argument" % (argv[0], flag))
+        else:
+            # "--" is no cyclotomic value and no format; --out writes a file of that name
+            assert stored == "--" and (code not in (0, None) or (tmp_path / "--").exists()), argv
 
 
 def _load_workloads():
@@ -940,19 +967,29 @@ ODD_TOKENS = st.sampled_from(["-h", "--help", "--", "--form", "--he", "--max", "
                               "ample", "qs", "-x", "-"])
 
 
+def _plain_values(action):
+    """Texts the flag of action takes."""
+    return (st.sampled_from(list(action.choices)) if action.choices
+            else st.integers(0, 20).map(str) if action.type is int
+            else st.sampled_from(["1", "2/3", "zeta(5)", "v3"]))
+
+
 @st.composite
 def leaf_argvs(draw):
+    """An argv of a leaf parser and a seed: some of its flags' dests, with
+    values of their type or choices."""
     names, leaf = draw(st.sampled_from(LEAVES))
     table = leaf._option_string_actions
+    flags = {action.dest: action for action in table.values() if action.dest != "help"}
+    seed = {dest: draw(_plain_values(flags[dest]).map(flags[dest].type or str))
+            for dest in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4))}
     argv = list(names)
     # most runs are a flag and a value it takes, after a space or an "=";
     # the rest carry an odd value, lack their value or are an odd token
     for _ in range(draw(st.integers(0, 6))):
         option = draw(st.sampled_from(sorted(table.keys() - {"-h", "--help"})))
         action = table[option]
-        value = draw(st.sampled_from(list(action.choices)) if action.choices
-                     else st.integers(0, 20).map(str) if action.type is int
-                     else st.sampled_from(["1", "2/3", "zeta(5)", "v3"]))
+        value = draw(_plain_values(action))
         form = draw(st.sampled_from(["space", "equals"] * 7 + ["odd value", "no value", "odd token"]))
         if form == "odd value":
             value = draw(ODD_VALUES)
@@ -960,20 +997,31 @@ def leaf_argvs(draw):
         argv += {"space": [option, value], "equals": [option + "=" + value], "no value": [option],
                  "odd token": [draw(ODD_TOKENS)]}[form]
     # repeats come from drawing the same option twice
-    return argv
+    return argv, seed
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(leaf_argvs())
 # argparse before 3.12 reads "--alpha=--" as alpha = []
-@example(argv=["info", "--alpha=--"])
+@example(job=(["info", "--alpha=--"], {}))
 # a repeated flag: its last value stands
-@example(argv=["reflect", "at", "--kind=covering", "--vertex", "v0", "--kind", "qsg"])
-def test_table_parse_matches_argparse(capsys, argv):
+@example(job=(["reflect", "at", "--kind=covering", "--vertex", "v0", "--kind", "qsg"], {}))
+# a seeded value beats the declared default and loses to its flag
+@example(job=(["reflect", "at", "--vertex", "v0_0", "--c", "3"], {"kind": "covering", "c": 2}))
+def test_table_parse_matches_argparse(capsys, job):
     # the table pass or argparse behind it: the namespace, or the exit code,
-    # stdout and stderr, of the nested parse_args on every drawn argv
+    # stdout and stderr, of the nested parse_args on every drawn argv; the
+    # nested parse takes no seed, so a seeded parse that gets through is
+    # compared with the leaf parser's parse from the seeded namespace
+    argv, seed = job
     expected = _parse_outcome(asreg2.cli.build_parser().parse_args, argv, capsys)
-    assert _parse_outcome(lambda a: asreg2.cli._parse(a)[0], argv, capsys) == expected
+    if seed and isinstance(expected, dict):
+        names = {dest: expected[dest] for dest in ("command", "mode") if dest in expected}
+        leaf = dict((tuple(n), p) for n, p in LEAVES)[tuple(names.values())]
+        args, extras = leaf.parse_known_args(argv[len(names):], argparse.Namespace(**names, **seed))
+        assert not extras
+        expected = vars(args)
+    assert _parse_outcome(lambda a: asreg2.cli._parse(a, seed)[0], argv, capsys) == expected
 
 
 def test_table_parse_leaves_argparse_unused_on_plain_flags(monkeypatch):
@@ -1004,13 +1052,28 @@ def test_table_parse_leaves_argparse_unused_on_plain_flags(monkeypatch):
         ["ample", "--wx", "1", "--wy", "2", "--r", "3", "--form", "json"])[0])
 
 
-def test_byte_identical_output(capsys):
-    argv = ["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5",
-            "--format", "json"]
-    code1, out1 = run(capsys, argv)
-    code2, out2 = run(capsys, argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_byte_identical_output(tmp_path, monkeypatch, capsys):
+    # a job run twice gives the same bytes, and so does the job with each
+    # flag it omits spelled as --flag=<declared default>: the handlers use
+    # the defaults the parser declares
+    monkeypatch.chdir(tmp_path)
+
+    def output(argv):
+        code, out = run(capsys, argv)
+        return code, out, Path("golden.out").read_bytes() if "--out" in argv else None
+
+    jobs = [["check", "--wx", "1", "--wy", "2", "--r", "3", "--max-degree", "5", "--format", "json"]]
+    jobs += GOLDEN_ARGVS + [list(workload.space()[0].argv)
+                            for workload in _load_workloads().WORKLOADS.values()]
+    for argv in jobs:
+        given = {token.split("=")[0] for token in argv}
+        defaults = ["%s=%s" % (action.option_strings[0], action.default)
+                    for action in asreg2.cli._parse(argv)[1]._actions
+                    if action.option_strings and action.option_strings[0] not in given
+                    and action.default not in (None, argparse.SUPPRESS)]
+        assert defaults, argv  # every job leaves a flag to its declared default
+        expected = output(argv)
+        assert expected[0] == 0 and output(argv) == expected == output(argv + defaults), argv
 
 
 def _subprocess_env(**extra):
