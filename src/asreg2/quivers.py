@@ -20,51 +20,39 @@ disjoint union of cycles.  So a quiver is handled through its walks
 and the orientation word.  The sorted least rotations of the words are its
 isomorphism class (cycle_classes), which isomorphism, check and the replay of
 a reflection witness compare, and the reflection search walks one cycle's
-word down its distance to a goal class.
-Reflections, walks and path_count read the arrows at each vertex off one
-index (_incidence).
+word down its distance to a goal class.  Reflections, walks and path_count
+read the arrows at each vertex off one index (_incidence).
 
 Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
 tag "x", "y" or "" for untagged.  Quiver values are immutable.
 """
 
-import functools
 import heapq
 import operator
 
-
-@functools.cache
-def _natural_key(label):
-    key = []
-    num = ""
-    for ch in label:
-        if ch.isdigit():
-            num += ch
-        else:
-            if num:
-                key.append(int(num))
-                num = ""
-            key.append(ch)
-    if num:
-        key.append(int(num))
-    return tuple((0, p) if isinstance(p, int) else (1, p) for p in key)
+# a walk's letter for an arrow with this tag, pointing along it or against it
+_LETTERS = {"": "10", "x": "Xx", "y": "Yy"}
+_FLIP = str.maketrans("10XxYy", "01xXyY")
+_UNTAG = str.maketrans("XxYy", "1010")
 
 
 class Quiver:
-    """Vertices in natural order (digit runs compared as numbers, "v2" before
-    "v10"), and the given arrow tuples sorted by (position of src, position of
-    dst, tag) in that order, so _natural_key runs once per vertex.  Where two
-    labels have equal natural keys ("v1" and "v01") they keep their given
-    order, and their arrows sort by that position."""
+    """The vertices in the order given, which every builder here makes the
+    natural order ("v2" before "v10", a grid row by row), and the arrows
+    sorted by (position of src, position of dst, tag); a tag is "x", "y" or
+    "" (_LETTERS), else ValueError."""
 
     __slots__ = ("vertices", "arrows")
 
     def __init__(self, vertices, arrows):
-        self.vertices = tuple(sorted(vertices, key=_natural_key))
+        self.vertices = tuple(vertices)
         position = {v: k for k, v in enumerate(self.vertices)}
-        for (s, t, _) in arrows:
+        arrows = list(arrows)
+        for (s, t, tag) in arrows:
             if s not in position or t not in position:
                 raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))
+            if tag not in _LETTERS:
+                raise ValueError("arrow tag %r is not 'x', 'y' or ''" % (tag,))
         self.arrows = tuple(sorted(arrows, key=lambda a: (position[a[0]], position[a[1]], a[2])))
 
     def __eq__(self, other):
@@ -156,10 +144,10 @@ def bgp_reflect(q, *vertices):
 
 def _cycle_walks(q, tags=False):
     """Walk round each component of q, from its first vertex in q.vertices, in
-    that order: the vertices in the order met, and the orientation word, whose
-    k-th letter is "1" when the arrow between the k-th vertex and the next
-    points along the walk and "0" when it points back.  With tags the word is
-    a tuple whose letters carry the arrow's tag after the direction ("1x").
+    that order: the vertices in the order met, and the orientation word, a
+    str whose k-th letter is "1" when the arrow between the k-th vertex and
+    the next points along the walk and "0" when it points back.  With tags
+    an x- or y-arrow reads "X" or "Y" along the walk and "x" or "y" back.
     None unless every vertex meets exactly two arrow ends of two different
     arrows, that is, unless q is a disjoint union of cycles of length >= 2;
     then each walk is back at its start before it meets a vertex twice."""
@@ -175,15 +163,14 @@ def _cycle_walks(q, tags=False):
         while True:
             s, t, tag = q.arrows[edge]
             order.append(v)
-            letter = "1" if s == v else "0"
-            word.append(letter + tag if tags else letter)
+            word.append((_LETTERS[tag] if tags else "10")[s != v])
             v = t if s == v else s
             if v == start:
                 break
             a, b = incident[v]
             edge = b if a == edge else a
         walked.update(order)
-        walks.append((tuple(order), tuple(word) if tags else "".join(word)))
+        walks.append((tuple(order), "".join(word)))
     return walks
 
 
@@ -195,18 +182,12 @@ def _cycle_walk(q, tags=False):
     return walks[0]
 
 
-_FLIP = str.maketrans("01", "10")
-
-
 def _least_start(word):
-    """(k, p): the first start k of the least rotation of a word (a str or a
-    tuple) and its period p, the least shift that maps the word to itself,
-    which divides n; the rotations equal to the least one start at k mod p,
-    p apart.  By Duval's Lyndon factorization of word + word (Duval, J.
-    Algorithms 4, 1983), in O(n) comparisons of letters: the least rotation
-    is u^(n/p) for a Lyndon word u of length p, and from its start the
-    inner loop reads u repeated to the end of word + word, so it ends at j
-    = 2n with j - k = p."""
+    """The first start of the least rotation of a word, by Duval's Lyndon
+    factorization of word + word (Duval, J. Algorithms 4, 1983), in O(n)
+    comparisons of letters: the least rotation is u^(n/p) for a Lyndon word
+    u of length p, and from its start the inner loop reads u repeated to
+    the end of word + word, so it ends at j = 2n with j - k = p."""
     n, w = len(word), word + word
     i = start = 0
     while i < n:
@@ -222,35 +203,22 @@ def _least_start(word):
             j += 1
         # the factors of length j - k from i on, the last one ending past k
         i += (k - i) // (j - k) * (j - k) + j - k
-    return start, j - k
+    return start
 
 
 def _least_rotation(order, word):
-    """The least rotation of a walk's word over both walk directions, with the
-    vertex order rotated alongside, as a (word tuple, order tuple) pair.
+    """The lesser of the two walk directions' least rotations (_least_start),
+    with its vertex order rotated alongside, as a (word, order) pair.
     Walking the other way round from order[0] meets order[0], order[-1],
-    ..., order[1], reverses the word and flips every direction.
-
-    _least_start gives each direction's least rotation and its tied starts.
-    The vertices of a walk are distinct, so the tied rotations of one
-    direction differ in their first vertex, which picks one of them.  The
-    two directions' picks compare by their words, then by their first two
-    vertices: two rotations of different directions from one vertex differ
-    in the second unless n <= 2, where the two vertex orders are equal.  So
-    only the winning rotation is formed."""
-    n = len(order)
-    if isinstance(word, str):
-        back = word[::-1].translate(_FLIP)
-    else:
-        word = tuple(word)
-        back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
+    ..., order[1], reverses the word and flips every letter.  A periodic
+    word has tied starts, a period apart; the first one is taken, and every
+    one of them gives an order aligned with the word."""
     picks = []
-    for w, o in ((word, order), (back, order[:1] + order[:0:-1])):
-        k, p = _least_start(w)
-        s = min(range(k % p, n, p), key=o.__getitem__)
-        picks.append((w[k:] + w[:k], o[s], o[(s + 1) % n], s, o))
-    least, _, _, s, o = min(picks)
-    return tuple(least), o[s:] + o[:s]
+    for w, o in ((word, order), (word[::-1].translate(_FLIP), order[:1] + order[:0:-1])):
+        k = _least_start(w)
+        picks.append((w[k:] + w[:k], k, o))
+    least, k, o = min(picks, key=operator.itemgetter(0))
+    return least, o[k:] + o[:k]
 
 
 def _classes(walks):
@@ -266,12 +234,12 @@ def cycle_classes(q, respect_tags=False):
 
 def tagged_and_untagged_classes(q):
     """cycle_classes(q, True) and cycle_classes(q) from one walk: the walk does
-    not depend on the tags, and a tagged letter stripped to its direction is
-    the untagged letter, so the untagged word is the str of those letters."""
+    not depend on the tags, and a tagged word stripped of its tags (_UNTAG)
+    is the untagged word."""
     walks = _cycle_walks(q, True)
     if walks is None:
         return None, None
-    return _classes(walks), _classes([(o, "".join(a[0] for a in w)) for o, w in walks])
+    return _classes(walks), _classes([(o, w.translate(_UNTAG)) for o, w in walks])
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):
@@ -281,7 +249,9 @@ def quiver_isomorphic(q1, q2, respect_tags=False):
     Decided for disjoint unions of cycles of length >= 2, as every quiver
     built here is: two are isomorphic exactly when their cycle_classes
     agree, and zipping the vertex orders aligned with the least rotations
-    gives the bijection.  A union of cycles is isomorphic to no other
+    gives the bijection: equal words read along two aligned orders carry
+    arrows onto arrows, whichever of a periodic word's tied rotations each
+    order starts at.  A union of cycles is isomorphic to no other
     quiver, so the answer is None when just one side is not such a union;
     when neither is, ValueError.
     """
@@ -420,7 +390,6 @@ def reflection_search(q1, goal, max_depth=None):
     log n) amortised, not a pass.
     """
     order, word = _cycle_walk(q1)
-    goal = "".join(goal)  # a class word is a tuple of letters
     if direction_counts(word) != direction_counts(goal):
         return None
     word, P, dist, least = _alignments(word, (goal, goal[::-1].translate(_FLIP)))

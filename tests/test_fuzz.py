@@ -13,9 +13,11 @@ import pytest
 import sympy
 
 from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.automorphisms import make_cyclic_group
+from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.cyclotomic import cyc, cyclotomic_polynomial, zeta
 from asreg2.linalg import Echelon
-from asreg2.quivers import Quiver, quiver_isomorphic
+from asreg2.quivers import Quiver, covering_quiver, quiver_isomorphic, quiver_qsg
 from test_automorphisms import (
     compose,
     identity_automorphism,
@@ -183,18 +185,27 @@ def test_cycle_union_isomorphism_against_brute_force():
 
 
 def test_cycle_union_isomorphisms_are_valid_bijections():
+    # random unions, and the built quivers whose words are periodic, so that
+    # their least rotations tie at several starts: Q_{S,G}, the covering and
+    # the Gabriel oracle at weights (1, 1), r = 6 and 12, and (2, 3), r = 4
     rng = random.Random(321)
-    for _ in range(40):
-        q1 = random_cycle_union(rng, random_cycle_sizes(rng, rng.randrange(2, 10)))
+    built = []
+    for spec, r in ((quantum_spec(1, 1, 1), 6), (quantum_spec(1, 1, 1), 12), (quantum_spec(2, 3, 1), 4)):
+        action = make_cyclic_group(spec, r)
+        built += [quiver_qsg(action), covering_quiver(spec, r), gabriel_quiver_oracle(action)]
+    unions = (random_cycle_union(rng, random_cycle_sizes(rng, rng.randrange(2, 10))) for _ in range(40))
+    for q1 in itertools.chain(unions, built):
         perm = list(q1.vertices)
         rng.shuffle(perm)
         q2 = relabel(q1, perm)
-        mapping = quiver_isomorphic(q1, q2, respect_tags=True)
-        assert mapping is not None
-        assert sorted(mapping) == sorted(q1.vertices)
-        assert sorted(mapping.values()) == sorted(q2.vertices)
-        mapped = sorted((mapping[s], mapping[t], tag) for (s, t, tag) in q1.arrows)
-        assert mapped == sorted(q2.arrows)
+        for tags in (False, True):
+            strip = (lambda a: a) if tags else (lambda a: (a[0], a[1], ""))
+            mapping = quiver_isomorphic(q1, q2, respect_tags=tags)
+            assert mapping is not None
+            assert sorted(mapping) == sorted(q1.vertices)
+            assert sorted(mapping.values()) == sorted(q2.vertices)
+            mapped = sorted(strip((mapping[s], mapping[t], tag)) for (s, t, tag) in q1.arrows)
+            assert mapped == sorted(strip(a) for a in q2.arrows)
 
 
 def dense_rank_oracle(rows, ncols):

@@ -17,7 +17,6 @@ from asreg2.quivers import (
     _cycle_walk,
     _cycle_walks,
     _least_rotation,
-    _natural_key,
     _nearer,
     bgp_reflect,
     covering_quiver,
@@ -31,6 +30,24 @@ from asreg2.quivers import (
     reflection_search,
 )
 from test_cli import DATA, REFLECT_GOLDENS, _load_workloads
+
+
+def _natural_key(label):
+    """The natural order of a label: digit runs compared as numbers, so "v2"
+    comes before "v10"; the order every builder lists its vertices in."""
+    key = []
+    num = ""
+    for ch in label:
+        if ch.isdigit():
+            num += ch
+        else:
+            if num:
+                key.append(int(num))
+                num = ""
+            key.append(ch)
+    if num:
+        key.append(int(num))
+    return tuple((0, p) if isinstance(p, int) else (1, p) for p in key)
 
 
 def search_to(source, target, max_depth=None):
@@ -411,20 +428,35 @@ def cycle_key_oracle(word):
     """The least of all 2n rotations of the word and of its flipped reverse."""
     n = len(word)
     back = word[::-1].translate(_FLIP)
-    return min([w[k:k + n] for w in (word + word, back + back) for k in range(n)])
+    return min(w[k:k + n] for w in (word + word, back + back) for k in range(n))
 
 
-def least_rotation_oracle(order, word):
-    """The least of all 2n rotations of both walks, vertex orders alongside."""
-    n = len(order)
-    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
-    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
-    return min((w[k:] + w[:k], o[k:] + o[:k]) for w, o in walks for k in range(n))
+def walk_arrows(order, word):
+    """The arrows that a word reads along a vertex order, sorted: letter k
+    is the arrow between order[k] and the next vertex, pointing along the
+    order for "1", "X" and "Y" and back for "0", "x" and "y"."""
+    arrows = []
+    for k, letter in enumerate(word):
+        s, t = order[k], order[(k + 1) % len(order)]
+        tag = letter.lower() if letter in "XxYy" else ""
+        arrows.append((s, t, tag) if letter in "1XY" else (t, s, tag))
+    return sorted(arrows)
+
+
+def assert_least_rotation(walk):
+    """_least_rotation gives the oracle's word, and an order aligned with it:
+    the word read along the order gives the walk's arrows."""
+    word, order = _least_rotation(*walk)
+    assert word == cycle_key_oracle(walk[1])
+    assert sorted(order) == sorted(walk[0])
+    assert walk_arrows(order, word) == walk_arrows(*walk)
 
 
 def components_oracle(q):
-    """Weakly connected components as quivers, ordered by size then vertex
-    labels; each component's arrows are found by a scan of all arrows."""
+    """Weakly connected components as quivers, each with its vertices in
+    q's order, ordered by size then vertex labels; each component's arrows
+    are found by a scan of all arrows."""
+    position = {v: k for k, v in enumerate(q.vertices)}
     adj = {v: set() for v in q.vertices}
     for (s, t, _) in q.arrows:
         adj[s].add(t)
@@ -442,7 +474,8 @@ def components_oracle(q):
                     block.add(w)
                     queue.append(w)
         seen |= block
-        comps.append(Quiver(block, [a for a in q.arrows if a[0] in block]))
+        comps.append(Quiver(sorted(block, key=position.__getitem__),
+                            [a for a in q.arrows if a[0] in block]))
     comps.sort(key=lambda c: (len(c.vertices), [_natural_key(v) for v in c.vertices]))
     return comps
 
@@ -450,77 +483,52 @@ def components_oracle(q):
 @st.composite
 def walks(draw):
     """A walk's vertex order and word: random, periodic or one letter repeated,
-    untagged (a str) or tagged (a tuple)."""
-    tagged = draw(st.booleans())
-    letters = ["0x", "0y", "1x", "1y", "0", "1"] if tagged else ["0", "1"]
+    untagged (over "01") or tagged (over "01XxYy")."""
+    letters = "01XxYy" if draw(st.booleans()) else "01"
     shape = draw(st.sampled_from(["random", "periodic", "constant"]))
     if shape == "random":
-        word = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=12))
+        word = "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=12)))
     elif shape == "periodic":
-        period = (["1x", "0y"] if tagged else ["1", "0"]) if draw(st.booleans()) else \
-            draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))
+        period = ("Xy" if len(letters) > 2 else "10") if draw(st.booleans()) else \
+            "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
         word = period * draw(st.integers(1, 5))
     else:
-        word = [draw(st.sampled_from(letters))] * draw(st.integers(1, 8))
+        word = draw(st.sampled_from(letters)) * draw(st.integers(1, 8))
     order = tuple("v%d" % v for v in draw(st.permutations(range(len(word)))))
-    return order, tuple(word) if tagged else "".join(word)
+    return order, word
 
 
 @settings(max_examples=300, deadline=None)
 @given(walks())
 def test_least_rotation_matches_oracle(walk):
-    assert _least_rotation(*walk) == least_rotation_oracle(*walk)
-
-
-def least_rotation_run_starts(order, word):
-    """_least_rotation as it was before Duval's factorization: every rotation
-    that starts a run of the least letter, formed and compared, quadratic on
-    periodic words."""
-    n = len(order)
-    back = tuple(a[0].translate(_FLIP) + a[1:] for a in reversed(word))
-    walks = ((tuple(word), order), (back, order[:1] + order[:0:-1]))
-    least = min(min(word), min(back))
-    rotations = []
-    for w, o in walks:
-        starts = [k for k in range(n) if w[k] == least and w[k - 1] != least]
-        if not starts and w[0] == least:
-            starts = range(n)
-        rotations += [(w[k:] + w[:k], o[k:] + o[:k]) for k in starts]
-    return min(rotations)
+    assert_least_rotation(walk)
 
 
 def test_least_rotation_on_long_periodic_words():
     # the words of Q_{S,G} are periodic ("10" repeated at weights (1, 1)):
     # every tied rotation starts a period apart, up to n = 4 000, untagged
-    # (a str) and tagged (a tuple), with shuffled vertex orders
+    # and tagged, with shuffled vertex orders
     rng = random.Random(31)
     cases = 0
     for n in (2, 3, 4, 6, 12, 60, 210, 1000, 4000):
         periods = sorted({p for p in (1, 2, 3, 5, 7, n // 2, n) if p and n % p == 0})
         for p in periods[-3:] if n > 60 else periods:
-            for tagged in (False, True):
-                letters = ["0x", "0y", "1x", "1y", "1"] if tagged else ["0", "1"]
-                block = [rng.choice(letters) for _ in range(p)]
-                if not tagged and p == 2:
-                    block = ["1", "0"]
-                word = block * (n // p)
+            for letters in ("01", "01XxYy"):
+                block = "".join(rng.choice(letters) for _ in range(p))
+                if letters == "01" and p == 2:
+                    block = "10"
                 order = tuple("v%d" % v for v in rng.sample(range(n), n))
-                walk = (order, tuple(word) if tagged else "".join(word))
-                got = _least_rotation(*walk)
-                assert got == least_rotation_run_starts(*walk), (n, p, tagged)
-                # the brute force is quadratic: every case up to n = 1 000,
-                # and Q_{S,G}'s "10" repeated at n = 4 000
-                if n <= 1000 or (p == 2 and not tagged):
-                    assert got == least_rotation_oracle(*walk), (n, p, tagged)
+                assert_least_rotation((order, block * (n // p)))
                 cases += 1
     assert cases > 40
 
 
 def walks_oracle(q, tags):
-    """_cycle_walk of each of components_oracle(q), ordered by first vertex,
-    or None unless each is a cycle."""
+    """_cycle_walk of each of components_oracle(q), ordered by the position
+    of its first vertex in q.vertices, or None unless each is a cycle."""
+    position = {v: k for k, v in enumerate(q.vertices)}
     walks = []
-    for comp in sorted(components_oracle(q), key=lambda c: _natural_key(c.vertices[0])):
+    for comp in sorted(components_oracle(q), key=lambda c: position[c.vertices[0]]):
         try:
             walks.append(_cycle_walk(comp, tags))
         except ValueError:
@@ -1100,12 +1108,20 @@ def test_constructor_error_paths():
         make_canonical_quiver(0, 3)
     with pytest.raises(ValueError):
         Quiver(["v0"], [("v0", "v1", "")])
+    # a tag other than "x", "y" or "" has no letter in a walk's word
+    for tag in ("z", "X", "xy", None):
+        with pytest.raises(ValueError) as exc:
+            Quiver(["v0", "v1"], [("v0", "v1", ""), ("v1", "v0", tag)])
+        assert str(exc.value) == "arrow tag %r is not 'x', 'y' or ''" % (tag,)
+    # the arrows are read once, so an iterator of them is checked and kept
+    q = Quiver(["v0", "v1"], (a for a in [("v1", "v0", "y"), ("v0", "v1", "")]))
+    assert q.arrows == (("v0", "v1", ""), ("v1", "v0", "y"))
 
 
 def natural_key_arrows(arrows):
     """The arrows sorted by the natural keys of src and dst, then the tag: the
-    oracle of Quiver's sort by vertex position, which agrees with it wherever
-    no two labels share a natural key."""
+    oracle of Quiver's sort by vertex position, which agrees with it on
+    vertices in natural order whose labels have distinct natural keys."""
     return tuple(sorted(arrows, key=lambda a: (_natural_key(a[0]), _natural_key(a[1]), a[2])))
 
 
@@ -1141,44 +1157,17 @@ def test_arrow_order_equals_natural_key_sort():
     assert len(states) > 200
     rng = random.Random(7)
     for q in qs + states:
+        assert list(q.vertices) == sorted(q.vertices, key=_natural_key)
         assert len({_natural_key(v) for v in q.vertices}) == len(q.vertices)
         arrows = list(q.arrows)
         rng.shuffle(arrows)
         assert natural_key_arrows(arrows) == q.arrows
         assert Quiver(q.vertices, arrows).arrows == q.arrows
-
-
-def test_equal_natural_keys_sort_by_vertex_position():
-    # "v1" and "v01" have one natural key: they keep their given order among
-    # the vertices, and their arrows sort by it, where the natural-key sort
-    # kept the arrows' given order
-    arrows = [("v1", "v0", ""), ("v01", "v0", "")]
-    q = Quiver(["v0", "v01", "v1"], arrows)
-    assert q.vertices == ("v0", "v01", "v1")
-    assert q.arrows == (("v01", "v0", ""), ("v1", "v0", ""))
-    assert natural_key_arrows(arrows) == tuple(arrows) != q.arrows
-    q = Quiver(["v1", "v01", "v0"], arrows[::-1])
-    assert q.vertices == ("v0", "v1", "v01")
-    assert q.arrows == tuple(arrows) != natural_key_arrows(arrows[::-1])
-
-
-def test_natural_key_runs_once_per_vertex(monkeypatch):
-    calls = [0]
-    key = quivers._natural_key
-
-    def counted(label):
-        calls[0] += 1
-        return key(label)
-
-    monkeypatch.setattr(quivers, "_natural_key", counted)
-    action = make_cyclic_group(S11, 12)
-    qs13 = quiver_qs(S13)
-    for build in (lambda: quiver_qs(S35), lambda: quiver_qsg(make_cyclic_group(S35, 12)),
-                  lambda: covering_quiver(S23, 12), lambda: make_canonical_quiver(7, 12),
-                  lambda: gabriel_quiver_oracle(action), lambda: bgp_reflect(qs13, "v0")):
-        calls[0] = 0
-        q = build()
-        assert 0 < calls[0] <= len(q.vertices)
+    # Quiver keeps the vertex order it is given, natural or not, and sorts
+    # the arrows by it
+    q = Quiver(["v10", "v2", "v01", "v1"], [("v1", "v2", ""), ("v01", "v10", "x"), ("v2", "v1", "y")])
+    assert (q.vertices, q.arrows) == (("v10", "v2", "v01", "v1"),
+                                      (("v2", "v1", "y"), ("v01", "v10", "x"), ("v1", "v2", "")))
 
 
 def test_path_count_matches_dimension_bookkeeping():
