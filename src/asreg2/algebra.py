@@ -30,14 +30,6 @@ from typing import NamedTuple
 from .cyclotomic import Cyclotomic, ONE, cyc
 
 
-class SpecError(ValueError):
-    """Invalid algebra description; .code is one of 'gcd', 'alpha', 'jordan-weight'."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 class Monomial(NamedTuple):
     a: int  # exponent of y
     b: int  # exponent of x
@@ -48,12 +40,33 @@ MONO_ONE = Monomial(0, 0)
 
 @dataclass(eq=False)
 class AlgebraSpec:
+    """S, checked on construction (a ValueError names the first rule broken);
+    wy_inv is w_y^-1 mod w_x, which fixes each degree's y-exponents."""
+
     w_x: int
     w_y: int
     family: str  # "quantum" | "jordan"
     alpha: Cyclotomic | None = None
+    wy_inv: int = field(init=False, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.family == "jordan":
+            if self.w_x != 1:
+                raise ValueError("jordan family needs w_x = 1")
+            if self.alpha is not None:
+                raise ValueError("jordan family takes no alpha")
+        if self.w_x < 1 or self.w_y < 1:
+            raise ValueError("weights must be positive")
+        if gcd(self.w_x, self.w_y) != 1:
+            raise ValueError("weights must be coprime, got (%d, %d)" % (self.w_x, self.w_y))
+        if self.family == "quantum":
+            if self.alpha is None or cyc(self.alpha).is_zero():
+                raise ValueError("quantum family needs a nonzero alpha")
+        elif self.family != "jordan":
+            raise ValueError("unknown family %r" % self.family)
+        self.wy_inv = pow(self.w_y, -1, self.w_x)
 
     @property
     def ell(self):
@@ -71,31 +84,7 @@ class AlgebraSpec:
 
 
 def quantum_spec(w_x, w_y, alpha):
-    spec = AlgebraSpec(w_x, w_y, "quantum", cyc(alpha))
-    validate_spec(spec)
-    return spec
-
-
-def jordan_spec(q):
-    spec = AlgebraSpec(1, q, "jordan")
-    validate_spec(spec)
-    return spec
-
-
-def validate_spec(spec):
-    if spec.w_x < 1 or spec.w_y < 1:
-        raise SpecError("gcd", "weights must be positive")
-    if gcd(spec.w_x, spec.w_y) != 1:
-        raise SpecError("gcd", "weights must be coprime, got (%d, %d)" % (spec.w_x, spec.w_y))
-    if spec.family == "quantum":
-        if spec.alpha is None or cyc(spec.alpha).is_zero():
-            raise SpecError("alpha", "quantum family needs a nonzero alpha")
-    elif spec.family == "jordan":
-        if spec.w_x != 1:
-            raise SpecError("jordan-weight", "jordan family needs w_x = 1")
-    else:
-        raise SpecError("gcd", "unknown family %r" % spec.family)
-    return spec
+    return AlgebraSpec(w_x, w_y, "quantum", cyc(alpha))
 
 
 def _accumulate(terms, key, coeff):
@@ -248,8 +237,8 @@ def _y_exponents(spec, d):
 
     As the weights are coprime, a w_y = d (mod w_x) fixes a mod w_x.
     """
-    wx, wy = spec.w_x, spec.w_y
-    return range(d * pow(wy, -1, wx) % wx, d // wy + 1, wx)
+    wx = spec.w_x
+    return range(d * spec.wy_inv % wx, d // spec.w_y + 1, wx)
 
 
 def graded_basis(spec, d):
@@ -266,5 +255,4 @@ def graded_basis(spec, d):
 
 def hilbert_dims(spec, D):
     """dim S_d for d = 0..D, the lengths of the _y_exponents ranges."""
-    wx, wy, inv = spec.w_x, spec.w_y, pow(spec.w_y, -1, spec.w_x)
-    return [len(range(d * inv % wx, d // wy + 1, wx)) for d in range(D + 1)]
+    return [len(_y_exponents(spec, d)) for d in range(D + 1)]

@@ -145,8 +145,9 @@ def make_diagonal_action(spec, r, px, py):
     if r < 1:
         raise ValueError("group order must be >= 1")
     if spec.family == "jordan" and (py - spec.q * px) % r != 0:
-        raise ValueError(
-            "jordan relation needs xi^py = xi^(q*px); for the hdet-one action "
-            "this means r must divide q+1 (q=%d, r=%d)" % (spec.q, r)
-        )
+        powers = (px % r, py % r)
+        hint = ("; for the hdet-one action this means r must divide q+1"
+                if powers == tuple(p % r for p in DEFAULT_POWERS) else "")
+        raise ValueError("jordan relation needs xi^py = xi^(q*px), but (px, py) = (%d, %d)"
+                         " mod r (q=%d, r=%d)%s" % (*powers, spec.q, r, hint))
     return CyclicGroupAction(spec, r, zeta(r), px, py)

@@ -19,13 +19,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 from .cyclotomic import ONE, cyc, zeta
-from .algebra import (
-    MONO_ONE,
-    SpecError,
-    hilbert_dims,
-    jordan_spec,
-    quantum_spec,
-)
+from .algebra import MONO_ONE, AlgebraSpec, hilbert_dims, quantum_spec
 from .automorphisms import (
     DEFAULT_POWERS,
     NotTabulatedError,
@@ -249,14 +243,11 @@ def _read_config(path, leaf):
 def _spec_from_args(args):
     try:
         if args.family == "jordan":
-            if args.wx != 1:
-                raise SpecError("jordan-weight", "jordan family needs w_x = 1")
-            if args.alpha is not None:
-                raise SpecError("alpha", "jordan family takes no alpha")
-            return jordan_spec(args.wy)
+            # the spec refuses a Jordan alpha, so its text is never parsed
+            return AlgebraSpec(args.wx, args.wy, "jordan", args.alpha)
         alpha = parse_cyclotomic(args.alpha) if args.alpha is not None else cyc(1)
         return quantum_spec(args.wx, args.wy, alpha)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit("invalid algebra: %s" % exc)
 
 

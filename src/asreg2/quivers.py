@@ -1,8 +1,10 @@
 """Quivers attached to the graded algebra and its skew group algebra.
 
-Every quiver built here is a grid quiver (grid_quiver): rows of vertex
-labels label[i][s], s < n, and steps (w, shift, tag), each of which runs
-(i, s) -> (i + w, s + shift mod n) wherever row i + w exists.  Q_S is the
+Q_S, Q_{S,G}, the covering quivers and the Gabriel quiver of Lambda are
+grid quivers (grid_quiver): rows of vertex labels label[i][s], s < n, and
+steps (w, shift, tag), each of which runs (i, s) -> (i + w, s + shift mod
+n) wherever row i + w exists.  The canonical quiver Q_(i,j) is no grid:
+make_canonical_quiver lays its two paths down by hand.  Q_S is the
 grid of one column, rows v0..v(ell-1), with an x-step w_x and a y-step w_y.
 Q_{S,G}, for G generated by diag(xi^px, xi^py) of order r, is Q_S lifted to
 r levels (_lift): the x-step shifts the level by px and the y-step by py,
@@ -97,8 +99,8 @@ def quiver_qsg(action):
 
 def _cover_shifts(spec):
     """Bezout pair (ax, ay) with w_y*ax - w_x*ay = 1 and 0 <= ax < w_x (ax = 0
-    when w_x = 1, as pow(w_y, -1, 1) is 0)."""
-    ax = pow(spec.w_y, -1, spec.w_x)
+    when w_x = 1, as w_y^-1 mod 1 is 0)."""
+    ax = spec.wy_inv
     ay = (spec.w_y * ax - 1) // spec.w_x
     return ax, ay
 

@@ -98,15 +98,6 @@ def fixed_ring_dims(action, D):
             for d in range(D + 1)]
 
 
-def _characters(action, d):
-    """The characters of the degree-d monomials y^a x^b in the order of
-    graded_basis: b px + a py mod r over a in _y_exponents, b = (d - a w_y)
-    / w_x, a progression in a, with no monomial built."""
-    spec, r, px, py = action.spec, action.r, action.px, action.py
-    wx, wy = spec.w_x, spec.w_y
-    return [((d - a * wy) // wx * px + a * py) % r for a in _y_exponents(spec, d)]
-
-
 def molien_dims(action, D):
     """Fixed-space dimensions by averaging traces of the group elements.
 
@@ -121,24 +112,24 @@ def molien_dims(action, D):
     T(gcd(char m, r)).  The xi_power table reads exponents mod r, so this
     rests on no property of xi (not the primitivity rho_system certifies).
 
-    The characters come from _characters, so no monomial is built.  Each
-    S(g) is summed in the field once per divisor g of r met, by one
-    cyclotomic_sum of its r/g entries, and certified an integer through
-    rational_value(): a sum of roots of unity is an algebraic integer, and
-    a rational algebraic integer is an integer, so for a root of unity xi a
-    rational S(g) is one.  An xi that
-    is no root of unity may give an irrational S(g) or a fraction, and both
-    raise ArithmeticError.  With every S(g) an integer, N_d is formed in
-    Python ints, exactly, and the average N_d / r is an integer exactly when
-    r divides N_d; when it does not, ArithmeticError.  So the field does no
-    work per degree.
+    The characters are read off graded_basis, which fixed_ring_dims and
+    corner_dimension_checks have built for the same degrees.  Each S(g) is
+    summed in the field once per divisor g of r met, by one cyclotomic_sum
+    of its r/g entries, and certified an integer through rational_value():
+    a sum of roots of unity is an algebraic integer, and a rational
+    algebraic integer is an integer, so for a root of unity xi a rational
+    S(g) is one.  An xi that is no root of unity may give an irrational
+    S(g) or a fraction, and both raise ArithmeticError.  With every S(g) an
+    integer, N_d is formed in Python ints, exactly, and the average N_d / r
+    is an integer exactly when r divides N_d; when it does not,
+    ArithmeticError.  So the field does no work per degree.
     """
     r = action.r
     power_sums = {}  # g -> T(g)
     out = []
     for d in range(D + 1):
         total = 0
-        for c in _characters(action, d):
+        for c in map(action.char, graded_basis(action.spec, d)):
             g = gcd(c, r)
             t = power_sums.get(g)
             if t is None:

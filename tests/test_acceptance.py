@@ -12,11 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from asreg2.cyclotomic import cyc, zeta
-from asreg2.algebra import (
-    graded_basis,
-    jordan_spec,
-    quantum_spec,
-)
+from asreg2.algebra import graded_basis, quantum_spec
 from asreg2.automorphisms import hdet, make_cyclic_group
 from asreg2.skew import (
     corner_dimension_checks,
@@ -46,6 +42,7 @@ from test_automorphisms import (
     hdet_koszul,
     hdet_normal_recursion,
     hdet_table,
+    jordan_spec,
     linear_automorphism,
     monomial,
     triangular_automorphism,

@@ -8,17 +8,15 @@ from asreg2.cyclotomic import cyc, zeta
 from asreg2.algebra import (
     _y_exponents,
     AlgebraElement,
+    AlgebraSpec,
     Monomial,
-    SpecError,
     graded_basis,
     hilbert_dims,
-    jordan_spec,
     monomial_product,
     quantum_spec,
     reduce_product,
-    validate_spec,
 )
-from test_automorphisms import degree, monomial, one as element_one, power
+from test_automorphisms import degree, jordan_spec, monomial, one as element_one, power
 
 
 # --- independent single-step rewriting oracle ---------------------------
@@ -67,16 +65,25 @@ W35 = quantum_spec(3, 5, cyc(Fraction(2, 1)))
 
 
 def test_validate_spec():
-    validate_spec(COMM)
-    with pytest.raises(SpecError) as e:
-        quantum_spec(2, 4, 1)
-    assert e.value.code == "gcd"
-    with pytest.raises(SpecError) as e:
-        quantum_spec(1, 1, 0)
-    assert e.value.code == "alpha"
-    with pytest.raises(SpecError) as e:
-        validate_spec(type(J1)(2, 3, "jordan"))
-    assert e.value.code == "jordan-weight"
+    # a spec checks itself on construction, so no invalid one exists; each
+    # refusal names the first rule broken, Jordan's own rules first
+    for args, message in (
+            ((2, 4, "quantum", cyc(1)), "weights must be coprime, got (2, 4)"),
+            ((0, 1, "quantum", cyc(1)), "weights must be positive"),
+            ((1, -3, "jordan"), "weights must be positive"),
+            ((2, 4, "quantum", cyc(0)), "weights must be coprime, got (2, 4)"),
+            ((1, 1, "quantum", cyc(0)), "quantum family needs a nonzero alpha"),
+            ((1, 1, "quantum"), "quantum family needs a nonzero alpha"),
+            ((2, 3, "jordan"), "jordan family needs w_x = 1"),
+            ((0, 0, "jordan", "zz"), "jordan family needs w_x = 1"),
+            ((1, 2, "jordan", cyc(2)), "jordan family takes no alpha"),
+            ((1, 2, "cubic", cyc(1)), "unknown family 'cubic'")):
+        with pytest.raises(ValueError) as e:
+            AlgebraSpec(*args)
+        assert str(e.value) == message, args
+    # the inverse of w_y mod w_x that fixes each degree's y-exponents
+    assert AlgebraSpec(1, 1, "quantum", cyc(1)).wy_inv == 0
+    assert [quantum_spec(5, wy, 1).wy_inv * wy % 5 for wy in (1, 2, 3, 4)] == [1] * 4
 
 
 def test_quantum_single_rewrite():

@@ -23,9 +23,9 @@ from asreg2.linalg import Echelon
 from asreg2.algebra import (
     MONO_ONE,
     AlgebraElement,
+    AlgebraSpec,
     Monomial,
     graded_basis,
-    jordan_spec,
     quantum_spec,
 )
 from asreg2.automorphisms import (
@@ -183,6 +183,11 @@ def hdet_table(sigma, spec):
     if spec.alpha == -1 and A.is_zero():
         return B * C
     return A * D - B * C
+
+
+def jordan_spec(q):
+    """The Jordan plane x*y = y*x + x^(q+1), weights (1, q)."""
+    return AlgebraSpec(1, q, "jordan")
 
 
 COMM = quantum_spec(1, 1, 1)

@@ -12,7 +12,6 @@ from asreg2.algebra import (
     Monomial,
     SparseElement,
     graded_basis,
-    jordan_spec,
     monomial_product,
     quantum_spec,
 )
@@ -39,6 +38,7 @@ from asreg2.quivers import (
     quiver_qsg,
 )
 from asreg2.skew import rho_system
+from test_automorphisms import jordan_spec
 from test_skew import GSkewElement, LINK_CASES, assert_g_basis_link, to_g_basis
 
 S11 = quantum_spec(1, 1, 1)

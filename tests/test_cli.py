@@ -833,6 +833,55 @@ def test_bad_inputs_exit_cleanly(tmp_path):
         assert str(exc.value).startswith(start) and "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--family jordan --wx 2 --wy 3", "jordan family needs w_x = 1"),
+    ("--family jordan --wx 0 --wy 0", "jordan family needs w_x = 1"),
+    ("--family jordan --wx 2 --alpha zz", "jordan family needs w_x = 1"),
+    ("--family jordan --wy 2 --alpha 2", "jordan family takes no alpha"),
+    ("--family jordan --wy 2 --alpha zz", "jordan family takes no alpha"),
+    ("--family jordan --wy 0", "weights must be positive"),
+    ("--wx 0", "weights must be positive"),
+    ("--wx 2 --wy 4", "weights must be coprime, got (2, 4)"),
+    ("--wx 2 --wy 4 --alpha 0", "weights must be coprime, got (2, 4)"),
+    ("--alpha 0", "quantum family needs a nonzero alpha"),
+    ("--alpha zz", "cannot parse cyclotomic value 'zz'"),
+    ("--alpha 1/0", "zero denominator in '1/0'"),
+])
+def test_invalid_algebra_messages(argv, message):
+    # the first rule the flags break is named, in the spec's order: the
+    # Jordan w_x, a Jordan alpha (never parsed), the weights, the quantum alpha
+    with pytest.raises(SystemExit) as exc:
+        main(["info"] + argv.split())
+    assert str(exc.value) == "invalid algebra: " + message
+
+
+@pytest.mark.parametrize("config, message", [
+    ("family=jordan\nwx=2\nwy=3\n", "jordan family needs w_x = 1"),
+    ("family=jordan\nwy=2\nalpha=2\n", "jordan family takes no alpha"),
+])
+def test_invalid_algebra_messages_from_config(tmp_path, config, message):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--config", str(cfg)])
+    assert str(exc.value) == "invalid algebra: " + message
+
+
+def test_jordan_action_refusal_names_the_given_powers():
+    # a refused Jordan action names its own exponents mod r; only the
+    # hdet-one action gets the r | q+1 hint
+    with pytest.raises(SystemExit) as exc:
+        main(["ample", "--family", "jordan", "--wy", "2", "--r", "5", "--action-powers", "1,1"])
+    assert str(exc.value) == ("invalid action: jordan relation needs xi^py = xi^(q*px),"
+                              " but (px, py) = (1, 1) mod r (q=2, r=5)")
+    for extra in ([], ["--action-powers", "1,-1"], ["--action-powers", "6,4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ample", "--family", "jordan", "--wy", "2", "--r", "5"] + extra)
+        assert str(exc.value) == ("invalid action: jordan relation needs xi^py = xi^(q*px),"
+                                  " but (px, py) = (1, 4) mod r (q=2, r=5); for the hdet-one"
+                                  " action this means r must divide q+1")
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (["info"], "--alpha", "-1/2"),
     (["hdet"], "--a", "-zeta(3)"),

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.algebra import quantum_spec
 from asreg2.automorphisms import make_cyclic_group
 from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.cyclotomic import cyc, cyclotomic_polynomial, zeta
@@ -23,6 +23,7 @@ from test_automorphisms import (
     identity_automorphism,
     inverse_automorphism,
     is_graded_automorphism,
+    jordan_spec,
     linear_automorphism,
     triangular_automorphism,
 )

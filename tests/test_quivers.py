@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asreg2 import quivers
-from asreg2.algebra import jordan_spec, quantum_spec
+from asreg2.algebra import quantum_spec
 from asreg2.automorphisms import make_cyclic_group
 from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.quivers import (
@@ -29,6 +29,7 @@ from asreg2.quivers import (
     quiver_qsg,
     reflection_search,
 )
+from test_automorphisms import jordan_spec
 from test_cli import DATA, REFLECT_GOLDENS, _load_workloads
 
 

@@ -16,7 +16,6 @@ from asreg2.algebra import (
     SparseElement,
     graded_basis,
     hilbert_dims,
-    jordan_spec,
     monomial_product,
     quantum_spec,
     reduce_product,
@@ -40,7 +39,7 @@ from asreg2.skew import (
     skew_dim,
     skew_mul_basis,
 )
-from test_automorphisms import generator, hdet_table, monomial
+from test_automorphisms import generator, hdet_table, jordan_spec, monomial
 
 COMM = quantum_spec(1, 1, 1)
 QUANT5 = quantum_spec(1, 1, zeta(5))
@@ -473,9 +472,9 @@ def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
 
 
 def molien_dims_counter(action, D):
-    """molien_dims as it counted before the progression: the characters by a
-    Counter over graded_basis, and each power sum T(g) as r field additions.
-    The oracle of the progression count and of the r/g-entry power sums."""
+    """molien_dims with the characters counted by a Counter over graded_basis,
+    and each power sum T(g) as r field additions.  The oracle of the
+    per-monomial count and of the r/g-entry power sums."""
     r = action.r
     power_sums = {}
     out = []
@@ -496,8 +495,7 @@ def molien_dims_counter(action, D):
 
 
 def test_progression_count_equals_counter_sweep():
-    # the characters of S_d as a progression, in graded_basis order, and the
-    # trace average on them, against the Counter over the monomials; every
+    # the trace average, against the Counter over the monomials; every
     # diagonal action of order <= 12 on four quantum planes and two Jordan
     # planes, non-faithful ones included
     checked = 0
@@ -509,9 +507,6 @@ def test_progression_count_equals_counter_sweep():
                     if spec.family == "jordan" and (py - spec.q * px) % r:
                         continue
                     action = make_diagonal_action(spec, r, px, py)
-                    for d in range(13):
-                        assert asreg2.skew._characters(action, d) == [
-                            action.char(m) for m in graded_basis(spec, d)], (action, d)
                     assert molien_dims(action, 12) == molien_dims_counter(action, 12), action
                     checked += 1
     assert checked == 4 * 650 + 2 * 78
@@ -878,8 +873,6 @@ def test_quotient_dims_free_action_closed_form():
 
 def test_quotient_dims_extended_regressions():
     # package-computed regression values for cases beyond the acceptance list
-    from asreg2.algebra import jordan_spec
-
     cases = [
         (quantum_spec(3, 5, 1), 4, [0, 3, 5, 6, 8, 10], 10),
         (jordan_spec(3), 4, [0, 1, 2, 3, 4, 6], 10),
