@@ -24,7 +24,7 @@ nonzero, the choice pinned by the worked six-vertex example for weights
 from collections import Counter
 
 from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
-from .quivers import grid_labels, grid_quiver
+from .quivers import grid_quiver
 from .skew import skew_dim, skew_mul_basis
 
 
@@ -131,7 +131,7 @@ def gabriel_quiver_oracle(action):
                                               % (left, right))
                     (_, _, mono, _), = prod
                     jj_keys.setdefault((d, (cm + cn) % r), set()).add(mono)
-    return grid_quiver(grid_labels(ell, r), [
+    return grid_quiver(ell, r, [
         (d, -c, "") for (d, c), size in j_corner.items()
         for _ in range(size - len(jj_keys.get((d, c), ())))])
 

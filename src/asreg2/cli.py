@@ -650,8 +650,11 @@ def _parse(argv, seed=None):
         if sub is None:
             break
         if rest[0] not in sub.choices:
+            # argparse 3.13.13 drops a "--" here and parses the subcommand after it
+            if rest[0] == "--":
+                leaf.error("expected a subcommand, got '--'")
             # argparse would name the option's value as the unknown subcommand;
-            # "-", "--" and -h, --help or an abbreviation of it keep argparse's reply
+            # "-" and -h, --help or an abbreviation of it keep argparse's reply
             if rest[0].startswith("-") and rest[0] != "-h" and not "--help".startswith(rest[0]):
                 leaf.error("option %s comes before the subcommand; options go after it"
                            % rest[0].split("=", 1)[0])

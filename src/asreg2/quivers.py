@@ -1,9 +1,9 @@
 """Quivers attached to the graded algebra and its skew group algebra.
 
 Q_S, Q_{S,G}, the covering quivers and the Gabriel quiver of Lambda are
-grid quivers (grid_quiver): rows of vertex labels label[i][s], s < n, and
-steps (w, shift, tag), each of which runs (i, s) -> (i + w, s + shift mod
-n) wherever row i + w exists.  The canonical quiver Q_(i,j) is no grid:
+grid quivers (grid_quiver): rows of n vertices, (i, s) at position i*n + s,
+and steps (w, shift, tag), each of which runs (i, s) -> (i + w, s + shift
+mod n) wherever row i + w exists.  The canonical quiver Q_(i,j) is no grid:
 make_canonical_quiver lays its two paths down by hand.  Q_S is the
 grid of one column, rows v0..v(ell-1), with an x-step w_x and a y-step w_y.
 Q_{S,G}, for G generated by diag(xi^px, xi^py) of order r, is Q_S lifted to
@@ -14,7 +14,7 @@ with shifts ax and ay, (ax, ay) the Bezout pair w_y*ax - w_x*ay = 1 with 0
 with the y-arrows dropping one level (and wrapping), and in general it is
 the connected cyclic cover, which is what the skew-quiver components
 decompose into.  The Gabriel quiver of Lambda (beilinson) is a grid on the
-same labels with a step per arrow of J/J^2.
+same positions with a step per arrow of J/J^2.
 
 Every one of these quivers, and every BGP reflection of them, is a
 disjoint union of cycles.  So a quiver is handled through its walks
@@ -22,11 +22,16 @@ disjoint union of cycles.  So a quiver is handled through its walks
 and the orientation word.  The sorted least rotations of the words are its
 isomorphism class (cycle_classes), which isomorphism, check and the replay of
 a reflection witness compare, and the reflection search walks one cycle's
-word down its distance to a goal class.  Reflections, walks and path_count
-read the arrows at each vertex off one index (_incidence).
+word down its distance to a goal class.
 
-Vertices are strings ("v3" or "v1_2"); arrows are (src, dst, tag) with
-tag "x", "y" or "" for untagged.  Quiver values are immutable.
+A quiver lives on vertex positions 0..n-1: its arrows are (src, dst, tag)
+triples of positions, sorted, and each quiver indexes them at their ends
+once, when it is made; walks, reflections and path_count read that index
+and never a label.  The labels ("v3" or "v1_2", by one rule, _labels) and
+the arrows named by them are made when something first reads vertices or
+arrows: the writers, equality, a reflection's vertex names and the
+vertices a search or an isomorphism returns.  A tag is "x", "y" or "" for
+untagged.  Quiver values are immutable.
 """
 
 import heapq
@@ -38,57 +43,106 @@ _FLIP = str.maketrans("10XxYy", "01xXyY")
 _UNTAG = str.maketrans("XxYy", "1010")
 
 
-class Quiver:
-    """The vertices in the order given, which every builder here makes the
-    natural order ("v2" before "v10", a grid row by row), and the arrows
-    sorted by (position of src, position of dst, tag); a tag is "x", "y" or
-    "" (_LETTERS), else ValueError."""
+def _labels(size, columns):
+    """The label rule: the labels of positions 0..size-1, v<k> at position k
+    when columns is None (Q_S, the canonical quiver), else v<i>_<s> for (i, s)
+    = divmod(k, columns), row i and column s of a grid that wide."""
+    if columns is None:
+        return tuple(map("v%d".__mod__, range(size)))
+    return tuple("v%d_%d" % divmod(k, columns) for k in range(size))
 
-    __slots__ = ("vertices", "arrows")
+
+class Quiver:
+    """Quiver(vertices, arrows): the vertices in the order given, which every
+    builder here makes the natural order ("v2" before "v10", a grid row by
+    row), and the arrows sorted by (position of src, position of dst, tag);
+    an endpoint that is no vertex or a tag other than "x", "y" or ""
+    (_LETTERS) is a ValueError."""
+
+    # _arrows: (src, dst, tag) on positions, sorted; _incident: each
+    # position's arrows as indices into _arrows, an arrow listed at both its
+    # ends, a loop twice at its vertex; _vertices and _named: the labels and
+    # the named arrows, None until read; _columns: the label rule's width
+    __slots__ = ("_arrows", "_incident", "_columns", "_vertices", "_named")
 
     def __init__(self, vertices, arrows):
-        self.vertices = tuple(vertices)
-        position = {v: k for k, v in enumerate(self.vertices)}
-        arrows = list(arrows)
+        vertices = tuple(vertices)
+        position = {v: k for k, v in enumerate(vertices)}
+        placed = []
         for (s, t, tag) in arrows:
             if s not in position or t not in position:
                 raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))
             if tag not in _LETTERS:
                 raise ValueError("arrow tag %r is not 'x', 'y' or ''" % (tag,))
-        self.arrows = tuple(sorted(arrows, key=lambda a: (position[a[0]], position[a[1]], a[2])))
+            placed.append((position[s], position[t], tag))
+        self._place(len(vertices), placed, None, vertices)
+
+    def _place(self, size, arrows, columns, vertices=None):
+        """Set the quiver on positions 0..size-1 from a list of arrows on
+        positions, each refused as __init__ refuses a named one; the labels
+        are vertices, or the label rule's at width columns when first read."""
+        for (s, t, tag) in arrows:
+            if not (0 <= s < size and 0 <= t < size):
+                raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))
+            if tag not in _LETTERS:
+                raise ValueError("arrow tag %r is not 'x', 'y' or ''" % (tag,))
+        arrows.sort()
+        incident = [[] for _ in range(size)]
+        for idx, (s, t, _) in enumerate(arrows):
+            incident[s].append(idx)
+            incident[t].append(idx)
+        self._arrows, self._incident = tuple(arrows), incident
+        self._columns, self._vertices, self._named = columns, vertices, None
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = _labels(len(self._incident), self._columns)
+        return self._vertices
+
+    @property
+    def arrows(self):
+        if self._named is None:
+            label = self.vertices
+            self._named = tuple((label[s], label[t], tag) for (s, t, tag) in self._arrows)
+        return self._named
 
     def __eq__(self, other):
-        return self.vertices == other.vertices and self.arrows == other.arrows
+        if not isinstance(other, Quiver):
+            return NotImplemented
+        return self._arrows == other._arrows and self.vertices == other.vertices
 
     __hash__ = None
 
     def __repr__(self):
-        return "Quiver(%d vertices, %d arrows)" % (len(self.vertices), len(self.arrows))
+        return "Quiver(%d vertices, %d arrows)" % (len(self._incident), len(self._arrows))
 
 
-def grid_quiver(label, steps):
-    """The quiver on the rows of labels label[i][s], s < n, with, for each step
-    (w, shift, tag) and each row i with i + w < len(label), the arrows (i, s)
-    -> (i + w, s + shift mod n); a step listed k times gives k parallel arrows."""
-    n = len(label[0])
-    arrows = [(src[s], dst[(s + shift) % n], tag)
-              for w, shift, tag in steps for src, dst in zip(label, label[w:]) for s in range(n)]
-    return Quiver([v for row in label for v in row], arrows)
+def _quiver(size, arrows, columns, vertices=None):
+    """The Quiver on positions 0..size-1 with a list of arrows on positions (Quiver._place)."""
+    q = Quiver.__new__(Quiver)
+    q._place(size, arrows, columns, vertices)
+    return q
+
+
+def grid_quiver(rows, n, steps, row_labels=False):
+    """The quiver on rows of n vertices, (i, s) at position i*n + s, with, for
+    each step (w, shift, tag) and each row i with i + w < rows, the arrows
+    (i, s) -> (i + w, s + shift mod n); a step listed k times gives k
+    parallel arrows.  (i, s) is labelled v<i>_<s>, or v<i> with row_labels
+    (one column)."""
+    arrows = [(src + s, src + w * n + (s + shift) % n, tag)
+              for w, shift, tag in steps for src in range(0, (rows - w) * n, n) for s in range(n)]
+    return _quiver(rows * n, arrows, None if row_labels else n)
 
 
 def quiver_qs(spec):
-    return grid_quiver([["v%d" % i] for i in range(spec.ell)],
-                       ((spec.w_x, 0, "x"), (spec.w_y, 0, "y")))
-
-
-def grid_labels(ell, n):
-    """The vertex labels of an ell x n grid: row i holds v<i>_<s> for s < n."""
-    return [["v%d_%d" % (i, s) for s in range(n)] for i in range(ell)]
+    return grid_quiver(spec.ell, 1, ((spec.w_x, 0, "x"), (spec.w_y, 0, "y")), row_labels=True)
 
 
 def _lift(spec, n, shifts):
     """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
-    return grid_quiver(grid_labels(spec.ell, n), zip((spec.w_x, spec.w_y), shifts, "xy"))
+    return grid_quiver(spec.ell, n, zip((spec.w_x, spec.w_y), shifts, "xy"))
 
 
 def quiver_qsg(action):
@@ -111,59 +165,52 @@ def covering_quiver(spec, c):
     return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
 
 
-def _incidence(q):
-    """Each vertex's arrows, as indices into q.arrows, an arrow listed at both
-    its ends: a loop twice at its vertex."""
-    incident = {v: [] for v in q.vertices}
-    for idx, (s, t, _) in enumerate(q.arrows):
-        incident[s].append(idx)
-        incident[t].append(idx)
-    return incident
-
-
 def bgp_reflect(q, *vertices):
     """Reverse every arrow at a sink or source vertex, at each given vertex in
     turn: the chain of one-vertex reflections, with its ValueError at the
     first vertex that is unknown or neither a sink nor a source at its turn.
-    The arrows are indexed by their ends once, so a reflection costs the
-    arrows at its vertex, and one Quiver is built at the end."""
-    arrows, incident = list(q.arrows), _incidence(q)
-    for v in vertices:
-        if v not in incident:
-            raise ValueError("unknown vertex %r" % v)
+    The vertices are named by labels, looked up once; a reflection costs the
+    arrows at its vertex in q's index, which reversing arrows keeps, and one
+    Quiver is built at the end, with q's labels."""
+    arrows, incident = list(q._arrows), q._incident
+    position = {v: k for k, v in enumerate(q.vertices)} if vertices else {}
+    for name in vertices:
+        v = position.get(name)
+        if v is None:
+            raise ValueError("unknown vertex %r" % name)
         has_in = has_out = False
         for idx in incident[v]:
             s, t, _ = arrows[idx]
             has_out |= s == v
             has_in |= t == v
         if has_in == has_out:
-            raise ValueError("vertex %r is neither a sink nor a source" % v)
+            raise ValueError("vertex %r is neither a sink nor a source" % name)
         for idx in incident[v]:
             s, t, tag = arrows[idx]
             arrows[idx] = (t, s, tag)
-    return Quiver(q.vertices, arrows)
+    return _quiver(len(incident), arrows, q._columns, q._vertices)
 
 
 def _cycle_walks(q, tags=False):
-    """Walk round each component of q, from its first vertex in q.vertices, in
-    that order: the vertices in the order met, and the orientation word, a
+    """Walk round each component of q, from its first vertex position, in
+    order: the positions in the order met, and the orientation word, a
     str whose k-th letter is "1" when the arrow between the k-th vertex and
     the next points along the walk and "0" when it points back.  With tags
     an x- or y-arrow reads "X" or "Y" along the walk and "x" or "y" back.
     None unless every vertex meets exactly two arrow ends of two different
     arrows, that is, unless q is a disjoint union of cycles of length >= 2;
     then each walk is back at its start before it meets a vertex twice."""
-    incident = _incidence(q)
-    if any(len(e) != 2 or e[0] == e[1] for e in incident.values()):
+    arrows, incident = q._arrows, q._incident
+    if any(len(e) != 2 or e[0] == e[1] for e in incident):
         return None
     walks, walked = [], set()
-    for start in q.vertices:
+    for start in range(len(incident)):
         if start in walked:
             continue
         v, edge = start, incident[start][0]
         order, word = [], []
         while True:
-            s, t, tag = q.arrows[edge]
+            s, t, tag = arrows[edge]
             order.append(v)
             word.append((_LETTERS[tag] if tags else "10")[s != v])
             v = t if s == v else s
@@ -208,30 +255,40 @@ def _least_start(word):
     return start
 
 
-def _least_rotation(order, word):
+def _least_turn(word):
     """The lesser of the two walk directions' least rotations (_least_start),
-    with its vertex order rotated alongside, as a (word, order) pair.
-    Walking the other way round from order[0] meets order[0], order[-1],
-    ..., order[1], reverses the word and flips every letter.  A periodic
-    word has tied starts, a period apart; the first one is taken, and every
-    one of them gives an order aligned with the word."""
+    as (rotation, direction, start): direction 0 reads the word as walked,
+    direction 1 walks the other way round from the same vertex, which
+    reverses the word and flips every letter; a tie takes direction 0."""
     picks = []
-    for w, o in ((word, order), (word[::-1].translate(_FLIP), order[:1] + order[:0:-1])):
+    for direction, w in enumerate((word, word[::-1].translate(_FLIP))):
         k = _least_start(w)
-        picks.append((w[k:] + w[:k], k, o))
-    least, k, o = min(picks, key=operator.itemgetter(0))
-    return least, o[k:] + o[:k]
+        picks.append((w[k:] + w[:k], direction, k))
+    return min(picks)
 
 
-def _classes(walks):
-    return None if walks is None else sorted(_least_rotation(*walk)[0] for walk in walks)
+def _least_rotation(order, word):
+    """_least_turn's rotation with the walk's vertex order rotated alongside,
+    as a (word, order) pair.  Walking the other way round from order[0]
+    meets order[0], order[-1], ..., order[1].  A periodic word has tied
+    starts, a period apart; the first one is taken, and every one of them
+    gives an order aligned with the word."""
+    least, direction, k = _least_turn(word)
+    if direction:
+        order = order[:1] + order[:0:-1]
+    return least, order[k:] + order[:k]
+
+
+def _classes(words):
+    return sorted(_least_turn(word)[0] for word in words)
 
 
 def cycle_classes(q, respect_tags=False):
     """The isomorphism class of a disjoint union of cycles (tags kept when
-    asked): the sorted least rotations (_least_rotation) of its components'
+    asked): the sorted least rotations (_least_turn) of its components'
     words, or None when q is no such union."""
-    return _classes(_cycle_walks(q, respect_tags))
+    walks = _cycle_walks(q, respect_tags)
+    return None if walks is None else _classes(word for _, word in walks)
 
 
 def tagged_and_untagged_classes(q):
@@ -241,12 +298,13 @@ def tagged_and_untagged_classes(q):
     walks = _cycle_walks(q, True)
     if walks is None:
         return None, None
-    return _classes(walks), _classes([(o, w.translate(_UNTAG)) for o, w in walks])
+    words = [word for _, word in walks]
+    return _classes(words), _classes(word.translate(_UNTAG) for word in words)
 
 
 def quiver_isomorphic(q1, q2, respect_tags=False):
     """A vertex bijection carrying q1's arrows onto q2's (tags onto equal tags
-    when asked), or None.
+    when asked), as labels, or None.
 
     Decided for disjoint unions of cycles of length >= 2, as every quiver
     built here is: two are isomorphic exactly when their cycle_classes
@@ -263,7 +321,8 @@ def quiver_isomorphic(q1, q2, respect_tags=False):
         raise ValueError("neither quiver is a disjoint union of cycles")
     if rot1 is None or rot2 is None or [w for w, _ in rot1] != [w for w, _ in rot2]:
         return None
-    return {v: u for (_, o1), (_, o2) in zip(rot1, rot2) for v, u in zip(o1, o2)}
+    label1, label2 = q1.vertices, q2.vertices
+    return {label1[v]: label2[u] for (_, o1), (_, o2) in zip(rot1, rot2) for v, u in zip(o1, o2)}
 
 
 def direction_counts(word):
@@ -276,11 +335,9 @@ def make_canonical_quiver(i, j):
     """Two directed paths of lengths i and j from a common source to a common sink."""
     if i < 1 or j < 1:
         raise ValueError("path lengths must be >= 1")
-    vertices = ["v%d" % k for k in range(i + j)]
-    arrows = []
-    for path in (vertices[:i + 1], vertices[:1] + vertices[i + 1:] + vertices[i:i + 1]):
-        arrows += [(a, b, "") for a, b in zip(path, path[1:])]
-    return Quiver(vertices, arrows)
+    arrows = [(a, b, "") for path in (range(i + 1), [0, *range(i + 1, i + j), i])
+              for a, b in zip(path, path[1:])]
+    return _quiver(i + j, arrows, None)
 
 
 def _alignments(word, goals):
@@ -352,12 +409,13 @@ def reflection_search(q1, goal, max_depth=None):
     reversed flip, and None is returned only when the distance (_alignments)
     exceeds max_depth.  A rotation of goal shifts every alignment's
     differences by one constant, so any word of the class gives the same
-    moves.  The witness, vertex labels of q1 (stable under reflection),
-    is built greedily: the first vertex in q1.vertices order whose move is
-    nearer (_nearer), repeated, so it is the least shortest sequence in this
-    order.  A breadth-first search over classes that tries moves in this
-    order and keeps the first word of each new class finds the same, as
-    words of one class reach the same classes.
+    moves.  The witness, vertices of q1 (stable under reflection), is
+    built greedily on positions: the first vertex in q1.vertices order whose
+    move is nearer (_nearer), repeated, so it is the least shortest sequence
+    in this order; it is labelled when returned.  A breadth-first search
+    over classes that tries moves in this order and keeps the first word of
+    each new class finds the same, as words of one class reach the same
+    classes.
 
     One alignment pass serves the whole walk, as the least alignments only
     shrink.  The complement is taken once (moves keep the counts), and the
@@ -379,17 +437,18 @@ def reflection_search(q1, goal, max_depth=None):
     d_j and cuts their range.
 
     The next move is the first in vertex order that is nearer, read off a
-    heap of walk positions by vertex order that drops an entry whose move
-    is not nearer when it is popped: the move at k slides the "1" P_j on
+    heap of vertices, each at its walk position, that drops an entry whose
+    move is not nearer when it is popped: the move at k slides the "1" P_j on
     cell k-1 forward or the one on cell k back, when the other cell is
     free.  No nearer move is lost so: a move that is not nearer becomes
     nearer only through the move just made, at position m.  Whether k has a
     move reads cells k-1 and k, of which m changed m-1 and m, so only for k
     in m-1, m, m+1; and its test reads the d_j of the "1" it slides, which
     changed only for the "1" that m moved, whose moves sit at such a k,
-    while every other test only lost alignments and narrowed ranges.  So those three positions are
-    pushed again after each move, and a move costs O(least alignments *
-    log n) amortised, not a pass.
+    while every other test only lost alignments and narrowed ranges.  So
+    the vertices at those three positions are pushed again after each
+    move, and a move costs O(least alignments * log n) amortised, not a
+    pass.
     """
     order, word = _cycle_walk(q1)
     if direction_counts(word) != direction_counts(goal):
@@ -401,11 +460,13 @@ def reflection_search(q1, goal, max_depth=None):
     owner = [None] * n  # the index j of the "1" on each cell, None on a "0"
     for j, p in enumerate(P):
         owner[p] = j
-    index = {v: i for i, v in enumerate(q1.vertices)}
-    heap = sorted((index[v], k) for k, v in enumerate(order))
+    at = [0] * n  # the walk position of each vertex, order's inverse
+    for k, v in enumerate(order):
+        at[v] = k
+    heap = list(range(n))  # the vertices, sorted, so a heap
     for _ in range(dist):
         while True:
-            k = heapq.heappop(heap)[1]
+            k = at[heapq.heappop(heap)]
             a, b = owner[k - 1], owner[k]
             if (a is None) != (b is None):
                 j, delta = (a, 1) if b is None else (b, -1)
@@ -413,7 +474,7 @@ def reflection_search(q1, goal, max_depth=None):
                     break
         witness.append(order[k])
         for m in ((k - 1) % n, k, (k + 1) % n):
-            heapq.heappush(heap, (index[order[m]], m))
+            heapq.heappush(heap, order[m])
         p = P[j]
         owner[p % n], owner[(p + delta) % n] = None, j
         P[j] = p + delta
@@ -429,29 +490,30 @@ def reflection_search(q1, goal, max_depth=None):
             d[j] = dj + delta
             kept.append((d, lo, hi))
         least = kept
-    return witness
+    label = q1.vertices
+    return [label[v] for v in witness]
 
 
 def path_count(q):
     """Number of directed paths, trivial paths included (acyclic quivers).
 
-    Kahn's order off _incidence leaves out the vertices on or after an
-    oriented cycle.  An arrow's entry at its target is an in-arrow, so a
-    loop, listed twice at its vertex, keeps that vertex out as well."""
-    targets, indeg = {}, {}
-    for v, idx in _incidence(q).items():
-        ends = [q.arrows[i][:2] for i in idx]
-        targets[v] = [t for s, t in ends if s == v]
-        indeg[v] = sum(t == v for _, t in ends)
-    order = [v for v in q.vertices if not indeg[v]]
+    Kahn's order on positions leaves out the vertices on or after an
+    oriented cycle, a loop's vertex among them: the loop is an in-arrow of
+    its vertex that only that vertex could remove."""
+    size = len(q._incident)
+    targets, indeg = [[] for _ in range(size)], [0] * size
+    for (s, t, _) in q._arrows:
+        targets[s].append(t)
+        indeg[t] += 1
+    order = [v for v in range(size) if not indeg[v]]
     for v in order:
         for t in targets[v]:
             indeg[t] -= 1
             if not indeg[t]:
                 order.append(t)
-    if len(order) != len(q.vertices):
+    if len(order) != size:
         raise ValueError("path count needs an acyclic quiver")
-    paths_from = {}
+    paths_from = [0] * size
     for v in reversed(order):
         paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
-    return sum(paths_from.values())
+    return sum(paths_from)

@@ -244,11 +244,14 @@ REFLECT_GOLDENS = [
     ("reflect_9_13_c3_t27_39",
      ["--wx", "9", "--wy", "13", "--c", "3", "--target-i", "27", "--target-j", "39"]),
 ]
-# the covering quiver and Q_S, each grid_quiver's arrows in bytes
+# the covering quiver and Q_S, each grid_quiver's arrows in bytes, and
+# Q_{S,G} on two-digit labels reflected at a source: bgp_reflect's arrow order
 QUIVER_GOLDENS = [
     ("covering_2_3_c4.json", ["quiver", "covering", "--wx", "2", "--wy", "3", "--c", "4",
                               "--format", "json"]),
     ("qs_3_5.dot", ["quiver", "qs", "--wx", "3", "--wy", "5", "--format", "dot"]),
+    ("reflect_at_qsg_1_2_r12_v0_0.json", ["reflect", "at", "--kind", "qsg", "--wx", "1", "--wy", "2",
+                                          "--r", "12", "--vertex", "v0_0", "--format", "json"]),
 ]
 # the argv of every golden file, the quiver ones first
 GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
@@ -260,7 +263,8 @@ GOLDEN_ARGVS = [argv + ["--out", "golden.out"] for argv in (
     + [["reflect", "search", *flags, "--format", "json"] for _, flags in REFLECT_GOLDENS])]
 
 
-@pytest.mark.parametrize("name, argv", QUIVER_GOLDENS, ids=["covering_2_3_c4", "qs_3_5"])
+@pytest.mark.parametrize("name, argv", QUIVER_GOLDENS,
+                         ids=["covering_2_3_c4", "qs_3_5", "reflect_at_qsg_1_2_r12_v0_0"])
 def test_quiver_matches_golden(tmp_path, capsys, name, argv):
     out_file = tmp_path / name
     code, _ = run(capsys, [*argv, "--out", str(out_file)])
@@ -401,6 +405,7 @@ def test_reflect_search_reports_a_witness_that_does_not_replay(monkeypatch, caps
     # that replays to a quiver of another class than the target's
     source = asreg2.quivers.covering_quiver(quantum_spec(1, 3, 1), 3)
     order, word = asreg2.quivers._cycle_walk(source)
+    order = [source.vertices[v] for v in order]
     interior = next(v for k, v in enumerate(order) if word[k - 1] == word[k])
     turn = next(v for k, v in enumerate(order) if word[k - 1] != word[k])
     argv = ["reflect", "search", "--wx", "1", "--wy", "3", "--c", "3", "--target-i", "3", "--target-j", "9"]
@@ -968,6 +973,15 @@ def test_option_before_the_subcommand_is_named(capsys):
             main(argv)
         assert exc.value.code == code, argv
         assert "comes before the subcommand" not in capsys.readouterr().err, argv
+    # a "--" before the subcommand is refused on every Python, where argparse
+    # 3.13.13 would drop it and run the subcommand after it
+    for argv, prog in ((["--", "ample", "--r", "2"], "asreg2"), (["--"], "asreg2"),
+                       (["reflect", "--", "search"], "asreg2 reflect")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == prog + ": error: expected a subcommand, got '--'", argv
 
 
 def test_parse_matches_argparse(tmp_path, monkeypatch, capsys):

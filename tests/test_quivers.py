@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from asreg2 import quivers
 from asreg2.algebra import quantum_spec
-from asreg2.automorphisms import make_cyclic_group
+from asreg2.automorphisms import make_cyclic_group, make_diagonal_action
 from asreg2.beilinson import gabriel_quiver_oracle
 from asreg2.quivers import (
     Quiver,
@@ -28,9 +28,10 @@ from asreg2.quivers import (
     quiver_qs,
     quiver_qsg,
     reflection_search,
+    tagged_and_untagged_classes,
 )
 from test_automorphisms import jordan_spec
-from test_cli import DATA, REFLECT_GOLDENS, _load_workloads
+from test_cli import DATA, REFLECT_GOLDENS, _load_workloads, run
 
 
 def _natural_key(label):
@@ -78,6 +79,18 @@ GOLDEN_QSG_11_3 = Quiver(
         ("v0_0", "v1_2", "y"),
     ],
 )
+
+
+def named_walk(q, tags=False):
+    """_cycle_walk(q, tags) with its vertex order, positions, as labels."""
+    order, word = _cycle_walk(q, tags)
+    return tuple(q.vertices[v] for v in order), word
+
+
+def named_walks(q, tags=False):
+    """_cycle_walks(q, tags) with each vertex order, positions, as labels."""
+    walks = _cycle_walks(q, tags)
+    return None if walks is None else [(tuple(q.vertices[v] for v in o), w) for o, w in walks]
 
 
 def out_arrows(q, v):
@@ -525,13 +538,13 @@ def test_least_rotation_on_long_periodic_words():
 
 
 def walks_oracle(q, tags):
-    """_cycle_walk of each of components_oracle(q), ordered by the position
+    """named_walk of each of components_oracle(q), ordered by the position
     of its first vertex in q.vertices, or None unless each is a cycle."""
     position = {v: k for k, v in enumerate(q.vertices)}
     walks = []
     for comp in sorted(components_oracle(q), key=lambda c: position[c.vertices[0]]):
         try:
-            walks.append(_cycle_walk(comp, tags))
+            walks.append(named_walk(comp, tags))
         except ValueError:
             return None
     return walks
@@ -543,7 +556,7 @@ def test_cycle_walks_match_per_component_walks(data):
     q = data.draw(cycle_unions())
     for case in (q, _broken(data, q)):
         for tags in (False, True):
-            assert _cycle_walks(case, tags) == walks_oracle(case, tags)
+            assert named_walks(case, tags) == walks_oracle(case, tags)
     assert _cycle_walks(q) is not None
 
 
@@ -554,8 +567,8 @@ def test_cycle_walks_refuse_what_is_no_union_of_cycles():
     degree_3 = Quiver(["v0", "v1", "v2", "v3"], [("v0", "v1", ""), ("v1", "v2", ""),
                                                  ("v2", "v0", ""), ("v0", "v3", ""),
                                                  ("v3", "v1", "")])
-    # a lone loop and a loop on a cycle: _incidence lists a loop twice at its
-    # vertex, so neither meets two different arrows there
+    # a lone loop and a loop on a cycle: a quiver's index lists a loop twice
+    # at its vertex, so neither meets two different arrows there
     lone_loop = Quiver(["v0"], [("v0", "v0", "")])
     cycle_loop = Quiver(["v0", "v1"], [("v0", "v1", ""), ("v1", "v0", ""), ("v1", "v1", "")])
     for q in (path, loop, isolated, degree_3, lone_loop, cycle_loop):
@@ -563,7 +576,7 @@ def test_cycle_walks_refuse_what_is_no_union_of_cycles():
             assert _cycle_walks(q, tags) is None
             assert cycle_classes(q, tags) is None
     q = quiver_qsg(make_cyclic_group(S35, 8))
-    assert len(_cycle_walks(q)) == 8 and _cycle_walks(q) == walks_oracle(q, False)
+    assert len(_cycle_walks(q)) == 8 and named_walks(q) == walks_oracle(q, False)
 
 
 def test_bgp_reflect_refuses_exactly_non_sinks_and_non_sources():
@@ -644,7 +657,7 @@ def test_bgp_reflect_at_many_vertices_raises_as_the_chain():
     # the first vertex that is unknown, or neither a sink nor a source at
     # its turn, raises the chain's ValueError
     def interior(q):
-        order, word = _cycle_walk(q)
+        order, word = named_walk(q)
         return next(v for k, v in enumerate(order) if word[k - 1] == word[k])
 
     source, witness = _golden_witnesses()[0]
@@ -909,7 +922,7 @@ def reflection_search_distance_oracle(q1, q2, max_depth=None):
     """The greedy walk that reflection_search replaced: a fresh _distance
     pass after every move, and the first vertex in q1.vertices order whose
     move it marks nearer."""
-    order, word = _cycle_walk(q1)
+    order, word = named_walk(q1)
     goal = _cycle_walk(q2)[1]
     if direction_counts(word) != direction_counts(goal):
         return None
@@ -989,7 +1002,7 @@ def reflection_search_word_oracle(q1, q2, max_depth=None):
     """The breadth-first search over orientation-word classes (cycle_key_oracle)
     that reflection_search replaced: levels in queue order, moves in
     q1.vertices order, the first word of each new class kept."""
-    order, word = _cycle_walk(q1)
+    order, word = named_walk(q1)
     start, goal = cycle_key_oracle(word), cycle_key_oracle(_cycle_walk(q2)[1])
     if direction_counts(start) != direction_counts(goal):
         return None
@@ -1082,7 +1095,8 @@ def test_reflection_search_rejects_non_cycles():
             search_to(q, theta)
         with pytest.raises(ValueError):
             search_to(theta, q)
-    assert _cycle_walk(theta) == (("v0", "v1", "v2", "v3"), "1100")
+    assert _cycle_walk(theta) == ((0, 1, 2, 3), "1100")
+    assert named_walk(theta) == (("v0", "v1", "v2", "v3"), "1100")
 
 
 def test_component_count_theorem():
@@ -1141,19 +1155,28 @@ def _reflect_search_states():
     return states
 
 
-def test_arrow_order_equals_natural_key_sort():
-    # levels up to 12 give two-digit labels, where "v0_2" comes before "v0_10"
+def _built_quivers():
+    """A quiver of every builder: Q_S, Q_{S,G} and the covering quiver on
+    levels up to 12 (two-digit labels, where "v0_2" comes before "v0_10"),
+    Q_{S,G} of every diagonal action of small order, the canonical quivers
+    and the Gabriel oracle at every gated action."""
     weights = [(wx, wy) for wx in range(1, 6) for wy in range(1, 8) if gcd(wx, wy) == 1]
     qs = [quiver_qs(quantum_spec(wx, wy, 1)) for wx, wy in weights]
     qs += [make(quantum_spec(wx, wy, 1), n)
            for make in (lambda spec, r: quiver_qsg(make_cyclic_group(spec, r)), covering_quiver)
            for wx, wy in weights for n in range(1, 13)]
+    qs += [quiver_qsg(make_diagonal_action(quantum_spec(wx, wy, 1), r, px, py))
+           for wx, wy in ((1, 1), (2, 3)) for r in range(2, 7) for px in range(r) for py in range(r)]
     qs += [make_canonical_quiver(i, j) for i in range(1, 13) for j in range(1, 13)]
     actions = [make_cyclic_group(quantum_spec(wx, wy, 1), r) for wx, wy in weights
                for r in range(1, 13) if (wx + wy) * r <= 36]
     actions += [make_cyclic_group(jordan_spec(q), r) for q in range(1, 12)
                 for r in range(1, 13) if (q + 1) % r == 0 and (q + 1) * r <= 36]
-    qs += [gabriel_quiver_oracle(action) for action in actions]
+    return qs + [gabriel_quiver_oracle(action) for action in actions]
+
+
+def test_arrow_order_equals_natural_key_sort():
+    qs = _built_quivers()
     states = _reflect_search_states()
     assert len(states) > 200
     rng = random.Random(7)
@@ -1179,9 +1202,177 @@ def test_path_count_matches_dimension_bookkeeping():
             (spec.ell - d) * len(graded_basis(spec, d)) for d in range(spec.ell)
         )
         assert path_count(quiver_qs(spec)) == expected
-    # the refusal: an oriented cycle, and a loop, which _incidence lists twice
-    # at its vertex, alone or beside a path into it
+    # the refusal: an oriented cycle, and a loop, an in-arrow of its own
+    # vertex, alone or beside a path into it
     for arrows in ([("v0", "v1", ""), ("v1", "v0", "")], [("v0", "v0", "")],
                    [("v1", "v0", ""), ("v0", "v0", "")]):
         vertices = sorted({v for s, t, _ in arrows for v in (s, t)})
         assert not is_acyclic(Quiver(vertices, arrows)), arrows
+
+
+# The label-and-dict quiver code that positions replaced: an index of each
+# vertex label's arrows, built afresh on each walk, reflection and path
+# count, and walks over labels.  The oracle of the position kernels.
+
+def incidence_oracle(q):
+    """Each vertex label's arrows, as indices into q.arrows, an arrow listed at
+    both its ends: a loop twice at its vertex."""
+    incident = {v: [] for v in q.vertices}
+    for idx, (s, t, _) in enumerate(q.arrows):
+        incident[s].append(idx)
+        incident[t].append(idx)
+    return incident
+
+
+def label_walks_oracle(q, tags=False):
+    """The walks of _cycle_walks on labels: from each component's first vertex
+    in q.vertices, the labels met and the orientation word, or None unless
+    every vertex meets two arrow ends of two different arrows."""
+    incident = incidence_oracle(q)
+    if any(len(e) != 2 or e[0] == e[1] for e in incident.values()):
+        return None
+    walks, walked = [], set()
+    for start in q.vertices:
+        if start in walked:
+            continue
+        v, edge = start, incident[start][0]
+        order, word = [], []
+        while True:
+            s, t, tag = q.arrows[edge]
+            order.append(v)
+            word.append((quivers._LETTERS[tag] if tags else "10")[s != v])
+            v = t if s == v else s
+            if v == start:
+                break
+            a, b = incident[v]
+            edge = b if a == edge else a
+        walked.update(order)
+        walks.append((tuple(order), "".join(word)))
+    return walks
+
+
+def classes_oracle(q, tags=False):
+    walks = label_walks_oracle(q, tags)
+    return None if walks is None else sorted(cycle_key_oracle(word) for _, word in walks)
+
+
+def path_count_oracle(q):
+    """Kahn's order over incidence_oracle, an arrow's entry at its target an
+    in-arrow; ValueError on an oriented cycle or a loop."""
+    targets, indeg = {}, {}
+    for v, idx in incidence_oracle(q).items():
+        ends = [q.arrows[i][:2] for i in idx]
+        targets[v] = [t for s, t in ends if s == v]
+        indeg[v] = sum(t == v for _, t in ends)
+    order = [v for v in q.vertices if not indeg[v]]
+    for v in order:
+        for t in targets[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    if len(order) != len(q.vertices):
+        raise ValueError("path count needs an acyclic quiver")
+    paths_from = {}
+    for v in reversed(order):
+        paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
+    return sum(paths_from.values())
+
+
+def bgp_reflect_oracle(q, *vertices):
+    """bgp_reflect on labels, as (vertices, arrows sorted by the positions of
+    source and target, then tag)."""
+    arrows, incident = list(q.arrows), incidence_oracle(q)
+    for v in vertices:
+        if v not in incident:
+            raise ValueError("unknown vertex %r" % v)
+        ends = [arrows[idx] for idx in incident[v]]
+        if any(s == v for s, _, _ in ends) == any(t == v for _, t, _ in ends):
+            raise ValueError("vertex %r is neither a sink nor a source" % v)
+        for idx in incident[v]:
+            s, t, tag = arrows[idx]
+            arrows[idx] = (t, s, tag)
+    position = {v: k for k, v in enumerate(q.vertices)}
+    return q.vertices, tuple(sorted(arrows, key=lambda a: (position[a[0]], position[a[1]], a[2])))
+
+
+def _outcome(f, *args):
+    """f(*args), or the text of its ValueError."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def assert_matches_label_oracle(q):
+    """Walks (vertex orders as labels), classes, path count and reflections of q
+    agree with the label-and-dict oracle; reflections at every vertex as one
+    chain, at an unknown vertex and at each vertex alone."""
+    for tags in (False, True):
+        assert named_walks(q, tags) == label_walks_oracle(q, tags)
+        assert cycle_classes(q, tags) == classes_oracle(q, tags)
+    assert tagged_and_untagged_classes(q) == (classes_oracle(q, True), classes_oracle(q, False))
+    assert _outcome(path_count, q) == _outcome(path_count_oracle, q)
+
+    def reflected(*vertices):
+        r = bgp_reflect(q, *vertices)
+        return r.vertices, r.arrows
+
+    for vertices in [q.vertices, ("w9",)] + [(v,) for v in q.vertices]:
+        assert _outcome(reflected, *vertices) == _outcome(bgp_reflect_oracle, q, *vertices)
+
+
+def test_position_kernels_match_label_oracle_on_every_builder():
+    built = _built_quivers()
+    # reflections of built quivers, quivers given by labels, and some that
+    # are no union of cycles: a path, loops, an isolated vertex
+    built += [bgp_reflect(q, v) for q in built[:40] for v in q.vertices
+              if v in sinks(q) + sources(q)]
+    built += [GOLDEN_QSG_11_3, Quiver(["v0"], []), Quiver(["v0"], [("v0", "v0", "")]),
+              Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v1", "v2", "")]),
+              Quiver(["v0", "v1", "v2"], [("v0", "v0", "x"), ("v0", "v1", "y"), ("v2", "v1", "")]),
+              Quiver(["b", "a", "c"], [("a", "b", "x"), ("b", "a", ""), ("c", "c", "y")])]
+    assert len(built) > 700
+    for q in built:
+        assert_matches_label_oracle(q)
+
+
+def test_position_kernels_match_label_oracle_on_reflect_search_states():
+    states = _reflect_search_states()
+    assert len(states) > 200
+    for q in states:
+        assert_matches_label_oracle(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_position_kernels_match_label_oracle_on_cycle_unions(data):
+    q = data.draw(cycle_unions())
+    assert_matches_label_oracle(q)
+    assert_matches_label_oracle(_broken(data, q))
+
+
+def test_quiver_equality_with_other_values():
+    # a quiver equals only a quiver: other values compare unequal, in a list too
+    q = make_canonical_quiver(1, 2)
+    assert q != None and not q == None  # noqa: E711
+    assert q != "v0" and q != (q.vertices, q.arrows)
+    assert q in [None, q] and None not in [q]
+    assert q == Quiver(["v0", "v1", "v2"], [("v0", "v1", ""), ("v0", "v2", ""), ("v2", "v1", "")])
+    assert q != Quiver(["v0", "v2", "v1"], [("v0", "v1", ""), ("v0", "v2", ""), ("v2", "v1", "")])
+
+
+def test_check_formats_no_vertex_label(monkeypatch, capsys):
+    # check reads its four quivers by position: with the label rule broken,
+    # the Gabriel oracle's config (ell*r <= 36) and one past its gate still
+    # pass every line, and a writer, which reads labels, does not get far
+    def broken(size, columns):
+        raise AssertionError("a vertex label was formatted")
+
+    monkeypatch.setattr(quivers, "_labels", broken)
+    for argv, gated in ((["--wx", "1", "--wy", "2", "--r", "3"], True),
+                        (["--family", "jordan", "--wy", "11", "--r", "12"], False)):
+        code, out = run(capsys, ["check", *argv])
+        assert code == 0 and out.endswith("overall: ok\n"), argv
+        assert ("Gabriel oracle matches skew quiver" in out) == gated, argv
+    with pytest.raises(AssertionError):
+        run(capsys, ["quiver", "qs", "--wx", "1", "--wy", "2"])
