@@ -220,11 +220,11 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def gen_x(spec):
-        return AlgebraElement(spec, {Monomial(0, 1): ONE})
+        return AlgebraElement(spec)._wrap({Monomial(0, 1): ONE})
 
     @staticmethod
     def gen_y(spec):
-        return AlgebraElement(spec, {Monomial(1, 0): ONE})
+        return AlgebraElement(spec)._wrap({Monomial(1, 0): ONE})
 
 
 def reduce_product(u, v, spec):

@@ -14,6 +14,7 @@ import argparse
 import functools
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -66,22 +67,20 @@ _ZETA_RE = re.compile(
 def parse_cyclotomic(text):
     """Parse 'p', 'p/q', 'zeta(n)^k' or 'p/q*zeta(n)^k', optionally negated."""
     m = _ZETA_RE.match(text)
-    if not m or (m.group("num") is None and m.group("n") is None):
+    g = m.groupdict() if m else {}
+    num, den, n = g.get("num"), g.get("den"), g.get("n")
+    if num is None and n is None:
         raise ValueError("cannot parse cyclotomic value %r" % text)
-    if m.group("num") is not None and m.group("n") is not None and not m.group("star"):
+    if num is not None and n is not None and not g["star"]:
         raise ValueError("missing '*' between coefficient and zeta in %r" % text)
-    value = cyc(1)
-    if m.group("num") is not None:
-        den = int(m.group("den")) if m.group("den") else 1
-        if den == 0:
-            raise ValueError("zero denominator in %r" % text)
-        value = cyc(Fraction(int(m.group("num")), den))
-    if m.group("n") is not None:
-        k = int(m.group("k")) if m.group("k") else 1
-        value = value * zeta(int(m.group("n")), k)
-    if m.group("sign"):
-        value = -value
-    return value
+    if den is not None and not int(den):
+        raise ValueError("zero denominator in %r" % text)
+    value = zeta(int(n), int(g["k"] or 1)) if n is not None else None
+    if num is not None:
+        # an integer coefficient needs no Fraction, and a bare zeta(n)^k no factor 1
+        c = cyc(int(num) if den is None else Fraction(int(num), int(den)))
+        value = c if value is None else c * value
+    return -value if g["sign"] else value
 
 
 def _add_spec_flags(p):
@@ -222,7 +221,7 @@ def _read_config(path, leaf):
         key, value = line.split("=", 1)
         assigned[key.strip().replace("-", "_")] = value.strip()
     # only the option flags of the chosen subcommand, not -h or --config itself
-    actions = {a.dest: a for a in leaf._actions
+    actions = {a.dest: a for a in _routes(leaf).actions
                if a.option_strings and a.dest not in ("help", "config")}
     for key, value in assigned.items():
         if key not in actions:
@@ -270,37 +269,27 @@ def _json(o, pad="\n"):
     """json.dumps(o, sort_keys=True, indent=2), pad the line break and indent
     before o's closing bracket; the stdlib indents only in pure Python.  A
     report holds dicts with str keys, lists, tuples, str, int, bool and None,
-    and the writer is looked up by the value's type: any other type, a float
-    or a subclass too, raises TypeError."""
-    writer = _JSON_WRITERS.get(type(o))
-    if writer is None:
-        raise TypeError("a report holds no %s" % type(o).__name__)
-    return writer(o, pad)
-
-
-def _json_array(o, pad):
+    and the branch is picked by the value's exact type: any other type, a
+    float or a subclass too, raises TypeError."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is bool or o is None:
+        return "null" if o is None else "true" if o else "false"
     inner = pad + "  "
-    # the dims lists, most of an ample report; True is no int here
-    items = map(str, o) if all(type(v) is int for v in o) else [_json(v, inner) for v in o]
-    return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
-
-
-def _json_object(o, pad):
-    inner = pad + "  "
-    # encode_basestring_ascii raises TypeError on a key that is no str
-    items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
-    return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
-
-
-_JSON_WRITERS = {
-    type(None): lambda o, pad: "null",
-    bool: lambda o, pad: "true" if o else "false",
-    str: lambda o, pad: encode_basestring_ascii(o),
-    int: lambda o, pad: int.__repr__(o),
-    list: _json_array,
-    tuple: _json_array,
-    dict: _json_object,
-}
+    if t is list or t is tuple:
+        # the dims lists, most of an ample report, in one repr; True is no int here
+        if o and type(o[0]) is int and set(map(type, o)) == {int}:
+            return "[" + inner + repr(list(o))[1:-1].replace(", ", "," + inner) + pad + "]"
+        items = [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
+    if t is dict:
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
+    raise TypeError("a report holds no %s" % t.__name__)
 
 
 def _emit(args, text_lines, payload, dot=None):
@@ -580,26 +569,42 @@ def cmd_check(args):
     return 0 if ok_all else 1
 
 
+_Routes = namedtuple("_Routes", "sub actions defaults table")
+
+
+@functools.cache
+def _routes(parser):
+    """The one reader of argparse's private attributes: a parser's routing,
+    derived once per parser of build_parser's cached tree.  sub is its
+    subparsers action or None, actions all its actions, table its exact
+    "--long" options of plain store actions with one value, and defaults
+    its set_defaults under its actions' defaults, as argparse fills a
+    namespace; or None where argparse would demand a positional or a
+    required flag or run a str default through its flag's type."""
+    actions = tuple(parser._actions)
+    sub = next((a for a in actions if isinstance(a, argparse._SubParsersAction)), None)
+    readable = all(a.option_strings and not a.required
+                   and (a.type is None or not isinstance(a.default, str)) for a in actions)
+    defaults = parser._defaults | {  # -h has no default
+        a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    table = {option: a for option, a in parser._option_string_actions.items()
+             if option.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None}
+    return _Routes(sub, actions, defaults if readable else None, table)
+
+
 def _read_flags(leaf, rest, args):
     """Set the flags of rest on args, and the leaf's defaults where args has
     no value, and return True; or return False, args untouched, on a token
     _parse leaves to argparse."""
-    values = dict(leaf._defaults)
-    for action in leaf._actions:
-        # argparse would demand a positional or a required flag, and would
-        # run an unseen flag's str default through its type
-        if (not action.option_strings or action.required
-                or (action.type is not None and isinstance(action.default, str))):
-            return False
-        if action.default is not argparse.SUPPRESS:  # -h has no default
-            values[action.dest] = action.default
-    values.update(vars(args))  # as argparse does, a value on args stands unless its flag is given
+    _, _, defaults, table = _routes(leaf)
+    if defaults is None:
+        return False
+    values = defaults | vars(args)  # a value on args stands unless its flag is given
     i = 0
     while i < len(rest):
         option, eq, value = rest[i].partition("=")
-        action = leaf._option_string_actions.get(option)
-        if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or not option.startswith("--")):
+        action = table.get(option)
+        if action is None:
             return False
         if not eq:
             i += 1
@@ -621,32 +626,27 @@ def _parse(argv, seed=None):
     """build_parser().parse_args(argv) and the parser of its (sub)command,
     by one parse: argparse hands all after a subcommand name to its parser
     untouched, so the leading names are followed down, each kept in its
-    dest, and the deepest parser they name (the top one if none) parses.
-    That parser starts from a namespace holding seed, a dict of values by
-    dest: as argparse does with a namespace it is handed, a seeded value
-    stands unless its flag is given.
+    dest, and the deepest parser they name (the top one if none) parses,
+    from a namespace holding seed, a dict of values by dest: as argparse
+    does with a namespace it is handed, a seeded value stands unless its
+    flag is given.
 
-    That parser's flags are first read by one lookup per token in its own
-    option table (_read_flags).  It takes a token only as an exact long
-    option of a plain store action with one value, written "--opt value"
-    with a value that does not start with "-", or "--opt=value" with a
-    value other than "--"; and only when the parser has no positional and
-    no required flag.  On such tokens argparse does the same: it looks a
-    token up whole, then its part before "=", before it tries any
-    abbreviation; it takes the text after "=" as the one value; and a
-    token that does not start with "-" is an argument, which the flag
-    before it consumes.  The value goes through the type, then the choices
-    (_convert); each flag's last value stands and every flag neither given
-    nor seeded takes its default, so the namespace is argparse's.  Every
-    other argv, -h, an abbreviation, a positional, a value after a space
-    starting with "-", a missing or bad value, "--" or an unknown token,
-    goes whole to argparse, so its messages, exit codes and help are
-    argparse's own."""
+    _read_flags first reads that parser's flags by one lookup per token in
+    its table (_routes): "--opt value" with a value not starting with "-",
+    or "--opt=value" with a value other than "--".  argparse does the same
+    on such tokens: it looks a token up whole, then its part before "=",
+    before any abbreviation; the text after "=" is the one value; and a
+    token not starting with "-" is an argument, which the flag before it
+    consumes.  The value goes through the type, then the choices; each
+    flag's last value stands and every flag neither given nor seeded takes
+    its default, so the namespace is argparse's.  Every other argv (-h, an
+    abbreviation, a positional, a missing or bad value, "--", an unknown
+    token) goes whole to argparse, with its own messages and exit codes."""
     ap = build_parser()
     args, leaf = argparse.Namespace(**(seed or {})), ap
     rest = sys.argv[1:] if argv is None else list(argv)
     while rest:
-        sub = next((a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)), None)
+        sub = _routes(leaf).sub
         if sub is None:
             break
         if rest[0] not in sub.choices:
@@ -666,7 +666,7 @@ def _parse(argv, seed=None):
     args, extras = leaf.parse_known_args(rest, args)
     if extras:
         ap.error("unrecognized arguments: %s" % " ".join(extras))
-    for action in leaf._actions:
+    for action in _routes(leaf).actions:
         # argparse before 3.12 drops a "--opt=--" value and stores []
         if type(getattr(args, action.dest, None)) is list:
             leaf.error("argument %s: expected one argument" % "/".join(action.option_strings))

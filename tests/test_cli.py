@@ -52,6 +52,59 @@ def test_parse_cyclotomic():
         parse_cyclotomic("")
 
 
+def _parse_cyclotomic_by_products(text):
+    """The route the direct parse replaced: cyc(Fraction(p, q)) * zeta(n, k),
+    with 1 for a missing coefficient and a missing zeta, then negated."""
+    m = asreg2.cli._ZETA_RE.match(text)
+    if not m or (m.group("num") is None and m.group("n") is None):
+        raise ValueError("cannot parse cyclotomic value %r" % text)
+    if m.group("num") is not None and m.group("n") is not None and not m.group("star"):
+        raise ValueError("missing '*' between coefficient and zeta in %r" % text)
+    value = cyc(1)
+    if m.group("num") is not None:
+        den = int(m.group("den")) if m.group("den") else 1
+        if den == 0:
+            raise ValueError("zero denominator in %r" % text)
+        value = cyc(Fraction(int(m.group("num")), den))
+    if m.group("n") is not None:
+        k = int(m.group("k")) if m.group("k") else 1
+        value = value * zeta(int(m.group("n")), k)
+    return -value if m.group("sign") else value
+
+
+def _cyclotomic_outcome(parse, text):
+    """The exact (n, num, den) that parse gives for text, or its refusal text."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return value.n, value.num, value.den
+
+
+def test_parse_cyclotomic_equals_the_product_route():
+    # the same normal form, conductor and denominator included, and the same
+    # refusal text, as the coefficient-times-zeta route on every spelling
+    named = ["0", "-0", "0*zeta(3)", "4/2", "1/1", "zeta(1)", "zeta(2)^3", " zeta(4)^-1 ",
+             "-3/2*zeta(4)", "2zeta(3)", "1/0", "zeta(0)"]
+    alphas = [a for values in _load_workloads().ALPHAS.values() for a in values]
+    swept = ["%s%s%s%s" % (sign, coefficient, star, z)
+             for sign in ("", "-", " - ")
+             for coefficient in ("", "0", "3", "2/4", "7/1", "5/0", "12/18")
+             for star in ("", "*", " * ")
+             for z in ("", "zeta(1)", "zeta(2)", "zeta(6)", "zeta(6)^5", "zeta(12)^-7",
+                       "zeta(5)^0", "zeta(0)", "zeta(0)^2")]
+    for text in named + alphas + swept:
+        assert (_cyclotomic_outcome(parse_cyclotomic, text)
+                == _cyclotomic_outcome(_parse_cyclotomic_by_products, text)), text
+    refusals = {"2zeta(3)": "missing '*' between coefficient and zeta in '2zeta(3)'",
+                "1/0": "zero denominator in '1/0'", "zeta(0)": "conductor must be >= 1",
+                "-": "cannot parse cyclotomic value '-'"}
+    for text, message in refusals.items():
+        assert _cyclotomic_outcome(parse_cyclotomic, text) == message
+    assert _cyclotomic_outcome(parse_cyclotomic, "zeta(2)^3") == (1, (-1,), 1)
+    assert _cyclotomic_outcome(parse_cyclotomic, "4/2") == (1, (2,), 1)
+
+
 def test_info_command(capsys):
     code, out = run(capsys, ["info", "--wx", "1", "--wy", "3", "--max-degree", "6"])
     assert code == 0
@@ -1127,6 +1180,49 @@ def test_table_parse_leaves_argparse_unused_on_plain_flags(monkeypatch):
     args, _ = asreg2.cli._parse(["ample", "--wx=1", "--wy", "2", "--r=3", "--format=json"])
     assert vars(args) == vars(asreg2.cli._parse(
         ["ample", "--wx", "1", "--wy", "2", "--r", "3", "--form", "json"])[0])
+
+
+class _UnreadActions(list):
+    """A parser's _actions list that fails when anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("a parser's actions were walked")
+
+
+def _parsers(parser):
+    """parser and every parser below it."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    return [parser] + ([p for child in sub.choices.values() for p in _parsers(child)] if sub else [])
+
+
+def test_parse_walks_no_parser_actions_after_the_first_parse(monkeypatch):
+    # each parser's routing is derived once: after a warm parse, every
+    # benchmark job and golden argv parses to the same namespace with every
+    # parser's _actions unreadable, and only quiver's positional argv
+    # reaches argparse, which walks them
+    argvs = [list(job.argv) for workload in _load_workloads().WORKLOADS.values()
+             for job in workload.space()] + GOLDEN_ARGVS
+    expected = [vars(asreg2.cli._parse(argv)[0]) for argv in argvs]
+    for parser in _parsers(asreg2.cli.build_parser()):
+        monkeypatch.setattr(parser, "_actions", _UnreadActions(parser._actions))
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, namespace in zip(argvs, expected):
+        if argv[0] == "quiver":
+            with pytest.raises(AssertionError, match="actions were walked"):
+                asreg2.cli._parse(argv)
+            assert calls == ["asreg2 quiver"], argv
+        else:
+            assert vars(asreg2.cli._parse(argv)[0]) == namespace, argv
+            assert calls == [], argv
+        calls.clear()
+    assert any(argv[0] == "quiver" for argv in argvs)
 
 
 def test_handler_runs_as_the_module_attribute(monkeypatch):
