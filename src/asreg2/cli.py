@@ -14,7 +14,6 @@ import argparse
 import functools
 import re
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -83,20 +82,6 @@ def parse_cyclotomic(text):
     return -value if g["sign"] else value
 
 
-def _add_spec_flags(p):
-    p.add_argument("--wx", type=int, default=1, help="weight of x")
-    p.add_argument("--wy", type=int, default=1, help="weight of y")
-    p.add_argument("--family", choices=["quantum", "jordan"], default="quantum")
-    p.add_argument("--alpha", default=None,
-                   help="quantum parameter, e.g. 1, -1, 2/3, zeta(5)^2")
-    p.add_argument("--config", default=None, help="key=value file seeding any flag")
-
-
-def _add_out_flags(p, formats=("text", "json")):
-    p.add_argument("--format", choices=list(formats), default="text")
-    p.add_argument("--out", default=None, help="write output to this file")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse reads "-1" after a flag as the flag's value, but takes
     "-1/2", "-zeta(3)" or "-1,1" for an unknown option and stops with
@@ -109,94 +94,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
-@functools.cache
-def build_parser():
-    # built once per process: parse_args reads the parser and never changes it
-    ap = _Parser(prog="asreg2", description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="weights, family, Gorenstein parameter, Hilbert dims")
-    _add_spec_flags(p)
-    p.add_argument("--max-degree", type=int, default=None)
-    _add_out_flags(p)
-    p.set_defaults(handler=cmd_info)
-
-    p = sub.add_parser("hdet", help="homological determinant of an automorphism")
-    _add_spec_flags(p)
-    p.add_argument("--a", default=None, help="x -> a x (+ b y)")
-    p.add_argument("--b", default=None, help="y-coefficient of sigma(x), weights (1,1) only")
-    p.add_argument("--c", default=None, help="x^q-coefficient of sigma(y)")
-    p.add_argument("--d", default=None, help="y-coefficient of sigma(y); default 1 (a^q for jordan)")
-    _add_out_flags(p)
-    p.set_defaults(handler=cmd_hdet)
-
-    p = sub.add_parser("fixed", help="fixed-ring dimensions and trace-average check")
-    _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=1, help="group order")
-    p.add_argument("--max-degree", type=int, default=12)
-    _add_out_flags(p)
-    p.set_defaults(handler=cmd_fixed)
-
-    p = sub.add_parser("ample", help="graded dimensions of S*G/(e) and the verdict")
-    _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=None,
-                   help="window top; default 4*ell*r")
-    p.add_argument("--action-powers", default=None,
-                   help="px,py for exploratory diagonal actions (default %d,%d)"
-                   % DEFAULT_POWERS)
-    _add_out_flags(p)
-    p.set_defaults(handler=cmd_ample)
-
-    p = sub.add_parser("quiver", help="emit a quiver as text, JSON or DOT")
-    p.add_argument("kind", choices=["qs", "qsg", "covering", "canonical"])
-    _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=1, help="group order (qsg)")
-    p.add_argument("--c", type=int, default=1, help="covering degree")
-    p.add_argument("--i", type=int, default=None, help="canonical path length i")
-    p.add_argument("--j", type=int, default=None, help="canonical path length j")
-    _add_out_flags(p, formats=("text", "json", "dot"))
-    p.set_defaults(handler=cmd_quiver)
-
-    p = sub.add_parser("reflect", help="BGP reflections")
-    refl = p.add_subparsers(dest="mode", required=True)
-    pa = refl.add_parser("at", help="reflect a constructed quiver at one vertex")
-    pa.add_argument("--kind", choices=["qs", "qsg", "covering"], default="qs")
-    _add_spec_flags(pa)
-    pa.add_argument("--r", type=int, default=1)
-    pa.add_argument("--c", type=int, default=1)
-    pa.add_argument("--vertex", default=None, help="required (or set in --config)")
-    _add_out_flags(pa, formats=("text", "json", "dot"))
-    pa.set_defaults(handler=cmd_reflect_at)
-    ps = refl.add_parser("search", help="search a reflection path to a canonical quiver")
-    _add_spec_flags(ps)
-    ps.add_argument("--c", type=int, default=1, help="covering degree of the source")
-    ps.add_argument("--target-i", type=int, default=None, help="required (or set in --config)")
-    ps.add_argument("--target-j", type=int, default=None, help="required (or set in --config)")
-    ps.add_argument("--max-depth", type=int, default=None)
-    _add_out_flags(ps)
-    ps.set_defaults(handler=cmd_reflect_search)
-
-    p = sub.add_parser("check", help="run the full invariant suite for one spec/action")
-    _add_spec_flags(p)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=8)
-    _add_out_flags(p)
-    p.set_defaults(handler=cmd_check)
-
-    return ap
-
-
 # needed from a flag or --config; argparse's required=True would not count a config value
 _REQUIRED = ("vertex", "target_i", "target_j")
 
 
-def _convert(action, text):
-    """A flag's value from its text as argparse converts it: the action's
+def _convert(flag, text):
+    """A flag's value from its text as argparse converts it: the flag's
     type, then its choices.  The type raises ValueError (or TypeError); a
     value outside the choices raises LookupError."""
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
+    _, type_, choices = flag
+    value = text if type_ is None else type_(text)
+    if choices is not None and value not in choices:
         raise LookupError(value)
     return value
 
@@ -220,18 +128,16 @@ def _read_config(path, leaf):
             raise SystemExit("config %s line %d: expected key=value" % (path, lineno))
         key, value = line.split("=", 1)
         assigned[key.strip().replace("-", "_")] = value.strip()
-    # only the option flags of the chosen subcommand, not -h or --config itself
-    actions = {a.dest: a for a in _routes(leaf).actions
-               if a.option_strings and a.dest not in ("help", "config")}
+    # only the option flags of the chosen subcommand, not --config itself
+    flags = {flag[0]: flag for flag in _FLAGS[leaf][0].values() if flag[0] != "config"}
     for key, value in assigned.items():
-        if key not in actions:
+        if key not in flags:
             raise SystemExit("config: unknown key %r" % key)
-        action = actions[key]
         try:
-            assigned[key] = _convert(action, value)
+            assigned[key] = _convert(flags[key], value)
         except LookupError:
             raise SystemExit("config %s: key %r must be one of %s, got %r"
-                             % (path, key, ", ".join(action.choices), value))
+                             % (path, key, ", ".join(flags[key][2]), value))
         except ValueError:
             # int is the only type the parser uses
             raise SystemExit("config %s: key %r needs an integer, got %r"
@@ -569,42 +475,116 @@ def cmd_check(args):
     return 0 if ok_all else 1
 
 
-_Routes = namedtuple("_Routes", "sub actions defaults table")
+# flag rows (option, type, default, choices, help), each flag declared once
+# for argparse and the table parse alike, in the order of the help lines
+_SPEC = (("--wx", int, 1, None, "weight of x"),
+         ("--wy", int, 1, None, "weight of y"),
+         ("--family", None, "quantum", ("quantum", "jordan"), None),
+         ("--alpha", None, None, None, "quantum parameter, e.g. 1, -1, 2/3, zeta(5)^2"),
+         ("--config", None, None, None, "key=value file seeding any flag"))
+_OUT = ("--out", None, None, None, "write output to this file")
+_TEXT_JSON = (("--format", None, "text", ("text", "json"), None), _OUT)
+_TEXT_JSON_DOT = (("--format", None, "text", ("text", "json", "dot"), None), _OUT)
+
+# each subcommand: its help, its handler and its flag rows; or, for reflect,
+# its help, the dest of its own subcommands and their table
+_COMMANDS = {
+    "info": ("weights, family, Gorenstein parameter, Hilbert dims", cmd_info,
+             _SPEC + (("--max-degree", int, None, None, None),) + _TEXT_JSON),
+    "hdet": ("homological determinant of an automorphism", cmd_hdet, _SPEC + (
+        ("--a", None, None, None, "x -> a x (+ b y)"),
+        ("--b", None, None, None, "y-coefficient of sigma(x), weights (1,1) only"),
+        ("--c", None, None, None, "x^q-coefficient of sigma(y)"),
+        ("--d", None, None, None, "y-coefficient of sigma(y); default 1 (a^q for jordan)"),
+    ) + _TEXT_JSON),
+    "fixed": ("fixed-ring dimensions and trace-average check", cmd_fixed, _SPEC + (
+        ("--r", int, 1, None, "group order"),
+        ("--max-degree", int, 12, None, None),
+    ) + _TEXT_JSON),
+    "ample": ("graded dimensions of S*G/(e) and the verdict", cmd_ample, _SPEC + (
+        ("--r", int, 1, None, None),
+        ("--max-degree", int, None, None, "window top; default 4*ell*r"),
+        ("--action-powers", None, None, None,
+         "px,py for exploratory diagonal actions (default %d,%d)" % DEFAULT_POWERS),
+    ) + _TEXT_JSON),
+    "quiver": ("emit a quiver as text, JSON or DOT", cmd_quiver, (
+        ("kind", None, None, ("qs", "qsg", "covering", "canonical"), None),
+    ) + _SPEC + (
+        ("--r", int, 1, None, "group order (qsg)"),
+        ("--c", int, 1, None, "covering degree"),
+        ("--i", int, None, None, "canonical path length i"),
+        ("--j", int, None, None, "canonical path length j"),
+    ) + _TEXT_JSON_DOT),
+    "reflect": ("BGP reflections", "mode", {
+        "at": ("reflect a constructed quiver at one vertex", cmd_reflect_at, (
+            ("--kind", None, "qs", ("qs", "qsg", "covering"), None),
+        ) + _SPEC + (
+            ("--r", int, 1, None, None),
+            ("--c", int, 1, None, None),
+            ("--vertex", None, None, None, "required (or set in --config)"),
+        ) + _TEXT_JSON_DOT),
+        "search": ("search a reflection path to a canonical quiver", cmd_reflect_search, _SPEC + (
+            ("--c", int, 1, None, "covering degree of the source"),
+            ("--target-i", int, None, None, "required (or set in --config)"),
+            ("--target-j", int, None, None, "required (or set in --config)"),
+            ("--max-depth", int, None, None, None),
+        ) + _TEXT_JSON),
+    }),
+    "check": ("run the full invariant suite for one spec/action", cmd_check, _SPEC + (
+        ("--r", int, 1, None, None),
+        ("--max-degree", int, 8, None, None),
+    ) + _TEXT_JSON),
+}
+
+# build_parser's tree, recorded as it is built: a parser with subcommands maps
+# to their dest and {name: parser}; a leaf to its "--long" flags,
+# {option: (dest, type, choices)}, and the defaults of its namespace, handler
+# included, or None where a positional (quiver's kind) leaves its argv to argparse
+_SUBCOMMANDS = {}
+_FLAGS = {}
 
 
 @functools.cache
-def _routes(parser):
-    """The one reader of argparse's private attributes: a parser's routing,
-    derived once per parser of build_parser's cached tree.  sub is its
-    subparsers action or None, actions all its actions, table its exact
-    "--long" options of plain store actions with one value, and defaults
-    its set_defaults under its actions' defaults, as argparse fills a
-    namespace; or None where argparse would demand a positional or a
-    required flag or run a str default through its flag's type."""
-    actions = tuple(parser._actions)
-    sub = next((a for a in actions if isinstance(a, argparse._SubParsersAction)), None)
-    readable = all(a.option_strings and not a.required
-                   and (a.type is None or not isinstance(a.default, str)) for a in actions)
-    defaults = parser._defaults | {  # -h has no default
-        a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
-    table = {option: a for option, a in parser._option_string_actions.items()
-             if option.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None}
-    return _Routes(sub, actions, defaults if readable else None, table)
+def build_parser():
+    # built once per process: parse_args reads the parser and never changes it
+    ap = _Parser(prog="asreg2", description=__doc__.splitlines()[0])
+    _add_commands(ap, "command", _COMMANDS)
+    return ap
+
+
+def _add_commands(parser, dest, commands):
+    """Add the subcommands of a _COMMANDS table to parser under dest."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    children = {}
+    _SUBCOMMANDS[parser] = dest, children
+    for name, (summary, handler, rows) in commands.items():
+        p = children[name] = sub.add_parser(name, help=summary)
+        if isinstance(rows, dict):
+            _add_commands(p, handler, rows)  # handler holds their dest
+            continue
+        flags, defaults = {}, {"handler": handler}
+        for option, type_, default, choices, help_ in rows:
+            p.add_argument(option, type=type_, default=default, choices=choices, help=help_)
+            if option.startswith("--"):
+                flag_dest = option[2:].replace("-", "_")
+                flags[option], defaults[flag_dest] = (flag_dest, type_, choices), default
+        p.set_defaults(handler=handler)
+        _FLAGS[p] = flags, defaults if len(flags) == len(rows) else None
 
 
 def _read_flags(leaf, rest, args):
     """Set the flags of rest on args, and the leaf's defaults where args has
     no value, and return True; or return False, args untouched, on a token
     _parse leaves to argparse."""
-    _, _, defaults, table = _routes(leaf)
+    flags, defaults = _FLAGS.get(leaf, (None, None))
     if defaults is None:
         return False
     values = defaults | vars(args)  # a value on args stands unless its flag is given
     i = 0
     while i < len(rest):
         option, eq, value = rest[i].partition("=")
-        action = table.get(option)
-        if action is None:
+        flag = flags.get(option)
+        if flag is None:
             return False
         if not eq:
             i += 1
@@ -615,7 +595,7 @@ def _read_flags(leaf, rest, args):
             return False  # argparse before 3.12 drops a "--" value and stores []
         i += 1
         try:
-            values[action.dest] = _convert(action, value)
+            values[flag[0]] = _convert(flag, value)
         except (TypeError, ValueError, LookupError):
             return False
     vars(args).update(values)
@@ -632,7 +612,7 @@ def _parse(argv, seed=None):
     flag is given.
 
     _read_flags first reads that parser's flags by one lookup per token in
-    its table (_routes): "--opt value" with a value not starting with "-",
+    its table (_FLAGS): "--opt value" with a value not starting with "-",
     or "--opt=value" with a value other than "--".  argparse does the same
     on such tokens: it looks a token up whole, then its part before "=",
     before any abbreviation; the text after "=" is the one value; and a
@@ -645,11 +625,9 @@ def _parse(argv, seed=None):
     ap = build_parser()
     args, leaf = argparse.Namespace(**(seed or {})), ap
     rest = sys.argv[1:] if argv is None else list(argv)
-    while rest:
-        sub = _routes(leaf).sub
-        if sub is None:
-            break
-        if rest[0] not in sub.choices:
+    while rest and leaf in _SUBCOMMANDS:
+        dest, children = _SUBCOMMANDS[leaf]
+        if rest[0] not in children:
             # argparse 3.13.13 drops a "--" here and parses the subcommand after it
             if rest[0] == "--":
                 leaf.error("expected a subcommand, got '--'")
@@ -659,17 +637,17 @@ def _parse(argv, seed=None):
                 leaf.error("option %s comes before the subcommand; options go after it"
                            % rest[0].split("=", 1)[0])
             break
-        setattr(args, sub.dest, rest[0])
-        leaf, rest = sub.choices[rest[0]], rest[1:]
+        setattr(args, dest, rest[0])
+        leaf, rest = children[rest[0]], rest[1:]
     if _read_flags(leaf, rest, args):
         return args, leaf
     args, extras = leaf.parse_known_args(rest, args)
     if extras:
         ap.error("unrecognized arguments: %s" % " ".join(extras))
-    for action in _routes(leaf).actions:
+    for option, (dest, _, _) in _FLAGS[leaf][0].items():
         # argparse before 3.12 drops a "--opt=--" value and stores []
-        if type(getattr(args, action.dest, None)) is list:
-            leaf.error("argument %s: expected one argument" % "/".join(action.option_strings))
+        if type(getattr(args, dest, None)) is list:
+            leaf.error("argument %s: expected one argument" % option)
     return args, leaf
 
 

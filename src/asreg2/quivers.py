@@ -72,15 +72,13 @@ class Quiver:
         for (s, t, tag) in arrows:
             if s not in position or t not in position:
                 raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))
-            if tag not in _LETTERS:
-                raise ValueError("arrow tag %r is not 'x', 'y' or ''" % (tag,))
             placed.append((position[s], position[t], tag))
         self._place(len(vertices), placed, None, vertices)
 
     def _place(self, size, arrows, columns, vertices=None):
         """Set the quiver on positions 0..size-1 from a list of arrows on
-        positions, each refused as __init__ refuses a named one; the labels
-        are vertices, or the label rule's at width columns when first read."""
+        positions, each refused as __init__ refuses a named one (whose tag
+        is checked only here); the labels are vertices, or the label rule's at width columns when first read."""
         for (s, t, tag) in arrows:
             if not (0 <= s < size and 0 <= t < size):
                 raise ValueError("arrow endpoint %r not among the vertices" % ((s, t),))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import importlib.util
 import io
@@ -1223,6 +1224,140 @@ def test_parse_walks_no_parser_actions_after_the_first_parse(monkeypatch):
             assert calls == [], argv
         calls.clear()
     assert any(argv[0] == "quiver" for argv in argvs)
+
+
+def _reference_parser():
+    """The parser tree as hand-written add_argument calls, the oracle of
+    the tree build_parser makes from its flag rows."""
+    cli = asreg2.cli
+
+    def spec_flags(p):
+        p.add_argument("--wx", type=int, default=1, help="weight of x")
+        p.add_argument("--wy", type=int, default=1, help="weight of y")
+        p.add_argument("--family", choices=["quantum", "jordan"], default="quantum")
+        p.add_argument("--alpha", default=None,
+                       help="quantum parameter, e.g. 1, -1, 2/3, zeta(5)^2")
+        p.add_argument("--config", default=None, help="key=value file seeding any flag")
+
+    def out_flags(p, formats=("text", "json")):
+        p.add_argument("--format", choices=list(formats), default="text")
+        p.add_argument("--out", default=None, help="write output to this file")
+
+    ap = cli._Parser(prog="asreg2", description=cli.__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("info", help="weights, family, Gorenstein parameter, Hilbert dims")
+    spec_flags(p)
+    p.add_argument("--max-degree", type=int, default=None)
+    out_flags(p)
+    p.set_defaults(handler=cli.cmd_info)
+    p = sub.add_parser("hdet", help="homological determinant of an automorphism")
+    spec_flags(p)
+    p.add_argument("--a", default=None, help="x -> a x (+ b y)")
+    p.add_argument("--b", default=None, help="y-coefficient of sigma(x), weights (1,1) only")
+    p.add_argument("--c", default=None, help="x^q-coefficient of sigma(y)")
+    p.add_argument("--d", default=None, help="y-coefficient of sigma(y); default 1 (a^q for jordan)")
+    out_flags(p)
+    p.set_defaults(handler=cli.cmd_hdet)
+    p = sub.add_parser("fixed", help="fixed-ring dimensions and trace-average check")
+    spec_flags(p)
+    p.add_argument("--r", type=int, default=1, help="group order")
+    p.add_argument("--max-degree", type=int, default=12)
+    out_flags(p)
+    p.set_defaults(handler=cli.cmd_fixed)
+    p = sub.add_parser("ample", help="graded dimensions of S*G/(e) and the verdict")
+    spec_flags(p)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--max-degree", type=int, default=None, help="window top; default 4*ell*r")
+    p.add_argument("--action-powers", default=None,
+                   help="px,py for exploratory diagonal actions (default %d,%d)" % DEFAULT_POWERS)
+    out_flags(p)
+    p.set_defaults(handler=cli.cmd_ample)
+    p = sub.add_parser("quiver", help="emit a quiver as text, JSON or DOT")
+    p.add_argument("kind", choices=["qs", "qsg", "covering", "canonical"])
+    spec_flags(p)
+    p.add_argument("--r", type=int, default=1, help="group order (qsg)")
+    p.add_argument("--c", type=int, default=1, help="covering degree")
+    p.add_argument("--i", type=int, default=None, help="canonical path length i")
+    p.add_argument("--j", type=int, default=None, help="canonical path length j")
+    out_flags(p, formats=("text", "json", "dot"))
+    p.set_defaults(handler=cli.cmd_quiver)
+    p = sub.add_parser("reflect", help="BGP reflections")
+    refl = p.add_subparsers(dest="mode", required=True)
+    pa = refl.add_parser("at", help="reflect a constructed quiver at one vertex")
+    pa.add_argument("--kind", choices=["qs", "qsg", "covering"], default="qs")
+    spec_flags(pa)
+    pa.add_argument("--r", type=int, default=1)
+    pa.add_argument("--c", type=int, default=1)
+    pa.add_argument("--vertex", default=None, help="required (or set in --config)")
+    out_flags(pa, formats=("text", "json", "dot"))
+    pa.set_defaults(handler=cli.cmd_reflect_at)
+    ps = refl.add_parser("search", help="search a reflection path to a canonical quiver")
+    spec_flags(ps)
+    ps.add_argument("--c", type=int, default=1, help="covering degree of the source")
+    ps.add_argument("--target-i", type=int, default=None, help="required (or set in --config)")
+    ps.add_argument("--target-j", type=int, default=None, help="required (or set in --config)")
+    ps.add_argument("--max-depth", type=int, default=None)
+    out_flags(ps)
+    ps.set_defaults(handler=cli.cmd_reflect_search)
+    p = sub.add_parser("check", help="run the full invariant suite for one spec/action")
+    spec_flags(p)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--max-degree", type=int, default=8)
+    out_flags(p)
+    p.set_defaults(handler=cli.cmd_check)
+    return ap
+
+
+def test_parser_tree_matches_the_hand_written_reference(capsys):
+    # the tree built from the flag rows against add_argument calls written
+    # out by hand: every parser's help and usage, and parse_args on every
+    # benchmark job, golden argv, help request and argparse refusal
+    reference, built = _parsers(_reference_parser()), _parsers(asreg2.cli.build_parser())
+    assert [p.prog for p in built] == [p.prog for p in reference]
+    assert len(built) == 10
+    for ours, theirs in zip(built, reference):
+        assert ours.format_help() == theirs.format_help(), ours.prog
+        assert ours.format_usage() == theirs.format_usage(), ours.prog
+    jobs = [list(job.argv) for workload in _load_workloads().WORKLOADS.values()
+            for job in workload.space()]
+    odd = [[], ["-h"], ["reflect", "-h"], ["reflect", "at", "-h"], ["quiver", "-h"],
+           ["ample", "--format", "jsn"], ["ample", "--r", "x"], ["info", "--alpha"],
+           ["quiver", "qs", "--c", "1.5"], ["quiver", "cyclic"], ["reflect", "search", "--max"],
+           ["ample", "--alpha", "-1/2"], ["check", "--max-degree=3", "--form", "json"]]
+    for argv in jobs + GOLDEN_ARGVS + odd:
+        assert (_parse_outcome(built[0].parse_args, argv, capsys)
+                == _parse_outcome(reference[0].parse_args, argv, capsys)), argv
+
+
+def test_cli_reads_no_private_argparse_name():
+    # the flag table is cli.py's own: no argparse._* name and no underscore
+    # attribute of a parser or an action, bar the one hook _Parser.__init__ sets
+    path = Path(asreg2.cli.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parser_class = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "_Parser")
+    init = next(node for node in parser_class.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    hook = [node for node in ast.walk(init) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr == "_negative_number_matcher"]
+    assert len(hook) == 1
+
+    def private(name):
+        return name[:1] == "_" and name[1:2] != "_" and name[1:].isidentifier()
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node not in hook:
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]  # getattr(parser, "_actions") and the like
+        else:
+            continue
+        found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names if private(name)]
+    assert found == []
 
 
 def test_handler_runs_as_the_module_attribute(monkeypatch):
