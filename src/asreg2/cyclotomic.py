@@ -207,17 +207,14 @@ class Cyclotomic:
             raise ValueError("negative power %d; use inverse()" % k)
         if not k:
             return Cyclotomic(1)
-        # square only while bits remain, and take the lowest set bit's power
-        # as the first factor: at most 2*bit_length(k) - 2 products
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        # left to right over the bits below the top one: one square per bit and
+        # one product per set bit, so at most 2*bit_length(k) - 2 products
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

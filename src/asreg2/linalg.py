@@ -3,12 +3,11 @@
 Rows are sparse dicts {column key: Cyclotomic}.  Column keys only need to
 be hashable and mutually comparable (ints or tuples of ints throughout
 this package).  Every pivot row is normalized so its pivot coefficient is
-one and the pivot is the smallest column of the row, which lets reduction
-walk columns in ascending order with a heap.  All arithmetic is exact; a
-vector reduces to the empty dict iff it lies in the span.
+one and the pivot is the smallest column of the row, so reduction takes
+the pivots in ascending order: eliminating a pivot touches only larger
+columns, and so never brings back a pivot already passed.  All arithmetic
+is exact; a vector reduces to the empty dict iff it lies in the span.
 """
-
-import heapq
 
 from .cyclotomic import cyc
 
@@ -28,20 +27,11 @@ class Echelon:
             c = cyc(c)
             if not c.is_zero():
                 v[k] = c
-        heap = list(v.keys())
-        heapq.heapify(heap)
-        while heap:
-            col = heapq.heappop(heap)
-            coeff = v.get(col)
-            if coeff is None or coeff.is_zero():
+        for col in sorted(self.rows):
+            coeff = v.pop(col, None)
+            if coeff is None:
                 continue
-            row = self.rows.get(col)
-            if row is None:
-                # columns smaller than every remaining pivot stay; later
-                # eliminations only touch columns > col
-                continue
-            del v[col]
-            for k, rc in row.items():
+            for k, rc in self.rows[col].items():
                 if k == col:
                     continue
                 cur = v.get(k)
@@ -49,8 +39,6 @@ class Echelon:
                 if nxt.is_zero():
                     v.pop(k, None)
                 else:
-                    if cur is None:
-                        heapq.heappush(heap, k)
                     v[k] = nxt
         return v
 

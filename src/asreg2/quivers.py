@@ -229,39 +229,18 @@ def _cycle_walk(q, tags=False):
     return walks[0]
 
 
-def _least_start(word):
-    """The first start of the least rotation of a word, by Duval's Lyndon
-    factorization of word + word (Duval, J. Algorithms 4, 1983), in O(n)
-    comparisons of letters: the least rotation is u^(n/p) for a Lyndon word
-    u of length p, and from its start the inner loop reads u repeated to
-    the end of word + word, so it ends at j = 2n with j - k = p."""
-    n, w = len(word), word + word
-    i = start = 0
-    while i < n:
-        start, j, k = i, i + 1, i
-        while j < 2 * n:
-            a, b = w[k], w[j]
-            if a < b:
-                k = i
-            elif a != b:
-                break
-            else:
-                k += 1
-            j += 1
-        # the factors of length j - k from i on, the last one ending past k
-        i += (k - i) // (j - k) * (j - k) + j - k
-    return start
-
-
 def _least_turn(word):
-    """The lesser of the two walk directions' least rotations (_least_start),
-    as (rotation, direction, start): direction 0 reads the word as walked,
-    direction 1 walks the other way round from the same vertex, which
-    reverses the word and flips every letter; a tie takes direction 0."""
-    picks = []
+    """The lesser of the two walk directions' least rotations, as (rotation,
+    direction, start): direction 0 reads the word as walked, direction 1
+    walks the other way round from the same vertex, which reverses the word
+    and flips every letter; a tie takes direction 0.  Each direction's least
+    rotation is the least of the n windows of the doubled word, and start is
+    its first start."""
+    n, picks = len(word), []
     for direction, w in enumerate((word, word[::-1].translate(_FLIP))):
-        k = _least_start(w)
-        picks.append((w[k:] + w[:k], direction, k))
+        doubled = w + w
+        least = min(doubled[k:k + n] for k in range(n))
+        picks.append((least, direction, doubled.index(least)))
     return min(picks)
 
 

@@ -16,6 +16,7 @@ Degreewise computations are independent of one another; everything here
 works on immutable inputs and returns fresh values.
 """
 
+import heapq
 from math import gcd
 
 from .cyclotomic import ONE, cyclotomic_sum
@@ -365,33 +366,24 @@ def min_phi_degree(action):
     x^b) and costs a w_y + b w_x = deg(y^a x^b); every monomial y^a x^b is
     the multiset of steps of such a path.  So the costs of the paths to w
     are the degrees of the monomials of character w, and their least is
-    delta(w).  Dial's bucket queue (Dial, CACM 12, 1969) settles the
-    vertices in order of distance, with max(w_x, w_y) + 1 buckets read
-    round, in O(r max(w_x, w_y)) steps.  The tests cross-check this
-    against the scan of S_d by degree and against the exact elimination.
+    delta(w).  Dijkstra's search settles the vertices in order of distance.
+    The tests cross-check this against the scan of S_d by degree and
+    against the exact elimination.
     """
     spec = action.spec
     _check_leading_term(spec)
     r = action.r
     steps = ((action.px, spec.w_x), (action.py, spec.w_y))
-    width = max(spec.w_x, spec.w_y) + 1
     dist = [None] * r
     dist[0] = 0
-    buckets = [[] for _ in range(width)]
-    buckets[0].append(0)
-    queued, d = 1, 0
-    while queued:
-        bucket = buckets[d % width]
-        while bucket:
-            v = bucket.pop()
-            queued -= 1
-            if dist[v] != d:
-                continue  # v was settled from a shorter path found later
-            for step, cost in steps:
-                u = (v + step) % r
-                if dist[u] is None or d + cost < dist[u]:
-                    dist[u] = d + cost
-                    buckets[(d + cost) % width].append(u)
-                    queued += 1
-        d += 1
+    heap = [(0, 0)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != dist[v]:
+            continue  # a stale entry: v was settled from a shorter path
+        for step, cost in steps:
+            u = (v + step) % r
+            if dist[u] is None or d + cost < dist[u]:
+                dist[u] = d + cost
+                heapq.heappush(heap, (d + cost, u))
     return None if None in dist else max(dist)

@@ -279,6 +279,8 @@ CHECK_GOLDENS = [
     # sums at a size where a quadratic stage shows
     ("check_1_1_r1200", ["--wx", "1", "--wy", "1", "--r", "1200"]),
     ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
+    # w_x = 7: the shortest path's x-steps cost more than one degree
+    ("check_7_9_r12", ["--wx", "7", "--wy", "9", "--r", "12"]),
 ]
 AMPLE_GOLDENS = [
     ("ample_1_1_r100", ["--wx", "1", "--wy", "1", "--r", "100"]),
@@ -328,7 +330,7 @@ def test_quiver_matches_golden(tmp_path, capsys, name, argv):
 
 @pytest.mark.parametrize("name, flags", CHECK_GOLDENS,
                          ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "1_1_r1200",
-                              "j23_r24"])
+                              "j23_r24", "7_9_r12"])
 def test_check_matches_golden(tmp_path, capsys, name, flags):
     # pins the check bytes at configs that no benchmark job reaches; the
     # Jordan plane sends non-monomial products through the product memo

@@ -291,9 +291,9 @@ def test_root_of_unity_divisibility():
 
 
 def test_pow_equals_repeated_products_with_few_squarings(monkeypatch):
-    # square-and-multiply squares only while bits of k remain and starts
-    # from the lowest set bit's power: bit_length(k) - 1 squarings and
-    # bit_count(k) - 1 products, so at most 2*bit_length(k) - 1, none for k = 0
+    # left-to-right powering squares once per bit below the top one and
+    # multiplies once per set bit below it: bit_length(k) - 1 squarings and
+    # bit_count(k) - 1 products, so at most 2*bit_length(k) - 2, none for k <= 1
     real_mul = Cyclotomic.__mul__
     calls = []
 
@@ -309,7 +309,7 @@ def test_pow_equals_repeated_products_with_few_squarings(monkeypatch):
             monkeypatch.setattr(Cyclotomic, "__mul__", counted)
             power = base ** k
             monkeypatch.undo()
-            assert len(calls) <= max(0, 2 * k.bit_length() - 1), (n, k, len(calls))
+            assert len(calls) <= max(0, 2 * k.bit_length() - 2), (n, k, len(calls))
             assert len(calls) == (k.bit_length() + k.bit_count() - 2 if k else 0), (n, k, len(calls))
             assert (power.conductor, power.num, power.den) == (
                 expected.conductor, expected.num, expected.den), (n, k)

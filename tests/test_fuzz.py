@@ -230,14 +230,34 @@ def dense_rank_oracle(rows, ncols):
 
 
 def test_echelon_rank_against_dense_oracle():
+    # int keys in order, or tuple keys in a random order; rational entries,
+    # or each one a rational times a power of zeta(3) and one of zeta(5)
     rng = random.Random(2718)
-    for _ in range(40):
+    tuple_keys = [(a, b) for a in range(3) for b in range(3)]
+    for case in range(160):
         nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        keys = rng.sample(tuple_keys, ncols) if case % 2 else list(range(ncols))
+        past = (3, 0) if case % 2 else ncols  # a column after every key
+        rational = case % 4 < 2
         rows = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(nrows)]
+        vecs = [{k: v if rational else v * zeta(3, rng.randrange(3)) * zeta(5, rng.randrange(5))
+                 for k, v in zip(keys, row) if v} for row in rows]
         ech = Echelon()
-        for row in rows:
-            ech.add({j: cyc(v) for j, v in enumerate(row) if v})
-        assert ech.rank == dense_rank_oracle(rows, ncols)
+        grew = sum(ech.add(vec) for vec in vecs)
+        assert ech.rank == grew <= min(nrows, ncols)
+        if rational:
+            assert ech.rank == dense_rank_oracle(rows, ncols)
+        # every added row, and any combination of them, lies in the span
+        combo = {}
+        for vec in vecs:
+            assert ech.residue(vec) == {}
+            scale = cyc(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))) * zeta(15, rng.randrange(15))
+            for k, c in vec.items():
+                combo[k] = combo.get(k, cyc(0)) + scale * c
+        assert ech.residue(combo) == {}
+        # a column past every pivot meets no row, so it stays
+        combo[past] = cyc(1)
+        assert ech.residue(combo) == {past: cyc(1)}
 
 
 def test_inverse_automorphism_round_trip():

@@ -434,8 +434,8 @@ def test_cycle_union_isomorphism_matches_backtracking(data):
 
 
 # The cycle-word kernels by brute force: the oracle for _least_rotation,
-# which finds the least rotation by Duval's factorization and forms only the
-# winning one, and the class key of the breadth-first oracle for
+# which takes each direction's least window of the doubled word and its
+# first start, and the class key of the breadth-first oracle for
 # reflection_search.
 
 def cycle_key_oracle(word):

@@ -960,7 +960,7 @@ def min_phi_degree_scan(action):
     """min_phi_degree as it scanned before the shortest path: the characters
     of S_d in order of degree until all r are met, up to degree (r-1)*ell,
     by which a faithful action meets all of them in the y^a x^b with a, b <
-    r; None past it.  The oracle of Dial's bucket queue."""
+    r; None past it.  The oracle of the shortest-path search."""
     spec = action.spec
     asreg2.skew._check_leading_term(spec)
     seen = set()
@@ -972,15 +972,16 @@ def min_phi_degree_scan(action):
 
 
 def test_min_phi_degree_shortest_path_equals_scan_sweep():
-    # 4 290 actions: quantum weights (1,1), (1,2), (2,3), (1,3), (3,5) and
-    # (2,1) at r <= 12 with every (px, py), and the Jordan planes q <= 5 at
-    # r <= 12 with every admissible (px, q px); non-faithful ones return None
+    # 6 240 actions: quantum weights (1,1), (1,2), (2,3), (1,3), (3,5), (2,1),
+    # (4,7), (5,8) and (7,9) at r <= 12 with every (px, py), and the Jordan
+    # planes q <= 5 at r <= 12 with every admissible (px, q px); non-faithful
+    # ones return None.  The last three weights give step costs past 5.
     actions = [make_diagonal_action(quantum_spec(*w, 1), r, px, py)
-               for w in ((1, 1), (1, 2), (2, 3), (1, 3), (3, 5), (2, 1))
+               for w in ((1, 1), (1, 2), (2, 3), (1, 3), (3, 5), (2, 1), (4, 7), (5, 8), (7, 9))
                for r in range(1, 13) for px in range(r) for py in range(r)]
     actions += [make_diagonal_action(jordan_spec(q), r, px, q * px)
                 for q in range(1, 6) for r in range(1, 13) for px in range(r)]
-    assert len(actions) == 4290
+    assert len(actions) == 6240
     outcomes = Counter()
     for action in actions:
         d_phi = min_phi_degree(action)
