@@ -19,13 +19,23 @@ g-basis, and with it that the e_i^j are orthogonal, complete and basic.
 Arrows are oriented alpha -> beta when e_beta (J/J^2) e_alpha is
 nonzero, the choice pinned by the worked six-vertex example for weights
 (1,1), r = 3.
+
+Lambda's basis is Q_{S,G}'s path basis (quivers.quiver_qsg).  Below degree
+ell = w_x + w_y every monomial is a pure power, as y^a x^b with a, b >= 1
+has degree at least ell.  So send M(i->j; m) rho_w to the path from (i,
+-w mod r) spelled by m; it ends at (j, -w + char m).  This is a bijection
+onto the paths: one that mixes x- and y-arrows rises ell rows or more,
+past the last one.  It carries lambda_mul_basis to concatenation: its
+guards [l = i] and [w + char n = v] say that the right factor's path ends
+where the left one's starts, and powers of one letter multiply with
+coefficient 1.  So check compares Q_{S,G}'s path count with r * dim nabla.
 """
 
 from collections import Counter
 
 from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
 from .quivers import grid_quiver
-from .skew import skew_dim, skew_mul_basis
+from .skew import skew_mul_basis
 
 
 def nabla_dim(spec):
@@ -91,11 +101,10 @@ def gabriel_quiver_oracle(action):
     lambda_mul_basis leaves nonzero, v = w + char n, in the corner from
     (k, w + char n) to (j, w - char m).
 
-    Below degree ell, one key: every such product has deg(mn) = j - k <
-    ell.  By monomial_product, (y^a1 x^b1)(y^a2 x^b2) is the one key
-    y^(a1+a2) x^(b1+b2) with coefficient 1 unless b1, a2 >= 1, of degree
-    >= ell.  So the rank of a J^2 corner is the number of distinct keys in
-    it.  A product of any other shape raises ArithmeticError.
+    Below degree ell, one key: deg(mn) = j - k < ell, so every such product
+    is one key with coefficient 1 (module docstring), and the rank of a J^2
+    corner is the number of its distinct keys.  A product of any other
+    shape raises ArithmeticError.
 
     One product per (0 < d2 < d < ell, m in S_(d-d2), n in S_(d2)), not
     one per grid triple (k < i < j) and character w: lambda_mul_basis reads
@@ -140,13 +149,6 @@ def gabriel_quiver_oracle(action):
 # nabla(S*G) versus (nabla S)*G
 
 
-def nabla_skew_dim_formula(action):
-    """dim nabla(S*G) computed entrywise from the skew graded dimensions."""
-    spec = action.spec
-    ell = spec.ell
-    return sum(skew_dim(action, j - i) for i in range(ell) for j in range(i, ell))
-
-
 def nabla_of_skew_mul(action, t1, t2):
     """Product of basis entries of nabla(S*G): entries are skew elements."""
     (i, j, m, w), (k, l, n, v) = t1, t2
@@ -164,9 +166,7 @@ def nabla_skew_structure_check(action):
     under the map M(i->j; m)*rho_w  <->  M(i->j; m*rho_w).  Both products
     are {} on the other pairs, by the same [l = i] and [w + char n = v]
     guards, so t2 is looked up by (i, w) in a table of the basis keyed by
-    (l, (v - char n) mod r).  The dimensions of the two sides are check's
-    "dim Lambda" line, which compares nabla_skew_dim_formula with r * dim
-    nabla, so they are not compared here again.
+    (l, (v - char n) mod r).
     """
     r = action.r
     basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(r)]

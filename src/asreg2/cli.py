@@ -51,7 +51,6 @@ from .quivers import (
 from .beilinson import (
     gabriel_quiver_oracle,
     nabla_dim,
-    nabla_skew_dim_formula,
     nabla_skew_structure_check,
 )
 
@@ -438,7 +437,8 @@ def cmd_check(args):
 
     # Q_{S,G} is gcd(ell, r) copies of the c-fold covering quiver (one cycle)
     # one walk of it serves the tagged and the untagged comparisons
-    tagged, classes = tagged_and_untagged_classes(quiver_qsg(action))
+    qsg = quiver_qsg(action)
+    tagged, classes = tagged_and_untagged_classes(qsg)
     n_expected = gcd(spec.ell, r)
     c_expected = lcm(spec.ell, r) // spec.ell
     record("skew quiver decomposes into %d copies of the %d-covering"
@@ -450,7 +450,8 @@ def cmd_check(args):
 
     dim_nabla = nabla_dim(spec)
     dim_lambda = r * dim_nabla
-    record("dim Lambda = r * dim nabla", nabla_skew_dim_formula(action) == dim_lambda)
+    # Lambda's basis is the path basis of Q_{S,G} (beilinson's docstring)
+    record("dim Lambda = r * dim nabla", path_count(qsg) == dim_lambda)
     record("nabla path count identity", dim_nabla == path_count(quiver_qs(spec)))
     record("Lambda idempotent system basic", rho_ok)
     if spec.ell * r <= 36:

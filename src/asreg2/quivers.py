@@ -4,17 +4,17 @@ Q_S, Q_{S,G}, the covering quivers and the Gabriel quiver of Lambda are
 grid quivers (grid_quiver): rows of n vertices, (i, s) at position i*n + s,
 and steps (w, shift, tag), each of which runs (i, s) -> (i + w, s + shift
 mod n) wherever row i + w exists.  The canonical quiver Q_(i,j) is no grid:
-make_canonical_quiver lays its two paths down by hand.  Q_S is the
-grid of one column, rows v0..v(ell-1), with an x-step w_x and a y-step w_y.
-Q_{S,G}, for G generated by diag(xi^px, xi^py) of order r, is Q_S lifted to
-r levels (_lift): the x-step shifts the level by px and the y-step by py,
-the exponents of the action.  The c-fold covering quiver is the same lift
-with shifts ax and ay, (ax, ay) the Bezout pair w_y*ax - w_x*ay = 1 with 0
-<= ax < w_x; for w_x = 1 this is the familiar picture of c stacked copies
-with the y-arrows dropping one level (and wrapping), and in general it is
-the connected cyclic cover, which is what the skew-quiver components
-decompose into.  The Gabriel quiver of Lambda (beilinson) is a grid on the
-same positions with a step per arrow of J/J^2.
+make_canonical_quiver lays its two paths down by hand.  The first three
+lift Q_S to n >= 1 levels (_lift): rows 0..ell-1, with an x-step w_x and a
+y-step w_y that each shift the level by their own amount.  Q_S is the
+one-level lift, rows v0..v(ell-1), and Q_{S,G}, for G = <diag(xi^px,
+xi^py)> of order r, the r-level lift by px and py.  The c-fold covering
+quiver is the c-level lift by ax and ay, (ax, ay) the Bezout pair w_y*ax -
+w_x*ay = 1 with 0 <= ax < w_x; for w_x = 1 this is the familiar picture of
+c stacked copies with the y-arrows dropping one level (and wrapping), and
+in general it is the connected cyclic cover, which is what the skew-quiver
+components decompose into.  The Gabriel quiver of Lambda (beilinson) is a
+grid on the same positions with a step per arrow of J/J^2.
 
 Every one of these quivers, and every BGP reflection of them, is a
 disjoint union of cycles.  So a quiver is handled through its walks
@@ -44,10 +44,10 @@ _UNTAG = str.maketrans("XxYy", "1010")
 
 
 def _labels(size, columns):
-    """The label rule: the labels of positions 0..size-1, v<k> at position k
-    when columns is None (Q_S, the canonical quiver), else v<i>_<s> for (i, s)
-    = divmod(k, columns), row i and column s of a grid that wide."""
-    if columns is None:
+    """The label rule: the labels of positions 0..size-1 of a grid that many
+    columns wide, v<i>_<s> for (i, s) = divmod(k, columns) at position k, and
+    v<k> when the grid has one column (Q_S, the canonical quiver)."""
+    if columns == 1:
         return tuple(map("v%d".__mod__, range(size)))
     return tuple("v%d_%d" % divmod(k, columns) for k in range(size))
 
@@ -123,30 +123,28 @@ def _quiver(size, arrows, columns, vertices=None):
     return q
 
 
-def grid_quiver(rows, n, steps, row_labels=False):
+def grid_quiver(rows, n, steps):
     """The quiver on rows of n vertices, (i, s) at position i*n + s, with, for
     each step (w, shift, tag) and each row i with i + w < rows, the arrows
     (i, s) -> (i + w, s + shift mod n); a step listed k times gives k
-    parallel arrows.  (i, s) is labelled v<i>_<s>, or v<i> with row_labels
-    (one column)."""
+    parallel arrows.  Labels by the label rule at width n (_labels)."""
     arrows = [(src + s, src + w * n + (s + shift) % n, tag)
               for w, shift, tag in steps for src in range(0, (rows - w) * n, n) for s in range(n)]
-    return _quiver(rows * n, arrows, None if row_labels else n)
-
-
-def quiver_qs(spec):
-    return grid_quiver(spec.ell, 1, ((spec.w_x, 0, "x"), (spec.w_y, 0, "y")), row_labels=True)
+    return _quiver(rows * n, arrows, n)
 
 
 def _lift(spec, n, shifts):
-    """Q_S on n levels: a letter's arrow i -> i + w runs (i, s) -> (i + w, s + shift mod n)."""
-    return grid_quiver(spec.ell, n, zip((spec.w_x, spec.w_y), shifts, "xy"))
+    """Q_S on n >= 1 levels, an x-arrow shifting the level by shifts[0], a y-arrow by shifts[1]."""
+    return grid_quiver(spec.ell, n, ((spec.w_x, shifts[0], "x"), (spec.w_y, shifts[1], "y")))
+
+
+def quiver_qs(spec):
+    return _lift(spec, 1, (0, 0))
 
 
 def quiver_qsg(action):
     """Q_{S,G}: Q_S lifted to r levels by the exponents (px, py) of the action."""
-    spec, r = action.spec, action.r
-    return quiver_qs(spec) if r == 1 else _lift(spec, r, (action.px, action.py))
+    return _lift(action.spec, action.r, (action.px, action.py))
 
 
 def _cover_shifts(spec):
@@ -160,7 +158,7 @@ def _cover_shifts(spec):
 def covering_quiver(spec, c):
     if c < 1:
         raise ValueError("covering degree must be >= 1")
-    return quiver_qs(spec) if c == 1 else _lift(spec, c, _cover_shifts(spec))
+    return _lift(spec, c, _cover_shifts(spec))
 
 
 def bgp_reflect(q, *vertices):
@@ -314,7 +312,7 @@ def make_canonical_quiver(i, j):
         raise ValueError("path lengths must be >= 1")
     arrows = [(a, b, "") for path in (range(i + 1), [0, *range(i + 1, i + j), i])
               for a, b in zip(path, path[1:])]
-    return _quiver(i + j, arrows, None)
+    return _quiver(i + j, arrows, 1)
 
 
 def _alignments(word, goals):

@@ -89,10 +89,6 @@ def rho_system(action):
     return xi(r - 1) * action.xi == ONE and all(xi(k) != ONE for k in range(1, r))
 
 
-def skew_dim(action, d):
-    return action.r * len(_y_exponents(action.spec, d))
-
-
 def fixed_ring_dims(action, D):
     """dim (S^G)_d for d = 0..D: the monomials of degree d of character zero."""
     return [sum(action.char(m) == 0 for m in graded_basis(action.spec, d))

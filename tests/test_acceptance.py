@@ -33,7 +33,6 @@ from asreg2.quivers import (
 from asreg2.beilinson import (
     gabriel_quiver_oracle,
     nabla_dim,
-    nabla_skew_dim_formula,
 )
 from test_automorphisms import (
     compose,
@@ -391,4 +390,4 @@ def test_criterion_11_property_suites():
             for r in (1, 2, 3):
                 action = make_cyclic_group(spec, r)
                 assert lambda_dim(action) == r * nabla_dim(spec)
-                assert nabla_skew_dim_formula(action) == lambda_dim(action)
+                assert path_count(quiver_qsg(action)) == lambda_dim(action)

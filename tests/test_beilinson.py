@@ -25,7 +25,6 @@ from asreg2.beilinson import (
     nabla_basis,
     nabla_dim,
     nabla_of_skew_mul,
-    nabla_skew_dim_formula,
     nabla_skew_structure_check,
 )
 from asreg2.linalg import Echelon
@@ -226,8 +225,67 @@ def test_lambda_dim_and_structure():
     for spec, r in ((S11, 3), (S13, 2), (J1, 2)):
         action = make_cyclic_group(spec, r)
         assert lambda_dim(action) == r * nabla_dim(spec)
-        assert nabla_skew_dim_formula(action) == lambda_dim(action)
+        assert path_count(quiver_qsg(action)) == lambda_dim(action)
         assert nabla_skew_structure_check(action)
+
+
+def all_paths(q):
+    """Every path of an acyclic quiver as (start, arrows), found by walking
+    its named arrows out of each vertex; a trivial path has no arrows."""
+    out = {}
+    for arrow in q.arrows:
+        out.setdefault(arrow[0], []).append(arrow)
+    paths, stack = [], [(v, ()) for v in q.vertices]
+    while stack:
+        start, arrows = stack.pop()
+        paths.append((start, arrows))
+        stack += [(start, arrows + (a,)) for a in out.get(arrows[-1][1] if arrows else start, ())]
+    return paths
+
+
+def test_lambda_basis_is_the_path_basis_of_qsg():
+    # the Cartan step of beilinson's docstring: M(i->j; m) rho_w goes to the
+    # path of Q_{S,G} from (i, -w) spelled by m, found by walking the arrows;
+    # the map is a bijection onto the paths, and lambda_mul_basis is
+    # concatenation, on every diagonal action of order r <= 4 the planes
+    # admit, non-faithful ones included
+    specs = [quantum_spec(wx, wy, alpha) for alpha in (1, zeta(5))
+             for wx, wy in ((1, 1), (1, 2), (2, 3), (3, 5))]
+    specs += [jordan_spec(q) for q in range(1, 5)]
+    actions = pairs = 0
+    for spec in specs:
+        for r in range(1, 5):
+            for px, py in itertools.product(range(r), repeat=2):
+                if spec.family == "jordan" and (py - spec.q * px) % r:
+                    continue
+                action = make_diagonal_action(spec, r, px, py)
+                qsg = quiver_qsg(action)
+                label = qsg.vertices  # (i, s) at position i*r + s
+                step = {(src, tag): dst for src, dst, tag in qsg.arrows}
+                path = {}
+                for (i, j, m) in nabla_basis(spec):
+                    assert 0 in m  # a pure power y^a or x^b
+                    tag = "y" if m.a else "x"
+                    for w in range(r):
+                        v = start = label[i * r + -w % r]
+                        arrows = []
+                        for _ in range(m.a + m.b):
+                            arrows.append((v, step[(v, tag)], tag))
+                            v = arrows[-1][1]
+                        assert v == label[j * r + (action.char(m) - w) % r]
+                        path[(i, j, m, w)] = (start, tuple(arrows), v)
+                key_of = {(start, arrows): key for key, (start, arrows, _) in path.items()}
+                assert len(key_of) == len(path) == path_count(qsg)
+                assert sorted(key_of) == sorted(all_paths(qsg))
+                for t1, (start1, arrows1, _) in path.items():
+                    for t2, (start2, arrows2, end2) in path.items():
+                        if t2[1] != t1[0]:
+                            continue
+                        expected = {key_of[(start2, arrows2 + arrows1)]: ONE} if end2 == start1 else {}
+                        assert lambda_mul_basis(action, t1, t2) == expected, (action, t1, t2)
+                        pairs += 1
+                actions += 1
+    assert actions == 8 * 30 + 4 * 10 and pairs > 10000
 
 
 def idempotent_system_oracle(action):
@@ -374,7 +432,7 @@ def idempotent_structure_full(action):
 def nabla_skew_structure_full(action):
     """nabla_skew_structure_check over every pair of basis elements."""
     basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(action.r)]
-    return lambda_dim(action) == nabla_skew_dim_formula(action) and all(
+    return lambda_dim(action) == path_count(quiver_qsg(action)) and all(
         lambda_mul_basis(action, t1, t2) == nabla_of_skew_mul(action, t1, t2)
         for t1 in basis for t2 in basis
     )
@@ -593,11 +651,11 @@ def gabriel_quiver_elimination(action):
                 prod = lambda_mul_basis(action, lk, rk)
                 if prod and echelons.setdefault((src, dst), Echelon()).add(prod):
                     jj_rank[(src, dst)] += 1
-    arrows = [("v%d_%d" % src, "v%d_%d" % dst, "")
+    label = _grid_labels(action)
+    arrows = [(label[src[0]][src[1]], label[dst[0]][dst[1]], "")
               for (src, dst), size in sorted(j_corner.items())
               for _ in range(size - jj_rank[(src, dst)])]
-    return Quiver(["v%d_%d" % (i, w) for i in range(action.spec.ell) for w in range(action.r)],
-                  arrows)
+    return Quiver([v for row in label for v in row], arrows)
 
 
 def test_oracle_key_count_matches_elimination(monkeypatch):
@@ -682,6 +740,10 @@ def per_grid_triple_counts(action):
 
 
 def _grid_labels(action):
+    """The label rule written out: v<i>_<w> at row i and column w of the grid,
+    and v<i> when it has one column (r = 1)."""
+    if action.r == 1:
+        return [["v%d" % i] for i in range(action.spec.ell)]
     return [["v%d_%d" % (i, w) for w in range(action.r)] for i in range(action.spec.ell)]
 
 

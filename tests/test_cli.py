@@ -548,22 +548,27 @@ def test_check_lambda_lines_form_no_lambda_product(monkeypatch, capsys):
 
 
 def test_check_forms_the_nabla_skew_dimension_once(monkeypatch, capsys):
-    # the "dim Lambda" line compares nabla_skew_dim_formula with r * dim
-    # nabla; the structure-constant check reads that line, not a second count
-    real = asreg2.beilinson.nabla_skew_dim_formula
-    calls = []
+    # the "dim Lambda" line counts the paths of Q_{S,G}, the one Q_{S,G} that
+    # check builds and walks; the structure-constant check reads that line,
+    # not a second count
+    built, counted = [], []
+    real_qsg, real_count = asreg2.cli.quiver_qsg, asreg2.cli.path_count
 
-    def counted(action):
-        calls.append(action)
-        return real(action)
+    def qsg(action):
+        built.append(real_qsg(action))
+        return built[-1]
 
-    for module in (asreg2.beilinson, asreg2.cli):
-        monkeypatch.setattr(module, "nabla_skew_dim_formula", counted)
+    def count(q):
+        counted.append(q)
+        return real_count(q)
+
+    monkeypatch.setattr(asreg2.cli, "quiver_qsg", qsg)
+    monkeypatch.setattr(asreg2.cli, "path_count", count)
     code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
     assert code == 0 and "skew-of-nabla structure constants" in out
-    assert len(calls) == 1
-    # a wrong dimension fails that line alone
-    monkeypatch.setattr(asreg2.cli, "nabla_skew_dim_formula", lambda action: real(action) + 1)
+    assert len(built) == 1 and [q is built[0] for q in counted].count(True) == 1
+    # a wrong count for Q_{S,G} alone fails that line alone
+    monkeypatch.setattr(asreg2.cli, "path_count", lambda q: real_count(q) + (q is built[-1]))
     code, out = run(capsys, ["check", "--wx", "1", "--wy", "2", "--r", "3"])
     failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
     assert code == 1 and failed == ["dim Lambda = r * dim nabla", "overall: FAIL"]
@@ -581,7 +586,7 @@ def test_check_gabriel_oracle_off_the_cycle_domain(monkeypatch, capsys):
 
 def test_check_non_cycle_component_fails(monkeypatch, capsys):
     # Q_{S,G} of (1, 2), r = 3 plus a path component: the quiver lines read
-    # FAIL, not a traceback
+    # FAIL, not a traceback, and so does the dim line, which counts its paths
     real = asreg2.cli.quiver_qsg
 
     def with_path(action):
@@ -594,7 +599,7 @@ def test_check_non_cycle_component_fails(monkeypatch, capsys):
     assert code == 1
     failed = [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")]
     assert failed == ["skew quiver decomposes into 3 copies of the 1-covering",
-                      "component canonical type (1, 2)",
+                      "component canonical type (1, 2)", "dim Lambda = r * dim nabla",
                       "Gabriel oracle matches skew quiver", "overall: FAIL"]
 
 

@@ -36,7 +36,6 @@ from asreg2.skew import (
     min_phi_degree,
     molien_dims,
     rho_system,
-    skew_dim,
     skew_mul_basis,
 )
 from test_automorphisms import generator, hdet_table, jordan_spec, monomial
@@ -312,9 +311,14 @@ def test_skew_eigenbasis_linked_to_g_basis():
 
 
 def test_skew_dims():
+    # dim (S*G)_d = r dim S_d: the eigenbasis keys of degree d, taken to the
+    # g-basis m g^s, have full rank
     action = make_cyclic_group(W13, 5)
     for d in range(8):
-        assert skew_dim(action, d) == 5 * len(graded_basis(W13, d))
+        ech = Echelon()
+        for key in _skew_basis(action, d):
+            ech.add(dict(to_g_basis(SkewElement(action, {key: ONE}), GSkewElement).terms))
+        assert ech.rank == 5 * len(graded_basis(W13, d))
 
 
 def fixed_ring_basis(action, d):
