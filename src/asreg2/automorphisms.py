@@ -16,9 +16,9 @@ this is the automorphism test, and make_cyclic_group's that its choice has
 hdet one wherever it is admitted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cyclotomic import Cyclotomic, ONE, zeta
+from .cyclotomic import Cyclotomic, zeta
 
 
 class NotTabulatedError(ValueError):
@@ -82,22 +82,10 @@ class CyclicGroupAction:
     xi: Cyclotomic
     px: int
     py: int
-    _xi_powers: list = field(default_factory=lambda: [ONE], repr=False)
 
     def __post_init__(self):
         self.px %= self.r
         self.py %= self.r
-
-    def xi_power(self, k):
-        """xi^(k mod r), from a table grown by one product with xi per entry:
-        entry 0 is 1 and entry k + 1 is entry k times xi, so entry k is xi^k
-        for 0 <= k < r by construction.  That xi^(k mod r) is xi^k needs xi^r
-        = 1, which skew.rho_system certifies."""
-        k %= self.r
-        pw = self._xi_powers
-        while len(pw) <= k:
-            pw.append(pw[-1] * self.xi)
-        return pw[k]
 
     def char(self, mono):
         """Exponent c with g(y^a x^b) = xi^c y^a x^b."""

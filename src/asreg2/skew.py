@@ -19,7 +19,7 @@ works on immutable inputs and returns fresh values.
 import heapq
 from math import gcd
 
-from .cyclotomic import ONE, cyclotomic_sum
+from .cyclotomic import ONE, _prime_divisors
 from .algebra import (
     AlgebraElement,
     MONO_ONE,
@@ -41,18 +41,14 @@ def skew_mul_basis(action, k1, k2):
 
 
 def rho_system(action):
-    """Certificate of the basis m rho_w and of skew_mul_basis, in O(r) steps.
+    """Certificate of the basis m rho_w and of skew_mul_basis by the order
+    test xi^r = 1, xi^(r/p) != 1 for each prime p | r, each power by
+    Cyclotomic.__pow__ in at most 2 log2 r products.  It gives two facts:
 
-    rho_w = (1/r) sum_s xi^(w s) g^s is read off the xi_power table, whose
-    exponents are taken mod r.  By its construction the table holds xi(k)
-    = xi^k for 0 <= k < r (one product with xi per entry, from xi(0) = 1).
-    The certificate checks two facts, with one product more:
-
-    (0) xi^r = 1: xi(r-1) xi = 1, whence xi(k) = xi^k for every k, as the
-        table reads k mod r;
-    (2) xi is primitive: xi(k) != 1 for 0 < k < r, whence sum_s xi^(k s) =
-        r [k = 0] for k mod r, since (xi^k - 1) sum_s xi^(k s) = xi^(k r)
-        - 1 = 0 in a field.
+    (0) xi^r = 1, whence every exponent below is read mod r;
+    (2) xi is primitive: its order divides r by (0), and an order below r
+        divides some r/p.  So sum_s xi^(k s) = r [k = 0] for k mod r, as
+        (xi^k - 1) sum_s xi^(k s) = xi^(k r) - 1 = 0 in a field.
 
     Given these, the defining identities hold in the g-basis m g^s of S*G,
     coefficient by coefficient, as identities of exponents mod r:
@@ -68,31 +64,40 @@ def rho_system(action):
     By (1), g^s rho_w = xi^(-w s) rho_w, so rho_v rho_w = (1/r) sum_s
     xi^((v - w) s) rho_w = [v = w] rho_w by (2): the rho_w are orthogonal
     idempotents.  Multiplying (3) by g^s gives g^s = sum_w xi^(-w s) rho_w,
-    so the m rho_w span S*G; there are r dim S_d of them in degree d, so
-    they are a basis.  By (4), (m rho_w)(n rho_v) = m n rho_(w + char n)
-    rho_v = [w + char n = v] (m n) rho_v, which is skew_mul_basis.  The
-    tests re-run (1), (3) and (4) as g-basis products.
+    so the r dim S_d elements m rho_w of degree d span (S*G)_d: a basis.
+    By (4), (m rho_w)(n rho_v) = m n rho_(w + char n) rho_v = [w + char n
+    = v] (m n) rho_v, which is skew_mul_basis.  The tests re-run (1), (3)
+    and (4) as g-basis products, and (0) and (2) on a table of xi^k, k < r.
 
     The same certificate makes the idempotent system of Lambda = nabla(S)*G
     orthogonal, complete and basic, so check reads both lines off one run.
-    Lambda_0 has the basis e_i^w = M(i->i; 1) rho_w, and the guards [l = i]
+    On the basis e_i^w = M(i->i; 1) rho_w of Lambda_0, the guards [l = i]
     and [w + char 1 = v] of beilinson.lambda_mul_basis give e_i^w e_k^v =
-    [i = k][w = v] e_i^w: the e_i^j are orthogonal idempotents, one copy of
-    the rho_j per vertex i, and they sum to the unit as the rho_j do by
-    (3).  By (1) and (3), g^s = sum_w xi^(-w s) rho_w, so rho_j g^s rho_j =
-    xi^(-j s) rho_j != 0 and every corner e_i^j Lambda_0 e_i^j is the line
-    k e_i^j.  No positive-degree basis element M(i->j; m) rho_w lies in a
-    diagonal corner, as it has i < j.  The tests re-run all of this by
-    brute force in Lambda.
+    [i = k][w = v] e_i^w, and the e_i^j sum to the unit as the rho_j do by
+    (3).  By (1) and (3), rho_j g^s rho_j = xi^(-j s) rho_j != 0, so every
+    corner e_i^j Lambda_0 e_i^j is the line k e_i^j.  No positive-degree
+    basis element M(i->j; m) rho_w lies in a diagonal corner, as i < j.
+    The tests re-run all of this by brute force in Lambda.
     """
-    r, xi = action.r, action.xi_power
-    return xi(r - 1) * action.xi == ONE and all(xi(k) != ONE for k in range(1, r))
+    r, xi = action.r, action.xi
+    return xi ** r == ONE and all(xi ** (r // p) != ONE for p in _prime_divisors(r))
 
 
 def fixed_ring_dims(action, D):
     """dim (S^G)_d for d = 0..D: the monomials of degree d of character zero."""
     return [sum(action.char(m) == 0 for m in graded_basis(action.spec, d))
             for d in range(D + 1)]
+
+
+def _geometric_sum(z, n):
+    """S_n = sum_(k<n) z^k for n >= 1, over the bits of n below the top one:
+    S_2k = S_k (1 + z^k) and S_(k+1) = S_k + z^k, at most 3 products a bit."""
+    s, zk = ONE, z  # S_1 and z^1
+    for bit in bin(n)[3:]:
+        s, zk = s * (zk + ONE), zk * zk
+        if bit == "1":
+            s, zk = s + zk, zk * z
+    return s
 
 
 def molien_dims(action, D):
@@ -104,22 +109,19 @@ def molien_dims(action, D):
     with g = gcd(c, r), the map s -> s c on Z/r has image the multiples of
     g and kernel of size g, as has s -> s g, so s c and s g run over the
     same multiset mod r.  That multiset meets each multiple k g (k < r/g)
-    g times, so T(g) = g S(g) with S(g) = sum_(k < r/g) xi^(k g), a sum of
-    r/g table entries.  So the average is (1/r) N_d with N_d = sum_m
-    T(gcd(char m, r)).  The xi_power table reads exponents mod r, so this
-    rests on no property of xi (not the primitivity rho_system certifies).
+    g times, so T(g) = g S(g) with S(g) = sum_(k < r/g) xi^(k g).  This
+    takes xi^r = 1, not the primitivity that rho_system certifies.
 
     The characters are read off graded_basis, which fixed_ring_dims and
     corner_dimension_checks have built for the same degrees.  Each S(g) is
-    summed in the field once per divisor g of r met, by one cyclotomic_sum
-    of its r/g entries, and certified an integer through rational_value():
-    a sum of roots of unity is an algebraic integer, and a rational
-    algebraic integer is an integer, so for a root of unity xi a rational
-    S(g) is one.  An xi that is no root of unity may give an irrational
-    S(g) or a fraction, and both raise ArithmeticError.  With every S(g) an
-    integer, N_d is formed in Python ints, exactly, and the average N_d / r
-    is an integer exactly when r divides N_d; when it does not,
-    ArithmeticError.  So the field does no work per degree.
+    formed once per divisor g < r met (S(r) = 1), as the geometric sum of
+    r/g powers of xi^g in O(log r) products, and certified an integer
+    through rational_value(): a rational sum of roots of unity is an
+    algebraic integer, so an integer.  An xi that is no root of unity may
+    give an irrational S(g) or a fraction, and both raise ArithmeticError.
+    Then N_d = sum_m T(gcd(char m, r)) is formed in Python ints, and N_d / r
+    must be an integer, or ArithmeticError: the field does no work per
+    degree.
     """
     r = action.r
     power_sums = {}  # g -> T(g)
@@ -130,7 +132,7 @@ def molien_dims(action, D):
             g = gcd(c, r)
             t = power_sums.get(g)
             if t is None:
-                s = cyclotomic_sum(action.xi_power(k * g) for k in range(r // g))
+                s = _geometric_sum(action.xi ** g, r // g) if g < r else ONE  # S(r) = 1
                 if not s.is_rational() or s.rational_value().denominator != 1:
                     raise ArithmeticError("power sum of xi^%d must be an integer" % g)
                 t = power_sums[g] = g * s.rational_value().numerator
@@ -139,6 +141,12 @@ def molien_dims(action, D):
             raise ArithmeticError("trace average must be an integer")
         out.append(total // r)
     return out
+
+
+def _add_keys(keys, p):
+    """Add the keys of p to keys; True if p is zero or one nonzero term."""
+    keys.update(p)
+    return len(p) <= 1 and all(p.values())
 
 
 def corner_dimension_checks(action, D):
@@ -155,32 +163,36 @@ def corner_dimension_checks(action, D):
     the guard [w + char n = v] of skew_mul_basis makes u e = (m rho_w)
     (1 rho_0) zero unless w = 0, and e u = (1 rho_0)(m rho_w) zero unless
     w = char m.  A zero product adds no key and is no product of two
-    terms, so the ranks and the rows are those of the products u e at
-    w = 0, e u at w = char m and e (u e), over the monomials m of S_d.
-    The tests run the loop over every (m, w) as the oracle.  The same walk
-    counts dim (S^G)_d, the monomials m of character zero, so check reads
-    the fixed dimensions for its trace-average line off the rows.
+    terms.  e (u e) is the sum of c_k (e k), c_k != 0, over the keys k of
+    u e, and for the key (m, 0) of a correct unit law e k = (1 rho_0)(m
+    rho_0) is zero unless char m = 0, by the same guard, and then it is e u
+    itself.  So u e and e u are formed per monomial, and e k only for a key
+    that a faulty unit law gives.  The tests run every (m, w) and all three
+    products as the oracle.  The same walk counts dim (S^G)_d, the
+    monomials of character zero, which check's trace-average line reads.
     """
     e = (MONO_ONE, 0)
     rows = []
     for d in range(D + 1):
         basis = graded_basis(action.spec, d)
-        ece, se, es = [], [], []
+        ece, se, es = set(), set(), set()
+        single = True
         dim_fixed = 0
         for m in basis:
             w = action.char(m)
             dim_fixed += w == 0
             ue = skew_mul_basis(action, (m, 0), e)
-            se.append(ue)
-            es.append(skew_mul_basis(action, e, (m, w)))
-            # e (c k) = c (e k) with c != 0
-            ece += [skew_mul_basis(action, e, k) for k in ue]
-        single = all(len(p) <= 1 and all(p.values()) for p in ece + se + es)
-        n_ece, n_se, n_es = (len(set().union(*prods)) for prods in (ece, se, es))
+            eu = skew_mul_basis(action, e, (m, w))
+            single &= _add_keys(se, ue) & _add_keys(es, eu)
+            for k in ue:
+                if k != (m, 0):
+                    single &= _add_keys(ece, skew_mul_basis(action, e, k))
+                elif w == 0:
+                    single &= _add_keys(ece, eu)
         dim_s = len(basis)
-        row = {"d": d, "corner_eSGe": n_ece, "fixed": dim_fixed,
-               "SGe": n_se, "eSG": n_es, "dim_S": dim_s}
-        row["ok"] = single and (n_ece, n_se, n_es) == (dim_fixed, dim_s, dim_s)
+        row = {"d": d, "corner_eSGe": len(ece), "fixed": dim_fixed,
+               "SGe": len(se), "eSG": len(es), "dim_S": dim_s}
+        row["ok"] = single and (len(ece), len(se), len(es)) == (dim_fixed, dim_s, dim_s)
         rows.append(row)
     return {"ok": all(row["ok"] for row in rows), "rows": rows}
 

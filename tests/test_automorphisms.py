@@ -11,6 +11,7 @@ routes to the value.
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,10 +263,27 @@ def is_hsl(sigma, spec):
     return hdet_table(sigma, spec).is_one()
 
 
+# each action's table of powers of xi, kept while the action lives
+_XI_TABLES = weakref.WeakKeyDictionary()
+
+
+def xi_power(action, k):
+    """xi^(k mod r), from a table grown by one product with xi per entry:
+    entry 0 is 1 and entry k + 1 is entry k times xi, so entry k is xi^k
+    for 0 <= k < r by construction.  That xi^(k mod r) is xi^k needs xi^r
+    = 1, which skew.rho_system certifies.  The oracles read the powers of
+    xi here, by a route that shares no product with Cyclotomic.__pow__."""
+    k %= action.r
+    table = _XI_TABLES.setdefault(action, [ONE])
+    while len(table) <= k:
+        table.append(table[-1] * action.xi)
+    return table[k]
+
+
 def generator(action):
     """The generator diag(xi^px, xi^py) of a cyclic action, as a map."""
     return diagonal_automorphism(
-        action.spec, action.xi_power(action.px), action.xi_power(action.py)
+        action.spec, xi_power(action, action.px), xi_power(action, action.py)
     )
 
 
@@ -612,7 +630,7 @@ def test_diagonal_action_on_monomials():
         for b in range(4):
             m = monomial(COMM, Monomial(a, b))
             img = apply_automorphism(g, m, COMM)
-            expected = m.scale(action.xi_power(b - a))
+            expected = m.scale(xi_power(action, b - a))
             assert img == expected
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -36,9 +37,16 @@ from asreg2.quivers import (
     quiver_qs,
     quiver_qsg,
 )
-from asreg2.skew import rho_system
-from test_automorphisms import jordan_spec
-from test_skew import GSkewElement, LINK_CASES, assert_g_basis_link, to_g_basis
+from asreg2.skew import molien_dims, rho_system
+from test_automorphisms import jordan_spec, xi_power
+from test_skew import (
+    GSkewElement,
+    LINK_CASES,
+    _power_products,
+    assert_g_basis_link,
+    molien_dims_table,
+    to_g_basis,
+)
 
 S11 = quantum_spec(1, 1, 1)
 S12 = quantum_spec(1, 2, 1)
@@ -92,7 +100,7 @@ def g_lambda_mul_basis(action, t1, t2):
     if l != i:
         return {}
     # the group acts entrywise: g^s scales n by xi^(s char(n))
-    c = action.xi_power(s * action.char(n))
+    c = xi_power(action, s * action.char(n))
     gexp = (s + t) % action.r
     return {(k, j, mono, gexp): c * cm for mono, cm in monomial_product(action.spec, m, n).items()}
 
@@ -115,7 +123,7 @@ def lambda_idempotent(action, i, j):
     r = action.r
     w = cyc(Fraction(1, r))
     return GLambdaElement(
-        action, {(i, i, MONO_ONE, s): w * action.xi_power(j * s) for s in range(r)}
+        action, {(i, i, MONO_ONE, s): w * xi_power(action, j * s) for s in range(r)}
     )
 
 
@@ -344,8 +352,10 @@ def swept_actions():
     return actions
 
 
-# xi of order 2, 3 and 1 below r, and a root of order 5 that is no r-th root
-NON_PRIMITIVE = ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5)))
+# xi of order 2, 3 and 1 below r, a root of order 5 that is no r-th root,
+# and two values of infinite order, one rational and one not
+NON_PRIMITIVE = ((4, zeta(4) ** 2), (6, zeta(3)), (2, cyc(1)), (3, zeta(5)), (4, cyc(2)),
+                 (3, ONE + zeta(5)))
 
 
 def test_lambda_idempotent_system():
@@ -368,7 +378,7 @@ def rho_system_g_basis(action):
     0 < k < r, (3) sum_w rho_w = 1 and (4) rho_w n = n rho_(w + char n)
     for n = x, y.
     """
-    r, xi = action.r, action.xi_power
+    r, xi = action.r, partial(xi_power, action)
     inv_r = cyc(Fraction(1, r))
     rho = [GSkewElement(action, {(MONO_ONE, s): inv_r * xi(w * s) for s in range(r)})
            for w in range(r)]
@@ -394,7 +404,7 @@ def rho_system_products(action):
     """rho_system as it certified fact (0) before: xi(0) = 1 and xi(k) xi =
     xi(k + 1) for k < r, repeating the xi_power table's own products, and
     xi(k) != 1 for 0 < k < r.  The oracle of the r + 1 product certificate."""
-    r, xi = action.r, action.xi_power
+    r, xi = action.r, partial(xi_power, action)
     return (xi(0) == 1 and all(xi(k) * action.xi == xi(k + 1) for k in range(r))
             and all(xi(k) != 1 for k in range(1, r)))
 
@@ -417,6 +427,28 @@ def test_rho_system_equals_product_chain_and_g_basis_sweep():
     assert outcomes[True] == 1 + sum(1 for r in range(1, 9) for m in range(1, 13)
                                      for k in range(m) if m // gcd(k, m) == r)
     assert outcomes[False] > 500
+
+
+def test_table_routes_equal_order_test_and_doubling():
+    # the r-entry xi_power certificate and the r/g-entry power sums, which
+    # rho_system and molien_dims replaced by the order test and the
+    # geometric sums by doubling: the same verdicts and dims, or the same
+    # refusal, on the swept actions and on the xi that are not primitive
+    actions = swept_actions() + [CyclicGroupAction(S11, r, xi, 1, -1) for r, xi in NON_PRIMITIVE]
+    refused = 0
+    for action in actions:
+        assert rho_system(action) is rho_system_products(action), action
+        outcomes = []
+        for route in (molien_dims, molien_dims_table):
+            try:
+                outcomes.append(route(action, 8))
+            except ArithmeticError:
+                outcomes.append(ArithmeticError)
+        assert outcomes[0] == outcomes[1], action
+        refused += outcomes[0] is ArithmeticError
+    # zeta(5) and 1 + zeta(5) at r = 3 have irrational power sums, and 2 at
+    # r = 4 a degree-1 average 2 (1 + 2 + 4 + 8) / 4 that is no integer
+    assert refused == 3
 
 
 def idempotent_structure_full(action):
@@ -480,9 +512,10 @@ def test_products_vanish_off_composable_pairs():
 
 
 def test_idempotent_system_work_is_linear(monkeypatch):
-    # the certificate behind check's rho and Lambda lines makes O(r)
-    # cyclotomic products, those of its xi_power table, and no product of
-    # elements
+    # the certificate behind check's rho and Lambda lines is the order
+    # test: the cyclotomic products of xi^r and of xi^(r/p) for each prime
+    # p | r, by powering, and no product of elements; the xi_power table
+    # it read before took r products
     counts = Counter()
 
     def counting(name, method):
@@ -494,12 +527,14 @@ def test_idempotent_system_work_is_linear(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__mul__", counting("cyc", Cyclotomic.__mul__))
     monkeypatch.setattr(SparseElement, "__mul__", counting("elem", SparseElement.__mul__))
     monkeypatch.setattr(LambdaElement, "__mul__", counting("elem", LambdaElement.__mul__))
-    r = 40
-    # a fresh action, so the certificate also fills the xi_power table
-    action = CyclicGroupAction(S11, r, zeta(r), 1, -1)
-    assert rho_system(action) is True
-    assert counts["elem"] == 0
-    assert 0 < counts["cyc"] <= 2 * r
+    for r in (40, 997, 4800):
+        counts.clear()
+        action = CyclicGroupAction(S11, r, zeta(r), 1, -1)
+        assert rho_system(action) is True
+        primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % q for q in range(2, p))]
+        assert counts["elem"] == 0
+        assert counts["cyc"] == _power_products(r) + sum(_power_products(r // p) for p in primes)
+        assert counts["cyc"] <= 2 * r.bit_length() * (1 + len(primes)) < r
 
 
 def test_lambda_eigenbasis_linked_to_g_basis():

@@ -278,6 +278,9 @@ CHECK_GOLDENS = [
     # ell*r = 2 400: the shortest path, the least rotations and the power
     # sums at a size where a quadratic stage shows
     ("check_1_1_r1200", ["--wx", "1", "--wy", "1", "--r", "1200"]),
+    # r = 4 800: the order test and the power sums by doubling, where a
+    # table of r powers of xi took 96-98 % of the job
+    ("check_1_1_r4800", ["--wx", "1", "--wy", "1", "--r", "4800"]),
     ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
     # w_x = 7: the shortest path's x-steps cost more than one degree
     ("check_7_9_r12", ["--wx", "7", "--wy", "9", "--r", "12"]),
@@ -330,7 +333,7 @@ def test_quiver_matches_golden(tmp_path, capsys, name, argv):
 
 @pytest.mark.parametrize("name, flags", CHECK_GOLDENS,
                          ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "1_1_r1200",
-                              "j23_r24", "7_9_r12"])
+                              "1_1_r4800", "j23_r24", "7_9_r12"])
 def test_check_matches_golden(tmp_path, capsys, name, flags):
     # pins the check bytes at configs that no benchmark job reaches; the
     # Jordan plane sends non-monomial products through the product memo
@@ -338,6 +341,16 @@ def test_check_matches_golden(tmp_path, capsys, name, flags):
     code, _ = run(capsys, ["check", *flags, "--format", "json", "--out", str(out_file)])
     assert code == 0
     assert out_file.read_bytes() == (DATA / (name + ".json")).read_bytes()
+
+
+def test_fixed_at_large_order_matches_golden(tmp_path, capsys):
+    # pins the trace average's power sums at r = 4 800, one geometric sum
+    # by doubling per divisor of r met
+    out_file = tmp_path / "fixed.json"
+    code, _ = run(capsys, ["fixed", "--wx", "1", "--wy", "1", "--r", "4800", "--max-degree", "2",
+                           "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / "fixed_1_1_r4800_d2.json").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -651,8 +664,9 @@ def test_check_sweep_reports_ok_on_every_line(capsys):
 ], ids=["1_2_r3", "2_3_r4", "j5_r3"])
 def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     # every (m1, m2) that check asks for is formed once, into the product
-    # memo of the one spec that check builds; the corner line forms three
-    # S*G products per monomial of S_(<= 8) and the Gabriel oracle one Lambda
+    # memo of the one spec that check builds; the corner line forms two
+    # S*G products per monomial of S_(<= 8), u e and e u, since e (u e) is
+    # e u or zero, and the Gabriel oracle one Lambda
     # product per (0 < d2 < d < ell, m in S_(d-d2), n in S_(d2)), not one per
     # grid triple or character
     requested, specs = set(), []
@@ -698,7 +712,7 @@ def test_check_forms_each_product_once(monkeypatch, capsys, flags):
     formed = len(spec._products)
     assert 20 < formed == len(requested)
     ell, dims = spec.ell, [len(graded_basis(spec, d)) for d in range(9)]
-    assert per_stage["corner_dimension_checks"] == 3 * sum(dims)
+    assert per_stage["corner_dimension_checks"] == 2 * sum(dims)
     assert per_stage["gabriel_quiver_oracle"] == sum(
         dims[d - d2] * dims[d2] for d in range(ell) for d2 in range(1, d))
 

@@ -6,10 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import asreg2.automorphisms
 import asreg2.skew
 
-from asreg2.cyclotomic import ONE, Cyclotomic, cyc, zeta
+from asreg2.cyclotomic import ONE, Cyclotomic, cyc, cyclotomic_sum, zeta
 from asreg2.algebra import (
     MONO_ONE,
     Monomial,
@@ -38,7 +37,7 @@ from asreg2.skew import (
     rho_system,
     skew_mul_basis,
 )
-from test_automorphisms import generator, hdet_table, jordan_spec, monomial
+from test_automorphisms import generator, hdet_table, jordan_spec, monomial, xi_power
 
 COMM = quantum_spec(1, 1, 1)
 QUANT5 = quantum_spec(1, 1, zeta(5))
@@ -54,7 +53,7 @@ def g_skew_mul_basis(action, k1, k2):
     """(a*g^s)(b*g^t) = a g^s(b) * g^(s+t) with the diagonal action."""
     (m1, s), (m2, t) = k1, k2
     # g^s scales the monomial m2 by xi^(s * char(m2))
-    c = action.xi_power(s * action.char(m2))
+    c = xi_power(action, s * action.char(m2))
     gexp = (s + t) % action.r
     return {(m, gexp): c * cm for m, cm in monomial_product(action.spec, m1, m2).items()}
 
@@ -130,7 +129,7 @@ def to_g_basis(u, g_cls):
     for (*rest, w), c in u.terms.items():
         for s in range(r):
             key = (*rest, s)
-            terms[key] = terms.get(key, cyc(0)) + c * cyc(Fraction(1, r)) * action.xi_power(w * s)
+            terms[key] = terms.get(key, cyc(0)) + c * cyc(Fraction(1, r)) * xi_power(action, w * s)
     return g_cls(action, terms)
 
 
@@ -224,7 +223,7 @@ def phi_injectivity_oracle(spec, action, D):
             row = {}
             for dt in range(D + 1):
                 for t in graded_basis(spec, dt):
-                    scal = action.xi_power(s * action.char(t))
+                    scal = xi_power(action, s * action.char(t))
                     for mono, c in monomial_product(spec, m, t).items():
                         row[(dt, t, mono)] = scal * c
             count += 1
@@ -238,7 +237,7 @@ def test_skew_mul_convention():
     y = GSkewElement.basis_element(action, Monomial(1, 0), 0)   # y * 1
     prod = x * y
     # x g(y) * g = xi^-1 * yx * g
-    assert prod.terms == {(Monomial(1, 1), 1): action.xi_power(-1)}
+    assert prod.terms == {(Monomial(1, 1), 1): xi_power(action, -1)}
 
 
 def test_skew_unit_and_group_law():
@@ -397,7 +396,7 @@ def molien_dims_per_degree(spec, action, D):
         total = cyc(0)
         for s in range(r):
             for c, n in counts.items():
-                total = total + action.xi_power(s * c) * n
+                total = total + xi_power(action, s * c) * n
         avg = total * cyc(Fraction(1, r))
         assert avg.is_rational() and avg.rational_value().denominator == 1
         out.append(int(avg.rational_value().numerator))
@@ -430,49 +429,90 @@ def test_molien_dims_against_per_degree_trace_loop():
     assert checked > 300 and 0 < hsl < checked
 
 
-def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
-    # one cyclotomic_sum of r/g table entries per distinct g = gcd(c, r) over
-    # the characters c, no field addition, and no field product after the
-    # power sums: the per-degree combination is in integers, where the
-    # per-degree loop made r additions per (degree, character)
-    events, powers = [], [0]
-    add, mul = Cyclotomic.__add__, Cyclotomic.__mul__
-    xi_power = asreg2.automorphisms.CyclicGroupAction.xi_power
-    cyclotomic_sum = asreg2.skew.cyclotomic_sum
+def test_geometric_sum_equals_term_by_term():
+    # every bit pattern up to 7 bits, at roots of unity of several orders,
+    # at a rational and at a value of infinite order
+    for z in (zeta(7), zeta(12, 5), cyc(-1), cyc(2), ONE + zeta(5)):
+        total, power = cyc(0), ONE
+        for n in range(1, 130):
+            total, power = total + power, power * z
+            assert asreg2.skew._geometric_sum(z, n) == total, (z, n)
 
-    def counted_sum(values):
-        total = cyclotomic_sum(values)
+
+def _power_products(k):
+    """The products Cyclotomic.__pow__ forms for xi^k, k >= 1: one square per
+    bit below the top one and one product per set bit among them."""
+    return k.bit_length() - 1 + k.bit_count() - 1
+
+
+def _geometric_sum_products(n):
+    """The products of skew._geometric_sum over n terms: two per bit below
+    the top one (S_k (1 + z^k) and z^k z^k) and one per set bit among them."""
+    return 2 * (n.bit_length() - 1) + n.bit_count() - 1
+
+
+def test_molien_dims_work_is_one_power_sum_per_character(monkeypatch):
+    # one geometric sum per distinct g = gcd(c, r) < r over the characters
+    # c (S(r) = 1), O(log r) products each: xi^g by powering and the r/g
+    # terms by doubling, where the sum term by term read r/g powers of xi
+    # off a table; and no field product after the power sums: the
+    # per-degree combination is in integers
+    events = []
+    mul, geometric_sum = Cyclotomic.__mul__, asreg2.skew._geometric_sum
+
+    def counted_sum(z, n):
+        total = geometric_sum(z, n)
         events.append("sum")
         return total
-
-    def counted_add(self, other):
-        events.append("add")
-        return add(self, other)
 
     def counted_mul(self, other):
         events.append("mul")
         return mul(self, other)
 
-    def counted_power(self, k):
-        powers[0] += 1
-        return xi_power(self, k)
+    D = 30
+    for spec, r, powers in ((QUANT5, 12, (1, 2)), (COMM, 720, (1, -1))):
+        events.clear()
+        action = make_diagonal_action(spec, r, *powers)
+        per_degree = [{action.char(m) for m in graded_basis(spec, d)} for d in range(D + 1)]
+        gcds = {gcd(c, r) for c in set().union(*per_degree)}
+        assert len(gcds) > 1
+        monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
+        monkeypatch.setattr(asreg2.skew, "_geometric_sum", counted_sum)
+        dims = molien_dims(action, D)
+        last_sum = len(events) - events[::-1].index("sum")
+        monkeypatch.undo()
+        assert dims == fixed_ring_dims(action, D)
+        summed = [g for g in gcds if g < r]
+        assert events.count("sum") == len(summed) < len(gcds)
+        products = sum(_power_products(g) + _geometric_sum_products(r // g) for g in summed)
+        assert events.count("mul") == products <= 3 * r.bit_length() * len(gcds)
+        assert "mul" not in events[last_sum:]
+        # no table of powers is left to read
+        assert not hasattr(action, "xi_power") and not hasattr(action, "_xi_powers")
 
-    spec, r, D = QUANT5, 12, 30
-    action = make_diagonal_action(spec, r, 1, 2)
-    per_degree = [{action.char(m) for m in graded_basis(spec, d)} for d in range(D + 1)]
-    gcds = {gcd(c, r) for c in set().union(*per_degree)}
-    assert len(gcds) > 1
-    monkeypatch.setattr(Cyclotomic, "__add__", counted_add)
-    monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
-    monkeypatch.setattr(asreg2.automorphisms.CyclicGroupAction, "xi_power", counted_power)
-    monkeypatch.setattr(asreg2.skew, "cyclotomic_sum", counted_sum)
-    dims = molien_dims(action, D)
-    last_sum = len(events) - events[::-1].index("sum")
-    monkeypatch.undo()
-    assert dims == fixed_ring_dims(action, D)
-    assert events.count("sum") == len(gcds) and "add" not in events
-    assert powers[0] == sum(r // g for g in gcds) < r * len(gcds)
-    assert "mul" not in events[last_sum:]
+
+def molien_dims_table(action, D):
+    """molien_dims as it summed each S(g) before: one cyclotomic_sum of the
+    r/g entries xi^(k g) of the xi_power table.  The oracle of the geometric
+    sums by doubling."""
+    r = action.r
+    power_sums = {}  # g -> T(g)
+    out = []
+    for d in range(D + 1):
+        total = 0
+        for c in map(action.char, graded_basis(action.spec, d)):
+            g = gcd(c, r)
+            t = power_sums.get(g)
+            if t is None:
+                s = cyclotomic_sum(xi_power(action, k * g) for k in range(r // g))
+                if not s.is_rational() or s.rational_value().denominator != 1:
+                    raise ArithmeticError("power sum of xi^%d must be an integer" % g)
+                t = power_sums[g] = g * s.rational_value().numerator
+            total += t
+        if total % r:
+            raise ArithmeticError("trace average must be an integer")
+        out.append(total // r)
+    return out
 
 
 def molien_dims_counter(action, D):
@@ -487,7 +527,7 @@ def molien_dims_counter(action, D):
         for c, n in Counter(map(action.char, graded_basis(action.spec, d))).items():
             g = gcd(c, r)
             if g not in power_sums:
-                t = sum((action.xi_power(s * g) for s in range(r)), cyc(0))
+                t = sum((xi_power(action, s * g) for s in range(r)), cyc(0))
                 if not t.is_rational() or t.rational_value().denominator != 1:
                     raise ArithmeticError("power sum of xi^%d must be an integer" % g)
                 power_sums[g] = t.rational_value().numerator
@@ -623,6 +663,29 @@ def test_corner_dimension_checks_reject_products_of_two_terms(monkeypatch):
     action = make_cyclic_group(COMM, 3)
     rows = corner_dimension_checks(action, 3)["rows"]
     assert [row["ok"] for row in rows] == [True, True, False, True]
+
+
+def test_corner_dimension_checks_form_e_k_for_a_key_off_the_unit_law(monkeypatch):
+    # a unit law that sends y^2 * 1 to y x: u e has the key (y x, 0), not
+    # (y^2, 0), so the corner line forms e k for it as the per-character
+    # oracle does, and the rows agree and fail
+    real = asreg2.skew.skew_mul_basis
+    formed = []
+
+    def moved(action, k1, k2):
+        if k2 == (MONO_ONE, 0) and k1 == (Monomial(2, 0), 0):
+            return {(Monomial(1, 1), 0): ONE}
+        if k1 == (MONO_ONE, 0) and k2 == (Monomial(1, 1), 0):
+            formed.append(k2)
+        return real(action, k1, k2)
+
+    monkeypatch.setattr(asreg2.skew, "skew_mul_basis", moved)
+    action = make_cyclic_group(COMM, 3)
+    report = corner_dimension_checks(action, 3)
+    # e (y x rho_0) once as y x's own e u, once as e k for y^2's moved key
+    assert formed == [(Monomial(1, 1), 0)] * 2
+    assert report == corner_dimension_checks_per_character(COMM, action, 3)
+    assert [row["ok"] for row in report["rows"]] == [True, True, False, True]
 
 
 def ideal_e_dims_window(spec, action, D):
