@@ -5,9 +5,10 @@ A spec fixes coprime generator weights (w_x, w_y) and the relation family:
   quantum(alpha):  x*y = alpha * y*x          (alpha nonzero)
   jordan:          x*y = y*x + x^(q+1)        (w_x = 1, q = w_y)
 
-The monomial basis is y^a x^b, written as pairs (a, b); monomial_product
-puts every product in that normal form by a closed form.  It is degree
-preserving, so homogeneous inputs give homogeneous outputs.
+The monomial basis is y^a x^b, written as the plain pair (a, b) of
+exponents, a tuple and no class of its own; monomial_product puts every
+product in that normal form by a closed form.  It is degree preserving,
+so homogeneous inputs give homogeneous outputs.
 
 Memos live on the spec, so each spec object (one per CLI job) computes a
 piece of work once and nothing leaks between specs: the monomial products
@@ -25,17 +26,10 @@ across threads.
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, ONE, cyc
 
-
-class Monomial(NamedTuple):
-    a: int  # exponent of y
-    b: int  # exponent of x
-
-
-MONO_ONE = Monomial(0, 0)
+MONO_ONE = (0, 0)  # the unit monomial y^0 x^0
 
 
 @dataclass(eq=False)
@@ -97,7 +91,7 @@ def _accumulate(terms, key, coeff):
 
 
 def monomial_product(spec, m1, m2):
-    """Normal form of the product m1 * m2 of two monomials, {Monomial: coeff}.
+    """Normal form of the product m1 * m2 of two monomials, {(a, b): coeff}.
 
     (y^a1 x^b1)(y^a2 x^b2) = y^a1 (x^b1 y^a2) x^b2 is y^(a1+a2) x^(b1+b2)
     with coefficient 1 if b1 = 0 or a2 = 0, else alpha^(a2 b1) times it on
@@ -119,13 +113,13 @@ def monomial_product(spec, m1, m2):
     if hit is None:
         (a1, b1), (a2, b2) = m1, m2
         if not b1 or not a2:
-            hit = {Monomial(a1 + a2, b1 + b2): ONE}
+            hit = {(a1 + a2, b1 + b2): ONE}
         elif spec.family == "quantum":
-            hit = {Monomial(a1 + a2, b1 + b2): spec.alpha ** (a2 * b1)}
+            hit = {(a1 + a2, b1 + b2): spec.alpha ** (a2 * b1)}
         else:
             q, c, hit = spec.q, 1, {}
             for k in range(a2 + 1):
-                hit[Monomial(a1 + a2 - k, b1 + k * q + b2)] = Cyclotomic(c)
+                hit[a1 + a2 - k, b1 + k * q + b2] = Cyclotomic(c)
                 c = c * (a2 - k) * (b1 + k * q) // (k + 1)
         memo[key] = hit
     return hit
@@ -214,17 +208,18 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def _key(spec, m):
-        return Monomial(*m)
+        a, b = m
+        return (a, b)
 
     _basis_mul = staticmethod(monomial_product)
 
     @staticmethod
     def gen_x(spec):
-        return AlgebraElement(spec)._wrap({Monomial(0, 1): ONE})
+        return AlgebraElement(spec)._wrap({(0, 1): ONE})
 
     @staticmethod
     def gen_y(spec):
-        return AlgebraElement(spec)._wrap({Monomial(1, 0): ONE})
+        return AlgebraElement(spec)._wrap({(1, 0): ONE})
 
 
 def reduce_product(u, v, spec):
@@ -248,8 +243,7 @@ def graded_basis(spec, d):
     basis = spec._bases.get(d)
     if basis is None:
         wx, wy = spec.w_x, spec.w_y
-        basis = spec._bases[d] = tuple(Monomial(a, (d - a * wy) // wx)
-                                       for a in _y_exponents(spec, d))
+        basis = spec._bases[d] = [(a, (d - a * wy) // wx) for a in _y_exponents(spec, d)]
     return list(basis)
 
 

@@ -33,7 +33,7 @@ coefficient 1.  So check compares Q_{S,G}'s path count with r * dim nabla.
 
 from collections import Counter
 
-from .algebra import Monomial, SparseElement, _y_exponents, graded_basis, monomial_product
+from .algebra import SparseElement, _y_exponents, graded_basis, monomial_product
 from .quivers import grid_quiver
 from .skew import skew_mul_basis
 
@@ -65,7 +65,11 @@ def lambda_mul_basis(action, t1, t2):
     (i, j, m, w), (k, l, n, v) = t1, t2
     if l != i or (w + action.char(n)) % action.r != v:
         return {}
-    return {(k, j, mono, v): c for mono, c in monomial_product(action.spec, m, n).items()}
+    prod = monomial_product(action.spec, m, n)
+    if len(prod) == 1:  # below degree ell always: powers of one letter (module docstring)
+        (mono, c), = prod.items()
+        return {(k, j, mono, v): c}
+    return {(k, j, mono, v): c for mono, c in prod.items()}
 
 
 class LambdaElement(SparseElement):
@@ -75,8 +79,8 @@ class LambdaElement(SparseElement):
 
     @staticmethod
     def _key(action, key):
-        i, j, m, w = key
-        return (i, j, Monomial(*m), w % action.r)
+        i, j, (a, b), w = key
+        return (i, j, (a, b), w % action.r)
 
     _basis_mul = staticmethod(lambda_mul_basis)
 
@@ -155,6 +159,9 @@ def nabla_of_skew_mul(action, t1, t2):
     if l != i:
         return {}
     prod = skew_mul_basis(action, (m, w), (n, v))
+    if len(prod) == 1:
+        ((mono, u), c), = prod.items()
+        return {(k, j, mono, u): c}
     return {(k, j, mono, u): c for (mono, u), c in prod.items()}
 
 
@@ -169,10 +176,14 @@ def nabla_skew_structure_check(action):
     (l, (v - char n) mod r).
     """
     r = action.r
-    basis = [(i, j, m, w) for (i, j, m) in nabla_basis(action.spec) for w in range(r)]
+    basis = []
     into = {}  # (l, (v - char n) mod r) -> basis elements (k, l, n, v)
-    for t in basis:
-        into.setdefault((t[1], (t[3] - action.char(t[2])) % r), []).append(t)
+    for (k, l, n) in nabla_basis(action.spec):
+        c = action.char(n)  # one char per triple, read at each of its r characters
+        for v in range(r):
+            t = (k, l, n, v)
+            basis.append(t)
+            into.setdefault((l, (v - c) % r), []).append(t)
     return all(
         lambda_mul_basis(action, t1, t2) == nabla_of_skew_mul(action, t1, t2)
         for t1 in basis for t2 in into.get((t1[0], t1[3]), ())

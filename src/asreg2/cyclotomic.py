@@ -11,8 +11,9 @@ denominator with no common factor, so the arithmetic runs on Python ints;
 ``rational_value`` return Fractions, and ``Cyclotomic(value)`` reads the
 numerator and denominator of an int or a Fraction.  Phi_n is monic with
 integer coefficients, so reduction mod Phi_n never leaves the integers.
-There is one coercion (``cyc``), one addition (``cyclotomic_sum``) and one
-scalar path in products, for a rational operand on either side.
+There is one coercion (``cyc``), one addition (``__add__``, at one
+conductor and denominator or else in the lcm of each) and one scalar path
+in products, for a rational operand on either side.
 
 Inverses come from the field norm: the product of x with its other Galois
 conjugates x(zeta^k), gcd(k, n) = 1, is a nonzero rational N(x), so x^-1 is
@@ -151,7 +152,15 @@ class Cyclotomic:
         return self._embed(m), other._embed(m)
 
     def __add__(self, other):
-        return cyclotomic_sum((self, cyc(other)))
+        """The numerators added as integers, at the lcm conductor over the lcm
+        denominator when the operands differ in either."""
+        other = cyc(other)
+        if self.n == other.n and self.den == other.den:
+            return _normal(self.n, list(map(add, self.num, other.num)), self.den)
+        n, den = lcm(self.n, other.n), lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        a, b = self._embed(n).num, other._embed(n).num
+        return _normal(n, [x * sa + y * sb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -244,7 +253,7 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __str__(self):
         if self.is_zero():
@@ -278,23 +287,6 @@ def cyc(value):
 
 
 ONE = Cyclotomic(1)
-
-
-def cyclotomic_sum(values):
-    """The sum of Cyclotomic values, brought to its normal form once.
-
-    The numerators are embedded in the lcm conductor over the lcm
-    denominator and added there as integers, which is what a chain of
-    + does term by term.  The sum is the same field element; its conductor
-    is that lcm unless the sum is rational."""
-    values = list(values)
-    n = lcm(*(v.n for v in values))
-    den = lcm(*(v.den for v in values))
-    total = [0] * (len(cyclotomic_polynomial(n)) - 1)
-    for v in values:
-        num, scale = v._embed(n).num, den // v.den
-        total = list(map(add, total, num if scale == 1 else [x * scale for x in num]))
-    return _normal(n, total, den)
 
 
 def zeta(n, k=1):

@@ -490,5 +490,5 @@ def path_count(q):
         raise ValueError("path count needs an acyclic quiver")
     paths_from = [0] * size
     for v in reversed(order):
-        paths_from[v] = 1 + sum(paths_from[t] for t in targets[v])
+        paths_from[v] = 1 + sum(map(paths_from.__getitem__, targets[v]))
     return sum(paths_from)

@@ -10,7 +10,6 @@ import pytest
 from asreg2.cyclotomic import Cyclotomic, ONE, cyc, zeta
 from asreg2.algebra import (
     MONO_ONE,
-    Monomial,
     SparseElement,
     graded_basis,
     monomial_product,
@@ -37,7 +36,7 @@ from asreg2.quivers import (
     quiver_qs,
     quiver_qsg,
 )
-from asreg2.skew import molien_dims, rho_system
+from asreg2.skew import molien_dims, rho_system, skew_mul_basis
 from test_automorphisms import jordan_spec, xi_power
 from test_skew import (
     GSkewElement,
@@ -71,7 +70,7 @@ class NablaElement(SparseElement):
     @staticmethod
     def _key(spec, key):
         i, j, m = key
-        return (i, j, Monomial(*m))
+        return (i, j, tuple(m))
 
     _basis_mul = staticmethod(nabla_mul_basis)
 
@@ -113,7 +112,7 @@ class GLambdaElement(SparseElement):
     @staticmethod
     def _key(action, key):
         i, j, m, s = key
-        return (i, j, Monomial(*m), s % action.r)
+        return (i, j, tuple(m), s % action.r)
 
     _basis_mul = staticmethod(g_lambda_mul_basis)
 
@@ -273,11 +272,11 @@ def test_lambda_basis_is_the_path_basis_of_qsg():
                 path = {}
                 for (i, j, m) in nabla_basis(spec):
                     assert 0 in m  # a pure power y^a or x^b
-                    tag = "y" if m.a else "x"
+                    tag = "y" if m[0] else "x"
                     for w in range(r):
                         v = start = label[i * r + -w % r]
                         arrows = []
-                        for _ in range(m.a + m.b):
+                        for _ in range(sum(m)):
                             arrows.append((v, step[(v, tag)], tag))
                             v = arrows[-1][1]
                         assert v == label[j * r + (action.char(m) - w) % r]
@@ -386,7 +385,7 @@ def rho_system_g_basis(action):
     ok = all(g * rho[w] == rho[w].scale(xi(-w)) for w in range(r))
     ok = ok and action.xi ** r == 1 and all(xi(k) != 1 for k in range(1, r))
     ok = ok and sum(rho, GSkewElement(action)) == GSkewElement.one(action)
-    for n in (Monomial(0, 1), Monomial(1, 0)):
+    for n in ((0, 1), (1, 0)):
         gn = GSkewElement.basis_element(action, n, 0)
         ok = ok and all(rho[w] * gn == gn * rho[(w + action.char(n)) % r] for w in range(r))
     return ok
@@ -509,6 +508,49 @@ def test_products_vanish_off_composable_pairs():
                 if t2[1] != t1[0] or (t1[3] + action.char(t2[2])) % r != t2[3]:
                     assert lambda_mul_basis(action, t1, t2) == {}
                     assert nabla_of_skew_mul(action, t1, t2) == {}
+
+
+def test_product_kernels_one_term_path_equals_comprehension_sweep():
+    # skew_mul_basis, lambda_mul_basis and nabla_of_skew_mul re-key a
+    # one-term product by one dict display and a Jordan product with several
+    # terms by a comprehension: on both paths each is monomial_product's dict
+    # re-keyed term by term, in its order, a fresh dict, the memo unchanged
+    rng = random.Random(4702)
+    actions = [make_cyclic_group(quantum_spec(1, 1, zeta(5)), 4),
+               make_cyclic_group(quantum_spec(1, 2, Fraction(2, 3)), 3),
+               make_diagonal_action(quantum_spec(2, 3, zeta(3)), 5, 2, 1)]
+    actions += [make_cyclic_group(jordan_spec(q), q + 1) for q in range(1, 5)]
+    shapes = Counter()
+    for action in actions:
+        spec, r = action.spec, action.r
+        monos = [m for d in range(2 * spec.ell + 2) for m in graded_basis(spec, d)]
+        # the unit laws, y^a on the left and x^b on the right: one term on both planes
+        pairs = [(MONO_ONE, n) for n in monos] + [(m, MONO_ONE) for m in monos]
+        pairs += [((a, 0), n) for a in range(1, 4) for n in monos]
+        pairs += [(m, (0, b)) for m in monos for b in range(1, 4)]
+        # x^b y^a with a, b >= 1, several terms on the Jordan plane, and any pair
+        pairs += [((rng.randrange(3), rng.randrange(1, 4)), (rng.randrange(1, 4), rng.randrange(3)))
+                  for _ in range(100)]
+        pairs += [(rng.choice(monos), rng.choice(monos)) for _ in range(200)]
+        for m, n in pairs:
+            memo = monomial_product(spec, m, n)
+            before = list(memo.items())
+            shapes[spec.family, len(memo) > 1, all(c == ONE for c in memo.values())] += 1
+            w, i, j, k = rng.randrange(r), rng.randrange(5), rng.randrange(5), rng.randrange(5)
+            v = (w + action.char(n)) % r
+            skew = skew_mul_basis(action, (m, w), (n, v))
+            lam = lambda_mul_basis(action, (i, j, m, w), (k, i, n, v))
+            nab = nabla_of_skew_mul(action, (i, j, m, w), (k, i, n, v))
+            assert list(skew.items()) == [((mono, v), c) for mono, c in before], (spec, m, n)
+            assert list(lam.items()) == list(nab.items()) == [
+                ((k, j, mono, v), c) for mono, c in before], (spec, m, n)
+            assert all(prod is not memo for prod in (skew, lam, nab))
+            assert list(memo.items()) == before
+    # both paths ran: one term with coefficient 1 and with a power of alpha
+    # != 1, on each plane, and several terms on the Jordan plane alone
+    assert {("quantum", False, True), ("quantum", False, False), ("jordan", False, True),
+            ("jordan", True, False)} <= set(shapes), shapes
+    assert not shapes["quantum", True, True] + shapes["quantum", True, False]
 
 
 def test_idempotent_system_work_is_linear(monkeypatch):

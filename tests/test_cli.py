@@ -12,6 +12,7 @@ from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -24,7 +25,7 @@ import asreg2.cli
 import asreg2.linalg
 import asreg2.quivers
 import asreg2.skew
-from asreg2.algebra import Monomial, graded_basis, quantum_spec
+from asreg2.algebra import graded_basis, quantum_spec
 from asreg2.automorphisms import DEFAULT_POWERS, make_cyclic_group
 from asreg2.cli import main, parse_cyclotomic
 from asreg2.cyclotomic import cyc, zeta
@@ -1473,11 +1474,18 @@ def test_json_writer_equals_json_dumps(tree):
 
 def test_json_writer_dispatches_on_the_exact_type():
     # a subclass of a report type is no report type: a NamedTuple, an int
-    # subclass and a str subclass raise as a float does
+    # subclass and a str subclass raise as a float does, also as a member
+    # of a list or dict, which the writer writes in place
     class Label(str):
         pass
 
-    for value in (Monomial(1, 2), [Monomial(0, 0)], {"a": Label("x")}, IntEnum("E", "A").A):
+    class Pair(NamedTuple):
+        a: int
+        b: int
+
+    flag = IntEnum("E", "A").A
+    for value in (Pair(1, 2), [Pair(0, 0)], {"a": Label("x")}, flag, [1, flag], ["x", Label("y")],
+                  [None, 0.5], {"a": 1, "b": 0.5}, ("x", 2.0)):
         with pytest.raises(TypeError):
             asreg2.cli._json(value)
 

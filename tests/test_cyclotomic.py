@@ -1,22 +1,41 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import asreg2.cyclotomic
 from asreg2.cyclotomic import (
+    _normal,
     _prime_divisors,
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
-    cyclotomic_sum,
     zeta,
 )
 
 R0 = Fraction(0)
 R1 = Fraction(1)
+
+
+def cyclotomic_sum(values):
+    """The sum of Cyclotomic values, brought to its normal form once.
+
+    The numerators are embedded in the lcm conductor over the lcm
+    denominator and added there as integers, which is what a chain of
+    + does term by term.  The sum is the same field element; its conductor
+    is that lcm unless the sum is rational.  The oracle of the two-operand
+    Cyclotomic.__add__."""
+    values = list(values)
+    n = lcm(*(v.n for v in values))
+    den = lcm(*(v.den for v in values))
+    total = [0] * (len(cyclotomic_polynomial(n)) - 1)
+    for v in values:
+        num, scale = v._embed(n).num, den // v.den
+        total = list(map(add, total, num if scale == 1 else [x * scale for x in num]))
+    return _normal(n, total, den)
 
 
 def euler_phi(n):
@@ -451,7 +470,8 @@ def test_kernel_matches_oracle_sweep():
 
 def test_cyclotomic_sum_equals_chained_additions():
     # mixed conductors and denominators, sums that drop to Q, and the empty
-    # sum, against the oracle's chained additions (+ itself is cyclotomic_sum)
+    # sum, against the oracle's chained additions; + is cyclotomic_sum of its
+    # two operands, value for value
     # conductors whose lcm stays within the pairwise sweep's, where the
     # oracle's Phi_n by long division is cheap
     cap = max(lcm(a, b) for a in CONDUCTORS for b in CONDUCTORS)
@@ -477,6 +497,9 @@ def test_cyclotomic_sum_equals_chained_additions():
         for oracle in oracles:
             chained = chained + oracle
         total = cyclotomic_sum(iter(values))
+        for u, v in zip(values, values[1:] + values[:1]):
+            pair = cyclotomic_sum([u, v])
+            assert ((u + v).n, (u + v).num, (u + v).den) == (pair.n, pair.num, pair.den)
         # the sum sits at the lcm conductor unless it is rational; the chain
         # drops to Q along the way, so it sits at a divisor of that lcm
         assert total.is_rational() == (chained.n == 1), values
