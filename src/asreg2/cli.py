@@ -170,40 +170,29 @@ def _action_from_args(spec, args):
         raise SystemExit("invalid action: %s" % exc)
 
 
-_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
-# the writer of each scalar type, keyed by the exact type
-_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
-
-
 def _json(o, pad="\n"):
     """json.dumps(o, sort_keys=True, indent=2), pad the line break and indent
     before o's closing bracket; the stdlib indents only in pure Python.  A
     report holds dicts with str keys, lists, tuples, str, int, bool and None,
     and the branch is picked by the value's exact type: any other type, a
-    float or a subclass too, raises TypeError.  A scalar member of a list or
-    dict is written in place, with no call of _json of its own."""
+    float or a subclass too, raises TypeError."""
     t = type(o)
-    scalar = _SCALAR.get(t)
-    if scalar is not None:
-        return scalar(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is bool or o is None:
+        return "null" if o is None else "true" if o else "false"
     inner = pad + "  "
     if t is list or t is tuple:
         # the dims lists, most of an ample report, in one repr; True is no int here
         if o and type(o[0]) is int and set(map(type, o)) == {int}:
             return "[" + inner + repr(list(o))[1:-1].replace(", ", "," + inner) + pad + "]"
-        items = []
-        for v in o:
-            scalar = _SCALAR.get(type(v))
-            items.append(_json(v, inner) if scalar is None else scalar(v))
+        items = [_json(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if o else "[]"
     if t is dict:
-        items = []
-        for k in sorted(o):
-            v = o[k]
-            scalar = _SCALAR.get(type(v))
-            # encode_basestring_ascii raises TypeError on a key that is no str
-            items.append(encode_basestring_ascii(k) + ": "
-                         + (_json(v, inner) if scalar is None else scalar(v)))
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
     raise TypeError("a report holds no %s" % t.__name__)
 

@@ -1474,8 +1474,7 @@ def test_json_writer_equals_json_dumps(tree):
 
 def test_json_writer_dispatches_on_the_exact_type():
     # a subclass of a report type is no report type: a NamedTuple, an int
-    # subclass and a str subclass raise as a float does, also as a member
-    # of a list or dict, which the writer writes in place
+    # subclass and a str subclass raise as a float does
     class Label(str):
         pass
 
@@ -1483,9 +1482,7 @@ def test_json_writer_dispatches_on_the_exact_type():
         a: int
         b: int
 
-    flag = IntEnum("E", "A").A
-    for value in (Pair(1, 2), [Pair(0, 0)], {"a": Label("x")}, flag, [1, flag], ["x", Label("y")],
-                  [None, 0.5], {"a": 1, "b": 0.5}, ("x", 2.0)):
+    for value in (Pair(1, 2), [Pair(0, 0)], {"a": Label("x")}, IntEnum("E", "A").A):
         with pytest.raises(TypeError):
             asreg2.cli._json(value)
 
