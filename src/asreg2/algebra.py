@@ -222,8 +222,8 @@ class AlgebraElement(SparseElement):
         return AlgebraElement(spec)._wrap({(1, 0): ONE})
 
 
-def reduce_product(u, v, spec):
-    """Product in S of elements u, v of spec, rewritten to the y^a x^b normal form."""
+def reduce_product(u, v):
+    """Product in S of elements u, v, rewritten to the y^a x^b normal form."""
     return u * v
 
 

@@ -65,11 +65,10 @@ def lambda_mul_basis(action, t1, t2):
     (i, j, m, w), (k, l, n, v) = t1, t2
     if l != i or (w + action.char(n)) % action.r != v:
         return {}
-    prod = monomial_product(action.spec, m, n)
-    if len(prod) == 1:  # below degree ell always: powers of one letter (module docstring)
-        (mono, c), = prod.items()
-        return {(k, j, mono, v): c}
-    return {(k, j, mono, v): c for mono, c in prod.items()}
+    out = {}  # one term below degree ell: powers of one letter (module docstring)
+    for mono, c in monomial_product(action.spec, m, n).items():
+        out[k, j, mono, v] = c
+    return out
 
 
 class LambdaElement(SparseElement):
@@ -158,11 +157,10 @@ def nabla_of_skew_mul(action, t1, t2):
     (i, j, m, w), (k, l, n, v) = t1, t2
     if l != i:
         return {}
-    prod = skew_mul_basis(action, (m, w), (n, v))
-    if len(prod) == 1:
-        ((mono, u), c), = prod.items()
-        return {(k, j, mono, u): c}
-    return {(k, j, mono, u): c for (mono, u), c in prod.items()}
+    out = {}
+    for (mono, u), c in skew_mul_basis(action, (m, w), (n, v)).items():
+        out[k, j, mono, u] = c
+    return out
 
 
 def nabla_skew_structure_check(action):

@@ -11,9 +11,9 @@ denominator with no common factor, so the arithmetic runs on Python ints;
 ``rational_value`` return Fractions, and ``Cyclotomic(value)`` reads the
 numerator and denominator of an int or a Fraction.  Phi_n is monic with
 integer coefficients, so reduction mod Phi_n never leaves the integers.
-There is one coercion (``cyc``), one addition (``__add__``, at one
-conductor and denominator or else in the lcm of each) and one scalar path
-in products, for a rational operand on either side.
+There is one coercion (``cyc``), one addition (``__add__``, at the lcm
+conductor over the lcm denominator, whatever the operands) and one scalar
+path in products, for a rational operand on either side.
 
 Inverses come from the field norm: the product of x with its other Galois
 conjugates x(zeta^k), gcd(k, n) = 1, is a nonzero rational N(x), so x^-1 is
@@ -30,7 +30,6 @@ coordinates vanish; general number fields are out of scope.
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
 
 
 def _prime_divisors(n):
@@ -146,17 +145,13 @@ class Cyclotomic:
         return _make(m, _reduce(m, raised), self.den)
 
     def _pair(self, other):
-        if self.n == other.n:
-            return self, other
         m = lcm(self.n, other.n)
         return self._embed(m), other._embed(m)
 
     def __add__(self, other):
-        """The numerators added as integers, at the lcm conductor over the lcm
-        denominator when the operands differ in either."""
+        """The numerators added as integers at the lcm conductor over the lcm
+        denominator; at one conductor the embedding is the value itself."""
         other = cyc(other)
-        if self.n == other.n and self.den == other.den:
-            return _normal(self.n, list(map(add, self.num, other.num)), self.den)
         n, den = lcm(self.n, other.n), lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         a, b = self._embed(n).num, other._embed(n).num
@@ -230,8 +225,6 @@ class Cyclotomic:
             other = Cyclotomic(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.n == other.n:  # the normal form is unique at one conductor
-            return self.num == other.num and self.den == other.den
         # cross-multiply, so equality does not rest on embedding keeping lowest terms
         a, b = self._pair(other)
         return all(x * b.den == y * a.den for x, y in zip(a.num, b.num))

@@ -34,17 +34,14 @@ from .algebra import (
 def skew_mul_basis(action, k1, k2):
     """(m rho_w)(n rho_v) = [w + char n = v (mod r)] (m n) rho_v; see rho_system.
 
-    A one-term m n (every quantum product, and on the Jordan plane every one
-    with m free of x or n free of y) is re-keyed by one dict display; only a
-    Jordan product with several terms takes the comprehension."""
+    monomial_product's terms, in order, re-keyed into a fresh dict (not the memo's)."""
     (m1, w), (m2, v) = k1, k2
     if (w + action.char(m2)) % action.r != v:
         return {}
-    prod = monomial_product(action.spec, m1, m2)
-    if len(prod) == 1:
-        (m, cm), = prod.items()
-        return {(m, v): cm}
-    return {(m, v): cm for m, cm in prod.items()}
+    out = {}
+    for m, cm in monomial_product(action.spec, m1, m2).items():
+        out[m, v] = cm
+    return out
 
 
 def rho_system(action):
@@ -208,7 +205,7 @@ def _check_leading_term(spec):
     """The leading-term hypothesis of the counts below: x*y leads with y*x,
     the case a = b = 1 of the formula for x^b y^a in monomial_product."""
     x, y = AlgebraElement.gen_x(spec), AlgebraElement.gen_y(spec)
-    if max(reduce_product(x, y, spec).terms) != (1, 1):
+    if max(reduce_product(x, y).terms) != (1, 1):
         raise ArithmeticError("x*y must have the leading monomial y*x for the leading-term count")
 
 

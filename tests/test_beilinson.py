@@ -511,10 +511,10 @@ def test_products_vanish_off_composable_pairs():
 
 
 def test_product_kernels_one_term_path_equals_comprehension_sweep():
-    # skew_mul_basis, lambda_mul_basis and nabla_of_skew_mul re-key a
-    # one-term product by one dict display and a Jordan product with several
-    # terms by a comprehension: on both paths each is monomial_product's dict
-    # re-keyed term by term, in its order, a fresh dict, the memo unchanged
+    # skew_mul_basis, lambda_mul_basis and nabla_of_skew_mul re-key every
+    # product by one loop, whether it has one term or several (a Jordan
+    # product): each is monomial_product's dict re-keyed term by term, in its
+    # order, a fresh dict, the memo unchanged
     rng = random.Random(4702)
     actions = [make_cyclic_group(quantum_spec(1, 1, zeta(5)), 4),
                make_cyclic_group(quantum_spec(1, 2, Fraction(2, 3)), 3),
@@ -546,7 +546,7 @@ def test_product_kernels_one_term_path_equals_comprehension_sweep():
                 ((k, j, mono, v), c) for mono, c in before], (spec, m, n)
             assert all(prod is not memo for prod in (skew, lam, nab))
             assert list(memo.items()) == before
-    # both paths ran: one term with coefficient 1 and with a power of alpha
+    # each shape ran: one term with coefficient 1 and with a power of alpha
     # != 1, on each plane, and several terms on the Jordan plane alone
     assert {("quantum", False, True), ("quantum", False, False), ("jordan", False, True),
             ("jordan", True, False)} <= set(shapes), shapes

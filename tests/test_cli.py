@@ -283,6 +283,9 @@ CHECK_GOLDENS = [
     # table of r powers of xi took 96-98 % of the job
     ("check_1_1_r4800", ["--wx", "1", "--wy", "1", "--r", "4800"]),
     ("check_j23_r24", ["--family", "jordan", "--wy", "23", "--r", "24"]),
+    # ell*r = 16 and dim Lambda = 44, inside both of check's gates: the
+    # Gabriel and structure-constant lines, and all three product kernels
+    ("check_j3_r4", ["--family", "jordan", "--wy", "3", "--r", "4"]),
     # w_x = 7: the shortest path's x-steps cost more than one degree
     ("check_7_9_r12", ["--wx", "7", "--wy", "9", "--r", "12"]),
 ]
@@ -334,7 +337,7 @@ def test_quiver_matches_golden(tmp_path, capsys, name, argv):
 
 @pytest.mark.parametrize("name, flags", CHECK_GOLDENS,
                          ids=["1_3_r12", "1_1_r20", "1_1_r50", "1_1_r150", "1_1_r300", "1_1_r1200",
-                              "1_1_r4800", "j23_r24", "7_9_r12"])
+                              "1_1_r4800", "j23_r24", "j3_r4", "7_9_r12"])
 def test_check_matches_golden(tmp_path, capsys, name, flags):
     # pins the check bytes at configs that no benchmark job reaches; the
     # Jordan plane sends non-monomial products through the product memo

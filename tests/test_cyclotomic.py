@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -507,6 +508,51 @@ def test_cyclotomic_sum_equals_chained_additions():
     assert cyclotomic_sum([]).is_zero()
     assert cyclotomic_sum(zeta(12, k) for k in range(12)).is_zero()
     assert cyclotomic_sum([zeta(12, 3 * k) for k in range(4)] + [cyc(Fraction(1, 3))]).rational_value() == Fraction(1, 3)
+
+
+def test_add_and_eq_equal_the_one_conductor_shortcuts_sweep():
+    # + and == take one path at every pair of conductors and denominators:
+    # at one conductor and denominator a + b is the numerators added there,
+    # and at one conductor a == b is the normal form's field-for-field
+    # equality; on every pair both agree with the Fraction oracle
+    rng = random.Random(4901)
+    pool = []
+    for _ in range(240):
+        n, den = rng.choice((1, 3, 4, 5, 6, 8, 12, 15)), rng.choice((1, 2, 3, 4, 6, 12))
+        pool.append(_normal(n, [rng.randrange(-6, 7) for _ in range(euler_phi(n))], den))
+    buckets = {}
+    for v in pool:
+        buckets.setdefault((v.n, v.den), []).append(v)
+    seen = Counter()
+    for _ in range(1500):
+        a = rng.choice(pool)
+        pick = rng.random()
+        if pick < 0.4:
+            b = rng.choice(buckets[a.n, a.den])
+        elif pick < 0.5:
+            b = -(-a)
+        elif pick < 0.6:
+            b = -a
+        elif pick < 0.7:
+            m = rng.choice(CONDUCTORS)
+            b = (a + zeta(m)) - zeta(m)
+        else:
+            b = rng.choice(pool)
+        oa, ob = OracleCyclotomic(a.n, a.coeffs), OracleCyclotomic(b.n, b.coeffs)
+        total = a + b
+        assert_same(total, oa + ob)
+        if (a.n, a.den) == (b.n, b.den):
+            old = _normal(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
+            assert (total.n, total.num, total.den) == (old.n, old.num, old.den), (a, b)
+        assert (a == b) == (b == a) == (oa == ob), (a, b)
+        if a.n == b.n:
+            assert (a == b) == ((a.n, a.num, a.den) == (b.n, b.num, b.den)), (a, b)
+        seen[a.n == b.n, a.den == b.den, a == b] += 1
+    # each shape ran: equal and unequal values at one conductor and
+    # denominator, one conductor over two denominators, and equal and
+    # unequal values at mixed conductors
+    assert {(True, True, True), (True, True, False), (True, False, False),
+            (False, True, True), (False, True, False), (False, False, False)} <= set(seen), seen
 
 
 TERMS = st.lists(st.tuples(st.integers(0, 19), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))), max_size=4)

@@ -179,7 +179,7 @@ def ideal_e_dims_blocked(spec, action, D):
                     ech = blocks.get(key)
                     if ech is None:
                         ech = blocks[key] = Echelon()
-                    if ech.add(reduce_product(u, v, spec).terms):
+                    if ech.add(reduce_product(u, v).terms):
                         total += 1
                         if ech.rank == capacity[c]:
                             full.add(key)
